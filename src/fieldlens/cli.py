@@ -21,9 +21,11 @@ from .fuzz_template import export_fuzz_template
 from .model import ModelError
 from .pipeline import (
     PipelineConfig,
+    annotated_lengths,
     annotations_from_doc,
     annotations_to_doc,
     audit_to_doc,
+    check_covers,
     clustering_to_dict,
     format_from_dict,
     format_to_dict,
@@ -38,6 +40,7 @@ from .traceio import (
     dump_corpus,
     load_corpus,
     serialize_corpus,
+    write_json,
 )
 from .vm import bundled_parsers, parse_script, run as vm_run
 from .vm.machine import DEFAULT_STEP_BUDGET
@@ -67,12 +70,6 @@ def _add_refine_flags(p: argparse.ArgumentParser) -> None:
                    help="skip entropy-based type refinement")
     g.add_argument("--no-constraints", action="store_true",
                    help="skip type/function constraint refinement")
-
-
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _read_json(path: Path):
@@ -135,7 +132,7 @@ def _cmd_generate(args) -> int:
 def _cmd_extract(args) -> int:
     messages, traces = _load_traces(Path(args.traces))
     formats, _ = infer_corpus(messages, traces, _params(args), args.baseline)
-    _write_json(Path(args.out), [format_to_dict(formats[m.id]) for m in messages])
+    write_json(Path(args.out), [format_to_dict(formats[m.id]) for m in messages])
     print(f"extracted {len(messages)} formats -> {args.out}")
     return 0
 
@@ -146,8 +143,8 @@ def _cmd_infer(args) -> int:
     formats, annotations = infer_corpus(
         messages, traces, _params(args), args.baseline, disabled
     )
-    _write_json(Path(args.formats_out), [format_to_dict(formats[m.id]) for m in messages])
-    _write_json(Path(args.out), annotations_to_doc(annotations))
+    write_json(Path(args.formats_out), [format_to_dict(formats[m.id]) for m in messages])
+    write_json(Path(args.out), annotations_to_doc(annotations))
     print(f"annotated {len(messages)} messages -> {args.out}")
     return 0
 
@@ -158,6 +155,9 @@ def _cmd_refine(args) -> int:
         doc["message_id"]: format_from_dict(doc) for doc in _read_json(Path(args.formats))
     }
     annotations = annotations_from_doc(_read_json(Path(args.annotations)))
+    lengths = {m.id: len(m.data) for m in messages}
+    check_covers(lengths, args.formats, {m: f.length for m, f in formats.items()})
+    check_covers(lengths, args.annotations, annotated_lengths(annotations))
     clustering, refined, events = refine_corpus(
         messages,
         formats,
@@ -167,9 +167,9 @@ def _cmd_refine(args) -> int:
         not args.no_entropy,
         not args.no_constraints,
     )
-    _write_json(Path(args.out), annotations_to_doc(refined))
-    _write_json(Path(args.audit), audit_to_doc(events))
-    _write_json(Path(args.clusters), clustering_to_dict(clustering))
+    write_json(Path(args.out), annotations_to_doc(refined))
+    write_json(Path(args.audit), audit_to_doc(events))
+    write_json(Path(args.clusters), clustering_to_dict(clustering))
     print(
         f"refined {len(messages)} messages -> {args.out} "
         f"({len(events)} audit events)"
@@ -199,10 +199,15 @@ def _cmd_score(args) -> int:
         doc["message_id"]: format_from_dict(doc) for doc in _read_json(Path(args.formats))
     }
     annotations = annotations_from_doc(_read_json(Path(args.annotations)))
+    check_covers(
+        {m: f.length for m, f in formats.items()},
+        args.annotations,
+        annotated_lengths(annotations),
+    )
     truths = load_ground_truth(Path(args.ground_truth))
     report = score_corpus(formats, annotations, truths)
     doc = report.to_dict()
-    _write_json(Path(args.out), doc)
+    write_json(Path(args.out), doc)
     print(_summary_table(doc))
     return 0
 
@@ -218,13 +223,12 @@ def _cmd_run(args) -> int:
         entropy_enabled=not args.no_entropy,
         constraints_enabled=not args.no_constraints,
         disabled_rules=frozenset(args.disable_rule or ()),
-        step_budget=args.step_budget,
     )
     result = run_pipeline(config)
     print(f"pipeline reports written to {args.out_dir}")
     if result.metrics is not None:
         print(_summary_table(result.metrics.to_dict()))
-    return result.exit_code
+    return 0
 
 
 def _cmd_export_template(args) -> int:
@@ -301,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--baseline", action="store_true")
     p.add_argument("--disable-rule", action="append", metavar="RULE_ID")
-    p.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET)
     _add_alignment_flags(p)
     _add_refine_flags(p)
     p.set_defaults(func=_cmd_run)

@@ -8,11 +8,11 @@ that keep their boundaries.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, Sequence
 
 from .detectors import FieldAnnotation, SemanticFunction, SemanticType
 from .model import Message
+from .traceio import write_json
 
 _TYPE_KINDS = {
     SemanticType.STATIC: "static",
@@ -97,7 +97,4 @@ def export_fuzz_template(
     messages: Mapping[str, Message],
     path,
 ) -> None:
-    doc = build_template(annotations, messages)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, build_template(annotations, messages))

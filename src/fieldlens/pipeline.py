@@ -8,7 +8,6 @@ ablation configurations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -40,8 +39,7 @@ from .refinement import (
     explore_optimal,
     single_cluster,
 )
-from .traceio import IntegrityError, load_corpus
-from .vm.machine import DEFAULT_STEP_BUDGET
+from .traceio import IntegrityError, load_corpus, write_json
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,6 @@ class PipelineConfig:
     entropy_enabled: bool = True
     constraints_enabled: bool = True
     disabled_rules: frozenset[str] = frozenset()
-    step_budget: int = DEFAULT_STEP_BUDGET
     write_template: bool = True
 
 
@@ -68,7 +65,6 @@ class PipelineResult:
     clustering: Optional[Clustering]
     audit: list[RefinementEvent]
     metrics: Optional[MetricsReport]
-    exit_code: int = 0
 
 
 def format_to_dict(fmt: FormatResult) -> dict:
@@ -158,10 +154,33 @@ def audit_to_doc(events: Sequence[RefinementEvent]) -> list[dict]:
     ]
 
 
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def check_covers(
+    lengths: Mapping[str, int], what: str, other: Mapping[str, int]
+) -> None:
+    """Raise IntegrityError unless ``other`` (message id -> length, read from
+    ``what``) has exactly the message ids of ``lengths``, with equal lengths."""
+    bad = sorted(
+        mid
+        for mid in lengths.keys() | other.keys()
+        if lengths.get(mid) != other.get(mid)
+    )
+    if bad:
+        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+        raise IntegrityError(
+            None,
+            f"{what} does not match the corpus's message ids and lengths: "
+            f"{', '.join(bad[:5])}{more}",
+        )
+
+
+def annotated_lengths(
+    annotations: Mapping[str, Sequence[FieldAnnotation]]
+) -> dict[str, int]:
+    """Bytes covered by each message's annotated fields."""
+    return {
+        mid: max((a.field.end + 1 for a in anns), default=0)
+        for mid, anns in annotations.items()
+    }
 
 
 def infer_corpus(
@@ -258,15 +277,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(
+    write_json(
         out / "formats.json",
         [format_to_dict(formats[m.id]) for m in messages],
     )
-    _write_json(out / "annotations.json", annotations_to_doc(refined))
-    _write_json(out / "clustering.json", clustering_to_dict(clustering))
-    _write_json(out / "refinement_audit.json", audit_to_doc(events))
+    write_json(out / "annotations.json", annotations_to_doc(refined))
+    write_json(out / "clustering.json", clustering_to_dict(clustering))
+    write_json(out / "refinement_audit.json", audit_to_doc(events))
     if metrics is not None:
-        _write_json(out / "metrics.json", metrics.to_dict())
+        write_json(out / "metrics.json", metrics.to_dict())
     if config.write_template:
         msg_map = {m.id: m for m in messages}
         export_fuzz_template(refined, msg_map, out / "template.json")

@@ -3,10 +3,13 @@
 Messages are clustered by the value of a candidate command field; the
 candidate whose clusters have the most internally similar formats (average
 boundary-alignment score over within-cluster message pairs, weighted by pair
-count) wins.  Within each cluster, Shannon entropy of the values seen at each
-field range validates or revokes the extreme-entropy types (static, bytes)
-and donates types to unknown fields.  Finally, function labels that
-contradict the field's final type are dropped.
+count) wins.  Candidates are scored over distinct boundary-tuple pairs: each
+is aligned once per search and weighted by how many message pairs it stands
+for, which gives the same score as aligning every message pair.  Within each
+cluster, Shannon entropy of the values seen at each field range validates or
+revokes the extreme-entropy types (static, bytes) and donates types to
+unknown fields.  Finally, function labels that contradict the field's final
+type are dropped.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement
 from typing import Mapping, Optional, Sequence
 
 from .alignment import AlignmentParams, nw_format_score
@@ -32,6 +36,7 @@ CONSTRAINT_TABLE: dict[SemanticFunction, frozenset[SemanticType]] = {
 }
 
 Range = tuple[int, int]
+Boundaries = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -111,18 +116,28 @@ def _group_by_value(
 
 def _align_score(
     groups: Mapping[bytes, list[str]],
-    boundaries: Mapping[str, tuple[int, ...]],
+    boundaries: Mapping[str, Boundaries],
     params: AlignmentParams,
+    memo: dict[tuple[Boundaries, Boundaries], int],
 ) -> float:
-    total = 0.0
+    # Messages with equal boundary tuples score alike, so each distinct
+    # (a <= b) tuple pair is aligned once and weighted by how many message
+    # pairs it stands for.  The NW score is symmetric and integral, so the
+    # weighted sum equals the all-pairs sum exactly.
+    total = 0
     pairs = 0
     for ids in groups.values():
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                total += nw_format_score(
-                    boundaries[ids[i]], boundaries[ids[j]], params
-                )
-                pairs += 1
+        counts = Counter(boundaries[mid] for mid in ids)
+        for a, b in combinations_with_replacement(sorted(counts), 2):
+            if a == b:
+                weight = counts[a] * (counts[a] - 1) // 2
+            else:
+                weight = counts[a] * counts[b]
+            if weight:
+                if (a, b) not in memo:
+                    memo[(a, b)] = nw_format_score(a, b, params)
+                total += weight * memo[(a, b)]
+        pairs += len(ids) * (len(ids) - 1) // 2
     return total / pairs if pairs else 0.0
 
 
@@ -144,9 +159,10 @@ def explore_optimal(
 
     best_score = 0.0
     best_pos: Optional[Range] = None
+    memo: dict[tuple[Boundaries, Boundaries], int] = {}
     for rng in candidates:
         groups = _group_by_value(messages, rng)
-        score = _align_score(groups, boundaries, params)
+        score = _align_score(groups, boundaries, params, memo)
         if score > best_score:
             best_score = score
             best_pos = rng

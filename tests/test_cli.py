@@ -159,3 +159,62 @@ def test_alignment_flag_overrides(tmp_path, corpus):
     # nothing can exceed a threshold of 1.0, so no merging happened
     starts = [f["start"] for f in doc[0]["fields"]]
     assert 1 in starts
+
+
+@pytest.fixture()
+def stage_files(tmp_path, corpus):
+    formats = tmp_path / "formats.json"
+    anns = tmp_path / "annotations.json"
+    assert run_cli(
+        "infer", "--traces", corpus, "--formats-out", formats, "--out", anns
+    ) == 0
+    return formats, anns
+
+
+def _drop_first_message(path, tmp_path):
+    doc = json.loads(path.read_text())
+    dropped = sorted(doc)[0]
+    del doc[dropped]
+    out = tmp_path / "dropped.json"
+    out.write_text(json.dumps(doc))
+    return out, dropped
+
+
+def _refine(corpus, formats, anns, tmp_path):
+    return run_cli(
+        "refine", "--traces", corpus, "--formats", formats,
+        "--annotations", anns, "--out", tmp_path / "refined.json",
+        "--audit", tmp_path / "audit.json", "--clusters", tmp_path / "clusters.json",
+    )
+
+
+def test_refine_rejects_annotations_missing_a_message(tmp_path, corpus, stage_files, capsys):
+    formats, anns = stage_files
+    partial, dropped = _drop_first_message(anns, tmp_path)
+    assert _refine(corpus, formats, partial, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and dropped in err
+    assert not (tmp_path / "refined.json").exists()
+
+
+def test_refine_rejects_formats_of_another_length(tmp_path, corpus, stage_files, capsys):
+    formats, anns = stage_files
+    doc = json.loads(formats.read_text())
+    last = doc[0]["fields"][-1]
+    last["end"] += 1
+    doc[0]["length"] += 1
+    formats.write_text(json.dumps(doc))
+    assert _refine(corpus, formats, anns, tmp_path) == 2
+    assert doc[0]["message_id"] in capsys.readouterr().err
+
+
+def test_score_rejects_annotations_missing_a_message(tmp_path, corpus, stage_files, capsys):
+    formats, anns = stage_files
+    partial, dropped = _drop_first_message(anns, tmp_path)
+    assert run_cli(
+        "score", "--formats", formats, "--annotations", partial,
+        "--ground-truth", corpus, "--out", tmp_path / "metrics.json",
+    ) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and dropped in err
+    assert not (tmp_path / "metrics.json").exists()

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fieldlens.refinement as refinement
+from fieldlens.alignment import AlignmentParams, nw_format_score
 from fieldlens.detectors import (
     Evidence,
     FieldAnnotation,
@@ -127,6 +130,105 @@ def test_clustering_is_permutation_invariant(refine_corpus):
         assert dict(again.clusters).keys() == dict(base.clusters).keys()
         for value, ids in again.clusters:
             assert sorted(ids) == sorted(dict(base.clusters)[value])
+
+
+def brute_force_explore(messages, formats, params=None):
+    """Reference search: align every within-cluster message pair."""
+    params = params or AlignmentParams()
+    if len(messages) < 2:
+        return Clustering(None, ((b"", tuple(m.id for m in messages)),), 0.0)
+    candidates = sorted(
+        {(f.start, f.end) for m in messages for f in formats[m.id].fields}
+    )
+
+    def group(rng):
+        groups = {}
+        for m in messages:
+            groups.setdefault(m.data[rng[0] : rng[1] + 1], []).append(m.id)
+        return groups
+
+    best_score, best_pos = 0.0, None
+    for rng in candidates:
+        total, pairs = 0.0, 0
+        for ids in group(rng).values():
+            for i in range(len(ids)):
+                for j in range(i + 1, len(ids)):
+                    total += nw_format_score(
+                        formats[ids[i]].boundaries, formats[ids[j]].boundaries,
+                        params,
+                    )
+                    pairs += 1
+        score = total / pairs if pairs else 0.0
+        if score > best_score:
+            best_score, best_pos = score, rng
+    if best_pos is None:
+        return Clustering(None, ((b"", tuple(m.id for m in messages)),), 0.0)
+    clusters = tuple(
+        (value, tuple(ids)) for value, ids in sorted(group(best_pos).items())
+    )
+    return Clustering(best_pos, clusters, best_score)
+
+
+@st.composite
+def prototype_corpora(draw):
+    """Messages drawn from a few prototypes, so boundary tuples repeat and
+    value groups mix messages of different formats."""
+    prototypes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        length = draw(st.integers(min_value=2, max_value=7))
+        inner = draw(st.sets(st.integers(min_value=1, max_value=length - 1)))
+        prototypes.append((length, sorted(inner)))
+    messages, formats = [], {}
+    for i in range(draw(st.integers(min_value=0, max_value=14))):
+        length, inner = draw(st.sampled_from(prototypes))
+        data = bytes(
+            draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
+        )
+        mid = f"m{i:02d}"
+        messages.append(Message(mid, data))
+        formats[mid] = fmt(mid, length, *inner)
+    return messages, formats
+
+
+_params = st.builds(
+    AlignmentParams,
+    gap_score=st.integers(min_value=-3, max_value=-1),
+    match_score=st.integers(min_value=1, max_value=3),
+    mismatch_score=st.integers(min_value=-3, max_value=0),
+)
+
+
+@given(prototype_corpora(), _params)
+@settings(max_examples=150, deadline=None)
+def test_explore_optimal_matches_all_pairs_search(corpus, params):
+    messages, formats = corpus
+    # Clustering equality compares align_score with ==: the score is exact
+    assert explore_optimal(messages, formats, params) == brute_force_explore(
+        messages, formats, params
+    )
+
+
+def test_each_distinct_boundary_pair_is_aligned_at_most_once(monkeypatch):
+    rng = random.Random(11)
+    shapes = [(6, (1, 3)), (6, (2, 4)), (5, (1,)), (7, (1, 2, 5))]
+    messages, formats = [], {}
+    for i in range(60):
+        length, inner = rng.choice(shapes)
+        mid = f"m{i:02d}"
+        messages.append(Message(mid, bytes(rng.randrange(3) for _ in range(length))))
+        formats[mid] = fmt(mid, length, *inner)
+    k = len({formats[m.id].boundaries for m in messages})
+    calls = []
+
+    def counting(a, b, params=None):
+        calls.append((a, b))
+        return nw_format_score(a, b, params)
+
+    monkeypatch.setattr(refinement, "nw_format_score", counting)
+    clustering = explore_optimal(messages, formats)
+    assert 0 < len(calls) <= k * (k + 1) // 2
+    assert len(set(calls)) == len(calls)
+    assert clustering == brute_force_explore(messages, formats)
 
 
 # --- entropy refinement ------------------------------------------------------
