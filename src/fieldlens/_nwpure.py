@@ -1,4 +1,4 @@
-"""Pure-Python global alignment scoring kernel (fallback for the compiled one)."""
+"""The global-alignment (Needleman-Wunsch) scoring kernel, in pure Python."""
 
 from __future__ import annotations
 

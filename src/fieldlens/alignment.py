@@ -1,9 +1,9 @@
 """Global sequence alignment over operator sequences and boundary sequences.
 
 The Needleman-Wunsch score is the merge criterion for adjacent field
-candidates and the format-similarity measure for message clustering.  The
-inner dynamic program runs in the compiled kernel when available and falls
-back to the pure-Python implementation otherwise.
+candidates and the format-similarity measure for message clustering.  Both
+encode their tokens as integers and run the one dynamic program in
+``_nwpure.align_score``.
 """
 
 from __future__ import annotations
@@ -12,15 +12,6 @@ from dataclasses import dataclass
 from typing import Hashable, NamedTuple, Sequence
 
 from . import _nwpure
-
-try:  # pragma: no cover - depends on whether the extension was built
-    from . import _nwkernel
-
-    _kernel = _nwkernel.align_score
-    KERNEL = "compiled"
-except ImportError:  # pragma: no cover
-    _kernel = _nwpure.align_score
-    KERNEL = "pure-python"
 
 
 @dataclass(frozen=True)
@@ -63,10 +54,8 @@ def nw_score(
     """Global-alignment score between two token sequences."""
     params = params or AlignmentParams()
     enc_a, enc_b = _encode(a, b)
-    return int(
-        _kernel(
-            enc_a, enc_b, params.gap_score, params.match_score, params.mismatch_score
-        )
+    return _nwpure.align_score(
+        enc_a, enc_b, params.gap_score, params.match_score, params.mismatch_score
     )
 
 

@@ -72,9 +72,20 @@ def _add_refine_flags(p: argparse.ArgumentParser) -> None:
                    help="skip type/function constraint refinement")
 
 
-def _read_json(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_json(path: Path, convert):
+    """``convert`` of the JSON document in ``path``; a document that is not
+    JSON or not of the shape ``convert`` expects is an IntegrityError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return convert(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(
+            None, f"{path}: malformed document ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _formats_from_doc(doc) -> dict:
+    return {d["message_id"]: format_from_dict(d) for d in doc}
 
 
 def _load_traces(path: Path):
@@ -151,10 +162,8 @@ def _cmd_infer(args) -> int:
 
 def _cmd_refine(args) -> int:
     messages, _ = _load_traces(Path(args.traces))
-    formats = {
-        doc["message_id"]: format_from_dict(doc) for doc in _read_json(Path(args.formats))
-    }
-    annotations = annotations_from_doc(_read_json(Path(args.annotations)))
+    formats = _read_json(Path(args.formats), _formats_from_doc)
+    annotations = _read_json(Path(args.annotations), annotations_from_doc)
     lengths = {m.id: len(m.data) for m in messages}
     check_covers(lengths, args.formats, {m: f.length for m, f in formats.items()})
     check_covers(lengths, args.annotations, annotated_lengths(annotations))
@@ -195,10 +204,8 @@ def _summary_table(doc: dict) -> str:
 
 
 def _cmd_score(args) -> int:
-    formats = {
-        doc["message_id"]: format_from_dict(doc) for doc in _read_json(Path(args.formats))
-    }
-    annotations = annotations_from_doc(_read_json(Path(args.annotations)))
+    formats = _read_json(Path(args.formats), _formats_from_doc)
+    annotations = _read_json(Path(args.annotations), annotations_from_doc)
     check_covers(
         {m: f.length for m, f in formats.items()},
         args.annotations,
@@ -233,7 +240,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_export_template(args) -> int:
     messages, _ = _load_traces(Path(args.traces))
-    annotations = annotations_from_doc(_read_json(Path(args.annotations)))
+    annotations = _read_json(Path(args.annotations), annotations_from_doc)
     export_fuzz_template(annotations, {m.id: m for m in messages}, Path(args.out))
     print(f"template -> {args.out}")
     return 0

@@ -105,9 +105,7 @@ def _is_functional(rec: InstructionRecord) -> bool:
     return rec.op_class is not OpClass.MOV_SERIES
 
 
-def _loop_views(
-    trace: ExecutionTrace, field: Field
-) -> dict[str, list[InstructionRecord]]:
+def _loop_views(trace: ExecutionTrace) -> dict[str, list[InstructionRecord]]:
     """All loop records grouped by loop id (trace-wide, not just I(f))."""
     loops: dict[str, list[InstructionRecord]] = {}
     for rec in trace.records:
@@ -121,7 +119,7 @@ def _covering_loops(
 ) -> list[tuple[str, list[InstructionRecord]]]:
     """Loops that touch every byte of the field with identical operator sets."""
     out = []
-    for loop_id, recs in _loop_views(trace, field).items():
+    for loop_id, recs in _loop_views(trace).items():
         per_byte: list[frozenset[str]] = []
         ok = True
         for b in field.offsets:

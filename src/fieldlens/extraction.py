@@ -80,15 +80,17 @@ def resolve_overlaps(candidates: list[Field]) -> list[Field]:
 
 
 def _mergeable(
-    trace: ExecutionTrace, left: Field, right: Field, params: AlignmentParams
+    left: Field,
+    right: Field,
+    ops_left: tuple[str, ...],
+    ops_right: tuple[str, ...],
+    params: AlignmentParams,
 ) -> bool:
     # Unaccessed ranges coalesce with each other but never with parsed data.
     if not left.accessed and not right.accessed:
         return True
     if left.accessed != right.accessed:
         return False
-    ops_left = operator_sequence(trace, left)
-    ops_right = operator_sequence(trace, right)
     if not ops_left and not ops_right:
         return True
     if not ops_left or not ops_right:
@@ -100,9 +102,10 @@ def _coalesce(
     trace: ExecutionTrace, candidates: list[Field], params: AlignmentParams
 ) -> list[Field]:
     """Single left-to-right pass: group adjacent similar candidates."""
+    ops = [operator_sequence(trace, c) for c in candidates]
     groups: list[list[Field]] = [[candidates[0]]]
-    for prev, nxt in zip(candidates, candidates[1:]):
-        if _mergeable(trace, prev, nxt, params):
+    for i, nxt in enumerate(candidates[1:], 1):
+        if _mergeable(candidates[i - 1], nxt, ops[i - 1], ops[i], params):
             groups[-1].append(nxt)
         else:
             groups.append([nxt])

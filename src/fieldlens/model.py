@@ -208,12 +208,8 @@ class FormatResult:
 
 def instructions_for(trace: ExecutionTrace, field: Field) -> list[InstructionRecord]:
     """All records whose accessed offsets intersect ``field``, in seq order."""
-    lo, hi = field.start, field.end
-    return [
-        rec
-        for rec in trace.records
-        if any(lo <= o <= hi for o in rec.accessed_offsets)
-    ]
+    span = frozenset(field.offsets)
+    return [rec for rec in trace.records if not rec.accessed_offsets.isdisjoint(span)]
 
 
 def operator_sequence(trace: ExecutionTrace, field: Field) -> tuple[str, ...]:

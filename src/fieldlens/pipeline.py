@@ -53,7 +53,6 @@ class PipelineConfig:
     entropy_enabled: bool = True
     constraints_enabled: bool = True
     disabled_rules: frozenset[str] = frozenset()
-    write_template: bool = True
 
 
 @dataclass
@@ -286,12 +285,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     write_json(out / "refinement_audit.json", audit_to_doc(events))
     if metrics is not None:
         write_json(out / "metrics.json", metrics.to_dict())
-    if config.write_template:
-        msg_map = {m.id: m for m in messages}
-        export_fuzz_template(refined, msg_map, out / "template.json")
+    msg_map = {m.id: m for m in messages}
+    export_fuzz_template(refined, msg_map, out / "template.json")
 
     return PipelineResult(
-        messages={m.id: m for m in messages},
+        messages=msg_map,
         traces=traces,
         formats=formats,
         annotations=refined,

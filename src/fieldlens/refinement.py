@@ -56,12 +56,6 @@ class Clustering:
     def degenerate(self) -> bool:
         return self.command_pos is None
 
-    def cluster_of(self, message_id: str) -> tuple[str, ...]:
-        for _, ids in self.clusters:
-            if message_id in ids:
-                return ids
-        raise KeyError(message_id)
-
 
 @dataclass(frozen=True)
 class EntropyProfile:

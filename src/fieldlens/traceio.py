@@ -9,15 +9,16 @@ is the empty set.  Three record kinds exist:
     Header line binding a message id to its raw bytes.
 
 ``rec <msg-id> seq=N op=MNEMONIC class=OPCLASS off=OFFSETS [...]``
-    One executed instruction.  Optional keys: ``reads`` (offsets loaded
-    directly from the buffer; defaults to ``off`` for MOV_SERIES records and
-    to the empty set otherwise), ``const`` (comparison constant), ``result``
-    (comparison outcome), ``jump`` (a control transfer immediately followed a
-    true comparison), ``loop``/``role`` (enclosing loop id and BODY or
-    TERMINATION), ``api`` (``name:ROLE``), ``ptr`` (POINTER_INCREMENT or
-    COUNTER_DECREMENT), ``value`` (little-endian value snapshot), and
-    ``lineage`` (per-operand offset provenance of a comparison, two offset
-    sets separated by ``/``).
+    One executed instruction, after the ``msg`` line of its message; every
+    offset must lie inside that message.  Optional keys: ``reads`` (offsets
+    loaded directly from the buffer; defaults to ``off`` for MOV_SERIES
+    records and to the empty set otherwise), ``const`` (comparison
+    constant), ``result`` (comparison outcome), ``jump`` (a control transfer
+    immediately followed a true comparison), ``loop``/``role`` (enclosing
+    loop id and BODY or TERMINATION), ``api`` (``name:ROLE``), ``ptr``
+    (POINTER_INCREMENT or COUNTER_DECREMENT), ``value`` (little-endian value
+    snapshot), and ``lineage`` (per-operand offset provenance of a
+    comparison, two offset sets separated by ``/``).
 
 ``gt <msg-id> field=S-E type=TYPE funcs=F|F|... [accessed=true|false]``
     Ground-truth field annotation, used by the evaluation layer.
@@ -67,7 +68,9 @@ def format_offsets(offsets: frozenset[int]) -> str:
     return ",".join(parts)
 
 
-def parse_offsets(text: str, line_no: int) -> frozenset[int]:
+def parse_offsets(text: str, line_no: int, length: int) -> frozenset[int]:
+    """Offsets of a message of ``length`` bytes; each run is checked against
+    ``length`` before it is expanded, so a huge run costs only its text."""
     if text == "-":
         return frozenset()
     out: set[int] = set()
@@ -78,11 +81,15 @@ def parse_offsets(text: str, line_no: int) -> frozenset[int]:
                 lo, hi = int(lo_s), int(hi_s)
                 if hi < lo:
                     raise ValueError
-                out.update(range(lo, hi + 1))
             else:
-                out.add(int(part))
+                lo = hi = int(part)
         except ValueError:
             raise ParseError(line_no, f"bad offset set {text!r}") from None
+        if hi >= length:
+            raise IntegrityError(
+                line_no, f"offsets {part!r} outside message of length {length}"
+            )
+        out.update(range(lo, hi + 1))
     return frozenset(out)
 
 
@@ -145,7 +152,7 @@ def _require(kv: dict[str, str], key: str, line_no: int) -> str:
     return kv[key]
 
 
-def _record_from_line(ln: RawLine) -> InstructionRecord:
+def _record_from_line(ln: RawLine, length: int) -> InstructionRecord:
     kv = ln.kv
     try:
         seq = int(_require(kv, "seq", ln.line_no))
@@ -156,9 +163,9 @@ def _record_from_line(ln: RawLine) -> InstructionRecord:
         op_class = OpClass[_require(kv, "class", ln.line_no)]
     except KeyError:
         raise ParseError(ln.line_no, f"unknown op class {kv.get('class')!r}") from None
-    accessed = parse_offsets(_require(kv, "off", ln.line_no), ln.line_no)
+    accessed = parse_offsets(_require(kv, "off", ln.line_no), ln.line_no, length)
     if "reads" in kv:
-        reads = parse_offsets(kv["reads"], ln.line_no)
+        reads = parse_offsets(kv["reads"], ln.line_no, length)
     else:
         reads = accessed if op_class is OpClass.MOV_SERIES else frozenset()
 
@@ -194,8 +201,8 @@ def _record_from_line(ln: RawLine) -> InstructionRecord:
             raise ParseError(ln.line_no, "lineage must hold two offset sets: a/b")
         lhs_s, rhs_s = kv["lineage"].split("/", 1)
         lineage = (
-            parse_offsets(lhs_s, ln.line_no),
-            parse_offsets(rhs_s, ln.line_no),
+            parse_offsets(lhs_s, ln.line_no, length),
+            parse_offsets(rhs_s, ln.line_no, length),
         )
     try:
         return InstructionRecord(
@@ -236,7 +243,12 @@ def load_corpus_stream(stream: TextIO) -> tuple[list[Message], list[ExecutionTra
             messages.append(msg)
             records.setdefault(ln.subject, [])
         elif ln.kind == "rec":
-            records.setdefault(ln.subject, []).append(_record_from_line(ln))
+            msg = by_id.get(ln.subject)
+            if msg is None:
+                raise IntegrityError(
+                    ln.line_no, f"record for undeclared message id {ln.subject!r}"
+                )
+            records[ln.subject].append(_record_from_line(ln, len(msg)))
             rec_lines.setdefault(ln.subject, ln.line_no)
         elif ln.kind == "gt":
             continue  # ground truth is parsed by the evaluation layer
@@ -245,17 +257,10 @@ def load_corpus_stream(stream: TextIO) -> tuple[list[Message], list[ExecutionTra
 
     traces: list[ExecutionTrace] = []
     for msg_id, recs in records.items():
-        if msg_id not in by_id:
-            raise IntegrityError(
-                rec_lines.get(msg_id),
-                f"trace references unknown message id {msg_id!r}",
-            )
         try:
-            trace = ExecutionTrace(msg_id, tuple(recs))
-            trace.validate_offsets(by_id[msg_id])
+            traces.append(ExecutionTrace(msg_id, tuple(recs)))
         except ModelError as exc:
             raise IntegrityError(rec_lines.get(msg_id), str(exc)) from None
-        traces.append(trace)
     return messages, traces
 
 

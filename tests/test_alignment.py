@@ -11,11 +11,6 @@ from fieldlens.alignment import (
     semantic_similar,
 )
 
-try:
-    from fieldlens import _nwkernel
-except ImportError:
-    _nwkernel = None
-
 
 def brute_force_score(a, b, gap=-2, match=1, mismatch=-1):
     """Enumerate every monotone alignment recursively; no DP table."""
@@ -131,16 +126,3 @@ def test_pure_python_kernel_matches_brute_force():
         b = [rng.randint(0, 3) for _ in range(rng.randint(0, 6))]
         assert _nwpure.align_score(a, b, -2, 1, -1) == brute_force_score(a, b)
 
-
-@pytest.mark.skipif(_nwkernel is None, reason="compiled kernel not built")
-def test_kernels_agree():
-    rng = random.Random(7)
-    for _ in range(300):
-        a = [rng.randint(0, 5) for _ in range(rng.randint(0, 12))]
-        b = [rng.randint(0, 5) for _ in range(rng.randint(0, 12))]
-        gap = rng.randint(-4, -1)
-        match = rng.randint(1, 3)
-        mismatch = rng.randint(-3, 0)
-        assert _nwkernel.align_score(a, b, gap, match, mismatch) == _nwpure.align_score(
-            a, b, gap, match, mismatch
-        )

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fieldlens
 from fieldlens.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(fieldlens.__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -218,3 +223,39 @@ def test_score_rejects_annotations_missing_a_message(tmp_path, corpus, stage_fil
     err = capsys.readouterr().err
     assert "error:" in err and dropped in err
     assert not (tmp_path / "metrics.json").exists()
+
+
+
+@pytest.mark.parametrize(
+    "command, target, content",
+    [
+        pytest.param("refine", "formats", '[{"message_id": "bin000"}]', id="missing-key"),
+        pytest.param("refine", "formats", "{not json", id="not-json"),
+        pytest.param("score", "annotations", None, id="score-unknown-type"),
+        pytest.param("export-template", "annotations", None, id="template-unknown-type"),
+    ],
+)
+def test_malformed_json_document_exits_2(tmp_path, corpus, stage_files, command, target, content):
+    formats, anns = stage_files
+    files = {"formats": formats, "annotations": anns}
+    if content is None:
+        doc = json.loads(anns.read_text())
+        doc[sorted(doc)[0]][0]["type"] = "FOO"
+        content = json.dumps(doc)
+    files[target].write_text(content)
+    extra = {
+        "refine": ["--traces", corpus, "--formats", formats],
+        "score": ["--formats", formats, "--ground-truth", corpus],
+        "export-template": ["--traces", corpus],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldlens.cli", command, *map(str, extra),
+         "--annotations", str(anns), "--out", "out.json"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and str(files[target]) in proc.stderr
+    assert "Traceback" not in proc.stderr

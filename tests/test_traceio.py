@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ def load_text(text):
 
 def test_offsets_round_trip():
     for offsets in (frozenset(), frozenset({0}), frozenset({1, 2, 3, 7})):
-        assert parse_offsets(format_offsets(offsets), 1) == offsets
+        assert parse_offsets(format_offsets(offsets), 1, 8) == offsets
     assert format_offsets(frozenset({10, 11, 12, 20})) == "10-12,20"
 
 
@@ -59,6 +60,32 @@ def test_cmp_result_on_mov_record_is_integrity_error():
 def test_unknown_message_reference():
     with pytest.raises(IntegrityError):
         load_text("rec ghost seq=1 op=mov class=MOV_SERIES off=-\n")
+    # a message is declared by its msg line, which must come first
+    with pytest.raises(IntegrityError) as err:
+        load_text("rec a seq=1 op=mov class=MOV_SERIES off=0\nmsg a bytes=0x01\n")
+    assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        "class=MOV_SERIES off=0-100000",
+        "class=MOV_SERIES off=0-1 reads=0-100000",
+        "class=COMPARE off=0 lineage=0/0-100000",
+    ],
+)
+def test_huge_offset_run_is_rejected_before_it_is_built(keys):
+    text = f"msg a bytes=0x0102\nrec a seq=1 op=cmp {keys}\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(IntegrityError) as err:
+            load_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.line_no == 2
+    assert "0-100000" in str(err.value) and len(str(err.value)) < 200
+    assert peak < 1 << 20
 
 
 def test_parse_error_carries_line_number():
