@@ -10,7 +10,6 @@ errors, never for metric values.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,18 +20,23 @@ from .fuzz_template import export_fuzz_template
 from .model import ModelError
 from .pipeline import (
     PipelineConfig,
-    annotated_lengths,
-    annotations_from_doc,
-    annotations_to_doc,
-    audit_to_doc,
-    check_covers,
-    clustering_to_dict,
-    format_from_dict,
-    format_to_dict,
     infer_corpus,
     refine_corpus,
     run_pipeline,
     score_corpus,
+)
+from .reports import (
+    annotated_formats,
+    annotations_from_doc,
+    annotations_to_doc,
+    audit_to_doc,
+    check_covers,
+    check_partitions,
+    clustering_to_dict,
+    formats_from_doc,
+    formats_to_doc,
+    read_json,
+    write_json,
 )
 from .traceio import (
     IntegrityError,
@@ -40,7 +44,6 @@ from .traceio import (
     dump_corpus,
     load_corpus,
     serialize_corpus,
-    write_json,
 )
 from .vm import bundled_parsers, parse_script, run as vm_run
 from .vm.machine import DEFAULT_STEP_BUDGET
@@ -70,22 +73,6 @@ def _add_refine_flags(p: argparse.ArgumentParser) -> None:
                    help="skip entropy-based type refinement")
     g.add_argument("--no-constraints", action="store_true",
                    help="skip type/function constraint refinement")
-
-
-def _read_json(path: Path, convert):
-    """``convert`` of the JSON document in ``path``; a document that is not
-    JSON or not of the shape ``convert`` expects is an IntegrityError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return convert(json.load(fh))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise IntegrityError(
-            None, f"{path}: malformed document ({type(exc).__name__}: {exc})"
-        ) from None
-
-
-def _formats_from_doc(doc) -> dict:
-    return {d["message_id"]: format_from_dict(d) for d in doc}
 
 
 def _load_traces(path: Path):
@@ -143,7 +130,7 @@ def _cmd_generate(args) -> int:
 def _cmd_extract(args) -> int:
     messages, traces = _load_traces(Path(args.traces))
     formats, _ = infer_corpus(messages, traces, _params(args), args.baseline)
-    write_json(Path(args.out), [format_to_dict(formats[m.id]) for m in messages])
+    write_json(Path(args.out), formats_to_doc(messages, formats))
     print(f"extracted {len(messages)} formats -> {args.out}")
     return 0
 
@@ -154,7 +141,7 @@ def _cmd_infer(args) -> int:
     formats, annotations = infer_corpus(
         messages, traces, _params(args), args.baseline, disabled
     )
-    write_json(Path(args.formats_out), [format_to_dict(formats[m.id]) for m in messages])
+    write_json(Path(args.formats_out), formats_to_doc(messages, formats))
     write_json(Path(args.out), annotations_to_doc(annotations))
     print(f"annotated {len(messages)} messages -> {args.out}")
     return 0
@@ -162,11 +149,10 @@ def _cmd_infer(args) -> int:
 
 def _cmd_refine(args) -> int:
     messages, _ = _load_traces(Path(args.traces))
-    formats = _read_json(Path(args.formats), _formats_from_doc)
-    annotations = _read_json(Path(args.annotations), annotations_from_doc)
-    lengths = {m.id: len(m.data) for m in messages}
-    check_covers(lengths, args.formats, {m: f.length for m, f in formats.items()})
-    check_covers(lengths, args.annotations, annotated_lengths(annotations))
+    formats = read_json(Path(args.formats), formats_from_doc)
+    annotations = read_json(Path(args.annotations), annotations_from_doc)
+    check_covers(messages, args.formats, formats)
+    check_partitions(formats, args.annotations, annotations)
     clustering, refined, events = refine_corpus(
         messages,
         formats,
@@ -204,13 +190,9 @@ def _summary_table(doc: dict) -> str:
 
 
 def _cmd_score(args) -> int:
-    formats = _read_json(Path(args.formats), _formats_from_doc)
-    annotations = _read_json(Path(args.annotations), annotations_from_doc)
-    check_covers(
-        {m: f.length for m, f in formats.items()},
-        args.annotations,
-        annotated_lengths(annotations),
-    )
+    formats = read_json(Path(args.formats), formats_from_doc)
+    annotations = read_json(Path(args.annotations), annotations_from_doc)
+    check_partitions(formats, args.annotations, annotations)
     truths = load_ground_truth(Path(args.ground_truth))
     report = score_corpus(formats, annotations, truths)
     doc = report.to_dict()
@@ -240,7 +222,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_export_template(args) -> int:
     messages, _ = _load_traces(Path(args.traces))
-    annotations = _read_json(Path(args.annotations), annotations_from_doc)
+    annotations = read_json(Path(args.annotations), annotations_from_doc)
+    check_covers(
+        messages, args.annotations, annotated_formats(args.annotations, annotations)
+    )
     export_fuzz_template(annotations, {m.id: m for m in messages}, Path(args.out))
     print(f"template -> {args.out}")
     return 0

@@ -9,7 +9,7 @@ excludes positions inside true fields that the server never accessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .detectors import FieldAnnotation, SemanticFunction, SemanticType
@@ -105,21 +105,10 @@ def serialize_ground_truth(truths: Sequence[GroundTruth]) -> str:
 
 
 @dataclass
-class FormatScore:
+class LabelCounts:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-    tn: int = 0
-    perfect_fields: int = 0
-    true_fields: int = 0
-
-    @property
-    def positions(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-    @property
-    def accuracy(self) -> float:
-        return (self.tp + self.tn) / self.positions if self.positions else 1.0
 
     @property
     def precision(self) -> float:
@@ -138,14 +127,37 @@ class FormatScore:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if p + r else 0.0
 
+    def summary(self) -> dict:
+        return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
+
+    def add(self, other: "LabelCounts") -> None:
+        self.tp += other.tp
+        self.fp += other.fp
+        self.fn += other.fn
+
+
+@dataclass
+class FormatScore(LabelCounts):
+    """Boundary-position counts (``tp, fp, fn, tn``) plus perfect fields."""
+
+    tn: int = 0
+    perfect_fields: int = 0
+    true_fields: int = 0
+
+    @property
+    def positions(self) -> int:
+        return self.tp + self.fp + self.fn + self.tn
+
+    @property
+    def accuracy(self) -> float:
+        return (self.tp + self.tn) / self.positions if self.positions else 1.0
+
     @property
     def perfection(self) -> float:
         return self.perfect_fields / self.true_fields if self.true_fields else 1.0
 
     def add(self, other: "FormatScore") -> None:
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
+        super().add(other)
         self.tn += other.tn
         self.perfect_fields += other.perfect_fields
         self.true_fields += other.true_fields
@@ -194,35 +206,6 @@ def count_segmentation_errors(
     inf = set(inferred.boundaries) - excluded
     tru = set(truth.boundaries) - excluded
     return len(inf - tru), len(tru - inf)
-
-
-@dataclass
-class LabelCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-
-    @property
-    def precision(self) -> float:
-        if self.tp + self.fp == 0:
-            return 1.0 if self.fn == 0 else 0.0
-        return self.tp / (self.tp + self.fp)
-
-    @property
-    def recall(self) -> float:
-        if self.tp + self.fn == 0:
-            return 1.0 if self.fp == 0 else 0.0
-        return self.tp / (self.tp + self.fn)
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r else 0.0
-
-    def add(self, other: "LabelCounts") -> None:
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
 
 
 @dataclass
@@ -345,19 +328,21 @@ class MetricsReport:
     def to_dict(self) -> dict:
         fmt = self.format
         sem = self.semantics
+
+        def labels(counts, accessed, table) -> dict:
+            return {
+                **counts.summary(),
+                "recall_accessed_only": accessed.recall,
+                "macro_f1": sem.macro_f1(table),
+                "per_label": {name: c.summary() for name, c in sorted(table.items())},
+            }
+
         return {
             "messages": self.messages,
             "format": {
-                "tp": fmt.tp,
-                "fp": fmt.fp,
-                "fn": fmt.fn,
-                "tn": fmt.tn,
+                **asdict(fmt),
+                **fmt.summary(),
                 "accuracy": fmt.accuracy,
-                "precision": fmt.precision,
-                "recall": fmt.recall,
-                "f1": fmt.f1,
-                "perfect_fields": fmt.perfect_fields,
-                "true_fields": fmt.true_fields,
                 "perfection": fmt.perfection,
             },
             "segmentation_errors": {
@@ -366,27 +351,9 @@ class MetricsReport:
                 "total": self.over_seg + self.under_seg,
             },
             "semantics": {
-                "type": {
-                    "precision": sem.types.precision,
-                    "recall": sem.types.recall,
-                    "recall_accessed_only": sem.types_accessed.recall,
-                    "f1": sem.types.f1,
-                    "macro_f1": sem.macro_f1(sem.per_type),
-                    "per_label": {
-                        name: {"precision": c.precision, "recall": c.recall, "f1": c.f1}
-                        for name, c in sorted(sem.per_type.items())
-                    },
-                },
-                "function": {
-                    "precision": sem.functions.precision,
-                    "recall": sem.functions.recall,
-                    "recall_accessed_only": sem.functions_accessed.recall,
-                    "f1": sem.functions.f1,
-                    "macro_f1": sem.macro_f1(sem.per_function),
-                    "per_label": {
-                        name: {"precision": c.precision, "recall": c.recall, "f1": c.f1}
-                        for name, c in sorted(sem.per_function.items())
-                    },
-                },
+                "type": labels(sem.types, sem.types_accessed, sem.per_type),
+                "function": labels(
+                    sem.functions, sem.functions_accessed, sem.per_function
+                ),
             },
         }

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 from .detectors import FieldAnnotation, SemanticFunction, SemanticType
 from .model import Message
-from .traceio import write_json
+from .reports import write_json
 
 _TYPE_KINDS = {
     SemanticType.STATIC: "static",

@@ -127,17 +127,6 @@ class ExecutionTrace:
                 )
             prev = rec.seq
 
-    def validate_offsets(self, message: Message) -> None:
-        """Check that every recorded offset lies inside ``message``."""
-        n = len(message)
-        for rec in self.records:
-            bad = [o for o in rec.accessed_offsets if o < 0 or o >= n]
-            if bad:
-                raise ModelError(
-                    f"trace {self.message_id!r} seq={rec.seq}: offsets {sorted(bad)} "
-                    f"outside message of length {n}"
-                )
-
 
 @dataclass(frozen=True, order=True)
 class Field:
@@ -160,9 +149,6 @@ class Field:
 
     def __len__(self) -> int:
         return self.end - self.start + 1
-
-    def overlaps(self, other: "Field") -> bool:
-        return self.start <= other.end and other.start <= self.end
 
 
 @dataclass(frozen=True)
@@ -198,12 +184,6 @@ class FormatResult:
     @property
     def boundaries(self) -> Tuple[int, ...]:
         return tuple(f.start for f in self.fields if f.start > 0)
-
-    def field_at(self, offset: int) -> Field:
-        for f in self.fields:
-            if f.start <= offset <= f.end:
-                return f
-        raise ModelError(f"offset {offset} outside message {self.message_id!r}")
 
 
 def instructions_for(trace: ExecutionTrace, field: Field) -> list[InstructionRecord]:

@@ -1,9 +1,9 @@
 """Pipeline orchestration: trace ingestion through scoring, with ablations.
 
-``run_pipeline`` wires the stages together and writes machine-readable
-reports.  Every stage can be toggled independently (baseline extraction, no
-clustering, no entropy refinement, no constraint refinement) to reproduce the
-ablation configurations.
+``run_pipeline`` wires the stages together and hands their results to
+``reports``, which owns every JSON document.  Every stage can be toggled
+independently (baseline extraction, no clustering, no entropy refinement, no
+constraint refinement) to reproduce the ablation configurations.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .alignment import AlignmentParams
-from .detectors import (
-    Evidence,
-    FieldAnnotation,
-    SemanticFunction,
-    SemanticType,
-    annotate_format,
-)
+from .detectors import FieldAnnotation, annotate_format
 from .evaluation import (
     GroundTruth,
     MetricsReport,
@@ -30,7 +24,7 @@ from .evaluation import (
 )
 from .extraction import extract_format, extract_format_baseline
 from .fuzz_template import export_fuzz_template
-from .model import ExecutionTrace, Field, FormatResult, Message
+from .model import ExecutionTrace, FormatResult, Message
 from .refinement import (
     Clustering,
     RefinementEvent,
@@ -39,7 +33,14 @@ from .refinement import (
     explore_optimal,
     single_cluster,
 )
-from .traceio import IntegrityError, load_corpus, write_json
+from .reports import (
+    annotations_to_doc,
+    audit_to_doc,
+    clustering_to_dict,
+    formats_to_doc,
+    write_json,
+)
+from .traceio import IntegrityError, load_corpus
 
 
 @dataclass(frozen=True)
@@ -64,122 +65,6 @@ class PipelineResult:
     clustering: Optional[Clustering]
     audit: list[RefinementEvent]
     metrics: Optional[MetricsReport]
-
-
-def format_to_dict(fmt: FormatResult) -> dict:
-    return {
-        "message_id": fmt.message_id,
-        "length": fmt.length,
-        "fields": [
-            {"start": f.start, "end": f.end, "accessed": f.accessed}
-            for f in fmt.fields
-        ],
-        "boundaries": list(fmt.boundaries),
-    }
-
-
-def format_from_dict(doc: dict) -> FormatResult:
-    return FormatResult(
-        doc["message_id"],
-        doc["length"],
-        tuple(Field(f["start"], f["end"], f["accessed"]) for f in doc["fields"]),
-    )
-
-
-def annotation_to_dict(ann: FieldAnnotation) -> dict:
-    return {
-        "start": ann.field.start,
-        "end": ann.field.end,
-        "accessed": ann.field.accessed,
-        "type": ann.inferred_type.name,
-        "functions": sorted(fn.name for fn in ann.inferred_functions),
-        "evidence": [
-            {"rule": e.rule, "seq": e.seq, "note": e.note} for e in ann.evidence
-        ],
-    }
-
-
-def annotation_from_dict(doc: dict) -> FieldAnnotation:
-    return FieldAnnotation(
-        Field(doc["start"], doc["end"], doc["accessed"]),
-        SemanticType[doc["type"]],
-        frozenset(SemanticFunction[name] for name in doc["functions"]),
-        tuple(Evidence(e["rule"], e["seq"], e["note"]) for e in doc["evidence"]),
-    )
-
-
-def annotations_to_doc(
-    annotations: Mapping[str, Sequence[FieldAnnotation]]
-) -> dict:
-    return {
-        mid: [annotation_to_dict(a) for a in anns]
-        for mid, anns in sorted(annotations.items())
-    }
-
-
-def annotations_from_doc(doc: dict) -> dict[str, tuple[FieldAnnotation, ...]]:
-    return {
-        mid: tuple(annotation_from_dict(a) for a in anns)
-        for mid, anns in doc.items()
-    }
-
-
-def clustering_to_dict(clustering: Clustering) -> dict:
-    return {
-        "command_pos": list(clustering.command_pos)
-        if clustering.command_pos
-        else None,
-        "align_score": clustering.align_score,
-        "degenerate": clustering.degenerate,
-        "clusters": [
-            {"value": value.hex(), "messages": list(ids)}
-            for value, ids in clustering.clusters
-        ],
-    }
-
-
-def audit_to_doc(events: Sequence[RefinementEvent]) -> list[dict]:
-    return [
-        {
-            "message_id": e.message_id,
-            "field": list(e.field),
-            "action": e.action,
-            "label": e.label,
-            "reason": e.reason,
-            "entropy": e.entropy,
-            "median": e.median,
-        }
-        for e in events
-    ]
-
-
-def check_covers(
-    lengths: Mapping[str, int], what: str, other: Mapping[str, int]
-) -> None:
-    """Raise IntegrityError unless ``other`` (message id -> length, read from
-    ``what``) has exactly the message ids of ``lengths``, with equal lengths."""
-    bad = sorted(
-        mid
-        for mid in lengths.keys() | other.keys()
-        if lengths.get(mid) != other.get(mid)
-    )
-    if bad:
-        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
-        raise IntegrityError(
-            None,
-            f"{what} does not match the corpus's message ids and lengths: "
-            f"{', '.join(bad[:5])}{more}",
-        )
-
-
-def annotated_lengths(
-    annotations: Mapping[str, Sequence[FieldAnnotation]]
-) -> dict[str, int]:
-    """Bytes covered by each message's annotated fields."""
-    return {
-        mid: max((a.field.end + 1 for a in anns), default=0)
-        for mid, anns in annotations.items()
-    }
 
 
 def infer_corpus(
@@ -222,9 +107,7 @@ def refine_corpus(
         refined, ev = entropy_refine(refined, clustering, msg_map)
         events.extend(ev)
     if constraints_enabled:
-        refined, ev = constraint_refine(
-            refined, clustering if clustering_enabled else None
-        )
+        refined, ev = constraint_refine(refined, clustering)
         events.extend(ev)
     return clustering, refined, events
 
@@ -252,10 +135,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute ingest -> extract -> infer -> refine -> score and write reports."""
     messages, trace_list = load_corpus(config.traces)
     traces = {t.message_id: t for t in trace_list}
-    missing = sorted(m.id for m in messages if m.id not in traces)
-    if missing:
-        raise IntegrityError(None, f"messages without traces: {missing}")
-
     formats, annotations = infer_corpus(
         messages, traces, config.params, config.baseline, config.disabled_rules
     )
@@ -276,10 +155,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(
-        out / "formats.json",
-        [format_to_dict(formats[m.id]) for m in messages],
-    )
+    write_json(out / "formats.json", formats_to_doc(messages, formats))
     write_json(out / "annotations.json", annotations_to_doc(refined))
     write_json(out / "clustering.json", clustering_to_dict(clustering))
     write_json(out / "refinement_audit.json", audit_to_doc(events))

@@ -65,12 +65,6 @@ class EntropyProfile:
     entropies: tuple[tuple[Range, float], ...]
     median: float
 
-    def entropy_of(self, rng: Range) -> float:
-        for r, h in self.entropies:
-            if r == rng:
-                return h
-        raise KeyError(rng)
-
 
 @dataclass(frozen=True)
 class RefinementEvent:
@@ -135,6 +129,12 @@ def _align_score(
     return total / pairs if pairs else 0.0
 
 
+def single_cluster(messages: Sequence[Message]) -> Clustering:
+    """All messages in one cluster: the degenerate search result, and the
+    clustering used when the clustering stage is disabled."""
+    return Clustering(None, ((b"", tuple(m.id for m in messages)),), 0.0)
+
+
 def explore_optimal(
     messages: Sequence[Message],
     formats: Mapping[str, FormatResult],
@@ -142,10 +142,6 @@ def explore_optimal(
 ) -> Clustering:
     """Search every boundary-delimited range for the best clustering basis."""
     params = params or AlignmentParams()
-    if len(messages) < 2:
-        ids = tuple(m.id for m in messages)
-        return Clustering(None, ((b"", ids),), 0.0)
-
     boundaries = {m.id: formats[m.id].boundaries for m in messages}
     candidates = sorted(
         {(f.start, f.end) for m in messages for f in formats[m.id].fields}
@@ -162,19 +158,13 @@ def explore_optimal(
             best_pos = rng
 
     if best_pos is None:
-        ids = tuple(m.id for m in messages)
-        return Clustering(None, ((b"", ids),), 0.0)
+        return single_cluster(messages)
 
     final = _group_by_value(messages, best_pos)
     clusters = tuple(
         (value, tuple(ids)) for value, ids in sorted(final.items())
     )
     return Clustering(best_pos, clusters, best_score)
-
-
-def single_cluster(messages: Sequence[Message]) -> Clustering:
-    """Degenerate clustering used when the clustering stage is disabled."""
-    return Clustering(None, ((b"", tuple(m.id for m in messages)),), 0.0)
 
 
 def cluster_entropy_profile(

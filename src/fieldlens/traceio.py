@@ -23,13 +23,13 @@ is the empty set.  Three record kinds exist:
 ``gt <msg-id> field=S-E type=TYPE funcs=F|F|... [accessed=true|false]``
     Ground-truth field annotation, used by the evaluation layer.
 
-The JSON reports of the later stages are all written by ``write_json``.
+The JSON documents the later stages exchange live in ``reports``; this
+module knows only the line format.
 """
 
 from __future__ import annotations
 
 import io
-import json
 from typing import Iterator, Optional, TextIO
 
 from .model import (
@@ -317,10 +317,3 @@ def serialize_corpus(
 def dump_corpus(path, messages: list[Message], traces: list[ExecutionTrace]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_corpus(messages, traces))
-
-
-def write_json(path, doc) -> None:
-    """Write ``doc`` as JSON with sorted keys, two-space indent and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -59,27 +59,44 @@ def test_run_reports_are_deterministic(tmp_path, corpus):
 
 
 def test_stage_chain_matches_run(tmp_path, corpus):
-    formats = tmp_path / "formats.json"
-    anns = tmp_path / "annotations.json"
-    refined = tmp_path / "refined.json"
-    audit = tmp_path / "audit.json"
-    clusters = tmp_path / "clusters.json"
-    metrics = tmp_path / "metrics.json"
+    """infer -> refine -> score -> export-template writes run's six reports."""
+    run_dir = tmp_path / "run"
     assert run_cli(
-        "infer", "--traces", corpus, "--formats-out", formats, "--out", anns
+        "run", "--traces", corpus, "--ground-truth", corpus, "--out-dir", run_dir
+    ) == 0
+    chain = {
+        name: tmp_path / f"chain-{name}"
+        for name in (
+            "formats.json", "annotations.json", "clustering.json",
+            "refinement_audit.json", "metrics.json", "template.json",
+        )
+    }
+    pre = tmp_path / "pre.json"
+    assert run_cli(
+        "infer", "--traces", corpus, "--formats-out", chain["formats.json"],
+        "--out", pre,
     ) == 0
     assert run_cli(
-        "refine", "--traces", corpus, "--formats", formats,
-        "--annotations", anns, "--out", refined,
-        "--audit", audit, "--clusters", clusters,
+        "refine", "--traces", corpus, "--formats", chain["formats.json"],
+        "--annotations", pre, "--out", chain["annotations.json"],
+        "--audit", chain["refinement_audit.json"],
+        "--clusters", chain["clustering.json"],
     ) == 0
     assert run_cli(
-        "score", "--formats", formats, "--annotations", refined,
-        "--ground-truth", corpus, "--out", metrics,
+        "score", "--formats", chain["formats.json"],
+        "--annotations", chain["annotations.json"],
+        "--ground-truth", corpus, "--out", chain["metrics.json"],
     ) == 0
-    doc = json.loads(metrics.read_text())
+    assert run_cli(
+        "export-template", "--traces", corpus,
+        "--annotations", chain["annotations.json"],
+        "--out", chain["template.json"],
+    ) == 0
+    for name, path in chain.items():
+        assert path.read_bytes() == (run_dir / name).read_bytes(), name
+    doc = json.loads(chain["metrics.json"].read_text())
     assert doc["semantics"]["type"]["f1"] == 1.0
-    clusters_doc = json.loads(clusters.read_text())
+    clusters_doc = json.loads(chain["clustering.json"].read_text())
     assert clusters_doc["command_pos"] == [3, 3]
 
 
@@ -226,6 +243,27 @@ def test_score_rejects_annotations_missing_a_message(tmp_path, corpus, stage_fil
 
 
 
+def _run_stage_and_expect_exit_2(tmp_path, corpus, command, formats, anns, named):
+    """Run ``command`` in a fresh interpreter; it must exit 2 naming ``named``."""
+    extra = {
+        "refine": ["--traces", corpus, "--formats", formats],
+        "score": ["--formats", formats, "--ground-truth", corpus],
+        "export-template": ["--traces", corpus],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldlens.cli", command, *map(str, extra),
+         "--annotations", str(anns), "--out", "out.json"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and str(named) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, target, content",
     [
@@ -243,19 +281,36 @@ def test_malformed_json_document_exits_2(tmp_path, corpus, stage_files, command,
         doc[sorted(doc)[0]][0]["type"] = "FOO"
         content = json.dumps(doc)
     files[target].write_text(content)
-    extra = {
-        "refine": ["--traces", corpus, "--formats", formats],
-        "score": ["--formats", formats, "--ground-truth", corpus],
-        "export-template": ["--traces", corpus],
-    }[command]
-    proc = subprocess.run(
-        [sys.executable, "-m", "fieldlens.cli", command, *map(str, extra),
-         "--annotations", str(anns), "--out", "out.json"],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+    _run_stage_and_expect_exit_2(
+        tmp_path, corpus, command, formats, anns, files[target]
     )
-    assert proc.returncode == 2
-    assert "error:" in proc.stderr and str(files[target]) in proc.stderr
-    assert "Traceback" not in proc.stderr
+
+
+def _extra_message(doc):
+    doc["zzz"] = doc[sorted(doc)[0]]
+
+
+def _last_field_past_the_end(doc):
+    doc[sorted(doc)[0]][-1]["end"] += 5
+
+
+def _second_field_overlaps_first(doc):
+    first, second = doc[sorted(doc)[0]][:2]
+    second["start"] = first["end"]
+
+
+@pytest.mark.parametrize(
+    "command, edit",
+    [
+        pytest.param("export-template", _extra_message, id="template-extra-id"),
+        pytest.param("export-template", _last_field_past_the_end, id="template-past-end"),
+        pytest.param("refine", _second_field_overlaps_first, id="refine-overlap"),
+        pytest.param("score", _second_field_overlaps_first, id="score-overlap"),
+    ],
+)
+def test_annotations_must_partition_each_message(tmp_path, corpus, stage_files, command, edit):
+    formats, anns = stage_files
+    doc = json.loads(anns.read_text())
+    edit(doc)
+    anns.write_text(json.dumps(doc))
+    _run_stage_and_expect_exit_2(tmp_path, corpus, command, formats, anns, anns)

@@ -56,20 +56,12 @@ def test_trace_seq_strictly_increasing():
     assert len(trace.records) == 2
 
 
-def test_trace_offsets_validated_against_message():
-    trace = ExecutionTrace("m", (rec(1, offsets={9}),))
-    with pytest.raises(ModelError):
-        trace.validate_offsets(Message("m", b"\x00\x01"))
-
-
 def test_field_ordering_and_bounds():
     with pytest.raises(ModelError):
         Field(3, 2)
     with pytest.raises(ModelError):
         Field(-1, 0)
     assert len(Field(2, 5)) == 4
-    assert Field(0, 2).overlaps(Field(2, 4))
-    assert not Field(0, 1).overlaps(Field(2, 4))
 
 
 def test_format_result_partition_checks():
@@ -81,7 +73,6 @@ def test_format_result_partition_checks():
         FormatResult("m", 5, (Field(0, 1), Field(2, 3)))  # short
     fmt = FormatResult("m", 5, (Field(0, 1), Field(2, 2), Field(3, 4)))
     assert fmt.boundaries == (2, 3)
-    assert fmt.field_at(3) == Field(3, 4)
 
 
 def test_instructions_for_empty_range():

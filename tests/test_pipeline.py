@@ -6,14 +6,16 @@ from fieldlens.alignment import AlignmentParams
 from fieldlens.evaluation import load_ground_truth
 from fieldlens.pipeline import (
     PipelineConfig,
-    annotations_from_doc,
-    annotations_to_doc,
-    format_from_dict,
-    format_to_dict,
     infer_corpus,
     refine_corpus,
     run_pipeline,
     score_corpus,
+)
+from fieldlens.reports import (
+    annotations_from_doc,
+    annotations_to_doc,
+    format_from_dict,
+    format_to_dict,
 )
 from fieldlens.traceio import IntegrityError, dump_corpus
 from fieldlens.vm import bundled_parsers, run as vm_run

@@ -1,3 +1,5 @@
+import ast
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -5,6 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fieldlens"
 
 
 def _git(*args):
@@ -20,3 +23,30 @@ def test_no_tracked_file_is_gitignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def _modules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path.relative_to(PACKAGE).as_posix(), ast.parse(path.read_text())
+
+
+def test_only_reports_knows_json():
+    """Reading, writing and converting the stage documents is one layer."""
+    importers = []
+    converters = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                if any(a.name.split(".")[0] == "json" for a in node.names):
+                    importers.append(name)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level == 0 and (node.module or "").split(".")[0] == "json":
+                    importers.append(name)
+        converters += [
+            f"{name}:{node.name}"
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and re.search(r"_(to_dict|from_dict|doc)$", node.name)
+        ]
+    assert sorted(set(importers)) == ["reports.py"]
+    assert all(c.startswith("reports.py:") for c in converters), converters
