@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .alignment import AlignmentParams
-from .detectors import RULES
+from .detectors import RULE_IDS, RULES
 from .evaluation import load_ground_truth, serialize_ground_truth
 from .fuzz_template import export_fuzz_template
 from .model import ModelError
@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="extract formats and run semantic detectors")
     p.add_argument("--traces", required=True)
     p.add_argument("--baseline", action="store_true")
-    p.add_argument("--disable-rule", action="append", metavar="RULE_ID")
+    p.add_argument("--disable-rule", action="append", choices=RULE_IDS,
+                   metavar="RULE_ID", help="a rule id that list-rules prints")
     p.add_argument("--formats-out", default="formats.json")
     p.add_argument("--out", required=True)
     _add_alignment_flags(p)
@@ -296,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ground-truth")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--baseline", action="store_true")
-    p.add_argument("--disable-rule", action="append", metavar="RULE_ID")
+    p.add_argument("--disable-rule", action="append", choices=RULE_IDS,
+                   metavar="RULE_ID", help="a rule id that list-rules prints")
     _add_alignment_flags(p)
     _add_refine_flags(p)
     p.set_defaults(func=_cmd_run)

@@ -1,10 +1,19 @@
 """Atomic semantic detectors: classify fields into types and functions.
 
-Each detector is a small rule over ``I(f)`` (the instruction records whose
-accessed offsets intersect the field) and ``V(f)`` (the field's bytes).  Type
-rules are tried most-specific first -- string, bytes, group, integer, static
--- and exactly one type is assigned; function rules fire independently and
-may stack, with conflicts left to the refinement stage.
+The detector library is one ordered table, ``LIBRARY``: each entry holds a
+rule id, the semantic type or function the rule assigns, the summary that
+``list-rules`` prints, and the rule itself.  A rule is a small predicate over
+``I(f)`` (the instruction records whose accessed offsets intersect the
+field), the trace's loops that cover the field, and ``V(f)`` (the field's
+bytes in the message); it returns the ``(seq, note)`` of each piece of
+evidence when it fires.
+
+``annotate`` looks up ``I(f)`` and the covering loops once per field and
+walks the table in order.  Type rules come first, most specific first --
+string, bytes, group, integer, static -- and the first one that fires
+assigns the field's one type.  Every function rule then runs, and all that
+fire stack; conflicts are left to the refinement stage.  A disabled rule is
+skipped as if it were not in the table.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .model import (
     ArgRole,
@@ -66,22 +75,11 @@ class FieldAnnotation:
         return tuple(e for e in self.evidence if e.rule.startswith(rule_prefix))
 
 
-#: Enumerable rule library (CLI `list-rules` prints this).
-RULES: tuple[tuple[str, str], ...] = (
-    ("type.string", "consecutive field bytes compared to one constant inside a scan loop"),
-    ("type.bytes", "all field bytes share identical operations within one loop whose reads cover exactly the field"),
-    ("type.group", "field compared against two or more distinct constants"),
-    ("type.integer", "arithmetic/bit-wise operations, or comparisons against consecutive constants"),
-    ("type.static", "a fixed-value comparison yields true and nothing but mov-series ops touch the field"),
-    ("func.command", "a true fixed-value comparison immediately triggers a jump"),
-    ("func.length", "field terminates a loop, is a length argument to a library call, or drives pointer/counter stepping"),
-    ("func.delim", "a loop-terminating comparison against a constant that sits at the field's edge"),
-    ("func.checksum", "field compared against a value accumulated from two or more consecutive message bytes"),
-    ("func.filename", "field value follows a file naming convention"),
-    ("func.aligned", "no functional operations touch the field"),
-)
-
-RULE_IDS = tuple(rule_id for rule_id, _ in RULES)
+Records = Sequence[InstructionRecord]
+#: (loop id, every record of that loop) for each loop that covers a field
+Loops = list[tuple[str, list[InstructionRecord]]]
+#: what a rule returns when it fires: the (seq, note) of each piece of evidence
+Found = Optional[list[tuple[Optional[int], str]]]
 
 # printable ASCII path: optional '/'- or '\'-separated segments and a final
 # name with a 1..5 character extension
@@ -92,7 +90,7 @@ def _const_value(const: bytes) -> int:
     return int.from_bytes(const, "little")
 
 
-def _const_compares(records: Sequence[InstructionRecord]) -> list[InstructionRecord]:
+def _const_compares(records: Records) -> list[InstructionRecord]:
     return [
         r
         for r in records
@@ -105,21 +103,15 @@ def _is_functional(rec: InstructionRecord) -> bool:
     return rec.op_class is not OpClass.MOV_SERIES
 
 
-def _loop_views(trace: ExecutionTrace) -> dict[str, list[InstructionRecord]]:
-    """All loop records grouped by loop id (trace-wide, not just I(f))."""
+def _covering_loops(trace: ExecutionTrace, field: Field) -> Loops:
+    """Loops that touch every byte of the field with identical operator sets
+    (each with all of its records, trace-wide, not just I(f))."""
     loops: dict[str, list[InstructionRecord]] = {}
     for rec in trace.records:
         if rec.loop_id is not None:
             loops.setdefault(rec.loop_id, []).append(rec)
-    return loops
-
-
-def _covering_loops(
-    trace: ExecutionTrace, field: Field
-) -> list[tuple[str, list[InstructionRecord]]]:
-    """Loops that touch every byte of the field with identical operator sets."""
     out = []
-    for loop_id, recs in _loop_views(trace).items():
+    for loop_id, recs in loops.items():
         per_byte: list[frozenset[str]] = []
         ok = True
         for b in field.offsets:
@@ -133,9 +125,9 @@ def _covering_loops(
     return out
 
 
-def _string_rule(
-    field: Field, trace: ExecutionTrace, records: Sequence[InstructionRecord]
-) -> Optional[list[Evidence]]:
+def _string_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+    if not loops:
+        return None
     # per-byte single-target constant comparisons
     by_byte: dict[int, dict[int, int]] = {}
     for rec in _const_compares(records):
@@ -143,35 +135,26 @@ def _string_rule(
         if len(hit) == 1:
             (b,) = hit
             by_byte.setdefault(b, {})[_const_value(rec.compared_const)] = rec.seq
-    if not _covering_loops(trace, field):
-        return None
     for b in range(field.start, field.end):
         shared = set(by_byte.get(b, {})) & set(by_byte.get(b + 1, {}))
         if shared:
             c = min(shared)
-            return [
-                Evidence("type.string", by_byte[b][c]),
-                Evidence("type.string", by_byte[b + 1][c]),
-            ]
+            return [(by_byte[b][c], ""), (by_byte[b + 1][c], "")]
     return None
 
 
-def _bytes_rule(
-    field: Field, trace: ExecutionTrace
-) -> Optional[list[Evidence]]:
-    for loop_id, recs in _covering_loops(trace, field):
+def _bytes_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+    for loop_id, recs in loops:
         footprint: set[int] = set()
         for rec in recs:
             footprint.update(rec.reads)
         if footprint == set(field.offsets):
             seqs = sorted(r.seq for r in recs if r.accessed_offsets & footprint)
-            return [Evidence("type.bytes", s, note=f"loop {loop_id}") for s in seqs[:2]]
+            return [(s, f"loop {loop_id}") for s in seqs[:2]]
     return None
 
 
-def _group_rule(
-    field: Field, records: Sequence[InstructionRecord]
-) -> Optional[list[Evidence]]:
+def _group_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
     # the alternatives must target the same byte span: two fixed-value checks
     # against different bytes of a merged field are not a value group
     span = frozenset(field.offsets)
@@ -183,78 +166,50 @@ def _group_rule(
         )
     for consts in by_span.values():
         if len(consts) >= 2:
-            return [
-                Evidence("type.group", seq) for _, seq in sorted(consts.items())[:2]
-            ]
+            return [(seq, "") for _, seq in sorted(consts.items())[:2]]
     return None
 
 
-def _integer_rule(records: Sequence[InstructionRecord]) -> Optional[list[Evidence]]:
+def _integer_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
     arith = [r for r in records if r.op_class is OpClass.ARITH_BITWISE]
     if arith:
-        return [Evidence("type.integer", r.seq) for r in arith[:2]]
+        return [(r.seq, "") for r in arith[:2]]
     consts: dict[int, int] = {}
     for rec in _const_compares(records):
         consts.setdefault(_const_value(rec.compared_const), rec.seq)
     for value, seq in consts.items():
         if value + 1 in consts:
-            return [
-                Evidence("type.integer", seq),
-                Evidence("type.integer", consts[value + 1]),
-            ]
+            return [(seq, ""), (consts[value + 1], "")]
     return None
 
 
-def _static_rule(records: Sequence[InstructionRecord]) -> Optional[list[Evidence]]:
-    anchors = [
-        r for r in _const_compares(records) if r.cmp_result is True
-    ]
-    if not anchors:
+def _static_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+    anchors = [r.seq for r in _const_compares(records) if r.cmp_result is True]
+    skip = set(anchors)
+    if not anchors or any(_is_functional(r) for r in records if r.seq not in skip):
         return None
-    anchor_seqs = {r.seq for r in anchors}
+    return [(anchors[0], "")]
+
+
+def _command_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+    for rec in _const_compares(records):
+        if rec.cmp_result is True and rec.triggered_jump:
+            return [(rec.seq, "")]
+    return None
+
+
+def _length_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
     for rec in records:
-        if rec.seq in anchor_seqs:
-            continue
-        if _is_functional(rec):
-            return None
-    return [Evidence("type.static", anchors[0].seq)]
+        if rec.loop_role is LoopRole.TERMINATION:
+            return [(rec.seq, "loop bound")]
+        if rec.api_call is not None and rec.api_call.tainted_arg_role is ArgRole.LENGTH_ARG:
+            return [(rec.seq, rec.api_call.name)]
+        if rec.pointer_arith is not None:
+            return [(rec.seq, rec.pointer_arith.name)]
+    return None
 
 
-def detect_type(
-    field: Field,
-    trace: ExecutionTrace,
-    message: Message,
-    disabled_rules: Iterable[str] = (),
-) -> tuple[SemanticType, list[Evidence]]:
-    """Assign exactly one semantic type, most-specific rule first."""
-    disabled = set(disabled_rules)
-    records = instructions_for(trace, field)
-    if "type.string" not in disabled:
-        ev = _string_rule(field, trace, records)
-        if ev:
-            return SemanticType.STRING, ev
-    if "type.bytes" not in disabled:
-        ev = _bytes_rule(field, trace)
-        if ev:
-            return SemanticType.BYTES, ev
-    if "type.group" not in disabled:
-        ev = _group_rule(field, records)
-        if ev:
-            return SemanticType.GROUP, ev
-    if "type.integer" not in disabled:
-        ev = _integer_rule(records)
-        if ev:
-            return SemanticType.INTEGER, ev
-    if "type.static" not in disabled:
-        ev = _static_rule(records)
-        if ev:
-            return SemanticType.STATIC, ev
-    return SemanticType.UNKNOWN, []
-
-
-def _delim_rule(
-    field: Field, message: Message, records: Sequence[InstructionRecord]
-) -> Optional[list[Evidence]]:
+def _delim_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
     data = message.data
     edge_values = set()
     for pos in (field.start - 1, field.start, field.end, field.end + 1):
@@ -268,13 +223,11 @@ def _delim_rule(
             and len(rec.compared_const) == 1
             and rec.compared_const[0] in edge_values
         ):
-            return [Evidence("func.delim", rec.seq)]
+            return [(rec.seq, "")]
     return None
 
 
-def _checksum_rule(
-    field: Field, records: Sequence[InstructionRecord]
-) -> Optional[list[Evidence]]:
+def _checksum_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
     span = frozenset(field.offsets)
     for rec in records:
         if rec.op_class is not OpClass.COMPARE or rec.operand_lineage is None:
@@ -283,83 +236,61 @@ def _checksum_rule(
             if not (own & span) or (other & span):
                 continue
             if any(hi - lo >= 1 for lo, hi in consecutive_runs(other)):
-                return [Evidence("func.checksum", rec.seq)]
+                return [(rec.seq, "")]
     return None
 
 
-def _filename_rule(field: Field, message: Message) -> Optional[list[Evidence]]:
+def _filename_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
     raw = message.data[field.start : field.end + 1]
     if len(raw) < 3 or not all(0x20 <= b <= 0x7E for b in raw):
         return None
     text = raw.decode("ascii")
-    if _FILENAME_RE.match(text):
-        return [Evidence("func.filename", None, note=text)]
-    return None
+    return [(None, text)] if _FILENAME_RE.match(text) else None
 
 
-def detect_functions(
-    field: Field,
-    trace: ExecutionTrace,
-    message: Message,
-    disabled_rules: Iterable[str] = (),
-) -> tuple[set[SemanticFunction], list[Evidence]]:
-    """Collect every semantic function whose rule fires; conflicts survive
-    until refinement."""
-    disabled = set(disabled_rules)
-    records = instructions_for(trace, field)
-    functions: set[SemanticFunction] = set()
-    evidence: list[Evidence] = []
+def _aligned_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+    if any(_is_functional(r) for r in records):
+        return None
+    return [(None, "no functional operations")]
 
-    if "func.command" not in disabled:
-        for rec in _const_compares(records):
-            if rec.cmp_result is True and rec.triggered_jump:
-                functions.add(SemanticFunction.COMMAND)
-                evidence.append(Evidence("func.command", rec.seq))
-                break
 
-    if "func.length" not in disabled:
-        for rec in records:
-            if rec.loop_role is LoopRole.TERMINATION:
-                functions.add(SemanticFunction.LENGTH)
-                evidence.append(Evidence("func.length", rec.seq, note="loop bound"))
-                break
-            if rec.api_call is not None and rec.api_call.tainted_arg_role is ArgRole.LENGTH_ARG:
-                functions.add(SemanticFunction.LENGTH)
-                evidence.append(Evidence("func.length", rec.seq, note=rec.api_call.name))
-                break
-            if rec.pointer_arith is not None:
-                functions.add(SemanticFunction.LENGTH)
-                evidence.append(
-                    Evidence("func.length", rec.seq, note=rec.pointer_arith.name)
-                )
-                break
+@dataclass(frozen=True)
+class Rule:
+    id: str
+    label: Union[SemanticType, SemanticFunction]
+    fires: Callable[[Field, Records, Loops, Message], Found]
+    summary: str
 
-    if "func.delim" not in disabled:
-        ev = _delim_rule(field, message, records)
-        if ev:
-            functions.add(SemanticFunction.DELIM)
-            evidence.extend(ev)
 
-    if "func.checksum" not in disabled:
-        ev = _checksum_rule(field, records)
-        if ev:
-            functions.add(SemanticFunction.CHECKSUM)
-            evidence.extend(ev)
+#: The detector library, in the order ``annotate`` runs it.
+LIBRARY: tuple[Rule, ...] = (
+    Rule("type.string", SemanticType.STRING, _string_rule,
+         "consecutive field bytes compared to one constant inside a scan loop"),
+    Rule("type.bytes", SemanticType.BYTES, _bytes_rule,
+         "all field bytes share identical operations within one loop whose reads cover exactly the field"),
+    Rule("type.group", SemanticType.GROUP, _group_rule,
+         "field compared against two or more distinct constants"),
+    Rule("type.integer", SemanticType.INTEGER, _integer_rule,
+         "arithmetic/bit-wise operations, or comparisons against consecutive constants"),
+    Rule("type.static", SemanticType.STATIC, _static_rule,
+         "a fixed-value comparison yields true and nothing but mov-series ops touch the field"),
+    Rule("func.command", SemanticFunction.COMMAND, _command_rule,
+         "a true fixed-value comparison immediately triggers a jump"),
+    Rule("func.length", SemanticFunction.LENGTH, _length_rule,
+         "field terminates a loop, is a length argument to a library call, or drives pointer/counter stepping"),
+    Rule("func.delim", SemanticFunction.DELIM, _delim_rule,
+         "a loop-terminating comparison against a constant that sits at the field's edge"),
+    Rule("func.checksum", SemanticFunction.CHECKSUM, _checksum_rule,
+         "field compared against a value accumulated from two or more consecutive message bytes"),
+    Rule("func.filename", SemanticFunction.FILENAME, _filename_rule,
+         "field value follows a file naming convention"),
+    Rule("func.aligned", SemanticFunction.ALIGNED, _aligned_rule,
+         "no functional operations touch the field"),
+)
 
-    if "func.filename" not in disabled:
-        ev = _filename_rule(field, message)
-        if ev:
-            functions.add(SemanticFunction.FILENAME)
-            evidence.extend(ev)
-
-    if "func.aligned" not in disabled:
-        if not any(_is_functional(r) for r in records):
-            functions.add(SemanticFunction.ALIGNED)
-            evidence.append(
-                Evidence("func.aligned", None, note="no functional operations")
-            )
-
-    return functions, evidence
+#: (id, summary) of each rule, in table order (CLI `list-rules` prints this).
+RULES: tuple[tuple[str, str], ...] = tuple((r.id, r.summary) for r in LIBRARY)
+RULE_IDS: tuple[str, ...] = tuple(r.id for r in LIBRARY)
 
 
 def annotate(
@@ -368,11 +299,27 @@ def annotate(
     message: Message,
     disabled_rules: Iterable[str] = (),
 ) -> FieldAnnotation:
-    sem_type, type_ev = detect_type(field, trace, message, disabled_rules)
-    functions, func_ev = detect_functions(field, trace, message, disabled_rules)
-    return FieldAnnotation(
-        field, sem_type, frozenset(functions), tuple(type_ev + func_ev)
-    )
+    """Run the library over one field: the first type rule that fires sets
+    the type, every function rule that fires adds its function."""
+    disabled = frozenset(disabled_rules)
+    records = instructions_for(trace, field)
+    loops = _covering_loops(trace, field)
+    sem_type = SemanticType.UNKNOWN
+    functions: set[SemanticFunction] = set()
+    evidence: list[Evidence] = []
+    for rule in LIBRARY:
+        is_type = isinstance(rule.label, SemanticType)
+        if rule.id in disabled or (is_type and sem_type is not SemanticType.UNKNOWN):
+            continue
+        found = rule.fires(field, records, loops, message)
+        if not found:
+            continue
+        if is_type:
+            sem_type = rule.label
+        else:
+            functions.add(rule.label)
+        evidence += [Evidence(rule.id, seq, note) for seq, note in found]
+    return FieldAnnotation(field, sem_type, frozenset(functions), tuple(evidence))
 
 
 def annotate_format(

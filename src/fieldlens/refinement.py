@@ -61,7 +61,6 @@ class Clustering:
 class EntropyProfile:
     """Per-cluster field-range entropies (bits, base 2) and their median."""
 
-    cluster_value: bytes
     entropies: tuple[tuple[Range, float], ...]
     median: float
 
@@ -168,7 +167,6 @@ def explore_optimal(
 
 
 def cluster_entropy_profile(
-    cluster_value: bytes,
     cluster_messages: Sequence[Message],
     annotations: Mapping[str, Sequence[FieldAnnotation]],
 ) -> EntropyProfile:
@@ -188,7 +186,7 @@ def cluster_entropy_profile(
         ]
         entries.append((rng, shannon_entropy(values)))
     med = statistics.median(h for _, h in entries) if entries else 0.0
-    return EntropyProfile(cluster_value, tuple(entries), med)
+    return EntropyProfile(tuple(entries), med)
 
 
 def entropy_refine(
@@ -207,7 +205,7 @@ def entropy_refine(
     refined = {mid: list(anns) for mid, anns in annotations.items()}
     events: list[RefinementEvent] = []
 
-    for value, ids in clustering.clusters:
+    for _, ids in clustering.clusters:
         cluster_msgs = [messages[mid] for mid in ids]
         if len(cluster_msgs) < 2:
             events.append(
@@ -220,7 +218,7 @@ def entropy_refine(
                 )
             )
             continue
-        profile = cluster_entropy_profile(value, cluster_msgs, annotations)
+        profile = cluster_entropy_profile(cluster_msgs, annotations)
         h_of = dict(profile.entropies)
         med = profile.median
 
@@ -355,16 +353,3 @@ def constraint_refine(
 
     return {mid: tuple(anns) for mid, anns in refined.items()}, events
 
-
-def count_violations(
-    annotations: Mapping[str, Sequence[FieldAnnotation]],
-    table: Mapping[SemanticFunction, frozenset[SemanticType]] = CONSTRAINT_TABLE,
-) -> int:
-    """Number of (field, function) pairs whose type violates the table."""
-    return sum(
-        1
-        for anns in annotations.values()
-        for ann in anns
-        for fn in ann.inferred_functions
-        if ann.inferred_type not in table[fn]
-    )

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from fieldlens.refinement import CONSTRAINT_TABLE
 from fieldlens.traceio import load_corpus
 
 DATA = Path(__file__).parent / "data"
@@ -29,3 +30,20 @@ def example3():
 def refine_corpus():
     messages, traces = load_corpus(DATA / "refine_corpus.trace")
     return messages, {t.message_id: t for t in traces}
+
+
+@pytest.fixture(scope="session")
+def count_violations():
+    """Counts the (field, function) pairs whose type the constraint table
+    forbids."""
+
+    def count(annotations):
+        return sum(
+            1
+            for anns in annotations.values()
+            for ann in anns
+            for fn in ann.inferred_functions
+            if ann.inferred_type not in CONSTRAINT_TABLE[fn]
+        )
+
+    return count

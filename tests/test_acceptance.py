@@ -23,7 +23,6 @@ from fieldlens.model import Field, operator_sequence
 from fieldlens.refinement import (
     CONSTRAINT_TABLE,
     constraint_refine,
-    count_violations,
     entropy_refine,
     explore_optimal,
     shannon_entropy,
@@ -260,7 +259,7 @@ def test_criterion_entropy_invariants(refine_corpus):
     _report("entropy: H=0 constants, log2(n) uniform, permutation-invariant revocations")
 
 
-def test_criterion_ablation_monotonicity():
+def test_criterion_ablation_monotonicity(count_violations):
     """Constraint refinement leaves zero table violations; clustering never
     lowers the command-field F1 against the detector-only setup."""
     for parser in bundled_parsers():

@@ -8,6 +8,7 @@ import pytest
 
 import fieldlens
 from fieldlens.cli import main
+from fieldlens.detectors import RULE_IDS
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(fieldlens.__file__).resolve().parents[1]
@@ -169,6 +170,24 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     assert "type.bytes" in out and "func.checksum" in out
     assert len(out.strip().splitlines()) == 11
+    assert tuple(line.split()[0] for line in out.splitlines()) == RULE_IDS
+
+
+@pytest.mark.parametrize(
+    "command,outputs",
+    [
+        ("infer", ("--formats-out", "formats.json", "--out", "pre.json")),
+        ("run", ("--out-dir", "reports")),
+    ],
+)
+def test_unknown_rule_id_exits_2(tmp_path, corpus, capsys, command, outputs):
+    args = [a if a.startswith("--") else tmp_path / a for a in outputs]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--traces", corpus, *args, "--disable-rule", "type.strng")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'type.strng'" in err and "'type.string'" in err
+    assert not any(isinstance(a, Path) and a.exists() for a in args)
 
 
 def test_alignment_flag_overrides(tmp_path, corpus):

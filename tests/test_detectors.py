@@ -1,13 +1,14 @@
 import pytest
 
+import fieldlens.detectors as detectors
 from fieldlens.detectors import (
     RULE_IDS,
     RULES,
+    FieldAnnotation,
     SemanticFunction,
     SemanticType,
+    annotate,
     annotate_format,
-    detect_functions,
-    detect_type,
 )
 from fieldlens.extraction import extract_format
 from fieldlens.model import (
@@ -21,6 +22,7 @@ from fieldlens.model import (
     OpClass,
     PointerArith,
 )
+from fieldlens.vm import bundled_parsers, run as vm_run
 
 
 def rec(seq, op, klass, offsets, reads=None, **kw):
@@ -49,6 +51,16 @@ def trace(*records):
 
 
 MSG = Message("m", bytes(range(16)))
+
+
+def detect_type(field, t, message, disabled_rules=()):
+    ann = annotate(field, t, message, disabled_rules)
+    return ann.inferred_type, list(ann.evidence_for("type."))
+
+
+def detect_functions(field, t, message, disabled_rules=()):
+    ann = annotate(field, t, message, disabled_rules)
+    return set(ann.inferred_functions), list(ann.evidence_for("func."))
 
 
 def test_static_fires_on_true_comparison_with_only_moves():
@@ -328,3 +340,49 @@ def test_rule_registry_covers_all_rules():
     assert len(RULES) == 11
     assert len(set(RULE_IDS)) == 11
     assert all(r.startswith(("type.", "func.")) for r in RULE_IDS)
+
+
+def test_one_instruction_lookup_per_field(example3, monkeypatch):
+    message, t = example3
+    fmt = extract_format(message, t)
+    lookup = detectors.instructions_for
+    calls = []
+
+    def counting(trace, field):
+        calls.append(field)
+        return lookup(trace, field)
+
+    monkeypatch.setattr(detectors, "instructions_for", counting)
+    annotate_format(fmt, t, message)
+    assert len(calls) == len(fmt.fields)
+
+
+def _bundled_fields():
+    for parser in bundled_parsers():
+        for message in parser.generate(6, seed=0)[0]:
+            yield message, vm_run(parser.script, message).trace
+
+
+def test_table_order_first_type_wins_functions_stack(example2, example3):
+    """All rules on equals the first type rule (in table order) that fires
+    alone, plus every function rule that fires alone, evidence in order."""
+    type_ids = [r for r in RULE_IDS if r.startswith("type.")]
+    func_ids = [r for r in RULE_IDS if r.startswith("func.")]
+    for message, t in (example2, example3, *_bundled_fields()):
+        for field in extract_format(message, t).fields:
+
+            def solo(rule_id):
+                others = set(RULE_IDS) - {rule_id}
+                return annotate(field, t, message, disabled_rules=others)
+
+            typed = [solo(r) for r in type_ids]
+            first = [
+                a for a in typed if a.inferred_type is not SemanticType.UNKNOWN
+            ][:1]
+            funcs = [solo(r) for r in func_ids]
+            assert annotate(field, t, message) == FieldAnnotation(
+                field,
+                first[0].inferred_type if first else SemanticType.UNKNOWN,
+                frozenset().union(*(a.inferred_functions for a in funcs)),
+                tuple(e for a in first + funcs for e in a.evidence),
+            )

@@ -20,7 +20,6 @@ from fieldlens.refinement import (
     Clustering,
     cluster_entropy_profile,
     constraint_refine,
-    count_violations,
     entropy_refine,
     explore_optimal,
     shannon_entropy,
@@ -395,7 +394,7 @@ def test_entropy_profile_reports_median():
         mid: (ann(0, 0, T.STATIC), ann(1, 1, T.INTEGER), ann(2, 3, T.BYTES))
         for mid in messages
     }
-    profile = cluster_entropy_profile(b"", list(messages.values()), annotations)
+    profile = cluster_entropy_profile(list(messages.values()), annotations)
     entropies = dict(profile.entropies)
     assert entropies[(0, 0)] == 0.0
     assert entropies[(1, 1)] == 1.0
@@ -439,7 +438,7 @@ def test_command_position_gains_command_and_group():
     assert ("assign-type", "GROUP") in actions
 
 
-def test_command_added_to_typed_field_still_obeys_table():
+def test_command_added_to_typed_field_still_obeys_table(count_violations):
     # the basis field is INTEGER: COMMAND is added then swept away
     clustering = Clustering((0, 0), ((b"\x01", ("m",)),), 1.0)
     annotations = {"m": (ann(0, 0, T.INTEGER, [F.LENGTH]),)}
@@ -448,7 +447,7 @@ def test_command_added_to_typed_field_still_obeys_table():
     assert count_violations(refined) == 0
 
 
-def test_final_annotations_never_violate_table(refine_corpus):
+def test_final_annotations_never_violate_table(refine_corpus, count_violations):
     messages, traces = refine_corpus
     formats = {m.id: extract_format(m, traces[m.id]) for m in messages}
     annotations = {

@@ -2,9 +2,12 @@ import ast
 import re
 import shutil
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from fieldlens.detectors import RULE_IDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fieldlens"
@@ -50,3 +53,14 @@ def test_only_reports_knows_json():
         ]
     assert sorted(set(importers)) == ["reports.py"]
     assert all(c.startswith("reports.py:") for c in converters), converters
+
+
+def test_each_rule_id_is_spelled_once():
+    """The detector table is the one place that names a rule."""
+    spelled = Counter(
+        node.value
+        for _, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in RULE_IDS
+    )
+    assert spelled == Counter(RULE_IDS)
