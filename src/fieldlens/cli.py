@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .alignment import AlignmentParams
@@ -75,8 +76,18 @@ def _add_refine_flags(p: argparse.ArgumentParser) -> None:
                    help="skip type/function constraint refinement")
 
 
+@contextmanager
+def _naming(path: Path):
+    """Prefix a parse or integrity error raised inside with the file's name."""
+    try:
+        yield
+    except (ParseError, IntegrityError) as exc:
+        raise IntegrityError(None, f"{path}: {exc}") from None
+
+
 def _load_traces(path: Path):
-    messages, trace_list = load_corpus(path)
+    with _naming(path):
+        messages, trace_list, _ = load_corpus(path)
     return messages, {t.message_id: t for t in trace_list}
 
 
@@ -193,7 +204,8 @@ def _cmd_score(args) -> int:
     formats = read_json(Path(args.formats), formats_from_doc)
     annotations = read_json(Path(args.annotations), annotations_from_doc)
     check_partitions(formats, args.annotations, annotations)
-    truths = load_ground_truth(Path(args.ground_truth))
+    with _naming(args.ground_truth):
+        truths = load_ground_truth(load_corpus(Path(args.ground_truth)).truth)
     report = score_corpus(formats, annotations, truths)
     doc = report.to_dict()
     write_json(Path(args.out), doc)

@@ -77,7 +77,7 @@ class FieldAnnotation:
 
 Records = Sequence[InstructionRecord]
 #: (loop id, every record of that loop) for each loop that covers a field
-Loops = list[tuple[str, list[InstructionRecord]]]
+Loops = list[tuple[str, tuple[InstructionRecord, ...]]]
 #: what a rule returns when it fires: the (seq, note) of each piece of evidence
 Found = Optional[list[tuple[Optional[int], str]]]
 
@@ -106,12 +106,8 @@ def _is_functional(rec: InstructionRecord) -> bool:
 def _covering_loops(trace: ExecutionTrace, field: Field) -> Loops:
     """Loops that touch every byte of the field with identical operator sets
     (each with all of its records, trace-wide, not just I(f))."""
-    loops: dict[str, list[InstructionRecord]] = {}
-    for rec in trace.records:
-        if rec.loop_id is not None:
-            loops.setdefault(rec.loop_id, []).append(rec)
     out = []
-    for loop_id, recs in loops.items():
+    for loop_id, recs in trace.loops.items():
         per_byte: list[frozenset[str]] = []
         ok = True
         for b in field.offsets:

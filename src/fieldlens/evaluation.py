@@ -10,11 +10,11 @@ excludes positions inside true fields that the server never accessed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .detectors import FieldAnnotation, SemanticFunction, SemanticType
 from .model import FormatResult
-from .traceio import IntegrityError, ParseError, iter_lines
+from .traceio import IntegrityError, ParseError, RawLine, parse_bool
 
 
 @dataclass(frozen=True)
@@ -54,37 +54,36 @@ class GroundTruth:
         return frozenset(f.start for f in self.fields if f.start > 0)
 
 
-def load_ground_truth(path) -> dict[str, GroundTruth]:
-    """Read ``gt`` records from an interchange file (other kinds are ignored)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        per_msg: dict[str, list[GroundTruthField]] = {}
-        for ln in iter_lines(fh):
-            if ln.kind != "gt":
-                continue
-            if "field" not in ln.kv or "type" not in ln.kv:
-                raise ParseError(ln.line_no, "gt line needs field= and type=")
-            if "-" not in ln.kv["field"]:
-                raise ParseError(ln.line_no, f"bad field range {ln.kv['field']!r}")
-            lo_s, hi_s = ln.kv["field"].split("-", 1)
-            try:
-                start, end = int(lo_s), int(hi_s)
-            except ValueError:
-                raise ParseError(ln.line_no, f"bad field range {ln.kv['field']!r}")
-            try:
-                sem_type = SemanticType[ln.kv["type"]]
-            except KeyError:
-                raise ParseError(ln.line_no, f"unknown type {ln.kv['type']!r}")
-            funcs: set[SemanticFunction] = set()
-            if ln.kv.get("funcs", "-") != "-":
-                for name in ln.kv["funcs"].split("|"):
-                    try:
-                        funcs.add(SemanticFunction[name])
-                    except KeyError:
-                        raise ParseError(ln.line_no, f"unknown function {name!r}")
-            accessed = ln.kv.get("accessed", "true") == "true"
-            per_msg.setdefault(ln.subject, []).append(
-                GroundTruthField(start, end, sem_type, frozenset(funcs), accessed)
-            )
+def load_ground_truth(lines: Iterable[RawLine]) -> dict[str, GroundTruth]:
+    """Each message's ground truth from the ``gt`` lines of one interchange
+    read (``traceio.Corpus.truth``).  A malformed line is a ParseError on its
+    own line; a message whose fields do not partition it is an
+    IntegrityError."""
+    per_msg: dict[str, list[GroundTruthField]] = {}
+    for ln in lines:
+        if "field" not in ln.kv or "type" not in ln.kv:
+            raise ParseError(ln.line_no, "gt line needs field= and type=")
+        try:
+            start, end = map(int, ln.kv["field"].split("-", 1))
+            if end < start:
+                raise ValueError
+        except ValueError:
+            raise ParseError(ln.line_no, f"bad field range {ln.kv['field']!r}") from None
+        try:
+            sem_type = SemanticType[ln.kv["type"]]
+        except KeyError:
+            raise ParseError(ln.line_no, f"unknown type {ln.kv['type']!r}")
+        funcs: set[SemanticFunction] = set()
+        if ln.kv.get("funcs", "-") != "-":
+            for name in ln.kv["funcs"].split("|"):
+                try:
+                    funcs.add(SemanticFunction[name])
+                except KeyError:
+                    raise ParseError(ln.line_no, f"unknown function {name!r}")
+        accessed = parse_bool(ln.kv.get("accessed", "true"), ln.line_no)
+        per_msg.setdefault(ln.subject, []).append(
+            GroundTruthField(start, end, sem_type, frozenset(funcs), accessed)
+        )
     out = {}
     for mid, fields in per_msg.items():
         fields.sort(key=lambda f: f.start)

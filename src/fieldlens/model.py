@@ -1,13 +1,15 @@
 """Core data model: messages, taint-annotated instruction traces, and field partitions.
 
 Everything here is immutable after construction and safe to share between
-threads.  Offsets are byte-granular; bit-level fields are out of scope.
+threads; ``ExecutionTrace.loops`` is a view derived from the records on first
+use.  Offsets are byte-granular; bit-level fields are out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional, Tuple
 
 
@@ -126,6 +128,22 @@ class ExecutionTrace:
                     f"strictly increasing ({rec.seq} after {prev})"
                 )
             prev = rec.seq
+
+    @cached_property
+    def loops(self) -> dict[str, tuple[InstructionRecord, ...]]:
+        """Each loop id's records in seq order, grouped once per trace."""
+        return group_loops(self.records)
+
+
+def group_loops(
+    records: Iterable[InstructionRecord],
+) -> dict[str, tuple[InstructionRecord, ...]]:
+    """Records by loop id, in the order of each loop's first record."""
+    loops: dict[str, list[InstructionRecord]] = {}
+    for rec in records:
+        if rec.loop_id is not None:
+            loops.setdefault(rec.loop_id, []).append(rec)
+    return {loop_id: tuple(recs) for loop_id, recs in loops.items()}
 
 
 @dataclass(frozen=True, order=True)

@@ -21,7 +21,15 @@ is the empty set.  Three record kinds exist:
     comparison, two offset sets separated by ``/``).
 
 ``gt <msg-id> field=S-E type=TYPE funcs=F|F|... [accessed=true|false]``
-    Ground-truth field annotation, used by the evaluation layer.
+    Ground-truth field annotation.  The reader tokenizes it and hands the
+    line to ``evaluation.load_ground_truth``, which builds the ground truth.
+
+``read_interchange`` is the one reader: a single pass over a stream gives
+the messages, their traces and the tokenized ``gt`` lines, so a file that
+holds traces and ground truth is read once.  Within one read, each parsed
+offset set is interned by its text and its message's length: records that
+spell the same set share one ``frozenset`` (immutable, so sharing is safe).
+The cache lives only as long as the call.
 
 The JSON documents the later stages exchange live in ``reports``; this
 module knows only the line format.
@@ -30,7 +38,7 @@ module knows only the line format.
 from __future__ import annotations
 
 import io
-from typing import Iterator, Optional, TextIO
+from typing import Iterator, NamedTuple, Optional, TextIO
 
 from .model import (
     ApiCall,
@@ -102,7 +110,7 @@ def _parse_hex(text: str, line_no: int) -> bytes:
         raise ParseError(line_no, f"bad hex byte string {text!r}") from None
 
 
-def _parse_bool(text: str, line_no: int) -> bool:
+def parse_bool(text: str, line_no: int) -> bool:
     if text == "true":
         return True
     if text == "false":
@@ -152,7 +160,21 @@ def _require(kv: dict[str, str], key: str, line_no: int) -> str:
     return kv[key]
 
 
-def _record_from_line(ln: RawLine, length: int) -> InstructionRecord:
+#: (offset-set text, message length) -> the parsed set, for one read
+OffsetCache = dict[tuple[str, int], frozenset[int]]
+
+
+def _offsets(cache: OffsetCache, text: str, line_no: int, length: int) -> frozenset[int]:
+    """``parse_offsets``, interned in ``cache``; only a valid set is cached,
+    so an invalid text fails on every line that spells it."""
+    key = (text, length)
+    offsets = cache.get(key)
+    if offsets is None:
+        offsets = cache[key] = parse_offsets(text, line_no, length)
+    return offsets
+
+
+def _record_from_line(ln: RawLine, length: int, cache: OffsetCache) -> InstructionRecord:
     kv = ln.kv
     try:
         seq = int(_require(kv, "seq", ln.line_no))
@@ -163,15 +185,15 @@ def _record_from_line(ln: RawLine, length: int) -> InstructionRecord:
         op_class = OpClass[_require(kv, "class", ln.line_no)]
     except KeyError:
         raise ParseError(ln.line_no, f"unknown op class {kv.get('class')!r}") from None
-    accessed = parse_offsets(_require(kv, "off", ln.line_no), ln.line_no, length)
+    accessed = _offsets(cache, _require(kv, "off", ln.line_no), ln.line_no, length)
     if "reads" in kv:
-        reads = parse_offsets(kv["reads"], ln.line_no, length)
+        reads = _offsets(cache, kv["reads"], ln.line_no, length)
     else:
         reads = accessed if op_class is OpClass.MOV_SERIES else frozenset()
 
     compared_const = _parse_hex(kv["const"], ln.line_no) if "const" in kv else None
-    cmp_result = _parse_bool(kv["result"], ln.line_no) if "result" in kv else None
-    triggered = _parse_bool(kv["jump"], ln.line_no) if "jump" in kv else False
+    cmp_result = parse_bool(kv["result"], ln.line_no) if "result" in kv else None
+    triggered = parse_bool(kv["jump"], ln.line_no) if "jump" in kv else False
     loop_id = kv.get("loop")
     loop_role = None
     if "role" in kv:
@@ -201,8 +223,8 @@ def _record_from_line(ln: RawLine, length: int) -> InstructionRecord:
             raise ParseError(ln.line_no, "lineage must hold two offset sets: a/b")
         lhs_s, rhs_s = kv["lineage"].split("/", 1)
         lineage = (
-            parse_offsets(lhs_s, ln.line_no, length),
-            parse_offsets(rhs_s, ln.line_no, length),
+            _offsets(cache, lhs_s, ln.line_no, length),
+            _offsets(cache, rhs_s, ln.line_no, length),
         )
     try:
         return InstructionRecord(
@@ -225,11 +247,22 @@ def _record_from_line(ln: RawLine, length: int) -> InstructionRecord:
         raise IntegrityError(ln.line_no, str(exc)) from None
 
 
-def load_corpus_stream(stream: TextIO) -> tuple[list[Message], list[ExecutionTrace]]:
+class Corpus(NamedTuple):
+    """What one read of an interchange stream holds."""
+
+    messages: list[Message]
+    traces: list[ExecutionTrace]
+    truth: list[RawLine]  # the ``gt`` lines, in file order
+
+
+def read_interchange(stream: TextIO) -> Corpus:
+    """Messages, traces and ``gt`` lines of ``stream``, in one pass."""
     messages: list[Message] = []
     by_id: dict[str, Message] = {}
     records: dict[str, list[InstructionRecord]] = {}
     rec_lines: dict[str, int] = {}
+    truth: list[RawLine] = []
+    cache: OffsetCache = {}
     for ln in iter_lines(stream):
         if ln.kind == "msg":
             if ln.subject in by_id:
@@ -248,10 +281,10 @@ def load_corpus_stream(stream: TextIO) -> tuple[list[Message], list[ExecutionTra
                 raise IntegrityError(
                     ln.line_no, f"record for undeclared message id {ln.subject!r}"
                 )
-            records[ln.subject].append(_record_from_line(ln, len(msg)))
+            records[ln.subject].append(_record_from_line(ln, len(msg), cache))
             rec_lines.setdefault(ln.subject, ln.line_no)
         elif ln.kind == "gt":
-            continue  # ground truth is parsed by the evaluation layer
+            truth.append(ln)
         else:
             raise ParseError(ln.line_no, f"unknown record kind {ln.kind!r}")
 
@@ -261,12 +294,18 @@ def load_corpus_stream(stream: TextIO) -> tuple[list[Message], list[ExecutionTra
             traces.append(ExecutionTrace(msg_id, tuple(recs)))
         except ModelError as exc:
             raise IntegrityError(rec_lines.get(msg_id), str(exc)) from None
+    return Corpus(messages, traces, truth)
+
+
+def load_corpus_stream(stream: TextIO) -> tuple[list[Message], list[ExecutionTrace]]:
+    """The messages and traces of ``stream``; its ``gt`` lines are dropped."""
+    messages, traces, _ = read_interchange(stream)
     return messages, traces
 
 
-def load_corpus(path) -> tuple[list[Message], list[ExecutionTrace]]:
+def load_corpus(path) -> Corpus:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_corpus_stream(fh)
+        return read_interchange(fh)
 
 
 def _record_to_line(msg_id: str, rec: InstructionRecord) -> str:

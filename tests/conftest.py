@@ -10,25 +10,25 @@ DATA = Path(__file__).parent / "data"
 
 @pytest.fixture(scope="session")
 def example1():
-    messages, traces = load_corpus(DATA / "example1.trace")
+    messages, traces, _ = load_corpus(DATA / "example1.trace")
     return messages[0], traces[0]
 
 
 @pytest.fixture(scope="session")
 def example2():
-    messages, traces = load_corpus(DATA / "example2.trace")
+    messages, traces, _ = load_corpus(DATA / "example2.trace")
     return messages[0], traces[0]
 
 
 @pytest.fixture(scope="session")
 def example3():
-    messages, traces = load_corpus(DATA / "example3.trace")
+    messages, traces, _ = load_corpus(DATA / "example3.trace")
     return messages[0], traces[0]
 
 
 @pytest.fixture(scope="session")
 def refine_corpus():
-    messages, traces = load_corpus(DATA / "refine_corpus.trace")
+    messages, traces, _ = load_corpus(DATA / "refine_corpus.trace")
     return messages, {t.message_id: t for t in traces}
 
 

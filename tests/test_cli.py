@@ -333,3 +333,32 @@ def test_annotations_must_partition_each_message(tmp_path, corpus, stage_files, 
     edit(doc)
     anns.write_text(json.dumps(doc))
     _run_stage_and_expect_exit_2(tmp_path, corpus, command, formats, anns, anns)
+
+
+def test_score_reads_a_ground_truth_only_file(tmp_path, corpus, stage_files):
+    formats, anns = stage_files
+    truth = tmp_path / "truth.fl"
+    truth.write_text("".join(
+        line for line in corpus.read_text().splitlines(keepends=True)
+        if line.startswith("gt ")
+    ))
+    for ground_truth, out in ((corpus, "joint.json"), (truth, "split.json")):
+        assert run_cli(
+            "score", "--formats", formats, "--annotations", anns,
+            "--ground-truth", ground_truth, "--out", tmp_path / out,
+        ) == 0
+    assert (tmp_path / "split.json").read_bytes() == (tmp_path / "joint.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        pytest.param("fld bin000 field=0-1", id="unknown-kind"),
+        pytest.param("rec bin000 seq=1 op=mov class=NOPE off=0", id="malformed-rec"),
+    ],
+)
+def test_score_rejects_a_malformed_ground_truth_file(tmp_path, corpus, stage_files, bad_line):
+    formats, anns = stage_files
+    truth = tmp_path / "truth.fl"
+    truth.write_text(corpus.read_text() + bad_line + "\n")
+    _run_stage_and_expect_exit_2(tmp_path, truth, "score", formats, anns, truth)

@@ -1,6 +1,7 @@
 import pytest
 
 import fieldlens.detectors as detectors
+import fieldlens.model as model
 from fieldlens.detectors import (
     RULE_IDS,
     RULES,
@@ -355,6 +356,27 @@ def test_one_instruction_lookup_per_field(example3, monkeypatch):
     monkeypatch.setattr(detectors, "instructions_for", counting)
     annotate_format(fmt, t, message)
     assert len(calls) == len(fmt.fields)
+
+
+def test_loop_records_grouped_once_per_message(example2, monkeypatch):
+    group = model.group_loops
+    calls = []
+
+    def counting(records):
+        calls.append(records)
+        return group(records)
+
+    monkeypatch.setattr(model, "group_loops", counting)
+    message, t = example2
+    t = ExecutionTrace(t.message_id, t.records)  # the fixture's may be cached
+    fmt = extract_format(message, t)
+    annotate_format(fmt, t, message)
+    annotate_format(fmt, t, message)
+    assert len(fmt.fields) > 1 and len(calls) == 1
+    assert t.loops and all(
+        recs == tuple(r for r in t.records if r.loop_id == loop_id)
+        for loop_id, recs in t.loops.items()
+    )
 
 
 def _bundled_fields():

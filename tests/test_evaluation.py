@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from fieldlens.detectors import Evidence, FieldAnnotation, SemanticFunction, SemanticType
@@ -12,7 +14,7 @@ from fieldlens.evaluation import (
     serialize_ground_truth,
 )
 from fieldlens.model import Field, FormatResult
-from fieldlens.traceio import IntegrityError
+from fieldlens.traceio import IntegrityError, ParseError, load_corpus, read_interchange
 
 T = SemanticType
 F = SemanticFunction
@@ -189,8 +191,25 @@ def test_ground_truth_round_trip(tmp_path):
     )
     path = tmp_path / "truth.fl"
     path.write_text(serialize_ground_truth([truth]))
-    loaded = load_ground_truth(path)
+    loaded = load_ground_truth(load_corpus(path).truth)
     assert loaded == {"m": truth}
+
+
+def _truth_of(text):
+    return load_ground_truth(read_interchange(io.StringIO(text)).truth)
+
+
+def test_reversed_field_range_is_parse_error():
+    with pytest.raises(ParseError) as err:
+        _truth_of("gt m field=0-1 type=STATIC funcs=-\ngt m field=4-2 type=STATIC funcs=-\n")
+    assert err.value.line_no == 2 and "'4-2'" in str(err.value)
+
+
+def test_misspelt_accessed_flag_is_parse_error():
+    with pytest.raises(ParseError) as err:
+        _truth_of("gt m field=0-1 type=STATIC funcs=-\n"
+                  "gt m field=2-3 type=BYTES funcs=- accessed=ture\n")
+    assert err.value.line_no == 2 and "'ture'" in str(err.value)
 
 
 def test_ground_truth_must_partition():

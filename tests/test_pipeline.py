@@ -1,9 +1,10 @@
+import builtins
 import json
 
 import pytest
 
 from fieldlens.alignment import AlignmentParams
-from fieldlens.evaluation import load_ground_truth
+from fieldlens.evaluation import load_ground_truth, serialize_ground_truth
 from fieldlens.pipeline import (
     PipelineConfig,
     infer_corpus,
@@ -17,7 +18,7 @@ from fieldlens.reports import (
     format_from_dict,
     format_to_dict,
 )
-from fieldlens.traceio import IntegrityError, dump_corpus
+from fieldlens.traceio import IntegrityError, dump_corpus, load_corpus
 from fieldlens.vm import bundled_parsers, run as vm_run
 
 
@@ -29,8 +30,6 @@ def small_corpus(tmp_path_factory):
     traces = [vm_run(parser.script, m).trace for m in messages]
     path = tmp / "text.fl"
     dump_corpus(path, messages, traces)
-    from fieldlens.evaluation import serialize_ground_truth
-
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(serialize_ground_truth(truths))
     return path, messages, traces, truths
@@ -55,11 +54,44 @@ def test_pipeline_without_ground_truth_skips_metrics(tmp_path, small_corpus):
     assert (tmp_path / "out" / "template.json").exists()
 
 
+def test_traces_file_holding_ground_truth_is_read_once(tmp_path, small_corpus, monkeypatch):
+    path, *_ = small_corpus
+    real_open = builtins.open
+    opened = []
+
+    def counting(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    config = PipelineConfig(traces=path, out_dir=tmp_path / "out", ground_truth=path)
+    assert run_pipeline(config).metrics is not None
+    assert len(opened) == 1
+
+
+def test_separate_ground_truth_file_scores_the_same(tmp_path, small_corpus):
+    path, messages, traces, truths = small_corpus
+    traces_only, truth_only = tmp_path / "traces.fl", tmp_path / "truth.fl"
+    dump_corpus(traces_only, messages, traces)
+    truth_only.write_text(serialize_ground_truth(truths), encoding="utf-8")
+    for traces_path, truth_path, out in (
+        (path, path, "joint"), (traces_only, truth_only, "split"),
+    ):
+        run_pipeline(PipelineConfig(
+            traces=traces_path, out_dir=tmp_path / out, ground_truth=truth_path
+        ))
+    for name in ("metrics.json", "annotations.json"):
+        assert (tmp_path / "split" / name).read_bytes() == (
+            tmp_path / "joint" / name
+        ).read_bytes()
+
+
 def test_score_corpus_reports_missing_ground_truth_ids(small_corpus):
     path, messages, traces, _ = small_corpus
     traces_map = {t.message_id: t for t in traces}
     formats, annotations = infer_corpus(messages, traces_map, AlignmentParams())
-    truths = load_ground_truth(path)
+    truths = load_ground_truth(load_corpus(path).truth)
     del truths[messages[0].id]
     with pytest.raises(IntegrityError) as err:
         score_corpus(formats, annotations, truths)

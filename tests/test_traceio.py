@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fieldlens.evaluation import load_ground_truth
 from fieldlens.model import (
     ApiCall,
     ArgRole,
@@ -20,6 +21,7 @@ from fieldlens.traceio import (
     format_offsets,
     load_corpus_stream,
     parse_offsets,
+    read_interchange,
     serialize_corpus,
 )
 
@@ -194,3 +196,140 @@ def test_serialize_parse_round_trip(recs, payload):
     messages2, traces2 = load_text(text)
     assert messages2 == [message]
     assert traces2 == [trace]
+
+
+def _offset_sets(traces):
+    for trace in traces:
+        for r in trace.records:
+            yield r.accessed_offsets
+            yield r.reads
+            yield from r.operand_lineage or ()
+
+
+def test_equal_offset_texts_share_one_set_per_message_length():
+    text = (
+        "msg a bytes=0x01020304\n"
+        "rec a seq=1 op=movzx class=MOV_SERIES off=0-1 reads=0-1\n"
+        "msg b bytes=0x05060708\n"
+        "rec b seq=1 op=movzx class=MOV_SERIES off=0-1\n"
+        "rec b seq=2 op=cmp class=COMPARE off=0-3 lineage=0-1/0-3\n"
+        "rec b seq=3 op=add class=ARITH_BITWISE off=0-3 reads=0-1\n"
+    )
+    _, traces = load_text(text)
+    (a1,), (b1, b2, b3) = traces[0].records, traces[1].records
+    shared = a1.accessed_offsets
+    assert shared == {0, 1}
+    assert all(s is shared for s in (a1.reads, b1.accessed_offsets, b1.reads,
+                                     b2.operand_lineage[0], b3.reads))
+    assert b2.accessed_offsets is b2.operand_lineage[1] is b3.accessed_offsets
+
+
+def test_offset_text_is_checked_against_each_message_length():
+    text = (
+        "msg a bytes=0x00000000000000000000\n"
+        "rec a seq=1 op=movzx class=MOV_SERIES off=0-7\n"
+        "msg b bytes=0x01020304\n"
+        "rec b seq=1 op=movzx class=MOV_SERIES off=0-7\n"
+    )
+    with pytest.raises(IntegrityError) as err:
+        load_text(text)
+    assert err.value.line_no == 4 and "length 4" in str(err.value)
+
+
+def test_separate_loads_share_no_offset_sets(example3):
+    text = serialize_corpus([example3[0]], [example3[1]])
+    first, second = load_text(text)[1], load_text(text)[1]  # both kept alive
+    ids = [{id(s) for s in _offset_sets(traces) if s} for traces in (first, second)]
+    assert ids[0] and not ids[0] & ids[1]
+
+
+def test_ground_truth_lines_come_from_the_same_read():
+    corpus = read_interchange(io.StringIO(
+        "msg a bytes=0x0102\n"
+        "gt a field=0-1 type=STATIC funcs=-\n"
+        "rec a seq=1 op=movzx class=MOV_SERIES off=0-1\n"
+    ))
+    assert [(ln.kind, ln.subject, ln.line_no) for ln in corpus.truth] == [("gt", "a", 2)]
+    assert len(corpus.traces[0].records) == 1
+
+
+# Whole lines in an order that can make a valid corpus.
+_LINES = (
+    "msg a bytes=0x0102030405",
+    "msg b bytes=0x0102",
+    "rec a seq=1 op=movzx class=MOV_SERIES off=0-1",
+    "rec a seq=2 op=cmp class=COMPARE off=0-1 const=0x01 result=true jump=true lineage=0-1/2-3",
+    "rec a seq=3 op=add class=ARITH_BITWISE off=2-4 loop=l1 role=BODY",
+    "rec b seq=1 op=movzx class=MOV_SERIES off=0-1 reads=0",
+    "gt a field=0-1 type=STATIC funcs=COMMAND",
+    "gt a field=2-4 type=INTEGER funcs=LENGTH accessed=false",
+    "gt b field=0-1 type=BYTES funcs=-",
+    "# comment",
+    "",
+)
+# Lines that no value choice can mend.
+_BROKEN = ("rec", "msg a", "rec a novalue", "gt b field=0-1 =", "nope a x=1")
+# Each kind's keys, each with valid and broken values.
+_VALUES = {
+    "msg": {"bytes": ("0x0102030405", "0x01", "0x", "0xzz", "12")},
+    "rec": {
+        "seq": ("1", "2", "4", "x"),
+        "op": ("mov", "cmp"),
+        "class": ("MOV_SERIES", "COMPARE", "ARITH_BITWISE", "NOPE"),
+        "off": ("0", "0-3", "2-1", "0-9", "-", "1,3", "a", ""),
+        "reads": ("0", "1-2", "5"),
+        "const": ("0x01", "0x", "01"),
+        "result": ("true", "ture"),
+        "jump": ("true",),
+        "loop": ("l1",),
+        "role": ("BODY", "TERMINATION", "X"),
+        "api": ("recv:LENGTH_ARG", "recv", "recv:X"),
+        "ptr": ("POINTER_INCREMENT", "X"),
+        "value": ("0x0102", "0xq"),
+        "lineage": ("0/1-2", "0", "-/-"),
+    },
+    "gt": {
+        "field": ("0-1", "2-4", "4-2", "0", "x-y"),
+        "type": ("STATIC", "INTEGER", "NOPE"),
+        "funcs": ("-", "LENGTH|COMMAND", "NOPE"),
+        "accessed": ("true", "false", "ture"),
+    },
+}
+
+
+@st.composite
+def built_lines(draw):
+    """A line of one kind whose keys are each left out or given a value."""
+    kind = draw(st.sampled_from(sorted(_VALUES)))
+    tokens = [kind, draw(st.sampled_from(["a", "b", "c"]))]
+    for key, values in _VALUES[kind].items():
+        value = draw(st.one_of(st.none(), st.sampled_from(values)))
+        if value is not None:
+            tokens.append(f"{key}={value}")
+    return " ".join(tokens)
+
+
+@st.composite
+def interchange_texts(draw):
+    """Some of ``_LINES`` in their order, with up to three built or broken
+    lines put in anywhere."""
+    chosen = draw(st.sets(st.sampled_from(range(len(_LINES))), max_size=len(_LINES)))
+    lines = [_LINES[i] for i in sorted(chosen)]
+    for line in draw(st.lists(st.one_of(built_lines(), st.sampled_from(_BROKEN)), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+@given(interchange_texts())
+@settings(max_examples=300, deadline=None)
+def test_any_interchange_text_gives_a_corpus_or_a_parse_error(text):
+    tracemalloc.start()
+    try:
+        try:
+            load_ground_truth(read_interchange(io.StringIO(text)).truth)
+        except (ParseError, IntegrityError):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * len(text) + (16 << 10), (peak, len(text))
