@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from .alignment import AlignmentParams
 from .detectors import RULE_IDS, RULES
-from .evaluation import load_ground_truth, serialize_ground_truth
+from .evaluation import serialize_ground_truth
 from .fuzz_template import export_fuzz_template
 from .model import ModelError
 from .pipeline import (
     PipelineConfig,
     infer_corpus,
+    read_inputs,
     refine_corpus,
     run_pipeline,
     score_corpus,
@@ -39,13 +39,7 @@ from .reports import (
     read_json,
     write_json,
 )
-from .traceio import (
-    IntegrityError,
-    ParseError,
-    dump_corpus,
-    load_corpus,
-    serialize_corpus,
-)
+from .traceio import IntegrityError, ParseError, dump_corpus, serialize_corpus
 from .vm import bundled_parsers, parse_script, run as vm_run
 from .vm.machine import DEFAULT_STEP_BUDGET
 from .vm.ops import ScriptError
@@ -76,21 +70,6 @@ def _add_refine_flags(p: argparse.ArgumentParser) -> None:
                    help="skip type/function constraint refinement")
 
 
-@contextmanager
-def _naming(path: Path):
-    """Prefix a parse or integrity error raised inside with the file's name."""
-    try:
-        yield
-    except (ParseError, IntegrityError) as exc:
-        raise IntegrityError(None, f"{path}: {exc}") from None
-
-
-def _load_traces(path: Path):
-    with _naming(path):
-        messages, trace_list, _ = load_corpus(path)
-    return messages, {t.message_id: t for t in trace_list}
-
-
 def _cmd_generate(args) -> int:
     out = Path(args.out)
     if args.script:
@@ -98,7 +77,7 @@ def _cmd_generate(args) -> int:
             print("--script requires --corpus", file=sys.stderr)
             return 2
         script = parse_script(Path(args.script).read_text(), Path(args.script).stem)
-        messages, _ = _load_traces(Path(args.corpus))
+        messages, _, _ = read_inputs(Path(args.corpus))
         traces = []
         for msg in messages:
             report = vm_run(script, msg, args.step_budget)
@@ -139,7 +118,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    messages, traces = _load_traces(Path(args.traces))
+    messages, traces, _ = read_inputs(Path(args.traces))
     formats, _ = infer_corpus(messages, traces, _params(args), args.baseline)
     write_json(Path(args.out), formats_to_doc(messages, formats))
     print(f"extracted {len(messages)} formats -> {args.out}")
@@ -147,7 +126,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    messages, traces = _load_traces(Path(args.traces))
+    messages, traces, _ = read_inputs(Path(args.traces))
     disabled = frozenset(args.disable_rule or ())
     formats, annotations = infer_corpus(
         messages, traces, _params(args), args.baseline, disabled
@@ -159,7 +138,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    messages, _ = _load_traces(Path(args.traces))
+    messages, _, _ = read_inputs(Path(args.traces))
     formats = read_json(Path(args.formats), formats_from_doc)
     annotations = read_json(Path(args.annotations), annotations_from_doc)
     check_covers(messages, args.formats, formats)
@@ -204,8 +183,8 @@ def _cmd_score(args) -> int:
     formats = read_json(Path(args.formats), formats_from_doc)
     annotations = read_json(Path(args.annotations), annotations_from_doc)
     check_partitions(formats, args.annotations, annotations)
-    with _naming(args.ground_truth):
-        truths = load_ground_truth(load_corpus(Path(args.ground_truth)).truth)
+    ground_truth = Path(args.ground_truth)
+    _, _, truths = read_inputs(ground_truth, ground_truth)
     report = score_corpus(formats, annotations, truths)
     doc = report.to_dict()
     write_json(Path(args.out), doc)
@@ -233,7 +212,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_export_template(args) -> int:
-    messages, _ = _load_traces(Path(args.traces))
+    messages, _, _ = read_inputs(Path(args.traces))
     annotations = read_json(Path(args.annotations), annotations_from_doc)
     check_covers(
         messages, args.annotations, annotated_formats(args.annotations, annotations)

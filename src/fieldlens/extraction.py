@@ -6,6 +6,12 @@ Two extractors share the candidate stage:
   similar under global alignment (the similarity-guided extractor).
 * ``extract_format_baseline`` keeps the raw per-instruction candidates, i.e.
   the classic one-instruction-one-field strategy, for comparison runs.
+
+A corpus holds few distinct operator sequences, so merge verdicts are kept
+in a memo keyed by the pair of sequences.  ``pipeline.infer_corpus`` shares
+one memo across the messages of one call, so each distinct pair is aligned
+once per call; ``extract_format`` called on its own uses a fresh memo.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -79,12 +85,17 @@ def resolve_overlaps(candidates: list[Field]) -> list[Field]:
     return merged
 
 
+#: (ops_left, ops_right) -> merge verdict, for one set of alignment params
+MergeMemo = dict[tuple[tuple[str, ...], tuple[str, ...]], bool]
+
+
 def _mergeable(
     left: Field,
     right: Field,
     ops_left: tuple[str, ...],
     ops_right: tuple[str, ...],
     params: AlignmentParams,
+    memo: MergeMemo,
 ) -> bool:
     # Unaccessed ranges coalesce with each other but never with parsed data.
     if not left.accessed and not right.accessed:
@@ -95,17 +106,24 @@ def _mergeable(
         return True
     if not ops_left or not ops_right:
         return False
-    return semantic_similar(ops_left, ops_right, params).merge
+    key = (ops_left, ops_right)
+    merge = memo.get(key)
+    if merge is None:
+        merge = memo[key] = semantic_similar(ops_left, ops_right, params).merge
+    return merge
 
 
 def _coalesce(
-    trace: ExecutionTrace, candidates: list[Field], params: AlignmentParams
+    trace: ExecutionTrace,
+    candidates: list[Field],
+    params: AlignmentParams,
+    memo: MergeMemo,
 ) -> list[Field]:
     """Single left-to-right pass: group adjacent similar candidates."""
     ops = [operator_sequence(trace, c) for c in candidates]
     groups: list[list[Field]] = [[candidates[0]]]
     for i, nxt in enumerate(candidates[1:], 1):
-        if _mergeable(candidates[i - 1], nxt, ops[i - 1], ops[i], params):
+        if _mergeable(candidates[i - 1], nxt, ops[i - 1], ops[i], params, memo):
             groups[-1].append(nxt)
         else:
             groups.append([nxt])
@@ -119,11 +137,16 @@ def extract_format(
     message: Message,
     trace: ExecutionTrace,
     params: AlignmentParams | None = None,
+    *,
+    memo: MergeMemo | None = None,
 ) -> FormatResult:
-    """Similarity-guided format extraction: candidates, then adjacent merging."""
+    """Similarity-guided format extraction: candidates, then adjacent merging.
+
+    ``memo`` holds merge verdicts already decided under the same ``params``;
+    it defaults to a fresh one."""
     params = params or AlignmentParams()
     candidates = resolve_overlaps(intra_instruction_candidates(message, trace))
-    fields = _coalesce(trace, candidates, params)
+    fields = _coalesce(trace, candidates, params, {} if memo is None else memo)
     return FormatResult(message.id, len(message), tuple(fields))
 
 

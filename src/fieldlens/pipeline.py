@@ -22,7 +22,7 @@ from .evaluation import (
     score_format,
     score_semantics,
 )
-from .extraction import extract_format, extract_format_baseline
+from .extraction import MergeMemo, extract_format, extract_format_baseline
 from .fuzz_template import export_fuzz_template
 from .model import ExecutionTrace, FormatResult, Message
 from .refinement import (
@@ -40,7 +40,7 @@ from .reports import (
     formats_to_doc,
     write_json,
 )
-from .traceio import IntegrityError, load_corpus
+from .traceio import IntegrityError, ParseError, load_corpus
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,13 @@ def infer_corpus(
 ) -> tuple[dict[str, FormatResult], dict[str, tuple[FieldAnnotation, ...]]]:
     formats: dict[str, FormatResult] = {}
     annotations: dict[str, tuple[FieldAnnotation, ...]] = {}
+    memo: MergeMemo = {}  # each distinct operator-sequence pair aligned once
     for msg in messages:
         trace = traces[msg.id]
         if baseline:
             fmt = extract_format_baseline(msg, trace)
         else:
-            fmt = extract_format(msg, trace, params)
+            fmt = extract_format(msg, trace, params, memo=memo)
         formats[msg.id] = fmt
         annotations[msg.id] = annotate_format(fmt, trace, msg, disabled_rules)
     return formats, annotations
@@ -121,6 +122,9 @@ def score_corpus(
     missing = sorted(set(formats) - set(truths))
     if missing:
         raise IntegrityError(None, f"no ground truth for messages: {missing}")
+    unknown = sorted(set(truths) - set(formats))
+    if unknown:
+        raise IntegrityError(None, f"ground truth for unknown messages: {unknown}")
     for mid in sorted(formats):
         truth = truths[mid]
         report.add_message(
@@ -131,19 +135,34 @@ def score_corpus(
     return report
 
 
+def read_inputs(
+    traces: Path, ground_truth: Optional[Path] = None
+) -> tuple[list[Message], dict[str, ExecutionTrace], Optional[dict[str, GroundTruth]]]:
+    """The messages of ``traces``, their traces by message id and, given a
+    ``ground_truth`` file, its ground truth by message id.
+
+    This is where every command reads its interchange files, so it is where
+    a parse or integrity error in one of them is prefixed with the file's
+    name.  When ``ground_truth`` is ``traces``, both come from one read."""
+    path = traces
+    try:
+        messages, trace_list, truth_lines = load_corpus(traces)
+        truths = None
+        if ground_truth is not None:
+            path = ground_truth
+            if ground_truth != traces:
+                truth_lines = load_corpus(ground_truth).truth
+            truths = load_ground_truth(truth_lines)
+    except (ParseError, IntegrityError) as exc:
+        raise IntegrityError(None, f"{path}: {exc}") from None
+    return messages, {t.message_id: t for t in trace_list}, truths
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute ingest -> extract -> infer -> refine -> score and write reports.
 
-    Ground truth is read and checked before extraction; when it is the
-    traces file, both come from one read."""
-    messages, trace_list, truth_lines = load_corpus(config.traces)
-    truths: Optional[dict[str, GroundTruth]] = None
-    if config.ground_truth is not None:
-        if config.ground_truth != config.traces:
-            truth_lines = load_corpus(config.ground_truth).truth
-        truths = load_ground_truth(truth_lines)
-    del truth_lines  # ~2 MiB on a 400-message corpus, not needed past here
-    traces = {t.message_id: t for t in trace_list}
+    Ground truth is read and checked before extraction."""
+    messages, traces, truths = read_inputs(config.traces, config.ground_truth)
     formats, annotations = infer_corpus(
         messages, traces, config.params, config.baseline, config.disabled_rules
     )

@@ -26,10 +26,13 @@ is the empty set.  Three record kinds exist:
 
 ``read_interchange`` is the one reader: a single pass over a stream gives
 the messages, their traces and the tokenized ``gt`` lines, so a file that
-holds traces and ground truth is read once.  Within one read, each parsed
-offset set is interned by its text and its message's length: records that
-spell the same set share one ``frozenset`` (immutable, so sharing is safe).
-The cache lives only as long as the call.
+holds traces and ground truth is read once.  Within one read, each ``rec``
+line is interned by its text after the message id and its message's length:
+lines that spell the same record for messages of the same length share one
+``InstructionRecord``, and only the first of them is tokenized and parsed.
+Records that differ still share each offset set they spell alike, interned
+the same way.  Records and offset sets are immutable, so sharing is safe,
+and both caches live only as long as the call.
 
 The JSON documents the later stages exchange live in ``reports``; this
 module knows only the line format.
@@ -142,16 +145,16 @@ class RawLine:
         self.line_no = line_no
 
 
-def iter_lines(stream: TextIO) -> Iterator[RawLine]:
+def _lines(stream: TextIO) -> Iterator[tuple[int, str, str, str]]:
+    """Line number, kind, subject and the rest of each non-comment line."""
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
-        tokens = line.split()
-        if len(tokens) < 2:
+        parts = line.split(None, 2)
+        if len(parts) < 2:
             raise ParseError(line_no, f"truncated line {line!r}")
-        kind, subject = tokens[0], tokens[1]
-        yield RawLine(kind, subject, _split_fields(tokens[2:], line_no), line_no)
+        yield line_no, parts[0], parts[1], parts[2] if len(parts) == 3 else ""
 
 
 def _require(kv: dict[str, str], key: str, line_no: int) -> str:
@@ -262,8 +265,27 @@ def read_interchange(stream: TextIO) -> Corpus:
     records: dict[str, list[InstructionRecord]] = {}
     rec_lines: dict[str, int] = {}
     truth: list[RawLine] = []
-    cache: OffsetCache = {}
-    for ln in iter_lines(stream):
+    offsets: OffsetCache = {}
+    # (text after the message id, message length) -> its record, for this read
+    interned: dict[tuple[str, int], InstructionRecord] = {}
+    for line_no, kind, subject, rest in _lines(stream):
+        if kind == "rec":
+            msg = by_id.get(subject)
+            key = (rest, -1 if msg is None else len(msg))  # -1 never hits
+            rec = interned.get(key)
+            if rec is None:
+                # A hit parsed without error for a message of the same
+                # length, so only a miss can fail, as an uncached parse would.
+                ln = RawLine(kind, subject, _split_fields(rest.split(), line_no), line_no)
+                if msg is None:
+                    raise IntegrityError(
+                        line_no, f"record for undeclared message id {subject!r}"
+                    )
+                rec = interned[key] = _record_from_line(ln, len(msg), offsets)
+            records[subject].append(rec)
+            rec_lines.setdefault(subject, line_no)
+            continue
+        ln = RawLine(kind, subject, _split_fields(rest.split(), line_no), line_no)
         if ln.kind == "msg":
             if ln.subject in by_id:
                 raise IntegrityError(ln.line_no, f"duplicate message id {ln.subject!r}")
@@ -275,14 +297,6 @@ def read_interchange(stream: TextIO) -> Corpus:
             by_id[ln.subject] = msg
             messages.append(msg)
             records.setdefault(ln.subject, [])
-        elif ln.kind == "rec":
-            msg = by_id.get(ln.subject)
-            if msg is None:
-                raise IntegrityError(
-                    ln.line_no, f"record for undeclared message id {ln.subject!r}"
-                )
-            records[ln.subject].append(_record_from_line(ln, len(msg), cache))
-            rec_lines.setdefault(ln.subject, ln.line_no)
         elif ln.kind == "gt":
             truth.append(ln)
         else:

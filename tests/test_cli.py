@@ -362,3 +362,38 @@ def test_score_rejects_a_malformed_ground_truth_file(tmp_path, corpus, stage_fil
     truth = tmp_path / "truth.fl"
     truth.write_text(corpus.read_text() + bad_line + "\n")
     _run_stage_and_expect_exit_2(tmp_path, truth, "score", formats, anns, truth)
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        pytest.param("rec bin000 seq=1 op=mov class=NOPE off=0", id="malformed-rec"),
+        pytest.param("gt bin000 field=0-1 type=NOPE funcs=-", id="malformed-gt"),
+    ],
+)
+def test_run_names_the_ground_truth_file_once(tmp_path, corpus, bad_line):
+    truth = tmp_path / "truth.fl"
+    truth.write_text(corpus.read_text() + bad_line + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldlens.cli", "run", "--traces", str(corpus),
+         "--ground-truth", str(truth), "--out-dir", "reports"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count(str(truth)) == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "reports").exists()
+
+
+def test_run_rejects_ground_truth_for_an_unknown_message(tmp_path, corpus, capsys):
+    truth = tmp_path / "truth.fl"
+    truth.write_text(corpus.read_text() + "gt zz9 field=0-1 type=STATIC funcs=-\n")
+    out_dir = tmp_path / "reports"
+    assert run_cli(
+        "run", "--traces", corpus, "--ground-truth", truth, "--out-dir", out_dir
+    ) == 2
+    assert "zz9" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from fieldlens import extraction
 from fieldlens.alignment import AlignmentParams
 from fieldlens.evaluation import load_ground_truth, serialize_ground_truth
+from fieldlens.extraction import extract_format
 from fieldlens.pipeline import (
     PipelineConfig,
     infer_corpus,
@@ -96,6 +98,47 @@ def test_score_corpus_reports_missing_ground_truth_ids(small_corpus):
     with pytest.raises(IntegrityError) as err:
         score_corpus(formats, annotations, truths)
     assert messages[0].id in str(err.value)
+
+
+def test_score_corpus_rejects_ground_truth_for_unknown_ids(tmp_path, small_corpus):
+    path, messages, traces, _ = small_corpus
+    traces_map = {t.message_id: t for t in traces}
+    formats, annotations = infer_corpus(messages, traces_map, AlignmentParams())
+    extra = tmp_path / "extra.fl"
+    extra.write_text(path.read_text() + "gt zz9 field=0-1 type=STATIC funcs=-\n")
+    truths = load_ground_truth(load_corpus(extra).truth)
+    with pytest.raises(IntegrityError) as err:
+        score_corpus(formats, annotations, truths)
+    assert "zz9" in str(err.value)
+
+
+def test_infer_corpus_aligns_each_distinct_operator_pair_once(monkeypatch):
+    messages, traces = [], {}
+    for parser in bundled_parsers():
+        generated, _ = parser.generate(6, seed=2)
+        messages += generated
+        traces.update((m.id, vm_run(parser.script, m).trace) for m in generated)
+    calls = []
+    real = extraction.semantic_similar
+
+    def counting(a, b, params=None):
+        calls.append((a, b))
+        return real(a, b, params)
+
+    monkeypatch.setattr(extraction, "semantic_similar", counting)
+    params = AlignmentParams()
+    formats, _ = infer_corpus(messages, traces, params)
+    first = list(calls)
+    assert first and len(first) == len(set(first))
+
+    calls.clear()
+    alone = {m.id: extract_format(m, traces[m.id], params) for m in messages}
+    assert alone == formats
+    assert len(calls) > len(first)  # the corpus repeats pairs across messages
+
+    calls.clear()
+    assert infer_corpus(messages, traces, params)[0] == formats
+    assert calls == first  # nothing is remembered between calls
 
 
 def test_refine_corpus_toggles(small_corpus):

@@ -243,6 +243,25 @@ def test_separate_loads_share_no_offset_sets(example3):
     assert ids[0] and not ids[0] & ids[1]
 
 
+def test_equal_record_lines_share_one_record_per_message_length():
+    line = "seq=1 op=movzx class=MOV_SERIES off=0-1"
+    _, traces = load_text(
+        f"msg a bytes=0x01020304\nrec a {line}\n"
+        f"msg b bytes=0x05060708\nrec b {line}\n"
+        f"msg c bytes=0x050607\nrec c {line}\n"
+    )
+    (a,), (b,), (c,) = (t.records for t in traces)
+    assert a is b
+    assert c == a and c is not a
+
+
+def test_separate_loads_share_no_records(example3):
+    text = serialize_corpus([example3[0]], [example3[1]])
+    first, second = load_text(text)[1], load_text(text)[1]  # both kept alive
+    ids = [{id(r) for t in traces for r in t.records} for traces in (first, second)]
+    assert ids[0] and not ids[0] & ids[1]
+
+
 def test_ground_truth_lines_come_from_the_same_read():
     corpus = read_interchange(io.StringIO(
         "msg a bytes=0x0102\n"
