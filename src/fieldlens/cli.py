@@ -60,6 +60,16 @@ def _params(args) -> AlignmentParams:
     )
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return value
+
+
 def _add_refine_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("refinement toggles")
     g.add_argument("--no-clustering", action="store_true",
@@ -74,7 +84,7 @@ def _cmd_generate(args) -> int:
     out = Path(args.out)
     if args.script:
         if not args.corpus:
-            print("--script requires --corpus", file=sys.stderr)
+            print("error: --script requires --corpus", file=sys.stderr)
             return 2
         script = parse_script(Path(args.script).read_text(), Path(args.script).stem)
         messages, _, _ = read_inputs(Path(args.corpus))
@@ -93,7 +103,7 @@ def _cmd_generate(args) -> int:
     ]
     if not chosen:
         names = ", ".join(p.name for p in bundled_parsers())
-        print(f"unknown parser {args.parser!r}; bundled: {names}", file=sys.stderr)
+        print(f"error: unknown parser {args.parser!r}; bundled: {names}", file=sys.stderr)
         return 2
     all_messages, all_traces, all_truths = [], [], []
     for parser in chosen:
@@ -119,7 +129,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_extract(args) -> int:
     messages, traces, _ = read_inputs(Path(args.traces))
-    formats, _ = infer_corpus(messages, traces, _params(args), args.baseline)
+    formats, _ = infer_corpus(messages, traces, args.params, args.baseline)
     write_json(Path(args.out), formats_to_doc(messages, formats))
     print(f"extracted {len(messages)} formats -> {args.out}")
     return 0
@@ -129,7 +139,7 @@ def _cmd_infer(args) -> int:
     messages, traces, _ = read_inputs(Path(args.traces))
     disabled = frozenset(args.disable_rule or ())
     formats, annotations = infer_corpus(
-        messages, traces, _params(args), args.baseline, disabled
+        messages, traces, args.params, args.baseline, disabled
     )
     write_json(Path(args.formats_out), formats_to_doc(messages, formats))
     write_json(Path(args.out), annotations_to_doc(annotations))
@@ -147,7 +157,7 @@ def _cmd_refine(args) -> int:
         messages,
         formats,
         annotations,
-        _params(args),
+        args.params,
         not args.no_clustering,
         not args.no_entropy,
         not args.no_constraints,
@@ -197,7 +207,7 @@ def _cmd_run(args) -> int:
         traces=Path(args.traces),
         out_dir=Path(args.out_dir),
         ground_truth=Path(args.ground_truth) if args.ground_truth else None,
-        params=_params(args),
+        params=args.params,
         baseline=args.baseline,
         clustering_enabled=not args.no_clustering,
         entropy_enabled=not args.no_entropy,
@@ -238,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-traces", help="run a parser over messages, emit a trace file")
     p.add_argument("--parser", default="all", help="bundled parser name or 'all'")
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--script", help="custom parser script to run instead")
     p.add_argument("--corpus", help="existing corpus file (with --script)")
@@ -308,6 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "gap_score" in args:  # checked before any input is read
+        try:
+            args.params = _params(args)
+        except ValueError as exc:
+            print(f"error: invalid alignment flags: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (ParseError, IntegrityError, ModelError, ScriptError) as exc:

@@ -14,12 +14,19 @@ string, bytes, group, integer, static -- and the first one that fires
 assigns the field's one type.  Every function rule then runs, and all that
 fire stack; conflicts are left to the refinement stage.  A disabled rule is
 skipped as if it were not in the table.
+
+Only the rules marked ``reads_bytes`` (``func.delim``, ``func.filename``)
+read ``V(f)``; every other rule is a function of the trace alone and is
+given ``message=None``.  So traces of one shape (``model.shape_keys``) share
+each field's ``I(f)``, loops and structural verdicts: ``annotate_format``
+keeps them in a memo that ``pipeline.infer_corpus`` holds per shape for one
+call, and runs only the byte-reading rules per message.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -121,7 +128,7 @@ def _covering_loops(trace: ExecutionTrace, field: Field) -> Loops:
     return out
 
 
-def _string_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+def _string_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
     if not loops:
         return None
     # per-byte single-target constant comparisons
@@ -139,7 +146,7 @@ def _string_rule(field: Field, records: Records, loops: Loops, message: Message)
     return None
 
 
-def _bytes_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+def _bytes_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
     for loop_id, recs in loops:
         footprint: set[int] = set()
         for rec in recs:
@@ -150,7 +157,7 @@ def _bytes_rule(field: Field, records: Records, loops: Loops, message: Message) 
     return None
 
 
-def _group_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+def _group_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
     # the alternatives must target the same byte span: two fixed-value checks
     # against different bytes of a merged field are not a value group
     span = frozenset(field.offsets)
@@ -166,7 +173,7 @@ def _group_rule(field: Field, records: Records, loops: Loops, message: Message) 
     return None
 
 
-def _integer_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+def _integer_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
     arith = [r for r in records if r.op_class is OpClass.ARITH_BITWISE]
     if arith:
         return [(r.seq, "") for r in arith[:2]]
@@ -179,7 +186,7 @@ def _integer_rule(field: Field, records: Records, loops: Loops, message: Message
     return None
 
 
-def _static_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+def _static_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
     anchors = [r.seq for r in _const_compares(records) if r.cmp_result is True]
     skip = set(anchors)
     if not anchors or any(_is_functional(r) for r in records if r.seq not in skip):
@@ -187,14 +194,14 @@ def _static_rule(field: Field, records: Records, loops: Loops, message: Message)
     return [(anchors[0], "")]
 
 
-def _command_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+def _command_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
     for rec in _const_compares(records):
         if rec.cmp_result is True and rec.triggered_jump:
             return [(rec.seq, "")]
     return None
 
 
-def _length_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+def _length_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
     for rec in records:
         if rec.loop_role is LoopRole.TERMINATION:
             return [(rec.seq, "loop bound")]
@@ -205,7 +212,7 @@ def _length_rule(field: Field, records: Records, loops: Loops, message: Message)
     return None
 
 
-def _delim_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+def _delim_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
     data = message.data
     edge_values = set()
     for pos in (field.start - 1, field.start, field.end, field.end + 1):
@@ -223,7 +230,7 @@ def _delim_rule(field: Field, records: Records, loops: Loops, message: Message) 
     return None
 
 
-def _checksum_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+def _checksum_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
     span = frozenset(field.offsets)
     for rec in records:
         if rec.op_class is not OpClass.COMPARE or rec.operand_lineage is None:
@@ -236,7 +243,7 @@ def _checksum_rule(field: Field, records: Records, loops: Loops, message: Messag
     return None
 
 
-def _filename_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+def _filename_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
     raw = message.data[field.start : field.end + 1]
     if len(raw) < 3 or not all(0x20 <= b <= 0x7E for b in raw):
         return None
@@ -244,7 +251,7 @@ def _filename_rule(field: Field, records: Records, loops: Loops, message: Messag
     return [(None, text)] if _FILENAME_RE.match(text) else None
 
 
-def _aligned_rule(field: Field, records: Records, loops: Loops, message: Message) -> Found:
+def _aligned_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
     if any(_is_functional(r) for r in records):
         return None
     return [(None, "no functional operations")]
@@ -254,8 +261,10 @@ def _aligned_rule(field: Field, records: Records, loops: Loops, message: Message
 class Rule:
     id: str
     label: Union[SemanticType, SemanticFunction]
-    fires: Callable[[Field, Records, Loops, Message], Found]
+    fires: Callable[[Field, Records, Loops, Optional[Message]], Found]
     summary: str
+    #: the rule reads ``V(f)``; every other rule is given ``message=None``
+    reads_bytes: bool = False
 
 
 #: The detector library, in the order ``annotate`` runs it.
@@ -275,11 +284,12 @@ LIBRARY: tuple[Rule, ...] = (
     Rule("func.length", SemanticFunction.LENGTH, _length_rule,
          "field terminates a loop, is a length argument to a library call, or drives pointer/counter stepping"),
     Rule("func.delim", SemanticFunction.DELIM, _delim_rule,
-         "a loop-terminating comparison against a constant that sits at the field's edge"),
+         "a loop-terminating comparison against a constant that sits at the field's edge",
+         reads_bytes=True),
     Rule("func.checksum", SemanticFunction.CHECKSUM, _checksum_rule,
          "field compared against a value accumulated from two or more consecutive message bytes"),
     Rule("func.filename", SemanticFunction.FILENAME, _filename_rule,
-         "field value follows a file naming convention"),
+         "field value follows a file naming convention", reads_bytes=True),
     Rule("func.aligned", SemanticFunction.ALIGNED, _aligned_rule,
          "no functional operations touch the field"),
 )
@@ -287,6 +297,80 @@ LIBRARY: tuple[Rule, ...] = (
 #: (id, summary) of each rule, in table order (CLI `list-rules` prints this).
 RULES: tuple[tuple[str, str], ...] = tuple((r.id, r.summary) for r in LIBRARY)
 RULE_IDS: tuple[str, ...] = tuple(r.id for r in LIBRARY)
+
+
+@dataclass
+class Structure:
+    """One field's structural verdicts in traces of one shape."""
+
+    records: Records  # I(f)
+    loops: Loops
+    #: each enabled rule that can still matter, in table order, with its
+    #: evidence, or ``None`` for a rule that reads the field's bytes
+    steps: tuple[tuple[Rule, Optional[tuple[Evidence, ...]]], ...]
+    #: the byte-reading rules' findings on a message -> its annotation
+    built: dict[tuple, FieldAnnotation] = dc_field(default_factory=dict)
+
+
+#: (field, accessed) -> its structure, for the traces of one shape
+FieldMemo = dict[tuple[Field, bool], Structure]
+
+
+def _evidence(rule: Rule, found: Found) -> tuple[Evidence, ...]:
+    return tuple(Evidence(rule.id, seq, note) for seq, note in found or ())
+
+
+def _structure(field: Field, trace: ExecutionTrace, disabled: frozenset[str]) -> Structure:
+    """Run every rule that does not read the field's bytes.  Type rules after
+    the first of them that fires are dropped: they can never run."""
+    records = instructions_for(trace, field)
+    loops = _covering_loops(trace, field)
+    steps = []
+    typed = False
+    for rule in LIBRARY:
+        is_type = isinstance(rule.label, SemanticType)
+        if rule.id in disabled or (is_type and typed):
+            continue
+        if rule.reads_bytes:
+            steps.append((rule, None))
+            continue
+        evidence = _evidence(rule, rule.fires(field, records, loops, None))
+        steps.append((rule, evidence))
+        typed = typed or (is_type and bool(evidence))
+    return Structure(records, loops, tuple(steps))
+
+
+def _finish(field: Field, message: Message, s: Structure) -> FieldAnnotation:
+    """Run the byte-reading rules on ``message``, then apply the table order:
+    the first type rule that fires sets the type, function rules stack.
+    Messages whose byte-reading rules find the same share one annotation."""
+    found = tuple(
+        tuple(rule.fires(field, s.records, s.loops, message) or ())
+        for rule, evidence in s.steps
+        if evidence is None
+    )
+    ann = s.built.get(found)
+    if ann is not None:
+        return ann
+    per_message = iter(found)
+    sem_type = SemanticType.UNKNOWN
+    functions: set[SemanticFunction] = set()
+    evidence: list[Evidence] = []
+    for rule, ev in s.steps:
+        if ev is None:
+            ev = _evidence(rule, next(per_message))
+        is_type = isinstance(rule.label, SemanticType)
+        if not ev or (is_type and sem_type is not SemanticType.UNKNOWN):
+            continue
+        if is_type:
+            sem_type = rule.label
+        else:
+            functions.add(rule.label)
+        evidence += ev
+    ann = s.built[found] = FieldAnnotation(
+        field, sem_type, frozenset(functions), tuple(evidence)
+    )
+    return ann
 
 
 def annotate(
@@ -297,25 +381,7 @@ def annotate(
 ) -> FieldAnnotation:
     """Run the library over one field: the first type rule that fires sets
     the type, every function rule that fires adds its function."""
-    disabled = frozenset(disabled_rules)
-    records = instructions_for(trace, field)
-    loops = _covering_loops(trace, field)
-    sem_type = SemanticType.UNKNOWN
-    functions: set[SemanticFunction] = set()
-    evidence: list[Evidence] = []
-    for rule in LIBRARY:
-        is_type = isinstance(rule.label, SemanticType)
-        if rule.id in disabled or (is_type and sem_type is not SemanticType.UNKNOWN):
-            continue
-        found = rule.fires(field, records, loops, message)
-        if not found:
-            continue
-        if is_type:
-            sem_type = rule.label
-        else:
-            functions.add(rule.label)
-        evidence += [Evidence(rule.id, seq, note) for seq, note in found]
-    return FieldAnnotation(field, sem_type, frozenset(functions), tuple(evidence))
+    return _finish(field, message, _structure(field, trace, frozenset(disabled_rules)))
 
 
 def annotate_format(
@@ -323,5 +389,20 @@ def annotate_format(
     trace: ExecutionTrace,
     message: Message,
     disabled_rules: Iterable[str] = (),
+    *,
+    memo: Optional[FieldMemo] = None,
 ) -> tuple[FieldAnnotation, ...]:
-    return tuple(annotate(f, trace, message, disabled_rules) for f in fmt.fields)
+    """``annotate`` over every field of ``fmt``.
+
+    ``memo`` holds the structures already found for traces of the same shape
+    as ``trace`` under the same ``disabled_rules``; it defaults to a fresh
+    one."""
+    disabled = frozenset(disabled_rules)
+    memo = {} if memo is None else memo
+    out = []
+    for f in fmt.fields:
+        structure = memo.get((f, f.accessed))
+        if structure is None:
+            structure = memo[f, f.accessed] = _structure(f, trace, disabled)
+        out.append(_finish(f, message, structure))
+    return tuple(out)

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .alignment import AlignmentParams
-from .detectors import FieldAnnotation, annotate_format
+from .detectors import FieldAnnotation, FieldMemo, annotate_format
 from .evaluation import (
     GroundTruth,
     MetricsReport,
@@ -24,7 +24,7 @@ from .evaluation import (
 )
 from .extraction import MergeMemo, extract_format, extract_format_baseline
 from .fuzz_template import export_fuzz_template
-from .model import ExecutionTrace, FormatResult, Message
+from .model import ExecutionTrace, Field, FormatResult, Message, ShapeKey, shape_keys
 from .refinement import (
     Clustering,
     RefinementEvent,
@@ -74,17 +74,35 @@ def infer_corpus(
     baseline: bool = False,
     disabled_rules: frozenset[str] = frozenset(),
 ) -> tuple[dict[str, FormatResult], dict[str, tuple[FieldAnnotation, ...]]]:
+    """Each message's format and detector annotations, by message id.
+
+    Messages whose traces have one shape (``model.shape_keys``) are handled
+    by the same instructions, so the shape's format is extracted once and
+    every such message gets its fields.  Each (shape, field) is looked up
+    and run through the rules that do not read the message's bytes once;
+    the rules that do run per message.  Each distinct operator-sequence pair
+    is aligned once.  All of these memos live for this call only.
+    """
     formats: dict[str, FormatResult] = {}
     annotations: dict[str, tuple[FieldAnnotation, ...]] = {}
-    memo: MergeMemo = {}  # each distinct operator-sequence pair aligned once
+    merges: MergeMemo = {}
+    shapes: dict[ShapeKey, tuple[tuple[Field, ...], FieldMemo]] = {}
+    keys = shape_keys(messages, traces)
     for msg in messages:
         trace = traces[msg.id]
-        if baseline:
-            fmt = extract_format_baseline(msg, trace)
+        shape = shapes.get(keys[msg.id])
+        if shape is not None:
+            fmt = FormatResult(msg.id, len(msg), shape[0])
         else:
-            fmt = extract_format(msg, trace, params, memo=memo)
+            if baseline:
+                fmt = extract_format_baseline(msg, trace)
+            else:
+                fmt = extract_format(msg, trace, params, memo=merges)
+            shape = shapes[keys[msg.id]] = (fmt.fields, {})
         formats[msg.id] = fmt
-        annotations[msg.id] = annotate_format(fmt, trace, msg, disabled_rules)
+        annotations[msg.id] = annotate_format(
+            fmt, trace, msg, disabled_rules, memo=shape[1]
+        )
     return formats, annotations
 
 

@@ -84,7 +84,8 @@ def shannon_entropy(values: Sequence[bytes]) -> float:
         return 0.0
     counts = Counter(values)
     total = len(values)
-    return -sum((c / total) * math.log2(c / total) for c in counts.values())
+    # 0.0 - sum, not -sum: a single value has entropy 0.0, not -0.0
+    return 0.0 - sum((c / total) * math.log2(c / total) for c in counts.values())
 
 
 def _cluster_key(message: Message, rng: Range) -> bytes:

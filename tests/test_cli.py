@@ -397,3 +397,41 @@ def test_run_rejects_ground_truth_for_an_unknown_message(tmp_path, corpus, capsy
     ) == 2
     assert "zz9" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(["extract", "--out", "f.json", "--similarity-threshold", "1.5"],
+                     "similarity_threshold", id="extract-threshold"),
+        pytest.param(["infer", "--out", "a.json", "--formats-out", "f.json",
+                      "--gap-score", "1"], "gap_score", id="infer-gap"),
+        pytest.param(["refine", "--formats", "f.json", "--annotations", "a.json",
+                      "--out", "r.json", "--match-score", "-1"],
+                     "match_score", id="refine-match"),
+        pytest.param(["run", "--out-dir", "reports", "--match-score", "0",
+                      "--mismatch-score", "0"], "match_score", id="run-match"),
+        pytest.param(["generate-traces", "--count", "-3", "--out", "g.fl"],
+                     "--count", id="generate-negative-count"),
+        pytest.param(["generate-traces", "--count", "0", "--out", "g.fl"],
+                     "--count", id="generate-zero-count"),
+        pytest.param(["generate-traces", "--parser", "nope", "--out", "g.fl"],
+                     "'nope'", id="generate-unknown-parser"),
+        pytest.param(["generate-traces", "--script", "p.pvm", "--out", "g.fl"],
+                     "--corpus", id="generate-script-without-corpus"),
+    ],
+)
+def test_bad_flags_exit_2_before_reading_input(tmp_path, corpus, argv, named):
+    if argv[0] != "generate-traces":
+        argv = [*argv, "--traces", str(corpus)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldlens.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [corpus.name]

@@ -11,6 +11,7 @@ from fieldlens.detectors import (
     annotate,
     annotate_format,
 )
+from fieldlens.alignment import AlignmentParams
 from fieldlens.extraction import extract_format
 from fieldlens.model import (
     ApiCall,
@@ -23,6 +24,7 @@ from fieldlens.model import (
     OpClass,
     PointerArith,
 )
+from fieldlens.pipeline import infer_corpus
 from fieldlens.vm import bundled_parsers, run as vm_run
 
 
@@ -408,3 +410,37 @@ def test_table_order_first_type_wins_functions_stack(example2, example3):
                 frozenset().union(*(a.inferred_functions for a in funcs)),
                 tuple(e for a in first + funcs for e in a.evidence),
             )
+
+
+def test_byte_reading_rules_run_per_message_of_one_shape():
+    """Messages of one trace shape share each field's structural verdicts,
+    but FILENAME and DELIM are decided on each message's own bytes."""
+    parser = next(p for p in bundled_parsers() if p.name == "text-command")
+    (message,), _ = parser.generate(1, seed=0)
+    t = vm_run(parser.script, message).trace
+    name = next(
+        a.field
+        for a in annotate_format(extract_format(message, t), t, message)
+        if {SemanticFunction.FILENAME, SemanticFunction.DELIM} <= a.inferred_functions
+    )
+
+    def twin(mid, pos, byte):
+        data = bytearray(message.data)
+        data[pos] = byte
+        return Message(mid, bytes(data))
+
+    no_name = twin("no-name", message.data.index(b"."), ord("_"))
+    no_delim = twin("no-delim", name.end + 1, ord("x"))  # the '\r' after the name
+    messages = [message, no_name, no_delim]
+    formats, annotations = infer_corpus(
+        messages, {m.id: ExecutionTrace(m.id, t.records) for m in messages},
+        AlignmentParams(),
+    )
+    assert formats[no_name.id].fields is formats[message.id].fields
+    funcs = {
+        mid: next(a.inferred_functions for a in anns if a.field == name)
+        for mid, anns in annotations.items()
+    }
+    assert funcs[message.id] >= {SemanticFunction.FILENAME, SemanticFunction.DELIM}
+    assert funcs[no_name.id] == funcs[message.id] - {SemanticFunction.FILENAME}
+    assert funcs[no_delim.id] == funcs[message.id] - {SemanticFunction.DELIM}

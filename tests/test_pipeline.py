@@ -1,12 +1,16 @@
 import builtins
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fieldlens import extraction
+from fieldlens import detectors, extraction, pipeline
 from fieldlens.alignment import AlignmentParams
+from fieldlens.detectors import RULE_IDS, annotate_format
 from fieldlens.evaluation import load_ground_truth, serialize_ground_truth
-from fieldlens.extraction import extract_format
+from fieldlens.extraction import extract_format, extract_format_baseline
+from fieldlens.model import ExecutionTrace, ModelError
 from fieldlens.pipeline import (
     PipelineConfig,
     infer_corpus,
@@ -19,6 +23,7 @@ from fieldlens.reports import (
     annotations_to_doc,
     format_from_dict,
     format_to_dict,
+    formats_to_doc,
 )
 from fieldlens.traceio import IntegrityError, dump_corpus, load_corpus
 from fieldlens.vm import bundled_parsers, run as vm_run
@@ -112,12 +117,158 @@ def test_score_corpus_rejects_ground_truth_for_unknown_ids(tmp_path, small_corpu
     assert "zz9" in str(err.value)
 
 
-def test_infer_corpus_aligns_each_distinct_operator_pair_once(monkeypatch):
+def _generated(*specs):
+    """Messages and VM traces, ``(count, seed)`` per bundled parser in order."""
     messages, traces = [], {}
-    for parser in bundled_parsers():
-        generated, _ = parser.generate(6, seed=2)
+    for parser, (count, seed) in zip(bundled_parsers(), specs):
+        generated, _ = parser.generate(count, seed=seed)
         messages += generated
         traces.update((m.id, vm_run(parser.script, m).trace) for m in generated)
+    return messages, traces
+
+
+def _per_message(messages, traces, params, baseline=False, disabled=frozenset()):
+    """What ``infer_corpus`` gives, inferred one message at a time, no memo."""
+    formats, annotations = {}, {}
+    for m in messages:
+        t = traces[m.id]
+        fmt = extract_format_baseline(m, t) if baseline else extract_format(m, t, params)
+        formats[m.id] = fmt
+        annotations[m.id] = annotate_format(fmt, t, m, disabled)
+    return formats, annotations
+
+
+def _docs(messages, inferred):
+    """The formats and annotations documents of ``infer_corpus``'s result,
+    which, unlike ``Field`` equality, also compare the ``accessed`` flags."""
+    formats, annotations = inferred
+    return formats_to_doc(messages, formats), annotations_to_doc(annotations)
+
+
+def _shape(message, trace):
+    return len(message), tuple(
+        dataclasses.replace(r, value_snapshot=None) for r in trace.records
+    )
+
+
+def _counting(monkeypatch, module, name, key):
+    """Replace ``module.name`` with a wrapper that logs ``key(*args)``."""
+    real = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(key(*args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_infer_corpus_infers_each_shape_once(monkeypatch):
+    messages, traces = _generated((6, 2), (6, 2))
+    shapes = {m.id: _shape(m, traces[m.id]) for m in messages}
+    extracted = _counting(monkeypatch, pipeline, "extract_format", lambda m, *_: m.id)
+    looked_up = _counting(
+        monkeypatch, detectors, "instructions_for",
+        lambda t, f: (shapes[t.message_id], f, f.accessed),
+    )
+    formats, _ = infer_corpus(messages, traces, AlignmentParams())
+    assert len(extracted) == len(set(shapes.values())) < len(messages)
+    assert {shapes[mid] for mid in extracted} == set(shapes.values())
+    pairs = {(shapes[mid], f, f.accessed) for mid, fmt in formats.items() for f in fmt.fields}
+    assert len(looked_up) == len(set(looked_up)) == len(pairs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    specs=st.tuples(*[st.tuples(st.integers(1, 4), st.integers(0, 999))] * 2),
+    disabled=st.frozensets(st.sampled_from(RULE_IDS)),
+    baseline=st.booleans(),
+)
+def test_infer_corpus_equals_per_message_inference(specs, disabled, baseline):
+    messages, traces = _generated(*specs)
+    params = AlignmentParams()
+    inferred = infer_corpus(messages, traces, params, baseline, disabled)
+    alone = _per_message(messages, traces, params, baseline, disabled)
+    assert inferred == alone
+    assert _docs(messages, inferred) == _docs(messages, alone)
+
+
+#: attribute -> a different value for it (or the same, to skip the record)
+_CHANGES = {
+    "reads": lambda rec: frozenset() if rec.reads else rec.accessed_offsets,
+    "seq": lambda rec: rec.seq + 1000,
+    "cmp_result": lambda rec: None if rec.cmp_result is None else not rec.cmp_result,
+    "compared_const": lambda rec: rec.compared_const
+    and bytes([rec.compared_const[0] ^ 0xFF]) + rec.compared_const[1:],
+}
+
+
+def _mutations(messages, traces, attr):
+    """(message, its trace with one record's ``attr`` changed), for messages
+    whose shape another message shares."""
+    shapes = [_shape(m, traces[m.id]) for m in messages]
+    for m, shape in zip(messages, shapes):
+        if shapes.count(shape) < 2:
+            continue
+        records = traces[m.id].records
+        for i, rec in enumerate(records):
+            new = _CHANGES[attr](rec)
+            if new == getattr(rec, attr):
+                continue
+            try:
+                changed = dataclasses.replace(rec, **{attr: new})
+                yield m, ExecutionTrace(m.id, records[:i] + (changed,) + records[i + 1:])
+            except ModelError:
+                continue
+
+
+@pytest.mark.parametrize("attr", ["reads", "seq", "cmp_result", "compared_const"])
+def test_a_record_that_differs_in_an_analysed_attribute_is_its_own_shape(attr):
+    messages, traces = _generated((4, 2), (4, 2))
+    params = AlignmentParams()
+    before = _per_message(messages, traces, params)
+    for victim, mutated in _mutations(messages, traces, attr):
+        changed = {**traces, victim.id: mutated}
+        after = _per_message(messages, changed, params)
+        if (after[0][victim.id], after[1][victim.id]) != (
+            before[0][victim.id], before[1][victim.id]
+        ):
+            break
+    else:
+        pytest.fail(f"no change of one record's {attr} changes a result")
+    inferred = infer_corpus(messages, changed, params)
+    assert inferred == after
+    assert _docs(messages, inferred) == _docs(messages, after)
+
+
+def test_a_record_that_differs_only_in_its_value_snapshot_shares_the_shape(monkeypatch):
+    messages, traces = _generated((4, 2), (4, 2))
+    shapes = [_shape(m, traces[m.id]) for m in messages]
+    victim, sibling = next(
+        (a, b) for i, (a, sa) in enumerate(zip(messages, shapes))
+        for b, sb in zip(messages[i + 1:], shapes[i + 1:]) if sa == sb
+    )
+    records = traces[victim.id].records
+    snapshot = dataclasses.replace(records[0], value_snapshot=b"\xff\xfe\xfd")
+    changed = {**traces, victim.id: ExecutionTrace(victim.id, (snapshot,) + records[1:])}
+    extracted = _counting(monkeypatch, pipeline, "extract_format", lambda m, *_: m.id)
+    formats, _ = infer_corpus(messages, changed, AlignmentParams())
+    assert len(extracted) == len(set(shapes))
+    assert formats[victim.id].fields is formats[sibling.id].fields
+
+
+def test_audit_prints_no_negative_zero(tmp_path):
+    messages, traces = _generated((5, 0), (5, 0))
+    path = tmp_path / "mixed.fl"
+    dump_corpus(path, messages, [traces[m.id] for m in messages])
+    run_pipeline(PipelineConfig(traces=path, out_dir=tmp_path / "out"))
+    audit = (tmp_path / "out" / "refinement_audit.json").read_text()
+    assert '"entropy": 0.0' in audit and "-0.0" not in audit
+
+
+def test_infer_corpus_aligns_each_distinct_operator_pair_once(monkeypatch):
+    messages, traces = _generated((6, 2), (6, 2))
     calls = []
     real = extraction.semantic_similar
 

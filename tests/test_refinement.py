@@ -75,6 +75,10 @@ def test_entropy_of_empty_collection_is_zero():
     assert shannon_entropy([]) == 0.0
 
 
+def test_entropy_of_one_value_is_positive_zero():
+    assert math.copysign(1.0, shannon_entropy([b"x"])) == 1.0
+
+
 # --- explore_optimal ---------------------------------------------------------
 
 

@@ -1,13 +1,15 @@
 import ast
+import inspect
 import re
 import shutil
 import subprocess
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from fieldlens.detectors import RULE_IDS
+from fieldlens.detectors import LIBRARY, RULE_IDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fieldlens"
@@ -64,3 +66,16 @@ def test_each_rule_id_is_spelled_once():
         if isinstance(node, ast.Constant) and node.value in RULE_IDS
     )
     assert spelled == Counter(RULE_IDS)
+
+
+def test_a_rule_reads_the_message_only_if_marked_as_reading_bytes():
+    """Rules not marked ``reads_bytes`` run once per trace shape, given no
+    message, so a rule that loads its message parameter must be marked."""
+    for rule in LIBRARY:
+        fn = ast.parse(textwrap.dedent(inspect.getsource(rule.fires))).body[0]
+        param = fn.args.args[3].arg
+        loads = any(
+            isinstance(node, ast.Name) and node.id == param and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(fn)
+        )
+        assert loads == rule.reads_bytes, rule.id
