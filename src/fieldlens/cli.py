@@ -21,6 +21,7 @@ from .model import ModelError
 from .pipeline import (
     PipelineConfig,
     infer_corpus,
+    read_ground_truth,
     read_inputs,
     refine_corpus,
     run_pipeline,
@@ -110,6 +111,10 @@ def _cmd_generate(args) -> int:
         messages, truths = parser.generate(args.count, args.seed)
         for msg in messages:
             report = vm_run(parser.script, msg, args.step_budget)
+            if report.terminated.name == "STEP_LIMIT":
+                budget = f"--step-budget {args.step_budget}"
+                print(f"error: {msg.id} ran out of its step budget ({budget})", file=sys.stderr)
+                return 2
             if report.terminated.name != "ACCEPT":
                 print(
                     f"generator bug: {msg.id} -> {report.terminated.name}",
@@ -193,8 +198,7 @@ def _cmd_score(args) -> int:
     formats = read_json(Path(args.formats), formats_from_doc)
     annotations = read_json(Path(args.annotations), annotations_from_doc)
     check_partitions(formats, args.annotations, annotations)
-    ground_truth = Path(args.ground_truth)
-    _, _, truths = read_inputs(ground_truth, ground_truth)
+    truths = read_ground_truth(Path(args.ground_truth))
     report = score_corpus(formats, annotations, truths)
     doc = report.to_dict()
     write_json(Path(args.out), doc)
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--script", help="custom parser script to run instead")
     p.add_argument("--corpus", help="existing corpus file (with --script)")
     p.add_argument("--with-ground-truth", action="store_true")
-    p.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET)
+    p.add_argument("--step-budget", type=_count, default=DEFAULT_STEP_BUDGET)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 

@@ -10,7 +10,7 @@ excludes positions inside true fields that the server never accessed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .detectors import FieldAnnotation, SemanticFunction, SemanticType
 from .model import FormatResult
@@ -208,37 +208,60 @@ def count_segmentation_errors(
 
 
 @dataclass
+class LabelTally(LabelCounts):
+    """One label kind's counts, each outcome kept three ways: the inherited
+    ``tp/fp/fn`` over every true field, ``accessed`` over the true fields the
+    server touched (a false alarm counts there on any field), and
+    ``per_label`` by label name, in first-seen order, the order ``macro_f1``
+    sums in."""
+
+    accessed: LabelCounts = dc_field(default_factory=LabelCounts)
+    per_label: dict[str, LabelCounts] = dc_field(default_factory=dict)
+
+    def hit(self, name: str, accessed: bool) -> None:
+        self.tp += 1
+        self.per_label.setdefault(name, LabelCounts()).tp += 1
+        if accessed:
+            self.accessed.tp += 1
+
+    def miss(self, name: str, accessed: bool) -> None:
+        self.fn += 1
+        self.per_label.setdefault(name, LabelCounts()).fn += 1
+        if accessed:
+            self.accessed.fn += 1
+
+    def false_alarm(self, name: str) -> None:
+        self.fp += 1
+        self.per_label.setdefault(name, LabelCounts()).fp += 1
+        self.accessed.fp += 1
+
+    def add(self, other: "LabelTally") -> None:
+        super().add(other)
+        self.accessed.add(other.accessed)
+        for name, counts in other.per_label.items():
+            self.per_label.setdefault(name, LabelCounts()).add(counts)
+
+    def to_dict(self) -> dict:
+        """This label kind's block of ``metrics.json``."""
+        table = self.per_label
+        return {
+            **self.summary(),
+            "recall_accessed_only": self.accessed.recall,
+            "macro_f1": sum(c.f1 for c in table.values()) / len(table) if table else 1.0,
+            "per_label": {name: c.summary() for name, c in sorted(table.items())},
+        }
+
+
+@dataclass
 class SemanticScore:
-    """Micro counts plus per-label breakdowns for types and functions.
+    """The type and function tallies of one message or of a corpus."""
 
-    ``*_accessed`` recall variants ignore true fields the server never
-    touched; both figures are reported.
-    """
-
-    types: LabelCounts = dc_field(default_factory=LabelCounts)
-    functions: LabelCounts = dc_field(default_factory=LabelCounts)
-    per_type: dict[str, LabelCounts] = dc_field(default_factory=dict)
-    per_function: dict[str, LabelCounts] = dc_field(default_factory=dict)
-    types_accessed: LabelCounts = dc_field(default_factory=LabelCounts)
-    functions_accessed: LabelCounts = dc_field(default_factory=LabelCounts)
-
-    def _label(self, table: dict[str, LabelCounts], name: str) -> LabelCounts:
-        return table.setdefault(name, LabelCounts())
+    types: LabelTally = dc_field(default_factory=LabelTally)
+    functions: LabelTally = dc_field(default_factory=LabelTally)
 
     def add(self, other: "SemanticScore") -> None:
         self.types.add(other.types)
         self.functions.add(other.functions)
-        self.types_accessed.add(other.types_accessed)
-        self.functions_accessed.add(other.functions_accessed)
-        for name, counts in other.per_type.items():
-            self._label(self.per_type, name).add(counts)
-        for name, counts in other.per_function.items():
-            self._label(self.per_function, name).add(counts)
-
-    def macro_f1(self, table: dict[str, LabelCounts]) -> float:
-        if not table:
-            return 1.0
-        return sum(c.f1 for c in table.values()) / len(table)
 
 
 def score_semantics(
@@ -247,6 +270,7 @@ def score_semantics(
     """Exact-boundary label matching: a prediction counts only on a field
     whose boundaries coincide with a true field's."""
     score = SemanticScore()
+    types, functions = score.types, score.functions
     by_range = {(a.field.start, a.field.end): a for a in annotations}
     matched: set[tuple[int, int]] = set()
 
@@ -257,47 +281,27 @@ def score_semantics(
             matched.add(rng)
         pred_type = ann.inferred_type if ann is not None else SemanticType.UNKNOWN
         if pred_type is not SemanticType.UNKNOWN and pred_type is f.sem_type:
-            score.types.tp += 1
-            score._label(score.per_type, f.sem_type.name).tp += 1
-            if f.accessed:
-                score.types_accessed.tp += 1
+            types.hit(f.sem_type.name, f.accessed)
         else:
-            score.types.fn += 1
-            score._label(score.per_type, f.sem_type.name).fn += 1
-            if f.accessed:
-                score.types_accessed.fn += 1
+            types.miss(f.sem_type.name, f.accessed)
             if pred_type is not SemanticType.UNKNOWN:
-                score.types.fp += 1
-                score.types_accessed.fp += 1
-                score._label(score.per_type, pred_type.name).fp += 1
+                types.false_alarm(pred_type.name)
 
         pred_funcs = ann.inferred_functions if ann is not None else frozenset()
         for fn in f.functions & pred_funcs:
-            score.functions.tp += 1
-            score._label(score.per_function, fn.name).tp += 1
-            if f.accessed:
-                score.functions_accessed.tp += 1
+            functions.hit(fn.name, f.accessed)
         for fn in f.functions - pred_funcs:
-            score.functions.fn += 1
-            score._label(score.per_function, fn.name).fn += 1
-            if f.accessed:
-                score.functions_accessed.fn += 1
+            functions.miss(fn.name, f.accessed)
         for fn in pred_funcs - f.functions:
-            score.functions.fp += 1
-            score.functions_accessed.fp += 1
-            score._label(score.per_function, fn.name).fp += 1
+            functions.false_alarm(fn.name)
 
     for rng, ann in by_range.items():
         if rng in matched:
             continue
         if ann.inferred_type is not SemanticType.UNKNOWN:
-            score.types.fp += 1
-            score.types_accessed.fp += 1
-            score._label(score.per_type, ann.inferred_type.name).fp += 1
+            types.false_alarm(ann.inferred_type.name)
         for fn in ann.inferred_functions:
-            score.functions.fp += 1
-            score.functions_accessed.fp += 1
-            score._label(score.per_function, fn.name).fp += 1
+            functions.false_alarm(fn.name)
     return score
 
 
@@ -312,30 +316,16 @@ class MetricsReport:
     messages: int = 0
 
     def add_message(
-        self,
-        fmt_score: FormatScore,
-        sem_score: Optional[SemanticScore],
-        seg: tuple[int, int],
+        self, fmt_score: FormatScore, sem_score: SemanticScore, seg: tuple[int, int]
     ) -> None:
         self.format.add(fmt_score)
-        if sem_score is not None:
-            self.semantics.add(sem_score)
+        self.semantics.add(sem_score)
         self.over_seg += seg[0]
         self.under_seg += seg[1]
         self.messages += 1
 
     def to_dict(self) -> dict:
         fmt = self.format
-        sem = self.semantics
-
-        def labels(counts, accessed, table) -> dict:
-            return {
-                **counts.summary(),
-                "recall_accessed_only": accessed.recall,
-                "macro_f1": sem.macro_f1(table),
-                "per_label": {name: c.summary() for name, c in sorted(table.items())},
-            }
-
         return {
             "messages": self.messages,
             "format": {
@@ -350,9 +340,7 @@ class MetricsReport:
                 "total": self.over_seg + self.under_seg,
             },
             "semantics": {
-                "type": labels(sem.types, sem.types_accessed, sem.per_type),
-                "function": labels(
-                    sem.functions, sem.functions_accessed, sem.per_function
-                ),
+                "type": self.semantics.types.to_dict(),
+                "function": self.semantics.functions.to_dict(),
             },
         }

@@ -8,9 +8,10 @@ constraint refinement) to reproduce the ablation configurations.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .alignment import AlignmentParams
 from .detectors import FieldAnnotation, FieldMemo, annotate_format
@@ -153,26 +154,42 @@ def score_corpus(
     return report
 
 
+@contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Prefix a parse or integrity error raised inside with ``path``."""
+    try:
+        yield
+    except (ParseError, IntegrityError) as exc:
+        raise IntegrityError(None, f"{path}: {exc}") from None
+
+
+def read_ground_truth(path: Path) -> dict[str, GroundTruth]:
+    """The ground truth of ``path`` by message id.  Unlike a traces file, a
+    ground-truth file may hold ``gt`` lines alone."""
+    with _naming(path):
+        return load_ground_truth(load_corpus(path).truth)
+
+
 def read_inputs(
     traces: Path, ground_truth: Optional[Path] = None
 ) -> tuple[list[Message], dict[str, ExecutionTrace], Optional[dict[str, GroundTruth]]]:
     """The messages of ``traces``, their traces by message id and, given a
     ``ground_truth`` file, its ground truth by message id.
 
-    This is where every command reads its interchange files, so it is where
-    a parse or integrity error in one of them is prefixed with the file's
-    name.  When ``ground_truth`` is ``traces``, both come from one read."""
-    path = traces
-    try:
+    This and ``read_ground_truth`` are where every command reads its
+    interchange files, so they are where a parse or integrity error in one
+    of them is prefixed with the file's name.  A traces file without a
+    ``msg`` line is an error.  When ``ground_truth`` is ``traces``, both
+    come from one read."""
+    truths = None
+    with _naming(traces):
         messages, trace_list, truth_lines = load_corpus(traces)
-        truths = None
-        if ground_truth is not None:
-            path = ground_truth
-            if ground_truth != traces:
-                truth_lines = load_corpus(ground_truth).truth
+        if not messages:
+            raise IntegrityError(None, "no msg line, so there are no messages to analyse")
+        if ground_truth == traces:
             truths = load_ground_truth(truth_lines)
-    except (ParseError, IntegrityError) as exc:
-        raise IntegrityError(None, f"{path}: {exc}") from None
+    if ground_truth is not None and ground_truth != traces:
+        truths = read_ground_truth(ground_truth)
     return messages, {t.message_id: t for t in trace_list}, truths
 
 

@@ -287,9 +287,9 @@ def entropy_refine(
 def constraint_refine(
     annotations: Mapping[str, Sequence[FieldAnnotation]],
     clustering: Optional[Clustering] = None,
-    table: Mapping[SemanticFunction, frozenset[SemanticType]] = CONSTRAINT_TABLE,
 ) -> tuple[dict[str, tuple[FieldAnnotation, ...]], list[RefinementEvent]]:
-    """Drop functions whose allowed-type set excludes the field's final type.
+    """Drop functions whose allowed-type set (``CONSTRAINT_TABLE``) excludes
+    the field's final type.
 
     The winning command position (when clustering ran) first gains the
     COMMAND label, and GROUP when the field is still untyped; the constraint
@@ -334,21 +334,21 @@ def constraint_refine(
             bad = {
                 fn
                 for fn in ann.inferred_functions
-                if ann.inferred_type not in table[fn]
+                if ann.inferred_type not in CONSTRAINT_TABLE[fn]
             }
             if bad:
                 anns[idx] = replace(
                     ann, inferred_functions=ann.inferred_functions - bad
                 )
                 for fn in sorted(bad, key=lambda f: f.name):
+                    allowed = "/".join(sorted(t.name for t in CONSTRAINT_TABLE[fn]))
                     events.append(
                         RefinementEvent(
                             mid,
                             (ann.field.start, ann.field.end),
                             "drop-function",
                             fn.name,
-                            f"requires {'/'.join(sorted(t.name for t in table[fn]))}, "
-                            f"field is {ann.inferred_type.name}",
+                            f"requires {allowed}, field is {ann.inferred_type.name}",
                         )
                     )
 

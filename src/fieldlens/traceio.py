@@ -3,7 +3,8 @@
 One record per line, as ``kind`` followed by space-separated ``key=value``
 pairs.  Byte strings are hex-encoded with a ``0x`` prefix; offset sets are
 comma-separated integers where ``a-b`` abbreviates an inclusive run and ``-``
-is the empty set.  Three record kinds exist:
+is the empty set.  Three record kinds exist, and a key that a line's kind
+does not define below is a ParseError:
 
 ``msg <id> bytes=0x...``
     Header line binding a message id to its raw bytes.
@@ -121,12 +122,28 @@ def parse_bool(text: str, line_no: int) -> bool:
     raise ParseError(line_no, f"expected true/false, got {text!r}")
 
 
-def _split_fields(rest: list[str], line_no: int) -> dict[str, str]:
+#: The keys each line kind defines (see the module docstring)
+_LINE_KEYS = {
+    "msg": frozenset({"bytes"}),
+    "rec": frozenset("seq op class off reads const result jump loop role api ptr "
+                     "value lineage".split()),
+    "gt": frozenset({"field", "type", "funcs", "accessed"}),
+}
+
+
+def _split_fields(kind: str, rest: str, line_no: int) -> dict[str, str]:
+    """The key/value pairs of a ``kind`` line.  A key that the kind does not
+    define is a ParseError, so a misspelt optional key is never dropped."""
+    keys = _LINE_KEYS.get(kind)
+    if keys is None:
+        raise ParseError(line_no, f"unknown record kind {kind!r}")
     kv: dict[str, str] = {}
-    for tok in rest:
+    for tok in rest.split():
         if "=" not in tok:
             raise ParseError(line_no, f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
+        if key not in keys:
+            raise ParseError(line_no, f"unknown key {key!r} on a {kind} line")
         if key in kv:
             raise ParseError(line_no, f"duplicate key {key!r}")
         kv[key] = value
@@ -276,7 +293,7 @@ def read_interchange(stream: TextIO) -> Corpus:
             if rec is None:
                 # A hit parsed without error for a message of the same
                 # length, so only a miss can fail, as an uncached parse would.
-                ln = RawLine(kind, subject, _split_fields(rest.split(), line_no), line_no)
+                ln = RawLine(kind, subject, _split_fields(kind, rest, line_no), line_no)
                 if msg is None:
                     raise IntegrityError(
                         line_no, f"record for undeclared message id {subject!r}"
@@ -285,7 +302,7 @@ def read_interchange(stream: TextIO) -> Corpus:
             records[subject].append(rec)
             rec_lines.setdefault(subject, line_no)
             continue
-        ln = RawLine(kind, subject, _split_fields(rest.split(), line_no), line_no)
+        ln = RawLine(kind, subject, _split_fields(kind, rest, line_no), line_no)
         if ln.kind == "msg":
             if ln.subject in by_id:
                 raise IntegrityError(ln.line_no, f"duplicate message id {ln.subject!r}")
@@ -297,10 +314,8 @@ def read_interchange(stream: TextIO) -> Corpus:
             by_id[ln.subject] = msg
             messages.append(msg)
             records.setdefault(ln.subject, [])
-        elif ln.kind == "gt":
+        else:  # a gt line
             truth.append(ln)
-        else:
-            raise ParseError(ln.line_no, f"unknown record kind {ln.kind!r}")
 
     traces: list[ExecutionTrace] = []
     for msg_id, recs in records.items():

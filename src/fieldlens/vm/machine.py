@@ -21,7 +21,7 @@ the branch is taken or falls through).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from ..model import (
@@ -104,8 +104,8 @@ def run(
     code = script.instructions
     pc = 0
     steps = 0
-    drafts: list[dict] = []
-    # index into drafts of a compare emitted by the immediately previous step
+    records: list[InstructionRecord] = []
+    # index into records of a compare emitted by the immediately previous step
     pending_cmp: Optional[int] = None
     flag_vals: tuple[int, int] = (0, 0)
     reason = TermReason.ACCEPT
@@ -116,19 +116,13 @@ def run(
         return op.value, frozenset(), frozenset()
 
     def emit(ins: Instr, **kw) -> int:
-        rec = {
-            "seq": len(drafts) + 1,
-            "loop_id": ins.loop_id,
-            "loop_role": (
-                (LoopRole.TERMINATION if ins.is_termination_cmp else LoopRole.BODY)
-                if ins.loop_id is not None
-                else None
-            ),
-            "triggered_jump": False,
-        }
-        rec.update(kw)
-        drafts.append(rec)
-        return len(drafts) - 1
+        role = None
+        if ins.loop_id is not None:
+            role = LoopRole.TERMINATION if ins.is_termination_cmp else LoopRole.BODY
+        records.append(InstructionRecord(
+            seq=len(records) + 1, loop_id=ins.loop_id, loop_role=role, **kw
+        ))
+        return len(records) - 1
 
     while True:
         if pc >= len(code):
@@ -161,7 +155,7 @@ def run(
                 ins,
                 operator="movzx",
                 op_class=OpClass.MOV_SERIES,
-                accessed=offsets | idx_taint,
+                accessed_offsets=offsets | idx_taint,
                 reads=offsets,
                 value_snapshot=_snap(value),
             )
@@ -177,8 +171,7 @@ def run(
                     ins,
                     operator="mov",
                     op_class=OpClass.MOV_SERIES,
-                    accessed=taint,
-                    reads=frozenset(),
+                    accessed_offsets=taint,
                     value_snapshot=_snap(value),
                 )
         elif mnem == "tbl":
@@ -194,8 +187,7 @@ def run(
                     ins,
                     operator="mov",
                     op_class=OpClass.MOV_SERIES,
-                    accessed=taint,
-                    reads=frozenset(),
+                    accessed_offsets=taint,
                     value_snapshot=_snap(result),
                 )
         elif mnem in ARITH:
@@ -232,8 +224,7 @@ def run(
                     ins,
                     operator=base,
                     op_class=OpClass.ARITH_BITWISE,
-                    accessed=taint,
-                    reads=frozenset(),
+                    accessed_offsets=taint,
                     pointer_arith=pointer,
                     value_snapshot=_snap(value),
                 )
@@ -252,8 +243,7 @@ def run(
                     ins,
                     operator="cmp",
                     op_class=OpClass.COMPARE,
-                    accessed=ta | tb,
-                    reads=frozenset(),
+                    accessed_offsets=ta | tb,
                     compared_const=const,
                     cmp_result=(va == vb),
                     operand_lineage=(la | ta, lb | tb),
@@ -271,8 +261,8 @@ def run(
                 "jgt": va > vb,
                 "jge": va >= vb,
             }[mnem]
-            if pending_cmp is not None and drafts[pending_cmp]["cmp_result"]:
-                drafts[pending_cmp]["triggered_jump"] = True
+            if pending_cmp is not None and records[pending_cmp].cmp_result:
+                records[pending_cmp] = replace(records[pending_cmp], triggered_jump=True)
             if taken:
                 next_pc = ins.operands[0].value
         elif mnem == "api":
@@ -284,8 +274,7 @@ def run(
                     ins,
                     operator="call",
                     op_class=OpClass.CALL,
-                    accessed=taint,
-                    reads=frozenset(),
+                    accessed_offsets=taint,
                     api_call=ApiCall(str(name), _API_ROLES[role_key]),
                     value_snapshot=_snap(value),
                 )
@@ -303,23 +292,4 @@ def run(
         pending_cmp = this_cmp
         pc = next_pc
 
-    records = tuple(
-        InstructionRecord(
-            seq=d["seq"],
-            operator=d["operator"],
-            op_class=d["op_class"],
-            accessed_offsets=d["accessed"],
-            reads=d["reads"],
-            compared_const=d.get("compared_const"),
-            cmp_result=d.get("cmp_result"),
-            triggered_jump=d["triggered_jump"],
-            loop_id=d["loop_id"],
-            loop_role=d["loop_role"],
-            api_call=d.get("api_call"),
-            pointer_arith=d.get("pointer_arith"),
-            value_snapshot=d.get("value_snapshot"),
-            operand_lineage=d.get("operand_lineage"),
-        )
-        for d in drafts
-    )
-    return VmRunReport(ExecutionTrace(message.id, records), reason)
+    return VmRunReport(ExecutionTrace(message.id, tuple(records)), reason)

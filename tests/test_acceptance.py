@@ -286,7 +286,7 @@ def test_criterion_ablation_monotonicity(count_violations):
                     score_semantics(final[m.id], truth_map[m.id]),
                     (0, 0),
                 )
-            counts = report.semantics.per_function.get("COMMAND")
+            counts = report.semantics.functions.per_label.get("COMMAND")
             return counts.f1 if counts else 1.0
 
         detector_only, _ = constraint_refine(refined, None)

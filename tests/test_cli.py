@@ -415,6 +415,10 @@ def test_run_rejects_ground_truth_for_an_unknown_message(tmp_path, corpus, capsy
                      "--count", id="generate-negative-count"),
         pytest.param(["generate-traces", "--count", "0", "--out", "g.fl"],
                      "--count", id="generate-zero-count"),
+        pytest.param(["generate-traces", "--step-budget", "0", "--out", "g.fl"],
+                     "--step-budget", id="generate-zero-step-budget"),
+        pytest.param(["generate-traces", "--step-budget", "-5", "--out", "g.fl"],
+                     "--step-budget", id="generate-negative-step-budget"),
         pytest.param(["generate-traces", "--parser", "nope", "--out", "g.fl"],
                      "'nope'", id="generate-unknown-parser"),
         pytest.param(["generate-traces", "--script", "p.pvm", "--out", "g.fl"],
@@ -435,3 +439,41 @@ def test_bad_flags_exit_2_before_reading_input(tmp_path, corpus, argv, named):
     assert "error:" in proc.stderr and named in proc.stderr
     assert "Traceback" not in proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == [corpus.name]
+
+
+def test_generate_names_the_step_budget_that_ran_out(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldlens.cli", "generate-traces", "--parser",
+         "binary-frame", "--count", "1", "--step-budget", "5", "--out", "g.fl"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert "step budget" in proc.stderr and "--step-budget 5" in proc.stderr
+    assert "generator bug" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "g.fl").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param("", id="empty"),
+        pytest.param("gt bin000 field=0-1 type=STATIC funcs=-\n", id="ground-truth-only"),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "generate-traces"])
+def test_a_traces_file_without_messages_exits_2(tmp_path, capsys, content, command):
+    traces = tmp_path / "empty.fl"
+    traces.write_text(content)
+    script = tmp_path / "p.pvm"
+    script.write_text("accept\n")
+    argv = {
+        "run": ["--traces", traces, "--ground-truth", traces, "--out-dir", tmp_path / "out"],
+        "generate-traces": ["--script", script, "--corpus", traces, "--out", tmp_path / "out"],
+    }[command]
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(traces) in err and "msg line" in err
+    assert not (tmp_path / "out").exists()

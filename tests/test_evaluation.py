@@ -1,11 +1,15 @@
 import io
+from dataclasses import dataclass, field as dc_field
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fieldlens.detectors import Evidence, FieldAnnotation, SemanticFunction, SemanticType
 from fieldlens.evaluation import (
+    FormatScore,
     GroundTruth,
     GroundTruthField,
+    LabelCounts,
     MetricsReport,
     count_segmentation_errors,
     load_ground_truth,
@@ -145,8 +149,8 @@ def test_label_on_missegmented_field_counts_false_positive():
     # inferred merged the whole message into one field
     annotations = [ann(0, 3, T.INTEGER, [F.CHECKSUM])]
     score = score_semantics(annotations, truth)
-    assert score.per_function["CHECKSUM"].fp == 1
-    assert score.per_function["CHECKSUM"].tp == 0
+    assert score.functions.per_label["CHECKSUM"].fp == 1
+    assert score.functions.per_label["CHECKSUM"].tp == 0
     assert score.functions.recall == 0.0
 
 
@@ -176,7 +180,169 @@ def test_recall_reported_for_all_and_accessed_only():
     annotations = [ann(0, 1, T.INTEGER), ann(2, 3, T.UNKNOWN), ann(4, 5, T.STATIC)]
     score = score_semantics(annotations, truth)
     assert score.types.recall == pytest.approx(2 / 3)
-    assert score.types_accessed.recall == 1.0
+    assert score.types.accessed.recall == 1.0
+
+
+@dataclass
+class OracleSemanticScore:
+    """Reference scorer: six parallel count tables, as semantic scoring kept
+    them before one ``LabelTally`` per label kind replaced them."""
+
+    types: LabelCounts = dc_field(default_factory=LabelCounts)
+    functions: LabelCounts = dc_field(default_factory=LabelCounts)
+    per_type: dict[str, LabelCounts] = dc_field(default_factory=dict)
+    per_function: dict[str, LabelCounts] = dc_field(default_factory=dict)
+    types_accessed: LabelCounts = dc_field(default_factory=LabelCounts)
+    functions_accessed: LabelCounts = dc_field(default_factory=LabelCounts)
+
+    def _label(self, table, name):
+        return table.setdefault(name, LabelCounts())
+
+    def add(self, other):
+        self.types.add(other.types)
+        self.functions.add(other.functions)
+        self.types_accessed.add(other.types_accessed)
+        self.functions_accessed.add(other.functions_accessed)
+        for name, counts in other.per_type.items():
+            self._label(self.per_type, name).add(counts)
+        for name, counts in other.per_function.items():
+            self._label(self.per_function, name).add(counts)
+
+    def macro_f1(self, table):
+        if not table:
+            return 1.0
+        return sum(c.f1 for c in table.values()) / len(table)
+
+    def to_dict(self):
+        def labels(counts, accessed, table):
+            return {
+                **counts.summary(),
+                "recall_accessed_only": accessed.recall,
+                "macro_f1": self.macro_f1(table),
+                "per_label": {name: c.summary() for name, c in sorted(table.items())},
+            }
+
+        return {
+            "type": labels(self.types, self.types_accessed, self.per_type),
+            "function": labels(self.functions, self.functions_accessed, self.per_function),
+        }
+
+
+def oracle_score_semantics(annotations, truth):
+    score = OracleSemanticScore()
+    by_range = {(a.field.start, a.field.end): a for a in annotations}
+    matched = set()
+
+    for f in truth.fields:
+        rng = (f.start, f.end)
+        ann = by_range.get(rng)
+        if ann is not None:
+            matched.add(rng)
+        pred_type = ann.inferred_type if ann is not None else T.UNKNOWN
+        if pred_type is not T.UNKNOWN and pred_type is f.sem_type:
+            score.types.tp += 1
+            score._label(score.per_type, f.sem_type.name).tp += 1
+            if f.accessed:
+                score.types_accessed.tp += 1
+        else:
+            score.types.fn += 1
+            score._label(score.per_type, f.sem_type.name).fn += 1
+            if f.accessed:
+                score.types_accessed.fn += 1
+            if pred_type is not T.UNKNOWN:
+                score.types.fp += 1
+                score.types_accessed.fp += 1
+                score._label(score.per_type, pred_type.name).fp += 1
+
+        pred_funcs = ann.inferred_functions if ann is not None else frozenset()
+        for fn in f.functions & pred_funcs:
+            score.functions.tp += 1
+            score._label(score.per_function, fn.name).tp += 1
+            if f.accessed:
+                score.functions_accessed.tp += 1
+        for fn in f.functions - pred_funcs:
+            score.functions.fn += 1
+            score._label(score.per_function, fn.name).fn += 1
+            if f.accessed:
+                score.functions_accessed.fn += 1
+        for fn in pred_funcs - f.functions:
+            score.functions.fp += 1
+            score.functions_accessed.fp += 1
+            score._label(score.per_function, fn.name).fp += 1
+
+    for rng, ann in by_range.items():
+        if rng in matched:
+            continue
+        if ann.inferred_type is not T.UNKNOWN:
+            score.types.fp += 1
+            score.types_accessed.fp += 1
+            score._label(score.per_type, ann.inferred_type.name).fp += 1
+        for fn in ann.inferred_functions:
+            score.functions.fp += 1
+            score.functions_accessed.fp += 1
+            score._label(score.per_function, fn.name).fp += 1
+    return score
+
+
+def semantics_doc(pairs):
+    """``metrics.json``'s semantics block for (annotations, truth) pairs."""
+    report = MetricsReport()
+    for annotations, truth in pairs:
+        report.add_message(FormatScore(), score_semantics(annotations, truth), (0, 0))
+    return report.to_dict()["semantics"]
+
+
+def oracle_semantics_doc(pairs):
+    oracle = OracleSemanticScore()
+    for annotations, truth in pairs:
+        oracle.add(oracle_score_semantics(annotations, truth))
+    return oracle.to_dict()
+
+
+def test_mislabelled_unaccessed_field_counts_only_its_false_alarm_as_accessed():
+    truth = gt("m", 4, gtf(0, 1, T.INTEGER, [F.LENGTH], accessed=False), gtf(2, 3, T.BYTES))
+    annotations = [ann(0, 1, T.STATIC, [F.CHECKSUM]), ann(2, 3, T.BYTES)]
+    score = score_semantics(annotations, truth)
+    for tally in (score.types, score.functions):
+        assert (tally.accessed.fp, tally.accessed.fn) == (1, 0)
+        assert (tally.fp, tally.fn) == (1, 1)
+    assert semantics_doc([(annotations, truth)]) == oracle_semantics_doc(
+        [(annotations, truth)]
+    )
+
+
+@st.composite
+def partitions(draw, length):
+    cuts = sorted(draw(st.sets(st.integers(1, length - 1))) if length > 1 else ())
+    edges = [0, *cuts, length]
+    return list(zip(edges, [e - 1 for e in edges[1:]]))
+
+
+@st.composite
+def scored_messages(draw):
+    """A true partition with random labels and ``accessed`` flags, and
+    annotations over a partition drawn apart from it."""
+    length = draw(st.integers(1, 8))
+    funcs = st.frozensets(st.sampled_from(list(F)), max_size=3)
+    truth = gt(
+        f"m{length}",
+        length,
+        *(
+            GroundTruthField(a, b, draw(st.sampled_from(list(T))), draw(funcs), draw(st.booleans()))
+            for a, b in draw(partitions(length))
+        ),
+    )
+    annotations = [
+        FieldAnnotation(Field(a, b), draw(st.sampled_from(list(T))), draw(funcs), ())
+        for a, b in draw(partitions(length))
+    ]
+    return annotations, truth
+
+
+@given(st.lists(scored_messages(), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_semantic_tallies_match_the_six_table_oracle(pairs):
+    assert semantics_doc(pairs) == oracle_semantics_doc(pairs)
 
 
 # --- ground truth io ---------------------------------------------------------

@@ -97,6 +97,20 @@ def test_parse_error_carries_line_number():
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        pytest.param("msg b bytes=0x01 colour=red", "colour", id="msg"),
+        pytest.param("rec a seq=1 op=cmp class=COMPARE off=0 cosnt=0x05", "cosnt", id="rec"),
+        pytest.param("gt a field=0-1 type=STATIC func=COMMAND", "func", id="gt"),
+    ],
+)
+def test_a_key_that_the_line_kind_does_not_define_is_a_parse_error(line, key):
+    with pytest.raises(ParseError) as err:
+        read_interchange(io.StringIO(f"msg a bytes=0x0102\n{line}\n"))
+    assert err.value.line_no == 2 and repr(key) in str(err.value)
+
+
 def test_duplicate_message_id_rejected():
     with pytest.raises(IntegrityError):
         load_text("msg a bytes=0x01\nmsg a bytes=0x02\n")
