@@ -49,10 +49,9 @@ def _encode(a: Sequence[Hashable], b: Sequence[Hashable]) -> tuple[list[int], li
 
 
 def nw_score(
-    a: Sequence[Hashable], b: Sequence[Hashable], params: AlignmentParams | None = None
+    a: Sequence[Hashable], b: Sequence[Hashable], params: AlignmentParams = AlignmentParams()
 ) -> int:
     """Global-alignment score between two token sequences."""
-    params = params or AlignmentParams()
     enc_a, enc_b = _encode(a, b)
     return _nwpure.align_score(
         enc_a, enc_b, params.gap_score, params.match_score, params.mismatch_score
@@ -60,14 +59,13 @@ def nw_score(
 
 
 def semantic_similar(
-    a: Sequence[Hashable], b: Sequence[Hashable], params: AlignmentParams | None = None
+    a: Sequence[Hashable], b: Sequence[Hashable], params: AlignmentParams = AlignmentParams()
 ) -> SimilarityResult:
     """Decide whether two operator sequences are similar enough to merge.
 
     similarity = score / max(len(a), len(b)); merge iff it strictly exceeds
     the threshold.  At least one sequence must be non-empty.
     """
-    params = params or AlignmentParams()
     if not a and not b:
         raise ValueError("similarity of two empty sequences is undefined")
     score = nw_score(a, b, params)
@@ -75,13 +73,12 @@ def semantic_similar(
     return SimilarityResult(similarity > params.similarity_threshold, similarity, score)
 
 
-def nw_format_score(fa, fb, params: AlignmentParams | None = None) -> int:
+def nw_format_score(
+    a: Sequence[int], b: Sequence[int], params: AlignmentParams = AlignmentParams()
+) -> int:
     """Alignment score between two formats' boundary-offset sequences.
 
-    Accepts FormatResult values or plain boundary sequences.  Two boundary
-    positions match when their byte offsets are equal; gap and mismatch
-    penalties are shared with the operator alignment.
+    Two boundary positions match when their byte offsets are equal; gap and
+    mismatch penalties are shared with the operator alignment.
     """
-    a = tuple(fa.boundaries) if hasattr(fa, "boundaries") else tuple(fa)
-    b = tuple(fb.boundaries) if hasattr(fb, "boundaries") else tuple(fb)
     return nw_score(a, b, params)

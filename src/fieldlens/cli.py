@@ -10,6 +10,7 @@ errors, never for metric values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -48,17 +49,13 @@ from .vm.ops import ScriptError
 
 def _add_alignment_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("alignment scoring")
-    g.add_argument("--gap-score", type=int, default=-2)
-    g.add_argument("--match-score", type=int, default=1)
-    g.add_argument("--mismatch-score", type=int, default=-1)
-    g.add_argument("--similarity-threshold", type=float, default=0.8)
+    for f in dataclasses.fields(AlignmentParams):
+        flag = "--" + f.name.replace("_", "-")
+        g.add_argument(flag, type=type(f.default), default=f.default)
 
 
 def _params(args) -> AlignmentParams:
-    return AlignmentParams(
-        args.gap_score, args.match_score, args.mismatch_score,
-        args.similarity_threshold,
-    )
+    return AlignmentParams(*(getattr(args, f.name) for f in dataclasses.fields(AlignmentParams)))
 
 
 def _count(text: str) -> int:
@@ -156,7 +153,7 @@ def _cmd_refine(args) -> int:
     messages, _, _ = read_inputs(Path(args.traces))
     formats = read_json(Path(args.formats), formats_from_doc)
     annotations = read_json(Path(args.annotations), annotations_from_doc)
-    check_covers(messages, args.formats, formats)
+    check_covers({m.id: len(m) for m in messages}, args.formats, formats)
     check_partitions(formats, args.annotations, annotations)
     clustering, refined, events = refine_corpus(
         messages,
@@ -199,6 +196,11 @@ def _cmd_score(args) -> int:
     annotations = read_json(Path(args.annotations), annotations_from_doc)
     check_partitions(formats, args.annotations, annotations)
     truths = read_ground_truth(Path(args.ground_truth))
+    check_covers(
+        {mid: f.length for mid, f in formats.items()},
+        args.ground_truth,
+        annotated_formats(args.ground_truth, truths),
+    )
     report = score_corpus(formats, annotations, truths)
     doc = report.to_dict()
     write_json(Path(args.out), doc)
@@ -229,7 +231,9 @@ def _cmd_export_template(args) -> int:
     messages, _, _ = read_inputs(Path(args.traces))
     annotations = read_json(Path(args.annotations), annotations_from_doc)
     check_covers(
-        messages, args.annotations, annotated_formats(args.annotations, annotations)
+        {m.id: len(m) for m in messages},
+        args.annotations,
+        annotated_formats(args.annotations, annotations),
     )
     export_fuzz_template(annotations, {m.id: m for m in messages}, Path(args.out))
     print(f"template -> {args.out}")

@@ -73,6 +73,9 @@ class Evidence:
 
 @dataclass(frozen=True)
 class FieldAnnotation:
+    """A field with its semantic type, functions and the evidence for them.
+    A true annotation (a message's ground truth) carries no evidence."""
+
     field: Field
     inferred_type: SemanticType
     inferred_functions: frozenset[SemanticFunction]

@@ -5,6 +5,10 @@ TP/FP/FN/TN; a true field is *perfect* when both of its boundaries were
 inferred exactly.  Semantic labels count as correct only on exactly matched
 fields.  Segmentation-error counting mirrors the boundary FP/FN split but
 excludes positions inside true fields that the server never accessed.
+
+A message's ground truth is its true fields, ``FieldAnnotation``s without
+evidence in offset order.  The scorers take it as checked where it was read
+(``reports.annotated_formats`` and ``reports.check_covers``).
 """
 
 from __future__ import annotations
@@ -13,53 +17,16 @@ from dataclasses import asdict, dataclass, field as dc_field
 from typing import Iterable, Sequence
 
 from .detectors import FieldAnnotation, SemanticFunction, SemanticType
-from .model import FormatResult
-from .traceio import IntegrityError, ParseError, RawLine, parse_bool
+from .model import Field, FormatResult
+from .traceio import ParseError, RawLine, parse_bool
 
 
-@dataclass(frozen=True)
-class GroundTruthField:
-    start: int
-    end: int
-    sem_type: SemanticType
-    functions: frozenset[SemanticFunction]
-    accessed: bool = True
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    message_id: str
-    length: int
-    fields: tuple[GroundTruthField, ...]
-
-    def __post_init__(self) -> None:
-        expected = 0
-        for f in self.fields:
-            if f.start != expected:
-                raise IntegrityError(
-                    None,
-                    f"ground truth for {self.message_id!r} does not partition "
-                    f"the message at offset {f.start}",
-                )
-            expected = f.end + 1
-        if expected != self.length:
-            raise IntegrityError(
-                None,
-                f"ground truth for {self.message_id!r} covers {expected} bytes, "
-                f"expected {self.length}",
-            )
-
-    @property
-    def boundaries(self) -> frozenset[int]:
-        return frozenset(f.start for f in self.fields if f.start > 0)
-
-
-def load_ground_truth(lines: Iterable[RawLine]) -> dict[str, GroundTruth]:
-    """Each message's ground truth from the ``gt`` lines of one interchange
-    read (``traceio.Corpus.truth``).  A malformed line is a ParseError on its
-    own line; a message whose fields do not partition it is an
-    IntegrityError."""
-    per_msg: dict[str, list[GroundTruthField]] = {}
+def load_ground_truth(lines: Iterable[RawLine]) -> dict[str, tuple[FieldAnnotation, ...]]:
+    """Each message's true fields in offset order, from the ``gt`` lines of
+    one interchange read (``traceio.Corpus.truth``).  A malformed line is a
+    ParseError on its own line; whether the fields partition their message
+    is checked where the file is read (``reports.annotated_formats``)."""
+    per_msg: dict[str, list[FieldAnnotation]] = {}
     for ln in lines:
         if "field" not in ln.kv or "type" not in ln.kv:
             raise ParseError(ln.line_no, "gt line needs field= and type=")
@@ -82,22 +49,25 @@ def load_ground_truth(lines: Iterable[RawLine]) -> dict[str, GroundTruth]:
                     raise ParseError(ln.line_no, f"unknown function {name!r}")
         accessed = parse_bool(ln.kv.get("accessed", "true"), ln.line_no)
         per_msg.setdefault(ln.subject, []).append(
-            GroundTruthField(start, end, sem_type, frozenset(funcs), accessed)
+            FieldAnnotation(Field(start, end, accessed), sem_type, frozenset(funcs), ())
         )
-    out = {}
-    for mid, fields in per_msg.items():
-        fields.sort(key=lambda f: f.start)
-        out[mid] = GroundTruth(mid, fields[-1].end + 1, tuple(fields))
-    return out
+    return {
+        mid: tuple(sorted(anns, key=lambda a: a.field.start))
+        for mid, anns in per_msg.items()
+    }
 
 
-def serialize_ground_truth(truths: Sequence[GroundTruth]) -> str:
+def serialize_ground_truth(
+    truths: Iterable[tuple[str, Sequence[FieldAnnotation]]]
+) -> str:
+    """The ``gt`` lines of ``(message id, true fields)`` pairs."""
     lines = []
-    for gt in truths:
-        for f in gt.fields:
-            funcs = "|".join(sorted(fn.name for fn in f.functions)) or "-"
+    for mid, anns in truths:
+        for a in anns:
+            f = a.field
+            funcs = "|".join(sorted(fn.name for fn in a.inferred_functions)) or "-"
             lines.append(
-                f"gt {gt.message_id} field={f.start}-{f.end} type={f.sem_type.name} "
+                f"gt {mid} field={f.start}-{f.end} type={a.inferred_type.name} "
                 f"funcs={funcs} accessed={'true' if f.accessed else 'false'}"
             )
     return "\n".join(lines) + ("\n" if lines else "")
@@ -162,20 +132,14 @@ class FormatScore(LabelCounts):
         self.true_fields += other.true_fields
 
 
-def score_format(inferred: FormatResult, truth: GroundTruth) -> FormatScore:
+def score_format(
+    inferred: FormatResult, truth: Sequence[FieldAnnotation]
+) -> FormatScore:
     """Classify every inter-byte position and count perfectly bounded fields."""
-    if inferred.message_id != truth.message_id:
-        raise IntegrityError(None, "format and ground truth message ids differ")
-    if inferred.length != truth.length:
-        raise IntegrityError(
-            None,
-            f"inferred partition covers {inferred.length} bytes, ground truth "
-            f"{truth.length}",
-        )
     inf = set(inferred.boundaries)
-    tru = set(truth.boundaries)
+    tru = {a.field.start for a in truth if a.field.start > 0}
     score = FormatScore()
-    for pos in range(1, truth.length):
+    for pos in range(1, inferred.length):
         in_inf, in_tru = pos in inf, pos in tru
         if in_inf and in_tru:
             score.tp += 1
@@ -185,25 +149,25 @@ def score_format(inferred: FormatResult, truth: GroundTruth) -> FormatScore:
             score.fn += 1
         else:
             score.tn += 1
-    score.true_fields = len(truth.fields)
-    for f in truth.fields:
-        start_ok = f.start == 0 or f.start in inf
-        end_ok = f.end == truth.length - 1 or f.end + 1 in inf
+    score.true_fields = len(truth)
+    for a in truth:
+        start_ok = a.field.start == 0 or a.field.start in inf
+        end_ok = a.field.end == inferred.length - 1 or a.field.end + 1 in inf
         if start_ok and end_ok:
             score.perfect_fields += 1
     return score
 
 
 def count_segmentation_errors(
-    inferred: FormatResult, truth: GroundTruth
+    inferred: FormatResult, truth: Sequence[FieldAnnotation]
 ) -> tuple[int, int]:
     """(over_seg, under_seg) boundary errors, skipping unaccessed true fields."""
     excluded: set[int] = set()
-    for f in truth.fields:
-        if not f.accessed:
-            excluded.update(range(f.start + 1, f.end + 1))
+    for a in truth:
+        if not a.field.accessed:
+            excluded.update(range(a.field.start + 1, a.field.end + 1))
     inf = set(inferred.boundaries) - excluded
-    tru = set(truth.boundaries) - excluded
+    tru = {a.field.start for a in truth if a.field.start > 0} - excluded
     return len(inf - tru), len(tru - inf)
 
 
@@ -265,7 +229,7 @@ class SemanticScore:
 
 
 def score_semantics(
-    annotations: Sequence[FieldAnnotation], truth: GroundTruth
+    annotations: Sequence[FieldAnnotation], truth: Sequence[FieldAnnotation]
 ) -> SemanticScore:
     """Exact-boundary label matching: a prediction counts only on a field
     whose boundaries coincide with a true field's."""
@@ -274,25 +238,26 @@ def score_semantics(
     by_range = {(a.field.start, a.field.end): a for a in annotations}
     matched: set[tuple[int, int]] = set()
 
-    for f in truth.fields:
-        rng = (f.start, f.end)
+    for t in truth:
+        rng = (t.field.start, t.field.end)
+        accessed = t.field.accessed
         ann = by_range.get(rng)
         if ann is not None:
             matched.add(rng)
         pred_type = ann.inferred_type if ann is not None else SemanticType.UNKNOWN
-        if pred_type is not SemanticType.UNKNOWN and pred_type is f.sem_type:
-            types.hit(f.sem_type.name, f.accessed)
+        if pred_type is not SemanticType.UNKNOWN and pred_type is t.inferred_type:
+            types.hit(t.inferred_type.name, accessed)
         else:
-            types.miss(f.sem_type.name, f.accessed)
+            types.miss(t.inferred_type.name, accessed)
             if pred_type is not SemanticType.UNKNOWN:
                 types.false_alarm(pred_type.name)
 
         pred_funcs = ann.inferred_functions if ann is not None else frozenset()
-        for fn in f.functions & pred_funcs:
-            functions.hit(fn.name, f.accessed)
-        for fn in f.functions - pred_funcs:
-            functions.miss(fn.name, f.accessed)
-        for fn in pred_funcs - f.functions:
+        for fn in t.inferred_functions & pred_funcs:
+            functions.hit(fn.name, accessed)
+        for fn in t.inferred_functions - pred_funcs:
+            functions.miss(fn.name, accessed)
+        for fn in pred_funcs - t.inferred_functions:
             functions.false_alarm(fn.name)
 
     for rng, ann in by_range.items():

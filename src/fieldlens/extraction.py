@@ -136,7 +136,7 @@ def _coalesce(
 def extract_format(
     message: Message,
     trace: ExecutionTrace,
-    params: AlignmentParams | None = None,
+    params: AlignmentParams = AlignmentParams(),
     *,
     memo: MergeMemo | None = None,
 ) -> FormatResult:
@@ -144,7 +144,6 @@ def extract_format(
 
     ``memo`` holds merge verdicts already decided under the same ``params``;
     it defaults to a fresh one."""
-    params = params or AlignmentParams()
     candidates = resolve_overlaps(intra_instruction_candidates(message, trace))
     fields = _coalesce(trace, candidates, params, {} if memo is None else memo)
     return FormatResult(message.id, len(message), tuple(fields))

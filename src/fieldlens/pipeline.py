@@ -16,7 +16,6 @@ from typing import Iterator, Mapping, Optional, Sequence
 from .alignment import AlignmentParams
 from .detectors import FieldAnnotation, FieldMemo, annotate_format
 from .evaluation import (
-    GroundTruth,
     MetricsReport,
     count_segmentation_errors,
     load_ground_truth,
@@ -35,8 +34,10 @@ from .refinement import (
     single_cluster,
 )
 from .reports import (
+    annotated_formats,
     annotations_to_doc,
     audit_to_doc,
+    check_covers,
     clustering_to_dict,
     formats_to_doc,
     write_json,
@@ -135,15 +136,10 @@ def refine_corpus(
 def score_corpus(
     formats: Mapping[str, FormatResult],
     annotations: Mapping[str, Sequence[FieldAnnotation]],
-    truths: Mapping[str, GroundTruth],
+    truths: Mapping[str, Sequence[FieldAnnotation]],
 ) -> MetricsReport:
+    """Metrics of every message in ``formats``; ``truths`` was checked where it was read."""
     report = MetricsReport()
-    missing = sorted(set(formats) - set(truths))
-    if missing:
-        raise IntegrityError(None, f"no ground truth for messages: {missing}")
-    unknown = sorted(set(truths) - set(formats))
-    if unknown:
-        raise IntegrityError(None, f"ground truth for unknown messages: {unknown}")
     for mid in sorted(formats):
         truth = truths[mid]
         report.add_message(
@@ -163,24 +159,30 @@ def _naming(path: Path) -> Iterator[None]:
         raise IntegrityError(None, f"{path}: {exc}") from None
 
 
-def read_ground_truth(path: Path) -> dict[str, GroundTruth]:
-    """The ground truth of ``path`` by message id.  Unlike a traces file, a
-    ground-truth file may hold ``gt`` lines alone."""
+def read_ground_truth(path: Path) -> dict[str, tuple[FieldAnnotation, ...]]:
+    """The true fields of ``path`` by message id, not yet checked against
+    any messages.  Unlike a traces file, a ground-truth file may hold ``gt``
+    lines alone."""
     with _naming(path):
         return load_ground_truth(load_corpus(path).truth)
 
 
 def read_inputs(
     traces: Path, ground_truth: Optional[Path] = None
-) -> tuple[list[Message], dict[str, ExecutionTrace], Optional[dict[str, GroundTruth]]]:
+) -> tuple[
+    list[Message],
+    dict[str, ExecutionTrace],
+    Optional[dict[str, tuple[FieldAnnotation, ...]]],
+]:
     """The messages of ``traces``, their traces by message id and, given a
-    ``ground_truth`` file, its ground truth by message id.
+    ``ground_truth`` file, its true fields by message id.
 
     This and ``read_ground_truth`` are where every command reads its
     interchange files, so they are where a parse or integrity error in one
     of them is prefixed with the file's name.  A traces file without a
-    ``msg`` line is an error.  When ``ground_truth`` is ``traces``, both
-    come from one read."""
+    ``msg`` line is an error, and so is ground truth whose fields do not
+    partition each message of ``traces`` and no other.  When
+    ``ground_truth`` is ``traces``, both come from one read."""
     truths = None
     with _naming(traces):
         messages, trace_list, truth_lines = load_corpus(traces)
@@ -188,8 +190,14 @@ def read_inputs(
             raise IntegrityError(None, "no msg line, so there are no messages to analyse")
         if ground_truth == traces:
             truths = load_ground_truth(truth_lines)
-    if ground_truth is not None and ground_truth != traces:
-        truths = read_ground_truth(ground_truth)
+    if ground_truth is not None:
+        if ground_truth != traces:
+            truths = read_ground_truth(ground_truth)
+        check_covers(
+            {m.id: len(m) for m in messages},
+            str(ground_truth),
+            annotated_formats(str(ground_truth), truths),
+        )
     return messages, {t.message_id: t for t in trace_list}, truths
 
 

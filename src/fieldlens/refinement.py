@@ -138,10 +138,9 @@ def single_cluster(messages: Sequence[Message]) -> Clustering:
 def explore_optimal(
     messages: Sequence[Message],
     formats: Mapping[str, FormatResult],
-    params: AlignmentParams | None = None,
+    params: AlignmentParams = AlignmentParams(),
 ) -> Clustering:
     """Search every boundary-delimited range for the best clustering basis."""
-    params = params or AlignmentParams()
     boundaries = {m.id: formats[m.id].boundaries for m in messages}
     candidates = sorted(
         {(f.start, f.end) for m in messages for f in formats[m.id].fields}

@@ -2,7 +2,8 @@
 
 ``write_json`` writes every document (sorted keys, two-space indent, final
 newline); ``read_json`` reads every stage input, and a file that is not JSON
-or not of the expected shape is an ``IntegrityError`` naming the file.
+or not of the expected shape, down to the type of each scalar, is an
+``IntegrityError`` naming the file.
 
 - ``formats.json``: a list in corpus order of ``{message_id, length, fields,
   boundaries}``, each field ``{start, end, accessed}`` (``formats_to_doc``,
@@ -17,7 +18,9 @@ or not of the expected shape is an ``IntegrityError`` naming the file.
 
 At each hand-off, ``check_covers`` requires a document's message ids and
 lengths to be the corpus's, and ``check_partitions`` requires each message's
-annotated fields to be exactly its format's fields.
+annotated fields to be exactly its format's fields.  Ground truth is checked
+as annotations: ``annotated_formats`` requires its fields to partition each
+message, and ``check_covers`` its ids and lengths.
 """
 
 from __future__ import annotations
@@ -62,11 +65,25 @@ def format_to_dict(fmt: FormatResult) -> dict:
     }
 
 
+def _typed(value, *kinds: type):
+    """``value`` if its type is exactly one of ``kinds`` (``1.0`` and ``True``
+    equal ``1``, but neither is an offset), else a TypeError."""
+    if type(value) not in kinds:
+        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
+
+
+def _field_from_dict(doc: dict) -> Field:
+    return Field(
+        _typed(doc["start"], int), _typed(doc["end"], int), _typed(doc["accessed"], bool)
+    )
+
+
 def format_from_dict(doc: dict) -> FormatResult:
     return FormatResult(
-        doc["message_id"],
-        doc["length"],
-        tuple(Field(f["start"], f["end"], f["accessed"]) for f in doc["fields"]),
+        _typed(doc["message_id"], str),
+        _typed(doc["length"], int),
+        tuple(_field_from_dict(f) for f in doc["fields"]),
     )
 
 
@@ -95,10 +112,14 @@ def annotation_to_dict(ann: FieldAnnotation) -> dict:
 
 def annotation_from_dict(doc: dict) -> FieldAnnotation:
     return FieldAnnotation(
-        Field(doc["start"], doc["end"], doc["accessed"]),
+        _field_from_dict(doc),
         SemanticType[doc["type"]],
         frozenset(SemanticFunction[name] for name in doc["functions"]),
-        tuple(Evidence(e["rule"], e["seq"], e["note"]) for e in doc["evidence"]),
+        tuple(
+            Evidence(_typed(e["rule"], str), _typed(e["seq"], int, type(None)),
+                     _typed(e["note"], str))
+            for e in doc["evidence"]
+        ),
     )
 
 
@@ -161,13 +182,13 @@ def _check_match(what: str, expected: Mapping, found: Mapping, facts: str) -> No
 
 
 def check_covers(
-    messages: Sequence[Message], what: str, formats: Mapping[str, FormatResult]
+    lengths: Mapping[str, int], what: str, formats: Mapping[str, FormatResult]
 ) -> None:
     """Raise IntegrityError unless ``formats`` (read from ``what``) has
-    exactly the message ids of ``messages``, with equal lengths."""
+    exactly the message ids of ``lengths``, each of its length."""
     _check_match(
         what,
-        {m.id: len(m) for m in messages},
+        lengths,
         {mid: f.length for mid, f in formats.items()},
         "the corpus's message ids and lengths",
     )

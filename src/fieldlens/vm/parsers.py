@@ -9,8 +9,9 @@ Two protocol families ship with the package:
 * ``text-command``: one command character ('G', 'P', or 'D'), a four-digit
   sequence number, a file path whose length is fixed per command, and CRLF.
 
-Each generator returns messages together with their ground-truth formats and
-semantics, derived from the same construction that built the bytes.
+Each generator returns messages together with their ground truth, one
+``(message id, true fields)`` pair per message, derived from the same
+construction that built the bytes.
 """
 
 from __future__ import annotations
@@ -21,21 +22,22 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
-from ..detectors import SemanticFunction, SemanticType
-from ..evaluation import GroundTruth, GroundTruthField
-from ..model import Message
+from ..detectors import FieldAnnotation, SemanticFunction, SemanticType
+from ..model import Field, Message
 from .machine import table_mix
 from .ops import ParserScript, parse_script
 
 _T = SemanticType
 _F = SemanticFunction
+#: a message id and its true fields, as ``evaluation.serialize_ground_truth`` takes them
+Truth = tuple[str, tuple[FieldAnnotation, ...]]
 
 
 @dataclass(frozen=True)
 class BundledParser:
     name: str
     script: ParserScript
-    generate: Callable[[int, int], tuple[list[Message], list[GroundTruth]]]
+    generate: Callable[[int, int], tuple[list[Message], list[Truth]]]
 
 
 def _load_script(filename: str) -> ParserScript:
@@ -57,18 +59,14 @@ _SRC_POOL = (0x0010, 0x0020, 0x0030, 0x0040)
 _CHUNK_LEN = {0x01: 8, 0x03: 12}
 
 
-def _gt_field(
-    start: int, end: int, sem_type: _T, *funcs: _F
-) -> GroundTruthField:
-    return GroundTruthField(start, end, sem_type, frozenset(funcs))
+def _gt_field(start: int, end: int, sem_type: _T, *funcs: _F) -> FieldAnnotation:
+    return FieldAnnotation(Field(start, end), sem_type, frozenset(funcs), ())
 
 
-def generate_binary(
-    count: int, seed: int = 0
-) -> tuple[list[Message], list[GroundTruth]]:
+def generate_binary(count: int, seed: int = 0) -> tuple[list[Message], list[Truth]]:
     rng = random.Random(seed)
     messages: list[Message] = []
-    truths: list[GroundTruth] = []
+    truths: list[Truth] = []
     for i in range(count):
         command = rng.choice((0x01, 0x02, 0x03))
         if command in _CHUNK_LEN:
@@ -106,19 +104,17 @@ def generate_binary(
         else:
             fields.append(_gt_field(10, 11, _T.INTEGER))
             fields.append(_gt_field(12, 17, _T.STRING, _F.FILENAME))
-        truths.append(GroundTruth(mid, len(body), tuple(fields)))
+        truths.append((mid, tuple(fields)))
     return messages, truths
 
 
 _PATH_NAME_LEN = {0x47: 2, 0x50: 4, 0x44: 6}  # G, P, D
 
 
-def generate_text(
-    count: int, seed: int = 0
-) -> tuple[list[Message], list[GroundTruth]]:
+def generate_text(count: int, seed: int = 0) -> tuple[list[Message], list[Truth]]:
     rng = random.Random(seed)
     messages: list[Message] = []
-    truths: list[GroundTruth] = []
+    truths: list[Truth] = []
     for i in range(count):
         command = rng.choice((0x47, 0x50, 0x44))
         seq = "".join(rng.choice(string.digits) for _ in range(4))
@@ -131,9 +127,8 @@ def generate_text(
         messages.append(Message(mid, body))
         path_end = 4 + len(path)
         truths.append(
-            GroundTruth(
+            (
                 mid,
-                len(body),
                 (
                     _gt_field(0, 0, _T.GROUP, _F.COMMAND),
                     _gt_field(1, 4, _T.INTEGER),

@@ -160,7 +160,7 @@ def _run_corpus(parser, count=50, seed=0, merged=True, clustering_on=True):
     refined, _ = entropy_refine(annotations, clustering, msg_map)
     final, _ = constraint_refine(refined, clustering if clustering_on else None)
     report = MetricsReport()
-    truth_map = {t.message_id: t for t in truths}
+    truth_map = dict(truths)
     for m in messages:
         report.add_message(
             score_format(formats[m.id], truth_map[m.id]),
@@ -208,16 +208,12 @@ def test_criterion_segmentation_error_reduction():
 
 def test_criterion_metric_unit_case():
     """Hand-enumerated oracle: truth {2,5}, inferred {2,4}, 8 bytes."""
-    from fieldlens.evaluation import GroundTruth, GroundTruthField
+    from fieldlens.detectors import FieldAnnotation
     from fieldlens.model import FormatResult
 
-    truth = GroundTruth(
-        "m", 8,
-        (
-            GroundTruthField(0, 1, T.BYTES, frozenset()),
-            GroundTruthField(2, 4, T.BYTES, frozenset()),
-            GroundTruthField(5, 7, T.BYTES, frozenset()),
-        ),
+    truth = tuple(
+        FieldAnnotation(Field(a, b), T.BYTES, frozenset(), ())
+        for a, b in ((0, 1), (2, 4), (5, 7))
     )
     inferred = FormatResult("m", 8, (Field(0, 1), Field(2, 3), Field(4, 7)))
     score = score_format(inferred, truth)
@@ -276,7 +272,7 @@ def test_criterion_ablation_monotonicity(count_violations):
         assert count_violations(with_constraints) == 0
         assert count_violations(with_constraints) <= count_violations(refined)
 
-        truth_map = {t.message_id: t for t in truths}
+        truth_map = dict(truths)
 
         def command_f1(final):
             report = MetricsReport()

@@ -94,14 +94,6 @@ def test_format_score_examples():
     assert nw_format_score([], [1, 2, 3]) == -6
 
 
-def test_format_score_accepts_format_results():
-    from fieldlens.model import Field, FormatResult
-
-    fa = FormatResult("a", 6, (Field(0, 1), Field(2, 3), Field(4, 5)))
-    fb = FormatResult("b", 6, (Field(0, 1), Field(2, 5)))
-    assert nw_format_score(fa, fb) == nw_format_score([2, 4], [2])
-
-
 @given(
     st.lists(st.sampled_from("abcd"), max_size=8),
     st.lists(st.sampled_from("abcd"), max_size=8),

@@ -305,6 +305,27 @@ def test_malformed_json_document_exits_2(tmp_path, corpus, stage_files, command,
     )
 
 
+def _float_offsets(fields):
+    fields[0]["end"] = float(fields[0]["end"])
+    fields[1]["start"] = float(fields[1]["start"])
+
+
+@pytest.mark.parametrize(
+    "command, named",
+    [("refine", "formats"), ("score", "formats"), ("export-template", "annotations")],
+)
+def test_non_integer_offsets_exit_2(tmp_path, corpus, stage_files, command, named):
+    # 1.0 == 1, so these documents pass the id, length and partition checks
+    formats, anns = stage_files
+    format_doc, ann_doc = json.loads(formats.read_text()), json.loads(anns.read_text())
+    _float_offsets(format_doc[0]["fields"])
+    _float_offsets(ann_doc[format_doc[0]["message_id"]])
+    formats.write_text(json.dumps(format_doc))
+    anns.write_text(json.dumps(ann_doc))
+    files = {"formats": formats, "annotations": anns}
+    _run_stage_and_expect_exit_2(tmp_path, corpus, command, formats, anns, files[named])
+
+
 def _extra_message(doc):
     doc["zzz"] = doc[sorted(doc)[0]]
 
@@ -333,6 +354,17 @@ def test_annotations_must_partition_each_message(tmp_path, corpus, stage_files, 
     edit(doc)
     anns.write_text(json.dumps(doc))
     _run_stage_and_expect_exit_2(tmp_path, corpus, command, formats, anns, anns)
+
+
+def test_score_names_a_ground_truth_file_of_another_length(tmp_path, corpus, stage_files):
+    formats, anns = stage_files
+    first = json.loads(formats.read_text())[0]
+    end = first["length"]
+    truth = tmp_path / "truth.fl"
+    truth.write_text(
+        corpus.read_text() + f"gt {first['message_id']} field={end}-{end} type=BYTES funcs=-\n"
+    )
+    _run_stage_and_expect_exit_2(tmp_path, truth, "score", formats, anns, truth)
 
 
 def test_score_reads_a_ground_truth_only_file(tmp_path, corpus, stage_files):
@@ -384,6 +416,28 @@ def test_run_names_the_ground_truth_file_once(tmp_path, corpus, bad_line):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count(str(truth)) == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "reports").exists()
+
+
+def test_run_names_ground_truth_that_misses_messages_and_lists_five(tmp_path, corpus):
+    truth = tmp_path / "gt1.fl"
+    truth.write_text("".join(
+        line for line in corpus.read_text().splitlines(keepends=True)
+        if line.startswith("gt bin000 ")
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldlens.cli", "run", "--traces", str(corpus),
+         "--ground-truth", str(truth), "--out-dir", "reports"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and str(truth) in proc.stderr
+    # 11 of the 12 messages lack ground truth; five are named
+    assert proc.stderr.count("bin0") == 5 and "and 6 more" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "reports").exists()
 

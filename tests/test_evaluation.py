@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from fieldlens.detectors import Evidence, FieldAnnotation, SemanticFunction, SemanticType
 from fieldlens.evaluation import (
     FormatScore,
-    GroundTruth,
-    GroundTruthField,
     LabelCounts,
     MetricsReport,
     count_segmentation_errors,
@@ -18,18 +16,20 @@ from fieldlens.evaluation import (
     serialize_ground_truth,
 )
 from fieldlens.model import Field, FormatResult
+from fieldlens.reports import annotated_formats, check_covers
 from fieldlens.traceio import IntegrityError, ParseError, load_corpus, read_interchange
 
 T = SemanticType
 F = SemanticFunction
 
 
-def gt(mid, length, *fields):
-    return GroundTruth(mid, length, tuple(fields))
+def gt(*fields):
+    """A message's ground truth: its true fields in offset order."""
+    return fields
 
 
 def gtf(start, end, sem_type=T.BYTES, funcs=(), accessed=True):
-    return GroundTruthField(start, end, sem_type, frozenset(funcs), accessed)
+    return FieldAnnotation(Field(start, end, accessed), sem_type, frozenset(funcs), ())
 
 
 def fmt(mid, length, *bounds):
@@ -47,7 +47,7 @@ def ann(start, end, sem_type, funcs=()):
 
 def test_hand_enumerated_boundary_case():
     # 8-byte message, true boundaries {2,5}, inferred {2,4}
-    truth = gt("m", 8, gtf(0, 1), gtf(2, 4), gtf(5, 7))
+    truth = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))
     inferred = fmt("m", 8, 2, 4)
     score = score_format(inferred, truth)
     assert (score.tp, score.fp, score.fn, score.tn) == (1, 1, 1, 4)
@@ -60,7 +60,7 @@ def test_hand_enumerated_boundary_case():
 
 
 def test_perfect_match_scores_ones():
-    truth = gt("m", 6, gtf(0, 2), gtf(3, 5))
+    truth = gt(gtf(0, 2), gtf(3, 5))
     inferred = fmt("m", 6, 3)
     score = score_format(inferred, truth)
     assert score.precision == score.recall == score.f1 == 1.0
@@ -68,7 +68,7 @@ def test_perfect_match_scores_ones():
 
 
 def test_empty_prediction_convention():
-    truth = gt("m", 6, gtf(0, 2), gtf(3, 5))
+    truth = gt(gtf(0, 2), gtf(3, 5))
     inferred = fmt("m", 6)  # one field, no boundaries
     score = score_format(inferred, truth)
     assert score.precision == 0.0
@@ -79,23 +79,26 @@ def test_empty_prediction_convention():
 def test_self_scoring_any_partition_is_perfect():
     for bounds in ((), (1,), (2, 5), (1, 2, 3)):
         inferred = fmt("m", 6, *bounds)
-        truth = gt(
-            "m", 6, *(gtf(f.start, f.end) for f in inferred.fields)
-        )
+        truth = gt(*(gtf(f.start, f.end) for f in inferred.fields))
         score = score_format(inferred, truth)
         assert score.f1 == 1.0 and score.perfection == 1.0
         assert score.fp == score.fn == 0
 
 
 def test_length_mismatch_is_integrity_error():
-    truth = gt("m", 8, gtf(0, 7))
+    truth = gt(gtf(0, 7))
+    inferred = fmt("m", 6)
     with pytest.raises(IntegrityError):
-        score_format(fmt("m", 6), truth)
+        check_covers(
+            {inferred.message_id: inferred.length},
+            "truth.fl",
+            annotated_formats("truth.fl", {"m": truth}),
+        )
 
 
 def test_metrics_invariant_under_id_renaming():
-    truth_a = gt("a", 8, gtf(0, 1), gtf(2, 4), gtf(5, 7))
-    truth_b = gt("b", 8, gtf(0, 1), gtf(2, 4), gtf(5, 7))
+    truth_a = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))
+    truth_b = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))
     score_a = score_format(fmt("a", 8, 2, 4), truth_a)
     score_b = score_format(fmt("b", 8, 2, 4), truth_b)
     assert (score_a.tp, score_a.fp, score_a.fn, score_a.tn) == (
@@ -107,7 +110,7 @@ def test_metrics_invariant_under_id_renaming():
 
 
 def test_segmentation_error_counts():
-    truth = gt("m", 8, gtf(0, 1), gtf(2, 4), gtf(5, 7))
+    truth = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))
     over, under = count_segmentation_errors(fmt("m", 8, 1, 2, 5), truth)
     assert (over, under) == (1, 0)  # spurious split inside the first field
     over, under = count_segmentation_errors(fmt("m", 8, 2), truth)
@@ -117,7 +120,7 @@ def test_segmentation_error_counts():
 
 
 def test_segmentation_errors_exclude_unaccessed_fields():
-    truth = gt("m", 8, gtf(0, 1), gtf(2, 5, accessed=False), gtf(6, 7))
+    truth = gt(gtf(0, 1), gtf(2, 5, accessed=False), gtf(6, 7))
     # boundaries 3,4,5 fall inside the unaccessed field: not counted
     over, under = count_segmentation_errors(fmt("m", 8, 2, 4, 6), truth)
     assert (over, under) == (0, 0)
@@ -127,7 +130,7 @@ def test_segmentation_errors_exclude_unaccessed_fields():
 
 
 def test_seg_errors_equal_fp_fn_without_exclusions():
-    truth = gt("m", 10, gtf(0, 3), gtf(4, 6), gtf(7, 9))
+    truth = gt(gtf(0, 3), gtf(4, 6), gtf(7, 9))
     inferred = fmt("m", 10, 2, 4, 8)
     score = score_format(inferred, truth)
     over, under = count_segmentation_errors(inferred, truth)
@@ -138,14 +141,14 @@ def test_seg_errors_equal_fp_fn_without_exclusions():
 
 
 def test_type_scoring_exact_match():
-    truth = gt("m", 4, gtf(0, 1, T.INTEGER), gtf(2, 3, T.BYTES))
+    truth = gt(gtf(0, 1, T.INTEGER), gtf(2, 3, T.BYTES))
     annotations = [ann(0, 1, T.INTEGER), ann(2, 3, T.BYTES)]
     score = score_semantics(annotations, truth)
     assert score.types.precision == 1.0 and score.types.recall == 1.0
 
 
 def test_label_on_missegmented_field_counts_false_positive():
-    truth = gt("m", 4, gtf(0, 1, T.INTEGER, [F.CHECKSUM]), gtf(2, 3, T.BYTES))
+    truth = gt(gtf(0, 1, T.INTEGER, [F.CHECKSUM]), gtf(2, 3, T.BYTES))
     # inferred merged the whole message into one field
     annotations = [ann(0, 3, T.INTEGER, [F.CHECKSUM])]
     score = score_semantics(annotations, truth)
@@ -155,7 +158,7 @@ def test_label_on_missegmented_field_counts_false_positive():
 
 
 def test_function_recall_zero_when_nothing_predicted():
-    truth = gt("m", 4, gtf(0, 1, T.INTEGER, [F.LENGTH, F.CHECKSUM]), gtf(2, 3, T.BYTES))
+    truth = gt(gtf(0, 1, T.INTEGER, [F.LENGTH, F.CHECKSUM]), gtf(2, 3, T.BYTES))
     annotations = [ann(0, 1, T.INTEGER), ann(2, 3, T.BYTES)]
     score = score_semantics(annotations, truth)
     assert score.functions.recall == 0.0
@@ -163,7 +166,7 @@ def test_function_recall_zero_when_nothing_predicted():
 
 
 def test_unknown_predictions_are_not_counted_as_inferred():
-    truth = gt("m", 4, gtf(0, 1, T.INTEGER), gtf(2, 3, T.BYTES))
+    truth = gt(gtf(0, 1, T.INTEGER), gtf(2, 3, T.BYTES))
     annotations = [ann(0, 1, T.UNKNOWN), ann(2, 3, T.BYTES)]
     score = score_semantics(annotations, truth)
     assert score.types.fp == 0
@@ -172,7 +175,6 @@ def test_unknown_predictions_are_not_counted_as_inferred():
 
 def test_recall_reported_for_all_and_accessed_only():
     truth = gt(
-        "m", 6,
         gtf(0, 1, T.INTEGER),
         gtf(2, 3, T.BYTES, accessed=False),
         gtf(4, 5, T.STATIC),
@@ -233,20 +235,21 @@ def oracle_score_semantics(annotations, truth):
     by_range = {(a.field.start, a.field.end): a for a in annotations}
     matched = set()
 
-    for f in truth.fields:
+    for t in truth:
+        f = t.field
         rng = (f.start, f.end)
         ann = by_range.get(rng)
         if ann is not None:
             matched.add(rng)
         pred_type = ann.inferred_type if ann is not None else T.UNKNOWN
-        if pred_type is not T.UNKNOWN and pred_type is f.sem_type:
+        if pred_type is not T.UNKNOWN and pred_type is t.inferred_type:
             score.types.tp += 1
-            score._label(score.per_type, f.sem_type.name).tp += 1
+            score._label(score.per_type, t.inferred_type.name).tp += 1
             if f.accessed:
                 score.types_accessed.tp += 1
         else:
             score.types.fn += 1
-            score._label(score.per_type, f.sem_type.name).fn += 1
+            score._label(score.per_type, t.inferred_type.name).fn += 1
             if f.accessed:
                 score.types_accessed.fn += 1
             if pred_type is not T.UNKNOWN:
@@ -255,17 +258,17 @@ def oracle_score_semantics(annotations, truth):
                 score._label(score.per_type, pred_type.name).fp += 1
 
         pred_funcs = ann.inferred_functions if ann is not None else frozenset()
-        for fn in f.functions & pred_funcs:
+        for fn in t.inferred_functions & pred_funcs:
             score.functions.tp += 1
             score._label(score.per_function, fn.name).tp += 1
             if f.accessed:
                 score.functions_accessed.tp += 1
-        for fn in f.functions - pred_funcs:
+        for fn in t.inferred_functions - pred_funcs:
             score.functions.fn += 1
             score._label(score.per_function, fn.name).fn += 1
             if f.accessed:
                 score.functions_accessed.fn += 1
-        for fn in pred_funcs - f.functions:
+        for fn in pred_funcs - t.inferred_functions:
             score.functions.fp += 1
             score.functions_accessed.fp += 1
             score._label(score.per_function, fn.name).fp += 1
@@ -300,7 +303,7 @@ def oracle_semantics_doc(pairs):
 
 
 def test_mislabelled_unaccessed_field_counts_only_its_false_alarm_as_accessed():
-    truth = gt("m", 4, gtf(0, 1, T.INTEGER, [F.LENGTH], accessed=False), gtf(2, 3, T.BYTES))
+    truth = gt(gtf(0, 1, T.INTEGER, [F.LENGTH], accessed=False), gtf(2, 3, T.BYTES))
     annotations = [ann(0, 1, T.STATIC, [F.CHECKSUM]), ann(2, 3, T.BYTES)]
     score = score_semantics(annotations, truth)
     for tally in (score.types, score.functions):
@@ -318,20 +321,24 @@ def partitions(draw, length):
     return list(zip(edges, [e - 1 for e in edges[1:]]))
 
 
+def true_fields(draw, length):
+    """A random partition of ``length`` bytes with random labels and ``accessed`` flags."""
+    funcs = st.frozensets(st.sampled_from(list(F)), max_size=3)
+    return gt(
+        *(
+            gtf(a, b, draw(st.sampled_from(list(T))), draw(funcs), draw(st.booleans()))
+            for a, b in draw(partitions(length))
+        )
+    )
+
+
 @st.composite
 def scored_messages(draw):
     """A true partition with random labels and ``accessed`` flags, and
     annotations over a partition drawn apart from it."""
     length = draw(st.integers(1, 8))
     funcs = st.frozensets(st.sampled_from(list(F)), max_size=3)
-    truth = gt(
-        f"m{length}",
-        length,
-        *(
-            GroundTruthField(a, b, draw(st.sampled_from(list(T))), draw(funcs), draw(st.booleans()))
-            for a, b in draw(partitions(length))
-        ),
-    )
+    truth = true_fields(draw, length)
     annotations = [
         FieldAnnotation(Field(a, b), draw(st.sampled_from(list(T))), draw(funcs), ())
         for a, b in draw(partitions(length))
@@ -348,21 +355,57 @@ def test_semantic_tallies_match_the_six_table_oracle(pairs):
 # --- ground truth io ---------------------------------------------------------
 
 
+def facts(truth):
+    """Every fact of each true field, ``accessed`` included."""
+    return [
+        (a.field.start, a.field.end, a.inferred_type, a.inferred_functions, a.field.accessed)
+        for a in truth
+    ]
+
+
 def test_ground_truth_round_trip(tmp_path):
     truth = gt(
-        "m", 6,
         gtf(0, 1, T.STATIC, [F.COMMAND]),
         gtf(2, 3, T.INTEGER, [F.LENGTH, F.CHECKSUM]),
         gtf(4, 5, T.BYTES, accessed=False),
     )
     path = tmp_path / "truth.fl"
-    path.write_text(serialize_ground_truth([truth]))
+    path.write_text(serialize_ground_truth([("m", truth)]))
     loaded = load_ground_truth(load_corpus(path).truth)
     assert loaded == {"m": truth}
+    # ``Field`` equality ignores ``accessed``
+    assert facts(loaded["m"]) == facts(truth)
 
 
 def _truth_of(text):
     return load_ground_truth(read_interchange(io.StringIO(text)).truth)
+
+
+@st.composite
+def drawn_truths(draw):
+    lengths = draw(st.lists(st.integers(1, 8), max_size=5))
+    return {f"m{i}": true_fields(draw, n) for i, n in enumerate(lengths)}
+
+
+@given(drawn_truths(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_ground_truth_round_trips_and_must_partition(truths, data):
+    text = serialize_ground_truth(truths.items())
+    loaded = _truth_of(text)
+    assert {mid: facts(t) for mid, t in loaded.items()} == {
+        mid: facts(t) for mid, t in truths.items()
+    }
+    lengths = {mid: t[-1].field.end + 1 for mid, t in truths.items()}
+    check_covers(lengths, "truth.fl", annotated_formats("truth.fl", loaded))
+
+    split = [mid for mid, t in truths.items() if len(t) > 1]
+    if split:
+        # dropping any field but the last leaves a gap or a late first start
+        mid = data.draw(st.sampled_from(split))
+        gone = data.draw(st.integers(0, len(truths[mid]) - 2))
+        broken = {**truths, mid: truths[mid][:gone] + truths[mid][gone + 1:]}
+        with pytest.raises(IntegrityError, match="does not partition"):
+            annotated_formats("truth.fl", _truth_of(serialize_ground_truth(broken.items())))
 
 
 def test_reversed_field_range_is_parse_error():
@@ -380,12 +423,12 @@ def test_misspelt_accessed_flag_is_parse_error():
 
 def test_ground_truth_must_partition():
     with pytest.raises(IntegrityError):
-        gt("m", 6, gtf(0, 1), gtf(3, 5))
+        annotated_formats("truth.fl", {"m": gt(gtf(0, 1), gtf(3, 5))})
 
 
 def test_report_aggregation():
     report = MetricsReport()
-    truth = gt("m", 8, gtf(0, 1, T.INTEGER), gtf(2, 7, T.BYTES))
+    truth = gt(gtf(0, 1, T.INTEGER), gtf(2, 7, T.BYTES))
     inferred = fmt("m", 8, 2)
     report.add_message(
         score_format(inferred, truth),

@@ -1,4 +1,5 @@
 import builtins
+import copy
 import dataclasses
 import json
 
@@ -16,13 +17,15 @@ from fieldlens.pipeline import (
     infer_corpus,
     refine_corpus,
     run_pipeline,
-    score_corpus,
 )
 from fieldlens.reports import (
+    annotated_formats,
+    annotation_from_dict,
     annotations_from_doc,
     annotations_to_doc,
     format_from_dict,
     format_to_dict,
+    check_covers,
     formats_to_doc,
 )
 from fieldlens.traceio import IntegrityError, dump_corpus, load_corpus
@@ -94,26 +97,28 @@ def test_separate_ground_truth_file_scores_the_same(tmp_path, small_corpus):
         ).read_bytes()
 
 
+def _check_truth(messages, what, truths):
+    """The ground-truth check of ``run`` and ``score``: ``score_corpus``
+    itself takes its ground truth as checked."""
+    check_covers({m.id: len(m) for m in messages}, what, annotated_formats(what, truths))
+
+
 def test_score_corpus_reports_missing_ground_truth_ids(small_corpus):
-    path, messages, traces, _ = small_corpus
-    traces_map = {t.message_id: t for t in traces}
-    formats, annotations = infer_corpus(messages, traces_map, AlignmentParams())
+    path, messages, _, _ = small_corpus
     truths = load_ground_truth(load_corpus(path).truth)
     del truths[messages[0].id]
     with pytest.raises(IntegrityError) as err:
-        score_corpus(formats, annotations, truths)
+        _check_truth(messages, str(path), truths)
     assert messages[0].id in str(err.value)
 
 
 def test_score_corpus_rejects_ground_truth_for_unknown_ids(tmp_path, small_corpus):
-    path, messages, traces, _ = small_corpus
-    traces_map = {t.message_id: t for t in traces}
-    formats, annotations = infer_corpus(messages, traces_map, AlignmentParams())
+    path, messages, _, _ = small_corpus
     extra = tmp_path / "extra.fl"
     extra.write_text(path.read_text() + "gt zz9 field=0-1 type=STATIC funcs=-\n")
     truths = load_ground_truth(load_corpus(extra).truth)
     with pytest.raises(IntegrityError) as err:
-        score_corpus(formats, annotations, truths)
+        _check_truth(messages, str(extra), truths)
     assert "zz9" in str(err.value)
 
 
@@ -314,6 +319,47 @@ def test_annotation_documents_round_trip(small_corpus):
     assert annotations_from_doc(doc) == annotations
     for fmt in formats.values():
         assert format_from_dict(json.loads(json.dumps(format_to_dict(fmt)))) == fmt
+
+
+_FORMAT = {
+    "message_id": "m",
+    "length": 2,
+    "fields": [{"start": 0, "end": 1, "accessed": True}],
+    "boundaries": [],
+}
+_ANNOTATION = {
+    "start": 0,
+    "end": 1,
+    "accessed": True,
+    "type": "BYTES",
+    "functions": [],
+    "evidence": [{"rule": "r", "seq": None, "note": ""}],
+}
+
+
+@pytest.mark.parametrize(
+    "convert, doc, path, value",
+    [
+        pytest.param(format_from_dict, _FORMAT, ("message_id",), 5, id="id-int"),
+        pytest.param(format_from_dict, _FORMAT, ("length",), 2.0, id="length-float"),
+        pytest.param(format_from_dict, _FORMAT, ("fields", 0, "end"), 1.0, id="end-float"),
+        pytest.param(annotation_from_dict, _ANNOTATION, ("start",), False, id="start-bool"),
+        pytest.param(annotation_from_dict, _ANNOTATION, ("accessed",), 1, id="accessed-int"),
+        pytest.param(annotation_from_dict, _ANNOTATION, ("evidence", 0, "rule"), 7, id="rule-int"),
+        pytest.param(annotation_from_dict, _ANNOTATION, ("evidence", 0, "seq"), "3", id="seq-str"),
+        pytest.param(annotation_from_dict, _ANNOTATION, ("evidence", 0, "note"), None, id="note-null"),
+    ],
+)
+def test_stage_document_scalars_are_type_checked(convert, doc, path, value):
+    convert(doc)
+    bad = copy.deepcopy(doc)
+    *parents, key = path
+    target = bad
+    for k in parents:
+        target = target[k]
+    target[key] = value
+    with pytest.raises(TypeError):
+        convert(bad)
 
 
 def test_disabled_rules_flow_through_pipeline(tmp_path, small_corpus):

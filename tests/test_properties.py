@@ -2,13 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from fieldlens.evaluation import (
-    GroundTruth,
-    GroundTruthField,
-    count_segmentation_errors,
-    score_format,
-)
-from fieldlens.detectors import SemanticType
+from fieldlens.evaluation import count_segmentation_errors, score_format
+from fieldlens.detectors import FieldAnnotation, SemanticType
 from fieldlens.extraction import extract_format, extract_format_baseline
 from fieldlens.model import (
     ExecutionTrace,
@@ -97,13 +92,9 @@ def partitions(draw):
 def test_boundary_counts_are_consistent(true_fields, inferred_fields):
     from fieldlens.model import Field, FormatResult
 
-    truth = GroundTruth(
-        "m",
-        MSG_LEN,
-        tuple(
-            GroundTruthField(a, b, SemanticType.BYTES, frozenset())
-            for a, b in true_fields
-        ),
+    truth = tuple(
+        FieldAnnotation(Field(a, b), SemanticType.BYTES, frozenset(), ())
+        for a, b in true_fields
     )
     inferred = FormatResult(
         "m", MSG_LEN, tuple(Field(a, b) for a, b in inferred_fields)
@@ -115,13 +106,8 @@ def test_boundary_counts_are_consistent(true_fields, inferred_fields):
     over, under = count_segmentation_errors(inferred, truth)
     assert over == score.fp and under == score.fn
     # scoring a partition against itself is perfect
-    self_truth = GroundTruth(
-        "m",
-        MSG_LEN,
-        tuple(
-            GroundTruthField(f.start, f.end, SemanticType.BYTES, frozenset())
-            for f in inferred.fields
-        ),
+    self_truth = tuple(
+        FieldAnnotation(f, SemanticType.BYTES, frozenset(), ()) for f in inferred.fields
     )
     self_score = score_format(inferred, self_truth)
     assert self_score.f1 == 1.0 and self_score.perfection == 1.0

@@ -135,9 +135,8 @@ def test_clustering_is_permutation_invariant(refine_corpus):
             assert sorted(ids) == sorted(dict(base.clusters)[value])
 
 
-def brute_force_explore(messages, formats, params=None):
+def brute_force_explore(messages, formats, params=AlignmentParams()):
     """Reference search: align every within-cluster message pair."""
-    params = params or AlignmentParams()
     if len(messages) < 2:
         return Clustering(None, ((b"", tuple(m.id for m in messages)),), 0.0)
     candidates = sorted(

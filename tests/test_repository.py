@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import inspect
 import re
 import shutil
@@ -79,3 +81,53 @@ def test_a_rule_reads_the_message_only_if_marked_as_reading_bytes():
             for node in ast.walk(fn)
         )
         assert loads == rule.reads_bytes, rule.id
+
+
+PERFBENCH = ROOT / "perfbench"
+
+
+def _names_used(path):
+    """``(module, attribute)`` for each fieldlens name ``path`` imports, or
+    reads off a fieldlens module that it imports."""
+    tree = ast.parse(path.read_text())
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fieldlens"):
+            for alias in node.names:
+                try:
+                    module = importlib.import_module(f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:
+                    names.add((node.module, alias.name))
+                else:
+                    modules[alias.asname or alias.name] = module.__name__
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            names.add((modules[node.value.id], node.attr))
+    return names
+
+
+def test_every_name_the_benchmark_looks_up_exists():
+    """The benchmark wraps and imports fieldlens names by string and by path,
+    so a renamed function would otherwise surface only when it runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = {(module, attr) for module, attr, _ in (*tracer.SPANS, *tracer.AGGREGATES)}
+    for script in ("workloads.py", "run.py"):
+        wanted |= _names_used(PERFBENCH / script)
+    assert {
+        ("fieldlens.pipeline", "load_ground_truth"),
+        ("fieldlens.evaluation", "serialize_ground_truth"),
+        ("fieldlens.extraction", "intra_instruction_candidates"),
+        ("fieldlens.extraction", "resolve_overlaps"),
+    } <= wanted
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in sorted(wanted)
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

@@ -270,9 +270,9 @@ def test_bundled_ground_truth_matches_required_binary_shape():
     parser = bundled_parsers()[0]
     messages, truths = parser.generate(40, seed=0)
     chunk_truth = next(
-        t for m, t in zip(messages, truths) if m.data[3] == 0x01
+        t for m, (_, t) in zip(messages, truths) if m.data[3] == 0x01
     )
-    ranges = [(f.start, f.end) for f in chunk_truth.fields]
+    ranges = [(a.field.start, a.field.end) for a in chunk_truth]
     assert ranges == [(0, 1), (2, 2), (3, 3), (4, 5), (6, 7), (8, 9), (10, 17), (18, 19)]
 
 
