@@ -34,9 +34,7 @@ from .reports import (
     annotations_to_doc,
     audit_to_doc,
     check_covers,
-    check_partitions,
     clustering_to_dict,
-    formats_from_doc,
     formats_to_doc,
     read_json,
     write_json,
@@ -140,10 +138,7 @@ def _cmd_extract(args) -> int:
 def _cmd_infer(args) -> int:
     messages, traces, _ = read_inputs(Path(args.traces))
     disabled = frozenset(args.disable_rule or ())
-    formats, annotations = infer_corpus(
-        messages, traces, args.params, args.baseline, disabled
-    )
-    write_json(Path(args.formats_out), formats_to_doc(messages, formats))
+    _, annotations = infer_corpus(messages, traces, args.params, args.baseline, disabled)
     write_json(Path(args.out), annotations_to_doc(annotations))
     print(f"annotated {len(messages)} messages -> {args.out}")
     return 0
@@ -151,10 +146,8 @@ def _cmd_infer(args) -> int:
 
 def _cmd_refine(args) -> int:
     messages, _, _ = read_inputs(Path(args.traces))
-    formats = read_json(Path(args.formats), formats_from_doc)
     annotations = read_json(Path(args.annotations), annotations_from_doc)
-    check_covers({m.id: len(m) for m in messages}, args.formats, formats)
-    check_partitions(formats, args.annotations, annotations)
+    formats = check_covers({m.id: len(m) for m in messages}, args.annotations, annotations)
     clustering, refined, events = refine_corpus(
         messages,
         formats,
@@ -192,15 +185,10 @@ def _summary_table(doc: dict) -> str:
 
 
 def _cmd_score(args) -> int:
-    formats = read_json(Path(args.formats), formats_from_doc)
     annotations = read_json(Path(args.annotations), annotations_from_doc)
-    check_partitions(formats, args.annotations, annotations)
+    formats = annotated_formats(args.annotations, annotations)
     truths = read_ground_truth(Path(args.ground_truth))
-    check_covers(
-        {mid: f.length for mid, f in formats.items()},
-        args.ground_truth,
-        annotated_formats(args.ground_truth, truths),
-    )
+    check_covers({mid: f.length for mid, f in formats.items()}, args.ground_truth, truths)
     report = score_corpus(formats, annotations, truths)
     doc = report.to_dict()
     write_json(Path(args.out), doc)
@@ -230,11 +218,7 @@ def _cmd_run(args) -> int:
 def _cmd_export_template(args) -> int:
     messages, _, _ = read_inputs(Path(args.traces))
     annotations = read_json(Path(args.annotations), annotations_from_doc)
-    check_covers(
-        {m.id: len(m) for m in messages},
-        args.annotations,
-        annotated_formats(args.annotations, annotations),
-    )
+    check_covers({m.id: len(m) for m in messages}, args.annotations, annotations)
     export_fuzz_template(annotations, {m.id: m for m in messages}, Path(args.out))
     print(f"template -> {args.out}")
     return 0
@@ -278,14 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true")
     p.add_argument("--disable-rule", action="append", choices=RULE_IDS,
                    metavar="RULE_ID", help="a rule id that list-rules prints")
-    p.add_argument("--formats-out", default="formats.json")
     p.add_argument("--out", required=True)
     _add_alignment_flags(p)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("refine", help="cluster and refine annotations")
     p.add_argument("--traces", required=True)
-    p.add_argument("--formats", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--audit", default="refinement_audit.json")
@@ -294,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_refine_flags(p)
     p.set_defaults(func=_cmd_refine)
 
-    p = sub.add_parser("score", help="score formats/annotations against ground truth")
-    p.add_argument("--formats", required=True)
+    p = sub.add_parser("score", help="score annotations against ground truth")
     p.add_argument("--annotations", required=True)
     p.add_argument("--ground-truth", required=True)
     p.add_argument("--out", required=True)
@@ -334,10 +315,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except (ParseError, IntegrityError, ModelError, ScriptError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, IntegrityError, ModelError, ScriptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,7 +34,6 @@ from .refinement import (
     single_cluster,
 )
 from .reports import (
-    annotated_formats,
     annotations_to_doc,
     audit_to_doc,
     check_covers,
@@ -193,11 +192,7 @@ def read_inputs(
     if ground_truth is not None:
         if ground_truth != traces:
             truths = read_ground_truth(ground_truth)
-        check_covers(
-            {m.id: len(m) for m in messages},
-            str(ground_truth),
-            annotated_formats(str(ground_truth), truths),
-        )
+        check_covers({m.id: len(m) for m in messages}, str(ground_truth), truths)
     return messages, {t.message_id: t for t in trace_list}, truths
 
 

@@ -1,26 +1,24 @@
-"""The JSON documents the stages pass to each other, and the checks between them.
+"""The JSON documents the stages write, and the checks on those they read.
 
 ``write_json`` writes every document (sorted keys, two-space indent, final
 newline); ``read_json`` reads every stage input, and a file that is not JSON
 or not of the expected shape, down to the type of each scalar, is an
 ``IntegrityError`` naming the file.
 
-- ``formats.json``: a list in corpus order of ``{message_id, length, fields,
-  boundaries}``, each field ``{start, end, accessed}`` (``formats_to_doc``,
-  ``formats_from_doc``).
 - ``annotations.json``: message id -> fields in offset order, each ``{start,
   end, accessed, type, functions, evidence}`` (``annotations_to_doc``,
-  ``annotations_from_doc``).
+  ``annotations_from_doc``).  It is the one document a later stage reads.
+- ``formats.json``: a list in corpus order of ``{message_id, length, fields,
+  boundaries}``, each field ``{start, end, accessed}`` (``formats_to_doc``).
 - ``clustering.json``: the command-position search (``clustering_to_dict``).
 - ``refinement_audit.json``: the refinement events in order (``audit_to_doc``).
 - ``metrics.json`` and ``template.json``: built by ``MetricsReport.to_dict``
-  and ``fuzz_template.build_template``; nothing reads them back.
+  and ``fuzz_template.build_template``.
 
-At each hand-off, ``check_covers`` requires a document's message ids and
-lengths to be the corpus's, and ``check_partitions`` requires each message's
-annotated fields to be exactly its format's fields.  Ground truth is checked
-as annotations: ``annotated_formats`` requires its fields to partition each
-message, and ``check_covers`` its ids and lengths.
+Only ``annotations.json`` is read back.  A stage that reads it gets each
+message's format through ``annotated_formats``, which requires the fields to
+partition the message, and ``check_covers`` requires the message ids and
+lengths to be the corpus's.  Ground truth is checked in the same way.
 """
 
 from __future__ import annotations
@@ -43,11 +41,12 @@ def write_json(path, doc) -> None:
 
 def read_json(path, convert):
     """``convert`` of the JSON document in ``path``; a document that is not
-    JSON or not of the shape ``convert`` expects is an IntegrityError."""
+    JSON, nests too deeply to parse or is not of the shape ``convert``
+    expects is an IntegrityError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return convert(json.load(fh))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise IntegrityError(
             None, f"{path}: malformed document ({type(exc).__name__}: {exc})"
         ) from None
@@ -79,22 +78,10 @@ def _field_from_dict(doc: dict) -> Field:
     )
 
 
-def format_from_dict(doc: dict) -> FormatResult:
-    return FormatResult(
-        _typed(doc["message_id"], str),
-        _typed(doc["length"], int),
-        tuple(_field_from_dict(f) for f in doc["fields"]),
-    )
-
-
 def formats_to_doc(
     messages: Sequence[Message], formats: Mapping[str, FormatResult]
 ) -> list[dict]:
     return [format_to_dict(formats[m.id]) for m in messages]
-
-
-def formats_from_doc(doc: list) -> dict[str, FormatResult]:
-    return {d["message_id"]: format_from_dict(d) for d in doc}
 
 
 def annotation_to_dict(ann: FieldAnnotation) -> dict:
@@ -168,32 +155,6 @@ def audit_to_doc(events: Sequence[RefinementEvent]) -> list[dict]:
     ]
 
 
-def _check_match(what: str, expected: Mapping, found: Mapping, facts: str) -> None:
-    bad = sorted(
-        mid
-        for mid in expected.keys() | found.keys()
-        if expected.get(mid) != found.get(mid)
-    )
-    if bad:
-        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
-        raise IntegrityError(
-            None, f"{what} does not match {facts}: {', '.join(bad[:5])}{more}"
-        )
-
-
-def check_covers(
-    lengths: Mapping[str, int], what: str, formats: Mapping[str, FormatResult]
-) -> None:
-    """Raise IntegrityError unless ``formats`` (read from ``what``) has
-    exactly the message ids of ``lengths``, each of its length."""
-    _check_match(
-        what,
-        lengths,
-        {mid: f.length for mid, f in formats.items()},
-        "the corpus's message ids and lengths",
-    )
-
-
 def annotated_formats(
     what: str, annotations: Mapping[str, Sequence[FieldAnnotation]]
 ) -> dict[str, FormatResult]:
@@ -212,16 +173,24 @@ def annotated_formats(
         raise IntegrityError(None, f"{what}: {exc}") from None
 
 
-def check_partitions(
-    formats: Mapping[str, FormatResult],
+def check_covers(
+    lengths: Mapping[str, int],
     what: str,
     annotations: Mapping[str, Sequence[FieldAnnotation]],
-) -> None:
-    """Raise IntegrityError unless the fields annotated in ``what`` are, for
-    every message and only those, exactly the fields of ``formats``."""
-    _check_match(
-        what,
-        formats,
-        annotated_formats(what, annotations),
-        "the formats' message ids and field ranges",
+) -> dict[str, FormatResult]:
+    """The ``annotated_formats`` of ``annotations`` (read from ``what``); an
+    IntegrityError unless they have exactly the message ids of ``lengths``,
+    each of its length."""
+    formats = annotated_formats(what, annotations)
+    found = {mid: f.length for mid, f in formats.items()}
+    bad = sorted(
+        mid for mid in lengths.keys() | found.keys() if lengths.get(mid) != found.get(mid)
     )
+    if bad:
+        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+        raise IntegrityError(
+            None,
+            f"{what} does not match the corpus's message ids and lengths: "
+            f"{', '.join(bad[:5])}{more}",
+        )
+    return formats

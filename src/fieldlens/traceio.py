@@ -333,8 +333,20 @@ def load_corpus_stream(stream: TextIO) -> tuple[list[Message], list[ExecutionTra
 
 
 def load_corpus(path) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_interchange(fh)
+    """``read_interchange`` of the file ``path``; a file that is not UTF-8 is
+    a ParseError on the first line that does not decode."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return read_interchange(fh)
+    except UnicodeDecodeError:
+        # Text is decoded a block at a time, so the failing line is found again.
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(line_no, f"not UTF-8 text ({exc.reason})") from None
+        raise
 
 
 def _record_to_line(msg_id: str, rec: InstructionRecord) -> str:

@@ -60,7 +60,7 @@ def test_run_reports_are_deterministic(tmp_path, corpus):
 
 
 def test_stage_chain_matches_run(tmp_path, corpus):
-    """infer -> refine -> score -> export-template writes run's six reports."""
+    """extract, infer -> refine -> score -> export-template write run's six reports."""
     run_dir = tmp_path / "run"
     assert run_cli(
         "run", "--traces", corpus, "--ground-truth", corpus, "--out-dir", run_dir
@@ -73,19 +73,15 @@ def test_stage_chain_matches_run(tmp_path, corpus):
         )
     }
     pre = tmp_path / "pre.json"
+    assert run_cli("extract", "--traces", corpus, "--out", chain["formats.json"]) == 0
+    assert run_cli("infer", "--traces", corpus, "--out", pre) == 0
     assert run_cli(
-        "infer", "--traces", corpus, "--formats-out", chain["formats.json"],
-        "--out", pre,
-    ) == 0
-    assert run_cli(
-        "refine", "--traces", corpus, "--formats", chain["formats.json"],
-        "--annotations", pre, "--out", chain["annotations.json"],
+        "refine", "--traces", corpus, "--annotations", pre, "--out", chain["annotations.json"],
         "--audit", chain["refinement_audit.json"],
         "--clusters", chain["clustering.json"],
     ) == 0
     assert run_cli(
-        "score", "--formats", chain["formats.json"],
-        "--annotations", chain["annotations.json"],
+        "score", "--annotations", chain["annotations.json"],
         "--ground-truth", corpus, "--out", chain["metrics.json"],
     ) == 0
     assert run_cli(
@@ -123,8 +119,7 @@ def test_ablation_flags_run(tmp_path, corpus):
 def test_export_template(tmp_path, corpus):
     anns = tmp_path / "annotations.json"
     template = tmp_path / "template.json"
-    assert run_cli("infer", "--traces", corpus, "--formats-out",
-                   tmp_path / "f.json", "--out", anns) == 0
+    assert run_cli("infer", "--traces", corpus, "--out", anns) == 0
     assert run_cli(
         "export-template", "--traces", corpus, "--annotations", anns,
         "--out", template,
@@ -176,7 +171,7 @@ def test_list_rules(capsys):
 @pytest.mark.parametrize(
     "command,outputs",
     [
-        ("infer", ("--formats-out", "formats.json", "--out", "pre.json")),
+        ("infer", ("--out", "pre.json")),
         ("run", ("--out-dir", "reports")),
     ],
 )
@@ -203,13 +198,10 @@ def test_alignment_flag_overrides(tmp_path, corpus):
 
 
 @pytest.fixture()
-def stage_files(tmp_path, corpus):
-    formats = tmp_path / "formats.json"
+def anns(tmp_path, corpus):
     anns = tmp_path / "annotations.json"
-    assert run_cli(
-        "infer", "--traces", corpus, "--formats-out", formats, "--out", anns
-    ) == 0
-    return formats, anns
+    assert run_cli("infer", "--traces", corpus, "--out", anns) == 0
+    return anns
 
 
 def _drop_first_message(path, tmp_path):
@@ -221,39 +213,36 @@ def _drop_first_message(path, tmp_path):
     return out, dropped
 
 
-def _refine(corpus, formats, anns, tmp_path):
+def _refine(corpus, anns, tmp_path):
     return run_cli(
-        "refine", "--traces", corpus, "--formats", formats,
+        "refine", "--traces", corpus,
         "--annotations", anns, "--out", tmp_path / "refined.json",
         "--audit", tmp_path / "audit.json", "--clusters", tmp_path / "clusters.json",
     )
 
 
-def test_refine_rejects_annotations_missing_a_message(tmp_path, corpus, stage_files, capsys):
-    formats, anns = stage_files
+def test_refine_rejects_annotations_missing_a_message(tmp_path, corpus, anns, capsys):
     partial, dropped = _drop_first_message(anns, tmp_path)
-    assert _refine(corpus, formats, partial, tmp_path) == 2
+    assert _refine(corpus, partial, tmp_path) == 2
     err = capsys.readouterr().err
     assert "error:" in err and dropped in err
     assert not (tmp_path / "refined.json").exists()
 
 
-def test_refine_rejects_formats_of_another_length(tmp_path, corpus, stage_files, capsys):
-    formats, anns = stage_files
-    doc = json.loads(formats.read_text())
-    last = doc[0]["fields"][-1]
+def test_refine_rejects_annotations_of_another_length(tmp_path, corpus, anns, capsys):
+    doc = json.loads(anns.read_text())
+    first = sorted(doc)[0]
+    last = doc[first][-1]
     last["end"] += 1
-    doc[0]["length"] += 1
-    formats.write_text(json.dumps(doc))
-    assert _refine(corpus, formats, anns, tmp_path) == 2
-    assert doc[0]["message_id"] in capsys.readouterr().err
+    anns.write_text(json.dumps(doc))
+    assert _refine(corpus, anns, tmp_path) == 2
+    assert first in capsys.readouterr().err
 
 
-def test_score_rejects_annotations_missing_a_message(tmp_path, corpus, stage_files, capsys):
-    formats, anns = stage_files
+def test_score_rejects_annotations_missing_a_message(tmp_path, corpus, anns, capsys):
     partial, dropped = _drop_first_message(anns, tmp_path)
     assert run_cli(
-        "score", "--formats", formats, "--annotations", partial,
+        "score", "--annotations", partial,
         "--ground-truth", corpus, "--out", tmp_path / "metrics.json",
     ) == 2
     err = capsys.readouterr().err
@@ -262,11 +251,11 @@ def test_score_rejects_annotations_missing_a_message(tmp_path, corpus, stage_fil
 
 
 
-def _run_stage_and_expect_exit_2(tmp_path, corpus, command, formats, anns, named):
+def _run_stage_and_expect_exit_2(tmp_path, corpus, command, anns, named):
     """Run ``command`` in a fresh interpreter; it must exit 2 naming ``named``."""
     extra = {
-        "refine": ["--traces", corpus, "--formats", formats],
-        "score": ["--formats", formats, "--ground-truth", corpus],
+        "refine": ["--traces", corpus],
+        "score": ["--ground-truth", corpus],
         "export-template": ["--traces", corpus],
     }[command]
     proc = subprocess.run(
@@ -284,25 +273,22 @@ def _run_stage_and_expect_exit_2(tmp_path, corpus, command, formats, anns, named
 
 
 @pytest.mark.parametrize(
-    "command, target, content",
+    "command, content",
     [
-        pytest.param("refine", "formats", '[{"message_id": "bin000"}]', id="missing-key"),
-        pytest.param("refine", "formats", "{not json", id="not-json"),
-        pytest.param("score", "annotations", None, id="score-unknown-type"),
-        pytest.param("export-template", "annotations", None, id="template-unknown-type"),
+        pytest.param("refine", '{"bin000": [{"start": 0}]}', id="missing-key"),
+        pytest.param("refine", "{not json", id="not-json"),
+        pytest.param("score", None, id="score-unknown-type"),
+        pytest.param("export-template", None, id="template-unknown-type"),
+        pytest.param("export-template", "[" * 200_000, id="too-deep"),
     ],
 )
-def test_malformed_json_document_exits_2(tmp_path, corpus, stage_files, command, target, content):
-    formats, anns = stage_files
-    files = {"formats": formats, "annotations": anns}
+def test_malformed_json_document_exits_2(tmp_path, corpus, anns, command, content):
     if content is None:
         doc = json.loads(anns.read_text())
         doc[sorted(doc)[0]][0]["type"] = "FOO"
         content = json.dumps(doc)
-    files[target].write_text(content)
-    _run_stage_and_expect_exit_2(
-        tmp_path, corpus, command, formats, anns, files[target]
-    )
+    anns.write_text(content)
+    _run_stage_and_expect_exit_2(tmp_path, corpus, command, anns, anns)
 
 
 def _float_offsets(fields):
@@ -311,19 +297,19 @@ def _float_offsets(fields):
 
 
 @pytest.mark.parametrize(
-    "command, named",
-    [("refine", "formats"), ("score", "formats"), ("export-template", "annotations")],
+    "command",
+    [
+        pytest.param("refine", id="refine-annotations"),
+        pytest.param("score", id="score-annotations"),
+        pytest.param("export-template", id="export-template-annotations"),
+    ],
 )
-def test_non_integer_offsets_exit_2(tmp_path, corpus, stage_files, command, named):
-    # 1.0 == 1, so these documents pass the id, length and partition checks
-    formats, anns = stage_files
-    format_doc, ann_doc = json.loads(formats.read_text()), json.loads(anns.read_text())
-    _float_offsets(format_doc[0]["fields"])
-    _float_offsets(ann_doc[format_doc[0]["message_id"]])
-    formats.write_text(json.dumps(format_doc))
-    anns.write_text(json.dumps(ann_doc))
-    files = {"formats": formats, "annotations": anns}
-    _run_stage_and_expect_exit_2(tmp_path, corpus, command, formats, anns, files[named])
+def test_non_integer_offsets_exit_2(tmp_path, corpus, anns, command):
+    # 1.0 == 1, so this document passes the id, length and partition checks
+    doc = json.loads(anns.read_text())
+    _float_offsets(doc[sorted(doc)[0]])
+    anns.write_text(json.dumps(doc))
+    _run_stage_and_expect_exit_2(tmp_path, corpus, command, anns, anns)
 
 
 def _extra_message(doc):
@@ -348,27 +334,23 @@ def _second_field_overlaps_first(doc):
         pytest.param("score", _second_field_overlaps_first, id="score-overlap"),
     ],
 )
-def test_annotations_must_partition_each_message(tmp_path, corpus, stage_files, command, edit):
-    formats, anns = stage_files
+def test_annotations_must_partition_each_message(tmp_path, corpus, anns, command, edit):
     doc = json.loads(anns.read_text())
     edit(doc)
     anns.write_text(json.dumps(doc))
-    _run_stage_and_expect_exit_2(tmp_path, corpus, command, formats, anns, anns)
+    _run_stage_and_expect_exit_2(tmp_path, corpus, command, anns, anns)
 
 
-def test_score_names_a_ground_truth_file_of_another_length(tmp_path, corpus, stage_files):
-    formats, anns = stage_files
-    first = json.loads(formats.read_text())[0]
-    end = first["length"]
+def test_score_names_a_ground_truth_file_of_another_length(tmp_path, corpus, anns):
+    doc = json.loads(anns.read_text())
+    first = sorted(doc)[0]
+    end = doc[first][-1]["end"] + 1
     truth = tmp_path / "truth.fl"
-    truth.write_text(
-        corpus.read_text() + f"gt {first['message_id']} field={end}-{end} type=BYTES funcs=-\n"
-    )
-    _run_stage_and_expect_exit_2(tmp_path, truth, "score", formats, anns, truth)
+    truth.write_text(corpus.read_text() + f"gt {first} field={end}-{end} type=BYTES funcs=-\n")
+    _run_stage_and_expect_exit_2(tmp_path, truth, "score", anns, truth)
 
 
-def test_score_reads_a_ground_truth_only_file(tmp_path, corpus, stage_files):
-    formats, anns = stage_files
+def test_score_reads_a_ground_truth_only_file(tmp_path, corpus, anns):
     truth = tmp_path / "truth.fl"
     truth.write_text("".join(
         line for line in corpus.read_text().splitlines(keepends=True)
@@ -376,7 +358,7 @@ def test_score_reads_a_ground_truth_only_file(tmp_path, corpus, stage_files):
     ))
     for ground_truth, out in ((corpus, "joint.json"), (truth, "split.json")):
         assert run_cli(
-            "score", "--formats", formats, "--annotations", anns,
+            "score", "--annotations", anns,
             "--ground-truth", ground_truth, "--out", tmp_path / out,
         ) == 0
     assert (tmp_path / "split.json").read_bytes() == (tmp_path / "joint.json").read_bytes()
@@ -389,11 +371,10 @@ def test_score_reads_a_ground_truth_only_file(tmp_path, corpus, stage_files):
         pytest.param("rec bin000 seq=1 op=mov class=NOPE off=0", id="malformed-rec"),
     ],
 )
-def test_score_rejects_a_malformed_ground_truth_file(tmp_path, corpus, stage_files, bad_line):
-    formats, anns = stage_files
+def test_score_rejects_a_malformed_ground_truth_file(tmp_path, corpus, anns, bad_line):
     truth = tmp_path / "truth.fl"
     truth.write_text(corpus.read_text() + bad_line + "\n")
-    _run_stage_and_expect_exit_2(tmp_path, truth, "score", formats, anns, truth)
+    _run_stage_and_expect_exit_2(tmp_path, truth, "score", anns, truth)
 
 
 @pytest.mark.parametrize(
@@ -458,9 +439,9 @@ def test_run_rejects_ground_truth_for_an_unknown_message(tmp_path, corpus, capsy
     [
         pytest.param(["extract", "--out", "f.json", "--similarity-threshold", "1.5"],
                      "similarity_threshold", id="extract-threshold"),
-        pytest.param(["infer", "--out", "a.json", "--formats-out", "f.json",
-                      "--gap-score", "1"], "gap_score", id="infer-gap"),
-        pytest.param(["refine", "--formats", "f.json", "--annotations", "a.json",
+        pytest.param(["infer", "--out", "a.json", "--gap-score", "1"], "gap_score",
+                     id="infer-gap"),
+        pytest.param(["refine", "--annotations", "a.json",
                       "--out", "r.json", "--match-score", "-1"],
                      "match_score", id="refine-match"),
         pytest.param(["run", "--out-dir", "reports", "--match-score", "0",
@@ -477,10 +458,13 @@ def test_run_rejects_ground_truth_for_an_unknown_message(tmp_path, corpus, capsy
                      "'nope'", id="generate-unknown-parser"),
         pytest.param(["generate-traces", "--script", "p.pvm", "--out", "g.fl"],
                      "--corpus", id="generate-script-without-corpus"),
+        pytest.param(["run", "--traces", ".", "--out-dir", "reports"],
+                     "Is a directory: '.'", id="run-traces-directory"),
+        pytest.param(["extract", "--out", "."], "Is a directory: '.'", id="extract-out-directory"),
     ],
 )
 def test_bad_flags_exit_2_before_reading_input(tmp_path, corpus, argv, named):
-    if argv[0] != "generate-traces":
+    if argv[0] != "generate-traces" and "--traces" not in argv:
         argv = [*argv, "--traces", str(corpus)]
     proc = subprocess.run(
         [sys.executable, "-m", "fieldlens.cli", *argv],
@@ -531,3 +515,25 @@ def test_a_traces_file_without_messages_exits_2(tmp_path, capsys, content, comma
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(traces) in err and "msg line" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "score"])
+def test_an_interchange_file_that_is_not_utf8_exits_2(tmp_path, corpus, anns, command):
+    bad = tmp_path / "bad.fl"
+    bad.write_bytes(corpus.read_bytes() + b"# caf\xff\n")
+    line = len(corpus.read_bytes().splitlines()) + 1
+    argv = {
+        "run": ["--traces", bad, "--out-dir", "reports"],
+        "score": ["--annotations", anns, "--ground-truth", bad, "--out", "metrics.json"],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldlens.cli", command, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {bad}: line {line}: not UTF-8")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "reports").exists() and not (tmp_path / "metrics.json").exists()

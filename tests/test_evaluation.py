@@ -89,11 +89,7 @@ def test_length_mismatch_is_integrity_error():
     truth = gt(gtf(0, 7))
     inferred = fmt("m", 6)
     with pytest.raises(IntegrityError):
-        check_covers(
-            {inferred.message_id: inferred.length},
-            "truth.fl",
-            annotated_formats("truth.fl", {"m": truth}),
-        )
+        check_covers({inferred.message_id: inferred.length}, "truth.fl", {"m": truth})
 
 
 def test_metrics_invariant_under_id_renaming():
@@ -396,7 +392,7 @@ def test_ground_truth_round_trips_and_must_partition(truths, data):
         mid: facts(t) for mid, t in truths.items()
     }
     lengths = {mid: t[-1].field.end + 1 for mid, t in truths.items()}
-    check_covers(lengths, "truth.fl", annotated_formats("truth.fl", loaded))
+    check_covers(lengths, "truth.fl", loaded)
 
     split = [mid for mid, t in truths.items() if len(t) > 1]
     if split:

@@ -19,12 +19,9 @@ from fieldlens.pipeline import (
     run_pipeline,
 )
 from fieldlens.reports import (
-    annotated_formats,
     annotation_from_dict,
     annotations_from_doc,
     annotations_to_doc,
-    format_from_dict,
-    format_to_dict,
     check_covers,
     formats_to_doc,
 )
@@ -100,7 +97,7 @@ def test_separate_ground_truth_file_scores_the_same(tmp_path, small_corpus):
 def _check_truth(messages, what, truths):
     """The ground-truth check of ``run`` and ``score``: ``score_corpus``
     itself takes its ground truth as checked."""
-    check_covers({m.id: len(m) for m in messages}, what, annotated_formats(what, truths))
+    check_covers({m.id: len(m) for m in messages}, what, truths)
 
 
 def test_score_corpus_reports_missing_ground_truth_ids(small_corpus):
@@ -314,19 +311,11 @@ def test_refine_corpus_toggles(small_corpus):
 def test_annotation_documents_round_trip(small_corpus):
     path, messages, traces, _ = small_corpus
     traces_map = {t.message_id: t for t in traces}
-    formats, annotations = infer_corpus(messages, traces_map, AlignmentParams())
+    _, annotations = infer_corpus(messages, traces_map, AlignmentParams())
     doc = json.loads(json.dumps(annotations_to_doc(annotations)))
     assert annotations_from_doc(doc) == annotations
-    for fmt in formats.values():
-        assert format_from_dict(json.loads(json.dumps(format_to_dict(fmt)))) == fmt
 
 
-_FORMAT = {
-    "message_id": "m",
-    "length": 2,
-    "fields": [{"start": 0, "end": 1, "accessed": True}],
-    "boundaries": [],
-}
 _ANNOTATION = {
     "start": 0,
     "end": 1,
@@ -338,28 +327,26 @@ _ANNOTATION = {
 
 
 @pytest.mark.parametrize(
-    "convert, doc, path, value",
+    "path, value",
     [
-        pytest.param(format_from_dict, _FORMAT, ("message_id",), 5, id="id-int"),
-        pytest.param(format_from_dict, _FORMAT, ("length",), 2.0, id="length-float"),
-        pytest.param(format_from_dict, _FORMAT, ("fields", 0, "end"), 1.0, id="end-float"),
-        pytest.param(annotation_from_dict, _ANNOTATION, ("start",), False, id="start-bool"),
-        pytest.param(annotation_from_dict, _ANNOTATION, ("accessed",), 1, id="accessed-int"),
-        pytest.param(annotation_from_dict, _ANNOTATION, ("evidence", 0, "rule"), 7, id="rule-int"),
-        pytest.param(annotation_from_dict, _ANNOTATION, ("evidence", 0, "seq"), "3", id="seq-str"),
-        pytest.param(annotation_from_dict, _ANNOTATION, ("evidence", 0, "note"), None, id="note-null"),
+        pytest.param(("end",), 1.0, id="end-float"),
+        pytest.param(("start",), False, id="start-bool"),
+        pytest.param(("accessed",), 1, id="accessed-int"),
+        pytest.param(("evidence", 0, "rule"), 7, id="rule-int"),
+        pytest.param(("evidence", 0, "seq"), "3", id="seq-str"),
+        pytest.param(("evidence", 0, "note"), None, id="note-null"),
     ],
 )
-def test_stage_document_scalars_are_type_checked(convert, doc, path, value):
-    convert(doc)
-    bad = copy.deepcopy(doc)
+def test_stage_document_scalars_are_type_checked(path, value):
+    annotation_from_dict(_ANNOTATION)
+    bad = copy.deepcopy(_ANNOTATION)
     *parents, key = path
     target = bad
     for k in parents:
         target = target[k]
     target[key] = value
     with pytest.raises(TypeError):
-        convert(bad)
+        annotation_from_dict(bad)
 
 
 def test_disabled_rules_flow_through_pipeline(tmp_path, small_corpus):

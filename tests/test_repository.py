@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+import shlex
 import shutil
 import subprocess
 import textwrap
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from fieldlens.cli import build_parser
 from fieldlens.detectors import LIBRARY, RULE_IDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +59,24 @@ def test_only_reports_knows_json():
         ]
     assert sorted(set(importers)) == ["reports.py"]
     assert all(c.startswith("reports.py:") for c in converters), converters
+
+
+def test_readme_cli_examples_parse():
+    """Every ``fieldlens`` command in README's CLI block parses, so a flag
+    that the program no longer has cannot linger in the docs."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    commands = [
+        shlex.split(line)[1:]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("fieldlens ")
+    ]
+    assert commands
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's CLI block does not parse: fieldlens {shlex.join(argv)}")
 
 
 def test_each_rule_id_is_spelled_once():
