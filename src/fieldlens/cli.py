@@ -82,7 +82,18 @@ def _cmd_generate(args) -> int:
         if not args.corpus:
             print("error: --script requires --corpus", file=sys.stderr)
             return 2
-        script = parse_script(Path(args.script).read_text(), Path(args.script).stem)
+        path = Path(args.script)
+        raw = path.read_bytes()
+        try:
+            script = parse_script(raw.decode("utf-8"), path.stem)
+        except UnicodeDecodeError as exc:
+            line_no = raw.count(b"\n", 0, exc.start) + 1
+            print(f"error: {path}: line {line_no}: not UTF-8 text ({exc.reason})",
+                  file=sys.stderr)
+            return 2
+        except ScriptError as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
         messages, _, _ = read_inputs(Path(args.corpus))
         traces = []
         for msg in messages:

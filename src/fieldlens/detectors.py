@@ -81,9 +81,6 @@ class FieldAnnotation:
     inferred_functions: frozenset[SemanticFunction]
     evidence: tuple[Evidence, ...]
 
-    def evidence_for(self, rule_prefix: str) -> tuple[Evidence, ...]:
-        return tuple(e for e in self.evidence if e.rule.startswith(rule_prefix))
-
 
 Records = Sequence[InstructionRecord]
 #: (loop id, every record of that loop) for each loop that covers a field

@@ -7,10 +7,9 @@ use.  Offsets are byte-granular; bit-level fields are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Tuple
 
 
@@ -91,7 +90,6 @@ class InstructionRecord:
     loop_role: Optional[LoopRole] = None
     api_call: Optional[ApiCall] = None
     pointer_arith: Optional[PointerArith] = None
-    value_snapshot: Optional[bytes] = None
     operand_lineage: Optional[Tuple[frozenset[int], frozenset[int]]] = None
 
     def __post_init__(self) -> None:
@@ -205,12 +203,6 @@ class FormatResult:
         return tuple(f.start for f in self.fields if f.start > 0)
 
 
-#: every record attribute that an analysis stage reads: all but
-#: ``value_snapshot``, which only the interchange reader and writer touch
-_ANALYSED = attrgetter(
-    *(f.name for f in dc_fields(InstructionRecord) if f.name != "value_snapshot")
-)
-
 #: a message length plus one number per record, in trace order
 ShapeKey = tuple[int, tuple[int, ...]]
 
@@ -218,15 +210,14 @@ ShapeKey = tuple[int, tuple[int, ...]]
 def shape_keys(
     messages: Iterable[Message], traces: Mapping[str, ExecutionTrace]
 ) -> dict[str, ShapeKey]:
-    """Each message's trace shape: its length and its records with
-    ``value_snapshot`` dropped.
+    """Each message's trace shape: its length and its records.
 
     Extraction and the detectors read nothing else of a trace, so traces of
     one shape get one format and one set of per-field records; only the
     rules that read the message's bytes can tell them apart.  Equal records
     get one number, so keys compare equal only within one call.
     """
-    numbers: dict[tuple, int] = {}
+    numbers: dict[InstructionRecord, int] = {}
     # the reader shares one object per distinct record; number each object
     # once (the records stay alive in ``traces``, so no id is reused)
     by_object: dict[int, int] = {}
@@ -236,7 +227,7 @@ def shape_keys(
         for rec in traces[msg.id].records:
             n = by_object.get(id(rec))
             if n is None:
-                n = by_object[id(rec)] = numbers.setdefault(_ANALYSED(rec), len(numbers))
+                n = by_object[id(rec)] = numbers.setdefault(rec, len(numbers))
             row.append(n)
         keys[msg.id] = (len(msg), tuple(row))
     return keys

@@ -17,9 +17,10 @@ does not define below is a ParseError:
     constant), ``result`` (comparison outcome), ``jump`` (a control transfer
     immediately followed a true comparison), ``loop``/``role`` (enclosing
     loop id and BODY or TERMINATION), ``api`` (``name:ROLE``), ``ptr``
-    (POINTER_INCREMENT or COUNTER_DECREMENT), ``value`` (little-endian value
-    snapshot), and ``lineage`` (per-operand offset provenance of a
-    comparison, two offset sets separated by ``/``).
+    (POINTER_INCREMENT or COUNTER_DECREMENT), and ``lineage`` (per-operand
+    offset provenance of a comparison, two offset sets separated by ``/``).
+    ``value`` (a hex value snapshot, written by older versions) is accepted
+    and checked as a byte string, but no stage reads it, so it is dropped.
 
 ``gt <msg-id> field=S-E type=TYPE funcs=F|F|... [accessed=true|false]``
     Ground-truth field annotation.  The reader tokenizes it and hands the
@@ -236,7 +237,8 @@ def _record_from_line(ln: RawLine, length: int, cache: OffsetCache) -> Instructi
             pointer = PointerArith[kv["ptr"]]
         except KeyError:
             raise ParseError(ln.line_no, f"unknown ptr kind {kv['ptr']!r}") from None
-    snapshot = _parse_hex(kv["value"], ln.line_no) if "value" in kv else None
+    if "value" in kv:  # older files carry it; checked, then dropped
+        _parse_hex(kv["value"], ln.line_no)
     lineage = None
     if "lineage" in kv:
         if "/" not in kv["lineage"]:
@@ -260,7 +262,6 @@ def _record_from_line(ln: RawLine, length: int, cache: OffsetCache) -> Instructi
             loop_role=loop_role,
             api_call=api_call,
             pointer_arith=pointer,
-            value_snapshot=snapshot,
             operand_lineage=lineage,
         )
     except ModelError as exc:
@@ -371,8 +372,6 @@ def _record_to_line(msg_id: str, rec: InstructionRecord) -> str:
         parts.append(f"api={rec.api_call.name}:{rec.api_call.tainted_arg_role.name}")
     if rec.pointer_arith is not None:
         parts.append(f"ptr={rec.pointer_arith.name}")
-    if rec.value_snapshot is not None:
-        parts.append(f"value=0x{rec.value_snapshot.hex()}")
     if rec.operand_lineage is not None:
         lhs, rhs = rec.operand_lineage
         parts.append(f"lineage={format_offsets(lhs)}/{format_offsets(rhs)}")

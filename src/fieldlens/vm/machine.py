@@ -12,7 +12,9 @@ Comparisons record both sides' lineage for the checksum detector.
 
 An instruction emits a record exactly when the union of its operands' taint
 labels is non-empty; the record's ``accessed_offsets`` is that union and
-``reads`` is the subset fetched directly from the message buffer.  A
+``reads`` is the subset fetched directly from the message buffer.  Records
+keep no register values, only a comparison's immediate constant and
+outcome, so messages whose bytes steer the script alike get equal traces.  A
 comparison whose outcome is true and that is immediately followed by a
 conditional jump gets ``triggered_jump`` (the compiled ``if`` idiom, whether
 the branch is taken or falls through).
@@ -81,10 +83,6 @@ class _RegFile:
         self.lineage = {f"r{i}": frozenset() for i in range(16)}
 
 
-def _snap(value: int) -> bytes:
-    return value.to_bytes(max(1, (value.bit_length() + 7) // 8), "little")
-
-
 _API_ROLES = {
     "length": ArgRole.LENGTH_ARG,
     "buffer": ArgRole.BUFFER_ARG,
@@ -147,8 +145,7 @@ def run(
                 reason = TermReason.REJECT
                 break
             offsets = frozenset(range(addr, addr + width))
-            value = int.from_bytes(data[addr : addr + width], "little")
-            regs.value[dst.name] = value
+            regs.value[dst.name] = int.from_bytes(data[addr : addr + width], "little")
             regs.taint[dst.name] = offsets | idx_taint
             regs.lineage[dst.name] = offsets | idx_lineage
             emit(
@@ -157,7 +154,6 @@ def run(
                 op_class=OpClass.MOV_SERIES,
                 accessed_offsets=offsets | idx_taint,
                 reads=offsets,
-                value_snapshot=_snap(value),
             )
         elif mnem == "mov":
             dst, src = ins.operands
@@ -172,14 +168,12 @@ def run(
                     operator="mov",
                     op_class=OpClass.MOV_SERIES,
                     accessed_offsets=taint,
-                    value_snapshot=_snap(value),
                 )
         elif mnem == "tbl":
             dst, src = ins.operands
             assert isinstance(dst, Reg)
             value, taint, lineage = read_src(src)
-            result = TABLE[value & 0xFF]
-            regs.value[dst.name] = result
+            regs.value[dst.name] = TABLE[value & 0xFF]
             regs.taint[dst.name] = frozenset()
             regs.lineage[dst.name] = lineage | taint
             if taint:
@@ -188,7 +182,6 @@ def run(
                     operator="mov",
                     op_class=OpClass.MOV_SERIES,
                     accessed_offsets=taint,
-                    value_snapshot=_snap(result),
                 )
         elif mnem in ARITH:
             dst, src = ins.operands
@@ -226,7 +219,6 @@ def run(
                     op_class=OpClass.ARITH_BITWISE,
                     accessed_offsets=taint,
                     pointer_arith=pointer,
-                    value_snapshot=_snap(value),
                 )
         elif mnem == "cmp":
             a, b = ins.operands
@@ -234,11 +226,11 @@ def run(
             vb, tb, lb = read_src(b)
             flag_vals = (va, vb)
             if ta or tb:
+                imm = a if isinstance(a, Imm) else b if isinstance(b, Imm) else None
                 const = None
-                if isinstance(a, Imm):
-                    const = _snap(a.value)
-                elif isinstance(b, Imm):
-                    const = _snap(b.value)
+                if imm is not None:  # its shortest little-endian bytes
+                    width = max(1, (imm.value.bit_length() + 7) // 8)
+                    const = imm.value.to_bytes(width, "little")
                 this_cmp = emit(
                     ins,
                     operator="cmp",
@@ -247,7 +239,6 @@ def run(
                     compared_const=const,
                     cmp_result=(va == vb),
                     operand_lineage=(la | ta, lb | tb),
-                    value_snapshot=_snap(va),
                 )
         elif mnem == "jmp":
             next_pc = ins.operands[0].value
@@ -267,7 +258,7 @@ def run(
                 next_pc = ins.operands[0].value
         elif mnem == "api":
             name, src, role = ins.operands
-            value, taint, lineage = read_src(src)
+            _, taint, _ = read_src(src)
             role_key = str(role).lower()  # validated at parse time
             if taint:
                 emit(
@@ -276,7 +267,6 @@ def run(
                     op_class=OpClass.CALL,
                     accessed_offsets=taint,
                     api_call=ApiCall(str(name), _API_ROLES[role_key]),
-                    value_snapshot=_snap(value),
                 )
         elif mnem in ("loop", "endloop"):
             pass

@@ -47,3 +47,8 @@ def count_violations():
         )
 
     return count
+
+
+def evidence_for(ann, rule_prefix):
+    """The evidence of ``ann`` from rules whose id starts with ``rule_prefix``."""
+    return [e for e in ann.evidence if e.rule.startswith(rule_prefix)]

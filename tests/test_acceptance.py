@@ -30,6 +30,7 @@ from fieldlens.refinement import (
 )
 from fieldlens.vm import TermReason, bundled_parsers, run
 
+from conftest import evidence_for
 from test_alignment import brute_force_score
 
 T = SemanticType
@@ -86,8 +87,8 @@ def test_criterion_checksum_semantics(example3):
     ann = target[0]
     assert ann.inferred_type is T.INTEGER
     assert F.CHECKSUM in ann.inferred_functions
-    type_seqs = {e.seq for e in ann.evidence_for("type.integer")}
-    func_seqs = {e.seq for e in ann.evidence_for("func.checksum")}
+    type_seqs = {e.seq for e in evidence_for(ann, "type.integer")}
+    func_seqs = {e.seq for e in evidence_for(ann, "func.checksum")}
     assert type_seqs == {5, 6}  # the shl and or records
     assert func_seqs == {16}  # the final compare
     _report("example-3: (21,22) integer + checksum, evidence cites shl/or and final cmp")

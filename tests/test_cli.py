@@ -140,6 +140,31 @@ def test_generate_with_custom_script(tmp_path, corpus):
     assert "op=cmp" in text
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        pytest.param(b"accept\n# caf\xff\n", "line 2: not UTF-8 text", id="not-utf8"),
+        pytest.param(b"bogus r0\naccept\n", "line 1: unknown mnemonic 'bogus'",
+                     id="bad-mnemonic"),
+    ],
+)
+def test_a_bad_script_exits_2_naming_the_script(tmp_path, corpus, content, message):
+    script = tmp_path / "bad.pvm"
+    script.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldlens.cli", "generate-traces", "--script", str(script),
+         "--corpus", str(corpus), "--out", "g.fl"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {script}: {message}")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "g.fl").exists()
+
+
 def test_malformed_input_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.fl"
     bad.write_text("rec ghost seq=1 op=mov class=MOV_SERIES off=0\n")

@@ -27,6 +27,8 @@ from fieldlens.model import (
 from fieldlens.pipeline import infer_corpus
 from fieldlens.vm import bundled_parsers, run as vm_run
 
+from conftest import evidence_for
+
 
 def rec(seq, op, klass, offsets, reads=None, **kw):
     offsets = frozenset(offsets)
@@ -58,12 +60,12 @@ MSG = Message("m", bytes(range(16)))
 
 def detect_type(field, t, message, disabled_rules=()):
     ann = annotate(field, t, message, disabled_rules)
-    return ann.inferred_type, list(ann.evidence_for("type."))
+    return ann.inferred_type, evidence_for(ann, "type.")
 
 
 def detect_functions(field, t, message, disabled_rules=()):
     ann = annotate(field, t, message, disabled_rules)
-    return set(ann.inferred_functions), list(ann.evidence_for("func."))
+    return set(ann.inferred_functions), evidence_for(ann, "func.")
 
 
 def test_static_fires_on_true_comparison_with_only_moves():

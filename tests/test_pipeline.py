@@ -148,9 +148,7 @@ def _docs(messages, inferred):
 
 
 def _shape(message, trace):
-    return len(message), tuple(
-        dataclasses.replace(r, value_snapshot=None) for r in trace.records
-    )
+    return len(message), trace.records
 
 
 def _counting(monkeypatch, module, name, key):
@@ -242,22 +240,6 @@ def test_a_record_that_differs_in_an_analysed_attribute_is_its_own_shape(attr):
     inferred = infer_corpus(messages, changed, params)
     assert inferred == after
     assert _docs(messages, inferred) == _docs(messages, after)
-
-
-def test_a_record_that_differs_only_in_its_value_snapshot_shares_the_shape(monkeypatch):
-    messages, traces = _generated((4, 2), (4, 2))
-    shapes = [_shape(m, traces[m.id]) for m in messages]
-    victim, sibling = next(
-        (a, b) for i, (a, sa) in enumerate(zip(messages, shapes))
-        for b, sb in zip(messages[i + 1:], shapes[i + 1:]) if sa == sb
-    )
-    records = traces[victim.id].records
-    snapshot = dataclasses.replace(records[0], value_snapshot=b"\xff\xfe\xfd")
-    changed = {**traces, victim.id: ExecutionTrace(victim.id, (snapshot,) + records[1:])}
-    extracted = _counting(monkeypatch, pipeline, "extract_format", lambda m, *_: m.id)
-    formats, _ = infer_corpus(messages, changed, AlignmentParams())
-    assert len(extracted) == len(set(shapes))
-    assert formats[victim.id].fields is formats[sibling.id].fields
 
 
 def test_audit_prints_no_negative_zero(tmp_path):

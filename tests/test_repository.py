@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -14,6 +15,7 @@ import pytest
 
 from fieldlens.cli import build_parser
 from fieldlens.detectors import LIBRARY, RULE_IDS
+from fieldlens.model import InstructionRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fieldlens"
@@ -59,6 +61,20 @@ def test_only_reports_knows_json():
         ]
     assert sorted(set(importers)) == ["reports.py"]
     assert all(c.startswith("reports.py:") for c in converters), converters
+
+
+def test_every_record_attribute_is_read_by_an_analysis():
+    """A record attribute that only the VM writes and the interchange format
+    carries is dead weight: it makes traces differ without changing a report."""
+    read = {
+        node.attr
+        for name, tree in _modules()
+        if name != "traceio.py" and not name.startswith("vm/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f.name for f in dataclasses.fields(InstructionRecord) if f.name not in read]
+    assert unread == []
 
 
 def test_readme_cli_examples_parse():

@@ -14,6 +14,7 @@ from fieldlens.model import (
     Message,
     OpClass,
     PointerArith,
+    shape_keys,
 )
 from fieldlens.traceio import (
     IntegrityError,
@@ -24,6 +25,7 @@ from fieldlens.traceio import (
     read_interchange,
     serialize_corpus,
 )
+from fieldlens.vm import bundled_parsers, run as vm_run
 
 
 def load_text(text):
@@ -166,8 +168,6 @@ def records(draw, msg_len=16):
         kw["api_call"] = ApiCall("recv", draw(st.sampled_from(list(ArgRole))))
     if draw(st.booleans()):
         kw["pointer_arith"] = draw(st.sampled_from(list(PointerArith)))
-    if draw(st.booleans()):
-        kw["value_snapshot"] = draw(st.binary(min_size=1, max_size=4))
     return InstructionRecord(
         seq=seq,
         operator=draw(_operators),
@@ -199,7 +199,6 @@ def test_serialize_parse_round_trip(recs, payload):
                 loop_role=r.loop_role,
                 api_call=r.api_call,
                 pointer_arith=r.pointer_arith,
-                value_snapshot=r.value_snapshot,
                 operand_lineage=r.operand_lineage,
             )
             for i, r in enumerate(recs)
@@ -267,6 +266,36 @@ def test_equal_record_lines_share_one_record_per_message_length():
     (a,), (b,), (c,) = (t.records for t in traces)
     assert a is b
     assert c == a and c is not a
+
+
+def test_messages_of_one_shape_share_their_record_objects():
+    messages, traces = [], []
+    for parser in bundled_parsers():
+        generated, _ = parser.generate(6, seed=2)
+        messages += generated
+        traces += [vm_run(parser.script, m).trace for m in generated]
+    loaded, traces = load_text(serialize_corpus(messages, traces))
+    by_id = {t.message_id: t for t in traces}
+    first = {}
+    shared = 0
+    for mid, key in shape_keys(loaded, by_id).items():
+        if key in first:
+            shared += 1
+            records = by_id[mid].records
+            assert all(a is b for a, b in zip(records, by_id[first[key]].records, strict=True))
+        else:
+            first[key] = mid
+    assert shared
+
+
+def test_a_value_snapshot_is_checked_and_dropped():
+    line = "rec a seq=1 op=movzx class=MOV_SERIES off=0-1"
+    _, (bare,) = load_text(f"msg a bytes=0x0102\n{line}\n")
+    _, (valued,) = load_text(f"msg a bytes=0x0102\n{line} value=0x0102\n")
+    assert valued.records == bare.records
+    with pytest.raises(ParseError) as err:
+        load_text(f"msg a bytes=0x0102\n{line} value=0xq\n")
+    assert err.value.line_no == 2
 
 
 def test_separate_loads_share_no_records(example3):

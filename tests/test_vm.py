@@ -176,24 +176,29 @@ def test_taint_union_through_arithmetic():
 
 def test_table_lookup_drops_taint_but_keeps_lineage():
     s = script(
-        """
+        f"""
         movzx r0, buf[0]
         tbl r1, r0
         mov r2, r1
         movzx r3, buf[2]
         cmp r1, r3
+        cmp r1, {TABLE[0x07]:#x}
+        jne bad
         accept
+        bad:
+        reject
         """
     )
     report = run(s, Message("m", b"\x07\x00\x09"))
+    # the script accepts only if the lookup loaded TABLE[0x07]
+    assert report.terminated is TermReason.ACCEPT
+    assert run(s, Message("m", b"\x08\x00\x09")).terminated is TermReason.REJECT
     ops = [r.operator for r in report.trace.records]
-    # the mov of the laundered value is silent (untainted source)
+    # the mov and the compare of the laundered value are silent (untainted)
     assert ops == ["movzx", "mov", "movzx", "cmp"]
     cmp_rec = report.trace.records[-1]
     assert cmp_rec.accessed_offsets == frozenset({2})
     assert cmp_rec.operand_lineage == (frozenset({0}), frozenset({2}))
-    tbl_rec = report.trace.records[1]
-    assert tbl_rec.value_snapshot == TABLE[0x07].to_bytes(2, "little")
 
 
 def test_pointer_arith_annotations():
