@@ -77,6 +77,16 @@ def build_template(
     for vals in group_values.values():
         vals.sort()
 
+    # with group_values complete, an entry depends only on its annotation,
+    # its bytes and the message length, so equal ones are one shared dict
+    entries: dict[tuple, dict] = {}
+
+    def entry(ann: FieldAnnotation, msg: Message) -> dict:
+        key = (ann, msg.data[ann.field.start : ann.field.end + 1], len(msg))
+        if key not in entries:
+            entries[key] = _entry(ann, msg, group_values)
+        return entries[key]
+
     docs = []
     for mid in sorted(annotations):
         msg = messages[mid]
@@ -84,9 +94,7 @@ def build_template(
             {
                 "id": mid,
                 "length": len(msg),
-                "fields": [
-                    _entry(ann, msg, group_values) for ann in annotations[mid]
-                ],
+                "fields": [entry(ann, msg) for ann in annotations[mid]],
             }
         )
     return {"format": "fieldlens-fuzz-template", "version": 1, "messages": docs}

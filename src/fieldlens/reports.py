@@ -1,8 +1,17 @@
 """The JSON documents the stages write, and the checks on those they read.
 
-``write_json`` writes every document (sorted keys, two-space indent, final
-newline); ``read_json`` reads every stage input, and a file that is not JSON
-or not of the expected shape, down to the type of each scalar, is an
+``write_json`` writes every document: ``encode`` gives the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)``, and a final newline follows.
+``encode`` builds the whole text before the file is opened, so a document
+that cannot be encoded leaves the file untouched.  It encodes a container
+object at most twice, however often the document holds it, so the
+converters below share one object per distinct model value: one annotation
+dict per distinct ``FieldAnnotation`` (and ``accessed`` flag), one
+``fields`` and one ``boundaries`` list per distinct field tuple, and, in
+``fuzz_template``, one template entry per annotation, field bytes and
+message length.  A shared object is never changed after it is handed out.
+``read_json`` reads every stage input, and a file that is not JSON or not of
+the expected shape, down to the type of each scalar, is an
 ``IntegrityError`` naming the file.
 
 - ``annotations.json``: message id -> fields in offset order, each ``{start,
@@ -32,10 +41,76 @@ from .refinement import Clustering, RefinementEvent
 from .traceio import IntegrityError
 
 
+_escape = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def encode(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, encoding a ``dict``,
+    ``list`` or ``tuple`` object at most twice however often ``doc`` holds it.
+
+    A container's text is indented as if it were the whole document; each
+    enclosing level indents it by two more spaces.  The second time a
+    container is met, its text goes into a memo keyed by ``id()`` for this
+    call only, and later meetings reuse it; the text of a container met once
+    is not kept past its parent's.  An id names one object only while that
+    object is alive, and every container stays reachable from ``doc`` until
+    the call returns, so no id is reused within it.  A key that is not a
+    ``str``, or a value that is not a JSON value (``bytes``, say), is a
+    TypeError.
+    """
+    memo: dict[int, str] = {}
+    seen: set[int] = set()
+
+    def enc(o) -> str:
+        if isinstance(o, str):
+            return _escape(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            text = float.__repr__(o)
+            return _NON_FINITE.get(text, text)
+        text = memo.get(id(o))
+        if text is not None:
+            return text
+        if isinstance(o, dict):
+            for key in o:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts = [_escape(k) + ": " + enc(o[k]) for k in sorted(o)]
+            brackets = "{}"
+        elif isinstance(o, (list, tuple)):
+            parts = [enc(v) for v in o]
+            brackets = "[]"
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if parts:
+            body = ",\n".join(parts).replace("\n", "\n  ")
+            text = f"{brackets[0]}\n  {body}\n{brackets[1]}"
+        else:
+            text = brackets
+        if id(o) in seen:
+            memo[id(o)] = text
+        else:
+            seen.add(id(o))
+        return text
+
+    return enc(doc)
+
+
 def write_json(path, doc) -> None:
-    """Write ``doc`` as JSON with sorted keys, two-space indent and a final newline."""
+    """Write ``encode(doc)`` and a final newline.  The whole text is encoded
+    before the file is opened, so a ``doc`` that cannot be encoded is a
+    TypeError that leaves ``path`` untouched."""
+    text = encode(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -50,18 +125,6 @@ def read_json(path, convert):
         raise IntegrityError(
             None, f"{path}: malformed document ({type(exc).__name__}: {exc})"
         ) from None
-
-
-def format_to_dict(fmt: FormatResult) -> dict:
-    return {
-        "message_id": fmt.message_id,
-        "length": fmt.length,
-        "fields": [
-            {"start": f.start, "end": f.end, "accessed": f.accessed}
-            for f in fmt.fields
-        ],
-        "boundaries": list(fmt.boundaries),
-    }
 
 
 def _typed(value, *kinds: type):
@@ -81,7 +144,29 @@ def _field_from_dict(doc: dict) -> Field:
 def formats_to_doc(
     messages: Sequence[Message], formats: Mapping[str, FormatResult]
 ) -> list[dict]:
-    return [format_to_dict(formats[m.id]) for m in messages]
+    """One entry per message; messages with equal fields share one ``fields``
+    list and one ``boundaries`` list."""
+    shared: dict[tuple, tuple[list, list]] = {}
+    doc = []
+    for m in messages:
+        fmt = formats[m.id]
+        # ``Field`` equality ignores ``accessed``; the key must not
+        key = tuple((f.start, f.end, f.accessed) for f in fmt.fields)
+        if key not in shared:
+            shared[key] = (
+                [{"start": s, "end": e, "accessed": a} for s, e, a in key],
+                list(fmt.boundaries),
+            )
+        fields, boundaries = shared[key]
+        doc.append(
+            {
+                "message_id": fmt.message_id,
+                "length": fmt.length,
+                "fields": fields,
+                "boundaries": boundaries,
+            }
+        )
+    return doc
 
 
 def annotation_to_dict(ann: FieldAnnotation) -> dict:
@@ -113,10 +198,16 @@ def annotation_from_dict(doc: dict) -> FieldAnnotation:
 def annotations_to_doc(
     annotations: Mapping[str, Sequence[FieldAnnotation]]
 ) -> dict:
-    return {
-        mid: [annotation_to_dict(a) for a in anns]
-        for mid, anns in sorted(annotations.items())
-    }
+    """Message id -> its annotations; equal annotations share one dict."""
+    shared: dict[tuple, dict] = {}
+
+    def entry(ann: FieldAnnotation) -> dict:
+        key = (ann, ann.field.accessed)  # ``Field`` equality ignores ``accessed``
+        if key not in shared:
+            shared[key] = annotation_to_dict(ann)
+        return shared[key]
+
+    return {mid: [entry(a) for a in anns] for mid, anns in sorted(annotations.items())}
 
 
 def annotations_from_doc(doc: dict) -> dict[str, tuple[FieldAnnotation, ...]]:

@@ -32,9 +32,11 @@ holds traces and ground truth is read once.  Within one read, each ``rec``
 line is interned by its text after the message id and its message's length:
 lines that spell the same record for messages of the same length share one
 ``InstructionRecord``, and only the first of them is tokenized and parsed.
-Records that differ still share each offset set they spell alike, interned
-the same way.  Records and offset sets are immutable, so sharing is safe,
-and both caches live only as long as the call.
+A parsed record is interned again by value and message length, so lines
+that spell one record differently (an older file's ``value``, say) share it
+too.  Records that differ still share each offset set they spell alike,
+interned the same way.  Records and offset sets are immutable, so sharing
+is safe, and the caches live only as long as the call.
 
 The JSON documents the later stages exchange live in ``reports``; this
 module knows only the line format.
@@ -286,6 +288,8 @@ def read_interchange(stream: TextIO) -> Corpus:
     offsets: OffsetCache = {}
     # (text after the message id, message length) -> its record, for this read
     interned: dict[tuple[str, int], InstructionRecord] = {}
+    # (record, message length) -> the first equal record parsed, for this read
+    canon: dict[tuple[InstructionRecord, int], InstructionRecord] = {}
     for line_no, kind, subject, rest in _lines(stream):
         if kind == "rec":
             msg = by_id.get(subject)
@@ -299,7 +303,8 @@ def read_interchange(stream: TextIO) -> Corpus:
                     raise IntegrityError(
                         line_no, f"record for undeclared message id {subject!r}"
                     )
-                rec = interned[key] = _record_from_line(ln, len(msg), offsets)
+                rec = _record_from_line(ln, len(msg), offsets)
+                rec = interned[key] = canon.setdefault((rec, len(msg)), rec)
             records[subject].append(rec)
             rec_lines.setdefault(subject, line_no)
             continue

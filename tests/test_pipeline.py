@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from fieldlens import detectors, extraction, pipeline
 from fieldlens.alignment import AlignmentParams
-from fieldlens.detectors import RULE_IDS, annotate_format
+from fieldlens.detectors import RULE_IDS, FieldAnnotation, SemanticType, annotate_format
 from fieldlens.evaluation import load_ground_truth, serialize_ground_truth
 from fieldlens.extraction import extract_format, extract_format_baseline
-from fieldlens.model import ExecutionTrace, ModelError
+from fieldlens.model import ExecutionTrace, Field, ModelError
 from fieldlens.pipeline import (
     PipelineConfig,
     infer_corpus,
@@ -24,6 +24,7 @@ from fieldlens.reports import (
     annotations_to_doc,
     check_covers,
     formats_to_doc,
+    write_json,
 )
 from fieldlens.traceio import IntegrityError, dump_corpus, load_corpus
 from fieldlens.vm import bundled_parsers, run as vm_run
@@ -296,6 +297,66 @@ def test_annotation_documents_round_trip(small_corpus):
     _, annotations = infer_corpus(messages, traces_map, AlignmentParams())
     doc = json.loads(json.dumps(annotations_to_doc(annotations)))
     assert annotations_from_doc(doc) == annotations
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mixed") / "mixed.fl"
+    messages, traces, truths = [], [], []
+    for parser in bundled_parsers():
+        generated, gts = parser.generate(12, seed=7)
+        messages += generated
+        traces += [vm_run(parser.script, m).trace for m in generated]
+        truths += gts
+    dump_corpus(path, messages, traces)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(serialize_ground_truth(truths))
+    return path
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"baseline": True}, {"clustering_enabled": False}],
+    ids=["default", "baseline", "no-clustering"],
+)
+def test_every_report_is_the_stdlib_indented_sorted_form(tmp_path, mixed_corpus, options):
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(mixed_corpus, out, mixed_corpus, **options))
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(
+        ["formats.json", "annotations.json", "clustering.json",
+         "refinement_audit.json", "metrics.json", "template.json"]
+    )
+    for name in written:
+        text = (out / name).read_text(encoding="utf-8")
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text, name
+
+
+def test_equal_annotations_share_one_dict(small_corpus):
+    _, messages, traces, _ = small_corpus
+    _, annotations = infer_corpus(messages, {t.message_id: t for t in traces}, AlignmentParams())
+    ranged = Field(0, 1), Field(0, 1, accessed=False)
+    annotations["x"] = tuple(FieldAnnotation(f, SemanticType.BYTES, frozenset(), ()) for f in ranged)
+    doc = annotations_to_doc(annotations)
+    dicts = [d for entries in doc.values() for d in entries]
+    distinct = {(a, a.field.accessed) for anns in annotations.values() for a in anns}
+    assert len({id(d) for d in dicts}) == len(distinct) < len(dicts)
+    assert [d["accessed"] for d in doc["x"]] == [True, False]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"bytes": b"\x00"}, {1: "int key"}, [{"nested": {(0, 1): "tuple key"}}]],
+    ids=["bytes-value", "int-key", "tuple-key"],
+)
+def test_a_document_that_cannot_be_encoded_leaves_the_target_untouched(tmp_path, doc):
+    missing, existing = tmp_path / "missing.json", tmp_path / "existing.json"
+    existing.write_bytes(b"old bytes")
+    for target in (missing, existing):
+        with pytest.raises(TypeError):
+            write_json(target, doc)
+    assert not missing.exists()
+    assert existing.read_bytes() == b"old bytes"
 
 
 _ANNOTATION = {

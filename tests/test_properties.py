@@ -1,4 +1,8 @@
-"""Randomized invariants over the extraction stage and the scoring fold."""
+"""Randomized invariants over the extraction stage, the scoring fold and
+the report encoder."""
+
+import json
+import math
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +15,7 @@ from fieldlens.model import (
     Message,
     OpClass,
 )
+from fieldlens.reports import encode
 
 MSG_LEN = 12
 
@@ -111,3 +116,33 @@ def test_boundary_counts_are_consistent(true_fields, inferred_fields):
     )
     self_score = score_format(inferred, self_truth)
     assert self_score.f1 == 1.0 and self_score.perfection == 1.0
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\n\t\"\\/", "\u00e9\u2028\uffff", "\U0001f600\U0010ffff"]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_json_values, _json_values)
+@settings(max_examples=200, deadline=None)
+def test_encode_is_the_stdlib_indented_sorted_form(value, shared):
+    # ``shared`` appears at three depths, so its memoized text is re-indented
+    doc = {"value": value, "a": shared, "b": [shared, {"c": shared}]}
+    assert encode(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert encode(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -293,6 +293,12 @@ def test_a_value_snapshot_is_checked_and_dropped():
     _, (bare,) = load_text(f"msg a bytes=0x0102\n{line}\n")
     _, (valued,) = load_text(f"msg a bytes=0x0102\n{line} value=0x0102\n")
     assert valued.records == bare.records
+    _, traces = load_text(
+        f"msg a bytes=0x0102\n{line} value=0x0102\n"
+        f"msg b bytes=0x0304\n{line.replace(' a ', ' b ')} value=0x0304\n"
+    )
+    (a,), (b,) = (t.records for t in traces)
+    assert a is b
     with pytest.raises(ParseError) as err:
         load_text(f"msg a bytes=0x0102\n{line} value=0xq\n")
     assert err.value.line_no == 2
