@@ -1,6 +1,6 @@
 """fieldlens: protocol field format and semantics inference from taint traces."""
 
-from .alignment import AlignmentParams, nw_format_score, nw_score, semantic_similar
+from .alignment import nw_format_score, nw_score, semantic_similar
 from .extraction import extract_format, extract_format_baseline
 from .model import (
     ApiCall,
@@ -20,7 +20,6 @@ from .traceio import load_corpus, serialize_corpus
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentParams",
     "ApiCall",
     "ArgRole",
     "ExecutionTrace",

@@ -10,11 +10,9 @@ errors, never for metric values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
-from .alignment import AlignmentParams
 from .detectors import RULE_IDS, RULES
 from .evaluation import serialize_ground_truth
 from .fuzz_template import export_fuzz_template
@@ -39,21 +37,10 @@ from .reports import (
     read_json,
     write_json,
 )
-from .traceio import IntegrityError, ParseError, dump_corpus, serialize_corpus
+from .traceio import IntegrityError, ParseError, serialize_corpus
 from .vm import bundled_parsers, parse_script, run as vm_run
 from .vm.machine import DEFAULT_STEP_BUDGET
 from .vm.ops import ScriptError
-
-
-def _add_alignment_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("alignment scoring")
-    for f in dataclasses.fields(AlignmentParams):
-        flag = "--" + f.name.replace("_", "-")
-        g.add_argument(flag, type=type(f.default), default=f.default)
-
-
-def _params(args) -> AlignmentParams:
-    return AlignmentParams(*(getattr(args, f.name) for f in dataclasses.fields(AlignmentParams)))
 
 
 def _count(text: str) -> int:
@@ -94,42 +81,42 @@ def _cmd_generate(args) -> int:
         except ScriptError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
-        messages, _, _ = read_inputs(Path(args.corpus))
-        traces = []
-        for msg in messages:
+        corpus = Path(args.corpus)
+        all_messages, _, truths = read_inputs(corpus, corpus if args.with_ground_truth else None)
+        all_traces = []
+        for msg in all_messages:
             report = vm_run(script, msg, args.step_budget)
-            traces.append(report.trace)
+            all_traces.append(report.trace)
             if report.terminated.name != "ACCEPT":
                 print(f"{msg.id}: {report.terminated.name}", file=sys.stderr)
-        dump_corpus(out, messages, traces)
-        print(f"wrote {len(messages)} traces to {out}")
-        return 0
-
-    chosen = [
-        p for p in bundled_parsers() if args.parser in ("all", p.name)
-    ]
-    if not chosen:
-        names = ", ".join(p.name for p in bundled_parsers())
-        print(f"error: unknown parser {args.parser!r}; bundled: {names}", file=sys.stderr)
-        return 2
-    all_messages, all_traces, all_truths = [], [], []
-    for parser in chosen:
-        messages, truths = parser.generate(args.count, args.seed)
-        for msg in messages:
-            report = vm_run(parser.script, msg, args.step_budget)
-            if report.terminated.name == "STEP_LIMIT":
-                budget = f"--step-budget {args.step_budget}"
-                print(f"error: {msg.id} ran out of its step budget ({budget})", file=sys.stderr)
-                return 2
-            if report.terminated.name != "ACCEPT":
-                print(
-                    f"generator bug: {msg.id} -> {report.terminated.name}",
-                    file=sys.stderr,
-                )
-                return 2
-            all_traces.append(report.trace)
-        all_messages.extend(messages)
-        all_truths.extend(truths)
+        all_truths = [] if truths is None else [(m.id, truths[m.id]) for m in all_messages]
+    else:
+        chosen = [
+            p for p in bundled_parsers() if args.parser in ("all", p.name)
+        ]
+        if not chosen:
+            names = ", ".join(p.name for p in bundled_parsers())
+            print(f"error: unknown parser {args.parser!r}; bundled: {names}", file=sys.stderr)
+            return 2
+        all_messages, all_traces, all_truths = [], [], []
+        for parser in chosen:
+            messages, truths = parser.generate(args.count, args.seed)
+            for msg in messages:
+                report = vm_run(parser.script, msg, args.step_budget)
+                if report.terminated.name == "STEP_LIMIT":
+                    budget = f"--step-budget {args.step_budget}"
+                    print(f"error: {msg.id} ran out of its step budget ({budget})",
+                          file=sys.stderr)
+                    return 2
+                if report.terminated.name != "ACCEPT":
+                    print(
+                        f"generator bug: {msg.id} -> {report.terminated.name}",
+                        file=sys.stderr,
+                    )
+                    return 2
+                all_traces.append(report.trace)
+            all_messages.extend(messages)
+            all_truths.extend(truths)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(serialize_corpus(all_messages, all_traces))
         if args.with_ground_truth:
@@ -140,7 +127,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_extract(args) -> int:
     messages, traces, _ = read_inputs(Path(args.traces))
-    formats, _ = infer_corpus(messages, traces, args.params, args.baseline)
+    formats, _ = infer_corpus(messages, traces, args.baseline)
     write_json(Path(args.out), formats_to_doc(messages, formats))
     print(f"extracted {len(messages)} formats -> {args.out}")
     return 0
@@ -149,7 +136,7 @@ def _cmd_extract(args) -> int:
 def _cmd_infer(args) -> int:
     messages, traces, _ = read_inputs(Path(args.traces))
     disabled = frozenset(args.disable_rule or ())
-    _, annotations = infer_corpus(messages, traces, args.params, args.baseline, disabled)
+    _, annotations = infer_corpus(messages, traces, args.baseline, disabled)
     write_json(Path(args.out), annotations_to_doc(annotations))
     print(f"annotated {len(messages)} messages -> {args.out}")
     return 0
@@ -163,7 +150,6 @@ def _cmd_refine(args) -> int:
         messages,
         formats,
         annotations,
-        args.params,
         not args.no_clustering,
         not args.no_entropy,
         not args.no_constraints,
@@ -212,7 +198,6 @@ def _cmd_run(args) -> int:
         traces=Path(args.traces),
         out_dir=Path(args.out_dir),
         ground_truth=Path(args.ground_truth) if args.ground_truth else None,
-        params=args.params,
         baseline=args.baseline,
         clustering_enabled=not args.no_clustering,
         entropy_enabled=not args.no_entropy,
@@ -265,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true",
                    help="per-instruction candidates only, no similarity merging")
     p.add_argument("--out", required=True)
-    _add_alignment_flags(p)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("infer", help="extract formats and run semantic detectors")
@@ -274,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disable-rule", action="append", choices=RULE_IDS,
                    metavar="RULE_ID", help="a rule id that list-rules prints")
     p.add_argument("--out", required=True)
-    _add_alignment_flags(p)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("refine", help="cluster and refine annotations")
@@ -283,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--audit", default="refinement_audit.json")
     p.add_argument("--clusters", default="clustering.json")
-    _add_alignment_flags(p)
     _add_refine_flags(p)
     p.set_defaults(func=_cmd_refine)
 
@@ -300,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true")
     p.add_argument("--disable-rule", action="append", choices=RULE_IDS,
                    metavar="RULE_ID", help="a rule id that list-rules prints")
-    _add_alignment_flags(p)
     _add_refine_flags(p)
     p.set_defaults(func=_cmd_run)
 
@@ -318,12 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "gap_score" in args:  # checked before any input is read
-        try:
-            args.params = _params(args)
-        except ValueError as exc:
-            print(f"error: invalid alignment flags: {exc}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except (ParseError, IntegrityError, ModelError, ScriptError, OSError) as exc:

@@ -13,6 +13,7 @@ evidence in offset order.  The scorers take it as checked where it was read
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Iterable, Sequence
 
@@ -135,20 +136,14 @@ class FormatScore(LabelCounts):
 def score_format(
     inferred: FormatResult, truth: Sequence[FieldAnnotation]
 ) -> FormatScore:
-    """Classify every inter-byte position and count perfectly bounded fields."""
+    """Classify every inter-byte position and count perfectly bounded fields.
+
+    Only boundaries are visited, so the cost does not grow with the length
+    of a field: every other position is a true negative."""
     inf = set(inferred.boundaries)
     tru = {a.field.start for a in truth if a.field.start > 0}
-    score = FormatScore()
-    for pos in range(1, inferred.length):
-        in_inf, in_tru = pos in inf, pos in tru
-        if in_inf and in_tru:
-            score.tp += 1
-        elif in_inf:
-            score.fp += 1
-        elif in_tru:
-            score.fn += 1
-        else:
-            score.tn += 1
+    score = FormatScore(tp=len(inf & tru), fp=len(inf - tru), fn=len(tru - inf))
+    score.tn = inferred.length - 1 - score.tp - score.fp - score.fn
     score.true_fields = len(truth)
     for a in truth:
         start_ok = a.field.start == 0 or a.field.start in inf
@@ -161,13 +156,19 @@ def score_format(
 def count_segmentation_errors(
     inferred: FormatResult, truth: Sequence[FieldAnnotation]
 ) -> tuple[int, int]:
-    """(over_seg, under_seg) boundary errors, skipping unaccessed true fields."""
-    excluded: set[int] = set()
-    for a in truth:
-        if not a.field.accessed:
-            excluded.update(range(a.field.start + 1, a.field.end + 1))
-    inf = set(inferred.boundaries) - excluded
-    tru = {a.field.start for a in truth if a.field.start > 0} - excluded
+    """(over_seg, under_seg) boundary errors, skipping unaccessed true fields.
+
+    An inferred boundary is skipped when it falls after the first byte of an
+    unaccessed true field; the true fields partition the message in offset
+    order, so the one holding a boundary is found by bisection."""
+    starts = [a.field.start for a in truth]
+
+    def counted(pos: int) -> bool:
+        f = truth[bisect_right(starts, pos) - 1].field
+        return f.accessed or f.start == pos
+
+    inf = {pos for pos in inferred.boundaries if counted(pos)}
+    tru = {pos for pos in starts if pos > 0}
     return len(inf - tru), len(tru - inf)
 
 

@@ -16,7 +16,7 @@ Nothing is kept between calls.
 
 from __future__ import annotations
 
-from .alignment import AlignmentParams, semantic_similar
+from .alignment import semantic_similar
 from .model import (
     ExecutionTrace,
     Field,
@@ -85,7 +85,7 @@ def resolve_overlaps(candidates: list[Field]) -> list[Field]:
     return merged
 
 
-#: (ops_left, ops_right) -> merge verdict, for one set of alignment params
+#: (ops_left, ops_right) -> merge verdict
 MergeMemo = dict[tuple[tuple[str, ...], tuple[str, ...]], bool]
 
 
@@ -94,7 +94,6 @@ def _mergeable(
     right: Field,
     ops_left: tuple[str, ...],
     ops_right: tuple[str, ...],
-    params: AlignmentParams,
     memo: MergeMemo,
 ) -> bool:
     # Unaccessed ranges coalesce with each other but never with parsed data.
@@ -109,21 +108,20 @@ def _mergeable(
     key = (ops_left, ops_right)
     merge = memo.get(key)
     if merge is None:
-        merge = memo[key] = semantic_similar(ops_left, ops_right, params).merge
+        merge = memo[key] = semantic_similar(ops_left, ops_right).merge
     return merge
 
 
 def _coalesce(
     trace: ExecutionTrace,
     candidates: list[Field],
-    params: AlignmentParams,
     memo: MergeMemo,
 ) -> list[Field]:
     """Single left-to-right pass: group adjacent similar candidates."""
     ops = [operator_sequence(trace, c) for c in candidates]
     groups: list[list[Field]] = [[candidates[0]]]
     for i, nxt in enumerate(candidates[1:], 1):
-        if _mergeable(candidates[i - 1], nxt, ops[i - 1], ops[i], params, memo):
+        if _mergeable(candidates[i - 1], nxt, ops[i - 1], ops[i], memo):
             groups[-1].append(nxt)
         else:
             groups.append([nxt])
@@ -136,16 +134,15 @@ def _coalesce(
 def extract_format(
     message: Message,
     trace: ExecutionTrace,
-    params: AlignmentParams = AlignmentParams(),
     *,
     memo: MergeMemo | None = None,
 ) -> FormatResult:
     """Similarity-guided format extraction: candidates, then adjacent merging.
 
-    ``memo`` holds merge verdicts already decided under the same ``params``;
-    it defaults to a fresh one."""
+    ``memo`` holds merge verdicts already decided; it defaults to a fresh
+    one."""
     candidates = resolve_overlaps(intra_instruction_candidates(message, trace))
-    fields = _coalesce(trace, candidates, params, {} if memo is None else memo)
+    fields = _coalesce(trace, candidates, {} if memo is None else memo)
     return FormatResult(message.id, len(message), tuple(fields))
 
 

@@ -9,11 +9,10 @@ constraint refinement) to reproduce the ablation configurations.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .alignment import AlignmentParams
 from .detectors import FieldAnnotation, FieldMemo, annotate_format
 from .evaluation import (
     MetricsReport,
@@ -49,7 +48,6 @@ class PipelineConfig:
     traces: Path
     out_dir: Path
     ground_truth: Optional[Path] = None
-    params: AlignmentParams = dc_field(default_factory=AlignmentParams)
     baseline: bool = False
     clustering_enabled: bool = True
     entropy_enabled: bool = True
@@ -71,7 +69,6 @@ class PipelineResult:
 def infer_corpus(
     messages: Sequence[Message],
     traces: Mapping[str, ExecutionTrace],
-    params: AlignmentParams,
     baseline: bool = False,
     disabled_rules: frozenset[str] = frozenset(),
 ) -> tuple[dict[str, FormatResult], dict[str, tuple[FieldAnnotation, ...]]]:
@@ -98,7 +95,7 @@ def infer_corpus(
             if baseline:
                 fmt = extract_format_baseline(msg, trace)
             else:
-                fmt = extract_format(msg, trace, params, memo=merges)
+                fmt = extract_format(msg, trace, memo=merges)
             shape = shapes[keys[msg.id]] = (fmt.fields, {})
         formats[msg.id] = fmt
         annotations[msg.id] = annotate_format(
@@ -111,13 +108,12 @@ def refine_corpus(
     messages: Sequence[Message],
     formats: Mapping[str, FormatResult],
     annotations: Mapping[str, Sequence[FieldAnnotation]],
-    params: AlignmentParams,
     clustering_enabled: bool = True,
     entropy_enabled: bool = True,
     constraints_enabled: bool = True,
 ) -> tuple[Clustering, dict[str, tuple[FieldAnnotation, ...]], list[RefinementEvent]]:
     if clustering_enabled:
-        clustering = explore_optimal(messages, formats, params)
+        clustering = explore_optimal(messages, formats)
     else:
         clustering = single_cluster(messages)
     refined = {mid: tuple(anns) for mid, anns in annotations.items()}
@@ -202,13 +198,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     Ground truth is read and checked before extraction."""
     messages, traces, truths = read_inputs(config.traces, config.ground_truth)
     formats, annotations = infer_corpus(
-        messages, traces, config.params, config.baseline, config.disabled_rules
+        messages, traces, config.baseline, config.disabled_rules
     )
     clustering, refined, events = refine_corpus(
         messages,
         formats,
         annotations,
-        config.params,
         config.clustering_enabled,
         config.entropy_enabled,
         config.constraints_enabled,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import Mapping, Optional, Sequence
 
-from .alignment import AlignmentParams, nw_format_score
+from .alignment import nw_format_score
 from .detectors import Evidence, FieldAnnotation, SemanticFunction, SemanticType
 from .model import FormatResult, Message
 
@@ -105,7 +105,6 @@ def _group_by_value(
 def _align_score(
     groups: Mapping[bytes, list[str]],
     boundaries: Mapping[str, Boundaries],
-    params: AlignmentParams,
     memo: dict[tuple[Boundaries, Boundaries], int],
 ) -> float:
     # Messages with equal boundary tuples score alike, so each distinct
@@ -123,7 +122,7 @@ def _align_score(
                 weight = counts[a] * counts[b]
             if weight:
                 if (a, b) not in memo:
-                    memo[(a, b)] = nw_format_score(a, b, params)
+                    memo[(a, b)] = nw_format_score(a, b)
                 total += weight * memo[(a, b)]
         pairs += len(ids) * (len(ids) - 1) // 2
     return total / pairs if pairs else 0.0
@@ -138,7 +137,6 @@ def single_cluster(messages: Sequence[Message]) -> Clustering:
 def explore_optimal(
     messages: Sequence[Message],
     formats: Mapping[str, FormatResult],
-    params: AlignmentParams = AlignmentParams(),
 ) -> Clustering:
     """Search every boundary-delimited range for the best clustering basis."""
     boundaries = {m.id: formats[m.id].boundaries for m in messages}
@@ -151,7 +149,7 @@ def explore_optimal(
     memo: dict[tuple[Boundaries, Boundaries], int] = {}
     for rng in candidates:
         groups = _group_by_value(messages, rng)
-        score = _align_score(groups, boundaries, params, memo)
+        score = _align_score(groups, boundaries, memo)
         if score > best_score:
             best_score = score
             best_pos = rng

@@ -36,7 +36,7 @@ from ..model import (
     OpClass,
     PointerArith,
 )
-from .ops import ARITH, BufRef, Imm, Instr, ParserScript, Reg
+from .ops import ARITH, CONDITIONAL_JUMPS, BufRef, Imm, Instr, ParserScript, Reg
 
 _MASK = (1 << 64) - 1
 
@@ -242,7 +242,7 @@ def run(
                 )
         elif mnem == "jmp":
             next_pc = ins.operands[0].value
-        elif mnem in ("je", "jne", "jlt", "jle", "jgt", "jge"):
+        elif mnem in CONDITIONAL_JUMPS:
             va, vb = flag_vals
             taken = {
                 "je": va == vb,

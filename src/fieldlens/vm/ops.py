@@ -32,35 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-MNEMONICS = {
-    "movzx",
-    "movzx16",
-    "mov",
-    "tbl",
-    "add",
-    "sub",
-    "xor",
-    "or",
-    "and",
-    "shl",
-    "shr",
-    "add.ptr",
-    "sub.ctr",
-    "cmp",
-    "jmp",
-    "je",
-    "jne",
-    "jlt",
-    "jle",
-    "jgt",
-    "jge",
-    "api",
-    "loop",
-    "endloop",
-    "accept",
-    "reject",
-}
-
 CONDITIONAL_JUMPS = {"je", "jne", "jlt", "jle", "jgt", "jge"}
 JUMPS = CONDITIONAL_JUMPS | {"jmp"}
 ARITH = {"add", "sub", "xor", "or", "and", "shl", "shr", "add.ptr", "sub.ctr"}
@@ -149,6 +120,7 @@ def _to_int(tok: str) -> int:
     return int(tok, 16) if tok.lower().startswith("0x") else int(tok)
 
 
+#: operand count of every mnemonic; a mnemonic not listed here is unknown
 _ARITY = {
     "movzx": 2,
     "movzx16": 2,
@@ -160,11 +132,9 @@ _ARITY = {
     "endloop": 1,
     "accept": 0,
     "reject": 0,
+    **dict.fromkeys(ARITH, 2),
+    **dict.fromkeys(JUMPS, 1),
 }
-for _m in ARITH:
-    _ARITY[_m] = 2
-for _m in JUMPS:
-    _ARITY[_m] = 1
 
 
 def parse_script(text: str, default_name: str = "script") -> ParserScript:
@@ -193,7 +163,7 @@ def parse_script(text: str, default_name: str = "script") -> ParserScript:
             continue
         parts = line.split(None, 1)
         mnem = parts[0]
-        if mnem not in MNEMONICS:
+        if mnem not in _ARITY:
             raise ScriptError(line_no, f"unknown mnemonic {mnem!r}")
         operands: tuple[Operand, ...] = ()
         if len(parts) > 1:

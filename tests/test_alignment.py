@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from fieldlens import _nwpure
 from fieldlens.alignment import (
-    AlignmentParams,
+    GAP,
+    MATCH,
+    MISMATCH,
+    SIMILARITY_THRESHOLD,
     nw_format_score,
     nw_score,
     semantic_similar,
@@ -33,18 +36,9 @@ def brute_force_score(a, b, gap=-2, match=1, mismatch=-1):
     return go(0, 0)
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        AlignmentParams(match_score=0, mismatch_score=0)
-    with pytest.raises(ValueError):
-        AlignmentParams(gap_score=0)
-    with pytest.raises(ValueError):
-        AlignmentParams(similarity_threshold=1.5)
-    defaults = AlignmentParams()
-    assert (defaults.gap_score, defaults.match_score, defaults.mismatch_score) == (
-        -2, 1, -1,
-    )
-    assert defaults.similarity_threshold == 0.8
+def test_alignment_constants():
+    assert (GAP, MATCH, MISMATCH) == (-2, 1, -1)
+    assert SIMILARITY_THRESHOLD == 0.8
 
 
 def test_identical_pair_scores_two_matches():
@@ -83,9 +77,11 @@ def test_similarity_rejects_two_empty_sequences():
 
 
 def test_strict_threshold_comparison():
-    # similarity exactly at the threshold must not merge
-    params = AlignmentParams(similarity_threshold=1.0)
-    assert not semantic_similar(["cmp"], ["cmp"], params).merge
+    # nine matches and one mismatch score 8: similarity exactly 0.8 must not merge
+    a = ["mov"] * 10
+    result = semantic_similar(a, a[:-1] + ["cmp"])
+    assert result.score == 8 and result.similarity == SIMILARITY_THRESHOLD
+    assert not result.merge
 
 
 def test_format_score_examples():

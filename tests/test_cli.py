@@ -140,6 +140,40 @@ def test_generate_with_custom_script(tmp_path, corpus):
     assert "op=cmp" in text
 
 
+def test_a_script_run_keeps_the_corpus_ground_truth(tmp_path, corpus):
+    script = tmp_path / "probe.pvm"
+    script.write_text("movzx r0, buf[0]\naccept\n")
+    out = tmp_path / "probe.fl"
+    assert run_cli(
+        "generate-traces", "--script", script, "--corpus", corpus,
+        "--with-ground-truth", "--out", out,
+    ) == 0
+
+    def gt_lines(path):
+        return [ln for ln in path.read_text().splitlines() if ln.startswith("gt ")]
+
+    assert gt_lines(out) and gt_lines(out) == gt_lines(corpus)
+    assert run_cli(
+        "run", "--traces", out, "--ground-truth", out, "--out-dir", tmp_path / "reports"
+    ) == 0
+
+
+def test_a_script_run_asked_for_missing_ground_truth_exits_2(tmp_path, corpus, capsys):
+    bare = tmp_path / "bare.fl"
+    bare.write_text("".join(
+        ln for ln in corpus.read_text().splitlines(keepends=True) if not ln.startswith("gt ")
+    ))
+    script = tmp_path / "probe.pvm"
+    script.write_text("accept\n")
+    out = tmp_path / "probe.fl"
+    assert run_cli(
+        "generate-traces", "--script", script, "--corpus", bare,
+        "--with-ground-truth", "--out", out,
+    ) == 2
+    assert str(bare) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -208,18 +242,6 @@ def test_unknown_rule_id_exits_2(tmp_path, corpus, capsys, command, outputs):
     err = capsys.readouterr().err
     assert "invalid choice: 'type.strng'" in err and "'type.string'" in err
     assert not any(isinstance(a, Path) and a.exists() for a in args)
-
-
-def test_alignment_flag_overrides(tmp_path, corpus):
-    out = tmp_path / "f.json"
-    assert run_cli(
-        "extract", "--traces", corpus, "--out", out,
-        "--similarity-threshold", "1.0",
-    ) == 0
-    doc = json.loads(out.read_text())
-    # nothing can exceed a threshold of 1.0, so no merging happened
-    starts = [f["start"] for f in doc[0]["fields"]]
-    assert 1 in starts
 
 
 @pytest.fixture()
@@ -462,15 +484,19 @@ def test_run_rejects_ground_truth_for_an_unknown_message(tmp_path, corpus, capsy
 @pytest.mark.parametrize(
     "argv, named",
     [
-        pytest.param(["extract", "--out", "f.json", "--similarity-threshold", "1.5"],
-                     "similarity_threshold", id="extract-threshold"),
-        pytest.param(["infer", "--out", "a.json", "--gap-score", "1"], "gap_score",
-                     id="infer-gap"),
+        # the alignment constants are fixed: their former flags are unknown
+        pytest.param(["extract", "--out", "f.json", "--similarity-threshold", "0.8"],
+                     "unrecognized arguments: --similarity-threshold",
+                     id="extract-threshold"),
+        pytest.param(["infer", "--out", "a.json", "--gap-score", "-2"],
+                     "unrecognized arguments: --gap-score", id="infer-gap"),
         pytest.param(["refine", "--annotations", "a.json",
-                      "--out", "r.json", "--match-score", "-1"],
-                     "match_score", id="refine-match"),
-        pytest.param(["run", "--out-dir", "reports", "--match-score", "0",
-                      "--mismatch-score", "0"], "match_score", id="run-match"),
+                      "--out", "r.json", "--match-score", "1"],
+                     "unrecognized arguments: --match-score", id="refine-match"),
+        pytest.param(["run", "--out-dir", "reports", "--gap-score", "-2",
+                      "--mismatch-score", "-1"],
+                     "unrecognized arguments: --gap-score -2 --mismatch-score",
+                     id="run-match"),
         pytest.param(["generate-traces", "--count", "-3", "--out", "g.fl"],
                      "--count", id="generate-negative-count"),
         pytest.param(["generate-traces", "--count", "0", "--out", "g.fl"],

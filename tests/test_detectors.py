@@ -11,7 +11,6 @@ from fieldlens.detectors import (
     annotate,
     annotate_format,
 )
-from fieldlens.alignment import AlignmentParams
 from fieldlens.extraction import extract_format
 from fieldlens.model import (
     ApiCall,
@@ -435,8 +434,7 @@ def test_byte_reading_rules_run_per_message_of_one_shape():
     no_delim = twin("no-delim", name.end + 1, ord("x"))  # the '\r' after the name
     messages = [message, no_name, no_delim]
     formats, annotations = infer_corpus(
-        messages, {m.id: ExecutionTrace(m.id, t.records) for m in messages},
-        AlignmentParams(),
+        messages, {m.id: ExecutionTrace(m.id, t.records) for m in messages}
     )
     assert formats[no_name.id].fields is formats[message.id].fields
     funcs = {

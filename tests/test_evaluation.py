@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from dataclasses import dataclass, field as dc_field
 
 import pytest
@@ -123,6 +124,24 @@ def test_segmentation_errors_exclude_unaccessed_fields():
     # a split inside an accessed field still counts
     over, under = count_segmentation_errors(fmt("m", 8, 1, 2, 6), truth)
     assert (over, under) == (1, 0)
+
+
+def test_scoring_a_long_unaccessed_field_allocates_little():
+    # both lengths come from untrusted files, so the scorers must not
+    # allocate per byte of a field
+    length = 10**6
+    truth = gt(gtf(0, length - 1, accessed=False))
+    inferred = fmt("m", length)
+    tracemalloc.start()
+    try:
+        score = score_format(inferred, truth)
+        errors = count_segmentation_errors(inferred, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (score.tp, score.fp, score.fn, score.tn) == (0, 0, 0, length - 1)
+    assert errors == (0, 0)
+    assert peak < 1 << 20
 
 
 def test_seg_errors_equal_fp_fn_without_exclusions():

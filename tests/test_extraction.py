@@ -1,4 +1,3 @@
-from fieldlens.alignment import AlignmentParams
 from fieldlens.extraction import (
     extract_format,
     extract_format_baseline,
@@ -159,10 +158,3 @@ def test_extraction_is_deterministic(example2):
     second = extract_format(message, trace)
     assert first == second
 
-
-def test_threshold_controls_merging(example1):
-    message, trace = example1
-    # an impossible threshold forbids every merge of accessed candidates
-    params = AlignmentParams(similarity_threshold=1.0)
-    fmt = extract_format(message, trace, params)
-    assert fmt.fields[0] == Field(0, 0)

@@ -1,13 +1,13 @@
 import builtins
 import copy
 import dataclasses
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldlens import detectors, extraction, pipeline
-from fieldlens.alignment import AlignmentParams
 from fieldlens.detectors import RULE_IDS, FieldAnnotation, SemanticType, annotate_format
 from fieldlens.evaluation import load_ground_truth, serialize_ground_truth
 from fieldlens.extraction import extract_format, extract_format_baseline
@@ -130,12 +130,12 @@ def _generated(*specs):
     return messages, traces
 
 
-def _per_message(messages, traces, params, baseline=False, disabled=frozenset()):
+def _per_message(messages, traces, baseline=False, disabled=frozenset()):
     """What ``infer_corpus`` gives, inferred one message at a time, no memo."""
     formats, annotations = {}, {}
     for m in messages:
         t = traces[m.id]
-        fmt = extract_format_baseline(m, t) if baseline else extract_format(m, t, params)
+        fmt = extract_format_baseline(m, t) if baseline else extract_format(m, t)
         formats[m.id] = fmt
         annotations[m.id] = annotate_format(fmt, t, m, disabled)
     return formats, annotations
@@ -173,7 +173,7 @@ def test_infer_corpus_infers_each_shape_once(monkeypatch):
         monkeypatch, detectors, "instructions_for",
         lambda t, f: (shapes[t.message_id], f, f.accessed),
     )
-    formats, _ = infer_corpus(messages, traces, AlignmentParams())
+    formats, _ = infer_corpus(messages, traces)
     assert len(extracted) == len(set(shapes.values())) < len(messages)
     assert {shapes[mid] for mid in extracted} == set(shapes.values())
     pairs = {(shapes[mid], f, f.accessed) for mid, fmt in formats.items() for f in fmt.fields}
@@ -188,9 +188,8 @@ def test_infer_corpus_infers_each_shape_once(monkeypatch):
 )
 def test_infer_corpus_equals_per_message_inference(specs, disabled, baseline):
     messages, traces = _generated(*specs)
-    params = AlignmentParams()
-    inferred = infer_corpus(messages, traces, params, baseline, disabled)
-    alone = _per_message(messages, traces, params, baseline, disabled)
+    inferred = infer_corpus(messages, traces, baseline, disabled)
+    alone = _per_message(messages, traces, baseline, disabled)
     assert inferred == alone
     assert _docs(messages, inferred) == _docs(messages, alone)
 
@@ -227,18 +226,17 @@ def _mutations(messages, traces, attr):
 @pytest.mark.parametrize("attr", ["reads", "seq", "cmp_result", "compared_const"])
 def test_a_record_that_differs_in_an_analysed_attribute_is_its_own_shape(attr):
     messages, traces = _generated((4, 2), (4, 2))
-    params = AlignmentParams()
-    before = _per_message(messages, traces, params)
+    before = _per_message(messages, traces)
     for victim, mutated in _mutations(messages, traces, attr):
         changed = {**traces, victim.id: mutated}
-        after = _per_message(messages, changed, params)
+        after = _per_message(messages, changed)
         if (after[0][victim.id], after[1][victim.id]) != (
             before[0][victim.id], before[1][victim.id]
         ):
             break
     else:
         pytest.fail(f"no change of one record's {attr} changes a result")
-    inferred = infer_corpus(messages, changed, params)
+    inferred = infer_corpus(messages, changed)
     assert inferred == after
     assert _docs(messages, inferred) == _docs(messages, after)
 
@@ -257,36 +255,35 @@ def test_infer_corpus_aligns_each_distinct_operator_pair_once(monkeypatch):
     calls = []
     real = extraction.semantic_similar
 
-    def counting(a, b, params=None):
+    def counting(a, b):
         calls.append((a, b))
-        return real(a, b, params)
+        return real(a, b)
 
     monkeypatch.setattr(extraction, "semantic_similar", counting)
-    params = AlignmentParams()
-    formats, _ = infer_corpus(messages, traces, params)
+    formats, _ = infer_corpus(messages, traces)
     first = list(calls)
     assert first and len(first) == len(set(first))
 
     calls.clear()
-    alone = {m.id: extract_format(m, traces[m.id], params) for m in messages}
+    alone = {m.id: extract_format(m, traces[m.id]) for m in messages}
     assert alone == formats
     assert len(calls) > len(first)  # the corpus repeats pairs across messages
 
     calls.clear()
-    assert infer_corpus(messages, traces, params)[0] == formats
+    assert infer_corpus(messages, traces)[0] == formats
     assert calls == first  # nothing is remembered between calls
 
 
 def test_refine_corpus_toggles(small_corpus):
     path, messages, traces, _ = small_corpus
     traces_map = {t.message_id: t for t in traces}
-    formats, annotations = infer_corpus(messages, traces_map, AlignmentParams())
+    formats, annotations = infer_corpus(messages, traces_map)
     clustering, _, _ = refine_corpus(
-        messages, formats, annotations, AlignmentParams(), clustering_enabled=False
+        messages, formats, annotations, clustering_enabled=False
     )
     assert clustering.degenerate
     clustering, _, _ = refine_corpus(
-        messages, formats, annotations, AlignmentParams(), clustering_enabled=True
+        messages, formats, annotations, clustering_enabled=True
     )
     assert clustering.command_pos == (0, 0)
 
@@ -294,9 +291,18 @@ def test_refine_corpus_toggles(small_corpus):
 def test_annotation_documents_round_trip(small_corpus):
     path, messages, traces, _ = small_corpus
     traces_map = {t.message_id: t for t in traces}
-    _, annotations = infer_corpus(messages, traces_map, AlignmentParams())
+    _, annotations = infer_corpus(messages, traces_map)
+    annotations["x"] = tuple(
+        FieldAnnotation(f, SemanticType.BYTES, frozenset(), ())
+        for f in (Field(0, 1), Field(2, 3, accessed=False))
+    )
     doc = json.loads(json.dumps(annotations_to_doc(annotations)))
-    assert annotations_from_doc(doc) == annotations
+
+    def with_flags(anns):
+        # Field equality ignores ``accessed``, so compare it on its own
+        return {mid: [(a, a.field.accessed) for a in entries] for mid, entries in anns.items()}
+
+    assert with_flags(annotations_from_doc(doc)) == with_flags(annotations)
 
 
 @pytest.fixture(scope="module")
@@ -314,14 +320,14 @@ def mixed_corpus(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize(
-    "options",
-    [{}, {"baseline": True}, {"clustering_enabled": False}],
-    ids=["default", "baseline", "no-clustering"],
-)
-def test_every_report_is_the_stdlib_indented_sorted_form(tmp_path, mixed_corpus, options):
+_CONFIGS = {"default": {}, "baseline": {"baseline": True},
+            "no-clustering": {"clustering_enabled": False}}
+
+
+@pytest.mark.parametrize("config", list(_CONFIGS))
+def test_every_report_is_the_stdlib_indented_sorted_form(tmp_path, mixed_corpus, config):
     out = tmp_path / "out"
-    run_pipeline(PipelineConfig(mixed_corpus, out, mixed_corpus, **options))
+    run_pipeline(PipelineConfig(mixed_corpus, out, mixed_corpus, **_CONFIGS[config]))
     written = sorted(p.name for p in out.iterdir())
     assert written == sorted(
         ["formats.json", "annotations.json", "clustering.json",
@@ -332,9 +338,47 @@ def test_every_report_is_the_stdlib_indented_sorted_form(tmp_path, mixed_corpus,
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text, name
 
 
+#: sha256 of each report of ``run_pipeline`` on ``mixed_corpus``, by
+#: configuration.  The reports are meant to keep their bytes through any
+#: simplification; a change that alters one on purpose records its new digest.
+REPORT_DIGESTS = {
+    "default": {
+        "annotations.json": "f80c50560d275a63f2db4c07bd0a5e63324a14a82067e9b73503443065579d53",
+        "clustering.json": "d3e47407d9a08f525275c3f296054bffea4fceeac099a7b608a6be43bacb8543",
+        "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
+        "metrics.json": "73f66635b352ce8bccd08ed0f8075decbad2ab80f18dec98556bfb237428f9c6",
+        "refinement_audit.json": "25b4cae01d0a31135c1f8d3c619e9fe381f063f4f2041a265ff4a84eed893ef7",
+        "template.json": "06a3844d319c7e09ef25a79c4e52789956598e6a4cc269425d6f9072a77d522d",
+    },
+    "baseline": {
+        "annotations.json": "bba06f5369591007ddd0e055b15fd6b480eceb8bce8d7fd78d542575ede9a366",
+        "clustering.json": "8aaa4cbb319b3bdd4c6d1090a55213b93b0ac8eed01b69f2230ba421c6907713",
+        "formats.json": "049c582cd17c160cfb78e9c14a45042e6a57cc9b9b80013ddf6bb53b69d6eb68",
+        "metrics.json": "b0204a570874c3e931d394a44a86a158eb334eb78d026c0a600d68f3897ca367",
+        "refinement_audit.json": "85c8641bf10108a81c2ea5bcc3da685dfbf4e8b22a2954f7480c1f7742335342",
+        "template.json": "35314f32580c590263c3453f66a87ae4b0b79eccc47bf9465175e77bbe5c2d92",
+    },
+    "no-clustering": {
+        "annotations.json": "ab947e1034eb537adb0add49334bdd0c95a3cf4679499d3d590551c0dcbedb69",
+        "clustering.json": "eb5af48c575e595d5410a02052394353ae0ff3d4f87d681007f1197145389349",
+        "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
+        "metrics.json": "e3b0bd6841b926c21ac3df5759f7111284e0c8414f0e403ecbd96ad858230767",
+        "refinement_audit.json": "355cc018f8f90a72baf51e781a28c475a61858bfa19aa1e8d69cf453d6d3a052",
+        "template.json": "37091ec213a52977dbcff852f2b4d0c8f0b9b7f6ff59d656229fc3b6ef5216c2",
+    },
+}
+
+@pytest.mark.parametrize("config", list(_CONFIGS))
+def test_reports_keep_their_recorded_bytes(tmp_path, mixed_corpus, config):
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(mixed_corpus, out, mixed_corpus, **_CONFIGS[config]))
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == REPORT_DIGESTS[config]
+
+
 def test_equal_annotations_share_one_dict(small_corpus):
     _, messages, traces, _ = small_corpus
-    _, annotations = infer_corpus(messages, {t.message_id: t for t in traces}, AlignmentParams())
+    _, annotations = infer_corpus(messages, {t.message_id: t for t in traces})
     ranged = Field(0, 1), Field(0, 1, accessed=False)
     annotations["x"] = tuple(FieldAnnotation(f, SemanticType.BYTES, frozenset(), ()) for f in ranged)
     doc = annotations_to_doc(annotations)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fieldlens.refinement as refinement
-from fieldlens.alignment import AlignmentParams, nw_format_score
+from fieldlens.alignment import nw_format_score
 from fieldlens.detectors import (
     Evidence,
     FieldAnnotation,
@@ -135,7 +135,7 @@ def test_clustering_is_permutation_invariant(refine_corpus):
             assert sorted(ids) == sorted(dict(base.clusters)[value])
 
 
-def brute_force_explore(messages, formats, params=AlignmentParams()):
+def brute_force_explore(messages, formats):
     """Reference search: align every within-cluster message pair."""
     if len(messages) < 2:
         return Clustering(None, ((b"", tuple(m.id for m in messages)),), 0.0)
@@ -156,8 +156,7 @@ def brute_force_explore(messages, formats, params=AlignmentParams()):
             for i in range(len(ids)):
                 for j in range(i + 1, len(ids)):
                     total += nw_format_score(
-                        formats[ids[i]].boundaries, formats[ids[j]].boundaries,
-                        params,
+                        formats[ids[i]].boundaries, formats[ids[j]].boundaries
                     )
                     pairs += 1
         score = total / pairs if pairs else 0.0
@@ -192,22 +191,12 @@ def prototype_corpora(draw):
     return messages, formats
 
 
-_params = st.builds(
-    AlignmentParams,
-    gap_score=st.integers(min_value=-3, max_value=-1),
-    match_score=st.integers(min_value=1, max_value=3),
-    mismatch_score=st.integers(min_value=-3, max_value=0),
-)
-
-
-@given(prototype_corpora(), _params)
+@given(prototype_corpora())
 @settings(max_examples=150, deadline=None)
-def test_explore_optimal_matches_all_pairs_search(corpus, params):
+def test_explore_optimal_matches_all_pairs_search(corpus):
     messages, formats = corpus
     # Clustering equality compares align_score with ==: the score is exact
-    assert explore_optimal(messages, formats, params) == brute_force_explore(
-        messages, formats, params
-    )
+    assert explore_optimal(messages, formats) == brute_force_explore(messages, formats)
 
 
 def test_each_distinct_boundary_pair_is_aligned_at_most_once(monkeypatch):
@@ -222,9 +211,9 @@ def test_each_distinct_boundary_pair_is_aligned_at_most_once(monkeypatch):
     k = len({formats[m.id].boundaries for m in messages})
     calls = []
 
-    def counting(a, b, params=None):
+    def counting(a, b):
         calls.append((a, b))
-        return nw_format_score(a, b, params)
+        return nw_format_score(a, b)
 
     monkeypatch.setattr(refinement, "nw_format_score", counting)
     clustering = explore_optimal(messages, formats)
