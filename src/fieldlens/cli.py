@@ -63,6 +63,12 @@ def _add_refine_flags(p: argparse.ArgumentParser) -> None:
                    help="skip type/function constraint refinement")
 
 
+def _ran_out(msg_id: str, budget: int) -> int:
+    print(f"error: {msg_id} ran out of its step budget (--step-budget {budget})",
+          file=sys.stderr)
+    return 2
+
+
 def _cmd_generate(args) -> int:
     out = Path(args.out)
     if args.script:
@@ -86,6 +92,8 @@ def _cmd_generate(args) -> int:
         all_traces = []
         for msg in all_messages:
             report = vm_run(script, msg, args.step_budget)
+            if report.terminated.name == "STEP_LIMIT":
+                return _ran_out(msg.id, args.step_budget)
             all_traces.append(report.trace)
             if report.terminated.name != "ACCEPT":
                 print(f"{msg.id}: {report.terminated.name}", file=sys.stderr)
@@ -104,10 +112,7 @@ def _cmd_generate(args) -> int:
             for msg in messages:
                 report = vm_run(parser.script, msg, args.step_budget)
                 if report.terminated.name == "STEP_LIMIT":
-                    budget = f"--step-budget {args.step_budget}"
-                    print(f"error: {msg.id} ran out of its step budget ({budget})",
-                          file=sys.stderr)
-                    return 2
+                    return _ran_out(msg.id, args.step_budget)
                 if report.terminated.name != "ACCEPT":
                     print(
                         f"generator bug: {msg.id} -> {report.terminated.name}",

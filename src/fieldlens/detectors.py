@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
     ArgRole,
@@ -80,6 +80,29 @@ class FieldAnnotation:
     inferred_type: SemanticType
     inferred_functions: frozenset[SemanticFunction]
     evidence: tuple[Evidence, ...]
+
+
+def share_annotations(
+    rows: Mapping[str, Sequence[FieldAnnotation]],
+) -> dict[str, tuple[FieldAnnotation, ...]]:
+    """Each message's annotations as a tuple, with one object per distinct
+    annotation and ``accessed`` flag (``Field`` equality ignores the flag)
+    and one tuple per distinct row.  A later stage can then look a shared
+    annotation or row up by ``id``.  Each object is hashed once; the memos
+    live for this call only."""
+    by_value: dict[tuple[FieldAnnotation, bool], FieldAnnotation] = {}
+    by_object: dict[int, FieldAnnotation] = {}  # ``rows`` keeps each key alive
+    shared: dict[tuple[int, ...], tuple[FieldAnnotation, ...]] = {}
+    out = {}
+    for mid, anns in rows.items():
+        row = []
+        for ann in anns:
+            one = by_object.get(id(ann))
+            if one is None:
+                one = by_object[id(ann)] = by_value.setdefault((ann, ann.field.accessed), ann)
+            row.append(one)
+        out[mid] = shared.setdefault(tuple(map(id, row)), tuple(row))
+    return out
 
 
 Records = Sequence[InstructionRecord]

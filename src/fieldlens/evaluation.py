@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Iterable, Sequence
 
-from .detectors import FieldAnnotation, SemanticFunction, SemanticType
+from .detectors import FieldAnnotation, SemanticFunction, SemanticType, share_annotations
 from .model import Field, FormatResult
 from .traceio import ParseError, RawLine, parse_bool
 
@@ -26,36 +26,52 @@ def load_ground_truth(lines: Iterable[RawLine]) -> dict[str, tuple[FieldAnnotati
     """Each message's true fields in offset order, from the ``gt`` lines of
     one interchange read (``traceio.Corpus.truth``).  A malformed line is a
     ParseError on its own line; whether the fields partition their message
-    is checked where the file is read (``reports.annotated_formats``)."""
+    is checked where the file is read (``reports.annotated_formats``).
+
+    The reader gives ``gt`` lines of one text after the message id one
+    ``kv`` dict, so each dict object is parsed once: its first line either
+    fails or gives the annotation that every later line shares.  Equal true
+    fields are then one object, and equal truths one tuple
+    (``detectors.share_annotations``).  The memos live for this call only."""
+    parsed: dict[int, tuple[dict[str, str], FieldAnnotation]] = {}  # keeps kv alive
     per_msg: dict[str, list[FieldAnnotation]] = {}
     for ln in lines:
-        if "field" not in ln.kv or "type" not in ln.kv:
-            raise ParseError(ln.line_no, "gt line needs field= and type=")
-        try:
-            start, end = map(int, ln.kv["field"].split("-", 1))
-            if end < start:
-                raise ValueError
-        except ValueError:
-            raise ParseError(ln.line_no, f"bad field range {ln.kv['field']!r}") from None
-        try:
-            sem_type = SemanticType[ln.kv["type"]]
-        except KeyError:
-            raise ParseError(ln.line_no, f"unknown type {ln.kv['type']!r}")
-        funcs: set[SemanticFunction] = set()
-        if ln.kv.get("funcs", "-") != "-":
-            for name in ln.kv["funcs"].split("|"):
-                try:
-                    funcs.add(SemanticFunction[name])
-                except KeyError:
-                    raise ParseError(ln.line_no, f"unknown function {name!r}")
-        accessed = parse_bool(ln.kv.get("accessed", "true"), ln.line_no)
-        per_msg.setdefault(ln.subject, []).append(
-            FieldAnnotation(Field(start, end, accessed), sem_type, frozenset(funcs), ())
-        )
-    return {
-        mid: tuple(sorted(anns, key=lambda a: a.field.start))
-        for mid, anns in per_msg.items()
-    }
+        hit = parsed.get(id(ln.kv))
+        if hit is None:
+            hit = parsed[id(ln.kv)] = (ln.kv, _true_field(ln))
+        per_msg.setdefault(ln.subject, []).append(hit[1])
+    for anns in per_msg.values():
+        anns.sort(key=_start)
+    return share_annotations(per_msg)
+
+
+def _start(ann: FieldAnnotation) -> int:
+    return ann.field.start
+
+
+def _true_field(ln: RawLine) -> FieldAnnotation:
+    """The true field of one ``gt`` line, or a ParseError on its line."""
+    if "field" not in ln.kv or "type" not in ln.kv:
+        raise ParseError(ln.line_no, "gt line needs field= and type=")
+    try:
+        start, end = map(int, ln.kv["field"].split("-", 1))
+        if end < start:
+            raise ValueError
+    except ValueError:
+        raise ParseError(ln.line_no, f"bad field range {ln.kv['field']!r}") from None
+    try:
+        sem_type = SemanticType[ln.kv["type"]]
+    except KeyError:
+        raise ParseError(ln.line_no, f"unknown type {ln.kv['type']!r}")
+    funcs: set[SemanticFunction] = set()
+    if ln.kv.get("funcs", "-") != "-":
+        for name in ln.kv["funcs"].split("|"):
+            try:
+                funcs.add(SemanticFunction[name])
+            except KeyError:
+                raise ParseError(ln.line_no, f"unknown function {name!r}")
+    accessed = parse_bool(ln.kv.get("accessed", "true"), ln.line_no)
+    return FieldAnnotation(Field(start, end, accessed), sem_type, frozenset(funcs), ())
 
 
 def serialize_ground_truth(

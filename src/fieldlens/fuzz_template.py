@@ -64,28 +64,31 @@ def build_template(
 ) -> dict:
     """Template document for every annotated message."""
     # group fields enumerate the distinct values observed across the corpus
-    group_values: dict[tuple[int, int], list[str]] = {}
+    observed: dict[tuple[int, int], set[bytes]] = {}
     for mid, anns in annotations.items():
-        msg = messages[mid]
+        data = messages[mid].data
         for ann in anns:
             if ann.inferred_type is SemanticType.GROUP:
-                rng = (ann.field.start, ann.field.end)
-                hexval = msg.data[ann.field.start : ann.field.end + 1].hex()
-                vals = group_values.setdefault(rng, [])
-                if hexval not in vals:
-                    vals.append(hexval)
-    for vals in group_values.values():
-        vals.sort()
+                f = ann.field
+                observed.setdefault((f.start, f.end), set()).add(data[f.start : f.end + 1])
+    group_values = {rng: sorted(v.hex() for v in values) for rng, values in observed.items()}
 
     # with group_values complete, an entry depends only on its annotation,
-    # its bytes and the message length, so equal ones are one shared dict
-    entries: dict[tuple, dict] = {}
+    # its bytes and the message length, so equal ones are one shared dict;
+    # an annotation is looked up by id first, so a shared one is hashed once
+    by_value: dict[tuple, dict] = {}
+    by_object: dict[tuple[int, bytes, int], tuple[FieldAnnotation, dict]] = {}
 
     def entry(ann: FieldAnnotation, msg: Message) -> dict:
-        key = (ann, msg.data[ann.field.start : ann.field.end + 1], len(msg))
-        if key not in entries:
-            entries[key] = _entry(ann, msg, group_values)
-        return entries[key]
+        value = msg.data[ann.field.start : ann.field.end + 1]
+        key = (id(ann), value, len(msg))
+        hit = by_object.get(key)
+        if hit is None:
+            equal = (ann, value, len(msg))
+            if equal not in by_value:
+                by_value[equal] = _entry(ann, msg, group_values)
+            hit = by_object[key] = (ann, by_value[equal])  # ann keeps its id unique
+        return hit[1]
 
     docs = []
     for mid in sorted(annotations):

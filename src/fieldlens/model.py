@@ -216,20 +216,28 @@ def shape_keys(
     one shape get one format and one set of per-field records; only the
     rules that read the message's bytes can tell them apart.  Equal records
     get one number, so keys compare equal only within one call.
+
+    The reader gives a repeated trace one ``records`` tuple and a repeated
+    record one object, so each tuple object is numbered once, and within it
+    each record object once.  Records and tuples stay alive in ``traces``,
+    so no id is reused within the call.
     """
     numbers: dict[InstructionRecord, int] = {}
-    # the reader shares one object per distinct record; number each object
-    # once (the records stay alive in ``traces``, so no id is reused)
     by_object: dict[int, int] = {}
+    rows: dict[int, tuple[int, ...]] = {}
     keys: dict[str, ShapeKey] = {}
     for msg in messages:
-        row = []
-        for rec in traces[msg.id].records:
-            n = by_object.get(id(rec))
-            if n is None:
-                n = by_object[id(rec)] = numbers.setdefault(rec, len(numbers))
-            row.append(n)
-        keys[msg.id] = (len(msg), tuple(row))
+        records = traces[msg.id].records
+        row = rows.get(id(records))
+        if row is None:
+            numbered = []
+            for rec in records:
+                n = by_object.get(id(rec))
+                if n is None:
+                    n = by_object[id(rec)] = numbers.setdefault(rec, len(numbers))
+                numbered.append(n)
+            row = rows[id(records)] = tuple(numbered)
+        keys[msg.id] = (len(msg), row)
     return keys
 
 

@@ -10,6 +10,13 @@ cluster, Shannon entropy of the values seen at each field range validates or
 revokes the extreme-entropy types (static, bytes) and donates types to
 unknown fields.  Finally, function labels that contradict the field's final
 type are dropped.
+
+Messages of one format share annotation objects, so both refinements work
+per distinct object, not per message: a revocation, donation or constraint
+step builds its result once (keyed by the annotation's ``id``, and the
+donor's type and range) and every message that holds the annotation gets
+that one result.  Each message still logs its own events, in message and
+field order.  The memos live for one call.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .alignment import nw_format_score
 from .detectors import Evidence, FieldAnnotation, SemanticFunction, SemanticType
@@ -202,6 +209,28 @@ def entropy_refine(
     """
     refined = {mid: list(anns) for mid, anns in annotations.items()}
     events: list[RefinementEvent] = []
+    # replace() runs once per distinct decision; each value keeps its key's
+    # annotation alive, so no id is reused within the call
+    revoked: dict[int, tuple[FieldAnnotation, FieldAnnotation]] = {}
+    donated: dict[tuple, tuple[FieldAnnotation, FieldAnnotation]] = {}
+
+    def revoke(ann: FieldAnnotation) -> FieldAnnotation:
+        hit = revoked.get(id(ann))
+        if hit is None:
+            hit = revoked[id(ann)] = (ann, replace(ann, inferred_type=SemanticType.UNKNOWN))
+        return hit[1]
+
+    def donate(ann: FieldAnnotation, donor: FieldAnnotation) -> FieldAnnotation:
+        f = donor.field
+        key = (id(ann), donor.inferred_type, f.start, f.end)
+        hit = donated.get(key)
+        if hit is None:
+            note = f"donor field {f.start}-{f.end}"
+            evidence = ann.evidence + (Evidence("refine.entropy-fallback", None, note=note),)
+            hit = donated[key] = (
+                ann, replace(ann, inferred_type=donor.inferred_type, evidence=evidence)
+            )
+        return hit[1]
 
     for _, ids in clustering.clusters:
         cluster_msgs = [messages[mid] for mid in ids]
@@ -226,7 +255,7 @@ def entropy_refine(
                 rng = (ann.field.start, ann.field.end)
                 h = h_of[rng]
                 if ann.inferred_type is SemanticType.STATIC and not h < med:
-                    anns[idx] = replace(ann, inferred_type=SemanticType.UNKNOWN)
+                    anns[idx] = revoke(ann)
                     events.append(
                         RefinementEvent(
                             mid, rng, "revoke-type", "STATIC",
@@ -234,7 +263,7 @@ def entropy_refine(
                         )
                     )
                 elif ann.inferred_type is SemanticType.BYTES and not h > med:
-                    anns[idx] = replace(ann, inferred_type=SemanticType.UNKNOWN)
+                    anns[idx] = revoke(ann)
                     events.append(
                         RefinementEvent(
                             mid, rng, "revoke-type", "BYTES",
@@ -260,16 +289,7 @@ def entropy_refine(
                 donor, donor_h = min(
                     donors, key=lambda d: (abs(d[1] - h), d[0].field.start)
                 )
-                new_ev = ann.evidence + (
-                    Evidence(
-                        "refine.entropy-fallback",
-                        None,
-                        note=f"donor field {donor.field.start}-{donor.field.end}",
-                    ),
-                )
-                anns[idx] = replace(
-                    ann, inferred_type=donor.inferred_type, evidence=new_ev
-                )
+                anns[idx] = donate(ann, donor)
                 events.append(
                     RefinementEvent(
                         mid, rng, "assign-type", donor.inferred_type.name,
@@ -290,64 +310,72 @@ def constraint_refine(
 
     The winning command position (when clustering ran) first gains the
     COMMAND label, and GROUP when the field is still untyped; the constraint
-    sweep then runs over the result.
+    sweep then runs over the result.  Each step refines each distinct
+    annotation object once, and every message that holds it gets the one
+    result and its own copy of the events.
     """
     refined = {mid: list(anns) for mid, anns in annotations.items()}
     events: list[RefinementEvent] = []
 
     if clustering is not None and clustering.command_pos is not None:
         pos = clustering.command_pos
-        for mid, anns in refined.items():
-            for idx, ann in enumerate(anns):
-                if (ann.field.start, ann.field.end) != pos:
-                    continue
-                updated = ann
-                if SemanticFunction.COMMAND not in ann.inferred_functions:
-                    updated = replace(
-                        updated,
-                        inferred_functions=updated.inferred_functions
-                        | {SemanticFunction.COMMAND},
-                        evidence=updated.evidence
-                        + (Evidence("refine.cluster-command", None),),
-                    )
-                    events.append(
-                        RefinementEvent(
-                            mid, pos, "add-function", "COMMAND",
-                            "field is the clustering basis",
-                        )
-                    )
-                if updated.inferred_type is SemanticType.UNKNOWN:
-                    updated = replace(updated, inferred_type=SemanticType.GROUP)
-                    events.append(
-                        RefinementEvent(
-                            mid, pos, "assign-type", "GROUP",
-                            "untyped clustering basis",
-                        )
-                    )
-                anns[idx] = updated
 
-    for mid, anns in refined.items():
-        for idx, ann in enumerate(anns):
-            bad = {
-                fn
-                for fn in ann.inferred_functions
-                if ann.inferred_type not in CONSTRAINT_TABLE[fn]
-            }
-            if bad:
-                anns[idx] = replace(
-                    ann, inferred_functions=ann.inferred_functions - bad
+        def command(ann: FieldAnnotation) -> Outcome:
+            if (ann.field.start, ann.field.end) != pos:
+                return ann, ()
+            logged = []
+            if SemanticFunction.COMMAND not in ann.inferred_functions:
+                ann = replace(
+                    ann,
+                    inferred_functions=ann.inferred_functions | {SemanticFunction.COMMAND},
+                    evidence=ann.evidence + (Evidence("refine.cluster-command", None),),
                 )
-                for fn in sorted(bad, key=lambda f: f.name):
-                    allowed = "/".join(sorted(t.name for t in CONSTRAINT_TABLE[fn]))
-                    events.append(
-                        RefinementEvent(
-                            mid,
-                            (ann.field.start, ann.field.end),
-                            "drop-function",
-                            fn.name,
-                            f"requires {allowed}, field is {ann.inferred_type.name}",
-                        )
-                    )
+                logged.append((pos, "add-function", "COMMAND", "field is the clustering basis"))
+            if ann.inferred_type is SemanticType.UNKNOWN:
+                ann = replace(ann, inferred_type=SemanticType.GROUP)
+                logged.append((pos, "assign-type", "GROUP", "untyped clustering basis"))
+            return ann, tuple(logged)
 
+        _refine_each(refined, command, events)
+
+    _refine_each(refined, _constrain, events)
     return {mid: tuple(anns) for mid, anns in refined.items()}, events
 
+
+#: one annotation's refinement: the result, and each event it logs as
+#: ``(field, action, label, reason)``, without the message id
+Outcome = tuple[FieldAnnotation, tuple[tuple[Range, str, str, str], ...]]
+
+
+def _constrain(ann: FieldAnnotation) -> Outcome:
+    bad = {
+        fn for fn in ann.inferred_functions if ann.inferred_type not in CONSTRAINT_TABLE[fn]
+    }
+    if not bad:
+        return ann, ()
+    rng = (ann.field.start, ann.field.end)
+    logged = []
+    for fn in sorted(bad, key=lambda f: f.name):
+        allowed = "/".join(sorted(t.name for t in CONSTRAINT_TABLE[fn]))
+        reason = f"requires {allowed}, field is {ann.inferred_type.name}"
+        logged.append((rng, "drop-function", fn.name, reason))
+    return replace(ann, inferred_functions=ann.inferred_functions - bad), tuple(logged)
+
+
+def _refine_each(
+    refined: dict[str, list[FieldAnnotation]],
+    refine: Callable[[FieldAnnotation], Outcome],
+    events: list[RefinementEvent],
+) -> None:
+    """Replace each annotation in ``refined`` with ``refine``'s result and
+    log its events under the message, in message and field order.
+    ``refine`` runs once per distinct annotation object."""
+    memo: dict[int, tuple[FieldAnnotation, Outcome]] = {}  # keeps each key alive
+    for mid, anns in refined.items():
+        for idx, ann in enumerate(anns):
+            hit = memo.get(id(ann))
+            if hit is None:
+                hit = memo[id(ann)] = (ann, refine(ann))
+            anns[idx], logged = hit[1]
+            for rng, action, label, reason in logged:
+                events.append(RefinementEvent(mid, rng, action, label, reason))

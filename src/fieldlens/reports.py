@@ -6,10 +6,12 @@
 that cannot be encoded leaves the file untouched.  It encodes a container
 object at most twice, however often the document holds it, so the
 converters below share one object per distinct model value: one annotation
-dict per distinct ``FieldAnnotation`` (and ``accessed`` flag), one
-``fields`` and one ``boundaries`` list per distinct field tuple, and, in
-``fuzz_template``, one template entry per annotation, field bytes and
-message length.  A shared object is never changed after it is handed out.
+dict per distinct ``FieldAnnotation`` (and ``accessed`` flag) and one list
+per annotation tuple object, one ``fields`` and one ``boundaries`` list per
+distinct field tuple, and, in ``fuzz_template``, one template entry per
+annotation, field bytes and message length.  Each converter looks a shared
+annotation up by ``id`` before it hashes it.  A shared object is never
+changed after it is handed out.
 ``read_json`` reads every stage input, and a file that is not JSON or not of
 the expected shape, down to the type of each scalar, is an
 ``IntegrityError`` naming the file.
@@ -198,16 +200,31 @@ def annotation_from_dict(doc: dict) -> FieldAnnotation:
 def annotations_to_doc(
     annotations: Mapping[str, Sequence[FieldAnnotation]]
 ) -> dict:
-    """Message id -> its annotations; equal annotations share one dict."""
-    shared: dict[tuple, dict] = {}
+    """Message id -> its annotations; equal annotations share one dict, and
+    messages whose annotations are one object share one list.  Each
+    annotation object is looked up by ``id`` first, so an annotation that
+    many messages share is hashed once."""
+    by_value: dict[tuple, dict] = {}
+    # id -> (the object, its dict or list); the object keeps its id unique
+    dicts: dict[int, tuple[FieldAnnotation, dict]] = {}
+    lists: dict[int, tuple[Sequence[FieldAnnotation], list]] = {}
 
     def entry(ann: FieldAnnotation) -> dict:
-        key = (ann, ann.field.accessed)  # ``Field`` equality ignores ``accessed``
-        if key not in shared:
-            shared[key] = annotation_to_dict(ann)
-        return shared[key]
+        hit = dicts.get(id(ann))
+        if hit is None:
+            key = (ann, ann.field.accessed)  # ``Field`` equality ignores ``accessed``
+            if key not in by_value:
+                by_value[key] = annotation_to_dict(ann)
+            hit = dicts[id(ann)] = (ann, by_value[key])
+        return hit[1]
 
-    return {mid: [entry(a) for a in anns] for mid, anns in sorted(annotations.items())}
+    def entries(anns: Sequence[FieldAnnotation]) -> list:
+        hit = lists.get(id(anns))
+        if hit is None:
+            hit = lists[id(anns)] = (anns, [entry(a) for a in anns])
+        return hit[1]
+
+    return {mid: entries(anns) for mid, anns in sorted(annotations.items())}
 
 
 def annotations_from_doc(doc: dict) -> dict[str, tuple[FieldAnnotation, ...]]:

@@ -28,15 +28,32 @@ does not define below is a ParseError:
 
 ``read_interchange`` is the one reader: a single pass over a stream gives
 the messages, their traces and the tokenized ``gt`` lines, so a file that
-holds traces and ground truth is read once.  Within one read, each ``rec``
-line is interned by its text after the message id and its message's length:
-lines that spell the same record for messages of the same length share one
-``InstructionRecord``, and only the first of them is tokenized and parsed.
-A parsed record is interned again by value and message length, so lines
-that spell one record differently (an older file's ``value``, say) share it
-too.  Records that differ still share each offset set they spell alike,
-interned the same way.  Records and offset sets are immutable, so sharing
-is safe, and the caches live only as long as the call.
+holds traces and ground truth is read once.  Within one read:
+
+- The consecutive lines after a ``msg`` line that each start with its own
+  ``rec <id> `` form a block, streamed a line at a time.  A block is keyed
+  by its text with those prefixes removed, plus the message's length, so a
+  repeated trace is one dict lookup and its messages share one ``records``
+  tuple.  Parsing a line reads only its text after the prefix and the
+  length, and any error ends the read, so a block whose key was seen
+  before parsed without error then and would parse to the same records
+  now; a bad line changes the text, and so the key.  Any other line (a
+  comment, a blank line, a ``gt`` line, another message's ``rec`` line, or
+  a ``rec`` line that does not begin with exactly ``rec <id> ``) ends the
+  block and is read on its own, so every error names the line that a
+  line-at-a-time reader would name.
+- A ``rec`` line that misses is interned by its text after the message id
+  and its message's length, and only the first of equal lines is
+  tokenized and parsed.  A parsed record is interned again by value and
+  message length, so lines that spell one record differently (an older
+  file's ``value``, say) share it too.  Records that differ still share
+  each offset set they spell alike, interned the same way.
+- ``gt`` lines with one text after the message id share one key/value
+  dict, so ``evaluation.load_ground_truth`` parses that text once.
+
+Records, offset sets and tuples are immutable and the dicts are not
+changed after the read, so sharing is safe; the caches live only as long
+as the call.
 
 The JSON documents the later stages exchange live in ``reports``; this
 module knows only the line format.
@@ -45,7 +62,8 @@ module knows only the line format.
 from __future__ import annotations
 
 import io
-from typing import Iterator, NamedTuple, Optional, TextIO
+from itertools import repeat
+from typing import NamedTuple, Optional, TextIO
 
 from .model import (
     ApiCall,
@@ -140,8 +158,16 @@ def _split_fields(kind: str, rest: str, line_no: int) -> dict[str, str]:
     keys = _LINE_KEYS.get(kind)
     if keys is None:
         raise ParseError(line_no, f"unknown record kind {kind!r}")
-    kv: dict[str, str] = {}
-    for tok in rest.split():
+    tokens = rest.split()
+    try:  # each token split at its first "=" in one C loop
+        kv = dict(map(str.split, tokens, repeat("="), repeat(1)))
+    except ValueError:  # a token without "="
+        kv = {}
+    if len(kv) == len(tokens) and kv.keys() <= keys:
+        return kv
+    # some token is bad: find the first, in line order
+    kv = {}
+    for tok in tokens:
         if "=" not in tok:
             raise ParseError(line_no, f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
@@ -165,18 +191,6 @@ class RawLine:
         self.line_no = line_no
 
 
-def _lines(stream: TextIO) -> Iterator[tuple[int, str, str, str]]:
-    """Line number, kind, subject and the rest of each non-comment line."""
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
-            continue
-        parts = line.split(None, 2)
-        if len(parts) < 2:
-            raise ParseError(line_no, f"truncated line {line!r}")
-        yield line_no, parts[0], parts[1], parts[2] if len(parts) == 3 else ""
-
-
 def _require(kv: dict[str, str], key: str, line_no: int) -> str:
     if key not in kv:
         raise ParseError(line_no, f"missing required key {key!r}")
@@ -197,58 +211,59 @@ def _offsets(cache: OffsetCache, text: str, line_no: int, length: int) -> frozen
     return offsets
 
 
-def _record_from_line(ln: RawLine, length: int, cache: OffsetCache) -> InstructionRecord:
-    kv = ln.kv
+def _record_from_kv(
+    kv: dict[str, str], line_no: int, length: int, cache: OffsetCache
+) -> InstructionRecord:
     try:
-        seq = int(_require(kv, "seq", ln.line_no))
+        seq = int(_require(kv, "seq", line_no))
     except ValueError:
-        raise ParseError(ln.line_no, f"bad seq {kv.get('seq')!r}") from None
-    op = _require(kv, "op", ln.line_no)
+        raise ParseError(line_no, f"bad seq {kv.get('seq')!r}") from None
+    op = _require(kv, "op", line_no)
     try:
-        op_class = OpClass[_require(kv, "class", ln.line_no)]
+        op_class = OpClass[_require(kv, "class", line_no)]
     except KeyError:
-        raise ParseError(ln.line_no, f"unknown op class {kv.get('class')!r}") from None
-    accessed = _offsets(cache, _require(kv, "off", ln.line_no), ln.line_no, length)
+        raise ParseError(line_no, f"unknown op class {kv.get('class')!r}") from None
+    accessed = _offsets(cache, _require(kv, "off", line_no), line_no, length)
     if "reads" in kv:
-        reads = _offsets(cache, kv["reads"], ln.line_no, length)
+        reads = _offsets(cache, kv["reads"], line_no, length)
     else:
         reads = accessed if op_class is OpClass.MOV_SERIES else frozenset()
 
-    compared_const = _parse_hex(kv["const"], ln.line_no) if "const" in kv else None
-    cmp_result = parse_bool(kv["result"], ln.line_no) if "result" in kv else None
-    triggered = parse_bool(kv["jump"], ln.line_no) if "jump" in kv else False
+    compared_const = _parse_hex(kv["const"], line_no) if "const" in kv else None
+    cmp_result = parse_bool(kv["result"], line_no) if "result" in kv else None
+    triggered = parse_bool(kv["jump"], line_no) if "jump" in kv else False
     loop_id = kv.get("loop")
     loop_role = None
     if "role" in kv:
         try:
             loop_role = LoopRole[kv["role"]]
         except KeyError:
-            raise ParseError(ln.line_no, f"unknown loop role {kv['role']!r}") from None
+            raise ParseError(line_no, f"unknown loop role {kv['role']!r}") from None
     api_call = None
     if "api" in kv:
         if ":" not in kv["api"]:
-            raise ParseError(ln.line_no, f"api must be name:ROLE, got {kv['api']!r}")
+            raise ParseError(line_no, f"api must be name:ROLE, got {kv['api']!r}")
         name, role_s = kv["api"].split(":", 1)
         try:
             api_call = ApiCall(name, ArgRole[role_s])
         except KeyError:
-            raise ParseError(ln.line_no, f"unknown api role {role_s!r}") from None
+            raise ParseError(line_no, f"unknown api role {role_s!r}") from None
     pointer = None
     if "ptr" in kv:
         try:
             pointer = PointerArith[kv["ptr"]]
         except KeyError:
-            raise ParseError(ln.line_no, f"unknown ptr kind {kv['ptr']!r}") from None
+            raise ParseError(line_no, f"unknown ptr kind {kv['ptr']!r}") from None
     if "value" in kv:  # older files carry it; checked, then dropped
-        _parse_hex(kv["value"], ln.line_no)
+        _parse_hex(kv["value"], line_no)
     lineage = None
     if "lineage" in kv:
         if "/" not in kv["lineage"]:
-            raise ParseError(ln.line_no, "lineage must hold two offset sets: a/b")
+            raise ParseError(line_no, "lineage must hold two offset sets: a/b")
         lhs_s, rhs_s = kv["lineage"].split("/", 1)
         lineage = (
-            _offsets(cache, lhs_s, ln.line_no, length),
-            _offsets(cache, rhs_s, ln.line_no, length),
+            _offsets(cache, lhs_s, line_no, length),
+            _offsets(cache, rhs_s, line_no, length),
         )
     try:
         return InstructionRecord(
@@ -267,7 +282,7 @@ def _record_from_line(ln: RawLine, length: int, cache: OffsetCache) -> Instructi
             operand_lineage=lineage,
         )
     except ModelError as exc:
-        raise IntegrityError(ln.line_no, str(exc)) from None
+        raise IntegrityError(line_no, str(exc)) from None
 
 
 class Corpus(NamedTuple):
@@ -278,50 +293,132 @@ class Corpus(NamedTuple):
     truth: list[RawLine]  # the ``gt`` lines, in file order
 
 
+class _Records:
+    """The record caches of one read (see the module docstring)."""
+
+    def __init__(self) -> None:
+        self.offsets: OffsetCache = {}
+        # (text after the message id, message length) -> its record
+        self.lines: dict[tuple[str, int], InstructionRecord] = {}
+        # (record, message length) -> the first equal record parsed
+        self.canon: dict[tuple[InstructionRecord, int], InstructionRecord] = {}
+        # (block text without its prefixes, message length) -> its records
+        self.blocks: dict[tuple[str, int], tuple[InstructionRecord, ...]] = {}
+
+    def line(self, rest: str, line_no: int, length: int) -> InstructionRecord:
+        """The record that ``rest``, the text after a ``rec`` line's message
+        id, spells for a message of ``length`` bytes.  Only a text that
+        parsed without error is cached, so only a miss can fail, as an
+        uncached parse would."""
+        key = (rest, length)
+        rec = self.lines.get(key)
+        if rec is None:
+            rec = _record_from_kv(
+                _split_fields("rec", rest, line_no), line_no, length, self.offsets
+            )
+            rec = self.lines[key] = self.canon.setdefault((rec, length), rec)
+        return rec
+
+    def block(
+        self, lines: list[str], first: int, prefix: str, length: int
+    ) -> tuple[InstructionRecord, ...]:
+        """The records of ``lines``, consecutive lines from line ``first`` on
+        that each start with ``prefix``, ``rec <id> `` of a message of
+        ``length`` bytes.  Without the prefixes, the text of the lines is
+        the key: equal keys hold equal line texts, which parse alike."""
+        text = "".join(lines)
+        key = (text[len(prefix):].replace("\n" + prefix, "\n"), length)
+        recs = self.blocks.get(key)
+        if recs is None:
+            n = len(prefix)
+            recs = self.blocks[key] = tuple(
+                self.line(raw[n:].strip(), line_no, length)
+                for line_no, raw in enumerate(lines, start=first)
+            )
+        return recs
+
+
+def _extend(
+    records: dict[str, list[InstructionRecord] | tuple[InstructionRecord, ...]],
+    msg_id: str,
+    new: tuple[InstructionRecord, ...],
+) -> None:
+    """Add ``new`` to the records of ``msg_id``.  A message whose records
+    all come from one block keeps that block's shared tuple."""
+    recs = records[msg_id]
+    if not recs:
+        records[msg_id] = new
+    else:
+        if isinstance(recs, tuple):
+            recs = records[msg_id] = list(recs)
+        recs.extend(new)
+
+
 def read_interchange(stream: TextIO) -> Corpus:
     """Messages, traces and ``gt`` lines of ``stream``, in one pass."""
     messages: list[Message] = []
     by_id: dict[str, Message] = {}
-    records: dict[str, list[InstructionRecord]] = {}
+    records: dict[str, list[InstructionRecord] | tuple[InstructionRecord, ...]] = {}
     rec_lines: dict[str, int] = {}
     truth: list[RawLine] = []
-    offsets: OffsetCache = {}
-    # (text after the message id, message length) -> its record, for this read
-    interned: dict[tuple[str, int], InstructionRecord] = {}
-    # (record, message length) -> the first equal record parsed, for this read
-    canon: dict[tuple[InstructionRecord, int], InstructionRecord] = {}
-    for line_no, kind, subject, rest in _lines(stream):
-        if kind == "rec":
-            msg = by_id.get(subject)
-            key = (rest, -1 if msg is None else len(msg))  # -1 never hits
-            rec = interned.get(key)
-            if rec is None:
-                # A hit parsed without error for a message of the same
-                # length, so only a miss can fail, as an uncached parse would.
-                ln = RawLine(kind, subject, _split_fields(kind, rest, line_no), line_no)
-                if msg is None:
-                    raise IntegrityError(
-                        line_no, f"record for undeclared message id {subject!r}"
-                    )
-                rec = _record_from_line(ln, len(msg), offsets)
-                rec = interned[key] = canon.setdefault((rec, len(msg)), rec)
-            records[subject].append(rec)
-            rec_lines.setdefault(subject, line_no)
+    cache = _Records()
+    # text after the message id -> the key/value pairs of that ``gt`` line
+    gt_fields: dict[str, dict[str, str]] = {}
+    # The lines after a ``msg`` line that start with its ``rec <id> `` form a
+    # block.  ``str.startswith(())`` is false, so no block precedes the
+    # first ``msg`` line.
+    prefix: str | tuple[()] = ()
+    block: list[str] = []
+    msg: Optional[Message] = None
+    length = 0
+
+    def end_block(first: int) -> None:
+        _extend(records, msg.id, cache.block(block, first, prefix, length))
+        rec_lines.setdefault(msg.id, first)
+        block.clear()
+
+    line_no = 0
+    for line_no, raw in enumerate(stream, start=1):
+        if raw.startswith(prefix):
+            block.append(raw)
             continue
-        ln = RawLine(kind, subject, _split_fields(kind, rest, line_no), line_no)
-        if ln.kind == "msg":
-            if ln.subject in by_id:
-                raise IntegrityError(ln.line_no, f"duplicate message id {ln.subject!r}")
-            data = _parse_hex(_require(ln.kv, "bytes", ln.line_no), ln.line_no)
+        if block:
+            end_block(line_no - len(block))
+        line = raw.strip()
+        if not line or line.startswith(("#", ";")):
+            continue
+        parts = line.split(None, 2)
+        if len(parts) < 2:
+            raise ParseError(line_no, f"truncated line {line!r}")
+        kind, subject = parts[0], parts[1]
+        rest = parts[2] if len(parts) == 3 else ""
+        if kind == "rec":
+            owner = by_id.get(subject)
+            if owner is None:
+                _split_fields(kind, rest, line_no)
+                raise IntegrityError(line_no, f"record for undeclared message id {subject!r}")
+            _extend(records, subject, (cache.line(rest, line_no, len(owner)),))
+            rec_lines.setdefault(subject, line_no)
+        elif kind == "gt":
+            kv = gt_fields.get(rest)
+            if kv is None:
+                kv = gt_fields[rest] = _split_fields(kind, rest, line_no)
+            truth.append(RawLine(kind, subject, kv, line_no))
+        else:
+            kv = _split_fields(kind, rest, line_no)  # a msg line, or a ParseError
+            if subject in by_id:
+                raise IntegrityError(line_no, f"duplicate message id {subject!r}")
+            data = _parse_hex(_require(kv, "bytes", line_no), line_no)
             try:
-                msg = Message(ln.subject, data)
+                msg = Message(subject, data)
             except ModelError as exc:
-                raise IntegrityError(ln.line_no, str(exc)) from None
-            by_id[ln.subject] = msg
+                raise IntegrityError(line_no, str(exc)) from None
+            by_id[subject] = msg
             messages.append(msg)
-            records.setdefault(ln.subject, [])
-        else:  # a gt line
-            truth.append(ln)
+            records[subject] = []
+            prefix, length = f"rec {subject} ", len(data)
+    if block:
+        end_block(line_no + 1 - len(block))
 
     traces: list[ExecutionTrace] = []
     for msg_id, recs in records.items():

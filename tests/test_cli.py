@@ -545,6 +545,33 @@ def test_generate_names_the_step_budget_that_ran_out(tmp_path):
     assert not (tmp_path / "g.fl").exists()
 
 
+def test_a_script_run_names_the_step_budget_that_ran_out(tmp_path, capsys):
+    text = tmp_path / "txt.fl"
+    assert run_cli(
+        "generate-traces", "--parser", "text-command", "--count", "3",
+        "--with-ground-truth", "--out", text,
+    ) == 0
+    capsys.readouterr()
+    out = tmp_path / "g.fl"
+    script = SRC / "fieldlens" / "vm" / "scripts" / "text_command.pvm"
+    assert run_cli(
+        "generate-traces", "--script", script, "--corpus", text,
+        "--with-ground-truth", "--step-budget", "5", "--out", out,
+    ) == 2
+    err = capsys.readouterr().err
+    assert "error: txt000 ran out of its step budget (--step-budget 5)" in err
+    assert not out.exists()
+
+
+def test_a_script_run_keeps_going_past_a_rejected_message(tmp_path, corpus, capsys):
+    script = tmp_path / "reject.pvm"
+    script.write_text("reject\n")
+    out = tmp_path / "g.fl"
+    assert run_cli("generate-traces", "--script", script, "--corpus", corpus, "--out", out) == 0
+    assert "bin000: REJECT" in capsys.readouterr().err
+    assert out.exists()
+
+
 @pytest.mark.parametrize(
     "content",
     [

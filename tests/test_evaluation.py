@@ -46,6 +46,24 @@ def ann(start, end, sem_type, funcs=()):
     )
 
 
+def test_equal_truths_are_one_tuple_of_shared_fields():
+    text = "".join(f"msg {m} bytes=0x0102\n" for m in "abcd") + (
+        "gt a field=0-0 type=STATIC funcs=- accessed=true\n"
+        "gt a field=1-1 type=BYTES funcs=-\n"
+        "gt b field=1-1 type=BYTES funcs=-\n"
+        "gt b field=0-0 type=STATIC funcs=-\n"
+        "gt c field=0-0 type=STATIC funcs=-\n"
+        "gt c field=1-1 type=BYTES funcs=-\n"
+        "gt d field=0-0 type=STATIC funcs=- accessed=false\n"
+        "gt d field=1-1 type=BYTES funcs=-\n"
+    )
+    truths = load_ground_truth(read_interchange(io.StringIO(text)).truth)
+    assert truths["a"] is truths["b"] is truths["c"]
+    # ``Field`` equality ignores ``accessed``; sharing does not
+    assert truths["d"][1] is truths["a"][1]
+    assert truths["a"][0].field.accessed and not truths["d"][0].field.accessed
+
+
 def test_hand_enumerated_boundary_case():
     # 8-byte message, true boundaries {2,5}, inferred {2,4}
     truth = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))

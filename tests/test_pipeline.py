@@ -15,6 +15,7 @@ from fieldlens.model import ExecutionTrace, Field, ModelError
 from fieldlens.pipeline import (
     PipelineConfig,
     infer_corpus,
+    read_inputs,
     refine_corpus,
     run_pipeline,
 )
@@ -318,6 +319,16 @@ def mixed_corpus(tmp_path_factory):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(serialize_ground_truth(truths))
     return path
+
+
+def test_equal_refined_annotations_are_one_object(mixed_corpus):
+    messages, traces, _ = read_inputs(mixed_corpus)
+    formats, annotations = infer_corpus(messages, traces)
+    _, refined, _ = refine_corpus(messages, formats, annotations)
+    anns = [a for row in refined.values() for a in row]
+    assert len({id(a) for a in anns}) == len({(a, a.field.accessed) for a in anns}) < len(anns)
+    rows = {tuple((a, a.field.accessed) for a in row) for row in refined.values()}
+    assert len({id(row) for row in refined.values()}) == len(rows) < len(refined)
 
 
 _CONFIGS = {"default": {}, "baseline": {"baseline": True},

@@ -416,6 +416,42 @@ def test_checksum_kept_on_integer_field():
     assert events == []
 
 
+def _counting_replace(monkeypatch):
+    """The annotations ``dataclasses.replace`` is called on in refinement."""
+    calls = []
+    real = refinement.replace
+
+    def counting(obj, **changes):
+        calls.append(obj)
+        return real(obj, **changes)
+
+    monkeypatch.setattr(refinement, "replace", counting)
+    return calls
+
+
+def test_a_shared_annotation_is_refined_once_and_logged_per_message(monkeypatch):
+    calls = _counting_replace(monkeypatch)
+    shared = ann(0, 0, T.STATIC, [F.LENGTH])
+    refined, events = constraint_refine({"a": (shared,), "b": (shared,)})
+    assert refined["a"][0] is refined["b"][0]
+    assert refined["a"][0].inferred_functions == frozenset()
+    assert [(e.message_id, e.label) for e in events] == [("a", "LENGTH"), ("b", "LENGTH")]
+    assert len(calls) == 1
+
+
+def test_entropy_refinement_replaces_once_per_distinct_decision(monkeypatch):
+    calls = _counting_replace(monkeypatch)
+    messages, clustering = _mk_corpus()
+    row = (ann(0, 0, T.INTEGER), ann(1, 1, T.INTEGER), ann(2, 3, T.STATIC))
+    refined, events = entropy_refine({mid: row for mid in messages}, clustering, messages)
+    assert len({id(ann) for anns in refined.values() for ann in anns}) == 3
+    assert len(calls) == 2  # one revocation, one donation
+    assert [(e.action, e.message_id) for e in events] == [
+        *(("revoke-type", mid) for mid in messages),
+        *(("assign-type", mid) for mid in messages),
+    ]
+
+
 def test_command_position_gains_command_and_group():
     clustering = Clustering((2, 2), ((b"\x01", ("m",)),), 1.0)
     annotations = {

@@ -167,3 +167,27 @@ def test_every_name_the_benchmark_looks_up_exists():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_no_memo_outlives_a_call():
+    """``functools.lru_cache`` and ``functools.cache`` keep their results
+    from one call to the next, so a repeated input would be served from an
+    earlier call.  Every memo in the package lives for one call."""
+    memos = ("lru_cache", "cache")
+    found = []
+    for name, tree in _modules():
+        aliases = {"functools"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{name}: {a.name}" for a in node.names if a.name in memos]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in memos
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                found.append(f"{name}: {node.value.id}.{node.attr}")
+    assert found == []

@@ -1,10 +1,12 @@
+import functools
 import io
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldlens.evaluation import load_ground_truth
+from fieldlens import traceio
+from fieldlens.evaluation import load_ground_truth, serialize_ground_truth
 from fieldlens.model import (
     ApiCall,
     ArgRole,
@@ -12,6 +14,7 @@ from fieldlens.model import (
     InstructionRecord,
     LoopRole,
     Message,
+    ModelError,
     OpClass,
     PointerArith,
     shape_keys,
@@ -20,6 +23,7 @@ from fieldlens.traceio import (
     IntegrityError,
     ParseError,
     format_offsets,
+    load_corpus,
     load_corpus_stream,
     parse_offsets,
     read_interchange,
@@ -281,8 +285,7 @@ def test_messages_of_one_shape_share_their_record_objects():
     for mid, key in shape_keys(loaded, by_id).items():
         if key in first:
             shared += 1
-            records = by_id[mid].records
-            assert all(a is b for a, b in zip(records, by_id[first[key]].records, strict=True))
+            assert by_id[mid].records is by_id[first[key]].records
         else:
             first[key] = mid
     assert shared
@@ -309,6 +312,29 @@ def test_separate_loads_share_no_records(example3):
     first, second = load_text(text)[1], load_text(text)[1]  # both kept alive
     ids = [{id(r) for t in traces for r in t.records} for traces in (first, second)]
     assert ids[0] and not ids[0] & ids[1]
+
+
+def test_a_second_load_shares_nothing_with_the_first(tmp_path, example3):
+    path = tmp_path / "c.fl"
+    path.write_text(
+        serialize_corpus([example3[0]], [example3[1]])
+        + f"gt {example3[0].id} field=0-{len(example3[0]) - 1} type=BYTES funcs=-\n"
+    )
+    loads = [load_corpus(path), load_corpus(path)]  # both kept alive
+    truths = [load_ground_truth(corpus.truth) for corpus in loads]
+
+    def objects(corpus, truth):
+        for trace in corpus.traces:
+            yield trace.records
+            yield from trace.records
+            yield from (s for s in _offset_sets([trace]) if s)
+        yield from (ln.kv for ln in corpus.truth)
+        for anns in truth.values():
+            yield anns
+            yield from anns
+
+    first, second = ({id(o) for o in objects(*pair)} for pair in zip(loads, truths))
+    assert first and not first & second
 
 
 def test_ground_truth_lines_come_from_the_same_read():
@@ -401,3 +427,168 @@ def test_any_interchange_text_gives_a_corpus_or_a_parse_error(text):
     finally:
         tracemalloc.stop()
     assert peak < 32 * len(text) + (16 << 10), (peak, len(text))
+
+
+# The per-line reader that block interning replaced, kept as an oracle.  Its
+# record caches are left out: they spared a second parse of a text that had
+# parsed without error, and changed no result.
+def _oracle_split_fields(kind, rest, line_no):
+    keys = traceio._LINE_KEYS.get(kind)
+    if keys is None:
+        raise ParseError(line_no, f"unknown record kind {kind!r}")
+    kv = {}
+    for tok in rest.split():
+        if "=" not in tok:
+            raise ParseError(line_no, f"expected key=value, got {tok!r}")
+        key, value = tok.split("=", 1)
+        if key not in keys:
+            raise ParseError(line_no, f"unknown key {key!r} on a {kind} line")
+        if key in kv:
+            raise ParseError(line_no, f"duplicate key {key!r}")
+        kv[key] = value
+    return kv
+
+
+def _oracle_lines(stream):
+    for line_no, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith(";"):
+            continue
+        parts = line.split(None, 2)
+        if len(parts) < 2:
+            raise ParseError(line_no, f"truncated line {line!r}")
+        yield line_no, parts[0], parts[1], parts[2] if len(parts) == 3 else ""
+
+
+def _oracle_read(stream):
+    messages, by_id, records, rec_lines, truth = [], {}, {}, {}, []
+    for line_no, kind, subject, rest in _oracle_lines(stream):
+        ln = traceio.RawLine(kind, subject, _oracle_split_fields(kind, rest, line_no), line_no)
+        if kind == "rec":
+            msg = by_id.get(subject)
+            if msg is None:
+                raise IntegrityError(line_no, f"record for undeclared message id {subject!r}")
+            records[subject].append(traceio._record_from_kv(ln.kv, line_no, len(msg), {}))
+            rec_lines.setdefault(subject, line_no)
+        elif kind == "msg":
+            if subject in by_id:
+                raise IntegrityError(line_no, f"duplicate message id {subject!r}")
+            data = traceio._parse_hex(traceio._require(ln.kv, "bytes", line_no), line_no)
+            try:
+                msg = Message(subject, data)
+            except ModelError as exc:
+                raise IntegrityError(line_no, str(exc)) from None
+            by_id[subject] = msg
+            messages.append(msg)
+            records.setdefault(subject, [])
+        else:
+            truth.append(ln)
+    traces = []
+    for msg_id, recs in records.items():
+        try:
+            traces.append(ExecutionTrace(msg_id, tuple(recs)))
+        except ModelError as exc:
+            raise IntegrityError(rec_lines.get(msg_id), str(exc)) from None
+    return traceio.Corpus(messages, traces, truth)
+
+
+@functools.cache
+def _generated_lines(seed):
+    """The lines of a 4-message-per-parser corpus with its ``gt`` lines at
+    the end; every seed used here repeats some trace."""
+    messages, traces, truths = [], [], []
+    for parser in bundled_parsers():
+        generated, gts = parser.generate(4, seed)
+        messages += generated
+        traces += [vm_run(parser.script, m).trace for m in generated]
+        truths += gts
+    text = serialize_corpus(messages, traces) + serialize_ground_truth(truths)
+    return tuple(text.splitlines())
+
+
+def _blocks(lines):
+    """(msg line index, rec line indices) of each message, in file order."""
+    out = []
+    for i, line in enumerate(lines):
+        if line.startswith("msg "):
+            out.append((i, []))
+        elif line.startswith("rec "):
+            out[-1][1].append(i)
+    return out
+
+
+_CORRUPTIONS = (
+    lambda line: line.replace(" off=", " off=999,", 1),  # outside the message
+    lambda line: line.replace(" seq=", " seq=x", 1),
+    lambda line: line + " bogus",
+    lambda line: line.replace(" class=", " class=NOPE", 1),
+    lambda line: line.replace("seq=", "seq=1 seq=", 1),
+)
+_PADDING = ("", "   ", "# a comment", "; another", "\t")
+
+
+@st.composite
+def edited_corpora(draw):
+    """A generated corpus with some of these edits: blank and comment
+    lines, extra whitespace, another message's ``rec`` lines, ``gt`` lines
+    among the records, one corrupted ``rec`` line in a later message of a
+    repeated trace, and CRLF line endings."""
+    lines = list(_generated_lines(draw(st.sampled_from([0, 1, 2, 3]))))
+    blocks = _blocks(lines)
+    if draw(st.booleans()):
+        seen, repeats = set(), []
+        for msg_i, recs in blocks:
+            # a msg line's length stands for its message's: the ids are alike
+            key = (len(lines[msg_i]), tuple(lines[i].split(None, 2)[2] for i in recs))
+            if key in seen:
+                repeats.append(recs)
+            seen.add(key)
+        recs = draw(st.sampled_from(repeats))
+        i = draw(st.sampled_from(recs))
+        lines[i] = draw(st.sampled_from(_CORRUPTIONS))(lines[i])
+    if draw(st.booleans()):  # a rec line that names an earlier message
+        (_, earlier), (later, _) = sorted(draw(st.lists(
+            st.sampled_from(blocks), min_size=2, max_size=2, unique_by=lambda b: b[0])))
+        moved = lines[draw(st.sampled_from(earlier))]
+        lines.insert(draw(st.integers(later + 1, later + 4)), moved)
+    gt = [i for i, line in enumerate(lines) if line.startswith("gt ")]
+    chosen = sorted(draw(st.lists(st.sampled_from(gt), max_size=4, unique=True)), reverse=True)
+    for line in [lines.pop(i) for i in chosen]:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_PADDING)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        pad = draw(st.sampled_from([" ", "  ", "\t"]))
+        lines[i] = draw(st.sampled_from([
+            pad + lines[i], lines[i] + pad, lines[i].replace(" ", " " + pad, 2),
+        ]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _outcome(read, text, newline):
+    try:
+        corpus = read(io.StringIO(text, newline=newline))
+    except (ParseError, IntegrityError) as exc:
+        return type(exc), str(exc)
+    truth = [(ln.kind, ln.subject, ln.kv, ln.line_no) for ln in corpus.truth]
+    return corpus.messages, corpus.traces, truth
+
+
+@given(edited_corpora(), st.sampled_from([None, "", "\n"]))
+@settings(max_examples=150, deadline=None)
+def test_the_block_reader_matches_the_per_line_oracle(text, newline):
+    assert _outcome(read_interchange, text, newline) == _outcome(_oracle_read, text, newline)
+
+
+def test_a_block_is_reused_only_for_a_message_of_the_same_length():
+    block = "seq=1 op=movzx class=MOV_SERIES off=0-3\n"
+    text = (
+        f"msg a bytes=0x0102030405\nrec a {block}"
+        f"msg b bytes=0x0102030405\nrec b {block}"
+        f"msg c bytes=0x010203\nrec c {block}"
+    )
+    with pytest.raises(IntegrityError) as err:
+        load_text(text)
+    assert err.value.line_no == 6 and "length 3" in str(err.value)
