@@ -28,7 +28,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .model import (
     ArgRole,
@@ -74,35 +75,20 @@ class Evidence:
 @dataclass(frozen=True)
 class FieldAnnotation:
     """A field with its semantic type, functions and the evidence for them.
-    A true annotation (a message's ground truth) carries no evidence."""
+    A true annotation (a message's ground truth) carries no evidence.  Like
+    a ``Field``, it computes its hash on first use."""
 
     field: Field
     inferred_type: SemanticType
     inferred_functions: frozenset[SemanticFunction]
     evidence: tuple[Evidence, ...]
 
+    def __hash__(self) -> int:
+        return self._hash
 
-def share_annotations(
-    rows: Mapping[str, Sequence[FieldAnnotation]],
-) -> dict[str, tuple[FieldAnnotation, ...]]:
-    """Each message's annotations as a tuple, with one object per distinct
-    annotation and ``accessed`` flag (``Field`` equality ignores the flag)
-    and one tuple per distinct row.  A later stage can then look a shared
-    annotation or row up by ``id``.  Each object is hashed once; the memos
-    live for this call only."""
-    by_value: dict[tuple[FieldAnnotation, bool], FieldAnnotation] = {}
-    by_object: dict[int, FieldAnnotation] = {}  # ``rows`` keeps each key alive
-    shared: dict[tuple[int, ...], tuple[FieldAnnotation, ...]] = {}
-    out = {}
-    for mid, anns in rows.items():
-        row = []
-        for ann in anns:
-            one = by_object.get(id(ann))
-            if one is None:
-                one = by_object[id(ann)] = by_value.setdefault((ann, ann.field.accessed), ann)
-            row.append(one)
-        out[mid] = shared.setdefault(tuple(map(id, row)), tuple(row))
-    return out
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.field, self.inferred_type, self.inferred_functions, self.evidence))
 
 
 Records = Sequence[InstructionRecord]
@@ -335,8 +321,8 @@ class Structure:
     built: dict[tuple, FieldAnnotation] = dc_field(default_factory=dict)
 
 
-#: (field, accessed) -> its structure, for the traces of one shape
-FieldMemo = dict[tuple[Field, bool], Structure]
+#: field -> its structure, for the traces of one shape
+FieldMemo = dict[Field, Structure]
 
 
 def _evidence(rule: Rule, found: Found) -> tuple[Evidence, ...]:
@@ -424,8 +410,8 @@ def annotate_format(
     memo = {} if memo is None else memo
     out = []
     for f in fmt.fields:
-        structure = memo.get((f, f.accessed))
+        structure = memo.get(f)
         if structure is None:
-            structure = memo[f, f.accessed] = _structure(f, trace, disabled)
+            structure = memo[f] = _structure(f, trace, disabled)
         out.append(_finish(f, message, structure))
     return tuple(out)

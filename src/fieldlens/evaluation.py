@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Iterable, Sequence
 
-from .detectors import FieldAnnotation, SemanticFunction, SemanticType, share_annotations
+from .detectors import FieldAnnotation, SemanticFunction, SemanticType
 from .model import Field, FormatResult
 from .traceio import ParseError, RawLine, parse_bool
 
@@ -28,21 +28,17 @@ def load_ground_truth(lines: Iterable[RawLine]) -> dict[str, tuple[FieldAnnotati
     ParseError on its own line; whether the fields partition their message
     is checked where the file is read (``reports.annotated_formats``).
 
-    The reader gives ``gt`` lines of one text after the message id one
-    ``kv`` dict, so each dict object is parsed once: its first line either
-    fails or gives the annotation that every later line shares.  Equal true
-    fields are then one object, and equal truths one tuple
-    (``detectors.share_annotations``).  The memos live for this call only."""
-    parsed: dict[int, tuple[dict[str, str], FieldAnnotation]] = {}  # keeps kv alive
+    Each distinct text after the message id is parsed once, in a memo keyed
+    by that text for this call only: its first line either fails or gives
+    the annotation that every later line of that text shares."""
+    parsed: dict[str, FieldAnnotation] = {}
     per_msg: dict[str, list[FieldAnnotation]] = {}
     for ln in lines:
-        hit = parsed.get(id(ln.kv))
-        if hit is None:
-            hit = parsed[id(ln.kv)] = (ln.kv, _true_field(ln))
-        per_msg.setdefault(ln.subject, []).append(hit[1])
-    for anns in per_msg.values():
-        anns.sort(key=_start)
-    return share_annotations(per_msg)
+        ann = parsed.get(ln.text)
+        if ann is None:
+            ann = parsed[ln.text] = _true_field(ln)
+        per_msg.setdefault(ln.subject, []).append(ann)
+    return {mid: tuple(sorted(anns, key=_start)) for mid, anns in per_msg.items()}
 
 
 def _start(ann: FieldAnnotation) -> int:

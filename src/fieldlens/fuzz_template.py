@@ -74,21 +74,14 @@ def build_template(
     group_values = {rng: sorted(v.hex() for v in values) for rng, values in observed.items()}
 
     # with group_values complete, an entry depends only on its annotation,
-    # its bytes and the message length, so equal ones are one shared dict;
-    # an annotation is looked up by id first, so a shared one is hashed once
-    by_value: dict[tuple, dict] = {}
-    by_object: dict[tuple[int, bytes, int], tuple[FieldAnnotation, dict]] = {}
+    # its bytes and the message length, so equal ones are one shared dict
+    entries: dict[tuple[FieldAnnotation, bytes, int], dict] = {}
 
     def entry(ann: FieldAnnotation, msg: Message) -> dict:
-        value = msg.data[ann.field.start : ann.field.end + 1]
-        key = (id(ann), value, len(msg))
-        hit = by_object.get(key)
-        if hit is None:
-            equal = (ann, value, len(msg))
-            if equal not in by_value:
-                by_value[equal] = _entry(ann, msg, group_values)
-            hit = by_object[key] = (ann, by_value[equal])  # ann keeps its id unique
-        return hit[1]
+        key = (ann, msg.data[ann.field.start : ann.field.end + 1], len(msg))
+        if key not in entries:
+            entries[key] = _entry(ann, msg, group_values)
+        return entries[key]
 
     docs = []
     for mid in sorted(annotations):

@@ -2,12 +2,13 @@
 
 Everything here is immutable after construction and safe to share between
 threads; ``ExecutionTrace.loops`` is a view derived from the records on first
-use.  Offsets are byte-granular; bit-level fields are out of scope.
+use, and a ``Field`` keeps its hash in the same way.  Offsets are
+byte-granular; bit-level fields are out of scope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Tuple
@@ -149,16 +150,25 @@ def group_loops(
 class Field:
     """A contiguous byte range [start, end] of a message (both ends inclusive).
 
-    ``accessed`` is False for ranges no instruction ever touched.
+    ``accessed`` is False for ranges no instruction ever touched.  It takes
+    part in equality, so equal fields are exactly those that give equal
+    reports, and a memo can key on a field's value.
     """
 
     start: int
     end: int
-    accessed: bool = dc_field(default=True, compare=False)
+    accessed: bool = True
 
     def __post_init__(self) -> None:
         if self.start < 0 or self.end < self.start:
             raise ModelError(f"invalid field range ({self.start}, {self.end})")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.start, self.end, self.accessed))
 
     @property
     def offsets(self) -> range:

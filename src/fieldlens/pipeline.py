@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .detectors import FieldAnnotation, FieldMemo, annotate_format, share_annotations
+from .detectors import FieldAnnotation, FieldMemo, annotate_format
 from .evaluation import (
     MetricsReport,
     count_segmentation_errors,
@@ -125,9 +125,7 @@ def refine_corpus(
     if constraints_enabled:
         refined, ev = constraint_refine(refined, clustering)
         events.extend(ev)
-    # one object per equal annotation and one tuple per equal row, so that
-    # scoring and the reports can look each up by id
-    return clustering, share_annotations(refined), events
+    return clustering, refined, events
 
 
 def score_corpus(
@@ -137,24 +135,24 @@ def score_corpus(
 ) -> MetricsReport:
     """Metrics of every message in ``formats``; ``truths`` was checked where it was read.
 
-    A message's scores depend only on its fields, annotations and truth, so
-    each distinct combination of those objects is scored once and added for
-    every message that holds it.  The memo lives for this call only."""
+    A message's scores depend only on the values of its fields, annotations
+    and truth (``accessed`` included, which the segmentation errors and
+    ``recall_accessed_only`` read), so each distinct combination is scored
+    once and added for every message that holds it.  The memo lives for
+    this call only."""
     report = MetricsReport()
-    scored: dict[tuple[int, int, int], tuple] = {}
+    scored: dict[tuple, tuple] = {}
     for mid in sorted(formats):
-        fields, anns, truth = formats[mid].fields, annotations[mid], truths[mid]
-        key = (id(fields), id(anns), id(truth))
+        fmt, anns, truth = formats[mid], tuple(annotations[mid]), tuple(truths[mid])
+        key = (fmt.fields, anns, truth)
         hit = scored.get(key)
         if hit is None:
-            fmt = formats[mid]
             hit = scored[key] = (
-                (fields, anns, truth),  # keeps the key's objects alive
                 score_format(fmt, truth),
                 score_semantics(anns, truth),
                 count_segmentation_errors(fmt, truth),
             )
-        report.add_message(*hit[1:])
+        report.add_message(*hit)
     return report
 
 

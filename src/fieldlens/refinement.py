@@ -11,12 +11,13 @@ revokes the extreme-entropy types (static, bytes) and donates types to
 unknown fields.  Finally, function labels that contradict the field's final
 type are dropped.
 
-Messages of one format share annotation objects, so both refinements work
-per distinct object, not per message: a revocation, donation or constraint
-step builds its result once (keyed by the annotation's ``id``, and the
-donor's type and range) and every message that holds the annotation gets
-that one result.  Each message still logs its own events, in message and
-field order.  The memos live for one call.
+Messages of one format hold equal annotations, so both refinements work
+per distinct annotation, not per message: a revocation, donation or
+constraint step builds its result once (keyed by the annotation's value,
+and the donor's type and range) and every message that holds an equal
+annotation gets that one result.  Equal annotations give equal reports,
+since ``Field`` equality includes ``accessed``.  Each message still logs
+its own events, in message and field order.  The memos live for one call.
 """
 
 from __future__ import annotations
@@ -209,28 +210,25 @@ def entropy_refine(
     """
     refined = {mid: list(anns) for mid, anns in annotations.items()}
     events: list[RefinementEvent] = []
-    # replace() runs once per distinct decision; each value keeps its key's
-    # annotation alive, so no id is reused within the call
-    revoked: dict[int, tuple[FieldAnnotation, FieldAnnotation]] = {}
-    donated: dict[tuple, tuple[FieldAnnotation, FieldAnnotation]] = {}
+    # replace() runs once per distinct decision
+    revoked: dict[FieldAnnotation, FieldAnnotation] = {}
+    donated: dict[tuple, FieldAnnotation] = {}
 
     def revoke(ann: FieldAnnotation) -> FieldAnnotation:
-        hit = revoked.get(id(ann))
-        if hit is None:
-            hit = revoked[id(ann)] = (ann, replace(ann, inferred_type=SemanticType.UNKNOWN))
-        return hit[1]
+        out = revoked.get(ann)
+        if out is None:
+            out = revoked[ann] = replace(ann, inferred_type=SemanticType.UNKNOWN)
+        return out
 
     def donate(ann: FieldAnnotation, donor: FieldAnnotation) -> FieldAnnotation:
         f = donor.field
-        key = (id(ann), donor.inferred_type, f.start, f.end)
-        hit = donated.get(key)
-        if hit is None:
+        key = (ann, donor.inferred_type, f.start, f.end)
+        out = donated.get(key)
+        if out is None:
             note = f"donor field {f.start}-{f.end}"
             evidence = ann.evidence + (Evidence("refine.entropy-fallback", None, note=note),)
-            hit = donated[key] = (
-                ann, replace(ann, inferred_type=donor.inferred_type, evidence=evidence)
-            )
-        return hit[1]
+            out = donated[key] = replace(ann, inferred_type=donor.inferred_type, evidence=evidence)
+        return out
 
     for _, ids in clustering.clusters:
         cluster_msgs = [messages[mid] for mid in ids]
@@ -369,13 +367,13 @@ def _refine_each(
 ) -> None:
     """Replace each annotation in ``refined`` with ``refine``'s result and
     log its events under the message, in message and field order.
-    ``refine`` runs once per distinct annotation object."""
-    memo: dict[int, tuple[FieldAnnotation, Outcome]] = {}  # keeps each key alive
+    ``refine`` runs once per distinct annotation."""
+    memo: dict[FieldAnnotation, Outcome] = {}
     for mid, anns in refined.items():
         for idx, ann in enumerate(anns):
-            hit = memo.get(id(ann))
+            hit = memo.get(ann)
             if hit is None:
-                hit = memo[id(ann)] = (ann, refine(ann))
-            anns[idx], logged = hit[1]
+                hit = memo[ann] = refine(ann)
+            anns[idx], logged = hit
             for rng, action, label, reason in logged:
                 events.append(RefinementEvent(mid, rng, action, label, reason))

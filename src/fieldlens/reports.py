@@ -6,12 +6,16 @@
 that cannot be encoded leaves the file untouched.  It encodes a container
 object at most twice, however often the document holds it, so the
 converters below share one object per distinct model value: one annotation
-dict per distinct ``FieldAnnotation`` (and ``accessed`` flag) and one list
-per annotation tuple object, one ``fields`` and one ``boundaries`` list per
-distinct field tuple, and, in ``fuzz_template``, one template entry per
-annotation, field bytes and message length.  Each converter looks a shared
-annotation up by ``id`` before it hashes it.  A shared object is never
-changed after it is handed out.
+dict per distinct ``FieldAnnotation`` and one list per distinct annotation
+tuple, one ``fields`` and one ``boundaries`` list per distinct field tuple,
+one audit ``field`` list per distinct range, and, in ``fuzz_template``, one
+template entry per annotation, field bytes and message length.  Every such
+memo is keyed by value: equal model values give equal reports, because
+``Field`` equality includes ``accessed``, and a field or annotation hashes
+once.  Only ``encode``, whose dicts and lists cannot be hashed, and
+``model.shape_keys``, which numbers each records tuple that the reader
+shares once, key by ``id()``.  A shared object is never changed after it
+is handed out.
 ``read_json`` reads every stage input, and a file that is not JSON or not of
 the expected shape, down to the type of each scalar, is an
 ``IntegrityError`` naming the file.
@@ -148,18 +152,16 @@ def formats_to_doc(
 ) -> list[dict]:
     """One entry per message; messages with equal fields share one ``fields``
     list and one ``boundaries`` list."""
-    shared: dict[tuple, tuple[list, list]] = {}
+    shared: dict[tuple[Field, ...], tuple[list, list]] = {}
     doc = []
     for m in messages:
         fmt = formats[m.id]
-        # ``Field`` equality ignores ``accessed``; the key must not
-        key = tuple((f.start, f.end, f.accessed) for f in fmt.fields)
-        if key not in shared:
-            shared[key] = (
-                [{"start": s, "end": e, "accessed": a} for s, e, a in key],
+        if fmt.fields not in shared:
+            shared[fmt.fields] = (
+                [{"start": f.start, "end": f.end, "accessed": f.accessed} for f in fmt.fields],
                 list(fmt.boundaries),
             )
-        fields, boundaries = shared[key]
+        fields, boundaries = shared[fmt.fields]
         doc.append(
             {
                 "message_id": fmt.message_id,
@@ -201,30 +203,21 @@ def annotations_to_doc(
     annotations: Mapping[str, Sequence[FieldAnnotation]]
 ) -> dict:
     """Message id -> its annotations; equal annotations share one dict, and
-    messages whose annotations are one object share one list.  Each
-    annotation object is looked up by ``id`` first, so an annotation that
-    many messages share is hashed once."""
-    by_value: dict[tuple, dict] = {}
-    # id -> (the object, its dict or list); the object keeps its id unique
-    dicts: dict[int, tuple[FieldAnnotation, dict]] = {}
-    lists: dict[int, tuple[Sequence[FieldAnnotation], list]] = {}
+    messages with equal annotations share one list."""
+    dicts: dict[FieldAnnotation, dict] = {}
+    lists: dict[tuple[FieldAnnotation, ...], list] = {}
 
     def entry(ann: FieldAnnotation) -> dict:
-        hit = dicts.get(id(ann))
-        if hit is None:
-            key = (ann, ann.field.accessed)  # ``Field`` equality ignores ``accessed``
-            if key not in by_value:
-                by_value[key] = annotation_to_dict(ann)
-            hit = dicts[id(ann)] = (ann, by_value[key])
-        return hit[1]
+        if ann not in dicts:
+            dicts[ann] = annotation_to_dict(ann)
+        return dicts[ann]
 
-    def entries(anns: Sequence[FieldAnnotation]) -> list:
-        hit = lists.get(id(anns))
-        if hit is None:
-            hit = lists[id(anns)] = (anns, [entry(a) for a in anns])
-        return hit[1]
+    def entries(anns: tuple[FieldAnnotation, ...]) -> list:
+        if anns not in lists:
+            lists[anns] = [entry(a) for a in anns]
+        return lists[anns]
 
-    return {mid: entries(anns) for mid, anns in sorted(annotations.items())}
+    return {mid: entries(tuple(anns)) for mid, anns in sorted(annotations.items())}
 
 
 def annotations_from_doc(doc: dict) -> dict[str, tuple[FieldAnnotation, ...]]:
@@ -249,10 +242,12 @@ def clustering_to_dict(clustering: Clustering) -> dict:
 
 
 def audit_to_doc(events: Sequence[RefinementEvent]) -> list[dict]:
+    """The events in order; events on equal ranges share one ``field`` list."""
+    ranges: dict[tuple[int, int], list] = {}
     return [
         {
             "message_id": e.message_id,
-            "field": list(e.field),
+            "field": ranges.setdefault(e.field, list(e.field)),
             "action": e.action,
             "label": e.label,
             "reason": e.reason,

@@ -180,13 +180,17 @@ def _split_fields(kind: str, rest: str, line_no: int) -> dict[str, str]:
 
 
 class RawLine:
-    """A tokenized interchange line: kind, subject id, key/value pairs."""
+    """A tokenized interchange line: kind, subject id, the text after the
+    subject id and its key/value pairs."""
 
-    __slots__ = ("kind", "subject", "kv", "line_no")
+    __slots__ = ("kind", "subject", "text", "kv", "line_no")
 
-    def __init__(self, kind: str, subject: str, kv: dict[str, str], line_no: int):
+    def __init__(
+        self, kind: str, subject: str, text: str, kv: dict[str, str], line_no: int
+    ):
         self.kind = kind
         self.subject = subject
+        self.text = text
         self.kv = kv
         self.line_no = line_no
 
@@ -403,7 +407,7 @@ def read_interchange(stream: TextIO) -> Corpus:
             kv = gt_fields.get(rest)
             if kv is None:
                 kv = gt_fields[rest] = _split_fields(kind, rest, line_no)
-            truth.append(RawLine(kind, subject, kv, line_no))
+            truth.append(RawLine(kind, subject, rest, kv, line_no))
         else:
             kv = _split_fields(kind, rest, line_no)  # a msg line, or a ParseError
             if subject in by_id:

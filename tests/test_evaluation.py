@@ -58,10 +58,12 @@ def test_equal_truths_are_one_tuple_of_shared_fields():
         "gt d field=1-1 type=BYTES funcs=-\n"
     )
     truths = load_ground_truth(read_interchange(io.StringIO(text)).truth)
-    assert truths["a"] is truths["b"] is truths["c"]
-    # ``Field`` equality ignores ``accessed``; sharing does not
-    assert truths["d"][1] is truths["a"][1]
+    assert truths["a"] == truths["b"] == truths["c"]
+    # ``Field`` equality includes ``accessed``
+    assert truths["d"] != truths["a"]
     assert truths["a"][0].field.accessed and not truths["d"][0].field.accessed
+    # equal gt texts are parsed once, into one object
+    assert truths["d"][1] is truths["a"][1] is truths["c"][1]
 
 
 def test_hand_enumerated_boundary_case():
@@ -388,14 +390,6 @@ def test_semantic_tallies_match_the_six_table_oracle(pairs):
 # --- ground truth io ---------------------------------------------------------
 
 
-def facts(truth):
-    """Every fact of each true field, ``accessed`` included."""
-    return [
-        (a.field.start, a.field.end, a.inferred_type, a.inferred_functions, a.field.accessed)
-        for a in truth
-    ]
-
-
 def test_ground_truth_round_trip(tmp_path):
     truth = gt(
         gtf(0, 1, T.STATIC, [F.COMMAND]),
@@ -405,9 +399,7 @@ def test_ground_truth_round_trip(tmp_path):
     path = tmp_path / "truth.fl"
     path.write_text(serialize_ground_truth([("m", truth)]))
     loaded = load_ground_truth(load_corpus(path).truth)
-    assert loaded == {"m": truth}
-    # ``Field`` equality ignores ``accessed``
-    assert facts(loaded["m"]) == facts(truth)
+    assert loaded == {"m": truth}  # ``accessed`` included
 
 
 def _truth_of(text):
@@ -425,9 +417,7 @@ def drawn_truths(draw):
 def test_ground_truth_round_trips_and_must_partition(truths, data):
     text = serialize_ground_truth(truths.items())
     loaded = _truth_of(text)
-    assert {mid: facts(t) for mid, t in loaded.items()} == {
-        mid: facts(t) for mid, t in truths.items()
-    }
+    assert loaded == truths
     lengths = {mid: t[-1].field.end + 1 for mid, t in truths.items()}
     check_covers(lengths, "truth.fl", loaded)
 

@@ -46,8 +46,7 @@ def test_untraced_message_yields_per_byte_unaccessed_candidates():
     msg = Message("m", bytes(5))
     trace = ExecutionTrace("m", ())
     cands = intra_instruction_candidates(msg, trace)
-    assert cands == [Field(i, i) for i in range(5)]
-    assert all(not c.accessed for c in cands)
+    assert cands == [Field(i, i, accessed=False) for i in range(5)]
 
 
 def test_duplicate_candidates_deduplicated():
@@ -75,10 +74,8 @@ def test_example1_merges_start_bytes(example1):
     message, trace = example1
     fmt = extract_format(message, trace)
     assert fmt.fields[0] == Field(0, 1)
-    assert fmt.fields[0].accessed
     # the rest of the message was never touched and coalesces
-    assert fmt.fields[1] == Field(2, 22)
-    assert not fmt.fields[1].accessed
+    assert fmt.fields[1] == Field(2, 22, accessed=False)
 
 
 def test_example1_baseline_keeps_bytes_split(example1):
@@ -106,8 +103,7 @@ def test_unaccessed_never_merges_with_accessed():
     msg = Message("m", bytes(3))
     trace = ExecutionTrace("m", (mov(1, {0}),))
     fmt = extract_format(msg, trace)
-    assert fmt.fields == (Field(0, 0), Field(1, 2))
-    assert fmt.fields[0].accessed and not fmt.fields[1].accessed
+    assert fmt.fields == (Field(0, 0), Field(1, 2, accessed=False))
 
 
 def test_compare_operand_unions_do_not_create_candidates():

@@ -9,15 +9,23 @@ from hypothesis import given, settings, strategies as st
 
 from fieldlens import detectors, extraction, pipeline
 from fieldlens.detectors import RULE_IDS, FieldAnnotation, SemanticType, annotate_format
-from fieldlens.evaluation import load_ground_truth, serialize_ground_truth
+from fieldlens.evaluation import (
+    MetricsReport,
+    count_segmentation_errors,
+    load_ground_truth,
+    score_format,
+    score_semantics,
+    serialize_ground_truth,
+)
 from fieldlens.extraction import extract_format, extract_format_baseline
-from fieldlens.model import ExecutionTrace, Field, ModelError
+from fieldlens.model import ExecutionTrace, Field, FormatResult, ModelError
 from fieldlens.pipeline import (
     PipelineConfig,
     infer_corpus,
     read_inputs,
     refine_corpus,
     run_pipeline,
+    score_corpus,
 )
 from fieldlens.reports import (
     annotation_from_dict,
@@ -121,6 +129,40 @@ def test_score_corpus_rejects_ground_truth_for_unknown_ids(tmp_path, small_corpu
     assert "zz9" in str(err.value)
 
 
+def test_truths_that_differ_only_in_accessed_are_scored_apart():
+    """Equal fields and annotations, and truths that differ only in whether
+    the server read the second true field: the over-segmentation inside it
+    and the accessed-only recall are counted per truth."""
+    fields = (Field(0, 0), Field(1, 1), Field(2, 3))
+    formats = {mid: FormatResult(mid, 4, fields) for mid in "ab"}
+    anns = tuple(FieldAnnotation(f, SemanticType.STATIC, frozenset(), ()) for f in fields)
+    annotations = {"a": anns, "b": anns}
+    truths = {
+        mid: (
+            FieldAnnotation(Field(0, 0), SemanticType.STATIC, frozenset(), ()),
+            FieldAnnotation(Field(1, 3, accessed), SemanticType.BYTES, frozenset(), ()),
+        )
+        for mid, accessed in (("a", True), ("b", False))
+    }
+
+    def report(*mids):
+        out = MetricsReport()
+        for mid in mids:
+            fmt, truth = formats[mid], truths[mid]
+            out.add_message(
+                score_format(fmt, truth),
+                score_semantics(annotations[mid], truth),
+                count_segmentation_errors(fmt, truth),
+            )
+        return out.to_dict()
+
+    a, b = report("a"), report("b")
+    assert a["segmentation_errors"] != b["segmentation_errors"]
+    recall = "recall_accessed_only"
+    assert a["semantics"]["type"][recall] != b["semantics"]["type"][recall]
+    assert score_corpus(formats, annotations, truths).to_dict() == report("a", "b")
+
+
 def _generated(*specs):
     """Messages and VM traces, ``(count, seed)`` per bundled parser in order."""
     messages, traces = [], {}
@@ -143,8 +185,7 @@ def _per_message(messages, traces, baseline=False, disabled=frozenset()):
 
 
 def _docs(messages, inferred):
-    """The formats and annotations documents of ``infer_corpus``'s result,
-    which, unlike ``Field`` equality, also compare the ``accessed`` flags."""
+    """The formats and annotations documents of ``infer_corpus``'s result."""
     formats, annotations = inferred
     return formats_to_doc(messages, formats), annotations_to_doc(annotations)
 
@@ -172,12 +213,12 @@ def test_infer_corpus_infers_each_shape_once(monkeypatch):
     extracted = _counting(monkeypatch, pipeline, "extract_format", lambda m, *_: m.id)
     looked_up = _counting(
         monkeypatch, detectors, "instructions_for",
-        lambda t, f: (shapes[t.message_id], f, f.accessed),
+        lambda t, f: (shapes[t.message_id], f),
     )
     formats, _ = infer_corpus(messages, traces)
     assert len(extracted) == len(set(shapes.values())) < len(messages)
     assert {shapes[mid] for mid in extracted} == set(shapes.values())
-    pairs = {(shapes[mid], f, f.accessed) for mid, fmt in formats.items() for f in fmt.fields}
+    pairs = {(shapes[mid], f) for mid, fmt in formats.items() for f in fmt.fields}
     assert len(looked_up) == len(set(looked_up)) == len(pairs)
 
 
@@ -298,12 +339,7 @@ def test_annotation_documents_round_trip(small_corpus):
         for f in (Field(0, 1), Field(2, 3, accessed=False))
     )
     doc = json.loads(json.dumps(annotations_to_doc(annotations)))
-
-    def with_flags(anns):
-        # Field equality ignores ``accessed``, so compare it on its own
-        return {mid: [(a, a.field.accessed) for a in entries] for mid, entries in anns.items()}
-
-    assert with_flags(annotations_from_doc(doc)) == with_flags(annotations)
+    assert annotations_from_doc(doc) == annotations  # ``accessed`` included
 
 
 @pytest.fixture(scope="module")
@@ -326,9 +362,8 @@ def test_equal_refined_annotations_are_one_object(mixed_corpus):
     formats, annotations = infer_corpus(messages, traces)
     _, refined, _ = refine_corpus(messages, formats, annotations)
     anns = [a for row in refined.values() for a in row]
-    assert len({id(a) for a in anns}) == len({(a, a.field.accessed) for a in anns}) < len(anns)
-    rows = {tuple((a, a.field.accessed) for a in row) for row in refined.values()}
-    assert len({id(row) for row in refined.values()}) == len(rows) < len(refined)
+    assert len({id(a) for a in anns}) == len(set(anns)) < len(anns)
+    assert len(set(refined.values())) < len(refined)
 
 
 _CONFIGS = {"default": {}, "baseline": {"baseline": True},
@@ -394,7 +429,7 @@ def test_equal_annotations_share_one_dict(small_corpus):
     annotations["x"] = tuple(FieldAnnotation(f, SemanticType.BYTES, frozenset(), ()) for f in ranged)
     doc = annotations_to_doc(annotations)
     dicts = [d for entries in doc.values() for d in entries]
-    distinct = {(a, a.field.accessed) for anns in annotations.values() for a in anns}
+    distinct = {a for anns in annotations.values() for a in anns}
     assert len({id(d) for d in dicts}) == len(distinct) < len(dicts)
     assert [d["accessed"] for d in doc["x"]] == [True, False]
 

@@ -1,16 +1,19 @@
-"""Randomized invariants over the extraction stage, the scoring fold and
-the report encoder."""
+"""Randomized invariants over the extraction stage, the scoring fold,
+field and annotation equality, and the report encoder."""
 
+import dataclasses
 import json
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from fieldlens.evaluation import count_segmentation_errors, score_format
-from fieldlens.detectors import FieldAnnotation, SemanticType
+from fieldlens.detectors import Evidence, FieldAnnotation, SemanticFunction, SemanticType
 from fieldlens.extraction import extract_format, extract_format_baseline
 from fieldlens.model import (
     ExecutionTrace,
+    Field,
+    FormatResult,
     InstructionRecord,
     Message,
     OpClass,
@@ -95,8 +98,6 @@ def partitions(draw):
 @given(partitions(), partitions())
 @settings(max_examples=150, deadline=None)
 def test_boundary_counts_are_consistent(true_fields, inferred_fields):
-    from fieldlens.model import Field, FormatResult
-
     truth = tuple(
         FieldAnnotation(Field(a, b), SemanticType.BYTES, frozenset(), ())
         for a, b in true_fields
@@ -116,6 +117,58 @@ def test_boundary_counts_are_consistent(true_fields, inferred_fields):
     )
     self_score = score_format(inferred, self_truth)
     assert self_score.f1 == 1.0 and self_score.perfection == 1.0
+
+
+_fields = st.builds(
+    lambda start, size, accessed: Field(start, start + size, accessed),
+    st.integers(0, MSG_LEN), st.integers(0, 3), st.booleans(),
+)
+_annotations = st.builds(
+    FieldAnnotation,
+    _fields,
+    st.sampled_from(list(SemanticType)),
+    st.frozensets(st.sampled_from(list(SemanticFunction)), max_size=3),
+    st.lists(
+        st.builds(Evidence, st.sampled_from(["a", "b"]), st.none() | st.integers(1, 3),
+                  st.sampled_from(["", "n"])),
+        max_size=2,
+    ).map(tuple),
+)
+
+
+def _rebuilt(value):
+    """An equal field or annotation, built afresh: its hash is not yet known."""
+    if isinstance(value, Field):
+        return Field(value.start, value.end, value.accessed)
+    return FieldAnnotation(
+        _rebuilt(value.field), value.inferred_type, value.inferred_functions, value.evidence
+    )
+
+
+@given(st.one_of(_fields, _annotations), st.one_of(_fields, _annotations))
+@settings(max_examples=300, deadline=None)
+def test_equal_fields_and_annotations_hash_equal(value, other):
+    fresh = _rebuilt(value)
+    assert fresh == value
+    first = hash(value)  # computed on first use
+    assert hash(fresh) == first == hash(value)  # and kept on the instance
+    if other == value:
+        assert hash(other) == first
+
+
+@given(_annotations, _annotations)
+@settings(max_examples=300, deadline=None)
+def test_a_replaced_value_hashes_like_a_fresh_one(ann, other):
+    hash(ann)  # a kept hash must not carry over to a replaced value
+    changed = dataclasses.replace(ann, inferred_type=other.inferred_type, evidence=other.evidence)
+    fresh = FieldAnnotation(ann.field, other.inferred_type, ann.inferred_functions, other.evidence)
+    assert changed == fresh and hash(changed) == hash(fresh)
+    f = ann.field
+    flipped = dataclasses.replace(f, accessed=not f.accessed)
+    assert flipped == Field(f.start, f.end, not f.accessed)
+    assert hash(flipped) == hash(Field(f.start, f.end, not f.accessed))
+    assert Field(f.start, f.end, True) != Field(f.start, f.end, False)
+    assert dataclasses.replace(ann, field=flipped) != ann
 
 
 _json_scalars = st.one_of(

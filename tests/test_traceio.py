@@ -463,7 +463,9 @@ def _oracle_lines(stream):
 def _oracle_read(stream):
     messages, by_id, records, rec_lines, truth = [], {}, {}, {}, []
     for line_no, kind, subject, rest in _oracle_lines(stream):
-        ln = traceio.RawLine(kind, subject, _oracle_split_fields(kind, rest, line_no), line_no)
+        ln = traceio.RawLine(
+            kind, subject, rest, _oracle_split_fields(kind, rest, line_no), line_no
+        )
         if kind == "rec":
             msg = by_id.get(subject)
             if msg is None:
@@ -572,7 +574,7 @@ def _outcome(read, text, newline):
         corpus = read(io.StringIO(text, newline=newline))
     except (ParseError, IntegrityError) as exc:
         return type(exc), str(exc)
-    truth = [(ln.kind, ln.subject, ln.kv, ln.line_no) for ln in corpus.truth]
+    truth = [(ln.kind, ln.subject, ln.text, ln.kv, ln.line_no) for ln in corpus.truth]
     return corpus.messages, corpus.traces, truth
 
 
