@@ -217,10 +217,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_export_template(args) -> int:
-    messages, _, _ = read_inputs(Path(args.traces))
+    messages, traces, _ = read_inputs(Path(args.traces))
     annotations = read_json(Path(args.annotations), annotations_from_doc)
     check_covers({m.id: len(m) for m in messages}, args.annotations, annotations)
-    export_fuzz_template(annotations, {m.id: m for m in messages}, Path(args.out))
+    export_fuzz_template(annotations, {m.id: m for m in messages}, traces, Path(args.out))
     print(f"template -> {args.out}")
     return 0
 

@@ -1,8 +1,9 @@
 """Scoring of inferred formats and semantics against ground truth.
 
 Boundary scoring classifies every inter-byte position of a message as
-TP/FP/FN/TN; a true field is *perfect* when both of its boundaries were
-inferred exactly.  Semantic labels count as correct only on exactly matched
+TP/FP/FN/TN; a true field is *perfect* when it was inferred exactly, as one
+field with its start and its end, so a true field that is over-segmented is
+not perfect.  Semantic labels count as correct only on exactly matched
 fields.  Segmentation-error counting mirrors the boundary FP/FN split but
 excludes positions inside true fields that the server never accessed.
 
@@ -148,20 +149,18 @@ class FormatScore(LabelCounts):
 def score_format(
     inferred: FormatResult, truth: Sequence[FieldAnnotation]
 ) -> FormatScore:
-    """Classify every inter-byte position and count perfectly bounded fields.
+    """Classify every inter-byte position and count the true fields that
+    were inferred exactly.
 
-    Only boundaries are visited, so the cost does not grow with the length
-    of a field: every other position is a true negative."""
+    Only boundaries and fields are visited, so the cost does not grow with
+    the length of a field: every other position is a true negative."""
     inf = set(inferred.boundaries)
     tru = {a.field.start for a in truth if a.field.start > 0}
     score = FormatScore(tp=len(inf & tru), fp=len(inf - tru), fn=len(tru - inf))
     score.tn = inferred.length - 1 - score.tp - score.fp - score.fn
     score.true_fields = len(truth)
-    for a in truth:
-        start_ok = a.field.start == 0 or a.field.start in inf
-        end_ok = a.field.end == inferred.length - 1 or a.field.end + 1 in inf
-        if start_ok and end_ok:
-            score.perfect_fields += 1
+    ranges = {(f.start, f.end) for f in inferred.fields}
+    score.perfect_fields = sum((a.field.start, a.field.end) in ranges for a in truth)
     return score
 
 

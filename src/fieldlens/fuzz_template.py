@@ -1,17 +1,46 @@
 """Export final annotations as a generic generation-fuzzer template.
 
-The template is plain JSON: one entry per field with its byte range, the
-inferred type and functions, and a ``kind`` a template-driven fuzzer can map
-onto its primitives.  Fields we could not classify become ``random`` entries
-that keep their boundaries.
+The template is plain JSON, version 2::
+
+    {"format": "fieldlens-fuzz-template", "version": 2,
+     "formats": [{"length": N, "fields": [entry, ...], "messages": [id, ...]}]}
+
+A format is one distinct list of field entries with the sorted ids of the
+messages it describes.  Every message id is in exactly one format, formats
+are ordered by their first id, and a format's ``length`` is its last
+field's ``end + 1``.  An entry holds a field's byte range, its inferred
+type and functions, and a ``kind`` a template-driven fuzzer can map onto
+its primitives:
+
+- ``static`` and ``delim`` carry the field's bytes in hex as ``value``;
+- ``group`` carries ``values``, the sorted hex of every value the corpus
+  holds at that byte range;
+- ``size-of`` carries ``of``, the range it counts: from the byte after the
+  field to the end of the message;
+- ``checksum`` carries ``of``, the range of the bytes its compared value
+  was accumulated from.  That is the side of the compare record named by
+  the ``func.checksum`` evidence whose lineage does not touch the field.
+  A lineage of several runs is written as one range from its first offset
+  to its last.  ``of`` is left out when the message's trace has no such
+  record;
+- ``filename``, ``integer``, ``bytes``, ``string`` and ``random`` (a field
+  no rule classified) carry nothing more.
+
+Two messages share a format when their entries are equal, so an entry is
+keyed by what it writes and nothing more: the range, type and functions,
+plus the bytes for ``static`` and ``delim``, the message length for
+``size-of`` and the covered range for ``checksum``.  Equal keys share one
+entry dict, and messages with equal keys share one format.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from bisect import bisect_left
+from operator import attrgetter
+from typing import Mapping, Optional, Sequence
 
-from .detectors import FieldAnnotation, SemanticFunction, SemanticType
-from .model import Message
+from .detectors import LIBRARY, FieldAnnotation, SemanticFunction, SemanticType
+from .model import ExecutionTrace, Message
 from .reports import write_json
 
 _TYPE_KINDS = {
@@ -23,46 +52,72 @@ _TYPE_KINDS = {
     SemanticType.UNKNOWN: "random",
 }
 
+_CHECKSUM_RULE = next(r.id for r in LIBRARY if r.label is SemanticFunction.CHECKSUM)
+_seq = attrgetter("seq")
 
-def _entry(
-    ann: FieldAnnotation,
-    message: Message,
-    group_values: Mapping[tuple[int, int], list[str]],
-) -> dict:
+
+def _kind(ann: FieldAnnotation) -> str:
+    funcs = ann.inferred_functions
+    if SemanticFunction.LENGTH in funcs:
+        return "size-of"
+    if SemanticFunction.CHECKSUM in funcs:
+        return "checksum"
+    if SemanticFunction.FILENAME in funcs:
+        return "filename"
+    if SemanticFunction.DELIM in funcs:
+        return "delim"
+    return _TYPE_KINDS[ann.inferred_type]
+
+
+def _checksum_range(
+    ann: FieldAnnotation, trace: Optional[ExecutionTrace]
+) -> Optional[tuple[int, int]]:
+    """The first and last offset of the lineage that the checksum field
+    ``ann`` was compared against, or None when ``trace`` has no compare
+    record with a lineage at the seq that its checksum evidence names."""
+    seqs = [e.seq for e in ann.evidence if e.rule == _CHECKSUM_RULE and e.seq is not None]
+    if trace is None or not seqs:
+        return None
+    records = trace.records
+    i = bisect_left(records, seqs[0], key=_seq)
+    if i == len(records) or records[i].seq != seqs[0] or records[i].operand_lineage is None:
+        return None
+    span = frozenset(ann.field.offsets)
+    lineage = records[i].operand_lineage
+    for own, other in (lineage, lineage[::-1]):
+        if own & span and other and not other & span:
+            return min(other), max(other)
+    return None
+
+
+def _entry(ann: FieldAnnotation, kind: str, written, group_values) -> dict:
+    """The entry of ``ann``, whose kind-specific part is ``written``."""
     f = ann.field
-    rng = (f.start, f.end)
-    value = message.data[f.start : f.end + 1]
-    funcs = sorted(fn.name for fn in ann.inferred_functions)
     entry: dict = {
         "start": f.start,
         "end": f.end,
         "type": ann.inferred_type.name,
-        "functions": funcs,
+        "functions": sorted(fn.name for fn in ann.inferred_functions),
+        "kind": kind,
     }
-    if SemanticFunction.LENGTH in ann.inferred_functions:
-        entry["kind"] = "size-of"
-        entry["of"] = {"start": f.end + 1, "end": len(message) - 1}
-    elif SemanticFunction.CHECKSUM in ann.inferred_functions:
-        entry["kind"] = "checksum"
-    elif SemanticFunction.FILENAME in ann.inferred_functions:
-        entry["kind"] = "filename"
-    elif SemanticFunction.DELIM in ann.inferred_functions:
-        entry["kind"] = "delim"
-        entry["value"] = value.hex()
-    else:
-        entry["kind"] = _TYPE_KINDS[ann.inferred_type]
-    if entry["kind"] == "static":
-        entry["value"] = value.hex()
-    elif entry["kind"] == "group":
-        entry["values"] = group_values.get(rng, [value.hex()])
+    if kind in ("static", "delim"):
+        entry["value"] = written.hex()
+    elif kind == "group":
+        entry["values"] = group_values[(f.start, f.end)]
+    elif kind == "size-of":
+        entry["of"] = {"start": f.end + 1, "end": written - 1}
+    elif kind == "checksum" and written is not None:
+        entry["of"] = {"start": written[0], "end": written[1]}
     return entry
 
 
 def build_template(
     annotations: Mapping[str, Sequence[FieldAnnotation]],
     messages: Mapping[str, Message],
+    traces: Mapping[str, ExecutionTrace],
 ) -> dict:
-    """Template document for every annotated message."""
+    """Template document for every annotated message; a message without a
+    trace in ``traces`` gets no checksum ``of``."""
     # group fields enumerate the distinct values observed across the corpus
     observed: dict[tuple[int, int], set[bytes]] = {}
     for mid, anns in annotations.items():
@@ -73,32 +128,48 @@ def build_template(
                 observed.setdefault((f.start, f.end), set()).add(data[f.start : f.end + 1])
     group_values = {rng: sorted(v.hex() for v in values) for rng, values in observed.items()}
 
-    # with group_values complete, an entry depends only on its annotation,
-    # its bytes and the message length, so equal ones are one shared dict
-    entries: dict[tuple[FieldAnnotation, bytes, int], dict] = {}
-
-    def entry(ann: FieldAnnotation, msg: Message) -> dict:
-        key = (ann, msg.data[ann.field.start : ann.field.end + 1], len(msg))
-        if key not in entries:
-            entries[key] = _entry(ann, msg, group_values)
-        return entries[key]
-
-    docs = []
+    # An entry is numbered by its key: the number of its range, type and
+    # functions, and what its kind writes from the message.  A format is
+    # keyed by its length and its entries' numbers.
+    kinds: dict[FieldAnnotation, tuple[str, int]] = {}
+    shared: dict[tuple, int] = {}
+    numbers: dict[tuple, int] = {}
+    entries: list[dict] = []
+    formats: dict[tuple[int, ...], dict] = {}
     for mid in sorted(annotations):
         msg = messages[mid]
-        docs.append(
-            {
-                "id": mid,
-                "length": len(msg),
-                "fields": [entry(ann, msg) for ann in annotations[mid]],
-            }
-        )
-    return {"format": "fieldlens-fuzz-template", "version": 1, "messages": docs}
+        key = [len(msg)]
+        for ann in annotations[mid]:
+            got = kinds.get(ann)
+            if got is None:
+                f = ann.field
+                ranged = (f.start, f.end, ann.inferred_type, ann.inferred_functions)
+                got = kinds[ann] = (_kind(ann), shared.setdefault(ranged, len(shared)))
+            kind, number = got
+            if kind in ("static", "delim"):
+                written = msg.data[ann.field.start : ann.field.end + 1]
+            elif kind == "size-of":
+                written = len(msg)
+            elif kind == "checksum":
+                written = _checksum_range(ann, traces.get(mid))
+            else:
+                written = None
+            n = numbers.setdefault((number, written), len(entries))
+            if n == len(entries):
+                entries.append(_entry(ann, kind, written, group_values))
+            key.append(n)
+        fmt = formats.get(key := tuple(key))
+        if fmt is None:
+            fields = [entries[n] for n in key[1:]]
+            fmt = formats[key] = {"length": len(msg), "fields": fields, "messages": []}
+        fmt["messages"].append(mid)
+    return {"format": "fieldlens-fuzz-template", "version": 2, "formats": list(formats.values())}
 
 
 def export_fuzz_template(
     annotations: Mapping[str, Sequence[FieldAnnotation]],
     messages: Mapping[str, Message],
+    traces: Mapping[str, ExecutionTrace],
     path,
 ) -> None:
-    write_json(path, build_template(annotations, messages))
+    write_json(path, build_template(annotations, messages, traces))

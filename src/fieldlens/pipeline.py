@@ -233,7 +233,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     if metrics is not None:
         write_json(out / "metrics.json", metrics.to_dict())
     msg_map = {m.id: m for m in messages}
-    export_fuzz_template(refined, msg_map, out / "template.json")
+    export_fuzz_template(refined, msg_map, traces, out / "template.json")
 
     return PipelineResult(
         messages=msg_map,

@@ -3,13 +3,15 @@
 ``write_json`` writes every document: ``encode`` gives the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)``, and a final newline follows.
 ``encode`` builds the whole text before the file is opened, so a document
-that cannot be encoded leaves the file untouched.  It encodes a container
-object at most twice, however often the document holds it, so the
-converters below share one object per distinct model value: one annotation
-dict per distinct ``FieldAnnotation`` and one list per distinct annotation
-tuple, one ``fields`` and one ``boundaries`` list per distinct field tuple,
-one audit ``field`` list per distinct range, and, in ``fuzz_template``, one
-template entry per annotation, field bytes and message length.  Every such
+that cannot be encoded leaves the file untouched.  It writes each container
+at the depth where it sits, already indented, and encodes a container
+object at most twice per depth, however often the document holds it, so
+the converters below share one object per distinct model value: one
+annotation dict per distinct ``FieldAnnotation`` and one list per distinct
+annotation tuple, one ``fields`` and one ``boundaries`` list per distinct
+field tuple, and one audit ``field`` list per distinct range.
+``fuzz_template`` writes one template format per distinct list of field
+entries, and one entry dict per distinct entry.  Every such
 memo is keyed by value: equal model values give equal reports, because
 ``Field`` equality includes ``accessed``, and a field or annotation hashes
 once.  Only ``encode``, whose dicts and lists cannot be hashed, and
@@ -27,8 +29,9 @@ the expected shape, down to the type of each scalar, is an
   boundaries}``, each field ``{start, end, accessed}`` (``formats_to_doc``).
 - ``clustering.json``: the command-position search (``clustering_to_dict``).
 - ``refinement_audit.json``: the refinement events in order (``audit_to_doc``).
-- ``metrics.json`` and ``template.json``: built by ``MetricsReport.to_dict``
-  and ``fuzz_template.build_template``.
+- ``metrics.json``: built by ``MetricsReport.to_dict``.
+- ``template.json``: version 2, one entry per format with the ids of the
+  messages it covers (``fuzz_template.build_template``).
 
 Only ``annotations.json`` is read back.  A stage that reads it gets each
 message's format through ``annotated_formats``, which requires the fields to
@@ -51,63 +54,94 @@ _escape = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _float(o: float) -> str:
+    text = float.__repr__(o)
+    return _NON_FINITE.get(text, text)
+
+
+#: The text of a scalar of exactly one of these types
+_SCALARS = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda o: "null",
+}
+
+
+def _subclass(o) -> str:
+    """The text of a ``str``, ``int`` or ``float`` subclass, as ``json.dumps``
+    writes it; any other non-container value is a TypeError."""
+    if isinstance(o, str):
+        return _escape(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def encode(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, encoding a ``dict``,
-    ``list`` or ``tuple`` object at most twice however often ``doc`` holds it.
+    ``list`` or ``tuple`` object at most twice per depth however often
+    ``doc`` holds it.
 
-    A container's text is indented as if it were the whole document; each
-    enclosing level indents it by two more spaces.  The second time a
-    container is met, its text goes into a memo keyed by ``id()`` for this
-    call only, and later meetings reuse it; the text of a container met once
-    is not kept past its parent's.  An id names one object only while that
-    object is alive, and every container stays reachable from ``doc`` until
-    the call returns, so no id is reused within it.  A key that is not a
-    ``str``, or a value that is not a JSON value (``bytes``, say), is a
-    TypeError.
+    Each container is encoded once at the depth where it sits, so its text
+    is indented as it will be written and never copied to indent it again.
+    The second time a container is met at one depth, its text goes into
+    that depth's memo, keyed by ``id()`` for this call only, and later
+    meetings there reuse it; the text of a container met once is not kept
+    past its parent's.  An id names one object only while that object is
+    alive, and every container stays reachable from ``doc`` until the call
+    returns, so no id is reused within it.  A scalar of exactly ``str``,
+    ``int``, ``float``, ``bool`` or ``None`` type is written by one lookup
+    on its type; a subclass of one of those or of a container takes the
+    ``isinstance`` path and is written as ``json.dumps`` writes it.  A key
+    that is not a ``str``, or a value that is not a JSON value (``bytes``,
+    say), is a TypeError.
     """
-    memo: dict[int, str] = {}
-    seen: set[int] = set()
+    memos: list[dict[int, str]] = []  # memos[depth]: id -> text at that depth
+    seens: list[set[int]] = []
+    indents = ["\n"]  # indents[depth]: a newline and that depth's indent
+    scalar = _SCALARS.get
 
-    def enc(o) -> str:
-        if isinstance(o, str):
-            return _escape(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            text = float.__repr__(o)
-            return _NON_FINITE.get(text, text)
+    def enc(o, depth: int) -> str:
+        if not isinstance(o, (dict, list, tuple)):
+            return _subclass(o)
+        if depth == len(memos):
+            memos.append({})
+            seens.append(set())
+            indents.append(indents[-1] + "  ")
+        memo = memos[depth]
         text = memo.get(id(o))
         if text is not None:
             return text
+        inner = depth + 1
         if isinstance(o, dict):
-            for key in o:
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts = [_escape(k) + ": " + enc(o[k]) for k in sorted(o)]
-            brackets = "{}"
-        elif isinstance(o, (list, tuple)):
-            parts = [enc(v) for v in o]
-            brackets = "[]"
+            # a key that is not a str fails to sort or to escape
+            parts = [
+                _escape(k) + ": " + (f(v) if (f := scalar(type(v))) else enc(v, inner))
+                for k in sorted(o)
+                for v in (o[k],)
+            ]
+            opening, closing = "{", "}"
         else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            parts = [f(v) if (f := scalar(type(v))) else enc(v, inner) for v in o]
+            opening, closing = "[", "]"
         if parts:
-            body = ",\n".join(parts).replace("\n", "\n  ")
-            text = f"{brackets[0]}\n  {body}\n{brackets[1]}"
+            sep = indents[inner]
+            text = opening + sep + ("," + sep).join(parts) + indents[depth] + closing
         else:
-            text = brackets
+            text = opening + closing
+        seen = seens[depth]
         if id(o) in seen:
             memo[id(o)] = text
         else:
             seen.add(id(o))
         return text
 
-    return enc(doc)
+    f = scalar(type(doc))
+    return f(doc) if f else enc(doc, 0)
 
 
 def write_json(path, doc) -> None:

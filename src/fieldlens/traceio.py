@@ -44,10 +44,8 @@ holds traces and ground truth is read once.  Within one read:
   line-at-a-time reader would name.
 - A ``rec`` line that misses is interned by its text after the message id
   and its message's length, and only the first of equal lines is
-  tokenized and parsed.  A parsed record is interned again by value and
-  message length, so lines that spell one record differently (an older
-  file's ``value``, say) share it too.  Records that differ still share
-  each offset set they spell alike, interned the same way.
+  tokenized and parsed.  Records that differ share each offset set they
+  spell alike, interned the same way.
 - ``gt`` lines with one text after the message id share one key/value
   dict, so ``evaluation.load_ground_truth`` parses that text once.
 
@@ -304,8 +302,6 @@ class _Records:
         self.offsets: OffsetCache = {}
         # (text after the message id, message length) -> its record
         self.lines: dict[tuple[str, int], InstructionRecord] = {}
-        # (record, message length) -> the first equal record parsed
-        self.canon: dict[tuple[InstructionRecord, int], InstructionRecord] = {}
         # (block text without its prefixes, message length) -> its records
         self.blocks: dict[tuple[str, int], tuple[InstructionRecord, ...]] = {}
 
@@ -317,10 +313,9 @@ class _Records:
         key = (rest, length)
         rec = self.lines.get(key)
         if rec is None:
-            rec = _record_from_kv(
+            rec = self.lines[key] = _record_from_kv(
                 _split_fields("rec", rest, line_no), line_no, length, self.offsets
             )
-            rec = self.lines[key] = self.canon.setdefault((rec, length), rec)
         return rec
 
     def block(
@@ -498,7 +493,3 @@ def serialize_corpus(
             out.write(_record_to_line(msg.id, rec) + "\n")
     return out.getvalue()
 
-
-def dump_corpus(path, messages: list[Message], traces: list[ExecutionTrace]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_corpus(messages, traces))

@@ -125,8 +125,12 @@ def test_export_template(tmp_path, corpus):
         "--out", template,
     ) == 0
     doc = json.loads(template.read_text())
-    assert doc["format"] == "fieldlens-fuzz-template"
-    assert len(doc["messages"]) == 12
+    assert (doc["format"], doc["version"]) == ("fieldlens-fuzz-template", 2)
+    ids = [mid for fmt in doc["formats"] for mid in fmt["messages"]]
+    assert len(ids) == len(set(ids)) == 12
+    # the traces reach the template, so each checksum names what it covers
+    checksums = [e for fmt in doc["formats"] for e in fmt["fields"] if e["kind"] == "checksum"]
+    assert checksums and all("of" in e for e in checksums)
 
 
 def test_generate_with_custom_script(tmp_path, corpus):

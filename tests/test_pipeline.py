@@ -35,8 +35,12 @@ from fieldlens.reports import (
     formats_to_doc,
     write_json,
 )
-from fieldlens.traceio import IntegrityError, dump_corpus, load_corpus
+from fieldlens.traceio import IntegrityError, load_corpus, serialize_corpus
 from fieldlens.vm import bundled_parsers, run as vm_run
+
+
+def dump_corpus(path, messages, traces):
+    path.write_text(serialize_corpus(messages, traces), encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -394,15 +398,15 @@ REPORT_DIGESTS = {
         "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
         "metrics.json": "73f66635b352ce8bccd08ed0f8075decbad2ab80f18dec98556bfb237428f9c6",
         "refinement_audit.json": "25b4cae01d0a31135c1f8d3c619e9fe381f063f4f2041a265ff4a84eed893ef7",
-        "template.json": "06a3844d319c7e09ef25a79c4e52789956598e6a4cc269425d6f9072a77d522d",
+        "template.json": "d0912fbc970f44b5946150622067a7f4a7ab9778fc7de99e8f561ccd41b7bcd2",
     },
     "baseline": {
         "annotations.json": "bba06f5369591007ddd0e055b15fd6b480eceb8bce8d7fd78d542575ede9a366",
         "clustering.json": "8aaa4cbb319b3bdd4c6d1090a55213b93b0ac8eed01b69f2230ba421c6907713",
         "formats.json": "049c582cd17c160cfb78e9c14a45042e6a57cc9b9b80013ddf6bb53b69d6eb68",
-        "metrics.json": "b0204a570874c3e931d394a44a86a158eb334eb78d026c0a600d68f3897ca367",
+        "metrics.json": "4adcf3c2a0e3b1b5c9df030c9e7f66d38ca65125fa0b6256e71c96dc3d3b4965",
         "refinement_audit.json": "85c8641bf10108a81c2ea5bcc3da685dfbf4e8b22a2954f7480c1f7742335342",
-        "template.json": "35314f32580c590263c3453f66a87ae4b0b79eccc47bf9465175e77bbe5c2d92",
+        "template.json": "23a13ff4562124303857a9b043b420adb4f6bb63761343cf0368c1d1cf3b2845",
     },
     "no-clustering": {
         "annotations.json": "ab947e1034eb537adb0add49334bdd0c95a3cf4679499d3d590551c0dcbedb69",
@@ -410,7 +414,7 @@ REPORT_DIGESTS = {
         "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
         "metrics.json": "e3b0bd6841b926c21ac3df5759f7111284e0c8414f0e403ecbd96ad858230767",
         "refinement_audit.json": "355cc018f8f90a72baf51e781a28c475a61858bfa19aa1e8d69cf453d6d3a052",
-        "template.json": "37091ec213a52977dbcff852f2b4d0c8f0b9b7f6ff59d656229fc3b6ef5216c2",
+        "template.json": "ac7f1bec1ebd1d3b77124c0ff762912ffd23c9f5dcce3d5d2e5bac4b9244c4cf",
     },
 }
 

@@ -2,6 +2,7 @@
 field and annotation equality, and the report encoder."""
 
 import dataclasses
+import enum
 import json
 import math
 
@@ -119,6 +120,23 @@ def test_boundary_counts_are_consistent(true_fields, inferred_fields):
     assert self_score.f1 == 1.0 and self_score.perfection == 1.0
 
 
+@given(partitions(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_splitting_one_true_field_costs_exactly_one_perfect_field(true_fields, data):
+    truth = tuple(
+        FieldAnnotation(Field(a, b), SemanticType.BYTES, frozenset(), ())
+        for a, b in true_fields
+    )
+    exact = FormatResult("m", MSG_LEN, tuple(a.field for a in truth))
+    assert score_format(exact, truth).perfect_fields == len(truth)
+    # both ends of the split field stay inferred boundaries, yet it is not exact
+    start, end = data.draw(st.sampled_from([(a, b) for a, b in true_fields if b > a]))
+    cut = data.draw(st.integers(min_value=start + 1, max_value=end))
+    split = sorted({*exact.fields, Field(start, cut - 1), Field(cut, end)} - {Field(start, end)})
+    score = score_format(FormatResult("m", MSG_LEN, tuple(split)), truth)
+    assert score.perfect_fields == len(truth) - 1
+
+
 _fields = st.builds(
     lambda start, size, accessed: Field(start, start + size, accessed),
     st.integers(0, MSG_LEN), st.integers(0, 3), st.booleans(),
@@ -199,3 +217,45 @@ def test_encode_is_the_stdlib_indented_sorted_form(value, shared):
     doc = {"value": value, "a": shared, "b": [shared, {"c": shared}]}
     assert encode(doc) == json.dumps(doc, indent=2, sort_keys=True)
     assert encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = -7
+
+
+@given(_json_values)
+@settings(max_examples=100, deadline=None)
+def test_encode_writes_subclasses_as_the_stdlib_does(value):
+    doc = _Dict(
+        {
+            _Str("s"): _Str("caf\u00e9"),
+            "i": _Int(-3),
+            "f": [_Float(0.5), _Float("nan"), _Float("-inf")],
+            "e": _List([_Level.LOW, _Level.HIGH, {"k": _Level.HIGH}]),
+            "value": _List([value, _Dict(), _List()]),
+        }
+    )
+    assert encode(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    for scalar in (_Str("x"), _Int(7), _Float(2.25), _Level.LOW):
+        assert encode(scalar) == json.dumps(scalar, indent=2, sort_keys=True)

@@ -196,19 +196,24 @@ def test_no_memo_outlives_a_call():
 def test_memos_key_by_value():
     """Equal fields and annotations give equal reports, so every memo keys
     by value: no dataclass field leaves equality with ``compare=False``, and
-    ``id()`` is called only by ``reports.encode``, whose dicts and lists
-    cannot be hashed, and ``model.shape_keys``, which numbers each records
-    tuple that the reader shares once."""
+    the name ``id`` is read only by ``reports.encode``, whose dicts and
+    lists cannot be hashed, and ``model.shape_keys``, which numbers each
+    records tuple that the reader shares once.  Any read counts, so
+    ``map(id, xs)`` and ``key=id`` are found as well as ``id(x)``."""
     allowed = {("reports.py", "encode"), ("model.py", "shape_keys")}
     found = []
     for name, tree in _modules():
         for top in tree.body:
             for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Name)
+                    and node.id == "id"
+                    and isinstance(node.ctx, ast.Load)
+                    and (name, getattr(top, "name", None)) not in allowed
+                ):
+                    found.append(f"{name}:{node.lineno}: id")
                 if not isinstance(node, ast.Call):
                     continue
-                if isinstance(node.func, ast.Name) and node.func.id == "id":
-                    if (name, getattr(top, "name", None)) not in allowed:
-                        found.append(f"{name}:{node.lineno}: id()")
                 found += [
                     f"{name}:{node.lineno}: compare=False"
                     for kw in node.keywords

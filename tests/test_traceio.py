@@ -301,7 +301,7 @@ def test_a_value_snapshot_is_checked_and_dropped():
         f"msg b bytes=0x0304\n{line.replace(' a ', ' b ')} value=0x0304\n"
     )
     (a,), (b,) = (t.records for t in traces)
-    assert a is b
+    assert a == b
     with pytest.raises(ParseError) as err:
         load_text(f"msg a bytes=0x0102\n{line} value=0xq\n")
     assert err.value.line_no == 2
