@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .detectors import RULE_IDS, RULES
-from .evaluation import serialize_ground_truth
 from .fuzz_template import export_fuzz_template
 from .model import ModelError
 from .pipeline import (
@@ -37,7 +36,7 @@ from .reports import (
     read_json,
     write_json,
 )
-from .traceio import IntegrityError, ParseError, serialize_corpus
+from .traceio import IntegrityError, ParseError, serialize_corpus, serialize_ground_truth
 from .vm import bundled_parsers, parse_script, run as vm_run
 from .vm.machine import DEFAULT_STEP_BUDGET
 from .vm.ops import ScriptError

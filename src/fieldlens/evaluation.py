@@ -8,8 +8,9 @@ fields.  Segmentation-error counting mirrors the boundary FP/FN split but
 excludes positions inside true fields that the server never accessed.
 
 A message's ground truth is its true fields, ``FieldAnnotation``s without
-evidence in offset order.  The scorers take it as checked where it was read
-(``reports.annotated_formats`` and ``reports.check_covers``).
+evidence in offset order.  ``traceio`` parses them; ``load_ground_truth``
+only groups them by message, and the scorers take them as checked where
+they were read (``reports.annotated_formats`` and ``reports.check_covers``).
 """
 
 from __future__ import annotations
@@ -18,73 +19,27 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Iterable, Sequence
 
-from .detectors import FieldAnnotation, SemanticFunction, SemanticType
-from .model import Field, FormatResult
-from .traceio import ParseError, RawLine, parse_bool
+from .detectors import FieldAnnotation, SemanticType
+from .model import FormatResult
+from .traceio import serialize_ground_truth  # noqa: F401 (perfbench imports it from here)
 
 
-def load_ground_truth(lines: Iterable[RawLine]) -> dict[str, tuple[FieldAnnotation, ...]]:
-    """Each message's true fields in offset order, from the ``gt`` lines of
-    one interchange read (``traceio.Corpus.truth``).  A malformed line is a
-    ParseError on its own line; whether the fields partition their message
-    is checked where the file is read (``reports.annotated_formats``).
-
-    Each distinct text after the message id is parsed once, in a memo keyed
-    by that text for this call only: its first line either fails or gives
-    the annotation that every later line of that text shares."""
-    parsed: dict[str, FieldAnnotation] = {}
+def load_ground_truth(
+    truth: Iterable[tuple[str, FieldAnnotation]]
+) -> dict[str, tuple[FieldAnnotation, ...]]:
+    """Each message's true fields in offset order, from the ``(message id,
+    true field)`` pairs of one interchange read (``traceio.Corpus.truth``),
+    where every ``gt`` line was parsed and checked.  Whether the fields
+    partition their message is checked where the file is read
+    (``reports.annotated_formats``)."""
     per_msg: dict[str, list[FieldAnnotation]] = {}
-    for ln in lines:
-        ann = parsed.get(ln.text)
-        if ann is None:
-            ann = parsed[ln.text] = _true_field(ln)
-        per_msg.setdefault(ln.subject, []).append(ann)
+    for mid, ann in truth:
+        per_msg.setdefault(mid, []).append(ann)
     return {mid: tuple(sorted(anns, key=_start)) for mid, anns in per_msg.items()}
 
 
 def _start(ann: FieldAnnotation) -> int:
     return ann.field.start
-
-
-def _true_field(ln: RawLine) -> FieldAnnotation:
-    """The true field of one ``gt`` line, or a ParseError on its line."""
-    if "field" not in ln.kv or "type" not in ln.kv:
-        raise ParseError(ln.line_no, "gt line needs field= and type=")
-    try:
-        start, end = map(int, ln.kv["field"].split("-", 1))
-        if end < start:
-            raise ValueError
-    except ValueError:
-        raise ParseError(ln.line_no, f"bad field range {ln.kv['field']!r}") from None
-    try:
-        sem_type = SemanticType[ln.kv["type"]]
-    except KeyError:
-        raise ParseError(ln.line_no, f"unknown type {ln.kv['type']!r}")
-    funcs: set[SemanticFunction] = set()
-    if ln.kv.get("funcs", "-") != "-":
-        for name in ln.kv["funcs"].split("|"):
-            try:
-                funcs.add(SemanticFunction[name])
-            except KeyError:
-                raise ParseError(ln.line_no, f"unknown function {name!r}")
-    accessed = parse_bool(ln.kv.get("accessed", "true"), ln.line_no)
-    return FieldAnnotation(Field(start, end, accessed), sem_type, frozenset(funcs), ())
-
-
-def serialize_ground_truth(
-    truths: Iterable[tuple[str, Sequence[FieldAnnotation]]]
-) -> str:
-    """The ``gt`` lines of ``(message id, true fields)`` pairs."""
-    lines = []
-    for mid, anns in truths:
-        for a in anns:
-            f = a.field
-            funcs = "|".join(sorted(fn.name for fn in a.inferred_functions)) or "-"
-            lines.append(
-                f"gt {mid} field={f.start}-{f.end} type={a.inferred_type.name} "
-                f"funcs={funcs} accessed={'true' if f.accessed else 'false'}"
-            )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass

@@ -97,13 +97,10 @@ def _mergeable(
     memo: MergeMemo,
 ) -> bool:
     # Unaccessed ranges coalesce with each other but never with parsed data.
+    # An accessed range has operators: some record touched it.
     if not left.accessed and not right.accessed:
         return True
     if left.accessed != right.accessed:
-        return False
-    if not ops_left and not ops_right:
-        return True
-    if not ops_left or not ops_right:
         return False
     key = (ops_left, ops_right)
     merge = memo.get(key)

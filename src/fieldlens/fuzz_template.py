@@ -103,7 +103,7 @@ def _entry(ann: FieldAnnotation, kind: str, written, group_values) -> dict:
     if kind in ("static", "delim"):
         entry["value"] = written.hex()
     elif kind == "group":
-        entry["values"] = group_values[(f.start, f.end)]
+        entry["values"] = group_values.setdefault((f.start, f.end), [])
     elif kind == "size-of":
         entry["of"] = {"start": f.end + 1, "end": written - 1}
     elif kind == "checksum" and written is not None:
@@ -118,15 +118,11 @@ def build_template(
 ) -> dict:
     """Template document for every annotated message; a message without a
     trace in ``traces`` gets no checksum ``of``."""
-    # group fields enumerate the distinct values observed across the corpus
+    # A group entry's ``values`` is one list per byte range, shared by every
+    # entry of that range and filled after the walk from ``observed``, the
+    # values that every GROUP-typed field of that range holds in the corpus.
     observed: dict[tuple[int, int], set[bytes]] = {}
-    for mid, anns in annotations.items():
-        data = messages[mid].data
-        for ann in anns:
-            if ann.inferred_type is SemanticType.GROUP:
-                f = ann.field
-                observed.setdefault((f.start, f.end), set()).add(data[f.start : f.end + 1])
-    group_values = {rng: sorted(v.hex() for v in values) for rng, values in observed.items()}
+    group_values: dict[tuple[int, int], list[str]] = {}
 
     # An entry is numbered by its key: the number of its range, type and
     # functions, and what its kind writes from the message.  A format is
@@ -140,14 +136,16 @@ def build_template(
         msg = messages[mid]
         key = [len(msg)]
         for ann in annotations[mid]:
+            f = ann.field
+            if ann.inferred_type is SemanticType.GROUP:
+                observed.setdefault((f.start, f.end), set()).add(msg.data[f.start : f.end + 1])
             got = kinds.get(ann)
             if got is None:
-                f = ann.field
                 ranged = (f.start, f.end, ann.inferred_type, ann.inferred_functions)
                 got = kinds[ann] = (_kind(ann), shared.setdefault(ranged, len(shared)))
             kind, number = got
             if kind in ("static", "delim"):
-                written = msg.data[ann.field.start : ann.field.end + 1]
+                written = msg.data[f.start : f.end + 1]
             elif kind == "size-of":
                 written = len(msg)
             elif kind == "checksum":
@@ -163,6 +161,8 @@ def build_template(
             fields = [entries[n] for n in key[1:]]
             fmt = formats[key] = {"length": len(msg), "fields": fields, "messages": []}
         fmt["messages"].append(mid)
+    for rng, values in group_values.items():
+        values.extend(sorted(v.hex() for v in observed[rng]))
     return {"format": "fieldlens-fuzz-template", "version": 2, "formats": list(formats.values())}
 
 

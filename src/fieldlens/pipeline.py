@@ -191,11 +191,11 @@ def read_inputs(
     ``ground_truth`` is ``traces``, both come from one read."""
     truths = None
     with _naming(traces):
-        messages, trace_list, truth_lines = load_corpus(traces)
+        messages, trace_list, true_fields = load_corpus(traces)
         if not messages:
             raise IntegrityError(None, "no msg line, so there are no messages to analyse")
         if ground_truth == traces:
-            truths = load_ground_truth(truth_lines)
+            truths = load_ground_truth(true_fields)
     if ground_truth is not None:
         if ground_truth != traces:
             truths = read_ground_truth(ground_truth)

@@ -154,20 +154,18 @@ def explore_optimal(
 
     best_score = 0.0
     best_pos: Optional[Range] = None
+    best_groups: dict[bytes, list[str]] = {}
     memo: dict[tuple[Boundaries, Boundaries], int] = {}
     for rng in candidates:
         groups = _group_by_value(messages, rng)
         score = _align_score(groups, boundaries, memo)
         if score > best_score:
-            best_score = score
-            best_pos = rng
+            best_score, best_pos, best_groups = score, rng, groups
 
     if best_pos is None:
         return single_cluster(messages)
-
-    final = _group_by_value(messages, best_pos)
     clusters = tuple(
-        (value, tuple(ids)) for value, ids in sorted(final.items())
+        (value, tuple(ids)) for value, ids in sorted(best_groups.items())
     )
     return Clustering(best_pos, clusters, best_score)
 

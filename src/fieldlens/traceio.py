@@ -23,12 +23,15 @@ does not define below is a ParseError:
     and checked as a byte string, but no stage reads it, so it is dropped.
 
 ``gt <msg-id> field=S-E type=TYPE funcs=F|F|... [accessed=true|false]``
-    Ground-truth field annotation.  The reader tokenizes it and hands the
-    line to ``evaluation.load_ground_truth``, which builds the ground truth.
+    One true field of a message: an inclusive byte range, its semantic type
+    and its functions (``-`` alone for none).  It is read as a
+    ``FieldAnnotation`` without evidence; ``accessed`` defaults to true.
 
-``read_interchange`` is the one reader: a single pass over a stream gives
-the messages, their traces and the tokenized ``gt`` lines, so a file that
-holds traces and ground truth is read once.  Within one read:
+``read_interchange`` is the one reader and this module the one codec: a
+single pass over a stream gives the messages, their traces and the true
+field of every ``gt`` line, so a file that holds traces and ground truth
+is read once, and every command that reads a file checks its ``gt`` lines.
+Within one read:
 
 - The consecutive lines after a ``msg`` line that each start with its own
   ``rec <id> `` form a block, streamed a line at a time.  A block is keyed
@@ -46,12 +49,14 @@ holds traces and ground truth is read once.  Within one read:
   and its message's length, and only the first of equal lines is
   tokenized and parsed.  Records that differ share each offset set they
   spell alike, interned the same way.
-- ``gt`` lines with one text after the message id share one key/value
-  dict, so ``evaluation.load_ground_truth`` parses that text once.
+- A message's records are kept as the blocks and single lines they were
+  read in and joined once, at the end; a message read as one block keeps
+  that block's shared tuple.
+- ``gt`` lines with one text after the message id share one true field,
+  parsed once.
 
-Records, offset sets and tuples are immutable and the dicts are not
-changed after the read, so sharing is safe; the caches live only as long
-as the call.
+Records, offset sets, true fields and tuples are immutable, so sharing is
+safe; the caches live only as long as the call.
 
 The JSON documents the later stages exchange live in ``reports``; this
 module knows only the line format.
@@ -60,13 +65,16 @@ module knows only the line format.
 from __future__ import annotations
 
 import io
-from itertools import repeat
-from typing import NamedTuple, Optional, TextIO
+from enum import Enum
+from itertools import chain, repeat
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, TypeVar
 
+from .detectors import FieldAnnotation, SemanticFunction, SemanticType
 from .model import (
     ApiCall,
     ArgRole,
     ExecutionTrace,
+    Field,
     InstructionRecord,
     LoopRole,
     Message,
@@ -75,6 +83,8 @@ from .model import (
     PointerArith,
     consecutive_runs,
 )
+
+E = TypeVar("E", bound=Enum)
 
 
 class ParseError(ValueError):
@@ -177,26 +187,19 @@ def _split_fields(kind: str, rest: str, line_no: int) -> dict[str, str]:
     return kv
 
 
-class RawLine:
-    """A tokenized interchange line: kind, subject id, the text after the
-    subject id and its key/value pairs."""
-
-    __slots__ = ("kind", "subject", "text", "kv", "line_no")
-
-    def __init__(
-        self, kind: str, subject: str, text: str, kv: dict[str, str], line_no: int
-    ):
-        self.kind = kind
-        self.subject = subject
-        self.text = text
-        self.kv = kv
-        self.line_no = line_no
-
-
 def _require(kv: dict[str, str], key: str, line_no: int) -> str:
     if key not in kv:
         raise ParseError(line_no, f"missing required key {key!r}")
     return kv[key]
+
+
+def _member(enum: type[E], name: str, what: str, line_no: int) -> E:
+    """The member of ``enum`` called ``name``; any other name is a
+    ParseError that calls it an unknown ``what``."""
+    try:
+        return enum[name]
+    except KeyError:
+        raise ParseError(line_no, f"unknown {what} {name!r}") from None
 
 
 #: (offset-set text, message length) -> the parsed set, for one read
@@ -221,10 +224,7 @@ def _record_from_kv(
     except ValueError:
         raise ParseError(line_no, f"bad seq {kv.get('seq')!r}") from None
     op = _require(kv, "op", line_no)
-    try:
-        op_class = OpClass[_require(kv, "class", line_no)]
-    except KeyError:
-        raise ParseError(line_no, f"unknown op class {kv.get('class')!r}") from None
+    op_class = _member(OpClass, _require(kv, "class", line_no), "op class", line_no)
     accessed = _offsets(cache, _require(kv, "off", line_no), line_no, length)
     if "reads" in kv:
         reads = _offsets(cache, kv["reads"], line_no, length)
@@ -235,27 +235,14 @@ def _record_from_kv(
     cmp_result = parse_bool(kv["result"], line_no) if "result" in kv else None
     triggered = parse_bool(kv["jump"], line_no) if "jump" in kv else False
     loop_id = kv.get("loop")
-    loop_role = None
-    if "role" in kv:
-        try:
-            loop_role = LoopRole[kv["role"]]
-        except KeyError:
-            raise ParseError(line_no, f"unknown loop role {kv['role']!r}") from None
+    loop_role = _member(LoopRole, kv["role"], "loop role", line_no) if "role" in kv else None
     api_call = None
     if "api" in kv:
         if ":" not in kv["api"]:
             raise ParseError(line_no, f"api must be name:ROLE, got {kv['api']!r}")
         name, role_s = kv["api"].split(":", 1)
-        try:
-            api_call = ApiCall(name, ArgRole[role_s])
-        except KeyError:
-            raise ParseError(line_no, f"unknown api role {role_s!r}") from None
-    pointer = None
-    if "ptr" in kv:
-        try:
-            pointer = PointerArith[kv["ptr"]]
-        except KeyError:
-            raise ParseError(line_no, f"unknown ptr kind {kv['ptr']!r}") from None
+        api_call = ApiCall(name, _member(ArgRole, role_s, "api role", line_no))
+    pointer = _member(PointerArith, kv["ptr"], "ptr kind", line_no) if "ptr" in kv else None
     if "value" in kv:  # older files carry it; checked, then dropped
         _parse_hex(kv["value"], line_no)
     lineage = None
@@ -287,12 +274,32 @@ def _record_from_kv(
         raise IntegrityError(line_no, str(exc)) from None
 
 
+def _true_field(kv: dict[str, str], line_no: int) -> FieldAnnotation:
+    """The true field that a ``gt`` line's key/value pairs spell."""
+    if "field" not in kv or "type" not in kv:
+        raise ParseError(line_no, "gt line needs field= and type=")
+    try:
+        start, end = map(int, kv["field"].split("-", 1))
+        if end < start:
+            raise ValueError
+    except ValueError:
+        raise ParseError(line_no, f"bad field range {kv['field']!r}") from None
+    sem_type = _member(SemanticType, kv["type"], "type", line_no)
+    funcs = kv.get("funcs", "-")
+    functions = frozenset(
+        _member(SemanticFunction, name, "function", line_no)
+        for name in (() if funcs == "-" else funcs.split("|"))
+    )
+    accessed = parse_bool(kv.get("accessed", "true"), line_no)
+    return FieldAnnotation(Field(start, end, accessed), sem_type, functions, ())
+
+
 class Corpus(NamedTuple):
     """What one read of an interchange stream holds."""
 
     messages: list[Message]
     traces: list[ExecutionTrace]
-    truth: list[RawLine]  # the ``gt`` lines, in file order
+    truth: list[tuple[str, FieldAnnotation]]  # (message id, true field), in file order
 
 
 class _Records:
@@ -337,32 +344,17 @@ class _Records:
         return recs
 
 
-def _extend(
-    records: dict[str, list[InstructionRecord] | tuple[InstructionRecord, ...]],
-    msg_id: str,
-    new: tuple[InstructionRecord, ...],
-) -> None:
-    """Add ``new`` to the records of ``msg_id``.  A message whose records
-    all come from one block keeps that block's shared tuple."""
-    recs = records[msg_id]
-    if not recs:
-        records[msg_id] = new
-    else:
-        if isinstance(recs, tuple):
-            recs = records[msg_id] = list(recs)
-        recs.extend(new)
-
-
 def read_interchange(stream: TextIO) -> Corpus:
-    """Messages, traces and ``gt`` lines of ``stream``, in one pass."""
+    """Messages, traces and true fields of ``stream``, in one pass."""
     messages: list[Message] = []
     by_id: dict[str, Message] = {}
-    records: dict[str, list[InstructionRecord] | tuple[InstructionRecord, ...]] = {}
+    # each message's records, as the blocks and single lines they were read in
+    records: dict[str, list[tuple[InstructionRecord, ...]]] = {}
     rec_lines: dict[str, int] = {}
-    truth: list[RawLine] = []
+    truth: list[tuple[str, FieldAnnotation]] = []
     cache = _Records()
-    # text after the message id -> the key/value pairs of that ``gt`` line
-    gt_fields: dict[str, dict[str, str]] = {}
+    # text after the message id -> the true field of that ``gt`` line
+    true_fields: dict[str, FieldAnnotation] = {}
     # The lines after a ``msg`` line that start with its ``rec <id> `` form a
     # block.  ``str.startswith(())`` is false, so no block precedes the
     # first ``msg`` line.
@@ -372,7 +364,7 @@ def read_interchange(stream: TextIO) -> Corpus:
     length = 0
 
     def end_block(first: int) -> None:
-        _extend(records, msg.id, cache.block(block, first, prefix, length))
+        records[msg.id].append(cache.block(block, first, prefix, length))
         rec_lines.setdefault(msg.id, first)
         block.clear()
 
@@ -396,13 +388,13 @@ def read_interchange(stream: TextIO) -> Corpus:
             if owner is None:
                 _split_fields(kind, rest, line_no)
                 raise IntegrityError(line_no, f"record for undeclared message id {subject!r}")
-            _extend(records, subject, (cache.line(rest, line_no, len(owner)),))
+            records[subject].append((cache.line(rest, line_no, len(owner)),))
             rec_lines.setdefault(subject, line_no)
         elif kind == "gt":
-            kv = gt_fields.get(rest)
-            if kv is None:
-                kv = gt_fields[rest] = _split_fields(kind, rest, line_no)
-            truth.append(RawLine(kind, subject, rest, kv, line_no))
+            ann = true_fields.get(rest)
+            if ann is None:
+                ann = true_fields[rest] = _true_field(_split_fields(kind, rest, line_no), line_no)
+            truth.append((subject, ann))
         else:
             kv = _split_fields(kind, rest, line_no)  # a msg line, or a ParseError
             if subject in by_id:
@@ -420,16 +412,17 @@ def read_interchange(stream: TextIO) -> Corpus:
         end_block(line_no + 1 - len(block))
 
     traces: list[ExecutionTrace] = []
-    for msg_id, recs in records.items():
+    for msg_id, parts in records.items():
+        recs = parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
         try:
-            traces.append(ExecutionTrace(msg_id, tuple(recs)))
+            traces.append(ExecutionTrace(msg_id, recs))
         except ModelError as exc:
             raise IntegrityError(rec_lines.get(msg_id), str(exc)) from None
     return Corpus(messages, traces, truth)
 
 
 def load_corpus_stream(stream: TextIO) -> tuple[list[Message], list[ExecutionTrace]]:
-    """The messages and traces of ``stream``; its ``gt`` lines are dropped."""
+    """The messages and traces of ``stream``; its true fields are checked, then dropped."""
     messages, traces, _ = read_interchange(stream)
     return messages, traces
 
@@ -493,3 +486,18 @@ def serialize_corpus(
             out.write(_record_to_line(msg.id, rec) + "\n")
     return out.getvalue()
 
+
+def serialize_ground_truth(
+    truths: Iterable[tuple[str, Sequence[FieldAnnotation]]]
+) -> str:
+    """The ``gt`` lines of ``(message id, true fields)`` pairs."""
+    out = io.StringIO()
+    for mid, anns in truths:
+        for a in anns:
+            f = a.field
+            funcs = "|".join(sorted(fn.name for fn in a.inferred_functions)) or "-"
+            out.write(
+                f"gt {mid} field={f.start}-{f.end} type={a.inferred_type.name} "
+                f"funcs={funcs} accessed={'true' if f.accessed else 'false'}\n"
+            )
+    return out.getvalue()

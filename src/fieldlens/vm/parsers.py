@@ -29,7 +29,7 @@ from .ops import ParserScript, parse_script
 
 _T = SemanticType
 _F = SemanticFunction
-#: a message id and its true fields, as ``evaluation.serialize_ground_truth`` takes them
+#: a message id and its true fields, as ``traceio.serialize_ground_truth`` writes them
 Truth = tuple[str, tuple[FieldAnnotation, ...]]
 
 

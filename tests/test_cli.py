@@ -452,6 +452,24 @@ def test_run_names_the_ground_truth_file_once(tmp_path, corpus, bad_line):
     assert not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        pytest.param("field=0-1 type=NOPE funcs=-", "unknown type 'NOPE'", id="type"),
+        pytest.param("field=4-2 type=STATIC funcs=-", "bad field range '4-2'", id="range"),
+    ],
+)
+def test_extract_rejects_a_malformed_gt_line_on_its_line(tmp_path, corpus, capsys,
+                                                         values, message):
+    bad = tmp_path / "bad.fl"
+    bad.write_text(corpus.read_text() + f"gt bin000 {values}\n")
+    line = len(corpus.read_text().splitlines()) + 1
+    assert run_cli("extract", "--traces", bad, "--out", tmp_path / "f.json") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: line {line}: {message}\n"
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_run_names_ground_truth_that_misses_messages_and_lists_five(tmp_path, corpus):
     truth = tmp_path / "gt1.fl"
     truth.write_text("".join(

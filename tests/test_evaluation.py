@@ -14,11 +14,16 @@ from fieldlens.evaluation import (
     load_ground_truth,
     score_format,
     score_semantics,
-    serialize_ground_truth,
 )
 from fieldlens.model import Field, FormatResult
 from fieldlens.reports import annotated_formats, check_covers
-from fieldlens.traceio import IntegrityError, ParseError, load_corpus, read_interchange
+from fieldlens.traceio import (
+    IntegrityError,
+    ParseError,
+    load_corpus,
+    read_interchange,
+    serialize_ground_truth,
+)
 
 T = SemanticType
 F = SemanticFunction

@@ -15,7 +15,6 @@ from fieldlens.evaluation import (
     load_ground_truth,
     score_format,
     score_semantics,
-    serialize_ground_truth,
 )
 from fieldlens.extraction import extract_format, extract_format_baseline
 from fieldlens.model import ExecutionTrace, Field, FormatResult, ModelError
@@ -35,7 +34,7 @@ from fieldlens.reports import (
     formats_to_doc,
     write_json,
 )
-from fieldlens.traceio import IntegrityError, load_corpus, serialize_corpus
+from fieldlens.traceio import IntegrityError, load_corpus, serialize_corpus, serialize_ground_truth
 from fieldlens.vm import bundled_parsers, run as vm_run
 
 

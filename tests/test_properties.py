@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from fieldlens.evaluation import count_segmentation_errors, score_format
 from fieldlens.detectors import Evidence, FieldAnnotation, SemanticFunction, SemanticType
-from fieldlens.extraction import extract_format, extract_format_baseline
+from fieldlens.extraction import (
+    extract_format,
+    extract_format_baseline,
+    intra_instruction_candidates,
+    resolve_overlaps,
+)
 from fieldlens.model import (
     ExecutionTrace,
     Field,
@@ -18,8 +23,10 @@ from fieldlens.model import (
     InstructionRecord,
     Message,
     OpClass,
+    operator_sequence,
 )
 from fieldlens.reports import encode
+from fieldlens.vm import bundled_parsers, run as vm_run
 
 MSG_LEN = 12
 
@@ -85,6 +92,18 @@ def test_merging_only_removes_boundaries(trace, payload):
 def test_extraction_deterministic(trace, payload):
     message = Message("m", payload)
     assert extract_format(message, trace) == extract_format(message, trace)
+
+
+@given(st.sampled_from(bundled_parsers()), st.integers(0, 1 << 16))
+@settings(max_examples=30, deadline=None)
+def test_a_candidate_is_accessed_exactly_when_it_has_operators(parser, seed):
+    """Merging compares operator sequences only of two accessed candidates,
+    and on a generated trace neither sequence is ever empty."""
+    messages, _ = parser.generate(3, seed)
+    for msg in messages:
+        trace = vm_run(parser.script, msg).trace
+        for c in resolve_overlaps(intra_instruction_candidates(msg, trace)):
+            assert c.accessed == bool(operator_sequence(trace, c))
 
 
 @st.composite

@@ -77,6 +77,20 @@ def test_every_record_attribute_is_read_by_an_analysis():
     assert unread == []
 
 
+def test_only_traceio_raises_parse_errors():
+    """Interchange text is parsed in one module: no other module constructs
+    a ``ParseError``."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        if name != "traceio.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "ParseError" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
+
+
 def test_readme_cli_examples_parse():
     """Every ``fieldlens`` command in README's CLI block parses, so a flag
     that the program no longer has cannot linger in the docs."""

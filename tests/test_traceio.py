@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldlens import traceio
-from fieldlens.evaluation import load_ground_truth, serialize_ground_truth
+from fieldlens.detectors import FieldAnnotation, SemanticType
+from fieldlens.evaluation import load_ground_truth
 from fieldlens.model import (
     ApiCall,
     ArgRole,
     ExecutionTrace,
+    Field,
     InstructionRecord,
     LoopRole,
     Message,
@@ -28,6 +30,7 @@ from fieldlens.traceio import (
     parse_offsets,
     read_interchange,
     serialize_corpus,
+    serialize_ground_truth,
 )
 from fieldlens.vm import bundled_parsers, run as vm_run
 
@@ -115,6 +118,36 @@ def test_a_key_that_the_line_kind_does_not_define_is_a_parse_error(line, key):
     with pytest.raises(ParseError) as err:
         read_interchange(io.StringIO(f"msg a bytes=0x0102\n{line}\n"))
     assert err.value.line_no == 2 and repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line, error, message",
+    [
+        ("rec a seq=2 op=mov class=NOPE off=0", ParseError, "unknown op class 'NOPE'"),
+        ("rec a seq=2 op=mov class=MOV_SERIES off=a", ParseError, "bad offset set 'a'"),
+        ("rec a seq=2 op=add class=ARITH_BITWISE off=0 loop=l1 role=X", ParseError,
+         "unknown loop role 'X'"),
+        ("rec a seq=2 op=call class=CALL off=0 api=recv", ParseError,
+         "api must be name:ROLE, got 'recv'"),
+        ("rec a seq=2 op=call class=CALL off=0 api=recv:X", ParseError,
+         "unknown api role 'X'"),
+        ("rec a seq=2 op=add class=ARITH_BITWISE off=0 ptr=X", ParseError,
+         "unknown ptr kind 'X'"),
+        ("rec a seq=2 op=cmp class=COMPARE off=0 lineage=0", ParseError,
+         "lineage must hold two offset sets: a/b"),
+        ("rec a seq=2 op=mov class=MOV_SERIES off=0 lineage=0/1", IntegrityError,
+         "record seq=2: operand_lineage requires op_class=COMPARE"),
+        ("gt a field=0-1 type=NOPE funcs=-", ParseError, "unknown type 'NOPE'"),
+        ("gt a field=0-1 type=STATIC funcs=NOPE", ParseError, "unknown function 'NOPE'"),
+        ("gt a field=0-1 type=INTEGER funcs=LENGTH|-", ParseError, "unknown function '-'"),
+    ],
+)
+def test_each_malformed_value_is_an_error_on_its_line(line, error, message):
+    text = f"msg a bytes=0x0102\nrec a seq=1 op=mov class=MOV_SERIES off=0\n{line}\n"
+    with pytest.raises(error) as err:
+        read_interchange(io.StringIO(text))
+    assert type(err.value) is error
+    assert err.value.line_no == 3 and str(err.value) == f"line 3: {message}"
 
 
 def test_duplicate_message_id_rejected():
@@ -328,7 +361,7 @@ def test_a_second_load_shares_nothing_with_the_first(tmp_path, example3):
             yield trace.records
             yield from trace.records
             yield from (s for s in _offset_sets([trace]) if s)
-        yield from (ln.kv for ln in corpus.truth)
+        yield from (ann for _, ann in corpus.truth)
         for anns in truth.values():
             yield anns
             yield from anns
@@ -343,7 +376,9 @@ def test_ground_truth_lines_come_from_the_same_read():
         "gt a field=0-1 type=STATIC funcs=-\n"
         "rec a seq=1 op=movzx class=MOV_SERIES off=0-1\n"
     ))
-    assert [(ln.kind, ln.subject, ln.line_no) for ln in corpus.truth] == [("gt", "a", 2)]
+    assert corpus.truth == [
+        ("a", FieldAnnotation(Field(0, 1), SemanticType.STATIC, frozenset(), ()))
+    ]
     assert len(corpus.traces[0].records) == 1
 
 
@@ -463,19 +498,17 @@ def _oracle_lines(stream):
 def _oracle_read(stream):
     messages, by_id, records, rec_lines, truth = [], {}, {}, {}, []
     for line_no, kind, subject, rest in _oracle_lines(stream):
-        ln = traceio.RawLine(
-            kind, subject, rest, _oracle_split_fields(kind, rest, line_no), line_no
-        )
+        kv = _oracle_split_fields(kind, rest, line_no)
         if kind == "rec":
             msg = by_id.get(subject)
             if msg is None:
                 raise IntegrityError(line_no, f"record for undeclared message id {subject!r}")
-            records[subject].append(traceio._record_from_kv(ln.kv, line_no, len(msg), {}))
+            records[subject].append(traceio._record_from_kv(kv, line_no, len(msg), {}))
             rec_lines.setdefault(subject, line_no)
         elif kind == "msg":
             if subject in by_id:
                 raise IntegrityError(line_no, f"duplicate message id {subject!r}")
-            data = traceio._parse_hex(traceio._require(ln.kv, "bytes", line_no), line_no)
+            data = traceio._parse_hex(traceio._require(kv, "bytes", line_no), line_no)
             try:
                 msg = Message(subject, data)
             except ModelError as exc:
@@ -484,7 +517,7 @@ def _oracle_read(stream):
             messages.append(msg)
             records.setdefault(subject, [])
         else:
-            truth.append(ln)
+            truth.append((subject, traceio._true_field(kv, line_no)))
     traces = []
     for msg_id, recs in records.items():
         try:
@@ -574,8 +607,7 @@ def _outcome(read, text, newline):
         corpus = read(io.StringIO(text, newline=newline))
     except (ParseError, IntegrityError) as exc:
         return type(exc), str(exc)
-    truth = [(ln.kind, ln.subject, ln.text, ln.kv, ln.line_no) for ln in corpus.truth]
-    return corpus.messages, corpus.traces, truth
+    return corpus.messages, corpus.traces, corpus.truth
 
 
 @given(edited_corpora(), st.sampled_from([None, "", "\n"]))
