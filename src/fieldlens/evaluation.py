@@ -1,9 +1,10 @@
 """Scoring of inferred formats and semantics against ground truth.
 
-Boundary scoring classifies every inter-byte position of a message as
-TP/FP/FN/TN; a true field is *perfect* when it was inferred exactly, as one
-field with its start and its end, so a true field that is over-segmented is
-not perfect.  Semantic labels count as correct only on exactly matched
+``MetricsReport.add_message`` scores one message straight into the corpus
+tallies.  Boundary scoring classifies every inter-byte position of a message
+as TP/FP/FN/TN; a true field is *perfect* when it was inferred exactly, as
+one field with its start and its end, so a true field that is over-segmented
+is not perfect.  Semantic labels count as correct only on exactly matched
 fields.  Segmentation-error counting mirrors the boundary FP/FN split but
 excludes positions inside true fields that the server never accessed.
 
@@ -68,11 +69,6 @@ class LabelCounts:
     def summary(self) -> dict:
         return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
 
-    def add(self, other: "LabelCounts") -> None:
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
-
 
 @dataclass
 class FormatScore(LabelCounts):
@@ -94,29 +90,22 @@ class FormatScore(LabelCounts):
     def perfection(self) -> float:
         return self.perfect_fields / self.true_fields if self.true_fields else 1.0
 
-    def add(self, other: "FormatScore") -> None:
-        super().add(other)
-        self.tn += other.tn
-        self.perfect_fields += other.perfect_fields
-        self.true_fields += other.true_fields
+    def count(self, inferred: FormatResult, truth: Sequence[FieldAnnotation]) -> None:
+        """Classify every inter-byte position of one message and count the
+        true fields that were inferred exactly.
 
-
-def score_format(
-    inferred: FormatResult, truth: Sequence[FieldAnnotation]
-) -> FormatScore:
-    """Classify every inter-byte position and count the true fields that
-    were inferred exactly.
-
-    Only boundaries and fields are visited, so the cost does not grow with
-    the length of a field: every other position is a true negative."""
-    inf = set(inferred.boundaries)
-    tru = {a.field.start for a in truth if a.field.start > 0}
-    score = FormatScore(tp=len(inf & tru), fp=len(inf - tru), fn=len(tru - inf))
-    score.tn = inferred.length - 1 - score.tp - score.fp - score.fn
-    score.true_fields = len(truth)
-    ranges = {(f.start, f.end) for f in inferred.fields}
-    score.perfect_fields = sum((a.field.start, a.field.end) in ranges for a in truth)
-    return score
+        Only boundaries and fields are visited, so the cost does not grow
+        with the length of a field: every other position is a true negative."""
+        inf = set(inferred.boundaries)
+        tru = {a.field.start for a in truth if a.field.start > 0}
+        tp, fp, fn = len(inf & tru), len(inf - tru), len(tru - inf)
+        self.tp += tp
+        self.fp += fp
+        self.fn += fn
+        self.tn += inferred.length - 1 - tp - fp - fn
+        self.true_fields += len(truth)
+        ranges = {(f.start, f.end) for f in inferred.fields}
+        self.perfect_fields += sum((a.field.start, a.field.end) in ranges for a in truth)
 
 
 def count_segmentation_errors(
@@ -166,12 +155,6 @@ class LabelTally(LabelCounts):
         self.per_label.setdefault(name, LabelCounts()).fp += 1
         self.accessed.fp += 1
 
-    def add(self, other: "LabelTally") -> None:
-        super().add(other)
-        self.accessed.add(other.accessed)
-        for name, counts in other.per_label.items():
-            self.per_label.setdefault(name, LabelCounts()).add(counts)
-
     def to_dict(self) -> dict:
         """This label kind's block of ``metrics.json``."""
         table = self.per_label
@@ -184,77 +167,68 @@ class LabelTally(LabelCounts):
 
 
 @dataclass
-class SemanticScore:
-    """The type and function tallies of one message or of a corpus."""
-
-    types: LabelTally = dc_field(default_factory=LabelTally)
-    functions: LabelTally = dc_field(default_factory=LabelTally)
-
-    def add(self, other: "SemanticScore") -> None:
-        self.types.add(other.types)
-        self.functions.add(other.functions)
-
-
-def score_semantics(
-    annotations: Sequence[FieldAnnotation], truth: Sequence[FieldAnnotation]
-) -> SemanticScore:
-    """Exact-boundary label matching: a prediction counts only on a field
-    whose boundaries coincide with a true field's."""
-    score = SemanticScore()
-    types, functions = score.types, score.functions
-    by_range = {(a.field.start, a.field.end): a for a in annotations}
-    matched: set[tuple[int, int]] = set()
-
-    for t in truth:
-        rng = (t.field.start, t.field.end)
-        accessed = t.field.accessed
-        ann = by_range.get(rng)
-        if ann is not None:
-            matched.add(rng)
-        pred_type = ann.inferred_type if ann is not None else SemanticType.UNKNOWN
-        if pred_type is not SemanticType.UNKNOWN and pred_type is t.inferred_type:
-            types.hit(t.inferred_type.name, accessed)
-        else:
-            types.miss(t.inferred_type.name, accessed)
-            if pred_type is not SemanticType.UNKNOWN:
-                types.false_alarm(pred_type.name)
-
-        pred_funcs = ann.inferred_functions if ann is not None else frozenset()
-        for fn in t.inferred_functions & pred_funcs:
-            functions.hit(fn.name, accessed)
-        for fn in t.inferred_functions - pred_funcs:
-            functions.miss(fn.name, accessed)
-        for fn in pred_funcs - t.inferred_functions:
-            functions.false_alarm(fn.name)
-
-    for rng, ann in by_range.items():
-        if rng in matched:
-            continue
-        if ann.inferred_type is not SemanticType.UNKNOWN:
-            types.false_alarm(ann.inferred_type.name)
-        for fn in ann.inferred_functions:
-            functions.false_alarm(fn.name)
-    return score
-
-
-@dataclass
 class MetricsReport:
     """Corpus-level report: boundary metrics, semantics, segmentation errors."""
 
     format: FormatScore = dc_field(default_factory=FormatScore)
-    semantics: SemanticScore = dc_field(default_factory=SemanticScore)
+    types: LabelTally = dc_field(default_factory=LabelTally)
+    functions: LabelTally = dc_field(default_factory=LabelTally)
     over_seg: int = 0
     under_seg: int = 0
     messages: int = 0
 
     def add_message(
-        self, fmt_score: FormatScore, sem_score: SemanticScore, seg: tuple[int, int]
+        self,
+        inferred: FormatResult,
+        annotations: Sequence[FieldAnnotation],
+        truth: Sequence[FieldAnnotation],
     ) -> None:
-        self.format.add(fmt_score)
-        self.semantics.add(sem_score)
-        self.over_seg += seg[0]
-        self.under_seg += seg[1]
+        """Score one message into the corpus tallies."""
+        self.format.count(inferred, truth)
+        self._match_labels(annotations, truth)
+        over, under = count_segmentation_errors(inferred, truth)
+        self.over_seg += over
+        self.under_seg += under
         self.messages += 1
+
+    def _match_labels(
+        self, annotations: Sequence[FieldAnnotation], truth: Sequence[FieldAnnotation]
+    ) -> None:
+        """Exact-boundary label matching: a prediction counts only on a field
+        whose boundaries coincide with a true field's."""
+        types, functions = self.types, self.functions
+        by_range = {(a.field.start, a.field.end): a for a in annotations}
+        matched: set[tuple[int, int]] = set()
+
+        for t in truth:
+            rng = (t.field.start, t.field.end)
+            accessed = t.field.accessed
+            ann = by_range.get(rng)
+            if ann is not None:
+                matched.add(rng)
+            pred_type = ann.inferred_type if ann is not None else SemanticType.UNKNOWN
+            if pred_type is not SemanticType.UNKNOWN and pred_type is t.inferred_type:
+                types.hit(t.inferred_type.name, accessed)
+            else:
+                types.miss(t.inferred_type.name, accessed)
+                if pred_type is not SemanticType.UNKNOWN:
+                    types.false_alarm(pred_type.name)
+
+            pred_funcs = ann.inferred_functions if ann is not None else frozenset()
+            for fn in t.inferred_functions & pred_funcs:
+                functions.hit(fn.name, accessed)
+            for fn in t.inferred_functions - pred_funcs:
+                functions.miss(fn.name, accessed)
+            for fn in pred_funcs - t.inferred_functions:
+                functions.false_alarm(fn.name)
+
+        for rng, ann in by_range.items():
+            if rng in matched:
+                continue
+            if ann.inferred_type is not SemanticType.UNKNOWN:
+                types.false_alarm(ann.inferred_type.name)
+            for fn in ann.inferred_functions:
+                functions.false_alarm(fn.name)
 
     def to_dict(self) -> dict:
         fmt = self.format
@@ -272,7 +246,7 @@ class MetricsReport:
                 "total": self.over_seg + self.under_seg,
             },
             "semantics": {
-                "type": self.semantics.types.to_dict(),
-                "function": self.semantics.functions.to_dict(),
+                "type": self.types.to_dict(),
+                "function": self.functions.to_dict(),
             },
         }

@@ -14,13 +14,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .detectors import FieldAnnotation, FieldMemo, annotate_format
-from .evaluation import (
-    MetricsReport,
-    count_segmentation_errors,
-    load_ground_truth,
-    score_format,
-    score_semantics,
-)
+from .evaluation import MetricsReport, load_ground_truth
 from .extraction import MergeMemo, extract_format, extract_format_baseline
 from .fuzz_template import export_fuzz_template
 from .model import ExecutionTrace, Field, FormatResult, Message, ShapeKey, shape_keys
@@ -133,26 +127,12 @@ def score_corpus(
     annotations: Mapping[str, Sequence[FieldAnnotation]],
     truths: Mapping[str, Sequence[FieldAnnotation]],
 ) -> MetricsReport:
-    """Metrics of every message in ``formats``; ``truths`` was checked where it was read.
-
-    A message's scores depend only on the values of its fields, annotations
-    and truth (``accessed`` included, which the segmentation errors and
-    ``recall_accessed_only`` read), so each distinct combination is scored
-    once and added for every message that holds it.  The memo lives for
-    this call only."""
+    """Metrics of every message in ``formats``, each scored in id order
+    straight into the corpus tallies; ``truths`` was checked where it was
+    read."""
     report = MetricsReport()
-    scored: dict[tuple, tuple] = {}
     for mid in sorted(formats):
-        fmt, anns, truth = formats[mid], tuple(annotations[mid]), tuple(truths[mid])
-        key = (fmt.fields, anns, truth)
-        hit = scored.get(key)
-        if hit is None:
-            hit = scored[key] = (
-                score_format(fmt, truth),
-                score_semantics(anns, truth),
-                count_segmentation_errors(fmt, truth),
-            )
-        report.add_message(*hit)
+        report.add_message(formats[mid], annotations[mid], truths[mid])
     return report
 
 

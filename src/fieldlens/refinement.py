@@ -66,14 +66,6 @@ class Clustering:
 
 
 @dataclass(frozen=True)
-class EntropyProfile:
-    """Per-cluster field-range entropies (bits, base 2) and their median."""
-
-    entropies: tuple[tuple[Range, float], ...]
-    median: float
-
-
-@dataclass(frozen=True)
 class RefinementEvent:
     """One audit-log entry: a label added, revoked, dropped, or assigned."""
 
@@ -173,7 +165,9 @@ def explore_optimal(
 def cluster_entropy_profile(
     cluster_messages: Sequence[Message],
     annotations: Mapping[str, Sequence[FieldAnnotation]],
-) -> EntropyProfile:
+) -> tuple[dict[Range, float], float]:
+    """Each field range's entropy within one cluster (bits, base 2) and
+    their median."""
     ranges = sorted(
         {
             (ann.field.start, ann.field.end)
@@ -181,16 +175,14 @@ def cluster_entropy_profile(
             for ann in annotations[msg.id]
         }
     )
-    entries = []
-    for rng in ranges:
-        values = [
-            m.data[rng[0] : rng[1] + 1]
-            for m in cluster_messages
-            if len(m.data) > rng[1]
-        ]
-        entries.append((rng, shannon_entropy(values)))
-    med = statistics.median(h for _, h in entries) if entries else 0.0
-    return EntropyProfile(tuple(entries), med)
+    entropies = {
+        rng: shannon_entropy(
+            [m.data[rng[0] : rng[1] + 1] for m in cluster_messages if len(m.data) > rng[1]]
+        )
+        for rng in ranges
+    }
+    med = statistics.median(entropies.values()) if entropies else 0.0
+    return entropies, med
 
 
 def entropy_refine(
@@ -241,9 +233,7 @@ def entropy_refine(
                 )
             )
             continue
-        profile = cluster_entropy_profile(cluster_msgs, annotations)
-        h_of = dict(profile.entropies)
-        med = profile.median
+        h_of, med = cluster_entropy_profile(cluster_msgs, annotations)
 
         for mid in ids:
             anns = refined[mid]

@@ -224,11 +224,11 @@ def annotation_from_dict(doc: dict) -> FieldAnnotation:
     return FieldAnnotation(
         _field_from_dict(doc),
         SemanticType[doc["type"]],
-        frozenset(SemanticFunction[name] for name in doc["functions"]),
+        frozenset(SemanticFunction[name] for name in _typed(doc["functions"], list)),
         tuple(
             Evidence(_typed(e["rule"], str), _typed(e["seq"], int, type(None)),
                      _typed(e["note"], str))
-            for e in doc["evidence"]
+            for e in _typed(doc["evidence"], list)
         ),
     )
 

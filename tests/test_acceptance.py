@@ -12,12 +12,7 @@ from fieldlens.detectors import (
     SemanticType,
     annotate_format,
 )
-from fieldlens.evaluation import (
-    MetricsReport,
-    count_segmentation_errors,
-    score_format,
-    score_semantics,
-)
+from fieldlens.evaluation import FormatScore, MetricsReport
 from fieldlens.extraction import extract_format, extract_format_baseline
 from fieldlens.model import Field, operator_sequence
 from fieldlens.refinement import (
@@ -163,11 +158,7 @@ def _run_corpus(parser, count=50, seed=0, merged=True, clustering_on=True):
     report = MetricsReport()
     truth_map = dict(truths)
     for m in messages:
-        report.add_message(
-            score_format(formats[m.id], truth_map[m.id]),
-            score_semantics(final[m.id], truth_map[m.id]),
-            count_segmentation_errors(formats[m.id], truth_map[m.id]),
-        )
+        report.add_message(formats[m.id], final[m.id], truth_map[m.id])
     return report, final
 
 
@@ -217,7 +208,8 @@ def test_criterion_metric_unit_case():
         for a, b in ((0, 1), (2, 4), (5, 7))
     )
     inferred = FormatResult("m", 8, (Field(0, 1), Field(2, 3), Field(4, 7)))
-    score = score_format(inferred, truth)
+    score = FormatScore()
+    score.count(inferred, truth)
     assert (score.tp, score.fp, score.fn, score.tn) == (1, 1, 1, 4)
     assert score.f1 == 0.5
     assert score.perfection == pytest.approx(1 / 3)
@@ -278,12 +270,8 @@ def test_criterion_ablation_monotonicity(count_violations):
         def command_f1(final):
             report = MetricsReport()
             for m in messages:
-                report.add_message(
-                    score_format(formats[m.id], truth_map[m.id]),
-                    score_semantics(final[m.id], truth_map[m.id]),
-                    (0, 0),
-                )
-            counts = report.semantics.functions.per_label.get("COMMAND")
+                report.add_message(formats[m.id], final[m.id], truth_map[m.id])
+            counts = report.functions.per_label.get("COMMAND")
             return counts.f1 if counts else 1.0
 
         detector_only, _ = constraint_refine(refined, None)

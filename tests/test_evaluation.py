@@ -12,8 +12,6 @@ from fieldlens.evaluation import (
     MetricsReport,
     count_segmentation_errors,
     load_ground_truth,
-    score_format,
-    score_semantics,
 )
 from fieldlens.model import Field, FormatResult
 from fieldlens.reports import annotated_formats, check_covers
@@ -51,6 +49,26 @@ def ann(start, end, sem_type, funcs=()):
     )
 
 
+def format_score(inferred, truth):
+    """One message's boundary counts."""
+    score = FormatScore()
+    score.count(inferred, truth)
+    return score
+
+
+def as_inferred(truth):
+    """A format whose fields are the true fields ``truth``."""
+    fields = tuple(t.field for t in truth)
+    return FormatResult("m", fields[-1].end + 1, fields)
+
+
+def scored(annotations, truth):
+    """The report of one message inferred as its true fields."""
+    report = MetricsReport()
+    report.add_message(as_inferred(truth), annotations, truth)
+    return report
+
+
 def test_equal_truths_are_one_tuple_of_shared_fields():
     text = "".join(f"msg {m} bytes=0x0102\n" for m in "abcd") + (
         "gt a field=0-0 type=STATIC funcs=- accessed=true\n"
@@ -75,7 +93,7 @@ def test_hand_enumerated_boundary_case():
     # 8-byte message, true boundaries {2,5}, inferred {2,4}
     truth = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))
     inferred = fmt("m", 8, 2, 4)
-    score = score_format(inferred, truth)
+    score = format_score(inferred, truth)
     assert (score.tp, score.fp, score.fn, score.tn) == (1, 1, 1, 4)
     assert score.precision == 0.5
     assert score.recall == 0.5
@@ -88,7 +106,7 @@ def test_hand_enumerated_boundary_case():
 def test_perfect_match_scores_ones():
     truth = gt(gtf(0, 2), gtf(3, 5))
     inferred = fmt("m", 6, 3)
-    score = score_format(inferred, truth)
+    score = format_score(inferred, truth)
     assert score.precision == score.recall == score.f1 == 1.0
     assert score.perfection == 1.0
 
@@ -96,7 +114,7 @@ def test_perfect_match_scores_ones():
 def test_empty_prediction_convention():
     truth = gt(gtf(0, 2), gtf(3, 5))
     inferred = fmt("m", 6)  # one field, no boundaries
-    score = score_format(inferred, truth)
+    score = format_score(inferred, truth)
     assert score.precision == 0.0
     assert score.recall == 0.0
     assert score.f1 == 0.0
@@ -106,7 +124,7 @@ def test_self_scoring_any_partition_is_perfect():
     for bounds in ((), (1,), (2, 5), (1, 2, 3)):
         inferred = fmt("m", 6, *bounds)
         truth = gt(*(gtf(f.start, f.end) for f in inferred.fields))
-        score = score_format(inferred, truth)
+        score = format_score(inferred, truth)
         assert score.f1 == 1.0 and score.perfection == 1.0
         assert score.fp == score.fn == 0
 
@@ -121,8 +139,8 @@ def test_length_mismatch_is_integrity_error():
 def test_metrics_invariant_under_id_renaming():
     truth_a = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))
     truth_b = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))
-    score_a = score_format(fmt("a", 8, 2, 4), truth_a)
-    score_b = score_format(fmt("b", 8, 2, 4), truth_b)
+    score_a = format_score(fmt("a", 8, 2, 4), truth_a)
+    score_b = format_score(fmt("b", 8, 2, 4), truth_b)
     assert (score_a.tp, score_a.fp, score_a.fn, score_a.tn) == (
         score_b.tp, score_b.fp, score_b.fn, score_b.tn,
     )
@@ -157,22 +175,23 @@ def test_scoring_a_long_unaccessed_field_allocates_little():
     length = 10**6
     truth = gt(gtf(0, length - 1, accessed=False))
     inferred = fmt("m", length)
+    report = MetricsReport()
     tracemalloc.start()
     try:
-        score = score_format(inferred, truth)
-        errors = count_segmentation_errors(inferred, truth)
+        report.add_message(inferred, truth, truth)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    score = report.format
     assert (score.tp, score.fp, score.fn, score.tn) == (0, 0, 0, length - 1)
-    assert errors == (0, 0)
+    assert (report.over_seg, report.under_seg) == (0, 0)
     assert peak < 1 << 20
 
 
 def test_seg_errors_equal_fp_fn_without_exclusions():
     truth = gt(gtf(0, 3), gtf(4, 6), gtf(7, 9))
     inferred = fmt("m", 10, 2, 4, 8)
-    score = score_format(inferred, truth)
+    score = format_score(inferred, truth)
     over, under = count_segmentation_errors(inferred, truth)
     assert over == score.fp and under == score.fn
 
@@ -183,7 +202,7 @@ def test_seg_errors_equal_fp_fn_without_exclusions():
 def test_type_scoring_exact_match():
     truth = gt(gtf(0, 1, T.INTEGER), gtf(2, 3, T.BYTES))
     annotations = [ann(0, 1, T.INTEGER), ann(2, 3, T.BYTES)]
-    score = score_semantics(annotations, truth)
+    score = scored(annotations, truth)
     assert score.types.precision == 1.0 and score.types.recall == 1.0
 
 
@@ -191,7 +210,7 @@ def test_label_on_missegmented_field_counts_false_positive():
     truth = gt(gtf(0, 1, T.INTEGER, [F.CHECKSUM]), gtf(2, 3, T.BYTES))
     # inferred merged the whole message into one field
     annotations = [ann(0, 3, T.INTEGER, [F.CHECKSUM])]
-    score = score_semantics(annotations, truth)
+    score = scored(annotations, truth)
     assert score.functions.per_label["CHECKSUM"].fp == 1
     assert score.functions.per_label["CHECKSUM"].tp == 0
     assert score.functions.recall == 0.0
@@ -200,7 +219,7 @@ def test_label_on_missegmented_field_counts_false_positive():
 def test_function_recall_zero_when_nothing_predicted():
     truth = gt(gtf(0, 1, T.INTEGER, [F.LENGTH, F.CHECKSUM]), gtf(2, 3, T.BYTES))
     annotations = [ann(0, 1, T.INTEGER), ann(2, 3, T.BYTES)]
-    score = score_semantics(annotations, truth)
+    score = scored(annotations, truth)
     assert score.functions.recall == 0.0
     assert score.functions.fn == 2
 
@@ -208,7 +227,7 @@ def test_function_recall_zero_when_nothing_predicted():
 def test_unknown_predictions_are_not_counted_as_inferred():
     truth = gt(gtf(0, 1, T.INTEGER), gtf(2, 3, T.BYTES))
     annotations = [ann(0, 1, T.UNKNOWN), ann(2, 3, T.BYTES)]
-    score = score_semantics(annotations, truth)
+    score = scored(annotations, truth)
     assert score.types.fp == 0
     assert score.types.tp == 1 and score.types.fn == 1
 
@@ -220,7 +239,7 @@ def test_recall_reported_for_all_and_accessed_only():
         gtf(4, 5, T.STATIC),
     )
     annotations = [ann(0, 1, T.INTEGER), ann(2, 3, T.UNKNOWN), ann(4, 5, T.STATIC)]
-    score = score_semantics(annotations, truth)
+    score = scored(annotations, truth)
     assert score.types.recall == pytest.approx(2 / 3)
     assert score.types.accessed.recall == 1.0
 
@@ -239,16 +258,6 @@ class OracleSemanticScore:
 
     def _label(self, table, name):
         return table.setdefault(name, LabelCounts())
-
-    def add(self, other):
-        self.types.add(other.types)
-        self.functions.add(other.functions)
-        self.types_accessed.add(other.types_accessed)
-        self.functions_accessed.add(other.functions_accessed)
-        for name, counts in other.per_type.items():
-            self._label(self.per_type, name).add(counts)
-        for name, counts in other.per_function.items():
-            self._label(self.per_function, name).add(counts)
 
     def macro_f1(self, table):
         if not table:
@@ -270,8 +279,7 @@ class OracleSemanticScore:
         }
 
 
-def oracle_score_semantics(annotations, truth):
-    score = OracleSemanticScore()
+def oracle_score_semantics(score, annotations, truth):
     by_range = {(a.field.start, a.field.end): a for a in annotations}
     matched = set()
 
@@ -324,28 +332,27 @@ def oracle_score_semantics(annotations, truth):
             score.functions.fp += 1
             score.functions_accessed.fp += 1
             score._label(score.per_function, fn.name).fp += 1
-    return score
 
 
 def semantics_doc(pairs):
     """``metrics.json``'s semantics block for (annotations, truth) pairs."""
     report = MetricsReport()
     for annotations, truth in pairs:
-        report.add_message(FormatScore(), score_semantics(annotations, truth), (0, 0))
+        report.add_message(as_inferred(truth), annotations, truth)
     return report.to_dict()["semantics"]
 
 
 def oracle_semantics_doc(pairs):
     oracle = OracleSemanticScore()
     for annotations, truth in pairs:
-        oracle.add(oracle_score_semantics(annotations, truth))
+        oracle_score_semantics(oracle, annotations, truth)
     return oracle.to_dict()
 
 
 def test_mislabelled_unaccessed_field_counts_only_its_false_alarm_as_accessed():
     truth = gt(gtf(0, 1, T.INTEGER, [F.LENGTH], accessed=False), gtf(2, 3, T.BYTES))
     annotations = [ann(0, 1, T.STATIC, [F.CHECKSUM]), ann(2, 3, T.BYTES)]
-    score = score_semantics(annotations, truth)
+    score = scored(annotations, truth)
     for tally in (score.types, score.functions):
         assert (tally.accessed.fp, tally.accessed.fn) == (1, 0)
         assert (tally.fp, tally.fn) == (1, 1)
@@ -458,11 +465,7 @@ def test_report_aggregation():
     report = MetricsReport()
     truth = gt(gtf(0, 1, T.INTEGER), gtf(2, 7, T.BYTES))
     inferred = fmt("m", 8, 2)
-    report.add_message(
-        score_format(inferred, truth),
-        score_semantics([ann(0, 1, T.INTEGER), ann(2, 7, T.BYTES)], truth),
-        count_segmentation_errors(inferred, truth),
-    )
+    report.add_message(inferred, [ann(0, 1, T.INTEGER), ann(2, 7, T.BYTES)], truth)
     doc = report.to_dict()
     assert doc["messages"] == 1
     assert doc["format"]["perfection"] == 1.0

@@ -9,13 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fieldlens import detectors, extraction, pipeline
 from fieldlens.detectors import RULE_IDS, FieldAnnotation, SemanticType, annotate_format
-from fieldlens.evaluation import (
-    MetricsReport,
-    count_segmentation_errors,
-    load_ground_truth,
-    score_format,
-    score_semantics,
-)
+from fieldlens.evaluation import load_ground_truth
 from fieldlens.extraction import extract_format, extract_format_baseline
 from fieldlens.model import ExecutionTrace, Field, FormatResult, ModelError
 from fieldlens.pipeline import (
@@ -148,22 +142,13 @@ def test_truths_that_differ_only_in_accessed_are_scored_apart():
         for mid, accessed in (("a", True), ("b", False))
     }
 
-    def report(*mids):
-        out = MetricsReport()
-        for mid in mids:
-            fmt, truth = formats[mid], truths[mid]
-            out.add_message(
-                score_format(fmt, truth),
-                score_semantics(annotations[mid], truth),
-                count_segmentation_errors(fmt, truth),
-            )
-        return out.to_dict()
+    def report(mid):
+        return score_corpus({mid: formats[mid]}, annotations, truths).to_dict()
 
     a, b = report("a"), report("b")
     assert a["segmentation_errors"] != b["segmentation_errors"]
     recall = "recall_accessed_only"
     assert a["semantics"]["type"][recall] != b["semantics"]["type"][recall]
-    assert score_corpus(formats, annotations, truths).to_dict() == report("a", "b")
 
 
 def _generated(*specs):
@@ -471,6 +456,9 @@ _ANNOTATION = {
         pytest.param(("evidence", 0, "rule"), 7, id="rule-int"),
         pytest.param(("evidence", 0, "seq"), "3", id="seq-str"),
         pytest.param(("evidence", 0, "note"), None, id="note-null"),
+        pytest.param(("functions",), "", id="functions-str"),
+        pytest.param(("functions",), {"COMMAND": 1}, id="functions-object"),
+        pytest.param(("evidence",), {}, id="evidence-object"),
     ],
 )
 def test_stage_document_scalars_are_type_checked(path, value):

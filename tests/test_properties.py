@@ -8,7 +8,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from fieldlens.evaluation import count_segmentation_errors, score_format
+from fieldlens.evaluation import MetricsReport
 from fieldlens.detectors import Evidence, FieldAnnotation, SemanticFunction, SemanticType
 from fieldlens.extraction import (
     extract_format,
@@ -25,6 +25,7 @@ from fieldlens.model import (
     OpClass,
     operator_sequence,
 )
+from fieldlens.pipeline import score_corpus
 from fieldlens.reports import encode
 from fieldlens.vm import bundled_parsers, run as vm_run
 
@@ -115,6 +116,13 @@ def partitions(draw):
     return [(a, b - 1) for a, b in zip(edges, edges[1:])]
 
 
+def scored(inferred, truth):
+    """The report of one message, scored without annotations."""
+    report = MetricsReport()
+    report.add_message(inferred, (), truth)
+    return report
+
+
 @given(partitions(), partitions())
 @settings(max_examples=150, deadline=None)
 def test_boundary_counts_are_consistent(true_fields, inferred_fields):
@@ -125,17 +133,17 @@ def test_boundary_counts_are_consistent(true_fields, inferred_fields):
     inferred = FormatResult(
         "m", MSG_LEN, tuple(Field(a, b) for a, b in inferred_fields)
     )
-    score = score_format(inferred, truth)
+    report = scored(inferred, truth)
+    score = report.format
     # every inter-byte position lands in exactly one bucket
     assert score.positions == MSG_LEN - 1
     # without unaccessed exclusions, segmentation errors equal FP/FN
-    over, under = count_segmentation_errors(inferred, truth)
-    assert over == score.fp and under == score.fn
+    assert report.over_seg == score.fp and report.under_seg == score.fn
     # scoring a partition against itself is perfect
     self_truth = tuple(
         FieldAnnotation(f, SemanticType.BYTES, frozenset(), ()) for f in inferred.fields
     )
-    self_score = score_format(inferred, self_truth)
+    self_score = scored(inferred, self_truth).format
     assert self_score.f1 == 1.0 and self_score.perfection == 1.0
 
 
@@ -147,13 +155,59 @@ def test_splitting_one_true_field_costs_exactly_one_perfect_field(true_fields, d
         for a, b in true_fields
     )
     exact = FormatResult("m", MSG_LEN, tuple(a.field for a in truth))
-    assert score_format(exact, truth).perfect_fields == len(truth)
+    assert scored(exact, truth).format.perfect_fields == len(truth)
     # both ends of the split field stay inferred boundaries, yet it is not exact
     start, end = data.draw(st.sampled_from([(a, b) for a, b in true_fields if b > a]))
     cut = data.draw(st.integers(min_value=start + 1, max_value=end))
     split = sorted({*exact.fields, Field(start, cut - 1), Field(cut, end)} - {Field(start, end)})
-    score = score_format(FormatResult("m", MSG_LEN, tuple(split)), truth)
+    score = scored(FormatResult("m", MSG_LEN, tuple(split)), truth).format
     assert score.perfect_fields == len(truth) - 1
+
+
+@st.composite
+def scored_corpora(draw):
+    """Formats, annotations over their fields, and labelled true fields with
+    random ``accessed`` flags, by message id."""
+    types = st.sampled_from(list(SemanticType))
+    funcs = st.frozensets(st.sampled_from(list(SemanticFunction)), max_size=3)
+    formats, annotations, truths = {}, {}, {}
+    for i in range(draw(st.integers(1, 5))):
+        mid = f"m{i}"
+        fields = tuple(Field(a, b) for a, b in draw(partitions()))
+        formats[mid] = FormatResult(mid, MSG_LEN, fields)
+        annotations[mid] = tuple(
+            FieldAnnotation(f, draw(types), draw(funcs), ()) for f in fields
+        )
+        truths[mid] = tuple(
+            FieldAnnotation(Field(a, b, draw(st.booleans())), draw(types), draw(funcs), ())
+            for a, b in draw(partitions())
+        )
+    return formats, annotations, truths
+
+
+@given(scored_corpora())
+@settings(max_examples=150, deadline=None)
+def test_a_repeated_message_adds_its_counts_again_and_changes_no_ratio(corpus):
+    """Scoring every message twice, the copy under a new id, doubles each
+    count of ``metrics.json`` and leaves each ratio bit-identical."""
+
+    def doubled(by_id):
+        return {**by_id, **{f"{mid}-copy": value for mid, value in by_id.items()}}
+
+    once = score_corpus(*corpus).to_dict()
+    twice = score_corpus(*map(doubled, corpus)).to_dict()
+
+    def check(one, two):
+        if isinstance(one, dict):
+            assert one.keys() == two.keys()
+            for key in one:
+                check(one[key], two[key])
+        elif type(one) is int:
+            assert two == 2 * one
+        else:
+            assert type(one) is float and one.hex() == two.hex()
+
+    check(once, twice)
 
 
 _fields = st.builds(

@@ -1,0 +1,51 @@
+"""Quality table over the test-only corpora of ``tests/corpora.py``.
+
+Each row is a (corpus, configuration) pair run as ``fieldlens run`` runs it,
+and records exact perfection, format F1, type F1, function F1 and the
+cluster count as measured when the row landed.  A change that moves a cell
+records the new value and says so in CHANGES.md; a cell that records a known
+defect names, in a comment, the ROADMAP item that should fix it."""
+
+import pytest
+
+from corpora import text_names
+from fieldlens.pipeline import PipelineConfig, run_pipeline
+from fieldlens.traceio import serialize_corpus, serialize_ground_truth
+
+
+@pytest.fixture(scope="module")
+def names_1_60(tmp_path_factory):
+    """Seed 0, 200 messages, file names of 1-60 letters."""
+    messages, traces, truths = text_names(200, seed=0, lo=1, hi=60)
+    path = tmp_path_factory.mktemp("quality") / "names-1-60.fl"
+    path.write_text(serialize_corpus(messages, traces) + serialize_ground_truth(truths))
+    return path
+
+
+# The boundaries are exact, yet refinement loses labels: entropy is pooled by
+# absolute byte range, so one range is the CRLF delimiter in one message and
+# part of a file name in the next (ROADMAP item 9 should bring the type and
+# function F1 to the no-entropy row's).  The command position (13, 14) lies
+# inside most messages' file names and cuts them into 168 clusters (ROADMAP
+# item 1).
+ROWS = [
+    pytest.param({}, (1.0, 1.0, 0.98125, 0.9843, 168), id="default"),
+    pytest.param({"entropy_enabled": False}, (1.0, 1.0, 1.0, 1.0, 168), id="no-entropy"),
+    pytest.param({"clustering_enabled": False}, (1.0, 1.0, 0.89, 0.9127, 1), id="no-clustering"),
+]
+
+
+@pytest.mark.parametrize("config, row", ROWS)
+def test_names_1_60_quality(tmp_path, names_1_60, config, row):
+    result = run_pipeline(
+        PipelineConfig(names_1_60, tmp_path / "out", ground_truth=names_1_60, **config)
+    )
+    doc = result.metrics.to_dict()
+    measured = (
+        doc["format"]["perfection"],
+        doc["format"]["f1"],
+        doc["semantics"]["type"]["f1"],
+        doc["semantics"]["function"]["f1"],
+        len(result.clustering.clusters),
+    )
+    assert measured == pytest.approx(row, abs=5e-5)

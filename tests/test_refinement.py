@@ -386,11 +386,10 @@ def test_entropy_profile_reports_median():
         mid: (ann(0, 0, T.STATIC), ann(1, 1, T.INTEGER), ann(2, 3, T.BYTES))
         for mid in messages
     }
-    profile = cluster_entropy_profile(list(messages.values()), annotations)
-    entropies = dict(profile.entropies)
+    entropies, median = cluster_entropy_profile(list(messages.values()), annotations)
     assert entropies[(0, 0)] == 0.0
     assert entropies[(1, 1)] == 1.0
-    assert profile.median == 1.0
+    assert median == 1.0
 
 
 # --- constraint refinement ---------------------------------------------------
