@@ -37,9 +37,8 @@ from .reports import (
     write_json,
 )
 from .traceio import IntegrityError, ParseError, serialize_corpus, serialize_ground_truth
-from .vm import bundled_parsers, parse_script, run as vm_run
+from .vm import ScriptError, TermReason, bundled_parsers, parse_script, run as vm_run
 from .vm.machine import DEFAULT_STEP_BUDGET
-from .vm.ops import ScriptError
 
 
 def _count(text: str) -> int:
@@ -87,16 +86,9 @@ def _cmd_generate(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
         corpus = Path(args.corpus)
-        all_messages, _, truths = read_inputs(corpus, corpus if args.with_ground_truth else None)
-        all_traces = []
-        for msg in all_messages:
-            report = vm_run(script, msg, args.step_budget)
-            if report.terminated.name == "STEP_LIMIT":
-                return _ran_out(msg.id, args.step_budget)
-            all_traces.append(report.trace)
-            if report.terminated.name != "ACCEPT":
-                print(f"{msg.id}: {report.terminated.name}", file=sys.stderr)
-        all_truths = [] if truths is None else [(m.id, truths[m.id]) for m in all_messages]
+        messages, _, truths = read_inputs(corpus, corpus if args.with_ground_truth else None)
+        pairs = [(script, msg) for msg in messages]
+        all_truths = [] if truths is None else [(m.id, truths[m.id]) for m in messages]
     else:
         chosen = [
             p for p in bundled_parsers() if args.parser in ("all", p.name)
@@ -105,22 +97,23 @@ def _cmd_generate(args) -> int:
             names = ", ".join(p.name for p in bundled_parsers())
             print(f"error: unknown parser {args.parser!r}; bundled: {names}", file=sys.stderr)
             return 2
-        all_messages, all_traces, all_truths = [], [], []
+        pairs, all_truths = [], []
         for parser in chosen:
             messages, truths = parser.generate(args.count, args.seed)
-            for msg in messages:
-                report = vm_run(parser.script, msg, args.step_budget)
-                if report.terminated.name == "STEP_LIMIT":
-                    return _ran_out(msg.id, args.step_budget)
-                if report.terminated.name != "ACCEPT":
-                    print(
-                        f"generator bug: {msg.id} -> {report.terminated.name}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                all_traces.append(report.trace)
-            all_messages.extend(messages)
+            pairs.extend((parser.script, msg) for msg in messages)
             all_truths.extend(truths)
+    all_messages, all_traces = [], []
+    for script, msg in pairs:
+        report = vm_run(script, msg, args.step_budget)
+        if report.terminated is TermReason.STEP_LIMIT:
+            return _ran_out(msg.id, args.step_budget)
+        if report.terminated is not TermReason.ACCEPT:
+            if not args.script:
+                print(f"generator bug: {msg.id} -> {report.terminated.name}", file=sys.stderr)
+                return 2
+            print(f"{msg.id}: {report.terminated.name}", file=sys.stderr)
+        all_messages.append(msg)
+        all_traces.append(report.trace)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(serialize_corpus(all_messages, all_traces))
         if args.with_ground_truth:

@@ -15,16 +15,17 @@ labels is non-empty; the record's ``accessed_offsets`` is that union and
 ``reads`` is the subset fetched directly from the message buffer.  Records
 keep no register values, only a comparison's immediate constant and
 outcome, so messages whose bytes steer the script alike get equal traces.  A
-comparison whose outcome is true and that is immediately followed by a
-conditional jump gets ``triggered_jump`` (the compiled ``if`` idiom, whether
-the branch is taken or falls through).
+comparison whose outcome is true and whose next step runs a conditional jump
+gets ``triggered_jump`` (the compiled ``if`` idiom, whether the branch is
+taken or falls through).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+import operator
+from dataclasses import dataclass
+from typing import Union
 
 from ..model import (
     ApiCall,
@@ -36,7 +37,7 @@ from ..model import (
     OpClass,
     PointerArith,
 )
-from .ops import ARITH, CONDITIONAL_JUMPS, BufRef, Imm, Instr, ParserScript, Reg
+from .ops import ARITH, CONDITIONAL_JUMPS, Imm, Instr, ParserScript, Reg
 
 _MASK = (1 << 64) - 1
 
@@ -74,20 +75,34 @@ class VmRunReport:
     terminated: TermReason
 
 
-class _RegFile:
-    __slots__ = ("value", "taint", "lineage")
+_EMPTY: frozenset[int] = frozenset()
+_ZERO = (0, _EMPTY, _EMPTY)
 
-    def __init__(self) -> None:
-        self.value = {f"r{i}": 0 for i in range(16)}
-        self.taint = {f"r{i}": frozenset() for i in range(16)}
-        self.lineage = {f"r{i}": frozenset() for i in range(16)}
-
-
-_API_ROLES = {
-    "length": ArgRole.LENGTH_ARG,
-    "buffer": ArgRole.BUFFER_ARG,
-    "other": ArgRole.OTHER,
+#: value function of each arithmetic base operator (``add.ptr`` is ``add``)
+_ARITH_FNS = {
+    "add": lambda a, b: (a + b) & _MASK,
+    "sub": lambda a, b: (a - b) & _MASK,
+    "xor": operator.xor,
+    "or": operator.or_,
+    "and": operator.and_,
+    "shl": lambda a, b: (a << (b & 63)) & _MASK,
+    "shr": lambda a, b: a >> (b & 63),
 }
+_POINTER_ARITH = {
+    "add.ptr": PointerArith.POINTER_INCREMENT,
+    "sub.ctr": PointerArith.COUNTER_DECREMENT,
+}
+#: whether each jump is taken, given the last compare's two values
+_JUMP_TESTS = {
+    "jmp": lambda a, b: True,
+    "je": operator.eq,
+    "jne": operator.ne,
+    "jlt": operator.lt,
+    "jle": operator.le,
+    "jgt": operator.gt,
+    "jge": operator.ge,
+}
+_API_ROLES = {"length": ArgRole.LENGTH_ARG, "buffer": ArgRole.BUFFER_ARG, "other": ArgRole.OTHER}
 
 
 def run(
@@ -96,190 +111,88 @@ def run(
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> VmRunReport:
     """Execute ``script`` over ``message`` deterministically."""
-    regs = _RegFile()
+    # register -> (value, taint, lineage)
+    regs = {f"r{i}": _ZERO for i in range(16)}
     data = message.data
-    n = len(data)
     code = script.instructions
-    pc = 0
-    steps = 0
     records: list[InstructionRecord] = []
-    # index into records of a compare emitted by the immediately previous step
-    pending_cmp: Optional[int] = None
-    flag_vals: tuple[int, int] = (0, 0)
+    flags = (0, 0)
+    pc = steps = 0
     reason = TermReason.ACCEPT
 
-    def read_src(op: Union[Reg, Imm]) -> tuple[int, frozenset, frozenset]:
-        if isinstance(op, Reg):
-            return regs.value[op.name], regs.taint[op.name], regs.lineage[op.name]
-        return op.value, frozenset(), frozenset()
+    def read(op: Union[Reg, Imm]) -> tuple[int, frozenset[int], frozenset[int]]:
+        return regs[op.name] if isinstance(op, Reg) else (op.value, _EMPTY, _EMPTY)
 
-    def emit(ins: Instr, **kw) -> int:
+    def emit(ins: Instr, name: str, op_class: OpClass, accessed: frozenset[int], **kw) -> None:
         role = None
         if ins.loop_id is not None:
             role = LoopRole.TERMINATION if ins.is_termination_cmp else LoopRole.BODY
         records.append(InstructionRecord(
-            seq=len(records) + 1, loop_id=ins.loop_id, loop_role=role, **kw
+            len(records) + 1, name, op_class, accessed,
+            loop_id=ins.loop_id, loop_role=role, **kw,
         ))
-        return len(records) - 1
 
-    while True:
-        if pc >= len(code):
-            reason = TermReason.ACCEPT
-            break
+    while pc < len(code):
         if steps >= step_budget:
             reason = TermReason.STEP_LIMIT
             break
         steps += 1
         ins = code[pc]
-        mnem = ins.mnemonic
-        next_pc = pc + 1
-        this_cmp: Optional[int] = None
+        mnem, ops = ins.mnemonic, ins.operands
+        pc += 1
 
         if mnem in ("movzx", "movzx16"):
-            dst = ins.operands[0]
-            ref = ins.operands[1]
-            assert isinstance(dst, Reg) and isinstance(ref, BufRef)
-            addr, idx_taint, idx_lineage = read_src(ref.index)
             width = 2 if mnem == "movzx16" else 1
-            if addr < 0 or addr + width > n:
+            addr, idx_taint, idx_lineage = read(ops[1].index)
+            if addr < 0 or addr + width > len(data):
                 reason = TermReason.REJECT
                 break
             offsets = frozenset(range(addr, addr + width))
-            regs.value[dst.name] = int.from_bytes(data[addr : addr + width], "little")
-            regs.taint[dst.name] = offsets | idx_taint
-            regs.lineage[dst.name] = offsets | idx_lineage
-            emit(
-                ins,
-                operator="movzx",
-                op_class=OpClass.MOV_SERIES,
-                accessed_offsets=offsets | idx_taint,
-                reads=offsets,
-            )
-        elif mnem == "mov":
-            dst, src = ins.operands
-            assert isinstance(dst, Reg)
-            value, taint, lineage = read_src(src)
-            regs.value[dst.name] = value
-            regs.taint[dst.name] = taint
-            regs.lineage[dst.name] = lineage
+            value = int.from_bytes(data[addr : addr + width], "little")
+            regs[ops[0].name] = (value, offsets | idx_taint, offsets | idx_lineage)
+            emit(ins, "movzx", OpClass.MOV_SERIES, offsets | idx_taint, reads=offsets)
+        elif mnem in ("mov", "tbl"):
+            value, taint, lineage = read(ops[1])
+            if mnem == "mov":
+                regs[ops[0].name] = (value, taint, lineage)
+            else:
+                regs[ops[0].name] = (TABLE[value & 0xFF], _EMPTY, lineage | taint)
             if taint:
-                emit(
-                    ins,
-                    operator="mov",
-                    op_class=OpClass.MOV_SERIES,
-                    accessed_offsets=taint,
-                )
-        elif mnem == "tbl":
-            dst, src = ins.operands
-            assert isinstance(dst, Reg)
-            value, taint, lineage = read_src(src)
-            regs.value[dst.name] = TABLE[value & 0xFF]
-            regs.taint[dst.name] = frozenset()
-            regs.lineage[dst.name] = lineage | taint
-            if taint:
-                emit(
-                    ins,
-                    operator="mov",
-                    op_class=OpClass.MOV_SERIES,
-                    accessed_offsets=taint,
-                )
+                emit(ins, "mov", OpClass.MOV_SERIES, taint)
         elif mnem in ARITH:
-            dst, src = ins.operands
-            assert isinstance(dst, Reg)
-            va, ta, la = read_src(dst)
-            vb, tb, lb = read_src(src)
+            (va, ta, la), (vb, tb, lb) = read(ops[0]), read(ops[1])
             base = mnem.split(".")[0]
-            if base == "add":
-                value = (va + vb) & _MASK
-            elif base == "sub":
-                value = (va - vb) & _MASK
-            elif base == "xor":
-                value = va ^ vb
-            elif base == "or":
-                value = va | vb
-            elif base == "and":
-                value = va & vb
-            elif base == "shl":
-                value = (va << (vb & 63)) & _MASK
-            else:  # shr
-                value = va >> (vb & 63)
             taint = ta | tb
-            regs.value[dst.name] = value
-            regs.taint[dst.name] = taint
-            regs.lineage[dst.name] = la | lb | taint
+            regs[ops[0].name] = (_ARITH_FNS[base](va, vb), taint, la | lb | taint)
             if taint:
-                pointer = None
-                if mnem == "add.ptr":
-                    pointer = PointerArith.POINTER_INCREMENT
-                elif mnem == "sub.ctr":
-                    pointer = PointerArith.COUNTER_DECREMENT
-                emit(
-                    ins,
-                    operator=base,
-                    op_class=OpClass.ARITH_BITWISE,
-                    accessed_offsets=taint,
-                    pointer_arith=pointer,
-                )
+                emit(ins, base, OpClass.ARITH_BITWISE, taint,
+                     pointer_arith=_POINTER_ARITH.get(mnem))
         elif mnem == "cmp":
-            a, b = ins.operands
-            va, ta, la = read_src(a)
-            vb, tb, lb = read_src(b)
-            flag_vals = (va, vb)
+            (va, ta, la), (vb, tb, lb) = read(ops[0]), read(ops[1])
+            flags = (va, vb)
             if ta or tb:
-                imm = a if isinstance(a, Imm) else b if isinstance(b, Imm) else None
                 const = None
+                imm = next((op for op in ops if isinstance(op, Imm)), None)
                 if imm is not None:  # its shortest little-endian bytes
                     width = max(1, (imm.value.bit_length() + 7) // 8)
                     const = imm.value.to_bytes(width, "little")
-                this_cmp = emit(
-                    ins,
-                    operator="cmp",
-                    op_class=OpClass.COMPARE,
-                    accessed_offsets=ta | tb,
-                    compared_const=const,
-                    cmp_result=(va == vb),
-                    operand_lineage=(la | ta, lb | tb),
-                )
-        elif mnem == "jmp":
-            next_pc = ins.operands[0].value
-        elif mnem in CONDITIONAL_JUMPS:
-            va, vb = flag_vals
-            taken = {
-                "je": va == vb,
-                "jne": va != vb,
-                "jlt": va < vb,
-                "jle": va <= vb,
-                "jgt": va > vb,
-                "jge": va >= vb,
-            }[mnem]
-            if pending_cmp is not None and records[pending_cmp].cmp_result:
-                records[pending_cmp] = replace(records[pending_cmp], triggered_jump=True)
-            if taken:
-                next_pc = ins.operands[0].value
+                triggered = (va == vb and steps < step_budget and pc < len(code)
+                             and code[pc].mnemonic in CONDITIONAL_JUMPS)
+                emit(ins, "cmp", OpClass.COMPARE, ta | tb, compared_const=const,
+                     cmp_result=va == vb, triggered_jump=triggered,
+                     operand_lineage=(la | ta, lb | tb))
+        elif mnem in _JUMP_TESTS:
+            if _JUMP_TESTS[mnem](*flags):
+                pc = ops[0].value
         elif mnem == "api":
-            name, src, role = ins.operands
-            _, taint, _ = read_src(src)
-            role_key = str(role).lower()  # validated at parse time
+            taint = read(ops[1])[1]
             if taint:
-                emit(
-                    ins,
-                    operator="call",
-                    op_class=OpClass.CALL,
-                    accessed_offsets=taint,
-                    api_call=ApiCall(str(name), _API_ROLES[role_key]),
-                )
-        elif mnem in ("loop", "endloop"):
-            pass
-        elif mnem == "accept":
-            reason = TermReason.ACCEPT
+                emit(ins, "call", OpClass.CALL, taint,
+                     api_call=ApiCall(str(ops[0]), _API_ROLES[ops[2].lower()]))
+        elif mnem in ("accept", "reject"):
+            reason = TermReason(mnem.upper())
             break
-        elif mnem == "reject":
-            reason = TermReason.REJECT
-            break
-        else:  # pragma: no cover
+        elif mnem not in ("loop", "endloop"):  # pragma: no cover
             raise AssertionError(f"unhandled mnemonic {mnem}")
-
-        pending_cmp = this_cmp
-        pc = next_pc
 
     return VmRunReport(ExecutionTrace(message.id, tuple(records)), reason)

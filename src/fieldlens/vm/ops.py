@@ -78,7 +78,6 @@ class ParserScript:
 
 
 def _parse_operand(tok: str, line_no: int) -> Operand:
-    tok = tok.strip()
     if not tok:
         raise ScriptError(line_no, "empty operand")
     if tok.startswith("buf[") and tok.endswith("]"):
@@ -120,20 +119,25 @@ def _to_int(tok: str) -> int:
     return int(tok, 16) if tok.lower().startswith("0x") else int(tok)
 
 
-#: operand count of every mnemonic; a mnemonic not listed here is unknown
-_ARITY = {
-    "movzx": 2,
-    "movzx16": 2,
-    "mov": 2,
-    "tbl": 2,
-    "cmp": 2,
-    "api": 3,
-    "loop": 1,
-    "endloop": 1,
-    "accept": 0,
-    "reject": 0,
-    **dict.fromkeys(ARITH, 2),
-    **dict.fromkeys(JUMPS, 1),
+_REG, _VALUE, _BUF, _ANY = "register", "register or immediate", "buffer reference", "operand"
+_KINDS = {_REG: Reg, _VALUE: (Reg, Imm), _BUF: BufRef, _ANY: object}
+
+#: operand kinds of every mnemonic; a mnemonic not listed here is unknown.
+#: Loop ids and api names may be any operand; ``_analyze`` checks api roles
+#: and jump labels.
+SIGNATURES: dict[str, tuple[str, ...]] = {
+    "movzx": (_REG, _BUF),
+    "movzx16": (_REG, _BUF),
+    "mov": (_REG, _VALUE),
+    "tbl": (_REG, _VALUE),
+    "cmp": (_VALUE, _VALUE),
+    "api": (_ANY, _VALUE, _ANY),
+    "loop": (_ANY,),
+    "endloop": (_ANY,),
+    "accept": (),
+    "reject": (),
+    **dict.fromkeys(ARITH, (_REG, _VALUE)),
+    **dict.fromkeys(JUMPS, (_ANY,)),
 }
 
 
@@ -163,18 +167,18 @@ def parse_script(text: str, default_name: str = "script") -> ParserScript:
             continue
         parts = line.split(None, 1)
         mnem = parts[0]
-        if mnem not in _ARITY:
+        if mnem not in SIGNATURES:
             raise ScriptError(line_no, f"unknown mnemonic {mnem!r}")
-        operands: tuple[Operand, ...] = ()
-        if len(parts) > 1:
-            operands = tuple(
-                _parse_operand(tok, line_no) for tok in parts[1].split(",")
-            )
-        if len(operands) != _ARITY[mnem]:
+        kinds = SIGNATURES[mnem]
+        tokens = [tok.strip() for tok in parts[1].split(",")] if len(parts) > 1 else []
+        operands = tuple(_parse_operand(tok, line_no) for tok in tokens)
+        if len(operands) != len(kinds):
             raise ScriptError(
-                line_no,
-                f"{mnem} expects {_ARITY[mnem]} operand(s), got {len(operands)}",
+                line_no, f"{mnem} expects {len(kinds)} operand(s), got {len(operands)}"
             )
+        for pos, (tok, op, kind) in enumerate(zip(tokens, operands, kinds), start=1):
+            if not isinstance(op, _KINDS[kind]):
+                raise ScriptError(line_no, f"{mnem} operand {pos} must be a {kind}, got {tok!r}")
         raw.append(Instr(mnem, operands, line_no))
 
     return _analyze(name, raw, labels)
@@ -182,16 +186,13 @@ def parse_script(text: str, default_name: str = "script") -> ParserScript:
 
 def _analyze(name: str, raw: list[Instr], labels: dict[str, int]) -> ParserScript:
     """Resolve jump targets, check loop nesting, assign loop ids and roles."""
-    # loop spans keyed by id
+    # loop spans keyed by id; loops nest, so the innermost loop around an
+    # instruction is the top of the open-loop stack
     spans: dict[str, tuple[int, int]] = {}
     stack: list[tuple[str, int]] = []
+    innermost: list[Optional[str]] = []
     for idx, ins in enumerate(raw):
-        if ins.mnemonic == "loop":
-            loop_id = str(ins.operands[0])
-            if loop_id in spans or any(l == loop_id for l, _ in stack):
-                raise ScriptError(ins.line_no, f"duplicate loop id {loop_id!r}")
-            stack.append((loop_id, idx))
-        elif ins.mnemonic == "endloop":
+        if ins.mnemonic == "endloop":
             loop_id = str(ins.operands[0])
             if not stack or stack[-1][0] != loop_id:
                 raise ScriptError(
@@ -199,18 +200,14 @@ def _analyze(name: str, raw: list[Instr], labels: dict[str, int]) -> ParserScrip
                 )
             _, start = stack.pop()
             spans[loop_id] = (start, idx)
+        innermost.append(stack[-1][0] if stack else None)
+        if ins.mnemonic == "loop":
+            loop_id = str(ins.operands[0])
+            if loop_id in spans or any(l == loop_id for l, _ in stack):
+                raise ScriptError(ins.line_no, f"duplicate loop id {loop_id!r}")
+            stack.append((loop_id, idx))
     if stack:
         raise ScriptError(raw[stack[-1][1]].line_no, f"loop {stack[-1][0]!r} never closed")
-
-    def innermost(idx: int) -> Optional[str]:
-        best: Optional[str] = None
-        best_size = None
-        for loop_id, (lo, hi) in spans.items():
-            if lo < idx < hi:
-                size = hi - lo
-                if best_size is None or size < best_size:
-                    best, best_size = loop_id, size
-        return best
 
     resolved: list[Instr] = []
     for idx, ins in enumerate(raw):
@@ -228,7 +225,7 @@ def _analyze(name: str, raw: list[Instr], labels: dict[str, int]) -> ParserScrip
             if not isinstance(target, str) or target not in labels:
                 raise ScriptError(ins.line_no, f"unknown jump target {target!r}")
             operands = (Imm(labels[target]),)
-        loop_id = innermost(idx)
+        loop_id = innermost[idx]
         term = False
         if ins.mnemonic == "cmp" and loop_id is not None and idx + 1 < len(raw):
             nxt = raw[idx + 1]

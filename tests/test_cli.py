@@ -184,6 +184,11 @@ def test_a_script_run_asked_for_missing_ground_truth_exits_2(tmp_path, corpus, c
         pytest.param(b"accept\n# caf\xff\n", "line 2: not UTF-8 text", id="not-utf8"),
         pytest.param(b"bogus r0\naccept\n", "line 1: unknown mnemonic 'bogus'",
                      id="bad-mnemonic"),
+        *(
+            pytest.param(f"{line}\naccept\n".encode(), "line 1: ", id=f"wrong-kind-{i}")
+            for i, line in enumerate(("movzx r0, 5", "mov 5, r0", "add 3, r1", "cmp r0, buf[0]",
+                                      "api f, buf[0], length", "mov r0, nolabel"))
+        ),
     ],
 )
 def test_a_bad_script_exits_2_naming_the_script(tmp_path, corpus, content, message):

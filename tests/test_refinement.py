@@ -225,12 +225,6 @@ def test_each_distinct_boundary_pair_is_aligned_at_most_once(monkeypatch):
 # --- entropy refinement ------------------------------------------------------
 
 
-def _two_message_cluster(values_a, values_b, types):
-    """Two messages with two one-byte fields plus enough varying fields to
-    push the median where tests need it."""
-    raise NotImplementedError
-
-
 def _mk_corpus():
     # four messages, one cluster; three fields:
     #   (0,0) constant        -> entropy 0

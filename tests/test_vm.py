@@ -1,11 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
 from fieldlens.model import ArgRole, LoopRole, Message, OpClass, PointerArith
+from fieldlens.traceio import serialize_corpus
 from fieldlens.vm import TermReason, bundled_parsers, parse_script, run
 from fieldlens.vm.machine import TABLE
-from fieldlens.vm.ops import ARITH, Reg, ScriptError
+from fieldlens.vm.ops import ARITH, JUMPS, SIGNATURES, Reg, ScriptError
 
 
 def script(text):
@@ -252,6 +254,48 @@ def test_triggered_jump_marks_true_compare_followed_by_branch():
     assert not report.trace.records[-1].triggered_jump
 
 
+def test_triggered_jump_needs_the_jump_to_run_within_the_step_budget():
+    s = script("movzx r0, buf[0]\ncmp r0, 1\nje x\nx: accept")
+    for budget, triggered in ((2, False), (3, True)):
+        cmp = run(s, Message("m", b"\x01"), budget).trace.records[1]
+        assert cmp.operator == "cmp" and cmp.cmp_result
+        assert cmp.triggered_jump is triggered
+
+
+@pytest.mark.parametrize("last", ["accept", "reject"])
+def test_every_mnemonic_of_the_signature_table_runs(last):
+    body = [
+        "loop l", "movzx r0, buf[0]", "movzx16 r1, buf[0]", "mov r2, r0", "tbl r3, r0",
+        *(f"{m} r0, r1" for m in sorted(ARITH)),
+        "cmp r0, r1",
+        *(f"{j} next_{j}\nnext_{j}:" for j in sorted(JUMPS)),
+        "api f, r0, length", "endloop l",
+    ]
+    s = script("\n".join([*body, last]))
+    assert {i.mnemonic for i in s.instructions} | {"accept", "reject"} == set(SIGNATURES)
+    # straight-line code: every instruction runs once, the last one included
+    assert run(s, Message("m", b"\x01\x02")).terminated is TermReason(last.upper())
+
+
+#: sha256 of ``serialize_corpus`` over 200 messages of a bundled generator and
+#: their traces: any change to a trace the VM emits for them shows here
+CORPUS_DIGESTS = {
+    ("binary-frame", 0): "e1fbf444e32880dcea457d1c6a74778855066a15b1e28f479ba3384af2fe49ac",
+    ("binary-frame", 1): "df8f115af4e9508972b934daefa6edbef980c7bda7151e0cf41646714f8524cb",
+    ("text-command", 0): "c7a2a8a1075b90578e902f1750afffb26d19e1496f500890e25ff0a1aff62ee8",
+    ("text-command", 1): "09778923b50710a5dba621dbf9120e3d04c741b6830a7a21cec96b49dff8e3e0",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(CORPUS_DIGESTS))
+def test_bundled_corpora_keep_their_recorded_bytes(name, seed):
+    (parser,) = [p for p in bundled_parsers() if p.name == name]
+    messages, _ = parser.generate(200, seed)
+    traces = [run(parser.script, m).trace for m in messages]
+    text = serialize_corpus(messages, traces)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_DIGESTS[name, seed]
+
+
 def test_loop_roles_assigned():
     parser = bundled_parsers()[0]
     msgs, _ = parser.generate(1, seed=2)
@@ -295,10 +339,10 @@ def test_every_read_byte_appears_in_some_record():
 
 # --- independent taint oracle ----------------------------------------------
 #
-# A second, structurally different interpreter: registers map to (value,
-# labels) pairs, ops are table-dispatched, and only the (operator, accessed
-# offsets) event stream is produced.  The VM's records must match it exactly,
-# so no record can ever contain an offset the dataflow could not reach.
+# A second interpreter that keeps the reference semantics: registers map to
+# (value, labels) pairs with no lineage, and it builds no records, only the
+# (operator, accessed offsets) event stream.  The VM's records must match it
+# exactly, so no record can ever contain an offset the dataflow could not reach.
 
 
 def oracle_events(s, message, budget=100_000):
