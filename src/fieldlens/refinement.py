@@ -11,18 +11,21 @@ revokes the extreme-entropy types (static, bytes) and donates types to
 unknown fields.  Finally, function labels that contradict the field's final
 type are dropped.
 
-Messages of one format hold equal annotations, so both refinements work
-per distinct annotation, not per message: a revocation, donation or
-constraint step builds its result once (keyed by the annotation's value,
-and the donor's type and range) and every message that holds an equal
-annotation gets that one result.  Equal annotations give equal reports,
-since ``Field`` equality includes ``accessed``.  Each message still logs
-its own events, in message and field order.  The memos live for one call.
+Messages of one format hold equal annotations, so the revocation and
+constraint steps run through one per-annotation step, ``_refine_each``:
+it builds each distinct annotation's result once (keyed by value; for
+revocation, per cluster) and every message that holds an equal annotation
+gets that one result.  Equal annotations give equal reports, since
+``Field`` equality includes ``accessed``.  The entropy fallback depends on
+the message's other fields, so it runs per message.  Each message still
+logs its own events, in message and field order.  The memo lives for one
+call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -41,6 +44,12 @@ CONSTRAINT_TABLE: dict[SemanticFunction, frozenset[SemanticType]] = {
     SemanticFunction.ALIGNED: frozenset({SemanticType.GROUP, SemanticType.BYTES}),
     SemanticFunction.CHECKSUM: frozenset({SemanticType.INTEGER}),
     SemanticFunction.FILENAME: frozenset({SemanticType.STRING}),
+}
+
+#: entropy refinement keeps a label only when ``keeps(entropy, median)``
+REVOCATIONS: dict[SemanticType, tuple[Callable[[float, float], bool], str]] = {
+    SemanticType.STATIC: (operator.lt, "entropy not below cluster median"),
+    SemanticType.BYTES: (operator.gt, "entropy not above cluster median"),
 }
 
 Range = tuple[int, int]
@@ -86,20 +95,6 @@ def shannon_entropy(values: Sequence[bytes]) -> float:
     total = len(values)
     # 0.0 - sum, not -sum: a single value has entropy 0.0, not -0.0
     return 0.0 - sum((c / total) * math.log2(c / total) for c in counts.values())
-
-
-def _cluster_key(message: Message, rng: Range) -> bytes:
-    # messages shorter than the range contribute their truncated bytes
-    return message.data[rng[0] : rng[1] + 1]
-
-
-def _group_by_value(
-    messages: Sequence[Message], rng: Range
-) -> dict[bytes, list[str]]:
-    groups: dict[bytes, list[str]] = {}
-    for msg in messages:
-        groups.setdefault(_cluster_key(msg, rng), []).append(msg.id)
-    return groups
 
 
 def _align_score(
@@ -149,7 +144,10 @@ def explore_optimal(
     best_groups: dict[bytes, list[str]] = {}
     memo: dict[tuple[Boundaries, Boundaries], int] = {}
     for rng in candidates:
-        groups = _group_by_value(messages, rng)
+        groups: dict[bytes, list[str]] = {}
+        for msg in messages:
+            # messages shorter than the range contribute their truncated bytes
+            groups.setdefault(msg.data[rng[0] : rng[1] + 1], []).append(msg.id)
         score = _align_score(groups, boundaries, memo)
         if score > best_score:
             best_score, best_pos, best_groups = score, rng, groups
@@ -193,32 +191,15 @@ def entropy_refine(
     """Validate static/bytes labels against within-cluster value entropy.
 
     Static survives only strictly below the cluster median, bytes only
-    strictly above; fields at the median lose the label.  Revoked or
-    initially unknown fields take the type of the same-message field with
-    the closest entropy (ties to the smaller start offset).  Single-message
-    clusters are skipped.
+    strictly above (``REVOCATIONS``); fields at the median lose the label.
+    Each cluster's revocations run through ``_refine_each`` over that
+    cluster's messages, once per distinct annotation.  Then, message by
+    message, revoked or initially unknown fields take the type of the
+    same-message field with the closest entropy (ties to the smaller start
+    offset).  Single-message clusters are skipped.
     """
     refined = {mid: list(anns) for mid, anns in annotations.items()}
     events: list[RefinementEvent] = []
-    # replace() runs once per distinct decision
-    revoked: dict[FieldAnnotation, FieldAnnotation] = {}
-    donated: dict[tuple, FieldAnnotation] = {}
-
-    def revoke(ann: FieldAnnotation) -> FieldAnnotation:
-        out = revoked.get(ann)
-        if out is None:
-            out = revoked[ann] = replace(ann, inferred_type=SemanticType.UNKNOWN)
-        return out
-
-    def donate(ann: FieldAnnotation, donor: FieldAnnotation) -> FieldAnnotation:
-        f = donor.field
-        key = (ann, donor.inferred_type, f.start, f.end)
-        out = donated.get(key)
-        if out is None:
-            note = f"donor field {f.start}-{f.end}"
-            evidence = ann.evidence + (Evidence("refine.entropy-fallback", None, note=note),)
-            out = donated[key] = replace(ann, inferred_type=donor.inferred_type, evidence=evidence)
-        return out
 
     for _, ids in clustering.clusters:
         cluster_msgs = [messages[mid] for mid in ids]
@@ -235,27 +216,15 @@ def entropy_refine(
             continue
         h_of, med = cluster_entropy_profile(cluster_msgs, annotations)
 
-        for mid in ids:
-            anns = refined[mid]
-            for idx, ann in enumerate(anns):
-                rng = (ann.field.start, ann.field.end)
-                h = h_of[rng]
-                if ann.inferred_type is SemanticType.STATIC and not h < med:
-                    anns[idx] = revoke(ann)
-                    events.append(
-                        RefinementEvent(
-                            mid, rng, "revoke-type", "STATIC",
-                            "entropy not below cluster median", h, med,
-                        )
-                    )
-                elif ann.inferred_type is SemanticType.BYTES and not h > med:
-                    anns[idx] = revoke(ann)
-                    events.append(
-                        RefinementEvent(
-                            mid, rng, "revoke-type", "BYTES",
-                            "entropy not above cluster median", h, med,
-                        )
-                    )
+        def revoke(ann: FieldAnnotation) -> Outcome:
+            rule = REVOCATIONS.get(ann.inferred_type)
+            rng = (ann.field.start, ann.field.end)
+            if rule is None or rule[0](h_of[rng], med):
+                return ann, ()
+            logged = (rng, "revoke-type", ann.inferred_type.name, rule[1], h_of[rng], med)
+            return replace(ann, inferred_type=SemanticType.UNKNOWN), (logged,)
+
+        _refine_each({mid: refined[mid] for mid in ids}, revoke, events)
 
         # entropy fallback for unknown fields, donors are typed fields
         for mid in ids:
@@ -272,15 +241,17 @@ def entropy_refine(
                     continue
                 rng = (ann.field.start, ann.field.end)
                 h = h_of[rng]
-                donor, donor_h = min(
-                    donors, key=lambda d: (abs(d[1] - h), d[0].field.start)
+                donor, _ = min(donors, key=lambda d: (abs(d[1] - h), d[0].field.start))
+                f = donor.field
+                note = f"donor field {f.start}-{f.end}"
+                fallback = Evidence("refine.entropy-fallback", None, note=note)
+                anns[idx] = replace(
+                    ann, inferred_type=donor.inferred_type, evidence=ann.evidence + (fallback,)
                 )
-                anns[idx] = donate(ann, donor)
                 events.append(
                     RefinementEvent(
                         mid, rng, "assign-type", donor.inferred_type.name,
-                        f"closest-entropy donor {donor.field.start}-{donor.field.end}",
-                        h, med,
+                        f"closest-entropy donor {f.start}-{f.end}", h, med,
                     )
                 )
 
@@ -329,8 +300,9 @@ def constraint_refine(
 
 
 #: one annotation's refinement: the result, and each event it logs as
-#: ``(field, action, label, reason)``, without the message id
-Outcome = tuple[FieldAnnotation, tuple[tuple[Range, str, str, str], ...]]
+#: ``(field, action, label, reason)``, optionally followed by the field's
+#: entropy and the cluster median, without the message id
+Outcome = tuple[FieldAnnotation, tuple[tuple, ...]]
 
 
 def _constrain(ann: FieldAnnotation) -> Outcome:
@@ -363,5 +335,4 @@ def _refine_each(
             if hit is None:
                 hit = memo[ann] = refine(ann)
             anns[idx], logged = hit
-            for rng, action, label, reason in logged:
-                events.append(RefinementEvent(mid, rng, action, label, reason))
+            events.extend(RefinementEvent(mid, *entry) for entry in logged)

@@ -188,7 +188,7 @@ def run(
             taint = read(ops[1])[1]
             if taint:
                 emit(ins, "call", OpClass.CALL, taint,
-                     api_call=ApiCall(str(ops[0]), _API_ROLES[ops[2].lower()]))
+                     api_call=ApiCall(ops[0], _API_ROLES[ops[2].lower()]))
         elif mnem in ("accept", "reject"):
             reason = TermReason(mnem.upper())
             break

@@ -4,9 +4,10 @@ A script is a sequence of lines, each ``mnemonic operand, operand`` with
 optional leading ``label:`` definitions, ``;`` comments, and a ``name``
 directive.  Operands are registers (``r0`` .. ``r15``), integer immediates
 (decimal or ``0x`` hex), buffer references ``buf[imm]`` / ``buf[reg]``, or
-label names.  Loops are bracketed explicitly with ``loop ID`` / ``endloop
-ID`` marker pseudo-instructions, so loop membership needs no control-flow
-heuristics.
+names (letters, digits and ``_``, as labels are spelled): jump targets,
+loop ids, api names and roles.  Loops are bracketed explicitly with
+``loop ID`` / ``endloop ID`` marker pseudo-instructions, so loop membership
+needs no control-flow heuristics.
 
 Instruction summary (dst is always written, srcs are read):
 
@@ -30,7 +31,7 @@ Instruction summary (dst is always written, srcs are read):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 CONDITIONAL_JUMPS = {"je", "jne", "jlt", "jle", "jgt", "jge"}
 JUMPS = CONDITIONAL_JUMPS | {"jmp"}
@@ -87,7 +88,7 @@ def _parse_operand(tok: str, line_no: int) -> Operand:
         return Reg(tok)
     if _is_int(tok):
         return Imm(_to_int(tok))
-    return tok  # label / api name / loop id
+    return tok  # a name, if _is_name holds
 
 
 def _parse_reg_or_imm(tok: str, line_no: int) -> Union[Reg, Imm]:
@@ -119,25 +120,35 @@ def _to_int(tok: str) -> int:
     return int(tok, 16) if tok.lower().startswith("0x") else int(tok)
 
 
-_REG, _VALUE, _BUF, _ANY = "register", "register or immediate", "buffer reference", "operand"
-_KINDS = {_REG: Reg, _VALUE: (Reg, Imm), _BUF: BufRef, _ANY: object}
+def _is_name(tok: str) -> bool:
+    """The label rule: letters, digits and underscores."""
+    return tok.replace("_", "").isalnum()
+
+
+_REG, _VALUE, _BUF, _NAME = "register", "register or immediate", "buffer reference", "name"
+_KINDS: dict[str, Callable[[Operand], bool]] = {
+    _REG: lambda op: isinstance(op, Reg),
+    _VALUE: lambda op: isinstance(op, (Reg, Imm)),
+    _BUF: lambda op: isinstance(op, BufRef),
+    _NAME: lambda op: isinstance(op, str) and _is_name(op),
+}
 
 #: operand kinds of every mnemonic; a mnemonic not listed here is unknown.
-#: Loop ids and api names may be any operand; ``_analyze`` checks api roles
-#: and jump labels.
+#: Loop ids, api names and roles, and jump targets are names; ``_analyze``
+#: checks api roles and that jump targets are defined labels.
 SIGNATURES: dict[str, tuple[str, ...]] = {
     "movzx": (_REG, _BUF),
     "movzx16": (_REG, _BUF),
     "mov": (_REG, _VALUE),
     "tbl": (_REG, _VALUE),
     "cmp": (_VALUE, _VALUE),
-    "api": (_ANY, _VALUE, _ANY),
-    "loop": (_ANY,),
-    "endloop": (_ANY,),
+    "api": (_NAME, _VALUE, _NAME),
+    "loop": (_NAME,),
+    "endloop": (_NAME,),
     "accept": (),
     "reject": (),
     **dict.fromkeys(ARITH, (_REG, _VALUE)),
-    **dict.fromkeys(JUMPS, (_ANY,)),
+    **dict.fromkeys(JUMPS, (_NAME,)),
 }
 
 
@@ -157,7 +168,7 @@ def parse_script(text: str, default_name: str = "script") -> ParserScript:
         while line and ":" in line.split()[0]:
             label, _, line = line.partition(":")
             label = label.strip()
-            if not label or not label.replace("_", "").isalnum():
+            if not _is_name(label):
                 raise ScriptError(line_no, f"bad label {label!r}")
             if label in labels:
                 raise ScriptError(line_no, f"duplicate label {label!r}")
@@ -177,7 +188,7 @@ def parse_script(text: str, default_name: str = "script") -> ParserScript:
                 line_no, f"{mnem} expects {len(kinds)} operand(s), got {len(operands)}"
             )
         for pos, (tok, op, kind) in enumerate(zip(tokens, operands, kinds), start=1):
-            if not isinstance(op, _KINDS[kind]):
+            if not _KINDS[kind](op):
                 raise ScriptError(line_no, f"{mnem} operand {pos} must be a {kind}, got {tok!r}")
         raw.append(Instr(mnem, operands, line_no))
 
@@ -193,7 +204,7 @@ def _analyze(name: str, raw: list[Instr], labels: dict[str, int]) -> ParserScrip
     innermost: list[Optional[str]] = []
     for idx, ins in enumerate(raw):
         if ins.mnemonic == "endloop":
-            loop_id = str(ins.operands[0])
+            loop_id = ins.operands[0]
             if not stack or stack[-1][0] != loop_id:
                 raise ScriptError(
                     ins.line_no, f"endloop {loop_id!r} does not close the open loop"
@@ -202,7 +213,7 @@ def _analyze(name: str, raw: list[Instr], labels: dict[str, int]) -> ParserScrip
             spans[loop_id] = (start, idx)
         innermost.append(stack[-1][0] if stack else None)
         if ins.mnemonic == "loop":
-            loop_id = str(ins.operands[0])
+            loop_id = ins.operands[0]
             if loop_id in spans or any(l == loop_id for l, _ in stack):
                 raise ScriptError(ins.line_no, f"duplicate loop id {loop_id!r}")
             stack.append((loop_id, idx))
@@ -214,15 +225,13 @@ def _analyze(name: str, raw: list[Instr], labels: dict[str, int]) -> ParserScrip
         operands = ins.operands
         if ins.mnemonic == "api":
             role = operands[2]
-            if not isinstance(role, str) or role.lower() not in (
-                "length", "buffer", "other",
-            ):
+            if role.lower() not in ("length", "buffer", "other"):
                 raise ScriptError(
                     ins.line_no, f"api role must be length/buffer/other, got {role!r}"
                 )
         if ins.mnemonic in JUMPS:
             target = operands[0]
-            if not isinstance(target, str) or target not in labels:
+            if target not in labels:
                 raise ScriptError(ins.line_no, f"unknown jump target {target!r}")
             operands = (Imm(labels[target]),)
         loop_id = innermost[idx]
@@ -230,8 +239,7 @@ def _analyze(name: str, raw: list[Instr], labels: dict[str, int]) -> ParserScrip
         if ins.mnemonic == "cmp" and loop_id is not None and idx + 1 < len(raw):
             nxt = raw[idx + 1]
             if nxt.mnemonic in CONDITIONAL_JUMPS:
-                tgt_label = nxt.operands[0]
-                tgt = labels.get(tgt_label) if isinstance(tgt_label, str) else None
+                tgt = labels.get(nxt.operands[0])
                 lo, hi = spans[loop_id]
                 if tgt is not None and not (lo < tgt <= hi):
                     term = True

@@ -189,6 +189,16 @@ def test_a_script_run_asked_for_missing_ground_truth_exits_2(tmp_path, corpus, c
             for i, line in enumerate(("movzx r0, 5", "mov 5, r0", "add 3, r1", "cmp r0, buf[0]",
                                       "api f, buf[0], length", "mov r0, nolabel"))
         ),
+        # loop ids, api names and jump targets are names, spelled as labels are
+        *(
+            pytest.param(script.encode(), f"line 1: {error}", id=f"bad-name-{i}")
+            for i, (script, error) in enumerate((
+                ("loop x y\nendloop x y\naccept\n", "loop operand 1 must be a name, got 'x y'"),
+                ("loop r0\nendloop r0\naccept\n", "loop operand 1 must be a name, got 'r0'"),
+                ("api 7, r1, length\naccept\n", "api operand 1 must be a name, got '7'"),
+                ("jmp r0\naccept\n", "jmp operand 1 must be a name, got 'r0'"),
+            ))
+        ),
     ],
 )
 def test_a_bad_script_exits_2_naming_the_script(tmp_path, corpus, content, message):

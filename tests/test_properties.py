@@ -1,11 +1,14 @@
 """Randomized invariants over the extraction stage, the scoring fold,
-field and annotation equality, and the report encoder."""
+refinement's audit log, field and annotation equality, and the report
+encoder."""
 
 import dataclasses
 import enum
+import itertools
 import json
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldlens.evaluation import MetricsReport
@@ -25,7 +28,7 @@ from fieldlens.model import (
     OpClass,
     operator_sequence,
 )
-from fieldlens.pipeline import score_corpus
+from fieldlens.pipeline import refine_corpus, score_corpus
 from fieldlens.reports import encode
 from fieldlens.vm import bundled_parsers, run as vm_run
 
@@ -332,3 +335,62 @@ def test_encode_writes_subclasses_as_the_stdlib_does(value):
     assert encode(doc) == json.dumps(doc, indent=2, sort_keys=True)
     for scalar in (_Str("x"), _Int(7), _Float(2.25), _Level.LOW):
         assert encode(scalar) == json.dumps(scalar, indent=2, sort_keys=True)
+
+
+@st.composite
+def labelled_corpora(draw):
+    """Messages of ``MSG_LEN`` bytes over a three-byte alphabet, so that
+    clusters repeat values; each holds one of a few randomly partitioned and
+    randomly labelled rows, so that messages share annotations."""
+    labelled = partitions().flatmap(
+        lambda fields: st.tuples(
+            *(
+                st.builds(
+                    FieldAnnotation,
+                    st.just(Field(a, b)),
+                    st.sampled_from(list(SemanticType)),
+                    st.frozensets(st.sampled_from(list(SemanticFunction)), max_size=3),
+                    st.just(()),
+                )
+                for a, b in fields
+            )
+        )
+    )
+    rows = draw(st.lists(labelled, min_size=1, max_size=3))
+    data = st.lists(st.integers(0, 2), min_size=MSG_LEN, max_size=MSG_LEN).map(bytes)
+    messages, formats, annotations = [], {}, {}
+    for i in range(draw(st.integers(1, 8))):
+        mid = f"m{i}"
+        row = draw(st.sampled_from(rows))
+        messages.append(Message(mid, draw(data)))
+        formats[mid] = FormatResult(mid, MSG_LEN, tuple(ann.field for ann in row))
+        annotations[mid] = row
+    return messages, formats, annotations
+
+
+@pytest.mark.parametrize(
+    "toggles",
+    list(itertools.product((True, False), repeat=3)),
+    ids=lambda t: "+".join(s for s, on in zip(("clustering", "entropy", "constraints"), t) if on)
+    or "none",
+)
+@given(corpus=labelled_corpora())
+@settings(max_examples=25, deadline=None)
+def test_every_refinement_is_audited(toggles, corpus):
+    """Each changed annotation has an event at its message and range, and
+    its final type is the one its last type event implies."""
+    messages, formats, annotations = corpus
+    _, refined, events = refine_corpus(messages, formats, annotations, *toggles)
+    for mid, anns in annotations.items():
+        for before, after in zip(anns, refined[mid], strict=True):
+            rng = (before.field.start, before.field.end)
+            here = [e for e in events if (e.message_id, e.field) == (mid, rng)]
+            if after != before:
+                assert here
+            implied = before.inferred_type
+            for e in here:
+                if e.action == "revoke-type":
+                    implied = SemanticType.UNKNOWN
+                elif e.action == "assign-type":
+                    implied = SemanticType[e.label]
+            assert after.inferred_type is implied

@@ -1,4 +1,5 @@
-"""Quality table over the test-only corpora of ``tests/corpora.py``.
+"""Quality table over the test-only corpora of ``tests/corpora.py`` and
+small ``generate-traces`` corpora that show a known defect.
 
 Each row is a (corpus, configuration) pair run as ``fieldlens run`` runs it,
 and records exact perfection, format F1, type F1, function F1 and the
@@ -9,6 +10,7 @@ defect names, in a comment, the ROADMAP item that should fix it."""
 import pytest
 
 from corpora import text_names
+from fieldlens.cli import main
 from fieldlens.pipeline import PipelineConfig, run_pipeline
 from fieldlens.traceio import serialize_corpus, serialize_ground_truth
 
@@ -32,20 +34,36 @@ ROWS = [
     pytest.param({}, (1.0, 1.0, 0.98125, 0.9843, 168), id="default"),
     pytest.param({"entropy_enabled": False}, (1.0, 1.0, 1.0, 1.0, 168), id="no-entropy"),
     pytest.param({"clustering_enabled": False}, (1.0, 1.0, 0.89, 0.9127, 1), id="no-clustering"),
+    pytest.param({"baseline": True}, (0.5, 0.13947, 0.21834, 0.52289, 168), id="baseline"),
 ]
 
 
-@pytest.mark.parametrize("config, row", ROWS)
-def test_names_1_60_quality(tmp_path, names_1_60, config, row):
-    result = run_pipeline(
-        PipelineConfig(names_1_60, tmp_path / "out", ground_truth=names_1_60, **config)
-    )
+def _quality(corpus, out, **config):
+    result = run_pipeline(PipelineConfig(corpus, out, ground_truth=corpus, **config))
     doc = result.metrics.to_dict()
-    measured = (
+    return (
         doc["format"]["perfection"],
         doc["format"]["f1"],
         doc["semantics"]["type"]["f1"],
         doc["semantics"]["function"]["f1"],
         len(result.clustering.clusters),
     )
-    assert measured == pytest.approx(row, abs=5e-5)
+
+
+@pytest.mark.parametrize("config, row", ROWS)
+def test_names_1_60_quality(tmp_path, names_1_60, config, row):
+    assert _quality(names_1_60, tmp_path / "out", **config) == pytest.approx(row, abs=5e-5)
+
+
+# The binary-frame halves of three batches-20 corpora.  Each holds a
+# two-message cluster whose median entropy is 0.0, so STATIC at (0,1), with
+# entropy 0, is not strictly below it: entropy refinement revokes it and the
+# fallback gives INTEGER (ROADMAP item 2 should bring type F1 to 1.0).
+@pytest.mark.parametrize("seed", [1739178872, 1248794762, 559260700])
+def test_binary_frame_10_quality(tmp_path, seed):
+    corpus = tmp_path / "bf.fl"
+    assert main([
+        "generate-traces", "--parser", "binary-frame", "--count", "10", "--seed", str(seed),
+        "--with-ground-truth", "--out", str(corpus),
+    ]) == 0
+    assert _quality(corpus, tmp_path / "out") == pytest.approx((1.0, 1.0, 0.975, 1.0, 3), abs=5e-5)

@@ -432,13 +432,14 @@ def test_a_shared_annotation_is_refined_once_and_logged_per_message(monkeypatch)
     assert len(calls) == 1
 
 
-def test_entropy_refinement_replaces_once_per_distinct_decision(monkeypatch):
+def test_entropy_revocation_runs_once_per_distinct_annotation_in_a_cluster(monkeypatch):
     calls = _counting_replace(monkeypatch)
     messages, clustering = _mk_corpus()
     row = (ann(0, 0, T.INTEGER), ann(1, 1, T.INTEGER), ann(2, 3, T.STATIC))
     refined, events = entropy_refine({mid: row for mid in messages}, clustering, messages)
-    assert len({id(ann) for anns in refined.values() for ann in anns}) == 3
-    assert len(calls) == 2  # one revocation, one donation
+    # one revocation for the four messages; the fallback runs per message
+    assert [a.inferred_type for a in calls] == [T.STATIC, *[T.UNKNOWN] * len(messages)]
+    assert len(set(refined.values())) == 1
     assert [(e.action, e.message_id) for e in events] == [
         *(("revoke-type", mid) for mid in messages),
         *(("assign-type", mid) for mid in messages),

@@ -41,6 +41,15 @@ def _modules():
         yield path.relative_to(PACKAGE).as_posix(), ast.parse(path.read_text())
 
 
+def test_every_module_parses_as_the_oldest_supported_python():
+    """Syntax newer than the floor that ``pyproject.toml`` declares would
+    pass unnoticed on a newer interpreter."""
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor, "pyproject.toml declares no Python floor"
+    for path in sorted(PACKAGE.rglob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(floor[1])))
+
+
 def test_only_reports_knows_json():
     """Reading, writing and converting the stage documents is one layer."""
     importers = []
