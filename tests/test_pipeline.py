@@ -355,7 +355,9 @@ def test_equal_refined_annotations_are_one_object(mixed_corpus):
 
 
 _CONFIGS = {"default": {}, "baseline": {"baseline": True},
-            "no-clustering": {"clustering_enabled": False}}
+            "no-clustering": {"clustering_enabled": False},
+            "no-entropy": {"entropy_enabled": False},
+            "no-constraints": {"constraints_enabled": False}}
 
 
 @pytest.mark.parametrize("config", list(_CONFIGS))
@@ -399,6 +401,22 @@ REPORT_DIGESTS = {
         "metrics.json": "e3b0bd6841b926c21ac3df5759f7111284e0c8414f0e403ecbd96ad858230767",
         "refinement_audit.json": "355cc018f8f90a72baf51e781a28c475a61858bfa19aa1e8d69cf453d6d3a052",
         "template.json": "ac7f1bec1ebd1d3b77124c0ff762912ffd23c9f5dcce3d5d2e5bac4b9244c4cf",
+    },
+    "no-entropy": {
+        "annotations.json": "f80c50560d275a63f2db4c07bd0a5e63324a14a82067e9b73503443065579d53",
+        "clustering.json": "d3e47407d9a08f525275c3f296054bffea4fceeac099a7b608a6be43bacb8543",
+        "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
+        "metrics.json": "73f66635b352ce8bccd08ed0f8075decbad2ab80f18dec98556bfb237428f9c6",
+        "refinement_audit.json": "a92ea1e0671a822d5b0f986051c602c467aef3a2adfcc077b13e8e4afd67a89e",
+        "template.json": "d0912fbc970f44b5946150622067a7f4a7ab9778fc7de99e8f561ccd41b7bcd2",
+    },
+    "no-constraints": {
+        "annotations.json": "1a85ad16ac571a65f4c948f7d9dd275430686330379d175d3539547247bfc570",
+        "clustering.json": "d3e47407d9a08f525275c3f296054bffea4fceeac099a7b608a6be43bacb8543",
+        "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
+        "metrics.json": "0925f7034784ebcfcc5cb69cb4daec8a59b84655e56c3bb611312d7bd43a342c",
+        "refinement_audit.json": "7404e25fb244a5a68b0f740c9cd257216ee932a4c33486b73167c19bbbd41734",
+        "template.json": "6cc50fb3aa625a24afa50fbb1be48e8ab4a537dd548b96341b5927d968317e44",
     },
 }
 
