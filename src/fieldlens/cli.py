@@ -154,9 +154,10 @@ def _cmd_refine(args) -> int:
     write_json(Path(args.out), annotations_to_doc(refined))
     write_json(Path(args.audit), audit_to_doc(events))
     write_json(Path(args.clusters), clustering_to_dict(clustering))
+    covered = sum(len(e.messages) for e in events)
     print(
         f"refined {len(messages)} messages -> {args.out} "
-        f"({len(events)} audit events)"
+        f"({len(events)} audit decisions covering {covered} per-message events)"
     )
     return 0
 

@@ -5,7 +5,8 @@ candidate whose clusters have the most internally similar formats (average
 boundary-alignment score over within-cluster message pairs, weighted by pair
 count) wins.  Candidates are scored over distinct boundary-tuple pairs: each
 is aligned once per search and weighted by how many message pairs it stands
-for, which gives the same score as aligning every message pair.  Within each
+for, which gives the same score as aligning every message pair; a
+one-message value group holds no pair, so it is skipped.  Within each
 cluster, Shannon entropy of the values seen at each field range validates or
 revokes the extreme-entropy types (static, bytes) and donates types to
 unknown fields.  Finally, function labels that contradict the field's final
@@ -17,9 +18,17 @@ it builds each distinct annotation's result once (keyed by value; for
 revocation, per cluster) and every message that holds an equal annotation
 gets that one result.  Equal annotations give equal reports, since
 ``Field`` equality includes ``accessed``.  The entropy fallback depends on
-the message's other fields, so it runs per message.  Each message still
-logs its own events, in message and field order.  The memo lives for one
+the message's other fields, so it runs per message.  The memo lives for one
 call.
+
+The audit logs each decision once, with the sorted ids of the messages it
+applies to: each step maps a logged ``(field, action, label, reason[,
+entropy, median])`` tuple to its ids, and ``_decisions`` turns that map into
+events.  Events come by step (skip and revocation, entropy fallback,
+command position, constraint sweep) and within a step by ``(field, action,
+label)``; a message logs at most one event per ``(field, action, label)``
+in a step, so the events that name a message, in order, are the ones it
+would log alone, in field order.
 """
 
 from __future__ import annotations
@@ -52,6 +61,9 @@ REVOCATIONS: dict[SemanticType, tuple[Callable[[float, float], bool], str]] = {
     SemanticType.BYTES: (operator.gt, "entropy not above cluster median"),
 }
 
+#: the event every single-message cluster logs in entropy refinement
+SKIP = ((-1, -1), "skip", "-", "single-message cluster: entropy refinement skipped")
+
 Range = tuple[int, int]
 Boundaries = tuple[int, ...]
 
@@ -76,9 +88,10 @@ class Clustering:
 
 @dataclass(frozen=True)
 class RefinementEvent:
-    """One audit-log entry: a label added, revoked, dropped, or assigned."""
+    """One audit decision: a label added, revoked, dropped or assigned, or a
+    cluster skipped, and the sorted ids of the messages it applies to."""
 
-    message_id: str
+    messages: tuple[str, ...]
     field: Range
     action: str  # revoke-type | assign-type | add-function | drop-function | skip
     label: str
@@ -109,6 +122,8 @@ def _align_score(
     total = 0
     pairs = 0
     for ids in groups.values():
+        if len(ids) < 2:
+            continue  # no pair to score
         counts = Counter(boundaries[mid] for mid in ids)
         for a, b in combinations_with_replacement(sorted(counts), 2):
             if a == b:
@@ -196,24 +211,19 @@ def entropy_refine(
     cluster's messages, once per distinct annotation.  Then, message by
     message, revoked or initially unknown fields take the type of the
     same-message field with the closest entropy (ties to the smaller start
-    offset).  Single-message clusters are skipped.
+    offset).  Single-message clusters are skipped, with one ``skip`` event
+    for all of them; an empty cluster logs nothing.
     """
     refined = {mid: list(anns) for mid, anns in annotations.items()}
-    events: list[RefinementEvent] = []
+    revoked: Log = {}  # skips and revocations
+    donated: Log = {}
 
     for _, ids in clustering.clusters:
-        cluster_msgs = [messages[mid] for mid in ids]
-        if len(cluster_msgs) < 2:
-            events.append(
-                RefinementEvent(
-                    ids[0] if ids else "-",
-                    (-1, -1),
-                    "skip",
-                    "-",
-                    "single-message cluster: entropy refinement skipped",
-                )
-            )
+        if len(ids) < 2:
+            for mid in ids:
+                revoked.setdefault(SKIP, []).append(mid)
             continue
+        cluster_msgs = [messages[mid] for mid in ids]
         h_of, med = cluster_entropy_profile(cluster_msgs, annotations)
 
         def revoke(ann: FieldAnnotation) -> Outcome:
@@ -224,7 +234,7 @@ def entropy_refine(
             logged = (rng, "revoke-type", ann.inferred_type.name, rule[1], h_of[rng], med)
             return replace(ann, inferred_type=SemanticType.UNKNOWN), (logged,)
 
-        _refine_each({mid: refined[mid] for mid in ids}, revoke, events)
+        _refine_each({mid: refined[mid] for mid in ids}, revoke, revoked)
 
         # entropy fallback for unknown fields, donors are typed fields
         for mid in ids:
@@ -248,13 +258,13 @@ def entropy_refine(
                 anns[idx] = replace(
                     ann, inferred_type=donor.inferred_type, evidence=ann.evidence + (fallback,)
                 )
-                events.append(
-                    RefinementEvent(
-                        mid, rng, "assign-type", donor.inferred_type.name,
-                        f"closest-entropy donor {f.start}-{f.end}", h, med,
-                    )
+                logged = (
+                    rng, "assign-type", donor.inferred_type.name,
+                    f"closest-entropy donor {f.start}-{f.end}", h, med,
                 )
+                donated.setdefault(logged, []).append(mid)
 
+    events = _decisions(revoked) + _decisions(donated)
     return {mid: tuple(anns) for mid, anns in refined.items()}, events
 
 
@@ -268,11 +278,12 @@ def constraint_refine(
     The winning command position (when clustering ran) first gains the
     COMMAND label, and GROUP when the field is still untyped; the constraint
     sweep then runs over the result.  Each step refines each distinct
-    annotation object once, and every message that holds it gets the one
-    result and its own copy of the events.
+    annotation once, and every message that holds it gets the one result
+    and is named in its events.
     """
     refined = {mid: list(anns) for mid, anns in annotations.items()}
-    events: list[RefinementEvent] = []
+    commanded: Log = {}
+    constrained: Log = {}
 
     if clustering is not None and clustering.command_pos is not None:
         pos = clustering.command_pos
@@ -293,16 +304,20 @@ def constraint_refine(
                 logged.append((pos, "assign-type", "GROUP", "untyped clustering basis"))
             return ann, tuple(logged)
 
-        _refine_each(refined, command, events)
+        _refine_each(refined, command, commanded)
 
-    _refine_each(refined, _constrain, events)
+    _refine_each(refined, _constrain, constrained)
+    events = _decisions(commanded) + _decisions(constrained)
     return {mid: tuple(anns) for mid, anns in refined.items()}, events
 
 
 #: one annotation's refinement: the result, and each event it logs as
 #: ``(field, action, label, reason)``, optionally followed by the field's
-#: entropy and the cluster median, without the message id
+#: entropy and the cluster median, without the message ids
 Outcome = tuple[FieldAnnotation, tuple[tuple, ...]]
+
+#: one step's audit: each logged tuple -> the ids of the messages that log it
+Log = dict[tuple, list[str]]
 
 
 def _constrain(ann: FieldAnnotation) -> Outcome:
@@ -323,10 +338,10 @@ def _constrain(ann: FieldAnnotation) -> Outcome:
 def _refine_each(
     refined: dict[str, list[FieldAnnotation]],
     refine: Callable[[FieldAnnotation], Outcome],
-    events: list[RefinementEvent],
+    log: Log,
 ) -> None:
     """Replace each annotation in ``refined`` with ``refine``'s result and
-    log its events under the message, in message and field order.
+    add the message to ``log`` under each event that result logs.
     ``refine`` runs once per distinct annotation."""
     memo: dict[FieldAnnotation, Outcome] = {}
     for mid, anns in refined.items():
@@ -335,4 +350,14 @@ def _refine_each(
             if hit is None:
                 hit = memo[ann] = refine(ann)
             anns[idx], logged = hit
-            events.extend(RefinementEvent(mid, *entry) for entry in logged)
+            for entry in logged:
+                log.setdefault(entry, []).append(mid)
+
+
+def _decisions(log: Log) -> list[RefinementEvent]:
+    """One event per logged tuple, by ``(field, action, label)``, naming
+    its messages in sorted order."""
+    return [
+        RefinementEvent(tuple(sorted(ids)), *entry)
+        for entry, ids in sorted(log.items(), key=lambda item: item[0][:3])
+    ]

@@ -9,7 +9,7 @@ object at most twice per depth, however often the document holds it, so
 the converters below share one object per distinct model value: one
 annotation dict per distinct ``FieldAnnotation`` and one list per distinct
 annotation tuple, one ``fields`` and one ``boundaries`` list per distinct
-field tuple, and one audit ``field`` list per distinct range.
+field tuple.
 ``fuzz_template`` writes one template format per distinct list of field
 entries, and one entry dict per distinct entry.  Every such
 memo is keyed by value: equal model values give equal reports, because
@@ -28,7 +28,10 @@ the expected shape, down to the type of each scalar, is an
 - ``formats.json``: a list in corpus order of ``{message_id, length, fields,
   boundaries}``, each field ``{start, end, accessed}`` (``formats_to_doc``).
 - ``clustering.json``: the command-position search (``clustering_to_dict``).
-- ``refinement_audit.json``: the refinement events in order (``audit_to_doc``).
+- ``refinement_audit.json``: version 2, ``{format, version, decisions}``, one
+  decision per distinct refinement event, each ``{field, action, label,
+  reason, entropy, median, messages}`` with the sorted ids of the messages it
+  applies to (``audit_to_doc``).
 - ``metrics.json``: built by ``MetricsReport.to_dict``.
 - ``template.json``: version 2, one entry per format with the ids of the
   messages it covers (``fuzz_template.build_template``).
@@ -275,21 +278,25 @@ def clustering_to_dict(clustering: Clustering) -> dict:
     }
 
 
-def audit_to_doc(events: Sequence[RefinementEvent]) -> list[dict]:
-    """The events in order; events on equal ranges share one ``field`` list."""
-    ranges: dict[tuple[int, int], list] = {}
-    return [
-        {
-            "message_id": e.message_id,
-            "field": ranges.setdefault(e.field, list(e.field)),
-            "action": e.action,
-            "label": e.label,
-            "reason": e.reason,
-            "entropy": e.entropy,
-            "median": e.median,
-        }
-        for e in events
-    ]
+def audit_to_doc(events: Sequence[RefinementEvent]) -> dict:
+    """Version 2 of the audit: the decisions in order, each with the ids of
+    the messages it applies to."""
+    return {
+        "format": "fieldlens-refinement-audit",
+        "version": 2,
+        "decisions": [
+            {
+                "field": list(e.field),
+                "action": e.action,
+                "label": e.label,
+                "reason": e.reason,
+                "entropy": e.entropy,
+                "median": e.median,
+                "messages": list(e.messages),
+            }
+            for e in events
+        ],
+    }
 
 
 def annotated_formats(

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,14 @@ def count_violations():
 def evidence_for(ann, rule_prefix):
     """The evidence of ``ann`` from rules whose id starts with ``rule_prefix``."""
     return [e for e in ann.evidence if e.rule.startswith(rule_prefix)]
+
+
+def per_message(events):
+    """Each message id -> the refinement events that name it, in order, each
+    narrowed to that one message: the audit as the message would log it
+    alone."""
+    expanded = {}
+    for e in events:
+        for mid in e.messages:
+            expanded.setdefault(mid, []).append(dataclasses.replace(e, messages=(mid,)))
+    return expanded

@@ -25,7 +25,7 @@ from fieldlens.refinement import (
 )
 from fieldlens.vm import TermReason, bundled_parsers, run
 
-from conftest import evidence_for
+from conftest import evidence_for, per_message
 from test_alignment import brute_force_score
 
 T = SemanticType
@@ -238,8 +238,9 @@ def test_criterion_entropy_invariants(refine_corpus):
         clustering = explore_optimal(order, formats)
         _, events = entropy_refine(annotations, clustering, msg_map)
         revocations = {
-            (e.message_id, e.field, e.label)
-            for e in events
+            (mid, e.field, e.label)
+            for mid, evs in per_message(events).items()
+            for e in evs
             if e.action == "revoke-type"
         }
         if reference is None:

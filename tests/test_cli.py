@@ -287,6 +287,19 @@ def _refine(corpus, anns, tmp_path):
     )
 
 
+def test_refine_prints_its_decisions_and_the_events_they_cover(tmp_path, corpus, anns, capsys):
+    capsys.readouterr()
+    assert _refine(corpus, anns, tmp_path) == 0
+    doc = json.loads((tmp_path / "audit.json").read_text())
+    assert (doc["format"], doc["version"]) == ("fieldlens-refinement-audit", 2)
+    covered = sum(len(d["messages"]) for d in doc["decisions"])
+    assert (len(doc["decisions"]), covered) == (3, 28)
+    assert capsys.readouterr().out == (
+        f"refined 12 messages -> {tmp_path / 'refined.json'} "
+        "(3 audit decisions covering 28 per-message events)\n"
+    )
+
+
 def test_refine_rejects_annotations_missing_a_message(tmp_path, corpus, anns, capsys):
     partial, dropped = _drop_first_message(anns, tmp_path)
     assert _refine(corpus, partial, tmp_path) == 2

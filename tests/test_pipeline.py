@@ -383,7 +383,7 @@ REPORT_DIGESTS = {
         "clustering.json": "d3e47407d9a08f525275c3f296054bffea4fceeac099a7b608a6be43bacb8543",
         "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
         "metrics.json": "73f66635b352ce8bccd08ed0f8075decbad2ab80f18dec98556bfb237428f9c6",
-        "refinement_audit.json": "25b4cae01d0a31135c1f8d3c619e9fe381f063f4f2041a265ff4a84eed893ef7",
+        "refinement_audit.json": "ee369233eaaf9904b8d2e86b5dabccf6dad687e4951256328e1b657767a08a58",
         "template.json": "d0912fbc970f44b5946150622067a7f4a7ab9778fc7de99e8f561ccd41b7bcd2",
     },
     "baseline": {
@@ -391,7 +391,7 @@ REPORT_DIGESTS = {
         "clustering.json": "8aaa4cbb319b3bdd4c6d1090a55213b93b0ac8eed01b69f2230ba421c6907713",
         "formats.json": "049c582cd17c160cfb78e9c14a45042e6a57cc9b9b80013ddf6bb53b69d6eb68",
         "metrics.json": "4adcf3c2a0e3b1b5c9df030c9e7f66d38ca65125fa0b6256e71c96dc3d3b4965",
-        "refinement_audit.json": "85c8641bf10108a81c2ea5bcc3da685dfbf4e8b22a2954f7480c1f7742335342",
+        "refinement_audit.json": "d9409b91e3ee8fd6eefdf7419b3acea502cad83bf109a4404474a2495f810693",
         "template.json": "23a13ff4562124303857a9b043b420adb4f6bb63761343cf0368c1d1cf3b2845",
     },
     "no-clustering": {
@@ -399,7 +399,7 @@ REPORT_DIGESTS = {
         "clustering.json": "eb5af48c575e595d5410a02052394353ae0ff3d4f87d681007f1197145389349",
         "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
         "metrics.json": "e3b0bd6841b926c21ac3df5759f7111284e0c8414f0e403ecbd96ad858230767",
-        "refinement_audit.json": "355cc018f8f90a72baf51e781a28c475a61858bfa19aa1e8d69cf453d6d3a052",
+        "refinement_audit.json": "9d86799330a053037289e1bd3d4c86b01dcffe78b4d52041e4ad029b6d286ce9",
         "template.json": "ac7f1bec1ebd1d3b77124c0ff762912ffd23c9f5dcce3d5d2e5bac4b9244c4cf",
     },
     "no-entropy": {
@@ -407,7 +407,7 @@ REPORT_DIGESTS = {
         "clustering.json": "d3e47407d9a08f525275c3f296054bffea4fceeac099a7b608a6be43bacb8543",
         "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
         "metrics.json": "73f66635b352ce8bccd08ed0f8075decbad2ab80f18dec98556bfb237428f9c6",
-        "refinement_audit.json": "a92ea1e0671a822d5b0f986051c602c467aef3a2adfcc077b13e8e4afd67a89e",
+        "refinement_audit.json": "a05d6aa593c24e9ad0bc889804a9876043c2beda23183202a3d1015055164ded",
         "template.json": "d0912fbc970f44b5946150622067a7f4a7ab9778fc7de99e8f561ccd41b7bcd2",
     },
     "no-constraints": {
@@ -415,7 +415,7 @@ REPORT_DIGESTS = {
         "clustering.json": "d3e47407d9a08f525275c3f296054bffea4fceeac099a7b608a6be43bacb8543",
         "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
         "metrics.json": "0925f7034784ebcfcc5cb69cb4daec8a59b84655e56c3bb611312d7bd43a342c",
-        "refinement_audit.json": "7404e25fb244a5a68b0f740c9cd257216ee932a4c33486b73167c19bbbd41734",
+        "refinement_audit.json": "a86170c9385a7c3978cb68646d516d5697e4a7dfa569040e064051fe77bf6047",
         "template.json": "6cc50fb3aa625a24afa50fbb1be48e8ab4a537dd548b96341b5927d968317e44",
     },
 }

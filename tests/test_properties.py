@@ -32,6 +32,8 @@ from fieldlens.pipeline import refine_corpus, score_corpus
 from fieldlens.reports import encode
 from fieldlens.vm import bundled_parsers, run as vm_run
 
+from conftest import per_message
+
 MSG_LEN = 12
 
 _ops = st.sampled_from(
@@ -381,10 +383,11 @@ def test_every_refinement_is_audited(toggles, corpus):
     its final type is the one its last type event implies."""
     messages, formats, annotations = corpus
     _, refined, events = refine_corpus(messages, formats, annotations, *toggles)
+    expanded = per_message(events)
     for mid, anns in annotations.items():
         for before, after in zip(anns, refined[mid], strict=True):
             rng = (before.field.start, before.field.end)
-            here = [e for e in events if (e.message_id, e.field) == (mid, rng)]
+            here = [e for e in expanded.get(mid, ()) if e.field == rng]
             if after != before:
                 assert here
             implied = before.inferred_type

@@ -55,6 +55,32 @@ def test_names_1_60_quality(tmp_path, names_1_60, config, row):
     assert _quality(names_1_60, tmp_path / "out", **config) == pytest.approx(row, abs=5e-5)
 
 
+@pytest.fixture(scope="module")
+def names_2_6(tmp_path_factory):
+    """Seed 0, 400 messages, file names of 2-6 letters."""
+    messages, traces, truths = text_names(400, seed=0, lo=2, hi=6)
+    path = tmp_path_factory.mktemp("quality") / "names-2-6.fl"
+    path.write_text(serialize_corpus(messages, traces) + serialize_ground_truth(truths))
+    return path
+
+
+# The command position (5, 11) lies inside the file names, so the search cuts
+# the 400 messages into 396 clusters, 392 of them of one message (ROADMAP
+# item 1).  In some of the four pairs the CRLF delimiter's entropy, 0, is not
+# below the cluster median, 0, so its STATIC label is revoked (ROADMAP item 2).
+# It is also the search's worst case for one-message value groups.
+ROWS_2_6 = [
+    pytest.param({}, (1.0, 1.0, 0.9975, 0.99834, 396), id="default"),
+    pytest.param({"entropy_enabled": False}, (1.0, 1.0, 1.0, 1.0, 396), id="no-entropy"),
+    pytest.param({"clustering_enabled": False}, (1.0, 1.0, 1.0, 1.0, 1), id="no-clustering"),
+]
+
+
+@pytest.mark.parametrize("config, row", ROWS_2_6)
+def test_names_2_6_quality(tmp_path, names_2_6, config, row):
+    assert _quality(names_2_6, tmp_path / "out", **config) == pytest.approx(row, abs=5e-5)
+
+
 # The binary-frame halves of three batches-20 corpora.  Each holds a
 # two-message cluster whose median entropy is 0.0, so STATIC at (0,1), with
 # entropy 0, is not strictly below it: entropy refinement revokes it and the

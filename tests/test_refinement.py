@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fieldlens.refinement as refinement
+from fieldlens import pipeline
 from fieldlens.alignment import nw_format_score
 from fieldlens.detectors import (
     Evidence,
@@ -24,6 +26,8 @@ from fieldlens.refinement import (
     explore_optimal,
     shannon_entropy,
 )
+
+from conftest import per_message
 
 T = SemanticType
 F = SemanticFunction
@@ -325,7 +329,9 @@ def test_all_constant_cluster_revokes_every_static():
         for mid in messages
     }
     refined, events = entropy_refine(annotations, clustering, messages)
-    revoked = [e for e in events if e.action == "revoke-type"]
+    revoked = [
+        e for evs in per_message(events).values() for e in evs if e.action == "revoke-type"
+    ]
     assert len(revoked) == 6  # two statics per message
     assert all(e.median == 0.0 and e.entropy == 0.0 for e in revoked)
     # the fallback then re-types them from the only surviving donor
@@ -369,9 +375,16 @@ def test_entropy_refinement_permutation_invariant(refine_corpus):
         clustering2 = explore_optimal(shuffled, formats)
         again, events = entropy_refine(annotations, clustering2, msg_map)
         assert again == base
-        assert {
-            (e.message_id, e.field, e.action, e.label) for e in events
-        } == {(e.message_id, e.field, e.action, e.label) for e in base_events}
+        assert _logged(events) == _logged(base_events)
+
+
+def _logged(events):
+    """(message id, field, action, label) of each event the audit expands to."""
+    return {
+        (mid, e.field, e.action, e.label)
+        for mid, evs in per_message(events).items()
+        for e in evs
+    }
 
 
 def test_entropy_profile_reports_median():
@@ -428,7 +441,11 @@ def test_a_shared_annotation_is_refined_once_and_logged_per_message(monkeypatch)
     refined, events = constraint_refine({"a": (shared,), "b": (shared,)})
     assert refined["a"][0] is refined["b"][0]
     assert refined["a"][0].inferred_functions == frozenset()
-    assert [(e.message_id, e.label) for e in events] == [("a", "LENGTH"), ("b", "LENGTH")]
+    assert [(e.messages, e.label) for e in events] == [(("a", "b"), "LENGTH")]
+    assert {mid: [e.label for e in evs] for mid, evs in per_message(events).items()} == {
+        "a": ["LENGTH"],
+        "b": ["LENGTH"],
+    }
     assert len(calls) == 1
 
 
@@ -440,10 +457,13 @@ def test_entropy_revocation_runs_once_per_distinct_annotation_in_a_cluster(monke
     # one revocation for the four messages; the fallback runs per message
     assert [a.inferred_type for a in calls] == [T.STATIC, *[T.UNKNOWN] * len(messages)]
     assert len(set(refined.values())) == 1
-    assert [(e.action, e.message_id) for e in events] == [
-        *(("revoke-type", mid) for mid in messages),
-        *(("assign-type", mid) for mid in messages),
+    assert [(e.action, e.messages) for e in events] == [
+        ("revoke-type", tuple(messages)),
+        ("assign-type", tuple(messages)),
     ]
+    assert {mid: [e.action for e in evs] for mid, evs in per_message(events).items()} == {
+        mid: ["revoke-type", "assign-type"] for mid in messages
+    }
 
 
 def test_command_position_gains_command_and_group():
@@ -499,10 +519,151 @@ def test_fig7_refinement_story(refine_corpus):
     final, _ = constraint_refine(refined, clustering)
 
     revoked = {
-        (e.message_id, e.label) for e in events if e.action == "revoke-type"
+        (mid, label) for mid, _, action, label in _logged(events) if action == "revoke-type"
     }
     assert ("r1", "BYTES") in revoked
     for mid in ("r1", "r2", "r3"):
         f45 = [a for a in final[mid] if (a.field.start, a.field.end) == (4, 5)][0]
         assert f45.inferred_type is not T.BYTES
         assert F.DELIM not in f45.inferred_functions
+
+
+# --- the decision log --------------------------------------------------------
+
+
+def test_an_empty_cluster_logs_no_decision():
+    empty = Clustering(None, ((b"", ()),), 0.0)
+    assert entropy_refine({}, empty, {}) == ({}, [])
+    assert pipeline.refine_corpus([], {}, {}) == (empty, {}, [])
+
+
+def brute_force_refine(messages, annotations, clustering, entropy=True, constraints=True):
+    """Reference refinement: each message refined on its own, with no memo,
+    logging its own events (narrowed to it) in the order it meets them."""
+    refined = {mid: list(anns) for mid, anns in annotations.items()}
+    log = {}
+
+    def event(mid, *entry):
+        log.setdefault(mid, []).append(refinement.RefinementEvent((mid,), *entry))
+
+    skip = "single-message cluster: entropy refinement skipped"
+    for _, ids in clustering.clusters if entropy else ():
+        if len(ids) == 1:
+            event(ids[0], (-1, -1), "skip", "-", skip)
+        if len(ids) < 2:
+            continue
+        h_of, med = cluster_entropy_profile([messages[mid] for mid in ids], annotations)
+        for mid in ids:
+            anns = refined[mid]
+            for i, a in enumerate(anns):
+                rng = (a.field.start, a.field.end)
+                h = h_of[rng]
+                if a.inferred_type is T.STATIC and not h < med:
+                    reason = "entropy not below cluster median"
+                elif a.inferred_type is T.BYTES and not h > med:
+                    reason = "entropy not above cluster median"
+                else:
+                    continue
+                event(mid, rng, "revoke-type", a.inferred_type.name, reason, h, med)
+                anns[i] = dataclasses.replace(a, inferred_type=T.UNKNOWN)
+            donors = [a for a in anns if a.inferred_type is not T.UNKNOWN]
+            for i, a in enumerate(anns):
+                if not donors or a.inferred_type is not T.UNKNOWN:
+                    continue
+                rng = (a.field.start, a.field.end)
+                h = h_of[rng]
+                d = min(
+                    donors,
+                    key=lambda d: (abs(h_of[(d.field.start, d.field.end)] - h), d.field.start),
+                )
+                span = f"{d.field.start}-{d.field.end}"
+                reason = f"closest-entropy donor {span}"
+                event(mid, rng, "assign-type", d.inferred_type.name, reason, h, med)
+                note = Evidence("refine.entropy-fallback", None, note=f"donor field {span}")
+                anns[i] = dataclasses.replace(
+                    a, inferred_type=d.inferred_type, evidence=a.evidence + (note,)
+                )
+
+    for mid, anns in refined.items() if constraints else ():
+        for i, a in enumerate(anns):
+            rng = (a.field.start, a.field.end)
+            if rng != clustering.command_pos:
+                continue
+            if F.COMMAND not in a.inferred_functions:
+                event(mid, rng, "add-function", "COMMAND", "field is the clustering basis")
+                a = dataclasses.replace(
+                    a,
+                    inferred_functions=a.inferred_functions | {F.COMMAND},
+                    evidence=a.evidence + (Evidence("refine.cluster-command", None),),
+                )
+            if a.inferred_type is T.UNKNOWN:
+                event(mid, rng, "assign-type", "GROUP", "untyped clustering basis")
+                a = dataclasses.replace(a, inferred_type=T.GROUP)
+            anns[i] = a
+        for i, a in enumerate(anns):
+            bad = sorted(
+                (fn for fn in a.inferred_functions if a.inferred_type not in CONSTRAINT_TABLE[fn]),
+                key=lambda fn: fn.name,
+            )
+            for fn in bad:
+                allowed = "/".join(sorted(t.name for t in CONSTRAINT_TABLE[fn]))
+                reason = f"requires {allowed}, field is {a.inferred_type.name}"
+                event(mid, (a.field.start, a.field.end), "drop-function", fn.name, reason)
+            if bad:
+                anns[i] = dataclasses.replace(a, inferred_functions=a.inferred_functions - set(bad))
+    return {mid: tuple(anns) for mid, anns in refined.items()}, log
+
+
+@st.composite
+def labelled_prototype_corpora(draw):
+    """``prototype_corpora`` with random labels: each format gets one or two
+    label rows, so messages share annotations and values repeat."""
+    messages, formats = draw(prototype_corpora())
+    label = st.tuples(st.sampled_from(list(T)), st.frozensets(st.sampled_from(list(F)), max_size=3))
+    rows, annotations = {}, {}
+    for m in messages:
+        fields = formats[m.id].fields
+        if fields not in rows:
+            rows[fields] = draw(
+                st.lists(st.tuples(*(label for _ in fields)), min_size=1, max_size=2)
+            )
+        row = draw(st.sampled_from(rows[fields]))
+        annotations[m.id] = tuple(
+            FieldAnnotation(f, t, fns, ()) for f, (t, fns) in zip(fields, row, strict=True)
+        )
+    return messages, formats, annotations
+
+
+@given(labelled_prototype_corpora(), st.tuples(st.booleans(), st.booleans(), st.booleans()))
+@settings(max_examples=150, deadline=None)
+def test_the_decisions_expand_to_each_messages_own_events(corpus, toggles):
+    messages, formats, annotations = corpus
+    clustering, refined, events = pipeline.refine_corpus(messages, formats, annotations, *toggles)
+    expected, log = brute_force_refine(
+        {m.id: m for m in messages}, annotations, clustering, *toggles[1:]
+    )
+    assert refined == expected
+    assert per_message(events) == log
+    assert len(set(events)) == len(events)  # one event per distinct decision
+    assert all(e.messages and list(e.messages) == sorted(set(e.messages)) for e in events)
+
+
+@given(labelled_prototype_corpora().filter(lambda c: len(c[0]) > 1), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_duplicating_every_message_doubles_each_decisions_ids(corpus, entropy, constraints):
+    messages, formats, annotations = corpus
+    twins = [Message("t" + m.id, m.data) for m in messages]
+    doubled = (
+        messages + twins,
+        formats | {t.id: FormatResult(t.id, len(t), formats[t.id[1:]].fields) for t in twins},
+        annotations | {t.id: annotations[t.id[1:]] for t in twins},
+    )
+    _, refined, events = pipeline.refine_corpus(*corpus, False, entropy, constraints)
+    _, refined2, events2 = pipeline.refine_corpus(*doubled, False, entropy, constraints)
+    assert {mid: refined2["t" + mid] for mid in refined} == refined
+    assert [dataclasses.replace(e, messages=()) for e in events2] == [
+        dataclasses.replace(e, messages=()) for e in events
+    ]
+    assert [e.messages for e in events2] == [
+        tuple(sorted(e.messages + tuple("t" + mid for mid in e.messages))) for e in events
+    ]
