@@ -1,14 +1,17 @@
 """Core data model: messages, taint-annotated instruction traces, and field partitions.
 
 Everything here is immutable after construction and safe to share between
-threads; ``ExecutionTrace.loops`` is a view derived from the records on first
-use, and a ``Field`` keeps its hash in the same way.  Offsets are
-byte-granular; bit-level fields are out of scope.
+threads; ``ExecutionTrace.loops`` and ``ExecutionTrace.by_offset`` are views
+derived from the records on first use, and a ``Field`` keeps its hash in the
+same way.  ``by_offset`` maps each accessed offset to the positions of the
+records that touch it, so ``instructions_for``, the one I(f) lookup, visits
+only the records of the field's own bytes.  Offsets are byte-granular;
+bit-level fields are out of scope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Tuple
@@ -66,7 +69,7 @@ class Message:
         return len(self.data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstructionRecord:
     """One executed instruction together with the message bytes it touched.
 
@@ -94,6 +97,7 @@ class InstructionRecord:
     operand_lineage: Optional[Tuple[frozenset[int], frozenset[int]]] = None
 
     def __post_init__(self) -> None:
+        """The record invariants, checked by ``__init__`` and ``build_record``."""
         if self.cmp_result is not None and self.op_class is not OpClass.COMPARE:
             raise ModelError(
                 f"record seq={self.seq}: cmp_result requires op_class=COMPARE"
@@ -110,6 +114,25 @@ class InstructionRecord:
             raise ModelError(
                 f"record seq={self.seq}: reads must be a subset of accessed_offsets"
             )
+
+
+#: the setter of each record field's slot, in field order
+_RECORD_SETTERS = tuple(
+    getattr(InstructionRecord, f.name).__set__ for f in fields(InstructionRecord)
+)
+
+
+def build_record(*values) -> InstructionRecord:
+    """``InstructionRecord(*values)`` built in one step, given every field in
+    field order: each value goes straight into its slot rather than through
+    the frozen class's ``object.__setattr__``, and ``__post_init__`` checks
+    the invariants once, so equal values give an equal record or the same
+    ModelError.  The reader builds every record this way."""
+    rec = object.__new__(InstructionRecord)
+    for set_slot, value in zip(_RECORD_SETTERS, values):
+        set_slot(rec, value)
+    rec.__post_init__()
+    return rec
 
 
 @dataclass(frozen=True)
@@ -133,6 +156,16 @@ class ExecutionTrace:
     def loops(self) -> dict[str, tuple[InstructionRecord, ...]]:
         """Each loop id's records in seq order, grouped once per trace."""
         return group_loops(self.records)
+
+    @cached_property
+    def by_offset(self) -> dict[int, list[int]]:
+        """Each accessed offset -> the positions in ``records`` of the records
+        whose accessed offsets hold it, in seq order; built once per trace."""
+        index: dict[int, list[int]] = {}
+        for pos, rec in enumerate(self.records):
+            for offset in rec.accessed_offsets:
+                index.setdefault(offset, []).append(pos)
+        return index
 
 
 def group_loops(
@@ -252,9 +285,15 @@ def shape_keys(
 
 
 def instructions_for(trace: ExecutionTrace, field: Field) -> list[InstructionRecord]:
-    """All records whose accessed offsets intersect ``field``, in seq order."""
-    span = frozenset(field.offsets)
-    return [rec for rec in trace.records if not rec.accessed_offsets.isdisjoint(span)]
+    """I(f): all records whose accessed offsets intersect ``field``, in seq
+    order.  They are read from ``trace.by_offset``, so a lookup visits the
+    records of the field's bytes, not the whole trace; a one-byte field's
+    records are its offset's list as it stands."""
+    index, records = trace.by_offset, trace.records
+    if field.start == field.end:
+        return [records[pos] for pos in index.get(field.start, ())]
+    positions = set().union(*(index.get(offset, ()) for offset in field.offsets))
+    return [records[pos] for pos in sorted(positions)]
 
 
 def operator_sequence(trace: ExecutionTrace, field: Field) -> tuple[str, ...]:

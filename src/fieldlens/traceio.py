@@ -43,12 +43,19 @@ Within one read:
   now; a bad line changes the text, and so the key.  Any other line (a
   comment, a blank line, a ``gt`` line, another message's ``rec`` line, or
   a ``rec`` line that does not begin with exactly ``rec <id> ``) ends the
-  block and is read on its own, so every error names the line that a
-  line-at-a-time reader would name.
+  block and is read on its own.  So every error names the line that a
+  line-at-a-time reader would name: a seq that does not increase names
+  the line of its record, counted from the first line of the block or
+  single line the record was read in.
 - A ``rec`` line that misses is interned by its text after the message id
-  and its message's length, and only the first of equal lines is
-  tokenized and parsed.  Records that differ share each offset set they
-  spell alike, interned the same way.
+  alone, so each distinct text is tokenized and parsed once, whatever its
+  message's length, and equal lines share one record, built in one step
+  (``model.build_record``).  Records that differ share each offset set
+  they spell alike, interned by its text the same way.  Each entry keeps
+  the highest offset it names (over ``off`` and both ``lineage`` sides); a
+  hit at or past the current message's length is parsed again with that
+  length, which raises the IntegrityError an uncached parse would, on the
+  same line.
 - A message's records are kept as the blocks and single lines they were
   read in and joined once, at the end; a message read as one block keeps
   that block's shared tuple.
@@ -81,6 +88,7 @@ from .model import (
     ModelError,
     OpClass,
     PointerArith,
+    build_record,
     consecutive_runs,
 )
 
@@ -202,32 +210,39 @@ def _member(enum: type[E], name: str, what: str, line_no: int) -> E:
         raise ParseError(line_no, f"unknown {what} {name!r}") from None
 
 
-#: (offset-set text, message length) -> the parsed set, for one read
-OffsetCache = dict[tuple[str, int], frozenset[int]]
+#: offset-set text -> (the parsed set, its highest offset or -1), for one read
+OffsetCache = dict[str, tuple[frozenset[int], int]]
 
 
-def _offsets(cache: OffsetCache, text: str, line_no: int, length: int) -> frozenset[int]:
-    """``parse_offsets``, interned in ``cache``; only a valid set is cached,
-    so an invalid text fails on every line that spells it."""
-    key = (text, length)
-    offsets = cache.get(key)
-    if offsets is None:
-        offsets = cache[key] = parse_offsets(text, line_no, length)
-    return offsets
+def _offsets(
+    cache: OffsetCache, text: str, line_no: int, length: int
+) -> tuple[frozenset[int], int]:
+    """``parse_offsets`` and the set's highest offset, interned in ``cache``
+    by the text alone.  Only a valid set is cached, so an invalid text fails
+    on every line that spells it, and a hit that names an offset past this
+    message is parsed again, so it fails as an uncached parse would."""
+    hit = cache.get(text)
+    if hit is None or hit[1] >= length:
+        offsets = parse_offsets(text, line_no, length)
+        hit = cache[text] = (offsets, max(offsets, default=-1))
+    return hit
 
 
 def _record_from_kv(
     kv: dict[str, str], line_no: int, length: int, cache: OffsetCache
-) -> InstructionRecord:
+) -> tuple[InstructionRecord, int]:
+    """The record a ``rec`` line's key/value pairs spell for a message of
+    ``length`` bytes, and the highest offset its ``off`` and ``lineage``
+    name (``reads`` lies inside ``off``)."""
     try:
         seq = int(_require(kv, "seq", line_no))
     except ValueError:
         raise ParseError(line_no, f"bad seq {kv.get('seq')!r}") from None
     op = _require(kv, "op", line_no)
     op_class = _member(OpClass, _require(kv, "class", line_no), "op class", line_no)
-    accessed = _offsets(cache, _require(kv, "off", line_no), line_no, length)
+    accessed, top = _offsets(cache, _require(kv, "off", line_no), line_no, length)
     if "reads" in kv:
-        reads = _offsets(cache, kv["reads"], line_no, length)
+        reads = _offsets(cache, kv["reads"], line_no, length)[0]
     else:
         reads = accessed if op_class is OpClass.MOV_SERIES else frozenset()
 
@@ -250,28 +265,18 @@ def _record_from_kv(
         if "/" not in kv["lineage"]:
             raise ParseError(line_no, "lineage must hold two offset sets: a/b")
         lhs_s, rhs_s = kv["lineage"].split("/", 1)
-        lineage = (
-            _offsets(cache, lhs_s, line_no, length),
-            _offsets(cache, rhs_s, line_no, length),
-        )
+        lhs, lhs_top = _offsets(cache, lhs_s, line_no, length)
+        rhs, rhs_top = _offsets(cache, rhs_s, line_no, length)
+        lineage = (lhs, rhs)
+        top = max(top, lhs_top, rhs_top)
     try:
-        return InstructionRecord(
-            seq=seq,
-            operator=op,
-            op_class=op_class,
-            accessed_offsets=accessed,
-            reads=reads,
-            compared_const=compared_const,
-            cmp_result=cmp_result,
-            triggered_jump=triggered,
-            loop_id=loop_id,
-            loop_role=loop_role,
-            api_call=api_call,
-            pointer_arith=pointer,
-            operand_lineage=lineage,
+        rec = build_record(
+            seq, op, op_class, accessed, reads, compared_const, cmp_result,
+            triggered, loop_id, loop_role, api_call, pointer, lineage,
         )
     except ModelError as exc:
         raise IntegrityError(line_no, str(exc)) from None
+    return rec, top
 
 
 def _true_field(kv: dict[str, str], line_no: int) -> FieldAnnotation:
@@ -307,23 +312,23 @@ class _Records:
 
     def __init__(self) -> None:
         self.offsets: OffsetCache = {}
-        # (text after the message id, message length) -> its record
-        self.lines: dict[tuple[str, int], InstructionRecord] = {}
+        # text after the message id -> (its record, the highest offset it names)
+        self.lines: dict[str, tuple[InstructionRecord, int]] = {}
         # (block text without its prefixes, message length) -> its records
         self.blocks: dict[tuple[str, int], tuple[InstructionRecord, ...]] = {}
 
     def line(self, rest: str, line_no: int, length: int) -> InstructionRecord:
         """The record that ``rest``, the text after a ``rec`` line's message
         id, spells for a message of ``length`` bytes.  Only a text that
-        parsed without error is cached, so only a miss can fail, as an
-        uncached parse would."""
-        key = (rest, length)
-        rec = self.lines.get(key)
-        if rec is None:
-            rec = self.lines[key] = _record_from_kv(
+        parsed without error is cached, and a hit that names an offset at or
+        past ``length`` is parsed again, so a line fails exactly when an
+        uncached parse would, with the same error."""
+        hit = self.lines.get(rest)
+        if hit is None or hit[1] >= length:
+            hit = self.lines[rest] = _record_from_kv(
                 _split_fields("rec", rest, line_no), line_no, length, self.offsets
             )
-        return rec
+        return hit[0]
 
     def block(
         self, lines: list[str], first: int, prefix: str, length: int
@@ -348,9 +353,9 @@ def read_interchange(stream: TextIO) -> Corpus:
     """Messages, traces and true fields of ``stream``, in one pass."""
     messages: list[Message] = []
     by_id: dict[str, Message] = {}
-    # each message's records, as the blocks and single lines they were read in
-    records: dict[str, list[tuple[InstructionRecord, ...]]] = {}
-    rec_lines: dict[str, int] = {}
+    # each message's records, as the blocks and single lines they were read
+    # in, each with the number of its first line
+    records: dict[str, list[tuple[int, tuple[InstructionRecord, ...]]]] = {}
     truth: list[tuple[str, FieldAnnotation]] = []
     cache = _Records()
     # text after the message id -> the true field of that ``gt`` line
@@ -364,8 +369,7 @@ def read_interchange(stream: TextIO) -> Corpus:
     length = 0
 
     def end_block(first: int) -> None:
-        records[msg.id].append(cache.block(block, first, prefix, length))
-        rec_lines.setdefault(msg.id, first)
+        records[msg.id].append((first, cache.block(block, first, prefix, length)))
         block.clear()
 
     line_no = 0
@@ -388,8 +392,7 @@ def read_interchange(stream: TextIO) -> Corpus:
             if owner is None:
                 _split_fields(kind, rest, line_no)
                 raise IntegrityError(line_no, f"record for undeclared message id {subject!r}")
-            records[subject].append((cache.line(rest, line_no, len(owner)),))
-            rec_lines.setdefault(subject, line_no)
+            records[subject].append((line_no, (cache.line(rest, line_no, len(owner)),)))
         elif kind == "gt":
             ann = true_fields.get(rest)
             if ann is None:
@@ -413,12 +416,27 @@ def read_interchange(stream: TextIO) -> Corpus:
 
     traces: list[ExecutionTrace] = []
     for msg_id, parts in records.items():
-        recs = parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
+        if len(parts) == 1:
+            recs = parts[0][1]
+        else:
+            recs = tuple(chain.from_iterable(part for _, part in parts))
         try:
             traces.append(ExecutionTrace(msg_id, recs))
         except ModelError as exc:
-            raise IntegrityError(rec_lines.get(msg_id), str(exc)) from None
+            raise IntegrityError(_unordered_line(parts), str(exc)) from None
     return Corpus(messages, traces, truth)
+
+
+def _unordered_line(parts: list[tuple[int, tuple[InstructionRecord, ...]]]) -> int:
+    """The line of the first record whose seq does not increase.  A part's
+    records stand on consecutive lines from its first line on."""
+    prev = None
+    for first, part in parts:
+        for i, rec in enumerate(part):
+            if prev is not None and rec.seq <= prev:
+                return first + i
+            prev = rec.seq
+    raise AssertionError("every record's seq increases")
 
 
 def load_corpus_stream(stream: TextIO) -> tuple[list[Message], list[ExecutionTrace]]:

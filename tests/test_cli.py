@@ -226,6 +226,22 @@ def test_malformed_input_exits_nonzero(tmp_path, capsys):
     assert "error" in err
 
 
+
+def test_a_seq_out_of_order_is_named_on_its_own_line(tmp_path, capsys):
+    bad = tmp_path / "seq.fl"
+    bad.write_text(
+        "msg a bytes=0x0102\n"
+        "rec a seq=1 op=mov class=MOV_SERIES off=0\n"
+        "rec a seq=2 op=mov class=MOV_SERIES off=1\n"
+        "rec a seq=2 op=mov class=MOV_SERIES off=1\n"
+    )
+    assert run_cli("run", "--traces", bad, "--out-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 4: trace 'a': record seq values must be strictly "
+        "increasing (2 after 2)\n"
+    )
+
+
 def test_metric_values_do_not_affect_exit_status(tmp_path, corpus):
     # baseline mode scores poorly but still exits zero
     out_dir = tmp_path / "baseline"

@@ -1,6 +1,11 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fieldlens.model import (
+    ApiCall,
+    ArgRole,
     ExecutionTrace,
     Field,
     FormatResult,
@@ -9,6 +14,8 @@ from fieldlens.model import (
     ModelError,
     OpClass,
     LoopRole,
+    PointerArith,
+    build_record,
     consecutive_runs,
     instructions_for,
 )
@@ -115,6 +122,60 @@ def test_disjoint_fields_union_covers_span():
     assert {r.seq for r in left} | {r.seq for r in right} == {
         r.seq for r in covering
     }
+
+
+_small_sets = st.frozensets(st.integers(0, 7), max_size=4)
+
+
+@given(st.lists(_small_sets, max_size=12), st.integers(0, 9), st.integers(0, 9))
+@settings(max_examples=200, deadline=None)
+def test_instructions_for_is_the_scan_it_replaces(offset_sets, a, b):
+    records = tuple(rec(i + 1, offsets=offsets) for i, offsets in enumerate(offset_sets))
+    field = Field(min(a, b), max(a, b))
+    expected = [r for r in records if not r.accessed_offsets.isdisjoint(field.offsets)]
+    got = instructions_for(ExecutionTrace("m", records), field)
+    assert got == expected
+    assert all(g is e for g, e in zip(got, expected))
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+# Any combination of field values, valid or not: each invariant of a record
+# can be broken.
+_record_values = st.tuples(
+    st.integers(0, 5),
+    st.sampled_from(["mov", "cmp", "add"]),
+    st.sampled_from(list(OpClass)),
+    _small_sets,
+    _small_sets,
+    _optional(st.binary(min_size=1, max_size=2)),
+    _optional(st.booleans()),
+    st.booleans(),
+    _optional(st.sampled_from(["l1", "l2"])),
+    _optional(st.sampled_from(list(LoopRole))),
+    _optional(st.builds(ApiCall, st.just("recv"), st.sampled_from(list(ArgRole)))),
+    _optional(st.sampled_from(list(PointerArith))),
+    _optional(st.tuples(_small_sets, _small_sets)),
+)
+
+
+def _outcome(make, values):
+    try:
+        return make(*values)
+    except ModelError as exc:
+        return str(exc)
+
+
+@given(_record_values)
+@settings(max_examples=300, deadline=None)
+def test_a_record_built_in_one_step_is_the_record_init_builds(values):
+    built, init = _outcome(build_record, values), _outcome(InstructionRecord, values)
+    assert type(built) is type(init) and built == init
+    if isinstance(init, InstructionRecord):
+        assert hash(built) == hash(init) and repr(built) == repr(init)
+        assert dataclasses.replace(built, seq=9) == dataclasses.replace(init, seq=9)
 
 
 def test_consecutive_runs():

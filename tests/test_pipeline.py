@@ -31,6 +31,8 @@ from fieldlens.reports import (
 from fieldlens.traceio import IntegrityError, load_corpus, serialize_corpus, serialize_ground_truth
 from fieldlens.vm import bundled_parsers, run as vm_run
 
+from corpora import text_names
+
 
 def dump_corpus(path, messages, traces):
     path.write_text(serialize_corpus(messages, traces), encoding="utf-8")
@@ -208,6 +210,34 @@ def test_infer_corpus_infers_each_shape_once(monkeypatch):
     assert {shapes[mid] for mid in extracted} == set(shapes.values())
     pairs = {(shapes[mid], f) for mid, fmt in formats.items() for f in fmt.fields}
     assert len(looked_up) == len(set(looked_up)) == len(pairs)
+
+
+class _CountedRecords(tuple):
+    """A records tuple that counts every record it hands out."""
+
+    visits = 0
+
+    def __iter__(self):
+        for rec in super().__iter__():
+            self.visits += 1
+            yield rec
+
+    def __getitem__(self, index):
+        self.visits += 1
+        return super().__getitem__(index)
+
+
+def test_inferring_a_shape_visits_records_linearly():
+    """Extraction and the detectors look up I(f) for every candidate and
+    field, yet a shape's records are visited a bounded number of times per
+    record and per accessed offset, not once per lookup.  A long file name
+    gives a long trace and many candidates."""
+    (msg,), (trace,), _ = text_names(1, seed=0, lo=150, hi=200)
+    records = _CountedRecords(trace.records)
+    formats, _ = infer_corpus([msg], {msg.id: ExecutionTrace(msg.id, records)})
+    assert len(formats[msg.id].fields) > 1
+    size = len(trace.records) + sum(len(r.accessed_offsets) for r in trace.records)
+    assert 0 < records.visits <= 8 * size
 
 
 @settings(max_examples=20, deadline=None)

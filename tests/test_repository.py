@@ -244,3 +244,32 @@ def test_memos_key_by_value():
                     and not (isinstance(kw.value, ast.Constant) and kw.value.value is True)
                 ]
     assert found == []
+
+
+def _top_level_names(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_only_build_record_writes_record_slots():
+    """``model.build_record`` makes a record without ``__init__``: it calls
+    ``object.__new__`` and fills the slots through their setters
+    (``_RECORD_SETTERS``), then runs the record's own checks.  No other code
+    may create an object or set an attribute around its class this way, so
+    the record invariants stay in ``InstructionRecord.__post_init__``."""
+    allowed = {"build_record", "_RECORD_SETTERS"}
+    bypasses = {"__new__", "__setattr__", "__set__", "__dict__"}
+    found = []
+    for name, tree in _modules():
+        for top in tree.body:
+            if name == "model.py" and _top_level_names(top) & allowed:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == "vars":
+                    found.append(f"{name}:{node.lineno}: vars")
+                elif isinstance(node, ast.Attribute) and node.attr in bypasses:
+                    found.append(f"{name}:{node.lineno}: {node.attr}")
+    assert found == []

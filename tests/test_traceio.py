@@ -1,5 +1,6 @@
 import functools
 import io
+import re
 import tracemalloc
 
 import pytest
@@ -293,7 +294,7 @@ def test_separate_loads_share_no_offset_sets(example3):
     assert ids[0] and not ids[0] & ids[1]
 
 
-def test_equal_record_lines_share_one_record_per_message_length():
+def test_equal_record_lines_share_one_record_across_message_lengths():
     line = "seq=1 op=movzx class=MOV_SERIES off=0-1"
     _, traces = load_text(
         f"msg a bytes=0x01020304\nrec a {line}\n"
@@ -301,8 +302,58 @@ def test_equal_record_lines_share_one_record_per_message_length():
         f"msg c bytes=0x050607\nrec c {line}\n"
     )
     (a,), (b,), (c,) = (t.records for t in traces)
-    assert a is b
-    assert c == a and c is not a
+    assert a is b and c is a
+
+
+@pytest.mark.parametrize("line", [
+    "seq=1 op=movzx class=MOV_SERIES off=0-5",
+    "seq=1 op=cmp class=COMPARE off=0 lineage=0/5",
+    "seq=1 op=cmp class=COMPARE off=0 lineage=4-5/-",
+])
+def test_a_cached_record_is_checked_against_a_shorter_message(line):
+    """A cached text whose ``off``, or whose ``lineage`` alone, reaches past
+    a later, shorter message fails on that later line."""
+    text = (
+        f"msg a bytes=0x0102030405060708\nrec a {line}\n"
+        f"msg b bytes=0x0102030405060708\nrec b {line}\n"
+        f"msg c bytes=0x01020304\nrec c {line}\n"
+    )
+    with pytest.raises(IntegrityError) as err:
+        load_text(text)
+    assert err.value.line_no == 6 and "outside message of length 4" in str(err.value)
+
+
+def test_a_read_parses_each_distinct_text_once(monkeypatch):
+    """Whatever the message lengths, each distinct ``rec`` text is tokenized
+    once and each distinct offset text is parsed once."""
+    calls = []
+
+    def counted(name):
+        original = getattr(traceio, name)
+
+        def wrapper(*args):
+            calls.append((name, args[0] if name == "parse_offsets" else args[1]))
+            return original(*args)
+        monkeypatch.setattr(traceio, name, wrapper)
+
+    counted("_split_fields")
+    counted("parse_offsets")
+    lines = [
+        "seq=1 op=movzx class=MOV_SERIES off=0-1",
+        "seq=2 op=cmp class=COMPARE off=0-3 lineage=0-1/2-3 result=true",
+        "seq=3 op=add class=ARITH_BITWISE off=2-3 reads=2-3",
+    ]
+    text = "".join(
+        f"msg m{k}{n} bytes=0x{'00' * n}\n"
+        + "".join(f"rec m{k}{n} {line}\n" for line in lines[k:])
+        for k in range(3)
+        for n in (4, 5, 6, 9)
+    )
+    load_text(text)
+    recs = [rest for name, rest in calls if name == "_split_fields" and rest.startswith("seq=")]
+    offsets = [t for name, t in calls if name == "parse_offsets"]
+    assert sorted(recs) == sorted(lines)
+    assert sorted(offsets) == ["0-1", "0-3", "2-3"]
 
 
 def test_messages_of_one_shape_share_their_record_objects():
@@ -496,6 +547,8 @@ def _oracle_lines(stream):
 
 
 def _oracle_read(stream):
+    """A line-at-a-time reader: no caches; a seq that does not increase is
+    named on its own line."""
     messages, by_id, records, rec_lines, truth = [], {}, {}, {}, []
     for line_no, kind, subject, rest in _oracle_lines(stream):
         kv = _oracle_split_fields(kind, rest, line_no)
@@ -503,8 +556,8 @@ def _oracle_read(stream):
             msg = by_id.get(subject)
             if msg is None:
                 raise IntegrityError(line_no, f"record for undeclared message id {subject!r}")
-            records[subject].append(traceio._record_from_kv(kv, line_no, len(msg), {}))
-            rec_lines.setdefault(subject, line_no)
+            records[subject].append(traceio._record_from_kv(kv, line_no, len(msg), {})[0])
+            rec_lines[subject].append(line_no)
         elif kind == "msg":
             if subject in by_id:
                 raise IntegrityError(line_no, f"duplicate message id {subject!r}")
@@ -516,6 +569,7 @@ def _oracle_read(stream):
             by_id[subject] = msg
             messages.append(msg)
             records.setdefault(subject, [])
+            rec_lines.setdefault(subject, [])
         else:
             truth.append((subject, traceio._true_field(kv, line_no)))
     traces = []
@@ -523,7 +577,8 @@ def _oracle_read(stream):
         try:
             traces.append(ExecutionTrace(msg_id, tuple(recs)))
         except ModelError as exc:
-            raise IntegrityError(rec_lines.get(msg_id), str(exc)) from None
+            unordered = next(i for i in range(1, len(recs)) if recs[i].seq <= recs[i - 1].seq)
+            raise IntegrityError(rec_lines[msg_id][unordered], str(exc)) from None
     return traceio.Corpus(messages, traces, truth)
 
 
@@ -558,6 +613,7 @@ _CORRUPTIONS = (
     lambda line: line + " bogus",
     lambda line: line.replace(" class=", " class=NOPE", 1),
     lambda line: line.replace("seq=", "seq=1 seq=", 1),
+    lambda line: re.sub(r"seq=\d+", "seq=0", line, count=1),  # out of seq order
 )
 _PADDING = ("", "   ", "# a comment", "; another", "\t")
 
@@ -614,6 +670,18 @@ def _outcome(read, text, newline):
 @settings(max_examples=150, deadline=None)
 def test_the_block_reader_matches_the_per_line_oracle(text, newline):
     assert _outcome(read_interchange, text, newline) == _outcome(_oracle_read, text, newline)
+
+
+def test_a_seq_out_of_order_is_named_on_its_line_in_any_part():
+    line = "op=mov class=MOV_SERIES off=0"
+    text = (
+        f"msg a bytes=0x0102\nrec a seq=1 {line}\n"
+        f"# a comment ends the block\nrec a seq=2 {line}\nrec a seq=3 {line}\n"
+        f"rec a seq=3 {line}\n"
+    )
+    with pytest.raises(IntegrityError) as err:
+        load_text(text)
+    assert err.value.line_no == 6 and "(3 after 3)" in str(err.value)
 
 
 def test_a_block_is_reused_only_for_a_message_of_the_same_length():
