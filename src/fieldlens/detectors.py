@@ -20,7 +20,9 @@ read ``V(f)``; every other rule is a function of the trace alone and is
 given ``message=None``.  So traces of one shape (``model.shape_keys``) share
 each field's ``I(f)``, loops and structural verdicts: ``annotate_format``
 keeps them in a memo that ``pipeline.infer_corpus`` holds per shape for one
-call, and runs only the byte-reading rules per message.
+call.  The byte-reading rules read no more of a message than the field and
+one byte on each side, so that memo also keeps each field's annotation by
+that byte window, and they run once per distinct window, not per message.
 """
 
 from __future__ import annotations
@@ -121,20 +123,25 @@ def _is_functional(rec: InstructionRecord) -> bool:
 
 def _covering_loops(trace: ExecutionTrace, field: Field) -> Loops:
     """Loops that touch every byte of the field with identical operator sets
-    (each with all of its records, trace-wide, not just I(f))."""
-    out = []
-    for loop_id, recs in trace.loops.items():
-        per_byte: list[frozenset[str]] = []
-        ok = True
-        for b in field.offsets:
-            ops = frozenset(r.operator for r in recs if b in r.accessed_offsets)
-            if not ops:
-                ok = False
-                break
-            per_byte.append(ops)
-        if ok and len(set(per_byte)) == 1:
-            out.append((loop_id, recs))
-    return out
+    (each with all of its records, trace-wide, not just I(f)), in the order
+    of ``trace.loops``.
+
+    Each byte's records come from ``trace.by_offset``, grouped by loop, so
+    every record of the field's bytes is visited once."""
+    index, records = trace.by_offset, trace.records
+    common: Optional[dict[str, set[str]]] = None
+    for b in field.offsets:
+        ops: dict[str, set[str]] = {}
+        for pos in index.get(b, ()):
+            rec = records[pos]
+            if rec.loop_id is not None:
+                ops.setdefault(rec.loop_id, set()).add(rec.operator)
+        if common is not None:
+            ops = {loop_id: seen for loop_id, seen in common.items() if ops.get(loop_id) == seen}
+        if not ops:
+            return []
+        common = ops
+    return [(loop_id, recs) for loop_id, recs in trace.loops.items() if loop_id in common]
 
 
 def _string_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
@@ -310,7 +317,8 @@ RULE_IDS: tuple[str, ...] = tuple(r.id for r in LIBRARY)
 
 @dataclass
 class Structure:
-    """One field's structural verdicts in traces of one shape."""
+    """One field's structural verdicts in traces of one shape, and the
+    annotations already built for it."""
 
     records: Records  # I(f)
     loops: Loops
@@ -319,6 +327,8 @@ class Structure:
     steps: tuple[tuple[Rule, Optional[tuple[Evidence, ...]]], ...]
     #: the byte-reading rules' findings on a message -> its annotation
     built: dict[tuple, FieldAnnotation] = dc_field(default_factory=dict)
+    #: the field's byte window in a message (``_window``) -> its annotation
+    by_window: dict[bytes, FieldAnnotation] = dc_field(default_factory=dict)
 
 
 #: field -> its structure, for the traces of one shape
@@ -349,7 +359,24 @@ def _structure(field: Field, trace: ExecutionTrace, disabled: frozenset[str]) ->
     return Structure(records, loops, tuple(steps))
 
 
+def _window(field: Field) -> slice:
+    """The bytes of a message that the ``reads_bytes`` rules read: the
+    field and one byte on each side of it, where the message has one."""
+    return slice(max(0, field.start - 1), field.end + 2)
+
+
 def _finish(field: Field, message: Message, s: Structure) -> FieldAnnotation:
+    """The field's annotation in ``message``.  Messages with one byte window
+    (``_window``) get one annotation, so the byte-reading rules run once per
+    distinct window."""
+    window = message.data[_window(field)]
+    ann = s.by_window.get(window)
+    if ann is None:
+        ann = s.by_window[window] = _build(field, message, s)
+    return ann
+
+
+def _build(field: Field, message: Message, s: Structure) -> FieldAnnotation:
     """Run the byte-reading rules on ``message``, then apply the table order:
     the first type rule that fires sets the type, function rules stack.
     Messages whose byte-reading rules find the same share one annotation."""

@@ -1,12 +1,15 @@
 """Scoring of inferred formats and semantics against ground truth.
 
 ``MetricsReport.add_message`` scores one message straight into the corpus
-tallies.  Boundary scoring classifies every inter-byte position of a message
-as TP/FP/FN/TN; a true field is *perfect* when it was inferred exactly, as
-one field with its start and its end, so a true field that is over-segmented
-is not perfect.  Semantic labels count as correct only on exactly matched
-fields.  Segmentation-error counting mirrors the boundary FP/FN split but
-excludes positions inside true fields that the server never accessed.
+tallies, counted ``weight`` times: ``pipeline.score_corpus`` scores each
+distinct row of messages (format fields, annotation labels, truth) once,
+weighted by the number of messages that share it.  Boundary scoring
+classifies every inter-byte position of a message as TP/FP/FN/TN; a true
+field is *perfect* when it was inferred exactly, as one field with its start
+and its end, so a true field that is over-segmented is not perfect.
+Semantic labels count as correct only on exactly matched fields.
+Segmentation-error counting mirrors the boundary FP/FN split but excludes
+positions inside true fields that the server never accessed.
 
 A message's ground truth is its true fields, ``FieldAnnotation``s without
 evidence in offset order.  ``traceio`` parses them; ``load_ground_truth``
@@ -90,22 +93,26 @@ class FormatScore(LabelCounts):
     def perfection(self) -> float:
         return self.perfect_fields / self.true_fields if self.true_fields else 1.0
 
-    def count(self, inferred: FormatResult, truth: Sequence[FieldAnnotation]) -> None:
+    def count(
+        self, inferred: FormatResult, truth: Sequence[FieldAnnotation], weight: int = 1
+    ) -> None:
         """Classify every inter-byte position of one message and count the
-        true fields that were inferred exactly.
+        true fields that were inferred exactly, ``weight`` times over.
 
         Only boundaries and fields are visited, so the cost does not grow
         with the length of a field: every other position is a true negative."""
         inf = set(inferred.boundaries)
         tru = {a.field.start for a in truth if a.field.start > 0}
         tp, fp, fn = len(inf & tru), len(inf - tru), len(tru - inf)
-        self.tp += tp
-        self.fp += fp
-        self.fn += fn
-        self.tn += inferred.length - 1 - tp - fp - fn
-        self.true_fields += len(truth)
+        self.tp += weight * tp
+        self.fp += weight * fp
+        self.fn += weight * fn
+        self.tn += weight * (inferred.length - 1 - tp - fp - fn)
+        self.true_fields += weight * len(truth)
         ranges = {(f.start, f.end) for f in inferred.fields}
-        self.perfect_fields += sum((a.field.start, a.field.end) in ranges for a in truth)
+        self.perfect_fields += weight * sum(
+            (a.field.start, a.field.end) in ranges for a in truth
+        )
 
 
 def count_segmentation_errors(
@@ -133,27 +140,27 @@ class LabelTally(LabelCounts):
     ``tp/fp/fn`` over every true field, ``accessed`` over the true fields the
     server touched (a false alarm counts there on any field), and
     ``per_label`` by label name, in first-seen order, the order ``macro_f1``
-    sums in."""
+    sums in.  Each outcome is counted ``n`` times, one per message of a row."""
 
     accessed: LabelCounts = dc_field(default_factory=LabelCounts)
     per_label: dict[str, LabelCounts] = dc_field(default_factory=dict)
 
-    def hit(self, name: str, accessed: bool) -> None:
-        self.tp += 1
-        self.per_label.setdefault(name, LabelCounts()).tp += 1
+    def hit(self, name: str, accessed: bool, n: int) -> None:
+        self.tp += n
+        self.per_label.setdefault(name, LabelCounts()).tp += n
         if accessed:
-            self.accessed.tp += 1
+            self.accessed.tp += n
 
-    def miss(self, name: str, accessed: bool) -> None:
-        self.fn += 1
-        self.per_label.setdefault(name, LabelCounts()).fn += 1
+    def miss(self, name: str, accessed: bool, n: int) -> None:
+        self.fn += n
+        self.per_label.setdefault(name, LabelCounts()).fn += n
         if accessed:
-            self.accessed.fn += 1
+            self.accessed.fn += n
 
-    def false_alarm(self, name: str) -> None:
-        self.fp += 1
-        self.per_label.setdefault(name, LabelCounts()).fp += 1
-        self.accessed.fp += 1
+    def false_alarm(self, name: str, n: int) -> None:
+        self.fp += n
+        self.per_label.setdefault(name, LabelCounts()).fp += n
+        self.accessed.fp += n
 
     def to_dict(self) -> dict:
         """This label kind's block of ``metrics.json``."""
@@ -182,20 +189,26 @@ class MetricsReport:
         inferred: FormatResult,
         annotations: Sequence[FieldAnnotation],
         truth: Sequence[FieldAnnotation],
+        weight: int = 1,
     ) -> None:
-        """Score one message into the corpus tallies."""
-        self.format.count(inferred, truth)
-        self._match_labels(annotations, truth)
+        """Score one message into the corpus tallies, as if ``weight``
+        messages with the same fields, labels and truth had been scored."""
+        self.format.count(inferred, truth, weight)
+        self._match_labels(annotations, truth, weight)
         over, under = count_segmentation_errors(inferred, truth)
-        self.over_seg += over
-        self.under_seg += under
-        self.messages += 1
+        self.over_seg += weight * over
+        self.under_seg += weight * under
+        self.messages += weight
 
     def _match_labels(
-        self, annotations: Sequence[FieldAnnotation], truth: Sequence[FieldAnnotation]
+        self,
+        annotations: Sequence[FieldAnnotation],
+        truth: Sequence[FieldAnnotation],
+        n: int,
     ) -> None:
         """Exact-boundary label matching: a prediction counts only on a field
-        whose boundaries coincide with a true field's."""
+        whose boundaries coincide with a true field's.  Every outcome counts
+        ``n`` times."""
         types, functions = self.types, self.functions
         by_range = {(a.field.start, a.field.end): a for a in annotations}
         matched: set[tuple[int, int]] = set()
@@ -208,27 +221,27 @@ class MetricsReport:
                 matched.add(rng)
             pred_type = ann.inferred_type if ann is not None else SemanticType.UNKNOWN
             if pred_type is not SemanticType.UNKNOWN and pred_type is t.inferred_type:
-                types.hit(t.inferred_type.name, accessed)
+                types.hit(t.inferred_type.name, accessed, n)
             else:
-                types.miss(t.inferred_type.name, accessed)
+                types.miss(t.inferred_type.name, accessed, n)
                 if pred_type is not SemanticType.UNKNOWN:
-                    types.false_alarm(pred_type.name)
+                    types.false_alarm(pred_type.name, n)
 
             pred_funcs = ann.inferred_functions if ann is not None else frozenset()
             for fn in t.inferred_functions & pred_funcs:
-                functions.hit(fn.name, accessed)
+                functions.hit(fn.name, accessed, n)
             for fn in t.inferred_functions - pred_funcs:
-                functions.miss(fn.name, accessed)
+                functions.miss(fn.name, accessed, n)
             for fn in pred_funcs - t.inferred_functions:
-                functions.false_alarm(fn.name)
+                functions.false_alarm(fn.name, n)
 
         for rng, ann in by_range.items():
             if rng in matched:
                 continue
             if ann.inferred_type is not SemanticType.UNKNOWN:
-                types.false_alarm(ann.inferred_type.name)
+                types.false_alarm(ann.inferred_type.name, n)
             for fn in ann.inferred_functions:
-                functions.false_alarm(fn.name)
+                functions.false_alarm(fn.name, n)
 
     def to_dict(self) -> dict:
         fmt = self.format

@@ -72,8 +72,9 @@ def infer_corpus(
     by the same instructions, so the shape's format is extracted once and
     every such message gets its fields.  Each (shape, field) is looked up
     and run through the rules that do not read the message's bytes once;
-    the rules that do run per message.  Each distinct operator-sequence pair
-    is aligned once.  All of these memos live for this call only.
+    the rules that do run once per distinct byte window of the field
+    (``detectors._window``).  Each distinct operator-sequence pair is
+    aligned once.  All of these memos live for this call only.
     """
     formats: dict[str, FormatResult] = {}
     annotations: dict[str, tuple[FieldAnnotation, ...]] = {}
@@ -127,12 +128,27 @@ def score_corpus(
     annotations: Mapping[str, Sequence[FieldAnnotation]],
     truths: Mapping[str, Sequence[FieldAnnotation]],
 ) -> MetricsReport:
-    """Metrics of every message in ``formats``, each scored in id order
-    straight into the corpus tallies; ``truths`` was checked where it was
-    read."""
-    report = MetricsReport()
+    """Metrics of every message in ``formats``; ``truths`` was checked where
+    it was read.
+
+    Scoring reads a message's format fields, each annotation's field, type
+    and functions (not its evidence) and its truth, so messages equal in all
+    of these are one row.  Each row is scored once, weighted by its number of
+    messages, in the id order of its first message: the label tallies then
+    meet their labels in the order that scoring message by message would,
+    and ``macro_f1`` sums in that order.  The rows live for this call only.
+    """
+    rows: dict[tuple, list] = {}  # key -> [format, annotations, truth, messages]
     for mid in sorted(formats):
-        report.add_message(formats[mid], annotations[mid], truths[mid])
+        fmt, anns, truth = formats[mid], annotations[mid], tuple(truths[mid])
+        labels = tuple((a.field, a.inferred_type, a.inferred_functions) for a in anns)
+        row = rows.get((fmt.fields, labels, truth))
+        if row is None:
+            row = rows[fmt.fields, labels, truth] = [fmt, anns, truth, 0]
+        row[3] += 1
+    report = MetricsReport()
+    for fmt, anns, truth, weight in rows.values():
+        report.add_message(fmt, anns, truth, weight)
     return report
 
 

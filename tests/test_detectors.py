@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fieldlens.detectors as detectors
 import fieldlens.model as model
 from fieldlens.detectors import (
+    LIBRARY,
     RULE_IDS,
     RULES,
     FieldAnnotation,
@@ -444,3 +446,40 @@ def test_byte_reading_rules_run_per_message_of_one_shape():
     assert funcs[message.id] >= {SemanticFunction.FILENAME, SemanticFunction.DELIM}
     assert funcs[no_name.id] == funcs[message.id] - {SemanticFunction.FILENAME}
     assert funcs[no_delim.id] == funcs[message.id] - {SemanticFunction.DELIM}
+
+
+#: delimiter, file-name and filler bytes, few enough that edges often match
+_EDGE_BYTES = st.sampled_from(b"\r\n./a")
+
+
+@st.composite
+def _windowed(draw):
+    """A message, a field of it, termination compares against its bytes, and
+    a second message whose bytes outside the field's window differ."""
+    n = draw(st.integers(1, 10))
+    data, other = (bytes(draw(st.lists(_EDGE_BYTES, min_size=n, max_size=n))) for _ in "ab")
+    start = draw(st.integers(0, n - 1))
+    field = Field(start, draw(st.integers(start, n - 1)))
+    records = tuple(
+        cmp(seq, {draw(st.sampled_from(field.offsets))}, bytes([const]), True,
+            loop_id="g", loop_role=LoopRole.TERMINATION)
+        for seq, const in enumerate(draw(st.lists(_EDGE_BYTES, max_size=3)), 1)
+    )
+    window = detectors._window(field)
+    spliced = other[: window.start] + data[window] + other[window.stop :]
+    return field, records, Message("m", data), Message("m", spliced)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_windowed())
+def test_byte_reading_rules_read_only_the_field_window(case):
+    """``_finish`` keeps a field's annotation by its byte window, so every
+    ``reads_bytes`` rule must find the same on two messages of one length
+    that agree on that window, whatever their other bytes."""
+    field, records, message, spliced = case
+    assert len(spliced) == len(message)
+    for rule in LIBRARY:
+        if rule.reads_bytes:
+            assert rule.fires(field, records, [], spliced) == rule.fires(
+                field, records, [], message
+            ), rule.id

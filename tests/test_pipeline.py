@@ -7,11 +7,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldlens import detectors, extraction, pipeline
+from fieldlens import detectors, evaluation, extraction, pipeline
 from fieldlens.detectors import RULE_IDS, FieldAnnotation, SemanticType, annotate_format
 from fieldlens.evaluation import load_ground_truth
 from fieldlens.extraction import extract_format, extract_format_baseline
-from fieldlens.model import ExecutionTrace, Field, FormatResult, ModelError
+from fieldlens.model import ExecutionTrace, Field, FormatResult, Message, ModelError
 from fieldlens.pipeline import (
     PipelineConfig,
     infer_corpus,
@@ -228,16 +228,21 @@ class _CountedRecords(tuple):
 
 
 def test_inferring_a_shape_visits_records_linearly():
-    """Extraction and the detectors look up I(f) for every candidate and
-    field, yet a shape's records are visited a bounded number of times per
-    record and per accessed offset, not once per lookup.  A long file name
-    gives a long trace and many candidates."""
+    """Extraction and the detectors look up I(f) and the covering loops for
+    every candidate and field, yet a shape's records are visited a bounded
+    number of times per record and per accessed offset, not once per lookup
+    or once per byte.  The records of the trace and of each of its loops are
+    counted.  A long file name gives a long trace, a long loop and many
+    candidates."""
     (msg,), (trace,), _ = text_names(1, seed=0, lo=150, hi=200)
-    records = _CountedRecords(trace.records)
-    formats, _ = infer_corpus([msg], {msg.id: ExecutionTrace(msg.id, records)})
+    counted = ExecutionTrace(msg.id, _CountedRecords(trace.records))
+    loops = {loop_id: _CountedRecords(recs) for loop_id, recs in trace.loops.items()}
+    vars(counted)["loops"] = loops  # what the ``loops`` property caches
+    formats, _ = infer_corpus([msg], {msg.id: counted})
     assert len(formats[msg.id].fields) > 1
     size = len(trace.records) + sum(len(r.accessed_offsets) for r in trace.records)
-    assert 0 < records.visits <= 8 * size
+    visits = counted.records.visits + sum(recs.visits for recs in loops.values())
+    assert 0 < visits <= 8 * size
 
 
 @settings(max_examples=20, deadline=None)
@@ -252,6 +257,29 @@ def test_infer_corpus_equals_per_message_inference(specs, disabled, baseline):
     alone = _per_message(messages, traces, baseline, disabled)
     assert inferred == alone
     assert _docs(messages, inferred) == _docs(messages, alone)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.tuples(st.integers(0, 999), st.integers(0, 999)), data=st.data())
+def test_messages_that_differ_inside_one_window_are_inferred_as_alone(seeds, data):
+    """Each twin has its message's trace, so its shape, and new bytes inside
+    the byte window of one of its fields; that window also overlaps each
+    neighbour's.  The detectors' window memo must still give every field of
+    every message what inference one message at a time gives."""
+    messages, traces = _generated((2, seeds[0]), (2, seeds[1]))
+    twins = []
+    for m in messages:
+        fields = extract_format(m, traces[m.id]).fields
+        for k in range(2):
+            window = detectors._window(data.draw(st.sampled_from(fields)))
+            raw = bytearray(m.data)
+            for pos in range(window.start, min(window.stop, len(raw))):
+                raw[pos] = data.draw(st.sampled_from(m.data[pos : pos + 1] + b"\r\n./a"))
+            twin = Message(f"{m.id}-{k}", bytes(raw))
+            twins.append(twin)
+            traces[twin.id] = ExecutionTrace(twin.id, traces[m.id].records)
+    corpus = messages + twins
+    assert infer_corpus(corpus, traces) == _per_message(corpus, traces)
 
 
 #: attribute -> a different value for it (or the same, to skip the record)
@@ -382,6 +410,29 @@ def test_equal_refined_annotations_are_one_object(mixed_corpus):
     anns = [a for row in refined.values() for a in row]
     assert len({id(a) for a in anns}) == len(set(anns)) < len(anns)
     assert len(set(refined.values())) < len(refined)
+
+
+def test_scoring_matches_labels_once_per_distinct_row(mixed_corpus, monkeypatch):
+    """A row is what scoring reads of a message: its format fields, each
+    annotation's field, type and functions, and its truth.  Evidence is not
+    part of it, so messages whose annotations differ only there share one."""
+    messages, traces, truths = read_inputs(mixed_corpus, mixed_corpus)
+    formats, annotations = infer_corpus(messages, traces)
+    matched = _counting(
+        monkeypatch, evaluation.MetricsReport, "_match_labels", lambda *args: None
+    )
+    report = score_corpus(formats, annotations, truths)
+
+    def row(mid, evidence):
+        labels = tuple(
+            (a.field, a.inferred_type, a.inferred_functions, a.evidence if evidence else ())
+            for a in annotations[mid]
+        )
+        return formats[mid].fields, labels, truths[mid]
+
+    rows = {row(mid, False) for mid in formats}
+    assert len(matched) == len(rows) < len({row(mid, True) for mid in formats})
+    assert report.messages == len(messages)
 
 
 _CONFIGS = {"default": {}, "baseline": {"baseline": True},

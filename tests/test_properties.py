@@ -215,6 +215,58 @@ def test_a_repeated_message_adds_its_counts_again_and_changes_no_ratio(corpus):
     check(once, twice)
 
 
+def _flipped(field):
+    return Field(field.start, field.end, not field.accessed)
+
+
+@st.composite
+def repeated_rows(draw):
+    """A scored corpus plus copies of its messages under ids that sort among
+    theirs.  A copy repeats its message's row, or differs from it only in
+    its annotations' evidence, or only in ``accessed``: of one true field, or
+    of every inferred field."""
+    formats, annotations, truths = draw(scored_corpora())
+    originals = sorted(formats)
+    for i in range(draw(st.integers(1, 12))):
+        src = draw(st.sampled_from(originals))
+        fields, anns, truth = formats[src].fields, annotations[src], truths[src]
+        change = draw(st.sampled_from(["none", "evidence", "true field", "fields"]))
+        if change == "evidence":
+            anns = tuple(
+                dataclasses.replace(a, evidence=(Evidence("type.static", i, "n"),))
+                for a in anns
+            )
+        elif change == "true field":
+            k = draw(st.integers(0, len(truth) - 1))
+            flipped = dataclasses.replace(truth[k], field=_flipped(truth[k].field))
+            truth = truth[:k] + (flipped,) + truth[k + 1 :]
+        elif change == "fields":
+            fields = tuple(map(_flipped, fields))
+            anns = tuple(dataclasses.replace(a, field=_flipped(a.field)) for a in anns)
+        mid = f"{src}-{i}" if draw(st.booleans()) else f"l{i}"
+        formats[mid] = FormatResult(mid, MSG_LEN, fields)
+        annotations[mid], truths[mid] = anns, truth
+    return formats, annotations, truths
+
+
+def scored_one_by_one(formats, annotations, truths):
+    """The reference: every message scored on its own, in id order."""
+    report = MetricsReport()
+    for mid in sorted(formats):
+        report.add_message(formats[mid], annotations[mid], truths[mid])
+    return report
+
+
+@given(repeated_rows())
+@settings(max_examples=150, deadline=None)
+def test_scoring_by_row_gives_the_bytes_of_scoring_by_message(corpus):
+    """``score_corpus`` scores each distinct row once, weighted by its
+    messages; ``metrics.json`` must keep the bytes of scoring each message."""
+    assert encode(score_corpus(*corpus).to_dict()) == encode(
+        scored_one_by_one(*corpus).to_dict()
+    )
+
+
 _fields = st.builds(
     lambda start, size, accessed: Field(start, start + size, accessed),
     st.integers(0, MSG_LEN), st.integers(0, 3), st.booleans(),
