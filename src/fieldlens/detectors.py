@@ -15,14 +15,25 @@ assigns the field's one type.  Every function rule then runs, and all that
 fire stack; conflicts are left to the refinement stage.  A disabled rule is
 skipped as if it were not in the table.
 
-Only the rules marked ``reads_bytes`` (``func.delim``, ``func.filename``)
-read ``V(f)``; every other rule is a function of the trace alone and is
-given ``message=None``.  So traces of one shape (``model.shape_keys``) share
-each field's ``I(f)``, loops and structural verdicts: ``annotate_format``
-keeps them in a memo that ``pipeline.infer_corpus`` holds per shape for one
-call.  The byte-reading rules read no more of a message than the field and
-one byte on each side, so that memo also keeps each field's annotation by
-that byte window, and they run once per distinct window, not per message.
+Every rule has a trace part (``Rule.fires``), given ``I(f)`` and the loops
+but no message.  Two rules also read ``V(f)``, through a byte part
+(``Rule.on_bytes``) that declares the slices of a message it reads
+(``BytePart.reads``) and is handed only those bytes.  Their trace part keeps
+what the byte part needs, or rules the rule out from the trace alone:
+``func.delim`` keeps the ``(const byte, seq)`` of each loop-terminating
+one-byte compare in ``I(f)`` and its byte part reads the four edge bytes
+(the byte before the field, its first and last, the byte after);
+``func.filename`` needs a field of three bytes or more and its byte part
+reads the field.  A ruled-out rule is a trace verdict like the other nine.
+
+So traces of one shape (``model.shape_keys``) share each field's ``I(f)``,
+loops and trace verdicts: ``annotate_format`` keeps them, with the byte
+parts left open, in a memo that ``pipeline.infer_corpus`` holds per shape
+for one call.  That memo also keeps each field's annotation by the bytes
+that its open byte parts read, one byte string per declared slice: no bytes
+when both are ruled out, so every message gets one annotation, else the
+edges, the field, or both.  The byte parts run once per distinct such
+bytes, not per message.
 """
 
 from __future__ import annotations
@@ -31,7 +42,8 @@ import re
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .model import (
     ArgRole,
@@ -100,8 +112,8 @@ Loops = list[tuple[str, tuple[InstructionRecord, ...]]]
 Found = Optional[list[tuple[Optional[int], str]]]
 
 # printable ASCII path: optional '/'- or '\'-separated segments and a final
-# name with a 1..5 character extension
-_FILENAME_RE = re.compile(r"^(?:[\w\- .]*[/\\])*[\w\- ]+\.[A-Za-z0-9]{1,5}$")
+# name with a 1..5 character extension (a bytes pattern's \w is ASCII)
+_FILENAME_RE = re.compile(rb"(?:[\w\- .]*[/\\])*[\w\- ]+\.[A-Za-z0-9]{1,5}\Z")
 
 
 def _const_value(const: bytes) -> int:
@@ -144,7 +156,7 @@ def _covering_loops(trace: ExecutionTrace, field: Field) -> Loops:
     return [(loop_id, recs) for loop_id, recs in trace.loops.items() if loop_id in common]
 
 
-def _string_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
+def _string_rule(field: Field, records: Records, loops: Loops) -> Found:
     if not loops:
         return None
     # per-byte single-target constant comparisons
@@ -162,7 +174,7 @@ def _string_rule(field: Field, records: Records, loops: Loops, message: Optional
     return None
 
 
-def _bytes_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
+def _bytes_rule(field: Field, records: Records, loops: Loops) -> Found:
     for loop_id, recs in loops:
         footprint: set[int] = set()
         for rec in recs:
@@ -173,7 +185,7 @@ def _bytes_rule(field: Field, records: Records, loops: Loops, message: Optional[
     return None
 
 
-def _group_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
+def _group_rule(field: Field, records: Records, loops: Loops) -> Found:
     # the alternatives must target the same byte span: two fixed-value checks
     # against different bytes of a merged field are not a value group
     span = frozenset(field.offsets)
@@ -189,7 +201,7 @@ def _group_rule(field: Field, records: Records, loops: Loops, message: Optional[
     return None
 
 
-def _integer_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
+def _integer_rule(field: Field, records: Records, loops: Loops) -> Found:
     arith = [r for r in records if r.op_class is OpClass.ARITH_BITWISE]
     if arith:
         return [(r.seq, "") for r in arith[:2]]
@@ -202,7 +214,7 @@ def _integer_rule(field: Field, records: Records, loops: Loops, message: Optiona
     return None
 
 
-def _static_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
+def _static_rule(field: Field, records: Records, loops: Loops) -> Found:
     anchors = [r.seq for r in _const_compares(records) if r.cmp_result is True]
     skip = set(anchors)
     if not anchors or any(_is_functional(r) for r in records if r.seq not in skip):
@@ -210,14 +222,14 @@ def _static_rule(field: Field, records: Records, loops: Loops, message: Optional
     return [(anchors[0], "")]
 
 
-def _command_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
+def _command_rule(field: Field, records: Records, loops: Loops) -> Found:
     for rec in _const_compares(records):
         if rec.cmp_result is True and rec.triggered_jump:
             return [(rec.seq, "")]
     return None
 
 
-def _length_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
+def _length_rule(field: Field, records: Records, loops: Loops) -> Found:
     for rec in records:
         if rec.loop_role is LoopRole.TERMINATION:
             return [(rec.seq, "loop bound")]
@@ -228,25 +240,33 @@ def _length_rule(field: Field, records: Records, loops: Loops, message: Optional
     return None
 
 
-def _delim_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
-    data = message.data
-    edge_values = set()
-    for pos in (field.start - 1, field.start, field.end, field.end + 1):
-        if 0 <= pos < len(data):
-            edge_values.add(data[pos])
-    for rec in records:
-        if (
-            rec.loop_role is LoopRole.TERMINATION
-            and rec.op_class is OpClass.COMPARE
-            and rec.compared_const is not None
-            and len(rec.compared_const) == 1
-            and rec.compared_const[0] in edge_values
-        ):
-            return [(rec.seq, "")]
+def _delim_rule(field: Field, records: Records, loops: Loops) -> list[tuple[int, int]]:
+    """The ``(const byte, seq)`` of each loop-terminating one-byte compare in
+    I(f), in record order: the delimiters that an edge byte may match."""
+    return [
+        (rec.compared_const[0], rec.seq)
+        for rec in records
+        if rec.loop_role is LoopRole.TERMINATION
+        and rec.op_class is OpClass.COMPARE
+        and rec.compared_const is not None
+        and len(rec.compared_const) == 1
+    ]
+
+
+def _edges(field: Field) -> tuple[slice, ...]:
+    """The byte before the field, its first and last bytes, and the byte
+    after it, where the message has them."""
+    return slice(max(0, field.start - 1), field.start + 1), slice(field.end, field.end + 2)
+
+
+def _delim_on_edges(delimiters: list[tuple[int, int]], edges: bytes) -> Found:
+    for const, seq in delimiters:
+        if const in edges:
+            return [(seq, "")]
     return None
 
 
-def _checksum_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
+def _checksum_rule(field: Field, records: Records, loops: Loops) -> Found:
     span = frozenset(field.offsets)
     for rec in records:
         if rec.op_class is not OpClass.COMPARE or rec.operand_lineage is None:
@@ -259,28 +279,45 @@ def _checksum_rule(field: Field, records: Records, loops: Loops, message: Option
     return None
 
 
-def _filename_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
-    raw = message.data[field.start : field.end + 1]
-    if len(raw) < 3 or not all(0x20 <= b <= 0x7E for b in raw):
-        return None
-    text = raw.decode("ascii")
-    return [(None, text)] if _FILENAME_RE.match(text) else None
+def _filename_rule(field: Field, records: Records, loops: Loops) -> bool:
+    """A file name takes three bytes or more."""
+    return len(field) >= 3
 
 
-def _aligned_rule(field: Field, records: Records, loops: Loops, message: Optional[Message]) -> Found:
+def _span(field: Field) -> tuple[slice, ...]:
+    return (slice(field.start, field.end + 1),)
+
+
+def _filename_on_field(_: bool, raw: bytes) -> Found:
+    return [(None, raw.decode("ascii"))] if _FILENAME_RE.match(raw) else None
+
+
+def _aligned_rule(field: Field, records: Records, loops: Loops) -> Found:
     if any(_is_functional(r) for r in records):
         return None
     return [(None, "no functional operations")]
 
 
 @dataclass(frozen=True)
+class BytePart:
+    """The part of a rule that reads a message: ``reads`` gives the slices
+    of a message that it reads for a field, and ``fires`` is handed what
+    the rule's trace part kept and those bytes, joined."""
+
+    reads: Callable[[Field], tuple[slice, ...]]
+    fires: Callable[[Any, bytes], Found]
+
+
+@dataclass(frozen=True)
 class Rule:
     id: str
     label: Union[SemanticType, SemanticFunction]
-    fires: Callable[[Field, Records, Loops, Optional[Message]], Found]
+    #: the trace part, given no message: what the rule finds, or for a rule
+    #: with a byte part what that part needs, falsy when the trace alone
+    #: rules the rule out
+    fires: Callable[[Field, Records, Loops], Any]
     summary: str
-    #: the rule reads ``V(f)``; every other rule is given ``message=None``
-    reads_bytes: bool = False
+    on_bytes: Optional[BytePart] = None
 
 
 #: The detector library, in the order ``annotate`` runs it.
@@ -301,11 +338,11 @@ LIBRARY: tuple[Rule, ...] = (
          "field terminates a loop, is a length argument to a library call, or drives pointer/counter stepping"),
     Rule("func.delim", SemanticFunction.DELIM, _delim_rule,
          "a loop-terminating comparison against a constant that sits at the field's edge",
-         reads_bytes=True),
+         BytePart(_edges, _delim_on_edges)),
     Rule("func.checksum", SemanticFunction.CHECKSUM, _checksum_rule,
          "field compared against a value accumulated from two or more consecutive message bytes"),
     Rule("func.filename", SemanticFunction.FILENAME, _filename_rule,
-         "field value follows a file naming convention", reads_bytes=True),
+         "field value follows a file naming convention", BytePart(_span, _filename_on_field)),
     Rule("func.aligned", SemanticFunction.ALIGNED, _aligned_rule,
          "no functional operations touch the field"),
 )
@@ -317,18 +354,23 @@ RULE_IDS: tuple[str, ...] = tuple(r.id for r in LIBRARY)
 
 @dataclass
 class Structure:
-    """One field's structural verdicts in traces of one shape, and the
-    annotations already built for it."""
+    """One field's verdicts in traces of one shape, and the annotations
+    already built for it."""
 
-    records: Records  # I(f)
-    loops: Loops
+    field: Field
     #: each enabled rule that can still matter, in table order, with its
-    #: evidence, or ``None`` for a rule that reads the field's bytes
+    #: evidence, or ``None`` while its byte part is open
     steps: tuple[tuple[Rule, Optional[tuple[Evidence, ...]]], ...]
-    #: the byte-reading rules' findings on a message -> its annotation
+    #: each open byte part, in table order, with what its trace part kept
+    #: and the slices of a message that it reads
+    open: tuple[tuple[BytePart, Any, tuple[slice, ...]], ...]
+    #: a message's bytes -> one byte string per slice that an open part
+    #: reads; ``None`` when no part is open
+    key: Optional[Callable[[bytes], Any]]
+    #: that key -> the field's annotation
+    by_bytes: dict[Any, FieldAnnotation] = dc_field(default_factory=dict)
+    #: the open parts' findings -> the field's annotation
     built: dict[tuple, FieldAnnotation] = dc_field(default_factory=dict)
-    #: the field's byte window in a message (``_window``) -> its annotation
-    by_window: dict[bytes, FieldAnnotation] = dc_field(default_factory=dict)
 
 
 #: field -> its structure, for the traces of one shape
@@ -340,50 +382,49 @@ def _evidence(rule: Rule, found: Found) -> tuple[Evidence, ...]:
 
 
 def _structure(field: Field, trace: ExecutionTrace, disabled: frozenset[str]) -> Structure:
-    """Run every rule that does not read the field's bytes.  Type rules after
-    the first of them that fires are dropped: they can never run."""
+    """Run every rule's trace part.  A byte part stays open unless its trace
+    part rules the rule out.  Type rules after the first of them that fires
+    are dropped: they can never run."""
     records = instructions_for(trace, field)
     loops = _covering_loops(trace, field)
-    steps = []
+    steps, open_parts = [], []
     typed = False
     for rule in LIBRARY:
         is_type = isinstance(rule.label, SemanticType)
         if rule.id in disabled or (is_type and typed):
             continue
-        if rule.reads_bytes:
+        found = rule.fires(field, records, loops)
+        if rule.on_bytes is not None and found:
             steps.append((rule, None))
+            open_parts.append((rule.on_bytes, found, rule.on_bytes.reads(field)))
             continue
-        evidence = _evidence(rule, rule.fires(field, records, loops, None))
+        evidence = _evidence(rule, found)  # a ruled-out byte rule found nothing
         steps.append((rule, evidence))
         typed = typed or (is_type and bool(evidence))
-    return Structure(records, loops, tuple(steps))
+    slices = [sl for *_, reads in open_parts for sl in reads]
+    key = itemgetter(*slices) if slices else None
+    return Structure(field, tuple(steps), tuple(open_parts), key)
 
 
-def _window(field: Field) -> slice:
-    """The bytes of a message that the ``reads_bytes`` rules read: the
-    field and one byte on each side of it, where the message has one."""
-    return slice(max(0, field.start - 1), field.end + 2)
-
-
-def _finish(field: Field, message: Message, s: Structure) -> FieldAnnotation:
-    """The field's annotation in ``message``.  Messages with one byte window
-    (``_window``) get one annotation, so the byte-reading rules run once per
-    distinct window."""
-    window = message.data[_window(field)]
-    ann = s.by_window.get(window)
+def _finish(message: Message, s: Structure) -> FieldAnnotation:
+    """The field's annotation in ``message``.  Messages that agree on the
+    bytes the open byte parts read get one annotation, so those parts run
+    once per distinct such bytes; with no part open, every message gets
+    the same one."""
+    key = s.key(message.data) if s.key else None
+    ann = s.by_bytes.get(key)
     if ann is None:
-        ann = s.by_window[window] = _build(field, message, s)
+        ann = s.by_bytes[key] = _build(message.data, s)
     return ann
 
 
-def _build(field: Field, message: Message, s: Structure) -> FieldAnnotation:
-    """Run the byte-reading rules on ``message``, then apply the table order:
-    the first type rule that fires sets the type, function rules stack.
-    Messages whose byte-reading rules find the same share one annotation."""
+def _build(data: bytes, s: Structure) -> FieldAnnotation:
+    """Run the open byte parts on ``data``, then apply the table order: the
+    first type rule that fires sets the type, function rules stack.
+    Messages whose byte parts find the same share one annotation."""
     found = tuple(
-        tuple(rule.fires(field, s.records, s.loops, message) or ())
-        for rule, evidence in s.steps
-        if evidence is None
+        tuple(part.fires(kept, b"".join([data[sl] for sl in reads])) or ())
+        for part, kept, reads in s.open
     )
     ann = s.built.get(found)
     if ann is not None:
@@ -404,7 +445,7 @@ def _build(field: Field, message: Message, s: Structure) -> FieldAnnotation:
             functions.add(rule.label)
         evidence += ev
     ann = s.built[found] = FieldAnnotation(
-        field, sem_type, frozenset(functions), tuple(evidence)
+        s.field, sem_type, frozenset(functions), tuple(evidence)
     )
     return ann
 
@@ -417,7 +458,7 @@ def annotate(
 ) -> FieldAnnotation:
     """Run the library over one field: the first type rule that fires sets
     the type, every function rule that fires adds its function."""
-    return _finish(field, message, _structure(field, trace, frozenset(disabled_rules)))
+    return _finish(message, _structure(field, trace, frozenset(disabled_rules)))
 
 
 def annotate_format(
@@ -440,5 +481,5 @@ def annotate_format(
         structure = memo.get(f)
         if structure is None:
             structure = memo[f] = _structure(f, trace, disabled)
-        out.append(_finish(f, message, structure))
+        out.append(_finish(message, structure))
     return tuple(out)

@@ -71,10 +71,12 @@ def infer_corpus(
     Messages whose traces have one shape (``model.shape_keys``) are handled
     by the same instructions, so the shape's format is extracted once and
     every such message gets its fields.  Each (shape, field) is looked up
-    and run through the rules that do not read the message's bytes once;
-    the rules that do run once per distinct byte window of the field
-    (``detectors._window``).  Each distinct operator-sequence pair is
-    aligned once.  All of these memos live for this call only.
+    and run through every rule's trace part once.  The byte parts that the
+    trace leaves open (delim's edge bytes, filename's field bytes) run once
+    per distinct bytes they read, and a field with none open gets one
+    annotation for all its messages (``detectors.Structure``).  Each
+    distinct operator-sequence pair is aligned once.  All of these memos
+    live for this call only.
     """
     formats: dict[str, FormatResult] = {}
     annotations: dict[str, tuple[FieldAnnotation, ...]] = {}

@@ -12,11 +12,11 @@ revokes the extreme-entropy types (static, bytes) and donates types to
 unknown fields.  Finally, function labels that contradict the field's final
 type are dropped.
 
-Messages of one format hold equal annotations, so the revocation and
-constraint steps run through one per-annotation step, ``_refine_each``:
+Messages of one format hold equal annotations, so the revocation, command
+and constraint steps run through one per-annotation walk, ``_refine_each``:
 it builds each distinct annotation's result once (keyed by value; for
-revocation, per cluster) and every message that holds an equal annotation
-gets that one result.  Equal annotations give equal reports, since
+revocation, per cluster; the command and constraint steps in one walk) and
+every message that holds an equal annotation gets that one result.  Equal annotations give equal reports, since
 ``Field`` equality includes ``accessed``.  The entropy fallback depends on
 the message's other fields, so it runs per message.  The memo lives for one
 call.
@@ -234,7 +234,7 @@ def entropy_refine(
             logged = (rng, "revoke-type", ann.inferred_type.name, rule[1], h_of[rng], med)
             return replace(ann, inferred_type=SemanticType.UNKNOWN), (logged,)
 
-        _refine_each({mid: refined[mid] for mid in ids}, revoke, revoked)
+        _refine_each({mid: refined[mid] for mid in ids}, [(revoke, revoked)])
 
         # entropy fallback for unknown fields, donors are typed fields
         for mid in ids:
@@ -277,13 +277,16 @@ def constraint_refine(
 
     The winning command position (when clustering ran) first gains the
     COMMAND label, and GROUP when the field is still untyped; the constraint
-    sweep then runs over the result.  Each step refines each distinct
-    annotation once, and every message that holds it gets the one result
-    and is named in its events.
+    sweep then runs over the result.  Both steps run in one walk that
+    refines each distinct annotation once, and every message that holds it
+    gets the one result and is named in its events.  The sweep's verdict
+    depends on the type and functions alone, so it is decided once per
+    distinct such label.
     """
     refined = {mid: list(anns) for mid, anns in annotations.items()}
     commanded: Log = {}
     constrained: Log = {}
+    steps: list[Step] = []
 
     if clustering is not None and clustering.command_pos is not None:
         pos = clustering.command_pos
@@ -304,9 +307,25 @@ def constraint_refine(
                 logged.append((pos, "assign-type", "GROUP", "untyped clustering basis"))
             return ann, tuple(logged)
 
-        _refine_each(refined, command, commanded)
+        steps.append((command, commanded))
 
-    _refine_each(refined, _constrain, constrained)
+    verdicts: dict[tuple[SemanticType, frozenset[SemanticFunction]], Verdict] = {}
+
+    def constrain(ann: FieldAnnotation) -> Outcome:
+        label = ann.inferred_type, ann.inferred_functions
+        verdict = verdicts.get(label)
+        if verdict is None:
+            verdict = verdicts[label] = _constraint_verdict(*label)
+        bad, drops = verdict
+        if not bad:
+            return ann, ()
+        rng = (ann.field.start, ann.field.end)
+        return replace(ann, inferred_functions=ann.inferred_functions - bad), tuple(
+            (rng, "drop-function", name, reason) for name, reason in drops
+        )
+
+    steps.append((constrain, constrained))
+    _refine_each(refined, steps)
     events = _decisions(commanded) + _decisions(constrained)
     return {mid: tuple(anns) for mid, anns in refined.items()}, events
 
@@ -319,38 +338,43 @@ Outcome = tuple[FieldAnnotation, tuple[tuple, ...]]
 #: one step's audit: each logged tuple -> the ids of the messages that log it
 Log = dict[tuple, list[str]]
 
+#: one step of ``_refine_each``: its refinement and the audit it logs to
+Step = tuple[Callable[[FieldAnnotation], Outcome], Log]
 
-def _constrain(ann: FieldAnnotation) -> Outcome:
-    bad = {
-        fn for fn in ann.inferred_functions if ann.inferred_type not in CONSTRAINT_TABLE[fn]
-    }
-    if not bad:
-        return ann, ()
-    rng = (ann.field.start, ann.field.end)
-    logged = []
+
+#: what the constraint sweep decides for a ``(type, functions)`` label: the
+#: functions it drops, and each one's name and reason, by name
+Verdict = tuple[frozenset[SemanticFunction], tuple[tuple[str, str], ...]]
+
+
+def _constraint_verdict(
+    sem_type: SemanticType, functions: frozenset[SemanticFunction]
+) -> Verdict:
+    bad = frozenset(fn for fn in functions if sem_type not in CONSTRAINT_TABLE[fn])
+    drops = []
     for fn in sorted(bad, key=lambda f: f.name):
         allowed = "/".join(sorted(t.name for t in CONSTRAINT_TABLE[fn]))
-        reason = f"requires {allowed}, field is {ann.inferred_type.name}"
-        logged.append((rng, "drop-function", fn.name, reason))
-    return replace(ann, inferred_functions=ann.inferred_functions - bad), tuple(logged)
+        drops.append((fn.name, f"requires {allowed}, field is {sem_type.name}"))
+    return bad, tuple(drops)
 
 
-def _refine_each(
-    refined: dict[str, list[FieldAnnotation]],
-    refine: Callable[[FieldAnnotation], Outcome],
-    log: Log,
-) -> None:
-    """Replace each annotation in ``refined`` with ``refine``'s result and
-    add the message to ``log`` under each event that result logs.
-    ``refine`` runs once per distinct annotation."""
-    memo: dict[FieldAnnotation, Outcome] = {}
+def _refine_each(refined: dict[str, list[FieldAnnotation]], steps: Sequence[Step]) -> None:
+    """Replace each annotation in ``refined`` with what ``steps`` make of
+    it, each step refining the one before's result, and add the message to
+    each step's log under each event that step logs.  The steps run once
+    per distinct annotation, all in one walk."""
+    memo: dict[FieldAnnotation, tuple[FieldAnnotation, tuple[tuple[Log, tuple], ...]]] = {}
     for mid, anns in refined.items():
         for idx, ann in enumerate(anns):
             hit = memo.get(ann)
             if hit is None:
-                hit = memo[ann] = refine(ann)
+                result, logged = ann, []
+                for refine, log in steps:
+                    result, entries = refine(result)
+                    logged += [(log, entry) for entry in entries]
+                hit = memo[ann] = result, tuple(logged)
             anns[idx], logged = hit
-            for entry in logged:
+            for log, entry in logged:
                 log.setdefault(entry, []).append(mid)
 
 

@@ -210,19 +210,6 @@ def formats_to_doc(
     return doc
 
 
-def annotation_to_dict(ann: FieldAnnotation) -> dict:
-    return {
-        "start": ann.field.start,
-        "end": ann.field.end,
-        "accessed": ann.field.accessed,
-        "type": ann.inferred_type.name,
-        "functions": sorted(fn.name for fn in ann.inferred_functions),
-        "evidence": [
-            {"rule": e.rule, "seq": e.seq, "note": e.note} for e in ann.evidence
-        ],
-    }
-
-
 def annotation_from_dict(doc: dict) -> FieldAnnotation:
     return FieldAnnotation(
         _field_from_dict(doc),
@@ -239,14 +226,30 @@ def annotation_from_dict(doc: dict) -> FieldAnnotation:
 def annotations_to_doc(
     annotations: Mapping[str, Sequence[FieldAnnotation]]
 ) -> dict:
-    """Message id -> its annotations; equal annotations share one dict, and
-    messages with equal annotations share one list."""
+    """Message id -> its annotations.  Equal annotations share one dict,
+    messages with equal annotations one list, equal evidence one dict and
+    equal function sets one list, so ``encode`` reuses the text of each."""
     dicts: dict[FieldAnnotation, dict] = {}
     lists: dict[tuple[FieldAnnotation, ...], list] = {}
+    evidence: dict[Evidence, dict] = {}
+    functions: dict[frozenset[SemanticFunction], list] = {}
 
     def entry(ann: FieldAnnotation) -> dict:
         if ann not in dicts:
-            dicts[ann] = annotation_to_dict(ann)
+            fns = ann.inferred_functions
+            if fns not in functions:
+                functions[fns] = sorted(fn.name for fn in fns)
+            for e in ann.evidence:
+                if e not in evidence:
+                    evidence[e] = {"rule": e.rule, "seq": e.seq, "note": e.note}
+            dicts[ann] = {
+                "start": ann.field.start,
+                "end": ann.field.end,
+                "accessed": ann.field.accessed,
+                "type": ann.inferred_type.name,
+                "functions": functions[fns],
+                "evidence": [evidence[e] for e in ann.evidence],
+            }
         return dicts[ann]
 
     def entries(anns: tuple[FieldAnnotation, ...]) -> list:

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -453,33 +456,89 @@ _EDGE_BYTES = st.sampled_from(b"\r\n./a")
 
 
 @st.composite
-def _windowed(draw):
-    """A message, a field of it, termination compares against its bytes, and
-    a second message whose bytes outside the field's window differ."""
+def _two_messages(draw):
+    """A field of two messages of one length, and compares against its
+    bytes: one-byte or two-byte constants, loop bounds or not."""
     n = draw(st.integers(1, 10))
     data, other = (bytes(draw(st.lists(_EDGE_BYTES, min_size=n, max_size=n))) for _ in "ab")
     start = draw(st.integers(0, n - 1))
     field = Field(start, draw(st.integers(start, n - 1)))
-    records = tuple(
-        cmp(seq, {draw(st.sampled_from(field.offsets))}, bytes([const]), True,
-            loop_id="g", loop_role=LoopRole.TERMINATION)
-        for seq, const in enumerate(draw(st.lists(_EDGE_BYTES, max_size=3)), 1)
-    )
-    window = detectors._window(field)
-    spliced = other[: window.start] + data[window] + other[window.stop :]
-    return field, records, Message("m", data), Message("m", spliced)
+    records = []
+    for seq in range(1, draw(st.integers(0, 3)) + 1):
+        const = bytes(draw(st.lists(_EDGE_BYTES, min_size=1, max_size=2)))
+        bound = draw(st.booleans())
+        records.append(cmp(seq, {draw(st.sampled_from(field.offsets))}, const, True,
+                           loop_id="g" if bound else None,
+                           loop_role=LoopRole.TERMINATION if bound else None))
+    return field, tuple(records), data, other
+
+
+def _by_definition(rule, field, records, data):
+    """What ``rule`` finds on the whole message, as its summary defines it."""
+    if rule.label is SemanticFunction.DELIM:
+        edges = {data[p] for p in (field.start - 1, field.start, field.end, field.end + 1)
+                 if 0 <= p < len(data)}
+        return next(
+            ((rule.id, r.seq, "") for r in records
+             if r.loop_role is LoopRole.TERMINATION and len(r.compared_const) == 1
+             and r.compared_const[0] in edges),
+            None,
+        )
+    raw = data[field.start : field.end + 1]
+    text = raw.decode("ascii")
+    if len(raw) >= 3 and text.isprintable() and re.fullmatch(
+        r"(?:[\w\- .]*[/\\])*[\w\- ]+\.[A-Za-z0-9]{1,5}", text
+    ):
+        return rule.id, None, text
+    return None
 
 
 @settings(max_examples=300, deadline=None)
-@given(_windowed())
-def test_byte_reading_rules_read_only_the_field_window(case):
-    """``_finish`` keeps a field's annotation by its byte window, so every
-    ``reads_bytes`` rule must find the same on two messages of one length
-    that agree on that window, whatever their other bytes."""
-    field, records, message, spliced = case
-    assert len(spliced) == len(message)
-    for rule in LIBRARY:
-        if rule.reads_bytes:
-            assert rule.fires(field, records, [], spliced) == rule.fires(
-                field, records, [], message
-            ), rule.id
+@given(_two_messages())
+def test_each_byte_part_reads_only_its_declared_bytes(case):
+    """A field's annotation is kept by the bytes that its open byte parts
+    declare (``BytePart.reads``), so each byte part must find the same on
+    two messages that agree on those bytes, whatever their other bytes; and
+    what it finds there is what its rule finds on the whole message."""
+    field, records, data, other = case
+    byte_rules = [rule for rule in LIBRARY if rule.on_bytes is not None]
+    assert byte_rules
+    for rule in byte_rules:
+        declared = {p for sl in rule.on_bytes.reads(field) for p in range(len(data))[sl]}
+        spliced = bytes(data[p] if p in declared else other[p] for p in range(len(data)))
+        alone = set(RULE_IDS) - {rule.id}
+        found = [
+            annotate(field, trace(*records), Message("m", raw), alone).evidence
+            for raw in (data, spliced)
+        ]
+        assert found[0] == found[1], rule.id
+        expected = _by_definition(rule, field, records, data)
+        assert [(e.rule, e.seq, e.note) for e in found[0]] == ([expected] if expected else [])
+
+
+def test_delim_reads_no_byte_of_a_field_without_a_one_byte_loop_bound(monkeypatch):
+    """DELIM's trace part keeps the one-byte constants of the field's
+    loop-terminating compares; with none, the rule is decided by the trace
+    and its byte part never runs, however the field's edges read."""
+    runs = []
+
+    def counted(rule):
+        part = rule.on_bytes
+        return dataclasses.replace(rule, on_bytes=dataclasses.replace(
+            part, fires=lambda kept, raw: runs.append(raw) or part.fires(kept, raw)))
+
+    monkeypatch.setattr(detectors, "LIBRARY", tuple(
+        counted(r) if r.label is SemanticFunction.DELIM else r for r in LIBRARY))
+    field = Field(2, 4)
+    unbound = trace(
+        cmp(1, {2}, b"\r", True),  # bounds no loop
+        cmp(2, {3}, b"\r\n", True, loop_id="g", loop_role=LoopRole.TERMINATION),  # two bytes
+        mov(3, {4}, loop_id="g", loop_role=LoopRole.TERMINATION),  # compares nothing
+    )
+    bound = trace(cmp(1, {4}, b"\r", True, loop_id="g", loop_role=LoopRole.TERMINATION))
+    messages = [Message("m", raw) for raw in (b"ab\r\r\r\r", b"\r\nabc\r", b"xxxxxx")]
+    for message in messages:
+        assert SemanticFunction.DELIM not in annotate(field, unbound, message).inferred_functions
+    assert runs == []
+    found = [SemanticFunction.DELIM in annotate(field, bound, m).inferred_functions for m in messages]
+    assert found == [True, True, False] and runs == [b"b\r\r\r", b"\nac\r", b"xxxx"]

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldlens import detectors, evaluation, extraction, pipeline
+from fieldlens import detectors, evaluation, extraction, pipeline, refinement
 from fieldlens.detectors import RULE_IDS, FieldAnnotation, SemanticType, annotate_format
 from fieldlens.evaluation import load_ground_truth
 from fieldlens.extraction import extract_format, extract_format_baseline
@@ -259,27 +259,53 @@ def test_infer_corpus_equals_per_message_inference(specs, disabled, baseline):
     assert _docs(messages, inferred) == _docs(messages, alone)
 
 
+def _declared(field, trace):
+    """The offsets that the field's open byte parts read (``BytePart.reads``)."""
+    structure = detectors._structure(field, trace, frozenset())
+    return {p for _, _, reads in structure.open for sl in reads for p in range(sl.start, sl.stop)}
+
+
 @settings(max_examples=20, deadline=None)
 @given(seeds=st.tuples(st.integers(0, 999), st.integers(0, 999)), data=st.data())
 def test_messages_that_differ_inside_one_window_are_inferred_as_alone(seeds, data):
     """Each twin has its message's trace, so its shape, and new bytes inside
-    the byte window of one of its fields; that window also overlaps each
-    neighbour's.  The detectors' window memo must still give every field of
-    every message what inference one message at a time gives."""
+    the byte window of one of its fields (the field and one byte on each
+    side); that window also overlaps each neighbour's.  Every field of every
+    message must still get what inference one message at a time gives.  A
+    quiet twin changes only window bytes that the field's open byte parts
+    do not read, so that field's annotation is the message's own object."""
     messages, traces = _generated((2, seeds[0]), (2, seeds[1]))
-    twins = []
+    twins, quiet = [], []
+
+    def window(f, m):
+        return range(max(0, f.start - 1), min(f.end + 2, len(m)))
+
     for m in messages:
         fields = extract_format(m, traces[m.id]).fields
-        for k in range(2):
-            window = detectors._window(data.draw(st.sampled_from(fields)))
+        unread = [sorted(set(window(f, m)) - _declared(f, traces[m.id])) for f in fields]
+        for k in range(3):
             raw = bytearray(m.data)
-            for pos in range(window.start, min(window.stop, len(raw))):
-                raw[pos] = data.draw(st.sampled_from(m.data[pos : pos + 1] + b"\r\n./a"))
+            if k < 2:
+                for pos in window(data.draw(st.sampled_from(fields)), m):
+                    raw[pos] = data.draw(st.sampled_from(m.data[pos : pos + 1] + b"\r\n./a"))
+            else:
+                idx = data.draw(st.sampled_from([i for i, u in enumerate(unread) if u] or [None]))
+                if idx is None:
+                    continue
+                for pos in unread[idx]:
+                    raw[pos] = data.draw(st.sampled_from([b for b in b"\r\n./a" if b != raw[pos]]))
+                quiet.append((m.id, f"{m.id}-{k}", idx))
             twin = Message(f"{m.id}-{k}", bytes(raw))
             twins.append(twin)
             traces[twin.id] = ExecutionTrace(twin.id, traces[m.id].records)
     corpus = messages + twins
-    assert infer_corpus(corpus, traces) == _per_message(corpus, traces)
+    inferred = infer_corpus(corpus, traces)
+    assert inferred == _per_message(corpus, traces)
+    annotations = inferred[1]
+    for mid, twin_id, idx in quiet:
+        assert annotations[twin_id][idx] is annotations[mid][idx]
+
+
 
 
 #: attribute -> a different value for it (or the same, to skip the record)
@@ -412,6 +438,34 @@ def test_equal_refined_annotations_are_one_object(mixed_corpus):
     assert len(set(refined.values())) < len(refined)
 
 
+def test_constraint_verdicts_are_decided_once_per_label(mixed_corpus, monkeypatch):
+    """The constraint sweep drops what the field's type rules out of its
+    functions, so it decides once per distinct ``(type, functions)``."""
+    messages, traces, _ = read_inputs(mixed_corpus)
+    formats, annotations = infer_corpus(messages, traces)
+    clustering, refined, _ = refine_corpus(messages, formats, annotations, constraints_enabled=False)
+    decided = _counting(monkeypatch, refinement, "_constraint_verdict", lambda *label: label)
+    refinement.constraint_refine(refined, clustering)
+    assert len(decided) == len(set(decided)) < len({a for anns in refined.values() for a in anns})
+
+
+def test_byte_parts_run_once_per_distinct_read(mixed_corpus, monkeypatch):
+    """The open byte parts of a (shape, field) run once per distinct bytes
+    they read: 63 times for the 144 fields of this corpus, where keying by
+    each field's byte window (the field and one byte on each side) ran them
+    90 times."""
+    messages, traces, _ = read_inputs(mixed_corpus)
+    formats, _ = infer_corpus(messages, traces)
+    windows = {
+        (len(m), traces[m.id].records, f, m.data[max(0, f.start - 1) : f.end + 2])
+        for m in messages
+        for f in formats[m.id].fields
+    }
+    runs = _counting(monkeypatch, detectors, "_build", lambda *args: None)
+    infer_corpus(messages, traces)
+    assert len(runs) == 63 and len(windows) == 90
+
+
 def test_scoring_matches_labels_once_per_distinct_row(mixed_corpus, monkeypatch):
     """A row is what scoring reads of a message: its format fields, each
     annotation's field, type and functions, and its truth.  Evidence is not
@@ -519,6 +573,11 @@ def test_equal_annotations_share_one_dict(small_corpus):
     distinct = {a for anns in annotations.values() for a in anns}
     assert len({id(d) for d in dicts}) == len(distinct) < len(dicts)
     assert [d["accessed"] for d in doc["x"]] == [True, False]
+    evidence = [e for d in dicts for e in d["evidence"]]
+    shared = {e for a in distinct for e in a.evidence}
+    assert len({id(e) for e in evidence}) == len(shared) < sum(len(a.evidence) for a in distinct)
+    functions = [d["functions"] for d in dicts]
+    assert len({id(f) for f in functions}) == len({a.inferred_functions for a in distinct})
 
 
 @pytest.mark.parametrize(

@@ -129,17 +129,55 @@ def test_each_rule_id_is_spelled_once():
     assert spelled == Counter(RULE_IDS)
 
 
+def _function(fn):
+    return ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+
+
+def _loads(fn, param):
+    return any(
+        isinstance(node, ast.Name) and node.id == param and isinstance(node.ctx, ast.Load)
+        for node in ast.walk(fn)
+    )
+
+
 def test_a_rule_reads_the_message_only_if_marked_as_reading_bytes():
-    """Rules not marked ``reads_bytes`` run once per trace shape, given no
-    message, so a rule that loads its message parameter must be marked."""
+    """A rule's trace part runs once per (shape, field), given no message:
+    it takes the field, I(f) and the covering loops and nothing else.  Only
+    a rule marked with a byte part (``on_bytes``) sees a message, through
+    that part, which is handed what its trace part kept and the bytes it
+    declares, and must read those bytes."""
     for rule in LIBRARY:
-        fn = ast.parse(textwrap.dedent(inspect.getsource(rule.fires))).body[0]
-        param = fn.args.args[3].arg
-        loads = any(
-            isinstance(node, ast.Name) and node.id == param and isinstance(node.ctx, ast.Load)
-            for node in ast.walk(fn)
-        )
-        assert loads == rule.reads_bytes, rule.id
+        trace_part = _function(rule.fires).args
+        assert [a.arg for a in trace_part.args] == ["field", "records", "loops"], rule.id
+        assert not (trace_part.vararg or trace_part.kwarg or trace_part.kwonlyargs), rule.id
+        if rule.on_bytes is not None:
+            byte_part = _function(rule.on_bytes.fires)
+            assert len(byte_part.args.args) == 2, rule.id
+            assert _loads(byte_part, byte_part.args.args[1].arg), rule.id
+
+
+def test_no_module_level_name_holds_an_empty_container():
+    """A module-level name bound to an empty dict, set or list is a memo
+    that would outlive the call that fills it, which
+    ``test_no_memo_outlives_a_call`` does not see.  Every memo lives for
+    one call."""
+    found = []
+    for name, tree in _modules():
+        for node in tree.body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            func = getattr(value, "func", None)  # ``defaultdict`` or ``collections.defaultdict``
+            called = getattr(func, "id", getattr(func, "attr", None))
+            empty = (
+                isinstance(value, ast.Dict) and not value.keys
+                or isinstance(value, ast.List) and not value.elts
+                or called in ("dict", "set", "list", "OrderedDict", "Counter")
+                and not value.args and not value.keywords
+                # a defaultdict's one argument is its factory, not its items
+                or called == "defaultdict" and len(value.args) <= 1 and not value.keywords
+            )
+            if empty:
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
 
 
 PERFBENCH = ROOT / "perfbench"
