@@ -35,6 +35,7 @@ from .reports import (
     formats_to_doc,
     read_json,
     write_json,
+    write_text,
 )
 from .traceio import IntegrityError, ParseError, serialize_corpus, serialize_ground_truth
 from .vm import ScriptError, TermReason, bundled_parsers, parse_script, run as vm_run
@@ -114,10 +115,10 @@ def _cmd_generate(args) -> int:
             print(f"{msg.id}: {report.terminated.name}", file=sys.stderr)
         all_messages.append(msg)
         all_traces.append(report.trace)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(serialize_corpus(all_messages, all_traces))
-        if args.with_ground_truth:
-            fh.write(serialize_ground_truth(all_truths))
+    text = serialize_corpus(all_messages, all_traces)
+    if args.with_ground_truth:
+        text += serialize_ground_truth(all_truths)
+    write_text(out, text)
     print(f"wrote {len(all_messages)} messages and traces to {out}")
     return 0
 

@@ -1,15 +1,22 @@
 """The JSON documents the stages write, and the checks on those they read.
 
-``write_json`` writes every document: ``encode`` gives the bytes of
+``write_text`` is the one function that writes a file, and ``write_json``
+writes every document through it: ``encode`` gives the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)``, and a final newline follows.
 ``encode`` builds the whole text before the file is opened, so a document
-that cannot be encoded leaves the file untouched.  It writes each container
-at the depth where it sits, already indented, and encodes a container
-object at most twice per depth, however often the document holds it, so
-the converters below share one object per distinct model value: one
-annotation dict per distinct ``FieldAnnotation`` and one list per distinct
-annotation tuple, one ``fields`` and one ``boundaries`` list per distinct
-field tuple.
+that cannot be encoded leaves the file untouched.  An existing file is
+rewritten in place and then trimmed to the new length, never truncated
+first: on ext4 (unless mounted ``noauto_da_alloc``) truncating a file and
+rewriting it starts writeback of the new data, and the next run's truncate
+of that file waits for that I/O, so back-to-back runs into one directory
+stalled on each other.  A reader mid-write can briefly see new bytes
+followed by old ones, as it could see a short file before.
+``encode`` writes each container at the depth where it sits, already
+indented, and encodes a container object at most twice per depth, however
+often the document holds it, so the converters below share one object per
+distinct model value: one annotation dict per distinct ``FieldAnnotation``
+and one list per distinct annotation tuple, one ``fields`` and one
+``boundaries`` list per distinct field tuple.
 ``fuzz_template`` writes one template format per distinct list of field
 entries, and one entry dict per distinct entry.  Every such
 memo is keyed by value: equal model values give equal reports, because
@@ -45,6 +52,8 @@ lengths to be the corpus's.  Ground truth is checked in the same way.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from typing import Mapping, Sequence
 
 from .detectors import Evidence, FieldAnnotation, SemanticFunction, SemanticType
@@ -147,14 +156,31 @@ def encode(doc) -> str:
     return f(doc) if f else enc(doc, 0)
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, creating it if it is missing.
+
+    The text is encoded before the file is opened, so a text that cannot be
+    encoded leaves ``path`` untouched.  An existing file is opened without
+    ``O_TRUNC``, rewritten in place and then, if it is a regular file,
+    trimmed to the written length: truncating first would make the next
+    rewrite wait for the writeback that ext4 starts on a truncated and
+    rewritten file.  The file keeps its inode, so a symlink, hard link or
+    file mode stays as it was, and ``/dev/stdout`` or ``os.devnull`` can be
+    written.  A reader mid-write can briefly see new bytes followed by old
+    ones, as it could see a short file before.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def write_json(path, doc) -> None:
-    """Write ``encode(doc)`` and a final newline.  The whole text is encoded
-    before the file is opened, so a ``doc`` that cannot be encoded is a
-    TypeError that leaves ``path`` untouched."""
-    text = encode(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    """``write_text`` of ``encode(doc)`` and a final newline.  The whole text
+    is encoded before the file is opened, so a ``doc`` that cannot be encoded
+    is a TypeError that leaves ``path`` untouched."""
+    write_text(path, encode(doc) + "\n")
 
 
 def read_json(path, convert):
@@ -235,14 +261,15 @@ def annotations_to_doc(
     functions: dict[frozenset[SemanticFunction], list] = {}
 
     def entry(ann: FieldAnnotation) -> dict:
-        if ann not in dicts:
+        d = dicts.get(ann)
+        if d is None:
             fns = ann.inferred_functions
             if fns not in functions:
                 functions[fns] = sorted(fn.name for fn in fns)
             for e in ann.evidence:
                 if e not in evidence:
                     evidence[e] = {"rule": e.rule, "seq": e.seq, "note": e.note}
-            dicts[ann] = {
+            d = dicts[ann] = {
                 "start": ann.field.start,
                 "end": ann.field.end,
                 "accessed": ann.field.accessed,
@@ -250,12 +277,13 @@ def annotations_to_doc(
                 "functions": functions[fns],
                 "evidence": [evidence[e] for e in ann.evidence],
             }
-        return dicts[ann]
+        return d
 
     def entries(anns: tuple[FieldAnnotation, ...]) -> list:
-        if anns not in lists:
-            lists[anns] = [entry(a) for a in anns]
-        return lists[anns]
+        found = lists.get(anns)
+        if found is None:
+            found = lists[anns] = [entry(a) for a in anns]
+        return found
 
     return {mid: entries(tuple(anns)) for mid, anns in sorted(annotations.items())}
 

@@ -681,3 +681,13 @@ def test_an_interchange_file_that_is_not_utf8_exits_2(tmp_path, corpus, anns, co
     assert proc.stderr.startswith(f"error: {bad}: line {line}: not UTF-8")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "reports").exists() and not (tmp_path / "metrics.json").exists()
+
+
+def test_generate_over_a_longer_file_leaves_the_bytes_of_a_fresh_one(tmp_path, corpus):
+    out = tmp_path / "over.fl"
+    out.write_bytes(b"# older and longer\n" * corpus.stat().st_size)
+    assert run_cli(
+        "generate-traces", "--parser", "binary-frame",
+        "--count", "12", "--seed", "3", "--with-ground-truth", "--out", out,
+    ) == 0
+    assert out.read_bytes() == corpus.read_bytes()

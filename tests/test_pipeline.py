@@ -3,11 +3,12 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldlens import detectors, evaluation, extraction, pipeline, refinement
+from fieldlens import detectors, evaluation, extraction, pipeline, refinement, reports
 from fieldlens.detectors import RULE_IDS, FieldAnnotation, SemanticType, annotate_format
 from fieldlens.evaluation import load_ground_truth
 from fieldlens.extraction import extract_format, extract_format_baseline
@@ -593,6 +594,49 @@ def test_a_document_that_cannot_be_encoded_leaves_the_target_untouched(tmp_path,
             write_json(target, doc)
     assert not missing.exists()
     assert existing.read_bytes() == b"old bytes"
+
+
+@pytest.mark.parametrize("old", [b"x" * 4096, b"{}"], ids=["longer", "shorter"])
+def test_a_report_is_rewritten_in_place(tmp_path, old):
+    target = tmp_path / "report.json"
+    target.write_bytes(old)
+    inode = target.stat().st_ino
+    doc = {"fields": [{"start": 0, "end": 1}], "note": "new"}
+    write_json(target, doc)
+    assert target.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    assert target.stat().st_ino == inode
+
+
+def test_a_report_path_that_is_a_symlink_keeps_the_link(tmp_path):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_bytes(b"old bytes and then some")
+    link.symlink_to(real)
+    write_json(link, [1])
+    assert link.is_symlink() and link.resolve() == real.resolve()
+    assert real.read_bytes() == b"[\n  1\n]\n"
+
+
+def test_a_report_can_be_written_to_the_null_device():
+    write_json(os.devnull, {"a": 1})
+
+
+def test_no_report_is_truncated_before_it_is_written(tmp_path, monkeypatch):
+    """Truncating a file that was just rewritten waits for its writeback on
+    ext4; tier-1 cannot time the filesystem, so this pins the flags."""
+    flags = []
+    real_open = reports.os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(reports.os, "open", spy)
+    target = tmp_path / "report.json"
+    for doc in ({"a": [1, 2, 3]}, {"a": []}):
+        write_json(target, doc)
+    assert len(flags) == 2
+    assert not any(f & os.O_TRUNC for f in flags)
+    assert target.read_bytes() == b'{\n  "a": []\n}\n'
 
 
 _ANNOTATION = {

@@ -72,6 +72,47 @@ def test_only_reports_knows_json():
     assert all(c.startswith("reports.py:") for c in converters), converters
 
 
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` is ``os.open``, ``Path.write_text``/``write_bytes``,
+    or an ``open`` whose mode writes (a mode that is not a literal counts)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes") and isinstance(func, ast.Attribute):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True
+    position = 1 if isinstance(func, ast.Name) else 0  # open(path, mode), Path.open(mode)
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[position:position + 1]
+    if not modes:
+        return False
+    mode = modes[0]
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return bool(set(mode.value) & set("wax+"))
+
+
+def test_only_reports_opens_files_for_writing():
+    """``reports.write_text`` rewrites a file in place and never truncates it
+    first; a second writer would bring the truncate back."""
+    writes = []
+    for name, tree in _modules():
+        writes += [
+            (name, node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _writes_a_file(node)
+        ]
+        if name == "reports.py":
+            (writer,) = [
+                fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "write_text"
+            ]
+    inside = {id(node) for node in ast.walk(writer)}
+    assert writes
+    assert [f"{name}:{node.lineno}" for name, node in writes if id(node) not in inside] == []
+
+
 def test_every_record_attribute_is_read_by_an_analysis():
     """A record attribute that only the VM writes and the interchange format
     carries is dead weight: it makes traces differ without changing a report."""
