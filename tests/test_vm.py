@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fieldlens.model import ArgRole, LoopRole, Message, OpClass, PointerArith
-from fieldlens.traceio import serialize_corpus
+from fieldlens.traceio import serialize_corpus, serialize_ground_truth
 from fieldlens.vm import TermReason, bundled_parsers, parse_script, run
 from fieldlens.vm.machine import TABLE
 from fieldlens.vm.ops import ARITH, JUMPS, SIGNATURES, Reg, ScriptError
@@ -294,6 +294,24 @@ def test_bundled_corpora_keep_their_recorded_bytes(name, seed):
     traces = [run(parser.script, m).trace for m in messages]
     text = serialize_corpus(messages, traces)
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_DIGESTS[name, seed]
+
+
+#: sha256 of ``serialize_ground_truth`` over the true fields of the same
+#: corpora: any change to a ``gt`` line the writer emits for them shows here
+GROUND_TRUTH_DIGESTS = {
+    ("binary-frame", 0): "9f6eab7dea619c48d3def4484db6b0d6a03510381179d4c090cbc6b93ca31897",
+    ("binary-frame", 1): "63e71ee0b961a79d9c152774c038af2aaddbe03084d44fbcfe6867b706052ee5",
+    ("text-command", 0): "65cba00d063218c5d9a390bcecff51e86b337f306a121df192d037d853f84608",
+    ("text-command", 1): "d9d8fb72a6774cb4588d7aa29402534ae6f9b991962ef9db1c72c653749f48be",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(GROUND_TRUTH_DIGESTS))
+def test_bundled_ground_truth_keeps_its_recorded_bytes(name, seed):
+    (parser,) = [p for p in bundled_parsers() if p.name == name]
+    _, truths = parser.generate(200, seed)
+    text = serialize_ground_truth(truths)
+    assert hashlib.sha256(text.encode()).hexdigest() == GROUND_TRUTH_DIGESTS[name, seed]
 
 
 def test_loop_roles_assigned():
