@@ -63,7 +63,10 @@ Within one read:
   parsed once.
 
 Records, offset sets, true fields and tuples are immutable, so sharing is
-safe; the caches live only as long as the call.
+safe; the caches live only as long as the call.  The writers likewise
+format each distinct record, or true field, once per call, keyed by its
+value, and write that text after each line's own ``rec <id> `` or
+``gt <id> `` prefix.
 
 The JSON documents the later stages exchange live in ``reports``; this
 module knows only the line format.
@@ -71,7 +74,6 @@ module knows only the line format.
 
 from __future__ import annotations
 
-import io
 from enum import Enum
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, TypeVar
@@ -462,9 +464,9 @@ def load_corpus(path) -> Corpus:
         raise
 
 
-def _record_to_line(msg_id: str, rec: InstructionRecord) -> str:
+def _record_text(rec: InstructionRecord) -> str:
+    """A ``rec`` line after its ``rec <msg-id> `` prefix, newline included."""
     parts = [
-        f"rec {msg_id}",
         f"seq={rec.seq}",
         f"op={rec.operator}",
         f"class={rec.op_class.name}",
@@ -487,35 +489,46 @@ def _record_to_line(msg_id: str, rec: InstructionRecord) -> str:
     if rec.operand_lineage is not None:
         lhs, rhs = rec.operand_lineage
         parts.append(f"lineage={format_offsets(lhs)}/{format_offsets(rhs)}")
-    return " ".join(parts)
+    return " ".join(parts) + "\n"
 
 
 def serialize_corpus(
     messages: list[Message], traces: list[ExecutionTrace]
 ) -> str:
+    """The ``msg`` and ``rec`` lines of ``messages`` and their traces."""
     by_id = {t.message_id: t for t in traces}
-    out = io.StringIO()
+    texts: dict[InstructionRecord, str] = {}
+    out: list[str] = []
     for msg in messages:
-        out.write(f"msg {msg.id} bytes=0x{msg.data.hex()}\n")
+        out.append(f"msg {msg.id} bytes=0x{msg.data.hex()}\n")
         trace = by_id.get(msg.id)
         if trace is None:
             continue
+        prefix = f"rec {msg.id} "
         for rec in trace.records:
-            out.write(_record_to_line(msg.id, rec) + "\n")
-    return out.getvalue()
+            text = texts.get(rec)
+            if text is None:
+                text = texts[rec] = _record_text(rec)
+            out.append(prefix + text)
+    return "".join(out)
 
 
 def serialize_ground_truth(
     truths: Iterable[tuple[str, Sequence[FieldAnnotation]]]
 ) -> str:
     """The ``gt`` lines of ``(message id, true fields)`` pairs."""
-    out = io.StringIO()
+    texts: dict[tuple, str] = {}
+    out: list[str] = []
     for mid, anns in truths:
         for a in anns:
             f = a.field
-            funcs = "|".join(sorted(fn.name for fn in a.inferred_functions)) or "-"
-            out.write(
-                f"gt {mid} field={f.start}-{f.end} type={a.inferred_type.name} "
-                f"funcs={funcs} accessed={'true' if f.accessed else 'false'}\n"
-            )
-    return out.getvalue()
+            key = (f.start, f.end, f.accessed, a.inferred_type, a.inferred_functions)
+            text = texts.get(key)
+            if text is None:
+                funcs = "|".join(sorted(fn.name for fn in a.inferred_functions)) or "-"
+                text = texts[key] = (
+                    f"field={f.start}-{f.end} type={a.inferred_type.name} "
+                    f"funcs={funcs} accessed={'true' if f.accessed else 'false'}\n"
+                )
+            out.append(f"gt {mid} {text}")
+    return "".join(out)

@@ -18,28 +18,24 @@ outcome, so messages whose bytes steer the script alike get equal traces.  A
 comparison whose outcome is true and whose next step runs a conditional jump
 gets ``triggered_jump`` (the compiled ``if`` idiom, whether the branch is
 taken or falls through).
+
+``run`` steps over the decoded form ``ops`` made once, when the script was
+parsed (``ParserScript.code``), with registers as slots 0 .. 15 of a list of
+``(value, taint, lineage)`` and the script's immediates in slots after them,
+so a value operand is one list index.  It builds records with
+``model.build_record``, which checks them as ``__init__`` would.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
-from typing import Union
 
-from ..model import (
-    ApiCall,
-    ArgRole,
-    ExecutionTrace,
-    InstructionRecord,
-    LoopRole,
-    Message,
-    OpClass,
-    PointerArith,
+from ..model import ExecutionTrace, InstructionRecord, Message, OpClass, build_record
+from .ops import (
+    API_STEP, ARITH_STEP, CMP_STEP, JUMP_STEP, LOAD_STEP, MOV_STEP, STOP_STEP, TBL_STEP,
+    ParserScript,
 )
-from .ops import ARITH, CONDITIONAL_JUMPS, Imm, Instr, ParserScript, Reg
-
-_MASK = (1 << 64) - 1
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
@@ -76,33 +72,7 @@ class VmRunReport:
 
 
 _EMPTY: frozenset[int] = frozenset()
-_ZERO = (0, _EMPTY, _EMPTY)
-
-#: value function of each arithmetic base operator (``add.ptr`` is ``add``)
-_ARITH_FNS = {
-    "add": lambda a, b: (a + b) & _MASK,
-    "sub": lambda a, b: (a - b) & _MASK,
-    "xor": operator.xor,
-    "or": operator.or_,
-    "and": operator.and_,
-    "shl": lambda a, b: (a << (b & 63)) & _MASK,
-    "shr": lambda a, b: a >> (b & 63),
-}
-_POINTER_ARITH = {
-    "add.ptr": PointerArith.POINTER_INCREMENT,
-    "sub.ctr": PointerArith.COUNTER_DECREMENT,
-}
-#: whether each jump is taken, given the last compare's two values
-_JUMP_TESTS = {
-    "jmp": lambda a, b: True,
-    "je": operator.eq,
-    "jne": operator.ne,
-    "jlt": operator.lt,
-    "jle": operator.le,
-    "jgt": operator.gt,
-    "jge": operator.ge,
-}
-_API_ROLES = {"length": ArgRole.LENGTH_ARG, "buffer": ArgRole.BUFFER_ARG, "other": ArgRole.OTHER}
+_MOV, _ARITH, _COMPARE = OpClass.MOV_SERIES, OpClass.ARITH_BITWISE, OpClass.COMPARE
 
 
 def run(
@@ -111,88 +81,75 @@ def run(
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> VmRunReport:
     """Execute ``script`` over ``message`` deterministically."""
-    # register -> (value, taint, lineage)
-    regs = {f"r{i}": _ZERO for i in range(16)}
+    regs = list(script.slots)  # (value, taint, lineage) of r0..r15, then immediates
     data = message.data
-    code = script.instructions
+    size = len(data)
+    code = script.code
     records: list[InstructionRecord] = []
-    flags = (0, 0)
-    pc = steps = 0
+    append = records.append
+    fa = fb = 0  # the last compare's two values
+    pc = 0
     reason = TermReason.ACCEPT
-
-    def read(op: Union[Reg, Imm]) -> tuple[int, frozenset[int], frozenset[int]]:
-        return regs[op.name] if isinstance(op, Reg) else (op.value, _EMPTY, _EMPTY)
-
-    def emit(ins: Instr, name: str, op_class: OpClass, accessed: frozenset[int], **kw) -> None:
-        role = None
-        if ins.loop_id is not None:
-            role = LoopRole.TERMINATION if ins.is_termination_cmp else LoopRole.BODY
-        records.append(InstructionRecord(
-            len(records) + 1, name, op_class, accessed,
-            loop_id=ins.loop_id, loop_role=role, **kw,
-        ))
-
-    while pc < len(code):
-        if steps >= step_budget:
-            reason = TermReason.STEP_LIMIT
-            break
-        steps += 1
-        ins = code[pc]
-        mnem, ops = ins.mnemonic, ins.operands
+    for steps in range(1, step_budget + 1):
+        op = code[pc]
+        kind = op[0]
         pc += 1
-
-        if mnem in ("movzx", "movzx16"):
-            width = 2 if mnem == "movzx16" else 1
-            addr, idx_taint, idx_lineage = read(ops[1].index)
-            if addr < 0 or addr + width > len(data):
+        if kind == ARITH_STEP:
+            _, dst, src, fn, name, ptr, loop_id, role = op
+            va, ta, la = regs[dst]
+            vb, tb, lb = regs[src]
+            taint = ta | tb
+            regs[dst] = (fn(va, vb), taint, la | lb | taint)
+            if taint:
+                append(build_record(len(records) + 1, name, _ARITH, taint, _EMPTY, None,
+                                    None, False, loop_id, role, None, ptr, None))
+        elif kind == JUMP_STEP:
+            _, target, test = op
+            if test is None or test(fa, fb):
+                pc = target
+        elif kind == CMP_STEP:
+            _, a, b, const, before_jump, loop_id, role = op
+            fa, ta, la = regs[a]
+            fb, tb, lb = regs[b]
+            if ta or tb:
+                equal = fa == fb
+                triggered = equal and before_jump and steps < step_budget
+                append(build_record(len(records) + 1, "cmp", _COMPARE, ta | tb, _EMPTY, const,
+                                    equal, triggered, loop_id, role, None, None,
+                                    (la | ta, lb | tb)))
+        elif kind == LOAD_STEP:
+            _, dst, src, width, loop_id, role = op
+            addr, it, il = regs[src]
+            if addr + width > size:  # values are never negative
                 reason = TermReason.REJECT
                 break
             offsets = frozenset(range(addr, addr + width))
-            value = int.from_bytes(data[addr : addr + width], "little")
-            regs[ops[0].name] = (value, offsets | idx_taint, offsets | idx_lineage)
-            emit(ins, "movzx", OpClass.MOV_SERIES, offsets | idx_taint, reads=offsets)
-        elif mnem in ("mov", "tbl"):
-            value, taint, lineage = read(ops[1])
-            if mnem == "mov":
-                regs[ops[0].name] = (value, taint, lineage)
+            value = data[addr] if width == 1 else data[addr] | data[addr + 1] << 8
+            taint = offsets | it
+            regs[dst] = (value, taint, offsets | il)
+            append(build_record(len(records) + 1, "movzx", _MOV, taint, offsets, None,
+                                None, False, loop_id, role, None, None, None))
+        elif kind == TBL_STEP or kind == MOV_STEP:
+            _, dst, src, loop_id, role = op
+            value, taint, lineage = regs[src]
+            if kind == MOV_STEP:
+                regs[dst] = regs[src]
             else:
-                regs[ops[0].name] = (TABLE[value & 0xFF], _EMPTY, lineage | taint)
+                regs[dst] = (TABLE[value & 0xFF], _EMPTY, lineage | taint)
             if taint:
-                emit(ins, "mov", OpClass.MOV_SERIES, taint)
-        elif mnem in ARITH:
-            (va, ta, la), (vb, tb, lb) = read(ops[0]), read(ops[1])
-            base = mnem.split(".")[0]
-            taint = ta | tb
-            regs[ops[0].name] = (_ARITH_FNS[base](va, vb), taint, la | lb | taint)
+                append(build_record(len(records) + 1, "mov", _MOV, taint, _EMPTY, None,
+                                    None, False, loop_id, role, None, None, None))
+        elif kind == API_STEP:
+            _, src, call, loop_id, role = op
+            taint = regs[src][1]
             if taint:
-                emit(ins, base, OpClass.ARITH_BITWISE, taint,
-                     pointer_arith=_POINTER_ARITH.get(mnem))
-        elif mnem == "cmp":
-            (va, ta, la), (vb, tb, lb) = read(ops[0]), read(ops[1])
-            flags = (va, vb)
-            if ta or tb:
-                const = None
-                imm = next((op for op in ops if isinstance(op, Imm)), None)
-                if imm is not None:  # its shortest little-endian bytes
-                    width = max(1, (imm.value.bit_length() + 7) // 8)
-                    const = imm.value.to_bytes(width, "little")
-                triggered = (va == vb and steps < step_budget and pc < len(code)
-                             and code[pc].mnemonic in CONDITIONAL_JUMPS)
-                emit(ins, "cmp", OpClass.COMPARE, ta | tb, compared_const=const,
-                     cmp_result=va == vb, triggered_jump=triggered,
-                     operand_lineage=(la | ta, lb | tb))
-        elif mnem in _JUMP_TESTS:
-            if _JUMP_TESTS[mnem](*flags):
-                pc = ops[0].value
-        elif mnem == "api":
-            taint = read(ops[1])[1]
-            if taint:
-                emit(ins, "call", OpClass.CALL, taint,
-                     api_call=ApiCall(ops[0], _API_ROLES[ops[2].lower()]))
-        elif mnem in ("accept", "reject"):
-            reason = TermReason(mnem.upper())
+                append(build_record(len(records) + 1, "call", OpClass.CALL, taint, _EMPTY, None,
+                                    None, False, loop_id, role, call, None, None))
+        elif kind == STOP_STEP:
+            reason = TermReason(op[1])
             break
-        elif mnem not in ("loop", "endloop"):  # pragma: no cover
-            raise AssertionError(f"unhandled mnemonic {mnem}")
+    else:  # the budget ran out, unless the last step ran off the end
+        if pc < len(code) - 1:
+            reason = TermReason.STEP_LIMIT
 
     return VmRunReport(ExecutionTrace(message.id, tuple(records)), reason)

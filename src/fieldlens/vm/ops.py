@@ -2,12 +2,12 @@
 
 A script is a sequence of lines, each ``mnemonic operand, operand`` with
 optional leading ``label:`` definitions, ``;`` comments, and a ``name``
-directive.  Operands are registers (``r0`` .. ``r15``), integer immediates
-(decimal or ``0x`` hex), buffer references ``buf[imm]`` / ``buf[reg]``, or
-names (letters, digits and ``_``, as labels are spelled): jump targets,
-loop ids, api names and roles.  Loops are bracketed explicitly with
-``loop ID`` / ``endloop ID`` marker pseudo-instructions, so loop membership
-needs no control-flow heuristics.
+directive.  Operands are registers (``r0`` .. ``r15``, ASCII, no leading
+zero), integer immediates (ASCII decimal or ``0x`` hex, 0 .. 2**64-1), buffer
+references ``buf[imm]`` / ``buf[reg]``, or names (letters, digits and ``_``,
+as labels are spelled): jump targets, loop ids, api names and roles.  Loops
+are bracketed explicitly with ``loop ID`` / ``endloop ID`` marker
+pseudo-instructions, so loop membership needs no control-flow heuristics.
 
 Instruction summary (dst is always written, srcs are read):
 
@@ -26,12 +26,23 @@ Instruction summary (dst is always written, srcs are read):
 ``loop ID`` / ``endloop ID``  loop extent markers
 ``accept`` / ``reject``       terminate the run
 =============  =======================================================
+
+A script is decoded once, when it is parsed, into ``ParserScript.code``:
+one tuple per instruction, led by its ``*_STEP`` kind (see ``_decode``),
+then an ``accept`` step where running off the end lands.  Every value
+operand is a slot of the register file: ``r0`` .. ``r15`` are slots 0 .. 15
+and each distinct immediate has a read-only slot after them, whose initial
+contents ``ParserScript.slots`` holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+import re
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
+
+from ..model import ApiCall, ArgRole, LoopRole, PointerArith
 
 CONDITIONAL_JUMPS = {"je", "jne", "jlt", "jle", "jgt", "jge"}
 JUMPS = CONDITIONAL_JUMPS | {"jmp"}
@@ -76,6 +87,31 @@ class Instr:
 class ParserScript:
     name: str
     instructions: tuple[Instr, ...]
+    code: tuple[tuple, ...] = field(repr=False)  # decoded from instructions
+    slots: tuple[tuple[int, frozenset[int], frozenset[int]], ...] = field(repr=False)
+
+
+_MASK = (1 << 64) - 1
+#: decoded step kinds, in the order ``machine.run`` tests them
+(ARITH_STEP, JUMP_STEP, CMP_STEP, LOAD_STEP, TBL_STEP, MOV_STEP, API_STEP, STOP_STEP,
+ NOP_STEP) = range(9)
+#: value function of each arithmetic base operator (``add.ptr`` is ``add``)
+_ARITH_FNS = {
+    "add": lambda a, b: (a + b) & _MASK,
+    "sub": lambda a, b: (a - b) & _MASK,
+    "xor": operator.xor,
+    "or": operator.or_,
+    "and": operator.and_,
+    "shl": lambda a, b: (a << (b & 63)) & _MASK,
+    "shr": lambda a, b: a >> (b & 63),
+}
+_POINTER_ARITH = {
+    "add.ptr": PointerArith.POINTER_INCREMENT, "sub.ctr": PointerArith.COUNTER_DECREMENT,
+}
+#: whether each conditional jump is taken, given the last compare's two values
+_JUMP_TESTS = dict(je=operator.eq, jne=operator.ne, jlt=operator.lt, jle=operator.le,
+                   jgt=operator.gt, jge=operator.ge)
+_API_ROLES = {"length": ArgRole.LENGTH_ARG, "buffer": ArgRole.BUFFER_ARG, "other": ArgRole.OTHER}
 
 
 def _parse_operand(tok: str, line_no: int) -> Operand:
@@ -83,41 +119,28 @@ def _parse_operand(tok: str, line_no: int) -> Operand:
         raise ScriptError(line_no, "empty operand")
     if tok.startswith("buf[") and tok.endswith("]"):
         inner = tok[4:-1].strip()
-        return BufRef(_parse_reg_or_imm(inner, line_no))
-    if _is_reg(tok):
+        index = _reg_or_imm(inner, line_no)
+        if index is None:
+            raise ScriptError(line_no, f"expected register or immediate, got {inner!r}")
+        return BufRef(index)
+    return _reg_or_imm(tok, line_no) or tok  # else a name, if _is_name holds
+
+
+_REGISTER = re.compile(r"r(?:1[0-5]|[0-9])")  # r0..r15, ASCII, no leading zero
+_INTEGER = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
+
+
+def _reg_or_imm(tok: str, line_no: int) -> Optional[Union[Reg, Imm]]:
+    """The register or immediate ``tok`` spells, or None; an immediate
+    outside 0..2**64-1 is a ScriptError."""
+    if _REGISTER.fullmatch(tok):
         return Reg(tok)
-    if _is_int(tok):
-        return Imm(_to_int(tok))
-    return tok  # a name, if _is_name holds
-
-
-def _parse_reg_or_imm(tok: str, line_no: int) -> Union[Reg, Imm]:
-    if _is_reg(tok):
-        return Reg(tok)
-    if _is_int(tok):
-        return Imm(_to_int(tok))
-    raise ScriptError(line_no, f"expected register or immediate, got {tok!r}")
-
-
-def _is_reg(tok: str) -> bool:
-    return (
-        len(tok) >= 2
-        and tok[0] == "r"
-        and tok[1:].isdigit()
-        and 0 <= int(tok[1:]) <= 15
-    )
-
-
-def _is_int(tok: str) -> bool:
-    try:
-        _to_int(tok)
-        return True
-    except ValueError:
-        return False
-
-
-def _to_int(tok: str) -> int:
-    return int(tok, 16) if tok.lower().startswith("0x") else int(tok)
+    if not _INTEGER.fullmatch(tok):
+        return None
+    value = int(tok, 16) if tok[:2] in ("0x", "0X") else int(tok)
+    if value > _MASK:
+        raise ScriptError(line_no, f"immediate {tok} is outside 0..2**64-1")
+    return Imm(value)
 
 
 def _is_name(tok: str) -> bool:
@@ -221,6 +244,13 @@ def _analyze(name: str, raw: list[Instr], labels: dict[str, int]) -> ParserScrip
         raise ScriptError(raw[stack[-1][1]].line_no, f"loop {stack[-1][0]!r} never closed")
 
     resolved: list[Instr] = []
+    code: list[tuple] = []
+    # register name or immediate value -> its slot in the register file
+    slots: dict[Union[str, int], int] = {f"r{i}": i for i in range(16)}
+
+    def slot(op: Union[Reg, Imm]) -> int:
+        return slots.setdefault(op.name if isinstance(op, Reg) else op.value, len(slots))
+
     for idx, ins in enumerate(raw):
         operands = ins.operands
         if ins.mnemonic == "api":
@@ -246,4 +276,36 @@ def _analyze(name: str, raw: list[Instr], labels: dict[str, int]) -> ParserScrip
         resolved.append(
             Instr(ins.mnemonic, operands, ins.line_no, loop_id, term)
         )
-    return ParserScript(name, tuple(resolved))
+        role = None if loop_id is None else LoopRole.TERMINATION if term else LoopRole.BODY
+        before_jump = idx + 1 < len(raw) and raw[idx + 1].mnemonic in CONDITIONAL_JUMPS
+        code.append(_decode(ins.mnemonic, operands, slot, loop_id, role, before_jump))
+    code.append((STOP_STEP, "ACCEPT"))
+    contents = tuple((0 if isinstance(k, str) else k, frozenset(), frozenset()) for k in slots)
+    return ParserScript(name, tuple(resolved), tuple(code), contents)
+
+
+def _decode(mnem, ops, slot, loop_id, role, before_jump) -> tuple:
+    """The step ``machine.run`` takes for one instruction, jump target
+    resolved: its kind, register file slots, and what its records carry."""
+    if mnem in ARITH:
+        base = mnem.split(".")[0]
+        return (ARITH_STEP, slot(ops[0]), slot(ops[1]), _ARITH_FNS[base], base,
+                _POINTER_ARITH.get(mnem), loop_id, role)
+    if mnem in JUMPS:
+        return (JUMP_STEP, ops[0].value, _JUMP_TESTS.get(mnem))  # jmp: no test
+    if mnem == "cmp":
+        imm = next((op.value for op in ops if isinstance(op, Imm)), None)
+        const = None  # else the immediate's shortest little-endian bytes
+        if imm is not None:
+            const = imm.to_bytes(max(1, (imm.bit_length() + 7) // 8), "little")
+        return (CMP_STEP, slot(ops[0]), slot(ops[1]), const, before_jump, loop_id, role)
+    if mnem in ("movzx", "movzx16"):
+        width = 2 if mnem == "movzx16" else 1
+        return (LOAD_STEP, slot(ops[0]), slot(ops[1].index), width, loop_id, role)
+    if mnem in ("tbl", "mov"):
+        return (TBL_STEP if mnem == "tbl" else MOV_STEP, slot(ops[0]), slot(ops[1]), loop_id, role)
+    if mnem == "api":
+        return (API_STEP, slot(ops[1]), ApiCall(ops[0], _API_ROLES[ops[2].lower()]), loop_id, role)
+    if mnem in ("accept", "reject"):
+        return (STOP_STEP, mnem.upper())
+    return (NOP_STEP,)  # loop and endloop markers

@@ -199,6 +199,20 @@ def test_a_script_run_asked_for_missing_ground_truth_exits_2(tmp_path, corpus, c
                 ("jmp r0\naccept\n", "jmp operand 1 must be a name, got 'r0'"),
             ))
         ),
+        # registers are r0..r15 in ASCII without a leading zero, immediates
+        # ASCII decimal or 0x hex in 0..2**64-1; these once crashed the run
+        *(
+            pytest.param(script.encode(), f"line 2: {error}", id=f"bad-value-{i}")
+            for i, (script, error) in enumerate((
+                ("movzx r0, buf[0]\nadd r2, r01\naccept\n",
+                 "add operand 2 must be a register or immediate, got 'r01'"),
+                ("movzx r0, buf[0]\ncmp r0, -1\naccept\n",
+                 "cmp operand 2 must be a register or immediate, got '-1'"),
+                ("accept\nmov r01, 5\n", "mov operand 1 must be a register, got 'r01'"),
+                ("accept\ncmp r0, 0x10000000000000000\n",
+                 "immediate 0x10000000000000000 is outside 0..2**64-1"),
+            ))
+        ),
     ],
 )
 def test_a_bad_script_exits_2_naming_the_script(tmp_path, corpus, content, message):

@@ -249,6 +249,33 @@ def test_serialize_parse_round_trip(recs, payload):
     assert traces2 == [trace]
 
 
+def test_equal_records_under_two_ids_are_written_with_each_lines_own_id():
+    """The writer reuses a record's text for an equal record, but every line
+    keeps the prefix of its own message, and so does every ``gt`` line."""
+    cmp = InstructionRecord(1, "cmp", OpClass.COMPARE, frozenset({0}), compared_const=b"\x05",
+                            cmp_result=True, operand_lineage=(frozenset({0}), frozenset()))
+    load = InstructionRecord(2, "movzx", OpClass.MOV_SERIES, frozenset({1}), reads=frozenset({1}))
+    messages = [Message("a", b"\x05\x01"), Message("b", b"\x05\x02"), Message("c", b"\x06\x03")]
+    traces = [ExecutionTrace("a", (cmp, load)), ExecutionTrace("b", (cmp, load)),
+              ExecutionTrace("c", (load,))]
+    truth = FieldAnnotation(Field(0, 1), SemanticType.BYTES, frozenset(), ())
+    text = serialize_corpus(messages, traces)
+    text += serialize_ground_truth([("a", (truth,)), ("c", (truth,))])
+    lines = text.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["msg", "a"], ["rec", "a"], ["rec", "a"],
+        ["msg", "b"], ["rec", "b"], ["rec", "b"],
+        ["msg", "c"], ["rec", "c"],
+        ["gt", "a"], ["gt", "c"],
+    ]
+    assert lines[1][len("rec a"):] == lines[4][len("rec b"):]
+    assert lines[2][len("rec a"):] == lines[5][len("rec b"):] == lines[7][len("rec c"):]
+    assert lines[8][len("gt a"):] == lines[9][len("gt c"):]
+    corpus = read_interchange(io.StringIO(text))
+    assert corpus.messages == messages and corpus.traces == traces
+    assert corpus.truth == [("a", truth), ("c", truth)]
+
+
 def _offset_sets(traces):
     for trace in traces:
         for r in trace.records:

@@ -8,6 +8,7 @@ from fieldlens.traceio import serialize_corpus, serialize_ground_truth
 from fieldlens.vm import TermReason, bundled_parsers, parse_script, run
 from fieldlens.vm.machine import TABLE
 from fieldlens.vm.ops import ARITH, JUMPS, SIGNATURES, Reg, ScriptError
+from reference_vm import reference_run
 
 
 def script(text):
@@ -488,3 +489,171 @@ def test_vm_records_match_taint_oracle_on_bundled_parsers():
                 for r in run(parser.script, msg).trace.records
             ]
             assert got == oracle_events(parser.script, msg)
+
+
+# --- the reference interpreter ---------------------------------------------
+#
+# ``reference_vm.reference_run`` steps over the parsed instructions one
+# mnemonic at a time, as ``vm.run`` did before scripts were decoded.  Whole
+# reports must match: every record field (seq, loop role, compared constant,
+# triggered jump, lineage, api call, pointer tag) and the termination reason.
+
+_VALUE_OPS = sorted(ARITH)
+
+
+def _value(rng, regs):
+    """A register, or an immediate spelled in decimal or hex."""
+    if rng.random() < 0.6:
+        return rng.choice(regs)
+    value = rng.choice([0, 1, 2, 3, rng.randrange(256), rng.randrange(1 << 16), (1 << 64) - 1])
+    return hex(value) if rng.random() < 0.5 else str(value)
+
+
+def _random_step(rng, regs, labels_ahead):
+    """One instruction that writes only ``regs``; jumps go to ``labels_ahead``."""
+    dst = rng.choice(regs)
+    choice = rng.randrange(12)
+    if choice <= 1:
+        index = rng.choice(regs) if rng.random() < 0.3 else str(rng.randrange(8))
+        return f"{rng.choice(['movzx', 'movzx16'])} {dst}, buf[{index}]"
+    if choice <= 3:
+        return f"{['mov', 'tbl'][choice - 2]} {dst}, {rng.choice(regs)}"
+    if choice <= 5:
+        return f"{rng.choice(_VALUE_OPS)} {dst}, {_value(rng, regs)}"
+    if choice <= 7:
+        return f"cmp {_value(rng, regs)}, {_value(rng, regs)}"
+    if choice == 8 and labels_ahead:
+        return f"{rng.choice(sorted(JUMPS))} {rng.choice(labels_ahead)}"
+    if choice == 9:
+        role = rng.choice(["length", "buffer", "other"])
+        return f"api f{rng.randrange(3)}, {_value(rng, regs)}, {role}"
+    if choice == 10:  # a table lookup's result moved, then compared or passed on
+        other = rng.choice(regs)
+        use = rng.choice([f"cmp {other}, {rng.choice(regs)}", f"api g, {other}, other"])
+        return f"tbl {dst}, {rng.choice(regs)}\nmov {other}, {dst}\n{use}"
+    target = rng.choice(labels_ahead) if labels_ahead else "end"
+    jump = rng.choice(sorted(JUMPS - {"jmp"}))
+    return f"cmp {rng.choice(regs)}, {rng.randrange(4)}\n{jump} {target}"
+
+
+def random_control_flow_script(rng):
+    """Straight-line runs with forward jumps, and up to two bounded loops,
+    one possibly inside the other.  A loop's counter (r14, r15) and bound
+    (r12, r13) are written only by its own set-up and ``add``, so it counts
+    up to its bound."""
+    regs = [f"r{i}" for i in range(5)]
+    lines = []
+    n_labels = 0
+
+    def straight(count, ahead):
+        nonlocal n_labels
+        for _ in range(count):
+            if rng.random() < 0.2:
+                lines.append(f"f{n_labels}:")
+                n_labels += 1
+            # mostly the next label, a few instructions on
+            targets = [f"f{n_labels}"] * 4 + [f"f{n_labels + 1}", f"f{n_labels + 2}", *ahead]
+            lines.append(_random_step(rng, regs, targets))
+
+    def loop(depth, ahead):
+        counter, bound, tag = f"r{15 - depth}", f"r{13 - depth}", f"L{depth}"
+        # the bound is 1..4, or a register's value masked to 0..3, so the
+        # termination compare may read message bytes
+        if rng.random() < 0.5:
+            lines.extend([f"mov {bound}, {rng.randrange(1, 5)}"])
+        else:
+            lines.extend([f"mov {bound}, {rng.choice(regs)}", f"and {bound}, 3"])
+        lines.extend([f"mov {counter}, 0", f"loop {tag}", f"top{depth}:",
+                      f"cmp {counter}, {bound}", f"jge out{depth}"])
+        straight(rng.randrange(1, 6), [f"out{depth}", *ahead])
+        if depth == 0 and rng.random() < 0.4:
+            loop(1, [f"out0", *ahead])
+        straight(rng.randrange(0, 3), [f"out{depth}", *ahead])
+        lines.extend([f"add{rng.choice(['', '.ptr'])} {counter}, 1", f"jmp top{depth}",
+                      f"endloop {tag}", f"out{depth}:"])
+
+    straight(rng.randrange(0, 8), ["end"])
+    if rng.random() < 0.8:
+        loop(0, ["end"])
+    straight(rng.randrange(0, 8), ["end"])
+    if rng.random() < 0.5:
+        lines.append(rng.choice(["accept", "reject", "sub.ctr r0, r1"]))
+    # every forward label that some jump may name, defined at the end
+    lines += [f"f{i}:" for i in range(n_labels, n_labels + 3)]
+    lines += ["end:", rng.choice(["accept", "reject", ""])]
+    return parse_script("\n".join(lines))
+
+
+def test_vm_matches_the_reference_interpreter_on_random_control_flow():
+    rng = random.Random(31)
+    reasons = set()
+    for _ in range(400):
+        s = random_control_flow_script(rng)
+        for _ in range(3):
+            alphabet = rng.choice([range(4), range(256)])
+            size = rng.choice([rng.randrange(1, 8), rng.randrange(8, 24), rng.randrange(8, 24)])
+            msg = Message("m", bytes(rng.choice(alphabet) for _ in range(size)))
+            budget = rng.choice([0, 1, rng.randrange(2, 40), *[rng.randrange(40, 400)] * 3, 100_000])
+            report = run(s, msg, budget)
+            assert report == reference_run(s, msg, budget)
+            reasons.add(report.terminated)
+    assert reasons == set(TermReason)
+
+
+@pytest.mark.parametrize("text", [
+    "movzx r0, buf[0]\ncmp r0, 1\nje x\nmov r1, r0\nx:",
+    "movzx r0, buf[0]\ncmp r0, 1\nje x\nmov r1, r0\nx: accept",
+    "top: movzx r0, buf[0]\ncmp r0, 1\njne top",
+])
+def test_the_last_step_of_the_budget_ends_the_run_as_the_reference_does(text):
+    """Running off the end on the budget's last step accepts; a budget that
+    runs out before then is a step limit."""
+    s = script(text)
+    for data in (b"\x01", b"\x02"):
+        reasons = []
+        for budget in range(7):
+            report = run(s, Message("m", data), budget)
+            assert report == reference_run(s, Message("m", data), budget)
+            reasons.append(report.terminated)
+        assert TermReason.STEP_LIMIT in reasons
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7, 60, 61, 200])
+def test_vm_matches_the_reference_interpreter_on_bundled_parsers(budget):
+    kw = {} if budget is None else {"step_budget": budget}
+    for parser in bundled_parsers():
+        msgs, _ = parser.generate(8, seed=4)
+        for msg in msgs:
+            assert run(parser.script, msg, **kw) == reference_run(parser.script, msg, **kw)
+
+
+# --- register and immediate spelling ----------------------------------------
+
+
+@pytest.mark.parametrize("line", [
+    "add r2, r01", "mov r01, 5", "mov r16, 1", "mov r١, 1", "mov R1, 2",
+    "cmp r0, -1", "cmp r0, +1", "mov r0, 1_0", "mov r0, ١", "mov r0, 0x", "mov r0, 0b1",
+    "movzx r0, buf[-1]", "movzx r0, buf[r01]",
+])
+def test_a_misspelt_register_or_immediate_is_a_script_error(line):
+    with pytest.raises(ScriptError, match="line 1: "):
+        script(f"{line}\naccept")
+
+
+def test_an_immediate_outside_64_bits_is_a_script_error():
+    top = (1 << 64) - 1
+    s = script(f"mov r0, {top}\nmov r1, {top:#x}\nmov r2, 0X1f")
+    assert [i.operands[1].value for i in s.instructions] == [top, top, 31]
+    for text in (str(top + 1), hex(top + 1)):
+        with pytest.raises(ScriptError, match=f"line 2: immediate {text} is outside 0..2\\*\\*64-1"):
+            script(f"accept\ncmp r0, {text}")
+
+
+def test_each_register_and_immediate_has_its_own_slot():
+    lines = [f"mov r{i}, {i + 100}" for i in range(16)]
+    lines += ["movzx r0, buf[0]", *(f"add r{i}, r0" for i in range(1, 16))]
+    lines += [f"cmp r{i}, {i + 101}" for i in range(1, 16)]  # the byte is 1
+    s = script("\n".join(lines))
+    report = run(s, Message("m", b"\x01"))
+    assert [r.cmp_result for r in report.trace.records if r.operator == "cmp"] == [True] * 15
+    assert report == reference_run(s, Message("m", b"\x01"))
