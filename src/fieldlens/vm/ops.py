@@ -137,10 +137,14 @@ def _reg_or_imm(tok: str, line_no: int) -> Optional[Union[Reg, Imm]]:
         return Reg(tok)
     if not _INTEGER.fullmatch(tok):
         return None
-    value = int(tok, 16) if tok[:2] in ("0x", "0X") else int(tok)
-    if value > _MASK:
-        raise ScriptError(line_no, f"immediate {tok} is outside 0..2**64-1")
-    return Imm(value)
+    base = 16 if tok[:2] in ("0x", "0X") else 10
+    # 2**64-1 has 16 hex or 20 decimal digits; int() refuses thousands
+    digits = tok[2 if base == 16 else 0:].lstrip("0") or "0"
+    if len(digits) <= (16 if base == 16 else 20):
+        value = int(digits, base)
+        if value <= _MASK:
+            return Imm(value)
+    raise ScriptError(line_no, f"immediate {tok[:40]} is outside 0..2**64-1")
 
 
 def _is_name(tok: str) -> bool:
@@ -265,19 +269,16 @@ def _analyze(name: str, raw: list[Instr], labels: dict[str, int]) -> ParserScrip
                 raise ScriptError(ins.line_no, f"unknown jump target {target!r}")
             operands = (Imm(labels[target]),)
         loop_id = innermost[idx]
+        before_jump = idx + 1 < len(raw) and raw[idx + 1].mnemonic in CONDITIONAL_JUMPS
         term = False
-        if ins.mnemonic == "cmp" and loop_id is not None and idx + 1 < len(raw):
-            nxt = raw[idx + 1]
-            if nxt.mnemonic in CONDITIONAL_JUMPS:
-                tgt = labels.get(nxt.operands[0])
-                lo, hi = spans[loop_id]
-                if tgt is not None and not (lo < tgt <= hi):
-                    term = True
+        if ins.mnemonic == "cmp" and loop_id is not None and before_jump:
+            tgt = labels.get(raw[idx + 1].operands[0])
+            lo, hi = spans[loop_id]
+            term = tgt is not None and not (lo < tgt <= hi)
         resolved.append(
             Instr(ins.mnemonic, operands, ins.line_no, loop_id, term)
         )
         role = None if loop_id is None else LoopRole.TERMINATION if term else LoopRole.BODY
-        before_jump = idx + 1 < len(raw) and raw[idx + 1].mnemonic in CONDITIONAL_JUMPS
         code.append(_decode(ins.mnemonic, operands, slot, loop_id, role, before_jump))
     code.append((STOP_STEP, "ACCEPT"))
     contents = tuple((0 if isinstance(k, str) else k, frozenset(), frozenset()) for k in slots)

@@ -647,6 +647,10 @@ def test_an_immediate_outside_64_bits_is_a_script_error():
     for text in (str(top + 1), hex(top + 1)):
         with pytest.raises(ScriptError, match=f"line 2: immediate {text} is outside 0..2\\*\\*64-1"):
             script(f"accept\ncmp r0, {text}")
+    # past int()'s limit on decimal digits, and leading zeros that stay inside it
+    with pytest.raises(ScriptError, match="line 1: immediate 9{40} is outside"):
+        script("mov r0, " + "9" * 5000)
+    assert script("mov r0, " + "0" * 5000 + "7").instructions[0].operands[1].value == 7
 
 
 def test_each_register_and_immediate_has_its_own_slot():
