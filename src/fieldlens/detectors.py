@@ -266,16 +266,22 @@ def _delim_on_edges(delimiters: list[tuple[int, int]], edges: bytes) -> Found:
     return None
 
 
+def accumulated_side(lineage: tuple, span: frozenset[int]) -> Optional[frozenset[int]]:
+    """The side of a compare's ``lineage`` that ``span`` does not touch, when
+    the other side does (at most one side can): the bytes that a checksum at
+    ``span`` was accumulated from.  None if neither side qualifies."""
+    own, other = lineage if lineage[0] & span else lineage[::-1]
+    return other if own & span and not other & span else None
+
+
 def _checksum_rule(field: Field, records: Records, loops: Loops) -> Found:
     span = frozenset(field.offsets)
     for rec in records:
         if rec.op_class is not OpClass.COMPARE or rec.operand_lineage is None:
             continue
-        for own, other in (rec.operand_lineage, rec.operand_lineage[::-1]):
-            if not (own & span) or (other & span):
-                continue
-            if any(hi - lo >= 1 for lo, hi in consecutive_runs(other)):
-                return [(rec.seq, "")]
+        other = accumulated_side(rec.operand_lineage, span)
+        if other and any(hi - lo >= 1 for lo, hi in consecutive_runs(other)):
+            return [(rec.seq, "")]
     return None
 
 

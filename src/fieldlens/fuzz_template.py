@@ -39,7 +39,7 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
-from .detectors import LIBRARY, FieldAnnotation, SemanticFunction, SemanticType
+from .detectors import LIBRARY, FieldAnnotation, SemanticFunction, SemanticType, accumulated_side
 from .model import ExecutionTrace, Message
 from .reports import write_json
 
@@ -82,12 +82,8 @@ def _checksum_range(
     i = bisect_left(records, seqs[0], key=_seq)
     if i == len(records) or records[i].seq != seqs[0] or records[i].operand_lineage is None:
         return None
-    span = frozenset(ann.field.offsets)
-    lineage = records[i].operand_lineage
-    for own, other in (lineage, lineage[::-1]):
-        if own & span and other and not other & span:
-            return min(other), max(other)
-    return None
+    other = accumulated_side(records[i].operand_lineage, frozenset(ann.field.offsets))
+    return (min(other), max(other)) if other else None
 
 
 def _entry(ann: FieldAnnotation, kind: str, written, group_values) -> dict:

@@ -11,10 +11,10 @@ bit-level fields are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
 
 class ModelError(ValueError):
@@ -69,19 +69,7 @@ class Message:
         return len(self.data)
 
 
-@dataclass(frozen=True, slots=True)
-class InstructionRecord:
-    """One executed instruction together with the message bytes it touched.
-
-    ``accessed_offsets`` is the union of the taint labels of the instruction's
-    operands.  ``reads`` is the subset of offsets the instruction loaded
-    directly from the message buffer; it drives field-candidate extraction,
-    while ``accessed_offsets`` drives per-field instruction association.
-    ``operand_lineage`` is only populated for comparisons: it tags each side
-    with every message offset that ever flowed into the compared value, even
-    through value transformations that drop plain taint (table lookups).
-    """
-
+class _RecordFields(NamedTuple):
     seq: int
     operator: str
     op_class: OpClass
@@ -96,43 +84,48 @@ class InstructionRecord:
     pointer_arith: Optional[PointerArith] = None
     operand_lineage: Optional[Tuple[frozenset[int], frozenset[int]]] = None
 
-    def __post_init__(self) -> None:
-        """The record invariants, checked by ``__init__`` and ``build_record``."""
-        if self.cmp_result is not None and self.op_class is not OpClass.COMPARE:
-            raise ModelError(
-                f"record seq={self.seq}: cmp_result requires op_class=COMPARE"
-            )
-        if (self.loop_role is None) != (self.loop_id is None):
-            raise ModelError(
-                f"record seq={self.seq}: loop_role and loop_id must be set together"
-            )
-        if self.operand_lineage is not None and self.op_class is not OpClass.COMPARE:
-            raise ModelError(
-                f"record seq={self.seq}: operand_lineage requires op_class=COMPARE"
-            )
-        if not self.reads <= self.accessed_offsets:
-            raise ModelError(
-                f"record seq={self.seq}: reads must be a subset of accessed_offsets"
-            )
 
+class InstructionRecord(_RecordFields):
+    """One executed instruction together with the message bytes it touched.
 
-#: the setter of each record field's slot, in field order
-_RECORD_SETTERS = tuple(
-    getattr(InstructionRecord, f.name).__set__ for f in fields(InstructionRecord)
-)
+    ``accessed_offsets`` is the union of the taint labels of the instruction's
+    operands.  ``reads`` is the subset of offsets the instruction loaded
+    directly from the message buffer; it drives field-candidate extraction,
+    while ``accessed_offsets`` drives per-field instruction association.
+    ``operand_lineage`` is only populated for comparisons: it tags each side
+    with every message offset that ever flowed into the compared value, even
+    through value transformations that drop plain taint (table lookups).
 
+    A record is a tuple of the fields above, so it hashes and compares in C.
+    ``InstructionRecord(...)``, positional or keyword, is the one way to
+    build one: ``__new__`` checks the record invariants, and ``_make``, and
+    so ``_replace``, go through it.  ``__new__`` spells out the fields and
+    their defaults, so that building a record is one Python call.
+    """
 
-def build_record(*values) -> InstructionRecord:
-    """``InstructionRecord(*values)`` built in one step, given every field in
-    field order: each value goes straight into its slot rather than through
-    the frozen class's ``object.__setattr__``, and ``__post_init__`` checks
-    the invariants once, so equal values give an equal record or the same
-    ModelError.  The reader builds every record this way."""
-    rec = object.__new__(InstructionRecord)
-    for set_slot, value in zip(_RECORD_SETTERS, values):
-        set_slot(rec, value)
-    rec.__post_init__()
-    return rec
+    __slots__ = ()
+
+    def __new__(
+        cls, seq, operator, op_class, accessed_offsets, reads=frozenset(),
+        compared_const=None, cmp_result=None, triggered_jump=False, loop_id=None,
+        loop_role=None, api_call=None, pointer_arith=None, operand_lineage=None,
+    ):
+        if cmp_result is not None and op_class is not OpClass.COMPARE:
+            raise ModelError(f"record seq={seq}: cmp_result requires op_class=COMPARE")
+        if (loop_role is None) != (loop_id is None):
+            raise ModelError(f"record seq={seq}: loop_role and loop_id must be set together")
+        if operand_lineage is not None and op_class is not OpClass.COMPARE:
+            raise ModelError(f"record seq={seq}: operand_lineage requires op_class=COMPARE")
+        if not reads <= accessed_offsets:
+            raise ModelError(f"record seq={seq}: reads must be a subset of accessed_offsets")
+        return tuple.__new__(cls, (
+            seq, operator, op_class, accessed_offsets, reads, compared_const, cmp_result,
+            triggered_jump, loop_id, loop_role, api_call, pointer_arith, operand_lineage,
+        ))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> InstructionRecord:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -145,12 +138,13 @@ class ExecutionTrace:
     def __post_init__(self) -> None:
         prev = None
         for rec in self.records:
-            if prev is not None and rec.seq <= prev:
+            seq = rec.seq
+            if prev is not None and seq <= prev:
                 raise ModelError(
                     f"trace {self.message_id!r}: record seq values must be "
-                    f"strictly increasing ({rec.seq} after {prev})"
+                    f"strictly increasing ({seq} after {prev})"
                 )
-            prev = rec.seq
+            prev = seq
 
     @cached_property
     def loops(self) -> dict[str, tuple[InstructionRecord, ...]]:
@@ -257,29 +251,24 @@ def shape_keys(
 
     Extraction and the detectors read nothing else of a trace, so traces of
     one shape get one format and one set of per-field records; only the
-    rules that read the message's bytes can tell them apart.  Equal records
-    get one number, so keys compare equal only within one call.
+    rules that read the message's bytes can tell them apart.  Records are
+    numbered by value, equal records with one number, so keys compare equal
+    only within one call.
 
-    The reader gives a repeated trace one ``records`` tuple and a repeated
-    record one object, so each tuple object is numbered once, and within it
-    each record object once.  Records and tuples stay alive in ``traces``,
-    so no id is reused within the call.
+    The reader gives a repeated trace one ``records`` tuple, so each tuple
+    object is numbered once.  The tuples stay alive in ``traces``, so no id
+    is reused within the call.
     """
     numbers: dict[InstructionRecord, int] = {}
-    by_object: dict[int, int] = {}
     rows: dict[int, tuple[int, ...]] = {}
     keys: dict[str, ShapeKey] = {}
     for msg in messages:
         records = traces[msg.id].records
         row = rows.get(id(records))
         if row is None:
-            numbered = []
-            for rec in records:
-                n = by_object.get(id(rec))
-                if n is None:
-                    n = by_object[id(rec)] = numbers.setdefault(rec, len(numbers))
-                numbered.append(n)
-            row = rows[id(records)] = tuple(numbered)
+            row = rows[id(records)] = tuple(
+                [numbers.setdefault(rec, len(numbers)) for rec in records]
+            )
         keys[msg.id] = (len(msg), row)
     return keys
 

@@ -3,8 +3,9 @@
 One record per line, as ``kind`` followed by space-separated ``key=value``
 pairs.  Byte strings are hex-encoded with a ``0x`` prefix; offset sets are
 comma-separated integers where ``a-b`` abbreviates an inclusive run and ``-``
-is the empty set.  Three record kinds exist, and a key that a line's kind
-does not define below is a ParseError:
+is the empty set.  Integers (``seq``, offsets, ``field`` ends) are ASCII
+decimal digits, leading zeros allowed.  Three record kinds exist, and a key
+that a line's kind does not define below is a ParseError:
 
 ``msg <id> bytes=0x...``
     Header line binding a message id to its raw bytes.
@@ -49,13 +50,12 @@ Within one read:
   single line the record was read in.
 - A ``rec`` line that misses is interned by its text after the message id
   alone, so each distinct text is tokenized and parsed once, whatever its
-  message's length, and equal lines share one record, built in one step
-  (``model.build_record``).  Records that differ share each offset set
-  they spell alike, interned by its text the same way.  Each entry keeps
-  the highest offset it names (over ``off`` and both ``lineage`` sides); a
-  hit at or past the current message's length is parsed again with that
-  length, which raises the IntegrityError an uncached parse would, on the
-  same line.
+  message's length, and equal lines share one record.  Records that
+  differ share each offset set they spell alike, interned by its text the
+  same way.  Each entry keeps the highest offset it names (over ``off``
+  and both ``lineage`` sides); a hit at or past the current message's
+  length is parsed again with that length, which raises the
+  IntegrityError an uncached parse would, on the same line.
 - A message's records are kept as the blocks and single lines they were
   read in and joined once, at the end; a message read as one block keeps
   that block's shared tuple.
@@ -90,7 +90,6 @@ from .model import (
     ModelError,
     OpClass,
     PointerArith,
-    build_record,
     consecutive_runs,
 )
 
@@ -119,6 +118,13 @@ def format_offsets(offsets: frozenset[int]) -> str:
     return ",".join(parts)
 
 
+def _decimal(text: str) -> int:
+    """``text`` as ASCII decimal digits, leading zeros allowed; else ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_offsets(text: str, line_no: int, length: int) -> frozenset[int]:
     """Offsets of a message of ``length`` bytes; each run is checked against
     ``length`` before it is expanded, so a huge run costs only its text."""
@@ -129,11 +135,11 @@ def parse_offsets(text: str, line_no: int, length: int) -> frozenset[int]:
         try:
             if "-" in part:
                 lo_s, hi_s = part.split("-", 1)
-                lo, hi = int(lo_s), int(hi_s)
+                lo, hi = _decimal(lo_s), _decimal(hi_s)
                 if hi < lo:
                     raise ValueError
             else:
-                lo = hi = int(part)
+                lo = hi = _decimal(part)
         except ValueError:
             raise ParseError(line_no, f"bad offset set {text!r}") from None
         if hi >= length:
@@ -236,10 +242,11 @@ def _record_from_kv(
     """The record a ``rec`` line's key/value pairs spell for a message of
     ``length`` bytes, and the highest offset its ``off`` and ``lineage``
     name (``reads`` lies inside ``off``)."""
+    seq_text = _require(kv, "seq", line_no)
     try:
-        seq = int(_require(kv, "seq", line_no))
+        seq = _decimal(seq_text)
     except ValueError:
-        raise ParseError(line_no, f"bad seq {kv.get('seq')!r}") from None
+        raise ParseError(line_no, f"bad seq {seq_text!r}") from None
     op = _require(kv, "op", line_no)
     op_class = _member(OpClass, _require(kv, "class", line_no), "op class", line_no)
     accessed, top = _offsets(cache, _require(kv, "off", line_no), line_no, length)
@@ -272,7 +279,7 @@ def _record_from_kv(
         lineage = (lhs, rhs)
         top = max(top, lhs_top, rhs_top)
     try:
-        rec = build_record(
+        rec = InstructionRecord(
             seq, op, op_class, accessed, reads, compared_const, cmp_result,
             triggered, loop_id, loop_role, api_call, pointer, lineage,
         )
@@ -286,7 +293,7 @@ def _true_field(kv: dict[str, str], line_no: int) -> FieldAnnotation:
     if "field" not in kv or "type" not in kv:
         raise ParseError(line_no, "gt line needs field= and type=")
     try:
-        start, end = map(int, kv["field"].split("-", 1))
+        start, end = map(_decimal, kv["field"].split("-", 1))
         if end < start:
             raise ValueError
     except ValueError:

@@ -22,8 +22,8 @@ taken or falls through).
 ``run`` steps over the decoded form ``ops`` made once, when the script was
 parsed (``ParserScript.code``), with registers as slots 0 .. 15 of a list of
 ``(value, taint, lineage)`` and the script's immediates in slots after them,
-so a value operand is one list index.  It builds records with
-``model.build_record``, which checks them as ``__init__`` would.
+so a value operand is one list index.  It builds each record with one
+positional ``InstructionRecord(...)`` call.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..model import ExecutionTrace, InstructionRecord, Message, OpClass, build_record
+from ..model import ExecutionTrace, InstructionRecord, Message, OpClass
 from .ops import (
     API_STEP, ARITH_STEP, CMP_STEP, JUMP_STEP, LOAD_STEP, MOV_STEP, STOP_STEP, TBL_STEP,
     ParserScript,
@@ -101,8 +101,8 @@ def run(
             taint = ta | tb
             regs[dst] = (fn(va, vb), taint, la | lb | taint)
             if taint:
-                append(build_record(len(records) + 1, name, _ARITH, taint, _EMPTY, None,
-                                    None, False, loop_id, role, None, ptr, None))
+                append(InstructionRecord(len(records) + 1, name, _ARITH, taint, _EMPTY,
+                                         None, None, False, loop_id, role, None, ptr, None))
         elif kind == JUMP_STEP:
             _, target, test = op
             if test is None or test(fa, fb):
@@ -114,9 +114,9 @@ def run(
             if ta or tb:
                 equal = fa == fb
                 triggered = equal and before_jump and steps < step_budget
-                append(build_record(len(records) + 1, "cmp", _COMPARE, ta | tb, _EMPTY, const,
-                                    equal, triggered, loop_id, role, None, None,
-                                    (la | ta, lb | tb)))
+                append(InstructionRecord(len(records) + 1, "cmp", _COMPARE, ta | tb, _EMPTY,
+                                         const, equal, triggered, loop_id, role, None, None,
+                                         (la | ta, lb | tb)))
         elif kind == LOAD_STEP:
             _, dst, src, width, loop_id, role = op
             addr, it, il = regs[src]
@@ -127,8 +127,8 @@ def run(
             value = data[addr] if width == 1 else data[addr] | data[addr + 1] << 8
             taint = offsets | it
             regs[dst] = (value, taint, offsets | il)
-            append(build_record(len(records) + 1, "movzx", _MOV, taint, offsets, None,
-                                None, False, loop_id, role, None, None, None))
+            append(InstructionRecord(len(records) + 1, "movzx", _MOV, taint, offsets, None,
+                                     None, False, loop_id, role, None, None, None))
         elif kind == TBL_STEP or kind == MOV_STEP:
             _, dst, src, loop_id, role = op
             value, taint, lineage = regs[src]
@@ -137,14 +137,14 @@ def run(
             else:
                 regs[dst] = (TABLE[value & 0xFF], _EMPTY, lineage | taint)
             if taint:
-                append(build_record(len(records) + 1, "mov", _MOV, taint, _EMPTY, None,
-                                    None, False, loop_id, role, None, None, None))
+                append(InstructionRecord(len(records) + 1, "mov", _MOV, taint, _EMPTY, None,
+                                         None, False, loop_id, role, None, None, None))
         elif kind == API_STEP:
             _, src, call, loop_id, role = op
             taint = regs[src][1]
             if taint:
-                append(build_record(len(records) + 1, "call", OpClass.CALL, taint, _EMPTY, None,
-                                    None, False, loop_id, role, call, None, None))
+                append(InstructionRecord(len(records) + 1, "call", OpClass.CALL, taint, _EMPTY,
+                                         None, None, False, loop_id, role, call, None, None))
         elif kind == STOP_STEP:
             reason = TermReason(op[1])
             break

@@ -256,6 +256,24 @@ def test_a_seq_out_of_order_is_named_on_its_own_line(tmp_path, capsys):
     )
 
 
+def test_an_integer_that_is_not_ascii_decimal_exits_2_on_its_line(tmp_path, capsys):
+    bad = tmp_path / "int.fl"
+    for line, message in [
+        ("rec a seq=2 op=mov class=MOV_SERIES off=1_0", "bad offset set '1_0'"),
+        ("rec a seq=2 op=mov class=MOV_SERIES off=+2", "bad offset set '+2'"),
+        ("rec a seq=\u0661 op=mov class=MOV_SERIES off=1", "bad seq '\u0661'"),
+        ("gt a field=0-\u0663 type=STATIC funcs=-", "bad field range '0-\u0663'"),
+        ("gt a field=+0-3 type=STATIC funcs=-", "bad field range '+0-3'"),
+    ]:
+        bad.write_text(
+            f"msg a bytes=0x0102\nrec a seq=1 op=mov class=MOV_SERIES off=0\n{line}\n",
+            encoding="utf-8",
+        )
+        assert run_cli("run", "--traces", bad, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 3: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 def test_metric_values_do_not_affect_exit_status(tmp_path, corpus):
     # baseline mode scores poorly but still exits zero
     out_dir = tmp_path / "baseline"

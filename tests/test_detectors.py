@@ -292,6 +292,21 @@ def test_checksum_needs_two_consecutive_offsets():
 
 
 @pytest.mark.parametrize(
+    "lineage, side",
+    [
+        (({8, 9}, {1, 2}), {1, 2}),
+        (({1, 2}, {8, 9}), {1, 2}),
+        (({8, 9}, {1, 8}), None),  # both sides touch the field
+        (({1}, {2}), None),  # neither does
+        (({8}, set()), set()),
+    ],
+)
+def test_accumulated_side_is_the_side_the_field_does_not_touch(lineage, side):
+    got = detectors.accumulated_side(tuple(map(frozenset, lineage)), frozenset({8, 9}))
+    assert got == (None if side is None else frozenset(side))
+
+
+@pytest.mark.parametrize(
     "value,expected",
     [
         (b"/etc/config.ini", True),

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,6 @@ from fieldlens.model import (
     OpClass,
     LoopRole,
     PointerArith,
-    build_record,
     consecutive_runs,
     instructions_for,
 )
@@ -161,21 +160,42 @@ _record_values = st.tuples(
 )
 
 
-def _outcome(make, values):
+def _outcome(make, *args, **kwargs):
     try:
-        return make(*values)
+        return make(*args, **kwargs)
     except ModelError as exc:
         return str(exc)
 
 
+_BASE = InstructionRecord(0, "mov", OpClass.OTHER, frozenset())
+
+
 @given(_record_values)
 @settings(max_examples=300, deadline=None)
-def test_a_record_built_in_one_step_is_the_record_init_builds(values):
-    built, init = _outcome(build_record, values), _outcome(InstructionRecord, values)
-    assert type(built) is type(init) and built == init
-    if isinstance(init, InstructionRecord):
-        assert hash(built) == hash(init) and repr(built) == repr(init)
-        assert dataclasses.replace(built, seq=9) == dataclasses.replace(init, seq=9)
+def test_positional_keyword_and_replace_build_the_same_record(values):
+    named = dict(zip(InstructionRecord._fields, values))
+    positional = _outcome(InstructionRecord, *values)
+    assert _outcome(InstructionRecord, **named) == positional
+    assert _outcome(_BASE._replace, **named) == positional
+    if isinstance(positional, InstructionRecord):
+        assert tuple(positional) == values
+        assert positional._replace(seq=9) == InstructionRecord(9, *values[1:])
+
+
+def test_replace_and_make_check_the_record():
+    good = InstructionRecord(1, "cmp", OpClass.COMPARE, frozenset({0}), cmp_result=True)
+    with pytest.raises(ModelError, match="cmp_result requires op_class=COMPARE"):
+        good._replace(op_class=OpClass.MOV_SERIES)
+    with pytest.raises(ModelError, match="reads must be a subset of accessed_offsets"):
+        InstructionRecord._make((1, "mov", OpClass.MOV_SERIES, frozenset(), frozenset({0})))
+
+
+def test_the_constructor_takes_the_declared_fields_and_defaults():
+    params = inspect.signature(InstructionRecord).parameters
+    assert tuple(params) == InstructionRecord._fields
+    assert {
+        name: p.default for name, p in params.items() if p.default is not p.empty
+    } == InstructionRecord._field_defaults
 
 
 def test_consecutive_runs():

@@ -1,6 +1,5 @@
 import builtins
 import copy
-import dataclasses
 import hashlib
 import json
 import os
@@ -332,7 +331,7 @@ def _mutations(messages, traces, attr):
             if new == getattr(rec, attr):
                 continue
             try:
-                changed = dataclasses.replace(rec, **{attr: new})
+                changed = rec._replace(**{attr: new})
                 yield m, ExecutionTrace(m.id, records[:i] + (changed,) + records[i + 1:])
             except ModelError:
                 continue

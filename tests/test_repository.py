@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -123,7 +122,7 @@ def test_every_record_attribute_is_read_by_an_analysis():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    unread = [f.name for f in dataclasses.fields(InstructionRecord) if f.name not in read]
+    unread = [name for name in InstructionRecord._fields if name not in read]
     assert unread == []
 
 
@@ -325,30 +324,25 @@ def test_memos_key_by_value():
     assert found == []
 
 
-def _top_level_names(node):
-    """The names a module-level statement defines."""
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        return {node.name}
-    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
-    return {t.id for t in targets if isinstance(t, ast.Name)}
-
-
-def test_only_build_record_writes_record_slots():
-    """``model.build_record`` makes a record without ``__init__``: it calls
-    ``object.__new__`` and fills the slots through their setters
-    (``_RECORD_SETTERS``), then runs the record's own checks.  No other code
-    may create an object or set an attribute around its class this way, so
-    the record invariants stay in ``InstructionRecord.__post_init__``."""
-    allowed = {"build_record", "_RECORD_SETTERS"}
+def test_only_the_record_class_builds_records_around_a_constructor():
+    """``InstructionRecord.__new__`` checks the record invariants, and the
+    class's ``_make``, and so ``_replace``, call it.  No module may create an
+    object or set an attribute around a class's constructor this way outside
+    that class body, so ``InstructionRecord(...)`` is the one way in."""
+    modules = list(_modules())
+    (record_class,) = [
+        node for node in ast.walk(dict(modules)["model.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "InstructionRecord"
+    ]
+    inside = {id(node) for node in ast.walk(record_class)}
     bypasses = {"__new__", "__setattr__", "__set__", "__dict__"}
     found = []
-    for name, tree in _modules():
-        for top in tree.body:
-            if name == "model.py" and _top_level_names(top) & allowed:
+    for name, tree in modules:
+        for node in ast.walk(tree):
+            if id(node) in inside:
                 continue
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id == "vars":
-                    found.append(f"{name}:{node.lineno}: vars")
-                elif isinstance(node, ast.Attribute) and node.attr in bypasses:
-                    found.append(f"{name}:{node.lineno}: {node.attr}")
+            if isinstance(node, ast.Name) and node.id == "vars":
+                found.append(f"{name}:{node.lineno}: vars")
+            elif isinstance(node, ast.Attribute) and node.attr in bypasses:
+                found.append(f"{name}:{node.lineno}: {node.attr}")
     assert found == []

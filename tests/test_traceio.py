@@ -141,6 +141,12 @@ def test_a_key_that_the_line_kind_does_not_define_is_a_parse_error(line, key):
         ("gt a field=0-1 type=NOPE funcs=-", ParseError, "unknown type 'NOPE'"),
         ("gt a field=0-1 type=STATIC funcs=NOPE", ParseError, "unknown function 'NOPE'"),
         ("gt a field=0-1 type=INTEGER funcs=LENGTH|-", ParseError, "unknown function '-'"),
+        ("rec a seq=2 op=mov class=MOV_SERIES off=1_0", ParseError, "bad offset set '1_0'"),
+        ("rec a seq=2 op=mov class=MOV_SERIES off=+2", ParseError, "bad offset set '+2'"),
+        ("rec a seq=\u0661 op=mov class=MOV_SERIES off=1", ParseError, "bad seq '\u0661'"),
+        ("rec a op=mov class=MOV_SERIES off=1", ParseError, "missing required key 'seq'"),
+        ("gt a field=0-\u0663 type=STATIC funcs=-", ParseError, "bad field range '0-\u0663'"),
+        ("gt a field=+0-3 type=STATIC funcs=-", ParseError, "bad field range '+0-3'"),
     ],
 )
 def test_each_malformed_value_is_an_error_on_its_line(line, error, message):
