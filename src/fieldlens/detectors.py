@@ -33,17 +33,16 @@ for one call.  That memo also keeps each field's annotation by the bytes
 that its open byte parts read, one byte string per declared slice: no bytes
 when both are ruled out, so every message gets one annotation, else the
 edges, the field, or both.  The byte parts run once per distinct such
-bytes, not per message.
+bytes, not per message.  Fields, annotations and evidence are tuples, so
+these memos hash and compare their keys in C.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from enum import Enum
-from functools import cached_property
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .model import (
     ArgRole,
@@ -51,6 +50,7 @@ from .model import (
     Field,
     FormatResult,
     InstructionRecord,
+    LabelEnum,
     LoopRole,
     Message,
     OpClass,
@@ -59,7 +59,7 @@ from .model import (
 )
 
 
-class SemanticType(Enum):
+class SemanticType(LabelEnum):
     STATIC = "STATIC"
     INTEGER = "INTEGER"
     GROUP = "GROUP"
@@ -68,7 +68,7 @@ class SemanticType(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-class SemanticFunction(Enum):
+class SemanticFunction(LabelEnum):
     COMMAND = "COMMAND"
     LENGTH = "LENGTH"
     DELIM = "DELIM"
@@ -77,8 +77,7 @@ class SemanticFunction(Enum):
     ALIGNED = "ALIGNED"
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     """Why a rule fired: the rule id plus the record seq (or a value note)."""
 
     rule: str
@@ -86,23 +85,15 @@ class Evidence:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class FieldAnnotation:
+class FieldAnnotation(NamedTuple):
     """A field with its semantic type, functions and the evidence for them.
     A true annotation (a message's ground truth) carries no evidence.  Like
-    a ``Field``, it computes its hash on first use."""
+    a ``Field``, it is a tuple, so it hashes and compares in C."""
 
     field: Field
     inferred_type: SemanticType
     inferred_functions: frozenset[SemanticFunction]
     evidence: tuple[Evidence, ...]
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.field, self.inferred_type, self.inferred_functions, self.evidence))
 
 
 Records = Sequence[InstructionRecord]
@@ -287,7 +278,7 @@ def _checksum_rule(field: Field, records: Records, loops: Loops) -> Found:
 
 def _filename_rule(field: Field, records: Records, loops: Loops) -> bool:
     """A file name takes three bytes or more."""
-    return len(field) >= 3
+    return field.end - field.start + 1 >= 3
 
 
 def _span(field: Field) -> tuple[slice, ...]:

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Iterable, Sequence
 
-from .detectors import FieldAnnotation, SemanticType
+from .detectors import FieldAnnotation, SemanticFunction, SemanticType
 from .model import FormatResult
 from .traceio import serialize_ground_truth  # noqa: F401 (perfbench imports it from here)
 
@@ -134,13 +134,19 @@ def count_segmentation_errors(
     return len(inf - tru), len(tru - inf)
 
 
+#: each function's place in the order ``SemanticFunction`` declares them
+_declaration_index = {fn: i for i, fn in enumerate(SemanticFunction)}.get
+
+
 @dataclass
 class LabelTally(LabelCounts):
     """One label kind's counts, each outcome kept three ways: the inherited
     ``tp/fp/fn`` over every true field, ``accessed`` over the true fields the
     server touched (a false alarm counts there on any field), and
     ``per_label`` by label name, in first-seen order, the order ``macro_f1``
-    sums in.  Each outcome is counted ``n`` times, one per message of a row."""
+    sums in; a set's functions are met in declaration order, not in the
+    set's, which follows object addresses.  Each outcome is counted ``n``
+    times, one per message of a row."""
 
     accessed: LabelCounts = dc_field(default_factory=LabelCounts)
     per_label: dict[str, LabelCounts] = dc_field(default_factory=dict)
@@ -208,7 +214,7 @@ class MetricsReport:
     ) -> None:
         """Exact-boundary label matching: a prediction counts only on a field
         whose boundaries coincide with a true field's.  Every outcome counts
-        ``n`` times."""
+        ``n`` times, and a set's functions count in declaration order."""
         types, functions = self.types, self.functions
         by_range = {(a.field.start, a.field.end): a for a in annotations}
         matched: set[tuple[int, int]] = set()
@@ -228,11 +234,11 @@ class MetricsReport:
                     types.false_alarm(pred_type.name, n)
 
             pred_funcs = ann.inferred_functions if ann is not None else frozenset()
-            for fn in t.inferred_functions & pred_funcs:
+            for fn in sorted(t.inferred_functions & pred_funcs, key=_declaration_index):
                 functions.hit(fn.name, accessed, n)
-            for fn in t.inferred_functions - pred_funcs:
+            for fn in sorted(t.inferred_functions - pred_funcs, key=_declaration_index):
                 functions.miss(fn.name, accessed, n)
-            for fn in pred_funcs - t.inferred_functions:
+            for fn in sorted(pred_funcs - t.inferred_functions, key=_declaration_index):
                 functions.false_alarm(fn.name, n)
 
         for rng, ann in by_range.items():
@@ -240,7 +246,7 @@ class MetricsReport:
                 continue
             if ann.inferred_type is not SemanticType.UNKNOWN:
                 types.false_alarm(ann.inferred_type.name, n)
-            for fn in ann.inferred_functions:
+            for fn in sorted(ann.inferred_functions, key=_declaration_index):
                 functions.false_alarm(fn.name, n)
 
     def to_dict(self) -> dict:

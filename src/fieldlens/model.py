@@ -2,11 +2,11 @@
 
 Everything here is immutable after construction and safe to share between
 threads; ``ExecutionTrace.loops`` and ``ExecutionTrace.by_offset`` are views
-derived from the records on first use, and a ``Field`` keeps its hash in the
-same way.  ``by_offset`` maps each accessed offset to the positions of the
-records that touch it, so ``instructions_for``, the one I(f) lookup, visits
-only the records of the field's own bytes.  Offsets are byte-granular;
-bit-level fields are out of scope.
+derived from the records on first use.  Records and fields are checked tuples
+and the label enums hash by identity, so memo keys hash in C.  ``by_offset``
+maps each accessed offset to the positions of the records that touch it, so
+``instructions_for``, the one I(f) lookup, visits only the records of the
+field's own bytes.  Offsets are byte-granular; bit-level fields are out of scope.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ class ModelError(ValueError):
     """An invariant of the trace data model was violated."""
 
 
-class OpClass(Enum):
+class LabelEnum(Enum):
+    """An enum whose members hash by identity, in C, as they compare."""
+
+    __hash__ = object.__hash__
+
+
+class OpClass(LabelEnum):
     MOV_SERIES = "MOV_SERIES"
     COMPARE = "COMPARE"
     ARITH_BITWISE = "ARITH_BITWISE"
@@ -30,18 +36,18 @@ class OpClass(Enum):
     OTHER = "OTHER"
 
 
-class LoopRole(Enum):
+class LoopRole(LabelEnum):
     BODY = "BODY"
     TERMINATION = "TERMINATION"
 
 
-class ArgRole(Enum):
+class ArgRole(LabelEnum):
     LENGTH_ARG = "LENGTH_ARG"
     BUFFER_ARG = "BUFFER_ARG"
     OTHER = "OTHER"
 
 
-class PointerArith(Enum):
+class PointerArith(LabelEnum):
     POINTER_INCREMENT = "POINTER_INCREMENT"
     COUNTER_DECREMENT = "COUNTER_DECREMENT"
 
@@ -173,36 +179,35 @@ def group_loops(
     return {loop_id: tuple(recs) for loop_id, recs in loops.items()}
 
 
-@dataclass(frozen=True, order=True)
-class Field:
-    """A contiguous byte range [start, end] of a message (both ends inclusive).
-
-    ``accessed`` is False for ranges no instruction ever touched.  It takes
-    part in equality, so equal fields are exactly those that give equal
-    reports, and a memo can key on a field's value.
-    """
-
+class _FieldValues(NamedTuple):
     start: int
     end: int
     accessed: bool = True
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ModelError(f"invalid field range ({self.start}, {self.end})")
 
-    def __hash__(self) -> int:
-        return self._hash
+class Field(_FieldValues):
+    """A contiguous byte range [start, end] of a message (both ends inclusive).
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.start, self.end, self.accessed))
+    ``accessed`` is False for ranges no instruction ever touched.  It takes
+    part in equality, so equal fields are exactly those that give equal
+    reports, and a memo can key on a field's value.  Like a record, it is a
+    checked tuple whose ``_make`` and ``_replace`` go through ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start, end, accessed=True):
+        if start < 0 or end < start:
+            raise ModelError(f"invalid field range ({start}, {end})")
+        return tuple.__new__(cls, (start, end, accessed))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Field:
+        return cls(*iterable)
 
     @property
     def offsets(self) -> range:
         return range(self.start, self.end + 1)
-
-    def __len__(self) -> int:
-        return self.end - self.start + 1
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,8 @@ def score_corpus(
     of these are one row.  Each row is scored once, weighted by its number of
     messages, in the id order of its first message: the label tallies then
     meet their labels in the order that scoring message by message would,
-    and ``macro_f1`` sums in that order.  The rows live for this call only.
+    and ``macro_f1`` sums in that order.  Row keys hash and compare in C,
+    and the rows live for this call only.
     """
     rows: dict[tuple, list] = {}  # key -> [format, annotations, truth, messages]
     for mid in sorted(formats):

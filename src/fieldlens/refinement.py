@@ -16,10 +16,11 @@ Messages of one format hold equal annotations, so the revocation, command
 and constraint steps run through one per-annotation walk, ``_refine_each``:
 it builds each distinct annotation's result once (keyed by value; for
 revocation, per cluster; the command and constraint steps in one walk) and
-every message that holds an equal annotation gets that one result.  Equal annotations give equal reports, since
-``Field`` equality includes ``accessed``.  The entropy fallback depends on
-the message's other fields, so it runs per message.  The memo lives for one
-call.
+every message that holds an equal annotation gets that one result.  Equal
+annotations give equal reports, since ``Field`` equality includes
+``accessed``, and an annotation is a tuple, so the memo hashes it in C.
+The entropy fallback depends on the message's other fields, so it runs per
+message.  The memo lives for one call.
 
 The audit logs each decision once, with the sorted ids of the messages it
 applies to: each step maps a logged ``(field, action, label, reason[,
@@ -37,7 +38,7 @@ import math
 import operator
 import statistics
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -232,7 +233,7 @@ def entropy_refine(
             if rule is None or rule[0](h_of[rng], med):
                 return ann, ()
             logged = (rng, "revoke-type", ann.inferred_type.name, rule[1], h_of[rng], med)
-            return replace(ann, inferred_type=SemanticType.UNKNOWN), (logged,)
+            return ann._replace(inferred_type=SemanticType.UNKNOWN), (logged,)
 
         _refine_each({mid: refined[mid] for mid in ids}, [(revoke, revoked)])
 
@@ -255,8 +256,8 @@ def entropy_refine(
                 f = donor.field
                 note = f"donor field {f.start}-{f.end}"
                 fallback = Evidence("refine.entropy-fallback", None, note=note)
-                anns[idx] = replace(
-                    ann, inferred_type=donor.inferred_type, evidence=ann.evidence + (fallback,)
+                anns[idx] = ann._replace(
+                    inferred_type=donor.inferred_type, evidence=ann.evidence + (fallback,)
                 )
                 logged = (
                     rng, "assign-type", donor.inferred_type.name,
@@ -296,14 +297,13 @@ def constraint_refine(
                 return ann, ()
             logged = []
             if SemanticFunction.COMMAND not in ann.inferred_functions:
-                ann = replace(
-                    ann,
+                ann = ann._replace(
                     inferred_functions=ann.inferred_functions | {SemanticFunction.COMMAND},
                     evidence=ann.evidence + (Evidence("refine.cluster-command", None),),
                 )
                 logged.append((pos, "add-function", "COMMAND", "field is the clustering basis"))
             if ann.inferred_type is SemanticType.UNKNOWN:
-                ann = replace(ann, inferred_type=SemanticType.GROUP)
+                ann = ann._replace(inferred_type=SemanticType.GROUP)
                 logged.append((pos, "assign-type", "GROUP", "untyped clustering basis"))
             return ann, tuple(logged)
 
@@ -320,7 +320,7 @@ def constraint_refine(
         if not bad:
             return ann, ()
         rng = (ann.field.start, ann.field.end)
-        return replace(ann, inferred_functions=ann.inferred_functions - bad), tuple(
+        return ann._replace(inferred_functions=ann.inferred_functions - bad), tuple(
             (rng, "drop-function", name, reason) for name, reason in drops
         )
 

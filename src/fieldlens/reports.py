@@ -20,11 +20,11 @@ and one list per distinct annotation tuple, one ``fields`` and one
 ``fuzz_template`` writes one template format per distinct list of field
 entries, and one entry dict per distinct entry.  Every such
 memo is keyed by value: equal model values give equal reports, because
-``Field`` equality includes ``accessed``, and a field or annotation hashes
-once.  Only ``encode``, whose dicts and lists cannot be hashed, and
-``model.shape_keys``, which numbers each records tuple that the reader
-shares once, key by ``id()``.  A shared object is never changed after it
-is handed out.
+``Field`` equality includes ``accessed``, and fields, annotations and
+evidence are tuples that hash and compare in C.  Only ``encode``, whose
+dicts and lists cannot be hashed, and ``model.shape_keys``, which numbers
+each records tuple that the reader shares once, key by ``id()``.  A shared
+object is never changed after it is handed out.
 ``read_json`` reads every stage input, and a file that is not JSON or not of
 the expected shape, down to the type of each scalar, is an
 ``IntegrityError`` naming the file.
@@ -268,11 +268,9 @@ def annotations_to_doc(
                 functions[fns] = sorted(fn.name for fn in fns)
             for e in ann.evidence:
                 if e not in evidence:
-                    evidence[e] = {"rule": e.rule, "seq": e.seq, "note": e.note}
+                    evidence[e] = e._asdict()
             d = dicts[ann] = {
-                "start": ann.field.start,
-                "end": ann.field.end,
-                "accessed": ann.field.accessed,
+                **ann.field._asdict(),
                 "type": ann.inferred_type.name,
                 "functions": functions[fns],
                 "evidence": [evidence[e] for e in ann.evidence],

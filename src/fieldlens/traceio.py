@@ -524,16 +524,15 @@ def serialize_ground_truth(
     truths: Iterable[tuple[str, Sequence[FieldAnnotation]]]
 ) -> str:
     """The ``gt`` lines of ``(message id, true fields)`` pairs."""
-    texts: dict[tuple, str] = {}
+    texts: dict[FieldAnnotation, str] = {}
     out: list[str] = []
     for mid, anns in truths:
         for a in anns:
             f = a.field
-            key = (f.start, f.end, f.accessed, a.inferred_type, a.inferred_functions)
-            text = texts.get(key)
+            text = texts.get(a)
             if text is None:
                 funcs = "|".join(sorted(fn.name for fn in a.inferred_functions)) or "-"
-                text = texts[key] = (
+                text = texts[a] = (
                     f"field={f.start}-{f.end} type={a.inferred_type.name} "
                     f"funcs={funcs} accessed={'true' if f.accessed else 'false'}\n"
                 )

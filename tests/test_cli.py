@@ -723,3 +723,64 @@ def test_generate_over_a_longer_file_leaves_the_bytes_of_a_fresh_one(tmp_path, c
         "--count", "12", "--seed", "3", "--with-ground-truth", "--out", out,
     ) == 0
     assert out.read_bytes() == corpus.read_bytes()
+
+
+#: A child process that imports the package, re-importing it (and keeping
+#: the earlier copies alive, so no address is reused) until a frozenset of
+#: every ``SemanticFunction`` iterates in another order than ``argv[1]``.
+#: It prints that order on stderr, then runs ``fieldlens run`` with the
+#: default configuration into ``default`` and with ``--baseline`` into
+#: ``baseline``, on the traces and ground truth in ``argv[2]``.
+_ANY_LAYOUT = """
+import sys
+{prelude}
+kept = []
+for _ in range(50):
+    import fieldlens.cli
+    from fieldlens.detectors import SemanticFunction
+    order = ",".join(fn.name for fn in frozenset(SemanticFunction))
+    if order != sys.argv[1]:
+        break
+    kept.append([sys.modules.pop(k) for k in list(sys.modules) if k.startswith("fieldlens")])
+    kept.append([object() for _ in range(len(kept))])
+else:
+    sys.exit("no other layout in 50 imports")
+print(order, file=sys.stderr)
+corpus = sys.argv[2]
+args = ["run", "--traces", corpus, "--ground-truth", corpus]
+sys.exit(fieldlens.cli.main([*args, "--out-dir", "default"])
+         or fieldlens.cli.main([*args, "--baseline", "--out-dir", "baseline"]))
+"""
+
+
+def test_reports_keep_their_bytes_whatever_the_label_addresses(tmp_path):
+    """The label enums hash by identity, so a set of labels iterates in an
+    order that follows the members' addresses.  Two fresh processes with
+    different hash seeds and import orders, the second made to iterate the
+    function set in another order than the first, write the same six
+    reports under the default and the baseline configuration."""
+    corpus = tmp_path / "all.fl"
+    assert run_cli(
+        "generate-traces", "--parser", "all", "--count", "6", "--seed", "5",
+        "--with-ground-truth", "--out", corpus,
+    ) == 0
+    orders, reports = [], []
+    for hash_seed, prelude in (("0", ""), ("4242", "import decimal, email.message")):
+        work = tmp_path / f"seed{hash_seed}"
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _ANY_LAYOUT.format(prelude=prelude),
+             orders[-1] if orders else "", str(corpus)],
+            capture_output=True,
+            text=True,
+            cwd=work,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        orders.append(proc.stderr.strip())
+        reports.append({
+            p.relative_to(work).as_posix(): p.read_bytes()
+            for p in sorted(work.rglob("*.json"))
+        })
+    assert orders[0] != orders[1]
+    assert len(reports[0]) == 12 and reports[0] == reports[1]

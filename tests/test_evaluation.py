@@ -279,6 +279,13 @@ class OracleSemanticScore:
         }
 
 
+def in_declared_order(functions):
+    """A set's functions as the scorer meets them: in declaration order, so
+    that the first-seen order that ``macro_f1`` sums in never follows a
+    set's iteration order."""
+    return [fn for fn in F if fn in functions]
+
+
 def oracle_score_semantics(score, annotations, truth):
     by_range = {(a.field.start, a.field.end): a for a in annotations}
     matched = set()
@@ -306,17 +313,17 @@ def oracle_score_semantics(score, annotations, truth):
                 score._label(score.per_type, pred_type.name).fp += 1
 
         pred_funcs = ann.inferred_functions if ann is not None else frozenset()
-        for fn in t.inferred_functions & pred_funcs:
+        for fn in in_declared_order(t.inferred_functions & pred_funcs):
             score.functions.tp += 1
             score._label(score.per_function, fn.name).tp += 1
             if f.accessed:
                 score.functions_accessed.tp += 1
-        for fn in t.inferred_functions - pred_funcs:
+        for fn in in_declared_order(t.inferred_functions - pred_funcs):
             score.functions.fn += 1
             score._label(score.per_function, fn.name).fn += 1
             if f.accessed:
                 score.functions_accessed.fn += 1
-        for fn in pred_funcs - t.inferred_functions:
+        for fn in in_declared_order(pred_funcs - t.inferred_functions):
             score.functions.fp += 1
             score.functions_accessed.fp += 1
             score._label(score.per_function, fn.name).fp += 1
@@ -328,7 +335,7 @@ def oracle_score_semantics(score, annotations, truth):
             score.types.fp += 1
             score.types_accessed.fp += 1
             score._label(score.per_type, ann.inferred_type.name).fp += 1
-        for fn in ann.inferred_functions:
+        for fn in in_declared_order(ann.inferred_functions):
             score.functions.fp += 1
             score.functions_accessed.fp += 1
             score._label(score.per_function, fn.name).fp += 1
@@ -397,6 +404,29 @@ def scored_messages(draw):
 @settings(max_examples=300, deadline=None)
 def test_semantic_tallies_match_the_six_table_oracle(pairs):
     assert semantics_doc(pairs) == oracle_semantics_doc(pairs)
+
+
+def test_a_set_of_functions_is_tallied_in_declaration_order():
+    """``macro_f1`` sums the per-label F1 in first-seen order, and a float
+    sum rounds by its order, so the functions of one set are met in the
+    order ``SemanticFunction`` declares them, whatever order the set
+    iterates in.  Both sets below are built in two insertion orders."""
+    true_set, found_set = {F.FILENAME, F.DELIM, F.LENGTH}, {F.DELIM, F.LENGTH, F.COMMAND, F.CHECKSUM}
+    labels = [F.FILENAME, F.CHECKSUM, F.DELIM, F.COMMAND, F.LENGTH]
+    docs = []
+    for order in (labels, labels[::-1]):
+        truth = gt(gtf(0, 1, T.STATIC, [fn for fn in order if fn in true_set]), gtf(2, 3))
+        found = FieldAnnotation(
+            Field(0, 1), T.STATIC, frozenset(fn for fn in order if fn in found_set), ()
+        )
+        report = MetricsReport()
+        report.add_message(as_inferred(truth), (found,), truth)
+        # hits, then misses, then false alarms, each in declaration order
+        assert list(report.functions.per_label) == [
+            "LENGTH", "DELIM", "FILENAME", "COMMAND", "CHECKSUM"
+        ]
+        docs.append(report.to_dict())
+    assert docs[0] == docs[1]
 
 
 # --- ground truth io ---------------------------------------------------------

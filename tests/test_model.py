@@ -3,6 +3,7 @@ import inspect
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fieldlens.detectors import Evidence, FieldAnnotation, SemanticFunction, SemanticType
 from fieldlens.model import (
     ApiCall,
     ArgRole,
@@ -67,7 +68,7 @@ def test_field_ordering_and_bounds():
         Field(3, 2)
     with pytest.raises(ModelError):
         Field(-1, 0)
-    assert len(Field(2, 5)) == 4
+    assert len(Field(2, 5).offsets) == 4
 
 
 def test_format_result_partition_checks():
@@ -188,6 +189,30 @@ def test_replace_and_make_check_the_record():
         good._replace(op_class=OpClass.MOV_SERIES)
     with pytest.raises(ModelError, match="reads must be a subset of accessed_offsets"):
         InstructionRecord._make((1, "mov", OpClass.MOV_SERIES, frozenset(), frozenset({0})))
+
+
+@given(st.integers(-3, 6), st.integers(-3, 6), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_make_and_replace_check_the_field_range(start, end, accessed):
+    outcomes = [
+        _outcome(Field, start, end, accessed),
+        _outcome(Field._make, (start, end, accessed)),
+        _outcome(Field(0, 0)._replace, start=start, end=end, accessed=accessed),
+    ]
+    if start < 0 or end < start:
+        assert outcomes == [f"invalid field range ({start}, {end})"] * 3
+    else:
+        assert outcomes == [(start, end, accessed)] * 3
+        assert all(type(f) is Field for f in outcomes)
+
+
+def test_memo_keys_hash_and_compare_in_c():
+    """The values that memos key on take ``tuple``'s hash and equality, and
+    the label enums hash by identity, so no hash is a Python call."""
+    for cls in (Field, FieldAnnotation, Evidence, InstructionRecord):
+        assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__, cls
+    for cls in (OpClass, LoopRole, ArgRole, PointerArith, SemanticType, SemanticFunction):
+        assert cls.__hash__ is object.__hash__, cls
 
 
 def test_the_constructor_takes_the_declared_fields_and_defaults():

@@ -2,7 +2,6 @@
 refinement's audit log, field and annotation equality, and the report
 encoder."""
 
-import dataclasses
 import enum
 import itertools
 import json
@@ -233,16 +232,16 @@ def repeated_rows(draw):
         change = draw(st.sampled_from(["none", "evidence", "true field", "fields"]))
         if change == "evidence":
             anns = tuple(
-                dataclasses.replace(a, evidence=(Evidence("type.static", i, "n"),))
+                a._replace(evidence=(Evidence("type.static", i, "n"),))
                 for a in anns
             )
         elif change == "true field":
             k = draw(st.integers(0, len(truth) - 1))
-            flipped = dataclasses.replace(truth[k], field=_flipped(truth[k].field))
+            flipped = truth[k]._replace(field=_flipped(truth[k].field))
             truth = truth[:k] + (flipped,) + truth[k + 1 :]
         elif change == "fields":
             fields = tuple(map(_flipped, fields))
-            anns = tuple(dataclasses.replace(a, field=_flipped(a.field)) for a in anns)
+            anns = tuple(a._replace(field=_flipped(a.field)) for a in anns)
         mid = f"{src}-{i}" if draw(st.booleans()) else f"l{i}"
         formats[mid] = FormatResult(mid, MSG_LEN, fields)
         annotations[mid], truths[mid] = anns, truth
@@ -285,7 +284,7 @@ _annotations = st.builds(
 
 
 def _rebuilt(value):
-    """An equal field or annotation, built afresh: its hash is not yet known."""
+    """An equal field or annotation, built afresh as another object."""
     if isinstance(value, Field):
         return Field(value.start, value.end, value.accessed)
     return FieldAnnotation(
@@ -298,8 +297,8 @@ def _rebuilt(value):
 def test_equal_fields_and_annotations_hash_equal(value, other):
     fresh = _rebuilt(value)
     assert fresh == value
-    first = hash(value)  # computed on first use
-    assert hash(fresh) == first == hash(value)  # and kept on the instance
+    first = hash(value)
+    assert hash(fresh) == first == hash(value)
     if other == value:
         assert hash(other) == first
 
@@ -307,16 +306,16 @@ def test_equal_fields_and_annotations_hash_equal(value, other):
 @given(_annotations, _annotations)
 @settings(max_examples=300, deadline=None)
 def test_a_replaced_value_hashes_like_a_fresh_one(ann, other):
-    hash(ann)  # a kept hash must not carry over to a replaced value
-    changed = dataclasses.replace(ann, inferred_type=other.inferred_type, evidence=other.evidence)
+    hash(ann)  # hashing first must not change what a replaced value hashes to
+    changed = ann._replace(inferred_type=other.inferred_type, evidence=other.evidence)
     fresh = FieldAnnotation(ann.field, other.inferred_type, ann.inferred_functions, other.evidence)
     assert changed == fresh and hash(changed) == hash(fresh)
     f = ann.field
-    flipped = dataclasses.replace(f, accessed=not f.accessed)
+    flipped = f._replace(accessed=not f.accessed)
     assert flipped == Field(f.start, f.end, not f.accessed)
     assert hash(flipped) == hash(Field(f.start, f.end, not f.accessed))
     assert Field(f.start, f.end, True) != Field(f.start, f.end, False)
-    assert dataclasses.replace(ann, field=flipped) != ann
+    assert ann._replace(field=flipped) != ann
 
 
 _json_scalars = st.one_of(

@@ -423,15 +423,15 @@ def test_checksum_kept_on_integer_field():
 
 
 def _counting_replace(monkeypatch):
-    """The annotations ``dataclasses.replace`` is called on in refinement."""
+    """The annotations ``FieldAnnotation._replace`` is called on."""
     calls = []
-    real = refinement.replace
+    real = FieldAnnotation._replace
 
-    def counting(obj, **changes):
-        calls.append(obj)
-        return real(obj, **changes)
+    def counting(ann, **changes):
+        calls.append(ann)
+        return real(ann, **changes)
 
-    monkeypatch.setattr(refinement, "replace", counting)
+    monkeypatch.setattr(FieldAnnotation, "_replace", counting)
     return calls
 
 
@@ -565,7 +565,7 @@ def brute_force_refine(messages, annotations, clustering, entropy=True, constrai
                 else:
                     continue
                 event(mid, rng, "revoke-type", a.inferred_type.name, reason, h, med)
-                anns[i] = dataclasses.replace(a, inferred_type=T.UNKNOWN)
+                anns[i] = a._replace(inferred_type=T.UNKNOWN)
             donors = [a for a in anns if a.inferred_type is not T.UNKNOWN]
             for i, a in enumerate(anns):
                 if not donors or a.inferred_type is not T.UNKNOWN:
@@ -580,9 +580,7 @@ def brute_force_refine(messages, annotations, clustering, entropy=True, constrai
                 reason = f"closest-entropy donor {span}"
                 event(mid, rng, "assign-type", d.inferred_type.name, reason, h, med)
                 note = Evidence("refine.entropy-fallback", None, note=f"donor field {span}")
-                anns[i] = dataclasses.replace(
-                    a, inferred_type=d.inferred_type, evidence=a.evidence + (note,)
-                )
+                anns[i] = a._replace(inferred_type=d.inferred_type, evidence=a.evidence + (note,))
 
     for mid, anns in refined.items() if constraints else ():
         for i, a in enumerate(anns):
@@ -591,14 +589,13 @@ def brute_force_refine(messages, annotations, clustering, entropy=True, constrai
                 continue
             if F.COMMAND not in a.inferred_functions:
                 event(mid, rng, "add-function", "COMMAND", "field is the clustering basis")
-                a = dataclasses.replace(
-                    a,
+                a = a._replace(
                     inferred_functions=a.inferred_functions | {F.COMMAND},
                     evidence=a.evidence + (Evidence("refine.cluster-command", None),),
                 )
             if a.inferred_type is T.UNKNOWN:
                 event(mid, rng, "assign-type", "GROUP", "untyped clustering basis")
-                a = dataclasses.replace(a, inferred_type=T.GROUP)
+                a = a._replace(inferred_type=T.GROUP)
             anns[i] = a
         for i, a in enumerate(anns):
             bad = sorted(
@@ -610,7 +607,7 @@ def brute_force_refine(messages, annotations, clustering, entropy=True, constrai
                 reason = f"requires {allowed}, field is {a.inferred_type.name}"
                 event(mid, (a.field.start, a.field.end), "drop-function", fn.name, reason)
             if bad:
-                anns[i] = dataclasses.replace(a, inferred_functions=a.inferred_functions - set(bad))
+                anns[i] = a._replace(inferred_functions=a.inferred_functions - set(bad))
     return {mid: tuple(anns) for mid, anns in refined.items()}, log
 
 

@@ -324,17 +324,30 @@ def test_memos_key_by_value():
     assert found == []
 
 
+#: the checked tuples, by module: each class body is the one place that may
+#: build its values around the constructor
+CHECKED_TUPLES = {
+    "model.py": {"InstructionRecord", "Field"},
+    "detectors.py": {"FieldAnnotation", "Evidence"},
+}
+
+
 def test_only_the_record_class_builds_records_around_a_constructor():
-    """``InstructionRecord.__new__`` checks the record invariants, and the
-    class's ``_make``, and so ``_replace``, call it.  No module may create an
-    object or set an attribute around a class's constructor this way outside
-    that class body, so ``InstructionRecord(...)`` is the one way in."""
+    """``InstructionRecord.__new__`` checks the record invariants and
+    ``Field.__new__`` the range, and each class's ``_make``, and so
+    ``_replace``, call it.  No module may create an object or set an
+    attribute around a class's constructor this way outside the body of a
+    checked tuple (``FieldAnnotation`` and ``Evidence`` are the others), so
+    calling the class is the one way in."""
     modules = list(_modules())
-    (record_class,) = [
-        node for node in ast.walk(dict(modules)["model.py"])
-        if isinstance(node, ast.ClassDef) and node.name == "InstructionRecord"
-    ]
-    inside = {id(node) for node in ast.walk(record_class)}
+    inside = set()
+    for name, classes in CHECKED_TUPLES.items():
+        bodies = [
+            node for node in ast.walk(dict(modules)[name])
+            if isinstance(node, ast.ClassDef) and node.name in classes
+        ]
+        assert sorted(node.name for node in bodies) == sorted(classes), name
+        inside |= {id(node) for body in bodies for node in ast.walk(body)}
     bypasses = {"__new__", "__setattr__", "__set__", "__dict__"}
     found = []
     for name, tree in modules:
