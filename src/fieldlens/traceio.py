@@ -32,22 +32,31 @@ that a line's kind does not define below is a ParseError:
 single pass over a stream gives the messages, their traces and the true
 field of every ``gt`` line, so a file that holds traces and ground truth
 is read once, and every command that reads a file checks its ``gt`` lines.
-Within one read:
+The reader takes the stream's whole text with one ``read()``, so a file
+that does not decode fails before any line is parsed.  A line ends at
+each LF in that text: newline translation is the stream's job, and
+``load_corpus`` opens files in universal-newlines mode, so CRLF and
+lone-CR files read as LF ones.  (A caller's own stream opened with
+``newline=""`` keeps a lone CR inside its line.)  Within one read:
 
 - The consecutive lines after a ``msg`` line that each start with its own
-  ``rec <id> `` form a block, streamed a line at a time.  A block is keyed
-  by its text with those prefixes removed, plus the message's length, so a
-  repeated trace is one dict lookup and its messages share one ``records``
-  tuple.  Parsing a line reads only its text after the prefix and the
-  length, and any error ends the read, so a block whose key was seen
-  before parsed without error then and would parse to the same records
-  now; a bad line changes the text, and so the key.  Any other line (a
-  comment, a blank line, a ``gt`` line, another message's ``rec`` line, or
-  a ``rec`` line that does not begin with exactly ``rec <id> ``) ends the
-  block and is read on its own.  So every error names the line that a
-  line-at-a-time reader would name: a seq that does not increase names
-  the line of its record, counted from the first line of the block or
-  single line the record was read in.
+  ``rec <id> `` form a block.  The block last read at each (message
+  length, first line after the prefix) is remembered: a block that spells
+  its lines again, each after the current prefix, with no such line after
+  them, takes its records tuple uncut.  Any other block is carved a line
+  at a time, keyed by its text without the prefixes plus the message's
+  length, and remembered in place of the last, so a failed comparison
+  costs at most a block that is then dropped, and a read stays linear in
+  its text.  Messages whose traces repeat byte for byte share one
+  ``records`` tuple.  Parsing a line reads only its text after the prefix
+  and the length, and any error ends the read, so a block seen before
+  parsed without error then and would parse to the same records now; a bad
+  line changes the text.  Any other line (a comment, a blank line, a
+  ``gt`` line, another message's ``rec`` line, or a ``rec`` line that does
+  not begin with exactly ``rec <id> ``) ends the block and is read on its
+  own.  So every error names the line that a line-at-a-time reader would
+  name: a seq that does not increase names the line of its record, counted
+  from the first line of the block or single line the record was read in.
 - A ``rec`` line that misses is interned by its text after the message id
   alone, so each distinct text is tokenized and parsed once, whatever its
   message's length, and equal lines share one record.  Records that
@@ -340,26 +349,50 @@ class _Records:
         return hit[0]
 
     def block(
-        self, lines: list[str], first: int, prefix: str, length: int
+        self, rests: list[str], first: int, length: int
     ) -> tuple[InstructionRecord, ...]:
-        """The records of ``lines``, consecutive lines from line ``first`` on
-        that each start with ``prefix``, ``rec <id> `` of a message of
-        ``length`` bytes.  Without the prefixes, the text of the lines is
-        the key: equal keys hold equal line texts, which parse alike."""
-        text = "".join(lines)
-        key = (text[len(prefix):].replace("\n" + prefix, "\n"), length)
+        """The records of a block of a message of ``length`` bytes, from
+        line ``first`` on; ``rests`` are its lines' texts after their
+        ``rec <id> `` prefix.  Their text is the key: equal keys hold equal
+        line texts, which parse alike."""
+        key = ("".join(rests), length)
         recs = self.blocks.get(key)
         if recs is None:
-            n = len(prefix)
             recs = self.blocks[key] = tuple(
-                self.line(raw[n:].strip(), line_no, length)
-                for line_no, raw in enumerate(lines, start=first)
+                self.line(rest.strip(), line_no, length)
+                for line_no, rest in enumerate(rests, start=first)
             )
         return recs
 
 
+def _carve(text: str, pos: int, prefix: str) -> tuple[list[str], int]:
+    """The texts after ``prefix``, newline kept, of the consecutive lines of
+    ``text`` from ``pos`` on that start with it, and the end of the last."""
+    n = len(prefix)
+    rests = []
+    while text.startswith(prefix, pos):
+        end = text.find("\n", pos) + 1 or len(text)
+        rests.append(text[pos + n:end])
+        pos = end
+    return rests, pos
+
+
+def _repeat_end(text: str, pos: int, prefix: str, rests: list[str]) -> int:
+    """The end of the block at ``pos`` if it is the lines ``rests``, each
+    after ``prefix``, and the line after them does not start with
+    ``prefix``; else 0."""
+    expected = prefix + prefix.join(rests)
+    end = pos + len(expected)
+    if text.startswith(expected, pos) and not text.startswith(prefix, end):
+        return end
+    return 0
+
+
 def read_interchange(stream: TextIO) -> Corpus:
-    """Messages, traces and true fields of ``stream``, in one pass."""
+    """Messages, traces and true fields of ``stream``, in one pass over its
+    whole text."""
+    text = stream.read()
+    size = len(text)
     messages: list[Message] = []
     by_id: dict[str, Message] = {}
     # each message's records, as the blocks and single lines they were read
@@ -367,28 +400,37 @@ def read_interchange(stream: TextIO) -> Corpus:
     records: dict[str, list[tuple[int, tuple[InstructionRecord, ...]]]] = {}
     truth: list[tuple[str, FieldAnnotation]] = []
     cache = _Records()
+    # (message length, a block's first line after its prefix) -> the lines
+    # after the prefix and the records of the block last read there
+    last: dict[tuple[int, str], tuple[list[str], tuple[InstructionRecord, ...]]] = {}
     # text after the message id -> the true field of that ``gt`` line
     true_fields: dict[str, FieldAnnotation] = {}
     # The lines after a ``msg`` line that start with its ``rec <id> `` form a
     # block.  ``str.startswith(())`` is false, so no block precedes the
     # first ``msg`` line.
     prefix: str | tuple[()] = ()
-    block: list[str] = []
     msg: Optional[Message] = None
     length = 0
-
-    def end_block(first: int) -> None:
-        records[msg.id].append((first, cache.block(block, first, prefix, length)))
-        block.clear()
-
-    line_no = 0
-    for line_no, raw in enumerate(stream, start=1):
-        if raw.startswith(prefix):
-            block.append(raw)
+    pos = line_no = 0
+    while pos < size:
+        line_no += 1
+        if text.startswith(prefix, pos):
+            key = (length, text[pos + len(prefix):text.find("\n", pos) + 1 or size])
+            seen = last.get(key)
+            end = seen and _repeat_end(text, pos, prefix, seen[0])
+            if end:
+                rests, recs = seen
+            else:
+                rests, end = _carve(text, pos, prefix)
+                recs = cache.block(rests, line_no, length)
+                last[key] = rests, recs
+            records[msg.id].append((line_no, recs))
+            line_no += len(rests) - 1
+            pos = end
             continue
-        if block:
-            end_block(line_no - len(block))
-        line = raw.strip()
+        end = text.find("\n", pos) + 1 or size
+        line = text[pos:end].strip()
+        pos = end
         if not line or line.startswith(("#", ";")):
             continue
         parts = line.split(None, 2)
@@ -420,8 +462,6 @@ def read_interchange(stream: TextIO) -> Corpus:
             messages.append(msg)
             records[subject] = []
             prefix, length = f"rec {subject} ", len(data)
-    if block:
-        end_block(line_no + 1 - len(block))
 
     traces: list[ExecutionTrace] = []
     for msg_id, parts in records.items():
@@ -455,19 +495,23 @@ def load_corpus_stream(stream: TextIO) -> tuple[list[Message], list[ExecutionTra
 
 
 def load_corpus(path) -> Corpus:
-    """``read_interchange`` of the file ``path``; a file that is not UTF-8 is
-    a ParseError on the first line that does not decode."""
+    """``read_interchange`` of the file ``path``, opened in universal-newlines
+    mode; a file that is not UTF-8 is a ParseError on its first line that
+    does not decode, before any line is parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return read_interchange(fh)
     except UnicodeDecodeError:
-        # Text is decoded a block at a time, so the failing line is found again.
+        # The decoder works a chunk at a time, so the failing byte is found
+        # again, and its line counted as universal newlines count it.
         with open(path, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ParseError(line_no, f"not UTF-8 text ({exc.reason})") from None
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start]
+            line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ParseError(line_no, f"not UTF-8 text ({exc.reason})") from None
         raise
 
 

@@ -705,6 +705,48 @@ def test_the_block_reader_matches_the_per_line_oracle(text, newline):
     assert _outcome(read_interchange, text, newline) == _outcome(_oracle_read, text, newline)
 
 
+_BLOCK = (
+    "seq=1 op=movzx class=MOV_SERIES off=0-1",
+    "seq=2 op=cmp class=COMPARE off=0-1 const=0x01 result=true",
+)
+
+
+def _message(mid, lines):
+    return f"msg {mid} bytes=0x0102\n" + "".join(f"rec {mid} {line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("later", [
+    pytest.param(_message("b", _BLOCK), id="repeat"),
+    pytest.param(_message("b", _BLOCK + ("seq=3 op=add class=ARITH_BITWISE off=1",)),
+                 id="one-more-line"),
+    pytest.param(_message("b", _BLOCK + (_BLOCK[1],)), id="one-more-line-out-of-order"),
+    pytest.param(_message("b", _BLOCK[:1]), id="shorter"),
+    pytest.param(_message("b", (_BLOCK[0], _BLOCK[1].replace("0x01", "0x02"))),
+                 id="later-line-differs"),
+    pytest.param(_message("b", _BLOCK)[:-1], id="repeat-without-final-newline"),
+    pytest.param(_message("b", _BLOCK) + _message("c", _BLOCK[:1]) + _message("d", _BLOCK),
+                 id="repeat-after-another-block"),
+])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("newline", [None, "", "\n"])
+def test_a_block_like_one_read_before_matches_the_per_line_oracle(later, end, newline):
+    """A block with the first line and message length of one read before is
+    taken from it only when it repeats all of it, and nothing more."""
+    text = (_message("a", _BLOCK) + later).replace("\n", end)
+    assert _outcome(read_interchange, text, newline) == _outcome(_oracle_read, text, newline)
+
+
+def test_a_block_that_begins_with_one_read_before_is_read_whole():
+    """Repeats of a longer block share its one records tuple, although a
+    block read before is the same up to its last line."""
+    longer = _BLOCK + ("seq=3 op=add class=ARITH_BITWISE off=1",)
+    _, traces = load_text(
+        _message("a", _BLOCK) + _message("b", longer) + _message("c", longer)
+    )
+    assert traces[1].records is traces[2].records
+    assert traces[0].records == traces[1].records[:2]
+
+
 def test_a_seq_out_of_order_is_named_on_its_line_in_any_part():
     line = "op=mov class=MOV_SERIES off=0"
     text = (
@@ -727,3 +769,60 @@ def test_a_block_is_reused_only_for_a_message_of_the_same_length():
     with pytest.raises(IntegrityError) as err:
         load_text(text)
     assert err.value.line_no == 6 and "length 3" in str(err.value)
+
+
+def test_reading_is_linear_in_the_lines_however_blocks_alternate(monkeypatch):
+    """Blocks of one first line and message length that alternate between
+    2,000 lines, each with its own last line, and one line: each line is
+    carved or compared a bounded number of times, because a block is
+    compared only with the last block read at its (length, first line)."""
+    work = {"_carve": 0, "_repeat_end": 0}
+
+    def counted(name, lines_of):
+        original = getattr(traceio, name)
+
+        def wrapper(*args):
+            result = original(*args)
+            work[name] += len(lines_of(args, result))
+            return result
+        monkeypatch.setattr(traceio, name, wrapper)
+
+    counted("_carve", lambda args, result: result[0])  # lines carved
+    counted("_repeat_end", lambda args, result: args[3])  # lines compared
+    first = "seq=1 op=mov class=MOV_SERIES off=0"
+    middle = [f"seq={i} op=mov class=MOV_SERIES off=0" for i in range(2, 2000)]
+    blocks = []
+    for k in range(16):
+        blocks.append((f"l{k}", [first, *middle, f"seq=2000 op=x{k} class=MOV_SERIES off=0"]))
+        blocks.append((f"s{k}", [first]))
+    text = "".join(_message(mid, lines) for mid, lines in blocks)
+    _, traces = load_text(text)
+    assert [len(t.records) for t in traces] == [len(lines) for _, lines in blocks]
+    assert len({id(t.records) for t in traces[1::2]}) == 1
+    assert sum(work.values()) <= 3 * text.count("\n")
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_a_file_with_crlf_or_lone_cr_line_ends_loads_as_with_lf(tmp_path, end):
+    """Files are opened in universal-newlines mode, so the stream turns
+    each line end into an LF before the reader sees the text."""
+    text = "\n".join(_generated_lines(0)) + "\n"
+    lf, other = tmp_path / "lf.fl", tmp_path / "other.fl"
+    lf.write_text(text, encoding="utf-8", newline="\n")
+    other.write_text(text, encoding="utf-8", newline=end)
+    assert other.read_bytes() != lf.read_bytes()
+    assert load_corpus(other) == load_corpus(lf)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("filler", [0, 4000])
+def test_a_file_that_is_not_utf8_is_named_on_its_first_bad_line(tmp_path, filler, end):
+    """The whole text is decoded before any line is parsed, so a bad first
+    line never hides an undecodable byte however far on it stands."""
+    lines = [b"nope a x=1", *[b"# filler"] * filler, b"# caf\xff", b"# \xfe"]
+    path = tmp_path / "bad.fl"
+    path.write_bytes(end.encode().join(lines) + end.encode())
+    with pytest.raises(ParseError) as err:
+        load_corpus(path)
+    assert err.value.line_no == filler + 2
+    assert str(err.value) == f"line {filler + 2}: not UTF-8 text (invalid start byte)"
