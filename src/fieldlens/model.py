@@ -6,7 +6,10 @@ derived from the records on first use.  Records and fields are checked tuples
 and the label enums hash by identity, so memo keys hash in C.  ``by_offset``
 maps each accessed offset to the positions of the records that touch it, so
 ``instructions_for``, the one I(f) lookup, visits only the records of the
-field's own bytes.  Offsets are byte-granular; bit-level fields are out of scope.
+field's own bytes.  A trace names no message, so equal traces compare and
+hash alike: a message's length and its trace are its shape, and messages of
+one shape were handled by the same instructions.  Offsets are byte-granular;
+bit-level fields are out of scope.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 
 class ModelError(ValueError):
@@ -138,7 +141,6 @@ class InstructionRecord(_RecordFields):
 class ExecutionTrace:
     """The ordered instruction records emitted while one message was parsed."""
 
-    message_id: str
     records: Tuple[InstructionRecord, ...]
 
     def __post_init__(self) -> None:
@@ -147,8 +149,7 @@ class ExecutionTrace:
             seq = rec.seq
             if prev is not None and seq <= prev:
                 raise ModelError(
-                    f"trace {self.message_id!r}: record seq values must be "
-                    f"strictly increasing ({seq} after {prev})"
+                    f"record seq values must be strictly increasing ({seq} after {prev})"
                 )
             prev = seq
 
@@ -243,39 +244,6 @@ class FormatResult:
     @property
     def boundaries(self) -> Tuple[int, ...]:
         return tuple(f.start for f in self.fields if f.start > 0)
-
-
-#: a message length plus one number per record, in trace order
-ShapeKey = tuple[int, tuple[int, ...]]
-
-
-def shape_keys(
-    messages: Iterable[Message], traces: Mapping[str, ExecutionTrace]
-) -> dict[str, ShapeKey]:
-    """Each message's trace shape: its length and its records.
-
-    Extraction and the detectors read nothing else of a trace, so traces of
-    one shape get one format and one set of per-field records; only the
-    rules that read the message's bytes can tell them apart.  Records are
-    numbered by value, equal records with one number, so keys compare equal
-    only within one call.
-
-    The reader gives a repeated trace one ``records`` tuple, so each tuple
-    object is numbered once.  The tuples stay alive in ``traces``, so no id
-    is reused within the call.
-    """
-    numbers: dict[InstructionRecord, int] = {}
-    rows: dict[int, tuple[int, ...]] = {}
-    keys: dict[str, ShapeKey] = {}
-    for msg in messages:
-        records = traces[msg.id].records
-        row = rows.get(id(records))
-        if row is None:
-            row = rows[id(records)] = tuple(
-                [numbers.setdefault(rec, len(numbers)) for rec in records]
-            )
-        keys[msg.id] = (len(msg), row)
-    return keys
 
 
 def instructions_for(trace: ExecutionTrace, field: Field) -> list[InstructionRecord]:

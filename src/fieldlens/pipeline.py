@@ -17,7 +17,7 @@ from .detectors import FieldAnnotation, FieldMemo, annotate_format
 from .evaluation import MetricsReport, load_ground_truth
 from .extraction import MergeMemo, extract_format, extract_format_baseline
 from .fuzz_template import export_fuzz_template
-from .model import ExecutionTrace, Field, FormatResult, Message, ShapeKey, shape_keys
+from .model import ExecutionTrace, Field, FormatResult, Message
 from .refinement import (
     Clustering,
     RefinementEvent,
@@ -68,9 +68,9 @@ def infer_corpus(
 ) -> tuple[dict[str, FormatResult], dict[str, tuple[FieldAnnotation, ...]]]:
     """Each message's format and detector annotations, by message id.
 
-    Messages whose traces have one shape (``model.shape_keys``) are handled
-    by the same instructions, so the shape's format is extracted once and
-    every such message gets its fields.  Each (shape, field) is looked up
+    Messages of one shape, one length and equal traces, are handled by the
+    same instructions, so the shape's format is extracted once and every
+    such message gets its fields.  Each (shape, field) is looked up
     and run through every rule's trace part once.  The byte parts that the
     trace leaves open (delim's edge bytes, filename's field bytes) run once
     per distinct bytes they read, and a field with none open gets one
@@ -81,11 +81,12 @@ def infer_corpus(
     formats: dict[str, FormatResult] = {}
     annotations: dict[str, tuple[FieldAnnotation, ...]] = {}
     merges: MergeMemo = {}
-    shapes: dict[ShapeKey, tuple[tuple[Field, ...], FieldMemo]] = {}
-    keys = shape_keys(messages, traces)
+    # (message length, trace) -> the shape's fields and detector memo
+    shapes: dict[tuple[int, ExecutionTrace], tuple[tuple[Field, ...], FieldMemo]] = {}
     for msg in messages:
         trace = traces[msg.id]
-        shape = shapes.get(keys[msg.id])
+        key = (len(msg), trace)
+        shape = shapes.get(key)
         if shape is not None:
             fmt = FormatResult(msg.id, len(msg), shape[0])
         else:
@@ -93,7 +94,7 @@ def infer_corpus(
                 fmt = extract_format_baseline(msg, trace)
             else:
                 fmt = extract_format(msg, trace, memo=merges)
-            shape = shapes[keys[msg.id]] = (fmt.fields, {})
+            shape = shapes[key] = (fmt.fields, {})
         formats[msg.id] = fmt
         annotations[msg.id] = annotate_format(
             fmt, trace, msg, disabled_rules, memo=shape[1]
@@ -179,7 +180,8 @@ def read_inputs(
     dict[str, ExecutionTrace],
     Optional[dict[str, tuple[FieldAnnotation, ...]]],
 ]:
-    """The messages of ``traces``, their traces by message id and, given a
+    """The messages of ``traces``, their traces by message id (the reader
+    gives one trace per message, in the messages' order) and, given a
     ``ground_truth`` file, its true fields by message id.
 
     This and ``read_ground_truth`` are where every command reads its
@@ -199,7 +201,7 @@ def read_inputs(
         if ground_truth != traces:
             truths = read_ground_truth(ground_truth)
         check_covers({m.id: len(m) for m in messages}, str(ground_truth), truths)
-    return messages, {t.message_id: t for t in trace_list}, truths
+    return messages, {m.id: t for m, t in zip(messages, trace_list)}, truths
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:

@@ -22,9 +22,8 @@ entries, and one entry dict per distinct entry.  Every such
 memo is keyed by value: equal model values give equal reports, because
 ``Field`` equality includes ``accessed``, and fields, annotations and
 evidence are tuples that hash and compare in C.  Only ``encode``, whose
-dicts and lists cannot be hashed, and ``model.shape_keys``, which numbers
-each records tuple that the reader shares once, key by ``id()``.  A shared
-object is never changed after it is handed out.
+dicts and lists cannot be hashed, keys by ``id()``.  A shared object is
+never changed after it is handed out.
 ``read_json`` reads every stage input, and a file that is not JSON or not of
 the expected shape, down to the type of each scalar, is an
 ``IntegrityError`` naming the file.

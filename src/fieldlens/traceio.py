@@ -43,18 +43,19 @@ lone-CR files read as LF ones.  (A caller's own stream opened with
   ``rec <id> `` form a block.  The block last read at each (message
   length, first line after the prefix) is remembered: a block that spells
   its lines again, each after the current prefix, with no such line after
-  them, takes its records tuple uncut.  Any other block is carved a line
-  at a time, keyed by its text without the prefixes plus the message's
-  length, and remembered in place of the last, so a failed comparison
-  costs at most a block that is then dropped, and a read stays linear in
-  its text.  Messages whose traces repeat byte for byte share one
-  ``records`` tuple.  Parsing a line reads only its text after the prefix
-  and the length, and any error ends the read, so a block seen before
-  parsed without error then and would parse to the same records now; a bad
-  line changes the text.  Any other line (a comment, a blank line, a
-  ``gt`` line, another message's ``rec`` line, or a ``rec`` line that does
-  not begin with exactly ``rec <id> ``) ends the block and is read on its
-  own.  So every error names the line that a line-at-a-time reader would
+  them, takes its trace uncut.  Any other block is carved a line at a
+  time, keyed by its text without the prefixes plus the message's length,
+  and remembered in place of the last, so a failed comparison costs at
+  most a block that is then dropped, and a read stays linear in its text.
+  A block's ``ExecutionTrace`` is built, and its seq order checked, once,
+  when the block is first carved, so messages whose traces repeat byte
+  for byte share one trace.  Parsing a line reads only its text after the
+  prefix and the length, and any error ends the read, so a block seen
+  before parsed without error then and would parse to the same records
+  now; a bad line changes the text.  Any other line (a comment, a blank
+  line, a ``gt`` line, another message's ``rec`` line, or a ``rec`` line
+  that does not begin with exactly ``rec <id> ``) ends the block and is
+  read on its own.  So every error names the line that a line-at-a-time reader would
   name: a seq that does not increase names the line of its record, counted
   from the first line of the block or single line the record was read in.
 - A ``rec`` line that misses is interned by its text after the message id
@@ -65,16 +66,19 @@ lone-CR files read as LF ones.  (A caller's own stream opened with
   and both ``lineage`` sides); a hit at or past the current message's
   length is parsed again with that length, which raises the
   IntegrityError an uncached parse would, on the same line.
-- A message's records are kept as the blocks and single lines they were
-  read in and joined once, at the end; a message read as one block keeps
-  that block's shared tuple.
+- A message read as one block whose seqs increase takes that block's
+  trace.  Any other message's records (several parts, a single line, none,
+  or a block out of seq order) are kept as the blocks and single lines
+  they were read in, and joined and checked once, at the end of the read,
+  so a parse error anywhere in the text is raised before a seq error, and
+  the seq error names the message: ``trace '<id>': ...``.
 - ``gt`` lines with one text after the message id share one true field,
   parsed once.
 
-Records, offset sets, true fields and tuples are immutable, so sharing is
-safe; the caches live only as long as the call.  The writers likewise
-format each distinct record, or true field, once per call, keyed by its
-value, and write that text after each line's own ``rec <id> `` or
+Records, offset sets, true fields, traces and tuples are immutable, so
+sharing is safe; the caches live only as long as the call.  The writers
+likewise format each distinct record, or true field, once per call, keyed
+by its value, and write that text after each line's own ``rec <id> `` or
 ``gt <id> `` prefix.
 
 The JSON documents the later stages exchange live in ``reports``; this
@@ -325,6 +329,10 @@ class Corpus(NamedTuple):
     truth: list[tuple[str, FieldAnnotation]]  # (message id, true field), in file order
 
 
+#: a block's records and their trace, or None if their seq order is broken
+Block = tuple[tuple[InstructionRecord, ...], Optional[ExecutionTrace]]
+
+
 class _Records:
     """The record caches of one read (see the module docstring)."""
 
@@ -333,7 +341,8 @@ class _Records:
         # text after the message id -> (its record, the highest offset it names)
         self.lines: dict[str, tuple[InstructionRecord, int]] = {}
         # (block text without its prefixes, message length) -> its records
-        self.blocks: dict[tuple[str, int], tuple[InstructionRecord, ...]] = {}
+        # and their trace, or None if their seq order is broken
+        self.blocks: dict[tuple[str, int], Block] = {}
 
     def line(self, rest: str, line_no: int, length: int) -> InstructionRecord:
         """The record that ``rest``, the text after a ``rec`` line's message
@@ -348,21 +357,26 @@ class _Records:
             )
         return hit[0]
 
-    def block(
-        self, rests: list[str], first: int, length: int
-    ) -> tuple[InstructionRecord, ...]:
+    def block(self, rests: list[str], first: int, length: int) -> Block:
         """The records of a block of a message of ``length`` bytes, from
-        line ``first`` on; ``rests`` are its lines' texts after their
-        ``rec <id> `` prefix.  Their text is the key: equal keys hold equal
-        line texts, which parse alike."""
+        line ``first`` on, and their trace; ``rests`` are its lines' texts
+        after their ``rec <id> `` prefix.  Their text is the key: equal keys
+        hold equal line texts, which parse alike.  Records out of seq order
+        get no trace: their message's records are joined and checked at the
+        end of the read, so a parse error later in the text comes first."""
         key = ("".join(rests), length)
-        recs = self.blocks.get(key)
-        if recs is None:
-            recs = self.blocks[key] = tuple(
+        block = self.blocks.get(key)
+        if block is None:
+            recs = tuple(
                 self.line(rest.strip(), line_no, length)
                 for line_no, rest in enumerate(rests, start=first)
             )
-        return recs
+            try:
+                block = recs, ExecutionTrace(recs)
+            except ModelError:
+                block = recs, None
+            self.blocks[key] = block
+        return block
 
 
 def _carve(text: str, pos: int, prefix: str) -> tuple[list[str], int]:
@@ -397,12 +411,12 @@ def read_interchange(stream: TextIO) -> Corpus:
     by_id: dict[str, Message] = {}
     # each message's records, as the blocks and single lines they were read
     # in, each with the number of its first line
-    records: dict[str, list[tuple[int, tuple[InstructionRecord, ...]]]] = {}
+    records: dict[str, list[tuple[int, Block]]] = {}
     truth: list[tuple[str, FieldAnnotation]] = []
     cache = _Records()
     # (message length, a block's first line after its prefix) -> the lines
-    # after the prefix and the records of the block last read there
-    last: dict[tuple[int, str], tuple[list[str], tuple[InstructionRecord, ...]]] = {}
+    # after the prefix of the block last read there, and the block
+    last: dict[tuple[int, str], tuple[list[str], Block]] = {}
     # text after the message id -> the true field of that ``gt`` line
     true_fields: dict[str, FieldAnnotation] = {}
     # The lines after a ``msg`` line that start with its ``rec <id> `` form a
@@ -419,12 +433,12 @@ def read_interchange(stream: TextIO) -> Corpus:
             seen = last.get(key)
             end = seen and _repeat_end(text, pos, prefix, seen[0])
             if end:
-                rests, recs = seen
+                rests, block = seen
             else:
                 rests, end = _carve(text, pos, prefix)
-                recs = cache.block(rests, line_no, length)
-                last[key] = rests, recs
-            records[msg.id].append((line_no, recs))
+                block = cache.block(rests, line_no, length)
+                last[key] = rests, block
+            records[msg.id].append((line_no, block))
             line_no += len(rests) - 1
             pos = end
             continue
@@ -443,7 +457,7 @@ def read_interchange(stream: TextIO) -> Corpus:
             if owner is None:
                 _split_fields(kind, rest, line_no)
                 raise IntegrityError(line_no, f"record for undeclared message id {subject!r}")
-            records[subject].append((line_no, (cache.line(rest, line_no, len(owner)),)))
+            records[subject].append((line_no, ((cache.line(rest, line_no, len(owner)),), None)))
         elif kind == "gt":
             ann = true_fields.get(rest)
             if ann is None:
@@ -465,22 +479,23 @@ def read_interchange(stream: TextIO) -> Corpus:
 
     traces: list[ExecutionTrace] = []
     for msg_id, parts in records.items():
-        if len(parts) == 1:
-            recs = parts[0][1]
-        else:
-            recs = tuple(chain.from_iterable(part for _, part in parts))
-        try:
-            traces.append(ExecutionTrace(msg_id, recs))
-        except ModelError as exc:
-            raise IntegrityError(_unordered_line(parts), str(exc)) from None
+        trace = parts[0][1][1] if len(parts) == 1 else None
+        if trace is None:  # several parts, a single line, none, or out of order
+            try:
+                trace = ExecutionTrace(tuple(chain.from_iterable(p[1][0] for p in parts)))
+            except ModelError as exc:
+                raise IntegrityError(
+                    _unordered_line(parts), f"trace {msg_id!r}: {exc}"
+                ) from None
+        traces.append(trace)
     return Corpus(messages, traces, truth)
 
 
-def _unordered_line(parts: list[tuple[int, tuple[InstructionRecord, ...]]]) -> int:
+def _unordered_line(parts: list[tuple[int, Block]]) -> int:
     """The line of the first record whose seq does not increase.  A part's
     records stand on consecutive lines from its first line on."""
     prev = None
-    for first, part in parts:
+    for first, (part, _) in parts:
         for i, rec in enumerate(part):
             if prev is not None and rec.seq <= prev:
                 return first + i
@@ -546,15 +561,12 @@ def _record_text(rec: InstructionRecord) -> str:
 def serialize_corpus(
     messages: list[Message], traces: list[ExecutionTrace]
 ) -> str:
-    """The ``msg`` and ``rec`` lines of ``messages`` and their traces."""
-    by_id = {t.message_id: t for t in traces}
+    """The ``msg`` and ``rec`` lines of ``messages`` and their traces, the
+    trace at each message's position; lists of two lengths are a ValueError."""
     texts: dict[InstructionRecord, str] = {}
     out: list[str] = []
-    for msg in messages:
+    for msg, trace in zip(messages, traces, strict=True):
         out.append(f"msg {msg.id} bytes=0x{msg.data.hex()}\n")
-        trace = by_id.get(msg.id)
-        if trace is None:
-            continue
         prefix = f"rec {msg.id} "
         for rec in trace.records:
             text = texts.get(rec)

@@ -152,4 +152,4 @@ def run(
         if pc < len(code) - 1:
             reason = TermReason.STEP_LIMIT
 
-    return VmRunReport(ExecutionTrace(message.id, tuple(records)), reason)
+    return VmRunReport(ExecutionTrace(tuple(records)), reason)

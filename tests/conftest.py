@@ -30,7 +30,7 @@ def example3():
 @pytest.fixture(scope="session")
 def refine_corpus():
     messages, traces, _ = load_corpus(DATA / "refine_corpus.trace")
-    return messages, {t.message_id: t for t in traces}
+    return messages, {m.id: t for m, t in zip(messages, traces)}
 
 
 @pytest.fixture(scope="session")

@@ -144,4 +144,4 @@ def reference_run(
         elif mnem not in ("loop", "endloop"):
             raise AssertionError(f"unhandled mnemonic {mnem}")
 
-    return VmRunReport(ExecutionTrace(message.id, tuple(records)), reason)
+    return VmRunReport(ExecutionTrace(tuple(records)), reason)

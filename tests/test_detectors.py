@@ -56,7 +56,7 @@ def cmp(seq, offsets, const=None, result=None, **kw):
 
 
 def trace(*records):
-    return ExecutionTrace("m", tuple(records))
+    return ExecutionTrace(tuple(records))
 
 
 MSG = Message("m", bytes(range(16)))
@@ -391,7 +391,7 @@ def test_loop_records_grouped_once_per_message(example2, monkeypatch):
 
     monkeypatch.setattr(model, "group_loops", counting)
     message, t = example2
-    t = ExecutionTrace(t.message_id, t.records)  # the fixture's may be cached
+    t = ExecutionTrace(t.records)  # the fixture's may be cached
     fmt = extract_format(message, t)
     annotate_format(fmt, t, message)
     annotate_format(fmt, t, message)
@@ -454,7 +454,7 @@ def test_byte_reading_rules_run_per_message_of_one_shape():
     no_delim = twin("no-delim", name.end + 1, ord("x"))  # the '\r' after the name
     messages = [message, no_name, no_delim]
     formats, annotations = infer_corpus(
-        messages, {m.id: ExecutionTrace(m.id, t.records) for m in messages}
+        messages, {m.id: ExecutionTrace(t.records) for m in messages}
     )
     assert formats[no_name.id].fields is formats[message.id].fields
     funcs = {

@@ -29,14 +29,14 @@ def mov(seq, offsets):
 
 def test_word_read_becomes_one_candidate():
     msg = Message("m", bytes(8))
-    trace = ExecutionTrace("m", (mov(1, {4, 5}),))
+    trace = ExecutionTrace((mov(1, {4, 5}),))
     cands = intra_instruction_candidates(msg, trace)
     assert Field(4, 5) in cands
 
 
 def test_separate_byte_reads_become_separate_candidates():
     msg = Message("m", bytes(4))
-    trace = ExecutionTrace("m", (mov(1, {0}), mov(2, {1})))
+    trace = ExecutionTrace((mov(1, {0}), mov(2, {1})))
     cands = intra_instruction_candidates(msg, trace)
     accessed = [c for c in cands if c.accessed]
     assert accessed[:2] == [Field(0, 0), Field(1, 1)]
@@ -44,14 +44,14 @@ def test_separate_byte_reads_become_separate_candidates():
 
 def test_untraced_message_yields_per_byte_unaccessed_candidates():
     msg = Message("m", bytes(5))
-    trace = ExecutionTrace("m", ())
+    trace = ExecutionTrace(())
     cands = intra_instruction_candidates(msg, trace)
     assert cands == [Field(i, i, accessed=False) for i in range(5)]
 
 
 def test_duplicate_candidates_deduplicated():
     msg = Message("m", bytes(2))
-    trace = ExecutionTrace("m", (mov(1, {0}), mov(2, {0}), mov(3, {1})))
+    trace = ExecutionTrace((mov(1, {0}), mov(2, {0}), mov(3, {1})))
     cands = intra_instruction_candidates(msg, trace)
     assert len([c for c in cands if c == Field(0, 0)]) == 1
 
@@ -65,7 +65,7 @@ def test_resolve_overlaps_merges_intersecting_ranges():
 
 def test_overlapping_word_and_byte_reads_collapse():
     msg = Message("m", bytes(4))
-    trace = ExecutionTrace("m", (mov(1, {0, 1}), mov(2, {1}), mov(3, {2})))
+    trace = ExecutionTrace((mov(1, {0, 1}), mov(2, {1}), mov(3, {2})))
     fmt = extract_format_baseline(msg, trace)
     assert fmt.fields[0] == Field(0, 1)
 
@@ -94,14 +94,14 @@ def test_example2_merges_chunk_but_not_checksum(example2):
 
 def test_single_byte_message():
     msg = Message("m", b"\x41")
-    trace = ExecutionTrace("m", (mov(1, {0}),))
+    trace = ExecutionTrace((mov(1, {0}),))
     fmt = extract_format(msg, trace)
     assert fmt.fields == (Field(0, 0),)
 
 
 def test_unaccessed_never_merges_with_accessed():
     msg = Message("m", bytes(3))
-    trace = ExecutionTrace("m", (mov(1, {0}),))
+    trace = ExecutionTrace((mov(1, {0}),))
     fmt = extract_format(msg, trace)
     assert fmt.fields == (Field(0, 0), Field(1, 2, accessed=False))
 
@@ -111,7 +111,6 @@ def test_compare_operand_unions_do_not_create_candidates():
     # produce a candidate spanning both
     msg = Message("m", bytes(8))
     trace = ExecutionTrace(
-        "m",
         (
             mov(1, {0}),
             mov(2, {1}),

@@ -58,8 +58,8 @@ def test_reads_must_be_subset_of_accessed():
 
 def test_trace_seq_strictly_increasing():
     with pytest.raises(ModelError):
-        ExecutionTrace("m", (rec(2, offsets={0}), rec(2, offsets={1})))
-    trace = ExecutionTrace("m", (rec(1, offsets={0}), rec(5, offsets={1})))
+        ExecutionTrace((rec(2, offsets={0}), rec(2, offsets={1})))
+    trace = ExecutionTrace((rec(1, offsets={0}), rec(5, offsets={1})))
     assert len(trace.records) == 2
 
 
@@ -83,7 +83,7 @@ def test_format_result_partition_checks():
 
 
 def test_instructions_for_empty_range():
-    trace = ExecutionTrace("m", (rec(1, offsets={0}),))
+    trace = ExecutionTrace((rec(1, offsets={0}),))
     assert instructions_for(trace, Field(5, 6)) == []
 
 
@@ -94,7 +94,7 @@ def test_instructions_for_matches_brute_force_union():
         rec(3, offsets={4}),
         rec(4, offsets=()),
     )
-    trace = ExecutionTrace("m", records)
+    trace = ExecutionTrace(records)
     field = Field(0, 2)  # spans the ranges of the first two records
     got = instructions_for(trace, field)
     expected = [
@@ -108,14 +108,14 @@ def test_instructions_for_matches_brute_force_union():
 
 def test_whole_message_field_returns_touching_records():
     records = (rec(1, offsets={0}), rec(2, offsets=()), rec(3, offsets={7}))
-    trace = ExecutionTrace("m", records)
+    trace = ExecutionTrace(records)
     got = instructions_for(trace, Field(0, 7))
     assert [r.seq for r in got] == [1, 3]
 
 
 def test_disjoint_fields_union_covers_span():
     records = (rec(1, offsets={0}), rec(2, offsets={3}), rec(3, offsets={5}))
-    trace = ExecutionTrace("m", records)
+    trace = ExecutionTrace(records)
     left = instructions_for(trace, Field(0, 2))
     right = instructions_for(trace, Field(3, 5))
     covering = instructions_for(trace, Field(0, 5))
@@ -133,7 +133,7 @@ def test_instructions_for_is_the_scan_it_replaces(offset_sets, a, b):
     records = tuple(rec(i + 1, offsets=offsets) for i, offsets in enumerate(offset_sets))
     field = Field(min(a, b), max(a, b))
     expected = [r for r in records if not r.accessed_offsets.isdisjoint(field.offsets)]
-    got = instructions_for(ExecutionTrace("m", records), field)
+    got = instructions_for(ExecutionTrace(records), field)
     assert got == expected
     assert all(g is e for g, e in zip(got, expected))
 

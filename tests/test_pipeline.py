@@ -200,10 +200,10 @@ def _counting(monkeypatch, module, name, key):
 def test_infer_corpus_infers_each_shape_once(monkeypatch):
     messages, traces = _generated((6, 2), (6, 2))
     shapes = {m.id: _shape(m, traces[m.id]) for m in messages}
+    by_trace = {id(traces[m.id]): shapes[m.id] for m in messages}  # one trace per message
     extracted = _counting(monkeypatch, pipeline, "extract_format", lambda m, *_: m.id)
     looked_up = _counting(
-        monkeypatch, detectors, "instructions_for",
-        lambda t, f: (shapes[t.message_id], f),
+        monkeypatch, detectors, "instructions_for", lambda t, f: (by_trace[id(t)], f)
     )
     formats, _ = infer_corpus(messages, traces)
     assert len(extracted) == len(set(shapes.values())) < len(messages)
@@ -235,7 +235,7 @@ def test_inferring_a_shape_visits_records_linearly():
     counted.  A long file name gives a long trace, a long loop and many
     candidates."""
     (msg,), (trace,), _ = text_names(1, seed=0, lo=150, hi=200)
-    counted = ExecutionTrace(msg.id, _CountedRecords(trace.records))
+    counted = ExecutionTrace(_CountedRecords(trace.records))
     loops = {loop_id: _CountedRecords(recs) for loop_id, recs in trace.loops.items()}
     vars(counted)["loops"] = loops  # what the ``loops`` property caches
     formats, _ = infer_corpus([msg], {msg.id: counted})
@@ -297,7 +297,7 @@ def test_messages_that_differ_inside_one_window_are_inferred_as_alone(seeds, dat
                 quiet.append((m.id, f"{m.id}-{k}", idx))
             twin = Message(f"{m.id}-{k}", bytes(raw))
             twins.append(twin)
-            traces[twin.id] = ExecutionTrace(twin.id, traces[m.id].records)
+            traces[twin.id] = ExecutionTrace(traces[m.id].records)
     corpus = messages + twins
     inferred = infer_corpus(corpus, traces)
     assert inferred == _per_message(corpus, traces)
@@ -332,7 +332,7 @@ def _mutations(messages, traces, attr):
                 continue
             try:
                 changed = rec._replace(**{attr: new})
-                yield m, ExecutionTrace(m.id, records[:i] + (changed,) + records[i + 1:])
+                yield m, ExecutionTrace(records[:i] + (changed,) + records[i + 1:])
             except ModelError:
                 continue
 
@@ -390,7 +390,7 @@ def test_infer_corpus_aligns_each_distinct_operator_pair_once(monkeypatch):
 
 def test_refine_corpus_toggles(small_corpus):
     path, messages, traces, _ = small_corpus
-    traces_map = {t.message_id: t for t in traces}
+    traces_map = {m.id: t for m, t in zip(messages, traces)}
     formats, annotations = infer_corpus(messages, traces_map)
     clustering, _, _ = refine_corpus(
         messages, formats, annotations, clustering_enabled=False
@@ -404,7 +404,7 @@ def test_refine_corpus_toggles(small_corpus):
 
 def test_annotation_documents_round_trip(small_corpus):
     path, messages, traces, _ = small_corpus
-    traces_map = {t.message_id: t for t in traces}
+    traces_map = {m.id: t for m, t in zip(messages, traces)}
     _, annotations = infer_corpus(messages, traces_map)
     annotations["x"] = tuple(
         FieldAnnotation(f, SemanticType.BYTES, frozenset(), ())
@@ -565,7 +565,7 @@ def test_reports_keep_their_recorded_bytes(tmp_path, mixed_corpus, config):
 
 def test_equal_annotations_share_one_dict(small_corpus):
     _, messages, traces, _ = small_corpus
-    _, annotations = infer_corpus(messages, {t.message_id: t for t in traces})
+    _, annotations = infer_corpus(messages, {m.id: t for m, t in zip(messages, traces)})
     ranged = Field(0, 1), Field(0, 1, accessed=False)
     annotations["x"] = tuple(FieldAnnotation(f, SemanticType.BYTES, frozenset(), ()) for f in ranged)
     doc = annotations_to_doc(annotations)

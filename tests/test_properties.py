@@ -66,7 +66,7 @@ def random_traces(draw):
                 cmp_result=draw(st.booleans()) if klass is OpClass.COMPARE else None,
             )
         )
-    return ExecutionTrace("m", tuple(records))
+    return ExecutionTrace(tuple(records))
 
 
 @given(random_traces(), st.binary(min_size=MSG_LEN, max_size=MSG_LEN))

@@ -113,8 +113,8 @@ def test_a_checksum_covers_the_lineage_its_evidence_names():
         _compare(6, ({2, 3}, {8, 9})),
     )
     for trace, of in [
-        (ExecutionTrace("m", records), {"start": 2, "end": 7}),  # runs spanned
-        (ExecutionTrace("m", records[:1] + records[2:]), None),  # seq 4 is missing
+        (ExecutionTrace(records), {"start": 2, "end": 7}),  # runs spanned
+        (ExecutionTrace(records[:1] + records[2:]), None),  # seq 4 is missing
     ]:
         entry = fields_of(build_template(annotations, {"m": msg}, {"m": trace}), "m")[2]
         assert entry["kind"] == "checksum"

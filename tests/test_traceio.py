@@ -20,7 +20,6 @@ from fieldlens.model import (
     ModelError,
     OpClass,
     PointerArith,
-    shape_keys,
 )
 from fieldlens.traceio import (
     IntegrityError,
@@ -248,7 +247,7 @@ def test_serialize_parse_round_trip(recs, payload):
             for i, r in enumerate(recs)
         ]
     message = Message("m", payload)
-    trace = ExecutionTrace("m", tuple(recs))
+    trace = ExecutionTrace(tuple(recs))
     text = serialize_corpus([message], [trace])
     messages2, traces2 = load_text(text)
     assert messages2 == [message]
@@ -262,8 +261,7 @@ def test_equal_records_under_two_ids_are_written_with_each_lines_own_id():
                             cmp_result=True, operand_lineage=(frozenset({0}), frozenset()))
     load = InstructionRecord(2, "movzx", OpClass.MOV_SERIES, frozenset({1}), reads=frozenset({1}))
     messages = [Message("a", b"\x05\x01"), Message("b", b"\x05\x02"), Message("c", b"\x06\x03")]
-    traces = [ExecutionTrace("a", (cmp, load)), ExecutionTrace("b", (cmp, load)),
-              ExecutionTrace("c", (load,))]
+    traces = [ExecutionTrace((cmp, load)), ExecutionTrace((cmp, load)), ExecutionTrace((load,))]
     truth = FieldAnnotation(Field(0, 1), SemanticType.BYTES, frozenset(), ())
     text = serialize_corpus(messages, traces)
     text += serialize_ground_truth([("a", (truth,)), ("c", (truth,))])
@@ -389,23 +387,45 @@ def test_a_read_parses_each_distinct_text_once(monkeypatch):
     assert sorted(offsets) == ["0-1", "0-3", "2-3"]
 
 
-def test_messages_of_one_shape_share_their_record_objects():
+def test_messages_whose_blocks_repeat_hold_one_trace(monkeypatch):
+    """A trace is built once per distinct block, when the block is first
+    carved, and every message whose block repeats holds that one object.
+    A message in two parts is joined at the end, as is one without
+    records: each costs one more trace."""
+    built = []
+
+    def counted(records):
+        built.append(records)
+        return ExecutionTrace(records)
+    monkeypatch.setattr(traceio, "ExecutionTrace", counted)
     messages, traces = [], []
     for parser in bundled_parsers():
         generated, _ = parser.generate(6, seed=2)
         messages += generated
         traces += [vm_run(parser.script, m).trace for m in generated]
-    loaded, traces = load_text(serialize_corpus(messages, traces))
-    by_id = {t.message_id: t for t in traces}
-    first = {}
-    shared = 0
-    for mid, key in shape_keys(loaded, by_id).items():
-        if key in first:
-            shared += 1
-            assert by_id[mid].records is by_id[first[key]].records
-        else:
-            first[key] = mid
-    assert shared
+    line = "op=mov class=MOV_SERIES off=0"
+    text = serialize_corpus(messages, traces) + (
+        f"msg split bytes=0x0102\nrec split seq=1 {line}\n"
+        f"# a comment ends the block\nrec split seq=2 {line}\n"
+        "msg bare bytes=0x01\n"
+    )
+    loaded, loaded_traces = load_text(text)
+    assert loaded[:-2] == messages and loaded_traces[:-2] == traces
+    shapes = {}
+    for m, trace in zip(loaded, loaded_traces[:-2]):
+        shapes.setdefault((len(m), trace.records), []).append(trace)
+    assert len(shapes) < len(messages)
+    assert all(len({id(t) for t in group}) == 1 for group in shapes.values())
+    assert len(built) == len(shapes) + 2 + 2  # the split's two blocks, its join, bare
+    assert [len(t.records) for t in loaded_traces[-2:]] == [2, 0]
+
+
+def test_serializing_lists_of_two_lengths_is_a_value_error():
+    messages = [Message("a", b"\x01"), Message("b", b"\x02")]
+    trace = ExecutionTrace(())
+    for traces in ([trace], [trace] * 3):
+        with pytest.raises(ValueError):
+            serialize_corpus(messages, traces)
 
 
 def test_a_value_snapshot_is_checked_and_dropped():
@@ -442,6 +462,7 @@ def test_a_second_load_shares_nothing_with_the_first(tmp_path, example3):
 
     def objects(corpus, truth):
         for trace in corpus.traces:
+            yield trace
             yield trace.records
             yield from trace.records
             yield from (s for s in _offset_sets([trace]) if s)
@@ -608,10 +629,12 @@ def _oracle_read(stream):
     traces = []
     for msg_id, recs in records.items():
         try:
-            traces.append(ExecutionTrace(msg_id, tuple(recs)))
+            traces.append(ExecutionTrace(tuple(recs)))
         except ModelError as exc:
             unordered = next(i for i in range(1, len(recs)) if recs[i].seq <= recs[i - 1].seq)
-            raise IntegrityError(rec_lines[msg_id][unordered], str(exc)) from None
+            raise IntegrityError(
+                rec_lines[msg_id][unordered], f"trace {msg_id!r}: {exc}"
+            ) from None
     return traceio.Corpus(messages, traces, truth)
 
 
@@ -726,6 +749,12 @@ def _message(mid, lines):
     pytest.param(_message("b", _BLOCK)[:-1], id="repeat-without-final-newline"),
     pytest.param(_message("b", _BLOCK) + _message("c", _BLOCK[:1]) + _message("d", _BLOCK),
                  id="repeat-after-another-block"),
+    pytest.param(_message("b", _BLOCK[:1] * 2) + _message("c", _BLOCK[:1] * 2),
+                 id="out-of-order-repeat"),
+    pytest.param(_message("b", _BLOCK[:1] * 2) + _message("c", (_BLOCK[0] + " bogus",)),
+                 id="out-of-order-then-bad-line"),
+    pytest.param(_message("b", _BLOCK) + _message("c", _BLOCK[:1]) + f"rec b {_BLOCK[0]}\n",
+                 id="stray-line-out-of-order"),
 ])
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
 @pytest.mark.parametrize("newline", [None, "", "\n"])
