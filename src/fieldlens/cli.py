@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .detectors import RULE_IDS, RULES
 from .fuzz_template import export_fuzz_template
-from .model import ModelError
+from .model import ModelError, traces_by_id
 from .pipeline import (
     PipelineConfig,
     infer_corpus,
@@ -124,17 +124,17 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    messages, traces, _ = read_inputs(Path(args.traces))
-    formats, _ = infer_corpus(messages, traces, args.baseline)
+    messages, shapes, _ = read_inputs(Path(args.traces))
+    formats, _ = infer_corpus(shapes, args.baseline)
     write_json(Path(args.out), formats_to_doc(messages, formats))
     print(f"extracted {len(messages)} formats -> {args.out}")
     return 0
 
 
 def _cmd_infer(args) -> int:
-    messages, traces, _ = read_inputs(Path(args.traces))
+    messages, shapes, _ = read_inputs(Path(args.traces))
     disabled = frozenset(args.disable_rule or ())
-    _, annotations = infer_corpus(messages, traces, args.baseline, disabled)
+    _, annotations = infer_corpus(shapes, args.baseline, disabled)
     write_json(Path(args.out), annotations_to_doc(annotations))
     print(f"annotated {len(messages)} messages -> {args.out}")
     return 0
@@ -211,9 +211,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_export_template(args) -> int:
-    messages, traces, _ = read_inputs(Path(args.traces))
+    messages, shapes, _ = read_inputs(Path(args.traces))
     annotations = read_json(Path(args.annotations), annotations_from_doc)
     check_covers({m.id: len(m) for m in messages}, args.annotations, annotations)
+    traces = traces_by_id(shapes)
     export_fuzz_template(annotations, {m.id: m for m in messages}, traces, Path(args.out))
     print(f"template -> {args.out}")
     return 0

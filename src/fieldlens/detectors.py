@@ -26,13 +26,13 @@ one-byte compare in ``I(f)`` and its byte part reads the four edge bytes
 ``func.filename`` needs a field of three bytes or more and its byte part
 reads the field.  A ruled-out rule is a trace verdict like the other nine.
 
-So messages of one shape (one length and equal traces) share each field's
-``I(f)``, loops and trace verdicts: ``annotate_format`` keeps them, with the
-byte parts left open, in a memo that ``pipeline.infer_corpus`` holds per
-shape for one call.  That memo also keeps each field's annotation by the bytes
-that its open byte parts read, one byte string per declared slice: no bytes
-when both are ruled out, so every message gets one annotation, else the
-edges, the field, or both.  The byte parts run once per distinct such
+So the messages of one shape (``model.Shape``: one length, equal traces)
+share each field's ``I(f)``, loops and trace verdicts: ``annotate_format``
+keeps them, with the byte parts left open, in the memo that
+``pipeline.infer_corpus`` makes for each shape it iterates.  That memo also
+keeps each field's annotation by the bytes that its open byte parts read,
+one byte string per declared slice: no bytes when both are ruled out, so
+every message gets one annotation, else the edges, the field, or both.  The byte parts run once per distinct such
 bytes, not per message.  Fields, annotations and evidence are tuples, so
 these memos hash and compare their keys in C.
 """

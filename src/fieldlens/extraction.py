@@ -8,10 +8,10 @@ Two extractors share the candidate stage:
   the classic one-instruction-one-field strategy, for comparison runs.
 
 A corpus holds few distinct operator sequences, so merge verdicts are kept
-in a memo keyed by the pair of sequences.  ``pipeline.infer_corpus`` shares
-one memo across the messages of one call, so each distinct pair is aligned
-once per call; ``extract_format`` called on its own uses a fresh memo.
-Nothing is kept between calls.
+in a memo keyed by the pair of sequences.  ``pipeline.infer_corpus``
+extracts once per shape and shares one memo across the shapes of one call,
+so each distinct pair is aligned once per call; ``extract_format`` called on
+its own uses a fresh memo.  Nothing is kept between calls.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ and the label enums hash by identity, so memo keys hash in C.  ``by_offset``
 maps each accessed offset to the positions of the records that touch it, so
 ``instructions_for``, the one I(f) lookup, visits only the records of the
 field's own bytes.  A trace names no message, so equal traces compare and
-hash alike: a message's length and its trace are its shape, and messages of
-one shape were handled by the same instructions.  Offsets are byte-granular;
-bit-level fields are out of scope.
+hash alike.  Messages of one length with equal traces were handled by the
+same instructions: they form one ``Shape``, and the reader hands on each
+shape once.  Offsets are byte-granular; bit-level fields are out of scope.
 """
 
 from __future__ import annotations
@@ -167,6 +167,18 @@ class ExecutionTrace:
             for offset in rec.accessed_offsets:
                 index.setdefault(offset, []).append(pos)
         return index
+
+
+class Shape(NamedTuple):
+    """A trace and the messages of one length that carry it, in file order."""
+
+    trace: ExecutionTrace
+    messages: Tuple[Message, ...]
+
+
+def traces_by_id(shapes: Iterable[Shape]) -> dict[str, ExecutionTrace]:
+    """Each message id of ``shapes`` -> its shape's trace."""
+    return {m.id: trace for trace, messages in shapes for m in messages}
 
 
 def group_loops(

@@ -17,7 +17,7 @@ from .detectors import FieldAnnotation, FieldMemo, annotate_format
 from .evaluation import MetricsReport, load_ground_truth
 from .extraction import MergeMemo, extract_format, extract_format_baseline
 from .fuzz_template import export_fuzz_template
-from .model import ExecutionTrace, Field, FormatResult, Message
+from .model import ExecutionTrace, FormatResult, Message, Shape, traces_by_id
 from .refinement import (
     Clustering,
     RefinementEvent,
@@ -61,44 +61,34 @@ class PipelineResult:
 
 
 def infer_corpus(
-    messages: Sequence[Message],
-    traces: Mapping[str, ExecutionTrace],
+    shapes: Sequence[Shape],
     baseline: bool = False,
     disabled_rules: frozenset[str] = frozenset(),
 ) -> tuple[dict[str, FormatResult], dict[str, tuple[FieldAnnotation, ...]]]:
     """Each message's format and detector annotations, by message id.
 
-    Messages of one shape, one length and equal traces, are handled by the
-    same instructions, so the shape's format is extracted once and every
-    such message gets its fields.  Each (shape, field) is looked up
-    and run through every rule's trace part once.  The byte parts that the
-    trace leaves open (delim's edge bytes, filename's field bytes) run once
-    per distinct bytes they read, and a field with none open gets one
-    annotation for all its messages (``detectors.Structure``).  Each
-    distinct operator-sequence pair is aligned once.  All of these memos
-    live for this call only.
+    The messages of one shape were handled by the same instructions, so
+    its format is extracted once, from its first message, and every one of
+    its messages gets those fields.  Each (shape, field) is looked up and
+    run through every rule's trace part once, in one detector memo per
+    shape.  The byte parts that the trace leaves open (delim's edge bytes,
+    filename's field bytes) run once per distinct bytes they read, and a
+    field with none open gets one annotation for all its messages
+    (``detectors.Structure``).  Each distinct operator-sequence pair is
+    aligned once.  All of these memos live for this call only.
     """
     formats: dict[str, FormatResult] = {}
     annotations: dict[str, tuple[FieldAnnotation, ...]] = {}
     merges: MergeMemo = {}
-    # (message length, trace) -> the shape's fields and detector memo
-    shapes: dict[tuple[int, ExecutionTrace], tuple[tuple[Field, ...], FieldMemo]] = {}
-    for msg in messages:
-        trace = traces[msg.id]
-        key = (len(msg), trace)
-        shape = shapes.get(key)
-        if shape is not None:
-            fmt = FormatResult(msg.id, len(msg), shape[0])
+    for trace, messages in shapes:
+        if baseline:
+            fields = extract_format_baseline(messages[0], trace).fields
         else:
-            if baseline:
-                fmt = extract_format_baseline(msg, trace)
-            else:
-                fmt = extract_format(msg, trace, memo=merges)
-            shape = shapes[key] = (fmt.fields, {})
-        formats[msg.id] = fmt
-        annotations[msg.id] = annotate_format(
-            fmt, trace, msg, disabled_rules, memo=shape[1]
-        )
+            fields = extract_format(messages[0], trace, memo=merges).fields
+        memo: FieldMemo = {}
+        for msg in messages:
+            fmt = formats[msg.id] = FormatResult(msg.id, len(msg), fields)
+            annotations[msg.id] = annotate_format(fmt, trace, msg, disabled_rules, memo=memo)
     return formats, annotations
 
 
@@ -175,14 +165,10 @@ def read_ground_truth(path: Path) -> dict[str, tuple[FieldAnnotation, ...]]:
 
 def read_inputs(
     traces: Path, ground_truth: Optional[Path] = None
-) -> tuple[
-    list[Message],
-    dict[str, ExecutionTrace],
-    Optional[dict[str, tuple[FieldAnnotation, ...]]],
-]:
-    """The messages of ``traces``, their traces by message id (the reader
-    gives one trace per message, in the messages' order) and, given a
-    ``ground_truth`` file, its true fields by message id.
+) -> tuple[list[Message], list[Shape], Optional[dict[str, tuple[FieldAnnotation, ...]]]]:
+    """The messages of ``traces`` in file order, its shapes (each distinct
+    message length and trace, with the messages that carry it) and, given
+    a ``ground_truth`` file, its true fields by message id.
 
     This and ``read_ground_truth`` are where every command reads its
     interchange files, so they are where a parse or integrity error in one
@@ -192,7 +178,7 @@ def read_inputs(
     ``ground_truth`` is ``traces``, both come from one read."""
     truths = None
     with _naming(traces):
-        messages, trace_list, true_fields = load_corpus(traces)
+        messages, shapes, true_fields = load_corpus(traces)
         if not messages:
             raise IntegrityError(None, "no msg line, so there are no messages to analyse")
         if ground_truth == traces:
@@ -201,17 +187,15 @@ def read_inputs(
         if ground_truth != traces:
             truths = read_ground_truth(ground_truth)
         check_covers({m.id: len(m) for m in messages}, str(ground_truth), truths)
-    return messages, {m.id: t for m, t in zip(messages, trace_list)}, truths
+    return messages, shapes, truths
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute ingest -> extract -> infer -> refine -> score and write reports.
 
     Ground truth is read and checked before extraction."""
-    messages, traces, truths = read_inputs(config.traces, config.ground_truth)
-    formats, annotations = infer_corpus(
-        messages, traces, config.baseline, config.disabled_rules
-    )
+    messages, shapes, truths = read_inputs(config.traces, config.ground_truth)
+    formats, annotations = infer_corpus(shapes, config.baseline, config.disabled_rules)
     clustering, refined, events = refine_corpus(
         messages,
         formats,
@@ -234,6 +218,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     if metrics is not None:
         write_json(out / "metrics.json", metrics.to_dict())
     msg_map = {m.id: m for m in messages}
+    traces = traces_by_id(shapes)
     export_fuzz_template(refined, msg_map, traces, out / "template.json")
 
     return PipelineResult(

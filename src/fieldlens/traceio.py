@@ -29,7 +29,7 @@ that a line's kind does not define below is a ParseError:
     ``FieldAnnotation`` without evidence; ``accessed`` defaults to true.
 
 ``read_interchange`` is the one reader and this module the one codec: a
-single pass over a stream gives the messages, their traces and the true
+single pass over a stream gives the messages, their shapes and the true
 field of every ``gt`` line, so a file that holds traces and ground truth
 is read once, and every command that reads a file checks its ``gt`` lines.
 The reader takes the stream's whole text with one ``read()``, so a file
@@ -43,21 +43,20 @@ lone-CR files read as LF ones.  (A caller's own stream opened with
   ``rec <id> `` form a block.  The block last read at each (message
   length, first line after the prefix) is remembered: a block that spells
   its lines again, each after the current prefix, with no such line after
-  them, takes its trace uncut.  Any other block is carved a line at a
-  time, keyed by its text without the prefixes plus the message's length,
-  and remembered in place of the last, so a failed comparison costs at
-  most a block that is then dropped, and a read stays linear in its text.
-  A block's ``ExecutionTrace`` is built, and its seq order checked, once,
-  when the block is first carved, so messages whose traces repeat byte
-  for byte share one trace.  Parsing a line reads only its text after the
-  prefix and the length, and any error ends the read, so a block seen
-  before parsed without error then and would parse to the same records
-  now; a bad line changes the text.  Any other line (a comment, a blank
-  line, a ``gt`` line, another message's ``rec`` line, or a ``rec`` line
-  that does not begin with exactly ``rec <id> ``) ends the block and is
-  read on its own.  So every error names the line that a line-at-a-time reader would
-  name: a seq that does not increase names the line of its record, counted
-  from the first line of the block or single line the record was read in.
+  them, is taken uncut.  Parsing a line reads only its text after the
+  prefix and the length, and any error ends the read, so that block parsed
+  without error then and would parse to the same records now.  Any other
+  block is carved a line at a time and remembered in place of the last,
+  so a failed comparison costs at most a block that is then dropped, and
+  a read stays linear in its text.  A carved block's ``ExecutionTrace`` is
+  built, its seq order checked, and the trace interned by value with the
+  message's length: equal blocks, repeated or not, make one shape.  Any
+  other line (a comment, a blank line, a ``gt`` line, another message's
+  ``rec`` line, or a ``rec`` line that does not begin with exactly
+  ``rec <id> ``) ends the block and is read on its own.  So every error
+  names the line that a line-at-a-time reader would name: a seq that does
+  not increase names the line of its record, counted from the first line
+  of the block or single line the record was read in.
 - A ``rec`` line that misses is interned by its text after the message id
   alone, so each distinct text is tokenized and parsed once, whatever its
   message's length, and equal lines share one record.  Records that
@@ -66,12 +65,14 @@ lone-CR files read as LF ones.  (A caller's own stream opened with
   and both ``lineage`` sides); a hit at or past the current message's
   length is parsed again with that length, which raises the
   IntegrityError an uncached parse would, on the same line.
-- A message read as one block whose seqs increase takes that block's
-  trace.  Any other message's records (several parts, a single line, none,
-  or a block out of seq order) are kept as the blocks and single lines
-  they were read in, and joined and checked once, at the end of the read,
-  so a parse error anywhere in the text is raised before a seq error, and
-  the seq error names the message: ``trace '<id>': ...``.
+- A message read as one block whose seqs increase joins that block's
+  shape, unhashed.  Any other message's records (several parts, a single
+  line, none, or a block out of seq order) are kept as the blocks and
+  single lines they were read in, then joined, checked and interned once,
+  at the end of the read, so a parse error anywhere in the text is raised
+  before a seq error, and the seq error names the message:
+  ``trace '<id>': ...``.  Each shape is handed on once, in the order of
+  its first message, with its messages in file order.
 - ``gt`` lines with one text after the message id share one true field,
   parsed once.
 
@@ -88,7 +89,7 @@ module knows only the line format.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, pairwise, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, TypeVar
 
 from .detectors import FieldAnnotation, SemanticFunction, SemanticType
@@ -103,7 +104,9 @@ from .model import (
     ModelError,
     OpClass,
     PointerArith,
+    Shape,
     consecutive_runs,
+    traces_by_id,
 )
 
 E = TypeVar("E", bound=Enum)
@@ -324,13 +327,15 @@ def _true_field(kv: dict[str, str], line_no: int) -> FieldAnnotation:
 class Corpus(NamedTuple):
     """What one read of an interchange stream holds."""
 
-    messages: list[Message]
-    traces: list[ExecutionTrace]
+    messages: list[Message]  # in file order
+    shapes: list[Shape]  # each distinct (length, trace), in order of its first message
     truth: list[tuple[str, FieldAnnotation]]  # (message id, true field), in file order
 
 
-#: a block's records and their trace, or None if their seq order is broken
-Block = tuple[tuple[InstructionRecord, ...], Optional[ExecutionTrace]]
+#: a shape as the read gathers it: its trace and the messages that carry it
+Gathering = tuple[ExecutionTrace, list[Message]]
+#: a block's records and their shape, or None if their seq order is broken
+Block = tuple[tuple[InstructionRecord, ...], Optional[Gathering]]
 
 
 class _Records:
@@ -340,9 +345,8 @@ class _Records:
         self.offsets: OffsetCache = {}
         # text after the message id -> (its record, the highest offset it names)
         self.lines: dict[str, tuple[InstructionRecord, int]] = {}
-        # (block text without its prefixes, message length) -> its records
-        # and their trace, or None if their seq order is broken
-        self.blocks: dict[tuple[str, int], Block] = {}
+        # (message length, trace) -> the shape of that value, interned
+        self.shapes: dict[tuple[int, ExecutionTrace], Gathering] = {}
 
     def line(self, rest: str, line_no: int, length: int) -> InstructionRecord:
         """The record that ``rest``, the text after a ``rec`` line's message
@@ -359,24 +363,19 @@ class _Records:
 
     def block(self, rests: list[str], first: int, length: int) -> Block:
         """The records of a block of a message of ``length`` bytes, from
-        line ``first`` on, and their trace; ``rests`` are its lines' texts
-        after their ``rec <id> `` prefix.  Their text is the key: equal keys
-        hold equal line texts, which parse alike.  Records out of seq order
-        get no trace: their message's records are joined and checked at the
-        end of the read, so a parse error later in the text comes first."""
-        key = ("".join(rests), length)
-        block = self.blocks.get(key)
-        if block is None:
-            recs = tuple(
-                self.line(rest.strip(), line_no, length)
-                for line_no, rest in enumerate(rests, start=first)
-            )
-            try:
-                block = recs, ExecutionTrace(recs)
-            except ModelError:
-                block = recs, None
-            self.blocks[key] = block
-        return block
+        line ``first`` on, and their shape; ``rests`` are its lines' texts
+        after their ``rec <id> `` prefix.  Records out of seq order get no
+        shape: their message's records are joined and checked at the end
+        of the read, so a parse error later in the text comes first."""
+        recs = tuple(
+            self.line(rest.strip(), line_no, length)
+            for line_no, rest in enumerate(rests, start=first)
+        )
+        try:
+            trace = ExecutionTrace(recs)
+        except ModelError:
+            return recs, None
+        return recs, self.shapes.setdefault((length, trace), (trace, []))
 
 
 def _carve(text: str, pos: int, prefix: str) -> tuple[list[str], int]:
@@ -403,7 +402,7 @@ def _repeat_end(text: str, pos: int, prefix: str, rests: list[str]) -> int:
 
 
 def read_interchange(stream: TextIO) -> Corpus:
-    """Messages, traces and true fields of ``stream``, in one pass over its
+    """Messages, shapes and true fields of ``stream``, in one pass over its
     whole text."""
     text = stream.read()
     size = len(text)
@@ -477,36 +476,36 @@ def read_interchange(stream: TextIO) -> Corpus:
             records[subject] = []
             prefix, length = f"rec {subject} ", len(data)
 
-    traces: list[ExecutionTrace] = []
-    for msg_id, parts in records.items():
-        trace = parts[0][1][1] if len(parts) == 1 else None
-        if trace is None:  # several parts, a single line, none, or out of order
+    shapes: list[Gathering] = []
+    for msg in messages:
+        parts = records[msg.id]
+        shape = parts[0][1][1] if len(parts) == 1 else None
+        if shape is None:  # several parts, a single line, none, or out of order
             try:
                 trace = ExecutionTrace(tuple(chain.from_iterable(p[1][0] for p in parts)))
             except ModelError as exc:
                 raise IntegrityError(
-                    _unordered_line(parts), f"trace {msg_id!r}: {exc}"
+                    _unordered_line(parts), f"trace {msg.id!r}: {exc}"
                 ) from None
-        traces.append(trace)
-    return Corpus(messages, traces, truth)
+            shape = cache.shapes.setdefault((len(msg), trace), (trace, []))
+        if not shape[1]:
+            shapes.append(shape)
+        shape[1].append(msg)
+    return Corpus(messages, [Shape(trace, tuple(held)) for trace, held in shapes], truth)
 
 
 def _unordered_line(parts: list[tuple[int, Block]]) -> int:
     """The line of the first record whose seq does not increase.  A part's
     records stand on consecutive lines from its first line on."""
-    prev = None
-    for first, (part, _) in parts:
-        for i, rec in enumerate(part):
-            if prev is not None and rec.seq <= prev:
-                return first + i
-            prev = rec.seq
-    raise AssertionError("every record's seq increases")
+    seqs = [(first + i, r.seq) for first, (part, _) in parts for i, r in enumerate(part)]
+    return next(line for (_, prev), (line, seq) in pairwise(seqs) if seq <= prev)
 
 
 def load_corpus_stream(stream: TextIO) -> tuple[list[Message], list[ExecutionTrace]]:
-    """The messages and traces of ``stream``; its true fields are checked, then dropped."""
-    messages, traces, _ = read_interchange(stream)
-    return messages, traces
+    """The messages of ``stream`` and each one's trace; its true fields are checked, then dropped."""
+    messages, shapes, _ = read_interchange(stream)
+    traces = traces_by_id(shapes)
+    return messages, [traces[m.id] for m in messages]
 
 
 def load_corpus(path) -> Corpus:

@@ -3,34 +3,38 @@ from pathlib import Path
 
 import pytest
 
+from fieldlens.model import traces_by_id
 from fieldlens.refinement import CONSTRAINT_TABLE
 from fieldlens.traceio import load_corpus
 
 DATA = Path(__file__).parent / "data"
 
 
+def _one(name):
+    """The one message of a data file and its trace."""
+    (message,), ((trace, _),), _ = load_corpus(DATA / name)
+    return message, trace
+
+
 @pytest.fixture(scope="session")
 def example1():
-    messages, traces, _ = load_corpus(DATA / "example1.trace")
-    return messages[0], traces[0]
+    return _one("example1.trace")
 
 
 @pytest.fixture(scope="session")
 def example2():
-    messages, traces, _ = load_corpus(DATA / "example2.trace")
-    return messages[0], traces[0]
+    return _one("example2.trace")
 
 
 @pytest.fixture(scope="session")
 def example3():
-    messages, traces, _ = load_corpus(DATA / "example3.trace")
-    return messages[0], traces[0]
+    return _one("example3.trace")
 
 
 @pytest.fixture(scope="session")
 def refine_corpus():
-    messages, traces, _ = load_corpus(DATA / "refine_corpus.trace")
-    return messages, {m.id: t for m, t in zip(messages, traces)}
+    messages, shapes, _ = load_corpus(DATA / "refine_corpus.trace")
+    return messages, traces_by_id(shapes)
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,16 @@
 ``text_names`` is the bundled text-command protocol with file names whose
 length varies from message to message, so that one field range holds the
 CRLF delimiter in one message and part of a file name in the next.
+
+``shapes_of`` groups hand-built traces into the shapes that
+``pipeline.infer_corpus`` takes, by value, as the reader groups a file's.
 """
 
 import random
 import string
 
 from fieldlens.detectors import FieldAnnotation, SemanticFunction as F, SemanticType as T
-from fieldlens.model import Field, Message
+from fieldlens.model import Field, Message, Shape
 from fieldlens.vm import bundled_parsers
 from fieldlens.vm.machine import run
 
@@ -53,3 +56,13 @@ def text_names(count, seed, lo, hi):
         )
     traces = [run(TEXT_COMMAND, m).trace for m in messages]
     return messages, traces, truths
+
+
+def shapes_of(messages, traces):
+    """The shapes of ``messages``, whose traces ``traces`` holds by message
+    id: one per distinct (message length, trace) value, in the order of its
+    first message, each with the trace of that message."""
+    groups = {}
+    for m in messages:
+        groups.setdefault((len(m), traces[m.id]), []).append(m)
+    return [Shape(trace, tuple(held)) for (_, trace), held in groups.items()]

@@ -32,6 +32,7 @@ from fieldlens.pipeline import infer_corpus
 from fieldlens.vm import bundled_parsers, run as vm_run
 
 from conftest import evidence_for
+from corpora import shapes_of
 
 
 def rec(seq, op, klass, offsets, reads=None, **kw):
@@ -454,7 +455,7 @@ def test_byte_reading_rules_run_per_message_of_one_shape():
     no_delim = twin("no-delim", name.end + 1, ord("x"))  # the '\r' after the name
     messages = [message, no_name, no_delim]
     formats, annotations = infer_corpus(
-        messages, {m.id: ExecutionTrace(t.records) for m in messages}
+        shapes_of(messages, {m.id: ExecutionTrace(t.records) for m in messages})
     )
     assert formats[no_name.id].fields is formats[message.id].fields
     funcs = {

@@ -1,13 +1,14 @@
 import builtins
 import copy
 import hashlib
+import io
 import json
 import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldlens import detectors, evaluation, extraction, pipeline, refinement, reports
+from fieldlens import detectors, evaluation, extraction, pipeline, refinement, reports, traceio
 from fieldlens.detectors import RULE_IDS, FieldAnnotation, SemanticType, annotate_format
 from fieldlens.evaluation import load_ground_truth
 from fieldlens.extraction import extract_format, extract_format_baseline
@@ -28,10 +29,16 @@ from fieldlens.reports import (
     formats_to_doc,
     write_json,
 )
-from fieldlens.traceio import IntegrityError, load_corpus, serialize_corpus, serialize_ground_truth
+from fieldlens.traceio import (
+    IntegrityError,
+    load_corpus,
+    read_interchange,
+    serialize_corpus,
+    serialize_ground_truth,
+)
 from fieldlens.vm import bundled_parsers, run as vm_run
 
-from corpora import text_names
+from corpora import shapes_of, text_names
 
 
 def dump_corpus(path, messages, traces):
@@ -205,11 +212,35 @@ def test_infer_corpus_infers_each_shape_once(monkeypatch):
     looked_up = _counting(
         monkeypatch, detectors, "instructions_for", lambda t, f: (by_trace[id(t)], f)
     )
-    formats, _ = infer_corpus(messages, traces)
+    formats, _ = infer_corpus(shapes_of(messages, traces))
     assert len(extracted) == len(set(shapes.values())) < len(messages)
     assert {shapes[mid] for mid in extracted} == set(shapes.values())
     pairs = {(shapes[mid], f) for mid, fmt in formats.items() for f in fmt.fields}
     assert len(looked_up) == len(set(looked_up)) == len(pairs)
+
+
+def test_a_trace_is_hashed_once_per_carved_block_or_joined_message(monkeypatch):
+    """The reader interns by value the trace of each block it carves and of
+    each message it joins at the end: one hash each.  A message that repeats
+    the last block read at its length and first line joins that block's
+    shape unhashed, and ``infer_corpus`` iterates the shapes, so it hashes
+    no trace.  The corpus is seed-0 corpus-mixed-400, then a message in two
+    parts, one of a stray line and one without records."""
+    messages, traces = _generated((200, 0), (200, 0))
+    line = "op=mov class=MOV_SERIES off=0"
+    text = serialize_corpus(messages, [traces[m.id] for m in messages]) + (
+        f"msg split bytes=0x0102\nrec split seq=1 {line}\n"
+        f"# a comment ends the block\nrec split seq=2 {line}\n"
+        f"msg stray bytes=0x01\nmsg bare bytes=0x01\nrec stray seq=1 {line}\n"
+    )
+    carved = _counting(monkeypatch, traceio, "_carve", lambda *args: None)
+    hashed = _counting(monkeypatch, ExecutionTrace, "__hash__", lambda trace: None)
+    corpus = read_interchange(io.StringIO(text))
+    assert len(corpus.messages) == 403 and len(corpus.shapes) == 6 + 3
+    assert 0 < len(hashed) <= len(carved) + 3
+    hashed.clear()
+    infer_corpus(corpus.shapes)
+    assert hashed == []
 
 
 class _CountedRecords(tuple):
@@ -238,7 +269,7 @@ def test_inferring_a_shape_visits_records_linearly():
     counted = ExecutionTrace(_CountedRecords(trace.records))
     loops = {loop_id: _CountedRecords(recs) for loop_id, recs in trace.loops.items()}
     vars(counted)["loops"] = loops  # what the ``loops`` property caches
-    formats, _ = infer_corpus([msg], {msg.id: counted})
+    formats, _ = infer_corpus(shapes_of([msg], {msg.id: counted}))
     assert len(formats[msg.id].fields) > 1
     size = len(trace.records) + sum(len(r.accessed_offsets) for r in trace.records)
     visits = counted.records.visits + sum(recs.visits for recs in loops.values())
@@ -253,7 +284,7 @@ def test_inferring_a_shape_visits_records_linearly():
 )
 def test_infer_corpus_equals_per_message_inference(specs, disabled, baseline):
     messages, traces = _generated(*specs)
-    inferred = infer_corpus(messages, traces, baseline, disabled)
+    inferred = infer_corpus(shapes_of(messages, traces), baseline, disabled)
     alone = _per_message(messages, traces, baseline, disabled)
     assert inferred == alone
     assert _docs(messages, inferred) == _docs(messages, alone)
@@ -299,7 +330,7 @@ def test_messages_that_differ_inside_one_window_are_inferred_as_alone(seeds, dat
             twins.append(twin)
             traces[twin.id] = ExecutionTrace(traces[m.id].records)
     corpus = messages + twins
-    inferred = infer_corpus(corpus, traces)
+    inferred = infer_corpus(shapes_of(corpus, traces))
     assert inferred == _per_message(corpus, traces)
     annotations = inferred[1]
     for mid, twin_id, idx in quiet:
@@ -350,7 +381,7 @@ def test_a_record_that_differs_in_an_analysed_attribute_is_its_own_shape(attr):
             break
     else:
         pytest.fail(f"no change of one record's {attr} changes a result")
-    inferred = infer_corpus(messages, changed)
+    inferred = infer_corpus(shapes_of(messages, changed))
     assert inferred == after
     assert _docs(messages, inferred) == _docs(messages, after)
 
@@ -374,7 +405,7 @@ def test_infer_corpus_aligns_each_distinct_operator_pair_once(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(extraction, "semantic_similar", counting)
-    formats, _ = infer_corpus(messages, traces)
+    formats, _ = infer_corpus(shapes_of(messages, traces))
     first = list(calls)
     assert first and len(first) == len(set(first))
 
@@ -384,14 +415,14 @@ def test_infer_corpus_aligns_each_distinct_operator_pair_once(monkeypatch):
     assert len(calls) > len(first)  # the corpus repeats pairs across messages
 
     calls.clear()
-    assert infer_corpus(messages, traces)[0] == formats
+    assert infer_corpus(shapes_of(messages, traces))[0] == formats
     assert calls == first  # nothing is remembered between calls
 
 
 def test_refine_corpus_toggles(small_corpus):
     path, messages, traces, _ = small_corpus
     traces_map = {m.id: t for m, t in zip(messages, traces)}
-    formats, annotations = infer_corpus(messages, traces_map)
+    formats, annotations = infer_corpus(shapes_of(messages, traces_map))
     clustering, _, _ = refine_corpus(
         messages, formats, annotations, clustering_enabled=False
     )
@@ -405,7 +436,7 @@ def test_refine_corpus_toggles(small_corpus):
 def test_annotation_documents_round_trip(small_corpus):
     path, messages, traces, _ = small_corpus
     traces_map = {m.id: t for m, t in zip(messages, traces)}
-    _, annotations = infer_corpus(messages, traces_map)
+    _, annotations = infer_corpus(shapes_of(messages, traces_map))
     annotations["x"] = tuple(
         FieldAnnotation(f, SemanticType.BYTES, frozenset(), ())
         for f in (Field(0, 1), Field(2, 3, accessed=False))
@@ -430,8 +461,8 @@ def mixed_corpus(tmp_path_factory):
 
 
 def test_equal_refined_annotations_are_one_object(mixed_corpus):
-    messages, traces, _ = read_inputs(mixed_corpus)
-    formats, annotations = infer_corpus(messages, traces)
+    messages, shapes, _ = read_inputs(mixed_corpus)
+    formats, annotations = infer_corpus(shapes)
     _, refined, _ = refine_corpus(messages, formats, annotations)
     anns = [a for row in refined.values() for a in row]
     assert len({id(a) for a in anns}) == len(set(anns)) < len(anns)
@@ -441,8 +472,8 @@ def test_equal_refined_annotations_are_one_object(mixed_corpus):
 def test_constraint_verdicts_are_decided_once_per_label(mixed_corpus, monkeypatch):
     """The constraint sweep drops what the field's type rules out of its
     functions, so it decides once per distinct ``(type, functions)``."""
-    messages, traces, _ = read_inputs(mixed_corpus)
-    formats, annotations = infer_corpus(messages, traces)
+    messages, shapes, _ = read_inputs(mixed_corpus)
+    formats, annotations = infer_corpus(shapes)
     clustering, refined, _ = refine_corpus(messages, formats, annotations, constraints_enabled=False)
     decided = _counting(monkeypatch, refinement, "_constraint_verdict", lambda *label: label)
     refinement.constraint_refine(refined, clustering)
@@ -454,15 +485,16 @@ def test_byte_parts_run_once_per_distinct_read(mixed_corpus, monkeypatch):
     they read: 63 times for the 144 fields of this corpus, where keying by
     each field's byte window (the field and one byte on each side) ran them
     90 times."""
-    messages, traces, _ = read_inputs(mixed_corpus)
-    formats, _ = infer_corpus(messages, traces)
+    messages, shapes, _ = read_inputs(mixed_corpus)
+    formats, _ = infer_corpus(shapes)
     windows = {
-        (len(m), traces[m.id].records, f, m.data[max(0, f.start - 1) : f.end + 2])
-        for m in messages
+        (len(m), trace.records, f, m.data[max(0, f.start - 1) : f.end + 2])
+        for trace, held in shapes
+        for m in held
         for f in formats[m.id].fields
     }
     runs = _counting(monkeypatch, detectors, "_build", lambda *args: None)
-    infer_corpus(messages, traces)
+    infer_corpus(shapes)
     assert len(runs) == 63 and len(windows) == 90
 
 
@@ -470,8 +502,8 @@ def test_scoring_matches_labels_once_per_distinct_row(mixed_corpus, monkeypatch)
     """A row is what scoring reads of a message: its format fields, each
     annotation's field, type and functions, and its truth.  Evidence is not
     part of it, so messages whose annotations differ only there share one."""
-    messages, traces, truths = read_inputs(mixed_corpus, mixed_corpus)
-    formats, annotations = infer_corpus(messages, traces)
+    messages, shapes, truths = read_inputs(mixed_corpus, mixed_corpus)
+    formats, annotations = infer_corpus(shapes)
     matched = _counting(
         monkeypatch, evaluation.MetricsReport, "_match_labels", lambda *args: None
     )
@@ -565,7 +597,8 @@ def test_reports_keep_their_recorded_bytes(tmp_path, mixed_corpus, config):
 
 def test_equal_annotations_share_one_dict(small_corpus):
     _, messages, traces, _ = small_corpus
-    _, annotations = infer_corpus(messages, {m.id: t for m, t in zip(messages, traces)})
+    traces_map = {m.id: t for m, t in zip(messages, traces)}
+    _, annotations = infer_corpus(shapes_of(messages, traces_map))
     ranged = Field(0, 1), Field(0, 1, accessed=False)
     annotations["x"] = tuple(FieldAnnotation(f, SemanticType.BYTES, frozenset(), ()) for f in ranged)
     doc = annotations_to_doc(annotations)

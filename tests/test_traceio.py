@@ -20,6 +20,7 @@ from fieldlens.model import (
     ModelError,
     OpClass,
     PointerArith,
+    Shape,
 )
 from fieldlens.traceio import (
     IntegrityError,
@@ -33,6 +34,8 @@ from fieldlens.traceio import (
     serialize_ground_truth,
 )
 from fieldlens.vm import bundled_parsers, run as vm_run
+
+from corpora import shapes_of
 
 
 def load_text(text):
@@ -276,7 +279,9 @@ def test_equal_records_under_two_ids_are_written_with_each_lines_own_id():
     assert lines[2][len("rec a"):] == lines[5][len("rec b"):] == lines[7][len("rec c"):]
     assert lines[8][len("gt a"):] == lines[9][len("gt c"):]
     corpus = read_interchange(io.StringIO(text))
-    assert corpus.messages == messages and corpus.traces == traces
+    assert corpus.messages == messages
+    a, b, c = messages
+    assert corpus.shapes == [Shape(traces[0], (a, b)), Shape(traces[2], (c,))]
     assert corpus.truth == [("a", truth), ("c", truth)]
 
 
@@ -388,10 +393,10 @@ def test_a_read_parses_each_distinct_text_once(monkeypatch):
 
 
 def test_messages_whose_blocks_repeat_hold_one_trace(monkeypatch):
-    """A trace is built once per distinct block, when the block is first
-    carved, and every message whose block repeats holds that one object.
-    A message in two parts is joined at the end, as is one without
-    records: each costs one more trace."""
+    """A trace is built once per carved block, and every message whose
+    block repeats joins that block's shape, so holds its one trace.  A
+    message in two parts is joined at the end, as is one without records:
+    each costs one more trace, and here each is a shape of its own."""
     built = []
 
     def counted(records):
@@ -409,15 +414,14 @@ def test_messages_whose_blocks_repeat_hold_one_trace(monkeypatch):
         f"# a comment ends the block\nrec split seq=2 {line}\n"
         "msg bare bytes=0x01\n"
     )
-    loaded, loaded_traces = load_text(text)
-    assert loaded[:-2] == messages and loaded_traces[:-2] == traces
-    shapes = {}
-    for m, trace in zip(loaded, loaded_traces[:-2]):
-        shapes.setdefault((len(m), trace.records), []).append(trace)
-    assert len(shapes) < len(messages)
-    assert all(len({id(t) for t in group}) == 1 for group in shapes.values())
-    assert len(built) == len(shapes) + 2 + 2  # the split's two blocks, its join, bare
-    assert [len(t.records) for t in loaded_traces[-2:]] == [2, 0]
+    loaded, shapes, _ = read_interchange(io.StringIO(text))
+    assert loaded[:-2] == messages
+    generated = shapes_of(messages, {m.id: t for m, t in zip(messages, traces)})
+    assert shapes[:-2] == generated and len(generated) < len(messages)
+    assert len(built) == len(generated) + 2 + 2  # the split's two blocks, its join, bare
+    split, bare = shapes[-2:]
+    assert (len(split.trace.records), split.messages) == (2, (loaded[-2],))
+    assert (len(bare.trace.records), bare.messages) == (0, (loaded[-1],))
 
 
 def test_serializing_lists_of_two_lengths_is_a_value_error():
@@ -461,7 +465,7 @@ def test_a_second_load_shares_nothing_with_the_first(tmp_path, example3):
     truths = [load_ground_truth(corpus.truth) for corpus in loads]
 
     def objects(corpus, truth):
-        for trace in corpus.traces:
+        for trace, _ in corpus.shapes:
             yield trace
             yield trace.records
             yield from trace.records
@@ -484,7 +488,7 @@ def test_ground_truth_lines_come_from_the_same_read():
     assert corpus.truth == [
         ("a", FieldAnnotation(Field(0, 1), SemanticType.STATIC, frozenset(), ()))
     ]
-    assert len(corpus.traces[0].records) == 1
+    assert len(corpus.shapes[0].trace.records) == 1
 
 
 # Whole lines in an order that can make a valid corpus.
@@ -626,16 +630,16 @@ def _oracle_read(stream):
             rec_lines.setdefault(subject, [])
         else:
             truth.append((subject, traceio._true_field(kv, line_no)))
-    traces = []
+    traces = {}
     for msg_id, recs in records.items():
         try:
-            traces.append(ExecutionTrace(tuple(recs)))
+            traces[msg_id] = ExecutionTrace(tuple(recs))
         except ModelError as exc:
             unordered = next(i for i in range(1, len(recs)) if recs[i].seq <= recs[i - 1].seq)
             raise IntegrityError(
                 rec_lines[msg_id][unordered], f"trace {msg_id!r}: {exc}"
             ) from None
-    return traceio.Corpus(messages, traces, truth)
+    return traceio.Corpus(messages, shapes_of(messages, traces), truth)
 
 
 @functools.cache
@@ -719,7 +723,7 @@ def _outcome(read, text, newline):
         corpus = read(io.StringIO(text, newline=newline))
     except (ParseError, IntegrityError) as exc:
         return type(exc), str(exc)
-    return corpus.messages, corpus.traces, corpus.truth
+    return corpus.messages, corpus.shapes, corpus.truth
 
 
 @given(edited_corpora(), st.sampled_from([None, "", "\n"]))
@@ -774,6 +778,37 @@ def test_a_block_that_begins_with_one_read_before_is_read_whole():
     )
     assert traces[1].records is traces[2].records
     assert traces[0].records == traces[1].records[:2]
+
+
+def test_blocks_that_alternate_at_one_first_line_give_one_shape_per_trace(monkeypatch):
+    """Each of these blocks differs from the last block read at its message
+    length and first line, so each is carved; its trace is then interned by
+    value, and equal blocks still make one shape."""
+    carved = []
+    real = traceio._carve
+    monkeypatch.setattr(traceio, "_carve", lambda *args: carved.append(args) or real(*args))
+    other = "seq=2 op=add class=ARITH_BITWISE off=1"
+    text = "".join(
+        _message(mid, (_BLOCK[0], last)) for mid, last in zip("abcd", [_BLOCK[1], other] * 2)
+    )
+    (a, b, c, d), shapes, _ = read_interchange(io.StringIO(text))
+    assert len(carved) == 4
+    assert [held for _, held in shapes] == [(a, c), (b, d)]
+
+
+@pytest.mark.parametrize("later", [
+    pytest.param(_message("b", _BLOCK[:1]) + f"# ends the block\nrec b {_BLOCK[1]}\n",
+                 id="two-parts"),
+    pytest.param(_message("b", ()) + _message("c", _BLOCK)
+                 + "".join(f"rec b {line}\n" for line in _BLOCK), id="stray-lines"),
+])
+def test_a_message_joined_at_the_end_joins_an_equal_blocks_shape(later):
+    """A message whose records are not one block is joined and checked at
+    the end of the read; an equal trace read as a block makes them one
+    shape, with the trace read first."""
+    text = _message("a", _BLOCK) + later + _message("d", _BLOCK)
+    messages, shapes, _ = read_interchange(io.StringIO(text))
+    assert shapes == [Shape(load_text(_message("a", _BLOCK))[1][0], tuple(messages))]
 
 
 def test_a_seq_out_of_order_is_named_on_its_line_in_any_part():
