@@ -6,7 +6,8 @@ rule id, the semantic type or function the rule assigns, the summary that
 ``I(f)`` (the instruction records whose accessed offsets intersect the
 field), the trace's loops that cover the field, and ``V(f)`` (the field's
 bytes in the message); it returns the ``(seq, note)`` of each piece of
-evidence when it fires.
+evidence when it fires.  A record's offsets are runs, and a rule reads the
+field's share of them with ``model.clip``.
 
 ``annotate`` looks up ``I(f)`` and the covering loops once per field and
 walks the table in order.  Type rules come first, most specific first --
@@ -53,9 +54,11 @@ from .model import (
     LabelEnum,
     LoopRole,
     Message,
+    Offsets,
     OpClass,
-    consecutive_runs,
+    clip,
     instructions_for,
+    runs,
 )
 
 
@@ -153,10 +156,9 @@ def _string_rule(field: Field, records: Records, loops: Loops) -> Found:
     # per-byte single-target constant comparisons
     by_byte: dict[int, dict[int, int]] = {}
     for rec in _const_compares(records):
-        hit = rec.accessed_offsets & frozenset(field.offsets)
-        if len(hit) == 1:
-            (b,) = hit
-            by_byte.setdefault(b, {})[_const_value(rec.compared_const)] = rec.seq
+        hit = clip(rec.accessed_offsets, field.start, field.end)
+        if len(hit) == 1 and hit[0][0] == hit[0][1]:
+            by_byte.setdefault(hit[0][0], {})[_const_value(rec.compared_const)] = rec.seq
     for b in range(field.start, field.end):
         shared = set(by_byte.get(b, {})) & set(by_byte.get(b + 1, {}))
         if shared:
@@ -167,11 +169,8 @@ def _string_rule(field: Field, records: Records, loops: Loops) -> Found:
 
 def _bytes_rule(field: Field, records: Records, loops: Loops) -> Found:
     for loop_id, recs in loops:
-        footprint: set[int] = set()
-        for rec in recs:
-            footprint.update(rec.reads)
-        if footprint == set(field.offsets):
-            seqs = sorted(r.seq for r in recs if r.accessed_offsets & footprint)
+        if runs(run for rec in recs for run in rec.reads) == ((field.start, field.end),):
+            seqs = sorted(r.seq for r in recs if clip(r.accessed_offsets, field.start, field.end))
             return [(s, f"loop {loop_id}") for s in seqs[:2]]
     return None
 
@@ -179,10 +178,9 @@ def _bytes_rule(field: Field, records: Records, loops: Loops) -> Found:
 def _group_rule(field: Field, records: Records, loops: Loops) -> Found:
     # the alternatives must target the same byte span: two fixed-value checks
     # against different bytes of a merged field are not a value group
-    span = frozenset(field.offsets)
-    by_span: dict[frozenset[int], dict[int, int]] = {}
+    by_span: dict[Offsets, dict[int, int]] = {}
     for rec in _const_compares(records):
-        key = rec.accessed_offsets & span
+        key = clip(rec.accessed_offsets, field.start, field.end)
         by_span.setdefault(key, {}).setdefault(
             _const_value(rec.compared_const), rec.seq
         )
@@ -257,21 +255,21 @@ def _delim_on_edges(delimiters: list[tuple[int, int]], edges: bytes) -> Found:
     return None
 
 
-def accumulated_side(lineage: tuple, span: frozenset[int]) -> Optional[frozenset[int]]:
-    """The side of a compare's ``lineage`` that ``span`` does not touch, when
-    the other side does (at most one side can): the bytes that a checksum at
-    ``span`` was accumulated from.  None if neither side qualifies."""
-    own, other = lineage if lineage[0] & span else lineage[::-1]
-    return other if own & span and not other & span else None
+def accumulated_side(lineage: tuple, field: Field) -> Optional[Offsets]:
+    """The side of a compare's ``lineage`` that ``field`` does not touch, when
+    the other side does (at most one side can): the runs that a checksum at
+    ``field`` was accumulated from.  None if neither side qualifies."""
+    span = field.start, field.end
+    own, other = lineage if clip(lineage[0], *span) else lineage[::-1]
+    return other if clip(own, *span) and not clip(other, *span) else None
 
 
 def _checksum_rule(field: Field, records: Records, loops: Loops) -> Found:
-    span = frozenset(field.offsets)
     for rec in records:
         if rec.op_class is not OpClass.COMPARE or rec.operand_lineage is None:
             continue
-        other = accumulated_side(rec.operand_lineage, span)
-        if other and any(hi - lo >= 1 for lo, hi in consecutive_runs(other)):
+        other = accumulated_side(rec.operand_lineage, field)
+        if other and any(hi - lo >= 1 for lo, hi in other):
             return [(rec.seq, "")]
     return None
 

@@ -22,7 +22,6 @@ from .model import (
     Field,
     FormatResult,
     Message,
-    consecutive_runs,
     operator_sequence,
 )
 
@@ -32,32 +31,24 @@ def intra_instruction_candidates(
 ) -> list[Field]:
     """Per-instruction field candidates, deduplicated and sorted by offset.
 
-    Each maximal run of consecutive offsets an instruction read directly from
-    the message buffer becomes a candidate.  Register-only taint (an
+    Each run of offsets an instruction read directly from the message buffer
+    (``rec.reads``) becomes a candidate.  Register-only taint (an
     accumulator that has absorbed many byte labels, or the union across the
     two sides of a comparison) deliberately does not spawn candidates: such
     unions span unrelated fields.  Bytes covered by no candidate become
     single-byte candidates, flagged unaccessed when no instruction touched
     them at all.
     """
-    seen: set[tuple[int, int]] = set()
-    candidates: list[Field] = []
-    for rec in trace.records:
-        for start, end in consecutive_runs(rec.reads):
-            if (start, end) not in seen:
-                seen.add((start, end))
-                candidates.append(Field(start, end, accessed=True))
+    reads = dict.fromkeys(run for rec in trace.records for run in rec.reads)
+    candidates = [Field(start, end) for start, end in reads]
 
     covered = [False] * len(message)
     for f in candidates:
         for o in f.offsets:
             covered[o] = True
-    touched: set[int] = set()
-    for rec in trace.records:
-        touched.update(rec.accessed_offsets)
     for o in range(len(message)):
         if not covered[o]:
-            candidates.append(Field(o, o, accessed=o in touched))
+            candidates.append(Field(o, o, accessed=o in trace.by_offset))
 
     candidates.sort(key=lambda f: (f.start, f.end))
     return candidates

@@ -82,8 +82,8 @@ def _checksum_range(
     i = bisect_left(records, seqs[0], key=_seq)
     if i == len(records) or records[i].seq != seqs[0] or records[i].operand_lineage is None:
         return None
-    other = accumulated_side(records[i].operand_lineage, frozenset(ann.field.offsets))
-    return (min(other), max(other)) if other else None
+    other = accumulated_side(records[i].operand_lineage, ann.field)
+    return (other[0][0], other[-1][1]) if other else None
 
 
 def _entry(ann: FieldAnnotation, kind: str, written, group_values) -> dict:

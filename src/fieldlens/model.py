@@ -10,6 +10,8 @@ field's own bytes.  A trace names no message, so equal traces compare and
 hash alike.  Messages of one length with equal traces were handled by the
 same instructions: they form one ``Shape``, and the reader hands on each
 shape once.  Offsets are byte-granular; bit-level fields are out of scope.
+A record holds each offset set as ``Offsets``, the runs that the trace text
+spells, never expanded; ``runs`` makes them and ``clip`` cuts a field's share.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Tuple
+
+#: sorted, disjoint, non-adjacent inclusive (lo, hi) runs of message offsets
+Offsets = Tuple[Tuple[int, int], ...]
 
 
 class ModelError(ValueError):
@@ -82,8 +87,8 @@ class _RecordFields(NamedTuple):
     seq: int
     operator: str
     op_class: OpClass
-    accessed_offsets: frozenset[int]
-    reads: frozenset[int] = frozenset()
+    accessed_offsets: Offsets
+    reads: Offsets = ()
     compared_const: Optional[bytes] = None
     cmp_result: Optional[bool] = None
     triggered_jump: bool = False
@@ -91,7 +96,7 @@ class _RecordFields(NamedTuple):
     loop_role: Optional[LoopRole] = None
     api_call: Optional[ApiCall] = None
     pointer_arith: Optional[PointerArith] = None
-    operand_lineage: Optional[Tuple[frozenset[int], frozenset[int]]] = None
+    operand_lineage: Optional[Tuple[Offsets, Offsets]] = None
 
 
 class InstructionRecord(_RecordFields):
@@ -115,7 +120,7 @@ class InstructionRecord(_RecordFields):
     __slots__ = ()
 
     def __new__(
-        cls, seq, operator, op_class, accessed_offsets, reads=frozenset(),
+        cls, seq, operator, op_class, accessed_offsets, reads=(),
         compared_const=None, cmp_result=None, triggered_jump=False, loop_id=None,
         loop_role=None, api_call=None, pointer_arith=None, operand_lineage=None,
     ):
@@ -125,7 +130,8 @@ class InstructionRecord(_RecordFields):
             raise ModelError(f"record seq={seq}: loop_role and loop_id must be set together")
         if operand_lineage is not None and op_class is not OpClass.COMPARE:
             raise ModelError(f"record seq={seq}: operand_lineage requires op_class=COMPARE")
-        if not reads <= accessed_offsets:
+        # reads lie inside accessed_offsets when joining them adds no offset
+        if reads and reads != accessed_offsets != runs(reads + accessed_offsets):
             raise ModelError(f"record seq={seq}: reads must be a subset of accessed_offsets")
         return tuple.__new__(cls, (
             seq, operator, op_class, accessed_offsets, reads, compared_const, cmp_result,
@@ -164,8 +170,9 @@ class ExecutionTrace:
         whose accessed offsets hold it, in seq order; built once per trace."""
         index: dict[int, list[int]] = {}
         for pos, rec in enumerate(self.records):
-            for offset in rec.accessed_offsets:
-                index.setdefault(offset, []).append(pos)
+            for lo, hi in rec.accessed_offsets:
+                for offset in range(lo, hi + 1):
+                    index.setdefault(offset, []).append(pos)
         return index
 
 
@@ -275,18 +282,18 @@ def operator_sequence(trace: ExecutionTrace, field: Field) -> tuple[str, ...]:
     return tuple(rec.operator for rec in instructions_for(trace, field))
 
 
-def consecutive_runs(offsets: Iterable[int]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive integers, as inclusive (start, end) pairs."""
+def runs(pairs: Iterable[tuple[int, int]]) -> Offsets:
+    """The canonical runs of the offsets that inclusive ``(lo, hi)`` pairs
+    cover, whatever their order, overlaps or adjacency."""
     out: list[tuple[int, int]] = []
-    run_start = prev = None
-    for o in sorted(set(offsets)):
-        if prev is None:
-            run_start = prev = o
-        elif o == prev + 1:
-            prev = o
+    for lo, hi in sorted(pairs):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
         else:
-            out.append((run_start, prev))
-            run_start = prev = o
-    if prev is not None:
-        out.append((run_start, prev))
-    return out
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def clip(offsets: Offsets, start: int, end: int) -> Offsets:
+    """The runs of ``offsets`` inside [start, end]: a field's share of them."""
+    return tuple((max(lo, start), min(hi, end)) for lo, hi in offsets if lo <= end and hi >= start)

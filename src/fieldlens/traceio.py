@@ -2,10 +2,11 @@
 
 One record per line, as ``kind`` followed by space-separated ``key=value``
 pairs.  Byte strings are hex-encoded with a ``0x`` prefix; offset sets are
-comma-separated integers where ``a-b`` abbreviates an inclusive run and ``-``
-is the empty set.  Integers (``seq``, offsets, ``field`` ends) are ASCII
-decimal digits, leading zeros allowed.  Three record kinds exist, and a key
-that a line's kind does not define below is a ParseError:
+comma-separated integers or inclusive runs ``a-b``, read as ``model.Offsets``
+without expanding a run, and ``-`` is the empty set.  Integers (``seq``,
+offsets, ``field`` ends) are ASCII decimal digits, leading zeros allowed.
+Three record kinds exist, and a key that a line's kind does not define
+below is a ParseError:
 
 ``msg <id> bytes=0x...``
     Header line binding a message id to its raw bytes.
@@ -60,10 +61,10 @@ lone-CR files read as LF ones.  (A caller's own stream opened with
 - A ``rec`` line that misses is interned by its text after the message id
   alone, so each distinct text is tokenized and parsed once, whatever its
   message's length, and equal lines share one record.  Records that
-  differ share each offset set they spell alike, interned by its text the
-  same way.  Each entry keeps the highest offset it names (over ``off``
-  and both ``lineage`` sides); a hit at or past the current message's
-  length is parsed again with that length, which raises the
+  differ share the runs of each offset text they spell alike, interned by
+  that text the same way.  Each entry keeps the highest offset it names
+  (over ``off`` and both ``lineage`` sides); a hit at or past the current
+  message's length is parsed again with that length, which raises the
   IntegrityError an uncached parse would, on the same line.
 - A message read as one block whose seqs increase joins that block's
   shape, unhashed.  Any other message's records (several parts, a single
@@ -104,8 +105,9 @@ from .model import (
     ModelError,
     OpClass,
     PointerArith,
+    Offsets,
     Shape,
-    consecutive_runs,
+    runs,
     traces_by_id,
 )
 
@@ -125,13 +127,8 @@ class IntegrityError(ValueError):
         self.line_no = line_no
 
 
-def format_offsets(offsets: frozenset[int]) -> str:
-    if not offsets:
-        return "-"
-    parts = []
-    for start, end in consecutive_runs(offsets):
-        parts.append(str(start) if start == end else f"{start}-{end}")
-    return ",".join(parts)
+def format_offsets(offsets: Offsets) -> str:
+    return ",".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in offsets) or "-"
 
 
 def _decimal(text: str) -> int:
@@ -141,12 +138,13 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-def parse_offsets(text: str, line_no: int, length: int) -> frozenset[int]:
-    """Offsets of a message of ``length`` bytes; each run is checked against
-    ``length`` before it is expanded, so a huge run costs only its text."""
+def parse_offsets(text: str, line_no: int, length: int) -> Offsets:
+    """The canonical runs of an offset text of a message of ``length`` bytes,
+    each part checked against ``length``.  No run is expanded, so a text
+    costs memory by its parts, however wide its runs."""
     if text == "-":
-        return frozenset()
-    out: set[int] = set()
+        return ()
+    out: list[tuple[int, int]] = []
     for part in text.split(","):
         try:
             if "-" in part:
@@ -162,8 +160,8 @@ def parse_offsets(text: str, line_no: int, length: int) -> frozenset[int]:
             raise IntegrityError(
                 line_no, f"offsets {part!r} outside message of length {length}"
             )
-        out.update(range(lo, hi + 1))
-    return frozenset(out)
+        out.append((lo, hi))
+    return runs(out)
 
 
 def _parse_hex(text: str, line_no: int) -> bytes:
@@ -234,21 +232,21 @@ def _member(enum: type[E], name: str, what: str, line_no: int) -> E:
         raise ParseError(line_no, f"unknown {what} {name!r}") from None
 
 
-#: offset-set text -> (the parsed set, its highest offset or -1), for one read
-OffsetCache = dict[str, tuple[frozenset[int], int]]
+#: offset-set text -> (its runs, their highest offset or -1), for one read
+OffsetCache = dict[str, tuple[Offsets, int]]
 
 
 def _offsets(
     cache: OffsetCache, text: str, line_no: int, length: int
-) -> tuple[frozenset[int], int]:
-    """``parse_offsets`` and the set's highest offset, interned in ``cache``
+) -> tuple[Offsets, int]:
+    """``parse_offsets`` and the runs' highest offset, interned in ``cache``
     by the text alone.  Only a valid set is cached, so an invalid text fails
     on every line that spells it, and a hit that names an offset past this
     message is parsed again, so it fails as an uncached parse would."""
     hit = cache.get(text)
     if hit is None or hit[1] >= length:
         offsets = parse_offsets(text, line_no, length)
-        hit = cache[text] = (offsets, max(offsets, default=-1))
+        hit = cache[text] = (offsets, offsets[-1][1] if offsets else -1)
     return hit
 
 
@@ -269,7 +267,7 @@ def _record_from_kv(
     if "reads" in kv:
         reads = _offsets(cache, kv["reads"], line_no, length)[0]
     else:
-        reads = accessed if op_class is OpClass.MOV_SERIES else frozenset()
+        reads = accessed if op_class is OpClass.MOV_SERIES else ()
 
     compared_const = _parse_hex(kv["const"], line_no) if "const" in kv else None
     cmp_result = parse_bool(kv["result"], line_no) if "result" in kv else None

@@ -2,13 +2,14 @@
 
 Taint model
 -----------
-Every register carries a value, a taint label set, and a lineage label set.
-Buffer loads taint the destination with the offsets read.  Moves, arithmetic,
-and comparisons propagate taint as plain label-set union.  Table lookups
-(``tbl``) return untainted data -- the loaded value comes from parser-constant
-memory -- but lineage survives them, so a checksum accumulator that has been
-laundered through a lookup table still remembers which message bytes fed it.
-Comparisons record both sides' lineage for the checksum detector.
+Every register carries a value and its taint and lineage labels, as
+``model.Offsets`` runs.  Buffer loads taint the destination with the run
+read; moves, arithmetic and comparisons propagate taint by the union of
+runs, which is one operand itself when the other is empty or equal.  Table
+lookups (``tbl``) return untainted data -- the loaded value comes from
+parser-constant memory -- but lineage survives them, so a checksum
+accumulator laundered through a lookup table still remembers which bytes fed
+it.  Comparisons record both sides' lineage for the checksum detector.
 
 An instruction emits a record exactly when the union of its operands' taint
 labels is non-empty; the record's ``accessed_offsets`` is that union and
@@ -31,7 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..model import ExecutionTrace, InstructionRecord, Message, OpClass
+from ..model import ExecutionTrace, InstructionRecord, Message, Offsets, OpClass, runs
 from .ops import (
     API_STEP, ARITH_STEP, CMP_STEP, JUMP_STEP, LOAD_STEP, MOV_STEP, STOP_STEP, TBL_STEP,
     ParserScript,
@@ -71,8 +72,12 @@ class VmRunReport:
     terminated: TermReason
 
 
-_EMPTY: frozenset[int] = frozenset()
+_EMPTY: Offsets = ()
 _MOV, _ARITH, _COMPARE = OpClass.MOV_SERIES, OpClass.ARITH_BITWISE, OpClass.COMPARE
+
+
+def _union(a: Offsets, b: Offsets) -> Offsets:
+    return a if not b or a == b else runs(a + b) if a else b
 
 
 def run(
@@ -98,8 +103,8 @@ def run(
             _, dst, src, fn, name, ptr, loop_id, role = op
             va, ta, la = regs[dst]
             vb, tb, lb = regs[src]
-            taint = ta | tb
-            regs[dst] = (fn(va, vb), taint, la | lb | taint)
+            taint = _union(ta, tb)
+            regs[dst] = (fn(va, vb), taint, _union(_union(la, lb), taint))
             if taint:
                 append(InstructionRecord(len(records) + 1, name, _ARITH, taint, _EMPTY,
                                          None, None, False, loop_id, role, None, ptr, None))
@@ -114,19 +119,19 @@ def run(
             if ta or tb:
                 equal = fa == fb
                 triggered = equal and before_jump and steps < step_budget
-                append(InstructionRecord(len(records) + 1, "cmp", _COMPARE, ta | tb, _EMPTY,
-                                         const, equal, triggered, loop_id, role, None, None,
-                                         (la | ta, lb | tb)))
+                append(InstructionRecord(len(records) + 1, "cmp", _COMPARE, _union(ta, tb),
+                                         _EMPTY, const, equal, triggered, loop_id, role, None,
+                                         None, (_union(la, ta), _union(lb, tb))))
         elif kind == LOAD_STEP:
             _, dst, src, width, loop_id, role = op
             addr, it, il = regs[src]
             if addr + width > size:  # values are never negative
                 reason = TermReason.REJECT
                 break
-            offsets = frozenset(range(addr, addr + width))
+            offsets = ((addr, addr + width - 1),)
             value = data[addr] if width == 1 else data[addr] | data[addr + 1] << 8
-            taint = offsets | it
-            regs[dst] = (value, taint, offsets | il)
+            taint = _union(offsets, it)
+            regs[dst] = (value, taint, _union(offsets, il))
             append(InstructionRecord(len(records) + 1, "movzx", _MOV, taint, offsets, None,
                                      None, False, loop_id, role, None, None, None))
         elif kind == TBL_STEP or kind == MOV_STEP:
@@ -135,7 +140,7 @@ def run(
             if kind == MOV_STEP:
                 regs[dst] = regs[src]
             else:
-                regs[dst] = (TABLE[value & 0xFF], _EMPTY, lineage | taint)
+                regs[dst] = (TABLE[value & 0xFF], _EMPTY, _union(lineage, taint))
             if taint:
                 append(InstructionRecord(len(records) + 1, "mov", _MOV, taint, _EMPTY, None,
                                          None, False, loop_id, role, None, None, None))

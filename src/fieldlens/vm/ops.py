@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from ..model import ApiCall, ArgRole, LoopRole, PointerArith
+from ..model import ApiCall, ArgRole, LoopRole, Offsets, PointerArith
 
 CONDITIONAL_JUMPS = {"je", "jne", "jlt", "jle", "jgt", "jge"}
 JUMPS = CONDITIONAL_JUMPS | {"jmp"}
@@ -88,7 +88,7 @@ class ParserScript:
     name: str
     instructions: tuple[Instr, ...]
     code: tuple[tuple, ...] = field(repr=False)  # decoded from instructions
-    slots: tuple[tuple[int, frozenset[int], frozenset[int]], ...] = field(repr=False)
+    slots: tuple[tuple[int, Offsets, Offsets], ...] = field(repr=False)
 
 
 _MASK = (1 << 64) - 1
@@ -281,7 +281,7 @@ def _analyze(name: str, raw: list[Instr], labels: dict[str, int]) -> ParserScrip
         role = None if loop_id is None else LoopRole.TERMINATION if term else LoopRole.BODY
         code.append(_decode(ins.mnemonic, operands, slot, loop_id, role, before_jump))
     code.append((STOP_STEP, "ACCEPT"))
-    contents = tuple((0 if isinstance(k, str) else k, frozenset(), frozenset()) for k in slots)
+    contents = tuple((0 if isinstance(k, str) else k, (), ()) for k in slots)
     return ParserScript(name, tuple(resolved), tuple(code), contents)
 
 

@@ -6,12 +6,17 @@ It steps over ``ParserScript.instructions`` (mnemonic strings and
 each record through ``InstructionRecord``'s keyword ``__init__``.  The tests
 run it beside ``vm.run`` and require equal ``VmRunReport``s: every record
 field and the termination reason.
+
+Its taint and lineage are ``frozenset``s of offsets joined by set union, not
+the VM's runs, so the two taint models stay independent: ``as_runs``, which
+does not use ``fieldlens.model``, is the one place that turns its sets into
+the runs a record holds.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Union
+from typing import Iterable, Union
 
 from fieldlens.model import (
     ApiCall,
@@ -55,6 +60,18 @@ _JUMP_TESTS = {
 _API_ROLES = {"length": ArgRole.LENGTH_ARG, "buffer": ArgRole.BUFFER_ARG, "other": ArgRole.OTHER}
 
 
+def as_runs(offsets: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The maximal runs of consecutive ``offsets``, as inclusive ``(lo, hi)``
+    pairs in order: the runs that a record holds for that set."""
+    out: list[tuple[int, int]] = []
+    for o in sorted(set(offsets)):
+        if out and o == out[-1][1] + 1:
+            out[-1] = (out[-1][0], o)
+        else:
+            out.append((o, o))
+    return tuple(out)
+
+
 def reference_run(
     script: ParserScript,
     message: Message,
@@ -72,13 +89,16 @@ def reference_run(
     def read(op: Union[Reg, Imm]) -> tuple[int, frozenset[int], frozenset[int]]:
         return regs[op.name] if isinstance(op, Reg) else (op.value, _EMPTY, _EMPTY)
 
-    def emit(ins: Instr, name: str, op_class: OpClass, accessed: frozenset[int], **kw) -> None:
+    def emit(ins: Instr, name: str, op_class: OpClass, accessed: frozenset[int],
+             reads: frozenset[int] = _EMPTY, lineage=None, **kw) -> None:
         role = None
         if ins.loop_id is not None:
             role = LoopRole.TERMINATION if ins.is_termination_cmp else LoopRole.BODY
+        if lineage is not None:
+            lineage = (as_runs(lineage[0]), as_runs(lineage[1]))
         records.append(InstructionRecord(
-            len(records) + 1, name, op_class, accessed,
-            loop_id=ins.loop_id, loop_role=role, **kw,
+            len(records) + 1, name, op_class, as_runs(accessed), as_runs(reads),
+            loop_id=ins.loop_id, loop_role=role, operand_lineage=lineage, **kw,
         ))
 
     while pc < len(code):
@@ -129,7 +149,7 @@ def reference_run(
                              and code[pc].mnemonic in CONDITIONAL_JUMPS)
                 emit(ins, "cmp", OpClass.COMPARE, ta | tb, compared_const=const,
                      cmp_result=va == vb, triggered_jump=triggered,
-                     operand_lineage=(la | ta, lb | tb))
+                     lineage=(la | ta, lb | tb))
         elif mnem in _JUMP_TESTS:
             if _JUMP_TESTS[mnem](*flags):
                 pc = ops[0].value

@@ -33,15 +33,16 @@ from fieldlens.vm import bundled_parsers, run as vm_run
 
 from conftest import evidence_for
 from corpora import shapes_of
+from reference_vm import as_runs
 
 
 def rec(seq, op, klass, offsets, reads=None, **kw):
-    offsets = frozenset(offsets)
+    """A record that accesses, and reads, the sets given, spelt as runs."""
     if reads is None:
-        reads = offsets if klass is OpClass.MOV_SERIES else frozenset()
+        reads = offsets if klass is OpClass.MOV_SERIES else ()
     return InstructionRecord(
         seq=seq, operator=op, op_class=klass,
-        accessed_offsets=offsets, reads=frozenset(reads), **kw,
+        accessed_offsets=as_runs(offsets), reads=as_runs(reads), **kw,
     )
 
 
@@ -285,7 +286,7 @@ def test_checksum_needs_two_consecutive_offsets():
         mov(1, {8, 9}),
         cmp(
             2, {1, 4, 8, 9},
-            operand_lineage=(frozenset({1, 4}), frozenset({8, 9})),
+            operand_lineage=(((1, 1), (4, 4)), ((8, 9),)),
         ),
     )
     funcs, _ = detect_functions(Field(8, 9), t, MSG)
@@ -295,16 +296,15 @@ def test_checksum_needs_two_consecutive_offsets():
 @pytest.mark.parametrize(
     "lineage, side",
     [
-        (({8, 9}, {1, 2}), {1, 2}),
-        (({1, 2}, {8, 9}), {1, 2}),
-        (({8, 9}, {1, 8}), None),  # both sides touch the field
-        (({1}, {2}), None),  # neither does
-        (({8}, set()), set()),
+        ((((8, 9),), ((1, 2),)), ((1, 2),)),
+        ((((1, 2),), ((8, 9),)), ((1, 2),)),
+        ((((8, 9),), ((1, 1), (8, 8))), None),  # both sides touch the field
+        ((((1, 1),), ((2, 2),)), None),  # neither does
+        ((((8, 8),), ()), ()),
     ],
 )
 def test_accumulated_side_is_the_side_the_field_does_not_touch(lineage, side):
-    got = detectors.accumulated_side(tuple(map(frozenset, lineage)), frozenset({8, 9}))
-    assert got == (None if side is None else frozenset(side))
+    assert detectors.accumulated_side(lineage, Field(8, 9)) == side
 
 
 @pytest.mark.parametrize(

@@ -12,14 +12,16 @@ from fieldlens.model import (
     OpClass,
 )
 
+from reference_vm import as_runs
+
 
 def rec(seq, op, klass, offsets, reads=None, **kw):
-    offsets = frozenset(offsets)
+    """A record that accesses, and reads, the sets given, spelt as runs."""
     if reads is None:
-        reads = offsets if klass is OpClass.MOV_SERIES else frozenset()
+        reads = offsets if klass is OpClass.MOV_SERIES else ()
     return InstructionRecord(
         seq=seq, operator=op, op_class=klass,
-        accessed_offsets=offsets, reads=frozenset(reads), **kw,
+        accessed_offsets=as_runs(offsets), reads=as_runs(reads), **kw,
     )
 
 
@@ -118,7 +120,7 @@ def test_compare_operand_unions_do_not_create_candidates():
             rec(
                 4, "cmp", OpClass.COMPARE, set(range(0, 6)),
                 cmp_result=True,
-                operand_lineage=(frozenset({0, 1}), frozenset({4, 5})),
+                operand_lineage=(((0, 1),), ((4, 5),)),
             ),
         ),
     )

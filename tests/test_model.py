@@ -1,3 +1,4 @@
+import functools
 import inspect
 
 import pytest
@@ -16,18 +17,22 @@ from fieldlens.model import (
     OpClass,
     LoopRole,
     PointerArith,
-    consecutive_runs,
+    clip,
     instructions_for,
+    runs,
 )
+from reference_vm import as_runs
 
 
 def rec(seq, op="movzx", klass=OpClass.MOV_SERIES, offsets=(), **kw):
+    """A record that accesses the set ``offsets``, spelt as its runs."""
+    accessed = as_runs(offsets)
     return InstructionRecord(
         seq=seq,
         operator=op,
         op_class=klass,
-        accessed_offsets=frozenset(offsets),
-        reads=kw.pop("reads", frozenset(offsets) if klass is OpClass.MOV_SERIES else frozenset()),
+        accessed_offsets=accessed,
+        reads=kw.pop("reads", accessed if klass is OpClass.MOV_SERIES else ()),
         **kw,
     )
 
@@ -53,7 +58,7 @@ def test_loop_role_and_id_must_travel_together():
 
 def test_reads_must_be_subset_of_accessed():
     with pytest.raises(ModelError):
-        rec(1, "movzx", OpClass.MOV_SERIES, {0}, reads=frozenset({0, 1}))
+        rec(1, "movzx", OpClass.MOV_SERIES, {0}, reads=((0, 1),))
 
 
 def test_trace_seq_strictly_increasing():
@@ -100,7 +105,7 @@ def test_instructions_for_matches_brute_force_union():
     expected = [
         r
         for r in records
-        if any(field.start <= o <= field.end for o in r.accessed_offsets)
+        if any(lo <= field.end and field.start <= hi for lo, hi in r.accessed_offsets)
     ]
     assert got == expected
     assert [r.seq for r in got] == [1, 2]  # deduplicated by construction
@@ -125,6 +130,7 @@ def test_disjoint_fields_union_covers_span():
 
 
 _small_sets = st.frozensets(st.integers(0, 7), max_size=4)
+_small_runs = _small_sets.map(as_runs)
 
 
 @given(st.lists(_small_sets, max_size=12), st.integers(0, 9), st.integers(0, 9))
@@ -132,7 +138,7 @@ _small_sets = st.frozensets(st.integers(0, 7), max_size=4)
 def test_instructions_for_is_the_scan_it_replaces(offset_sets, a, b):
     records = tuple(rec(i + 1, offsets=offsets) for i, offsets in enumerate(offset_sets))
     field = Field(min(a, b), max(a, b))
-    expected = [r for r in records if not r.accessed_offsets.isdisjoint(field.offsets)]
+    expected = [r for r, offsets in zip(records, offset_sets) if not offsets.isdisjoint(field.offsets)]
     got = instructions_for(ExecutionTrace(records), field)
     assert got == expected
     assert all(g is e for g, e in zip(got, expected))
@@ -148,8 +154,8 @@ _record_values = st.tuples(
     st.integers(0, 5),
     st.sampled_from(["mov", "cmp", "add"]),
     st.sampled_from(list(OpClass)),
-    _small_sets,
-    _small_sets,
+    _small_runs,
+    _small_runs,
     _optional(st.binary(min_size=1, max_size=2)),
     _optional(st.booleans()),
     st.booleans(),
@@ -157,7 +163,7 @@ _record_values = st.tuples(
     _optional(st.sampled_from(list(LoopRole))),
     _optional(st.builds(ApiCall, st.just("recv"), st.sampled_from(list(ArgRole)))),
     _optional(st.sampled_from(list(PointerArith))),
-    _optional(st.tuples(_small_sets, _small_sets)),
+    _optional(st.tuples(_small_runs, _small_runs)),
 )
 
 
@@ -168,7 +174,7 @@ def _outcome(make, *args, **kwargs):
         return str(exc)
 
 
-_BASE = InstructionRecord(0, "mov", OpClass.OTHER, frozenset())
+_BASE = InstructionRecord(0, "mov", OpClass.OTHER, ())
 
 
 @given(_record_values)
@@ -184,11 +190,11 @@ def test_positional_keyword_and_replace_build_the_same_record(values):
 
 
 def test_replace_and_make_check_the_record():
-    good = InstructionRecord(1, "cmp", OpClass.COMPARE, frozenset({0}), cmp_result=True)
+    good = InstructionRecord(1, "cmp", OpClass.COMPARE, ((0, 0),), cmp_result=True)
     with pytest.raises(ModelError, match="cmp_result requires op_class=COMPARE"):
         good._replace(op_class=OpClass.MOV_SERIES)
     with pytest.raises(ModelError, match="reads must be a subset of accessed_offsets"):
-        InstructionRecord._make((1, "mov", OpClass.MOV_SERIES, frozenset(), frozenset({0})))
+        InstructionRecord._make((1, "mov", OpClass.MOV_SERIES, (), ((0, 0),)))
 
 
 @given(st.integers(-3, 6), st.integers(-3, 6), st.booleans())
@@ -223,11 +229,47 @@ def test_the_constructor_takes_the_declared_fields_and_defaults():
     } == InstructionRecord._field_defaults
 
 
-def test_consecutive_runs():
-    assert consecutive_runs([]) == []
-    assert consecutive_runs([4, 5]) == [(4, 5)]
-    assert consecutive_runs([1, 3, 4, 5, 9]) == [(1, 1), (3, 5), (9, 9)]
-    assert consecutive_runs([2, 2, 3]) == [(2, 3)]
+def test_runs_are_canonical():
+    assert runs([]) == ()
+    assert runs([(4, 5)]) == ((4, 5),)
+    assert runs([(9, 9), (3, 4), (1, 1), (5, 5)]) == ((1, 1), (3, 5), (9, 9))
+    assert runs([(2, 3), (2, 2), (0, 6), (8, 8)]) == ((0, 6), (8, 8))
+
+
+def _members(offsets):
+    return {o for lo, hi in offsets for o in range(lo, hi + 1)}
+
+
+_pairs = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 6)).map(lambda p: (p[0], p[0] + p[1])),
+    max_size=8,
+)
+
+
+@given(_pairs)
+@settings(max_examples=300, deadline=None)
+def test_runs_give_the_set_that_the_pairs_cover(pairs):
+    got = runs(pairs)
+    assert got == as_runs(_members(pairs))
+    assert runs(got) == got
+
+
+@given(_small_sets, st.integers(0, 9), st.integers(0, 9))
+@settings(max_examples=300, deadline=None)
+def test_clip_is_intersection_with_a_field(offsets, a, b):
+    field = Field(min(a, b), max(a, b))
+    assert clip(as_runs(offsets), field.start, field.end) == as_runs(offsets & set(field.offsets))
+
+
+@given(_small_sets, _small_sets)
+@settings(max_examples=300, deadline=None)
+def test_a_record_takes_reads_exactly_when_they_are_a_subset(accessed, reads):
+    make = functools.partial(InstructionRecord, 1, "mov", OpClass.MOV_SERIES)
+    outcome = _outcome(make, as_runs(accessed), as_runs(reads))
+    if reads <= accessed:
+        assert outcome.reads == as_runs(reads)
+    else:
+        assert outcome == "record seq=1: reads must be a subset of accessed_offsets"
 
 
 def test_checksum_word_sees_combine_and_final_compare(example3):

@@ -54,8 +54,8 @@ def random_traces(draw):
         op, klass = draw(_ops)
         lo = draw(st.integers(min_value=0, max_value=MSG_LEN - 1))
         hi = draw(st.integers(min_value=lo, max_value=min(lo + 3, MSG_LEN - 1)))
-        offsets = frozenset(range(lo, hi + 1))
-        reads = offsets if klass is OpClass.MOV_SERIES else frozenset()
+        offsets = ((lo, hi),)
+        reads = offsets if klass is OpClass.MOV_SERIES else ()
         records.append(
             InstructionRecord(
                 seq=seq,

@@ -126,6 +126,24 @@ def test_every_record_attribute_is_read_by_an_analysis():
     assert unread == []
 
 
+def test_offsets_are_spelt_only_as_runs():
+    """A record's offsets are ``model.Offsets`` runs from the trace text to
+    the detectors.  No module builds ``frozenset(range(...))`` or a
+    ``frozenset`` of a field's ``.offsets``, so a second spelling of an
+    offset set cannot come back."""
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "frozenset"):
+                continue
+            for arg in node.args:
+                if (isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "range") or (
+                    isinstance(arg, ast.Attribute) and arg.attr == "offsets"
+                ):
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_traceio_raises_parse_errors():
     """Interchange text is parsed in one module: no other module constructs
     a ``ParseError``."""

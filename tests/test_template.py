@@ -12,6 +12,8 @@ from fieldlens.detectors import (
 from fieldlens.fuzz_template import build_template, export_fuzz_template
 from fieldlens.model import ExecutionTrace, Field, InstructionRecord, Message, OpClass
 
+from reference_vm import as_runs
+
 T = SemanticType
 F = SemanticFunction
 CHECKSUM_RULE = next(r.id for r in LIBRARY if r.label is F.CHECKSUM)
@@ -84,8 +86,8 @@ def _compare(seq, lineage):
         seq=seq,
         operator="cmp",
         op_class=OpClass.COMPARE,
-        accessed_offsets=frozenset().union(*lineage),
-        operand_lineage=tuple(frozenset(side) for side in lineage),
+        accessed_offsets=as_runs(set().union(*lineage)),
+        operand_lineage=tuple(as_runs(side) for side in lineage),
     )
 
 

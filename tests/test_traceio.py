@@ -36,6 +36,7 @@ from fieldlens.traceio import (
 from fieldlens.vm import bundled_parsers, run as vm_run
 
 from corpora import shapes_of
+from reference_vm import as_runs
 
 
 def load_text(text):
@@ -43,9 +44,101 @@ def load_text(text):
 
 
 def test_offsets_round_trip():
-    for offsets in (frozenset(), frozenset({0}), frozenset({1, 2, 3, 7})):
+    for offsets in ((), ((0, 0),), ((1, 3), (7, 7))):
         assert parse_offsets(format_offsets(offsets), 1, 8) == offsets
-    assert format_offsets(frozenset({10, 11, 12, 20})) == "10-12,20"
+    assert format_offsets(((10, 12), (20, 20))) == "10-12,20"
+
+
+@st.composite
+def _spellings(draw):
+    """A set of offsets and one ``off=`` text of it: each of its runs whole
+    or cut in two overlapping or adjacent parts, offsets inside it spelt
+    again, some parts repeated, and all of them shuffled."""
+    offsets = draw(st.frozensets(st.integers(0, 30), max_size=12))
+    parts = []
+    for lo, hi in as_runs(offsets):
+        cut = draw(st.integers(lo, hi))
+        if cut < hi and draw(st.booleans()):
+            parts += [(lo, cut), (cut + draw(st.integers(0, 1)), hi)]
+        else:
+            parts.append((lo, hi))
+        parts += [(o, o) for o in draw(st.lists(st.integers(lo, hi), max_size=2))]
+    parts = draw(st.permutations(parts + parts[:draw(st.integers(0, len(parts)))]))
+    text = ",".join(str(lo) if lo == hi and draw(st.booleans()) else f"{lo}-{hi}"
+                    for lo, hi in parts)
+    return offsets, text or "-"
+
+
+@given(_spellings())
+@settings(max_examples=300, deadline=None)
+def test_any_spelling_of_a_set_parses_to_its_runs_and_is_written_canonically(spelling):
+    offsets, text = spelling
+    parsed = parse_offsets(text, 1, 31)
+    assert parsed == as_runs(offsets)
+    canonical = ",".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in as_runs(offsets))
+    assert format_offsets(parsed) == (canonical or "-")
+
+
+def test_one_set_spelt_three_ways_gives_equal_records_and_one_shape():
+    text = "".join(
+        f"msg {mid} bytes=0x0102030405\nrec {mid} seq=1 op=movzx class=MOV_SERIES off={off}\n"
+        for mid, off in (("a", "1,2,3"), ("b", "3,1-2"), ("c", "1-3"))
+    )
+    corpus = read_interchange(io.StringIO(text))
+    ((trace, held),) = corpus.shapes
+    assert [m.id for m in held] == ["a", "b", "c"]
+    (rec,) = trace.records
+    assert rec.accessed_offsets == rec.reads == ((1, 3),)
+
+
+def test_reads_outside_off_are_an_integrity_error_on_their_line():
+    text = (
+        "msg a bytes=0x010203\n"
+        "rec a seq=1 op=movzx class=MOV_SERIES off=0-1\n"
+        "rec a seq=2 op=movzx class=MOV_SERIES off=0,2 reads=0-2\n"
+    )
+    with pytest.raises(IntegrityError, match="reads must be a subset") as err:
+        load_text(text)
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("lines", [10, 40, 400])
+def test_reading_wide_runs_takes_memory_by_the_input(lines):
+    """Each line names a distinct run up to the end of one 20,000-byte
+    message; no run is expanded, so the read's peak is a small multiple
+    of its text."""
+    text = "msg a bytes=0x" + "00" * 20_000 + "\n" + "".join(
+        f"rec a seq={i + 1} op=movzx class=MOV_SERIES off={i}-19999 reads={i}-19999\n"
+        for i in range(lines)
+    )
+    tracemalloc.start()
+    try:
+        corpus = read_interchange(io.StringIO(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.shapes[0].trace.records) == lines
+    assert peak <= 32 * len(text.encode())
+
+
+def _canonical_inside(offsets, length):
+    """Whether ``offsets`` are sorted, disjoint, non-adjacent runs in [0, length)."""
+    members = [o for lo, hi in offsets for o in range(lo, hi + 1)]
+    return offsets == as_runs(members) and all(0 <= o < length for o in members)
+
+
+def test_every_record_of_the_bundled_corpora_holds_canonical_runs_inside_its_message():
+    for parser in bundled_parsers():
+        msgs, truths = parser.generate(10, seed=3)
+        traces = [vm_run(parser.script, m).trace for m in msgs]
+        corpus = read_interchange(io.StringIO(
+            serialize_corpus(msgs, traces) + serialize_ground_truth(truths)
+        ))
+        for trace, held in [*zip(traces, ((m,) for m in msgs)), *corpus.shapes]:
+            for r in trace.records:
+                for offsets in (r.accessed_offsets, r.reads, *(r.operand_lineage or ())):
+                    assert type(offsets) is tuple
+                    assert all(_canonical_inside(offsets, len(m)) for m in held), r
 
 
 def test_message_without_records_gets_empty_trace():
@@ -178,8 +271,8 @@ def test_reads_default_follows_op_class():
     )
     _, traces = load_text(text)
     mov, cmp_rec = traces[0].records
-    assert mov.reads == frozenset({0, 1})
-    assert cmp_rec.reads == frozenset()
+    assert mov.reads == ((0, 1),)
+    assert cmp_rec.reads == ()
 
 
 def test_fixture_files_round_trip(example1, example2, example3):
@@ -191,7 +284,7 @@ def test_fixture_files_round_trip(example1, example2, example3):
 
 
 _operators = st.sampled_from(["mov", "movzx", "cmp", "xor", "add", "call"])
-_offsets = st.frozensets(st.integers(min_value=0, max_value=15), max_size=5)
+_offsets = st.frozensets(st.integers(min_value=0, max_value=15), max_size=5).map(as_runs)
 
 
 @st.composite
@@ -199,7 +292,8 @@ def records(draw, msg_len=16):
     seq = draw(st.integers(min_value=1, max_value=10_000))
     op_class = draw(st.sampled_from(list(OpClass)))
     accessed = draw(_offsets)
-    reads = frozenset(draw(st.sets(st.sampled_from(sorted(accessed)), max_size=len(accessed)))) if accessed else frozenset()
+    members = sorted(o for lo, hi in accessed for o in range(lo, hi + 1))
+    reads = as_runs(draw(st.sets(st.sampled_from(members), max_size=len(members)))) if members else ()
     kw = {}
     if op_class is OpClass.COMPARE:
         kw["cmp_result"] = draw(st.booleans())
@@ -260,9 +354,9 @@ def test_serialize_parse_round_trip(recs, payload):
 def test_equal_records_under_two_ids_are_written_with_each_lines_own_id():
     """The writer reuses a record's text for an equal record, but every line
     keeps the prefix of its own message, and so does every ``gt`` line."""
-    cmp = InstructionRecord(1, "cmp", OpClass.COMPARE, frozenset({0}), compared_const=b"\x05",
-                            cmp_result=True, operand_lineage=(frozenset({0}), frozenset()))
-    load = InstructionRecord(2, "movzx", OpClass.MOV_SERIES, frozenset({1}), reads=frozenset({1}))
+    cmp = InstructionRecord(1, "cmp", OpClass.COMPARE, ((0, 0),), compared_const=b"\x05",
+                            cmp_result=True, operand_lineage=(((0, 0),), ()))
+    load = InstructionRecord(2, "movzx", OpClass.MOV_SERIES, ((1, 1),), reads=((1, 1),))
     messages = [Message("a", b"\x05\x01"), Message("b", b"\x05\x02"), Message("c", b"\x06\x03")]
     traces = [ExecutionTrace((cmp, load)), ExecutionTrace((cmp, load)), ExecutionTrace((load,))]
     truth = FieldAnnotation(Field(0, 1), SemanticType.BYTES, frozenset(), ())
@@ -305,7 +399,7 @@ def test_equal_offset_texts_share_one_set_per_message_length():
     _, traces = load_text(text)
     (a1,), (b1, b2, b3) = traces[0].records, traces[1].records
     shared = a1.accessed_offsets
-    assert shared == {0, 1}
+    assert shared == ((0, 1),)
     assert all(s is shared for s in (a1.reads, b1.accessed_offsets, b1.reads,
                                      b2.operand_lineage[0], b3.reads))
     assert b2.accessed_offsets is b2.operand_lineage[1] is b3.accessed_offsets

@@ -2,13 +2,15 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fieldlens.model import ArgRole, LoopRole, Message, OpClass, PointerArith
 from fieldlens.traceio import serialize_corpus, serialize_ground_truth
 from fieldlens.vm import TermReason, bundled_parsers, parse_script, run
+from fieldlens.vm import machine
 from fieldlens.vm.machine import TABLE
 from fieldlens.vm.ops import ARITH, JUMPS, SIGNATURES, Reg, ScriptError
-from reference_vm import reference_run
+from reference_vm import as_runs, reference_run
 
 
 def script(text):
@@ -106,7 +108,7 @@ def test_start_byte_compares_emit_compare_records():
     )
     report = run(s, Message("m", b"\x05\x64\x00"))
     cmps = [r for r in report.trace.records if r.op_class is OpClass.COMPARE]
-    assert [r.accessed_offsets for r in cmps] == [frozenset({0}), frozenset({1})]
+    assert [r.accessed_offsets for r in cmps] == [((0, 0),), ((1, 1),)]
     assert all(r.cmp_result for r in cmps)
     assert all(r.compared_const is not None for r in cmps)
     assert report.terminated is TermReason.ACCEPT
@@ -135,8 +137,9 @@ def test_loop_emits_identical_record_groups_per_byte():
     per_byte = {}
     for r in report.trace.records:
         if r.loop_id == "body":
-            for off in r.accessed_offsets:
-                per_byte.setdefault(off, []).append(r.operator)
+            for lo, hi in r.accessed_offsets:
+                for off in range(lo, hi + 1):
+                    per_byte.setdefault(off, []).append(r.operator)
     assert set(per_byte) == set(range(10, 21))
     groups = {tuple(ops) for ops in per_byte.values()}
     assert len(groups) == 1  # identical operator sequence per byte
@@ -174,7 +177,7 @@ def test_taint_union_through_arithmetic():
     report = run(s, Message("m", b"\x01\x02\x03\x04"))
     add = report.trace.records[-1]
     assert add.operator == "add"
-    assert add.accessed_offsets == frozenset({0, 3})
+    assert add.accessed_offsets == ((0, 0), (3, 3))
 
 
 def test_table_lookup_drops_taint_but_keeps_lineage():
@@ -200,8 +203,23 @@ def test_table_lookup_drops_taint_but_keeps_lineage():
     # the mov and the compare of the laundered value are silent (untainted)
     assert ops == ["movzx", "mov", "movzx", "cmp"]
     cmp_rec = report.trace.records[-1]
-    assert cmp_rec.accessed_offsets == frozenset({2})
-    assert cmp_rec.operand_lineage == (frozenset({0}), frozenset({2}))
+    assert cmp_rec.accessed_offsets == ((2, 2),)
+    assert cmp_rec.operand_lineage == (((0, 0),), ((2, 2),))
+
+
+_taint = st.frozensets(st.integers(0, 20), max_size=8)
+
+
+@given(_taint, _taint)
+@settings(max_examples=300, deadline=None)
+def test_the_taint_union_of_runs_is_set_union(a, b):
+    ra, rb = as_runs(a), as_runs(b)
+    got = machine._union(ra, rb)
+    assert got == as_runs(a | b)
+    if not b or a == b:
+        assert got is ra
+    elif not a:
+        assert got is rb
 
 
 def test_pointer_arith_annotations():
@@ -235,7 +253,7 @@ def test_api_call_record():
     assert call.op_class is OpClass.CALL
     assert call.api_call.name == "recv_len"
     assert call.api_call.tainted_arg_role is ArgRole.LENGTH_ARG
-    assert call.accessed_offsets == frozenset({1})
+    assert call.accessed_offsets == ((1, 1),)
 
 
 def test_triggered_jump_marks_true_compare_followed_by_branch():
@@ -352,7 +370,7 @@ def test_every_read_byte_appears_in_some_record():
             assert report.terminated is TermReason.ACCEPT
             touched = set()
             for rec in report.trace.records:
-                touched |= rec.accessed_offsets
+                touched.update(o for lo, hi in rec.accessed_offsets for o in range(lo, hi + 1))
             assert touched == set(range(len(msg)))
 
 
@@ -360,8 +378,9 @@ def test_every_read_byte_appears_in_some_record():
 #
 # A second interpreter that keeps the reference semantics: registers map to
 # (value, labels) pairs with no lineage, and it builds no records, only the
-# (operator, accessed offsets) event stream.  The VM's records must match it
-# exactly, so no record can ever contain an offset the dataflow could not reach.
+# (operator, accessed offsets) event stream, its offsets as sets turned into
+# runs by ``as_runs``.  The VM's records must match it exactly, so no record
+# can ever contain an offset the dataflow could not reach.
 
 
 def oracle_events(s, message, budget=100_000):
@@ -477,7 +496,7 @@ def test_vm_records_match_taint_oracle_on_random_scripts():
         got = [
             (r.operator, r.accessed_offsets) for r in run(s, msg).trace.records
         ]
-        assert got == oracle_events(s, msg)
+        assert got == [(op, as_runs(labels)) for op, labels in oracle_events(s, msg)]
 
 
 def test_vm_records_match_taint_oracle_on_bundled_parsers():
@@ -488,7 +507,9 @@ def test_vm_records_match_taint_oracle_on_bundled_parsers():
                 (r.operator, r.accessed_offsets)
                 for r in run(parser.script, msg).trace.records
             ]
-            assert got == oracle_events(parser.script, msg)
+            assert got == [
+                (op, as_runs(labels)) for op, labels in oracle_events(parser.script, msg)
+            ]
 
 
 # --- the reference interpreter ---------------------------------------------
