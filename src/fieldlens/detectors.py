@@ -127,27 +127,26 @@ def _is_functional(rec: InstructionRecord) -> bool:
     return rec.op_class is not OpClass.MOV_SERIES
 
 
-def _covering_loops(trace: ExecutionTrace, field: Field) -> Loops:
+def _covering_loops(trace: ExecutionTrace, field: Field, records: Records) -> Loops:
     """Loops that touch every byte of the field with identical operator sets
     (each with all of its records, trace-wide, not just I(f)), in the order
     of ``trace.loops``.
 
-    Each byte's records come from ``trace.by_offset``, grouped by loop, so
-    every record of the field's bytes is visited once."""
-    index, records = trace.by_offset, trace.records
-    common: Optional[dict[str, set[str]]] = None
-    for b in field.offsets:
-        ops: dict[str, set[str]] = {}
-        for pos in index.get(b, ()):
-            rec = records[pos]
-            if rec.loop_id is not None:
-                ops.setdefault(rec.loop_id, set()).add(rec.operator)
-        if common is not None:
-            ops = {loop_id: seen for loop_id, seen in common.items() if ops.get(loop_id) == seen}
-        if not ops:
-            return []
-        common = ops
-    return [(loop_id, recs) for loop_id, recs in trace.loops.items() if loop_id in common]
+    ``records`` is the field's I(f).  A loop's operator sets are identical
+    at every byte exactly when each operator that the loop applies to the
+    field covers all of it, so each (loop, operator) joins its runs once."""
+    spans: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    for rec in records:
+        if rec.loop_id is not None:
+            spans.setdefault((rec.loop_id, rec.operator), []).extend(rec.accessed_offsets)
+    span = field.start, field.end
+    partial = {
+        loop_id for (loop_id, _), pairs in spans.items() if clip(runs(pairs), *span) != (span,)
+    }
+    covering = {loop_id for loop_id, _ in spans} - partial
+    if not covering:
+        return []
+    return [(loop_id, recs) for loop_id, recs in trace.loops.items() if loop_id in covering]
 
 
 def _string_rule(field: Field, records: Records, loops: Loops) -> Found:
@@ -159,8 +158,8 @@ def _string_rule(field: Field, records: Records, loops: Loops) -> Found:
         hit = clip(rec.accessed_offsets, field.start, field.end)
         if len(hit) == 1 and hit[0][0] == hit[0][1]:
             by_byte.setdefault(hit[0][0], {})[_const_value(rec.compared_const)] = rec.seq
-    for b in range(field.start, field.end):
-        shared = set(by_byte.get(b, {})) & set(by_byte.get(b + 1, {}))
+    for b in sorted(by_byte):
+        shared = b + 1 in by_byte and set(by_byte[b]) & set(by_byte[b + 1])
         if shared:
             c = min(shared)
             return [(by_byte[b][c], ""), (by_byte[b + 1][c], "")]
@@ -376,12 +375,13 @@ def _evidence(rule: Rule, found: Found) -> tuple[Evidence, ...]:
     return tuple(Evidence(rule.id, seq, note) for seq, note in found or ())
 
 
-def _structure(field: Field, trace: ExecutionTrace, disabled: frozenset[str]) -> Structure:
-    """Run every rule's trace part.  A byte part stays open unless its trace
-    part rules the rule out.  Type rules after the first of them that fires
-    are dropped: they can never run."""
-    records = instructions_for(trace, field)
-    loops = _covering_loops(trace, field)
+def _structure(
+    field: Field, trace: ExecutionTrace, records: Records, disabled: frozenset[str]
+) -> Structure:
+    """Run every rule's trace part on the field's I(f), ``records``.  A byte
+    part stays open unless its trace part rules the rule out.  Type rules
+    after the first of them that fires are dropped: they can never run."""
+    loops = _covering_loops(trace, field, records)
     steps, open_parts = [], []
     typed = False
     for rule in LIBRARY:
@@ -453,7 +453,8 @@ def annotate(
 ) -> FieldAnnotation:
     """Run the library over one field: the first type rule that fires sets
     the type, every function rule that fires adds its function."""
-    return _finish(message, _structure(field, trace, frozenset(disabled_rules)))
+    (records,) = instructions_for(trace, [field])
+    return _finish(message, _structure(field, trace, records, frozenset(disabled_rules)))
 
 
 def annotate_format(
@@ -468,13 +469,12 @@ def annotate_format(
 
     ``memo`` holds the structures already found for traces of the same shape
     as ``trace`` under the same ``disabled_rules``; it defaults to a fresh
-    one."""
+    one.  The fields it does not hold have their I(f) looked up together,
+    in one pass over the trace, and none is looked up when it holds all."""
     disabled = frozenset(disabled_rules)
     memo = {} if memo is None else memo
-    out = []
-    for f in fmt.fields:
-        structure = memo.get(f)
-        if structure is None:
-            structure = memo[f] = _structure(f, trace, disabled)
-        out.append(_finish(message, structure))
-    return tuple(out)
+    new = [f for f in fmt.fields if f not in memo]
+    if new:
+        for f, records in zip(new, instructions_for(trace, new)):
+            memo[f] = _structure(f, trace, records, disabled)
+    return tuple(_finish(message, memo[f]) for f in fmt.fields)

@@ -22,7 +22,10 @@ from .model import (
     Field,
     FormatResult,
     Message,
-    operator_sequence,
+    Offsets,
+    clip,
+    instructions_for,
+    runs,
 )
 
 
@@ -37,18 +40,22 @@ def intra_instruction_candidates(
     two sides of a comparison) deliberately does not spawn candidates: such
     unions span unrelated fields.  Bytes covered by no candidate become
     single-byte candidates, flagged unaccessed when no instruction touched
-    them at all.
+    them at all.  The gaps between the candidates' runs are those bytes, and
+    each gap reads its accessed bytes from the trace's accessed runs, clipped
+    to the gap.
     """
     reads = dict.fromkeys(run for rec in trace.records for run in rec.reads)
     candidates = [Field(start, end) for start, end in reads]
 
-    covered = [False] * len(message)
-    for f in candidates:
-        for o in f.offsets:
-            covered[o] = True
-    for o in range(len(message)):
-        if not covered[o]:
-            candidates.append(Field(o, o, accessed=o in trace.by_offset))
+    accessed: Offsets | None = None
+    gap = 0  # the first byte that no run seen so far covers
+    for start, end in runs(reads) + ((len(message), len(message)),):
+        if gap < start:
+            if accessed is None:
+                accessed = runs(run for rec in trace.records for run in rec.accessed_offsets)
+            hit = {o for lo, hi in clip(accessed, gap, start - 1) for o in range(lo, hi + 1)}
+            candidates += [Field(o, o, accessed=o in hit) for o in range(gap, start)]
+        gap = end + 1
 
     candidates.sort(key=lambda f: (f.start, f.end))
     return candidates
@@ -106,7 +113,7 @@ def _coalesce(
     memo: MergeMemo,
 ) -> list[Field]:
     """Single left-to-right pass: group adjacent similar candidates."""
-    ops = [operator_sequence(trace, c) for c in candidates]
+    ops = [tuple(rec.operator for rec in recs) for recs in instructions_for(trace, candidates)]
     groups: list[list[Field]] = [[candidates[0]]]
     for i, nxt in enumerate(candidates[1:], 1):
         if _mergeable(candidates[i - 1], nxt, ops[i - 1], ops[i], memo):

@@ -1,25 +1,27 @@
 """Core data model: messages, taint-annotated instruction traces, and field partitions.
 
 Everything here is immutable after construction and safe to share between
-threads; ``ExecutionTrace.loops`` and ``ExecutionTrace.by_offset`` are views
-derived from the records on first use.  Records and fields are checked tuples
-and the label enums hash by identity, so memo keys hash in C.  ``by_offset``
-maps each accessed offset to the positions of the records that touch it, so
-``instructions_for``, the one I(f) lookup, visits only the records of the
-field's own bytes.  A trace names no message, so equal traces compare and
-hash alike.  Messages of one length with equal traces were handled by the
-same instructions: they form one ``Shape``, and the reader hands on each
-shape once.  Offsets are byte-granular; bit-level fields are out of scope.
-A record holds each offset set as ``Offsets``, the runs that the trace text
-spells, never expanded; ``runs`` makes them and ``clip`` cuts a field's share.
+threads; ``ExecutionTrace.loops`` is a view derived from the records on
+first use.  Records and fields are checked tuples and the label enums hash
+by identity, so memo keys hash in C.  A trace names no message, so equal
+traces compare and hash alike.  Messages of one length with equal traces
+were handled by the same instructions: they form one ``Shape``, and the
+reader hands on each shape once.  Offsets are byte-granular; bit-level
+fields are out of scope.  A record holds each offset set as ``Offsets``,
+the runs that the trace text spells, never expanded; ``runs`` makes them
+and ``clip`` cuts a field's share.  ``instructions_for``, the one I(f)
+lookup, takes sorted, disjoint fields and finds all their records in one
+pass over the runs, so it costs the runs and the fields they hit, never
+the width of a run.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 #: sorted, disjoint, non-adjacent inclusive (lo, hi) runs of message offsets
 Offsets = Tuple[Tuple[int, int], ...]
@@ -164,17 +166,6 @@ class ExecutionTrace:
         """Each loop id's records in seq order, grouped once per trace."""
         return group_loops(self.records)
 
-    @cached_property
-    def by_offset(self) -> dict[int, list[int]]:
-        """Each accessed offset -> the positions in ``records`` of the records
-        whose accessed offsets hold it, in seq order; built once per trace."""
-        index: dict[int, list[int]] = {}
-        for pos, rec in enumerate(self.records):
-            for lo, hi in rec.accessed_offsets:
-                for offset in range(lo, hi + 1):
-                    index.setdefault(offset, []).append(pos)
-        return index
-
 
 class Shape(NamedTuple):
     """A trace and the messages of one length that carry it, in file order."""
@@ -225,10 +216,6 @@ class Field(_FieldValues):
     def _make(cls, iterable: Iterable) -> Field:
         return cls(*iterable)
 
-    @property
-    def offsets(self) -> range:
-        return range(self.start, self.end + 1)
-
 
 @dataclass(frozen=True)
 class FormatResult:
@@ -265,21 +252,24 @@ class FormatResult:
         return tuple(f.start for f in self.fields if f.start > 0)
 
 
-def instructions_for(trace: ExecutionTrace, field: Field) -> list[InstructionRecord]:
-    """I(f): all records whose accessed offsets intersect ``field``, in seq
-    order.  They are read from ``trace.by_offset``, so a lookup visits the
-    records of the field's bytes, not the whole trace; a one-byte field's
-    records are its offset's list as it stands."""
-    index, records = trace.by_offset, trace.records
-    if field.start == field.end:
-        return [records[pos] for pos in index.get(field.start, ())]
-    positions = set().union(*(index.get(offset, ()) for offset in field.offsets))
-    return [records[pos] for pos in sorted(positions)]
-
-
-def operator_sequence(trace: ExecutionTrace, field: Field) -> tuple[str, ...]:
-    """Operator mnemonics of the instructions accessing ``field``, in seq order."""
-    return tuple(rec.operator for rec in instructions_for(trace, field))
+def instructions_for(
+    trace: ExecutionTrace, fields: Sequence[Field]
+) -> list[list[InstructionRecord]]:
+    """I(f) of each of ``fields``, which must be sorted and disjoint: the
+    records whose accessed offsets intersect the field, in seq order.  One
+    pass over the trace finds them: the fields that a run hits are those
+    from the first that ends at or after its start to the last that starts
+    at or before its end, found by bisection."""
+    starts = [f.start for f in fields]
+    ends = [f.end for f in fields]
+    out: list[list[InstructionRecord]] = [[] for _ in fields]
+    for rec in trace.records:
+        for lo, hi in rec.accessed_offsets:
+            for k in range(bisect_left(ends, lo), bisect_right(starts, hi)):
+                hits = out[k]
+                if not hits or hits[-1] is not rec:
+                    hits.append(rec)
+    return out
 
 
 def runs(pairs: Iterable[tuple[int, int]]) -> Offsets:

@@ -14,7 +14,7 @@ from fieldlens.detectors import (
 )
 from fieldlens.evaluation import FormatScore, MetricsReport
 from fieldlens.extraction import extract_format, extract_format_baseline
-from fieldlens.model import Field, operator_sequence
+from fieldlens.model import Field, instructions_for
 from fieldlens.refinement import (
     CONSTRAINT_TABLE,
     constraint_refine,
@@ -47,9 +47,10 @@ def test_criterion_start_bytes_merge(example1):
     elapsed = time.perf_counter() - began
 
     assert merged.fields[0] == Field(0, 1)
+    first, second = instructions_for(trace, [Field(0, 0), Field(1, 1)])
     sim = semantic_similar(
-        operator_sequence(trace, Field(0, 0)),
-        operator_sequence(trace, Field(1, 1)),
+        tuple(r.operator for r in first),
+        tuple(r.operator for r in second),
     )
     assert sim.similarity == 1.0 and sim.merge
     assert baseline.fields[0] == Field(0, 0) and baseline.fields[1] == Field(1, 1)

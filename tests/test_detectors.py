@@ -373,13 +373,60 @@ def test_one_instruction_lookup_per_field(example3, monkeypatch):
     lookup = detectors.instructions_for
     calls = []
 
-    def counting(trace, field):
-        calls.append(field)
-        return lookup(trace, field)
+    def counting(trace, fields):
+        calls.extend(fields)
+        return lookup(trace, fields)
 
     monkeypatch.setattr(detectors, "instructions_for", counting)
-    annotate_format(fmt, t, message)
-    assert len(calls) == len(fmt.fields)
+    memo = {}
+    annotate_format(fmt, t, message, memo=memo)
+    assert calls == list(fmt.fields)
+    annotate_format(fmt, t, message, memo=memo)
+    assert calls == list(fmt.fields)  # every field is in the memo: no lookup
+
+
+def per_byte_covering_loops(t, field):
+    """The loops that cover ``field``, by their definition, byte by byte:
+    each byte's records grouped by loop id, and a loop kept while its
+    operator set at every byte equals the one at the first byte."""
+    common = None
+    for b in range(field.start, field.end + 1):
+        ops = {}
+        for r in t.records:
+            if r.loop_id is not None and any(lo <= b <= hi for lo, hi in r.accessed_offsets):
+                ops.setdefault(r.loop_id, set()).add(r.operator)
+        if common is not None:
+            ops = {loop_id: seen for loop_id, seen in common.items() if ops.get(loop_id) == seen}
+        if not ops:
+            return []
+        common = ops
+    return [(loop_id, recs) for loop_id, recs in t.loops.items() if loop_id in common]
+
+
+_spans = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(
+    lambda ab: frozenset(range(min(ab), max(ab) + 1))
+)
+_loop_records = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "xor"]),
+        _spans | st.frozensets(st.integers(0, 7), max_size=4),
+        st.sampled_from([None, "a", "b"]),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_loop_records, st.integers(0, 7), st.integers(0, 7))
+def test_covering_loops_is_the_per_byte_definition(specs, a, b):
+    t = trace(*(
+        rec(seq, op, OpClass.OTHER, offsets, loop_id=loop_id,
+            loop_role=loop_id and LoopRole.BODY)
+        for seq, (op, offsets, loop_id) in enumerate(specs, 1)
+    ))
+    field = Field(min(a, b), max(a, b))
+    (records,) = model.instructions_for(t, [field])
+    assert detectors._covering_loops(t, field, records) == per_byte_covering_loops(t, field)
 
 
 def test_loop_records_grouped_once_per_message(example2, monkeypatch):
@@ -483,7 +530,8 @@ def _two_messages(draw):
     for seq in range(1, draw(st.integers(0, 3)) + 1):
         const = bytes(draw(st.lists(_EDGE_BYTES, min_size=1, max_size=2)))
         bound = draw(st.booleans())
-        records.append(cmp(seq, {draw(st.sampled_from(field.offsets))}, const, True,
+        at = draw(st.integers(field.start, field.end))
+        records.append(cmp(seq, {at}, const, True,
                            loop_id="g" if bound else None,
                            loop_role=LoopRole.TERMINATION if bound else None))
     return field, tuple(records), data, other

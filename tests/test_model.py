@@ -73,7 +73,7 @@ def test_field_ordering_and_bounds():
         Field(3, 2)
     with pytest.raises(ModelError):
         Field(-1, 0)
-    assert len(Field(2, 5).offsets) == 4
+    assert Field(2, 5) == (2, 5, True) != Field(2, 5, accessed=False)
 
 
 def test_format_result_partition_checks():
@@ -89,7 +89,7 @@ def test_format_result_partition_checks():
 
 def test_instructions_for_empty_range():
     trace = ExecutionTrace((rec(1, offsets={0}),))
-    assert instructions_for(trace, Field(5, 6)) == []
+    assert instructions_for(trace, [Field(5, 6)]) == [[]]
 
 
 def test_instructions_for_matches_brute_force_union():
@@ -101,7 +101,7 @@ def test_instructions_for_matches_brute_force_union():
     )
     trace = ExecutionTrace(records)
     field = Field(0, 2)  # spans the ranges of the first two records
-    got = instructions_for(trace, field)
+    (got,) = instructions_for(trace, [field])
     expected = [
         r
         for r in records
@@ -114,16 +114,15 @@ def test_instructions_for_matches_brute_force_union():
 def test_whole_message_field_returns_touching_records():
     records = (rec(1, offsets={0}), rec(2, offsets=()), rec(3, offsets={7}))
     trace = ExecutionTrace(records)
-    got = instructions_for(trace, Field(0, 7))
+    (got,) = instructions_for(trace, [Field(0, 7)])
     assert [r.seq for r in got] == [1, 3]
 
 
 def test_disjoint_fields_union_covers_span():
     records = (rec(1, offsets={0}), rec(2, offsets={3}), rec(3, offsets={5}))
     trace = ExecutionTrace(records)
-    left = instructions_for(trace, Field(0, 2))
-    right = instructions_for(trace, Field(3, 5))
-    covering = instructions_for(trace, Field(0, 5))
+    left, right = instructions_for(trace, [Field(0, 2), Field(3, 5)])
+    (covering,) = instructions_for(trace, [Field(0, 5)])
     assert {r.seq for r in left} | {r.seq for r in right} == {
         r.seq for r in covering
     }
@@ -133,15 +132,28 @@ _small_sets = st.frozensets(st.integers(0, 7), max_size=4)
 _small_runs = _small_sets.map(as_runs)
 
 
-@given(st.lists(_small_sets, max_size=12), st.integers(0, 9), st.integers(0, 9))
+@st.composite
+def _sorted_disjoint_fields(draw):
+    """Fields in offset order, each after a gap of zero to two bytes."""
+    fields, start = [], 0
+    for gap, width in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=5)):
+        start += gap
+        fields.append(Field(start, start + width))
+        start += width + 1
+    return fields
+
+
+@given(st.lists(_small_sets, max_size=12), _sorted_disjoint_fields())
 @settings(max_examples=200, deadline=None)
-def test_instructions_for_is_the_scan_it_replaces(offset_sets, a, b):
+def test_instructions_for_is_the_scan_it_replaces(offset_sets, fields):
     records = tuple(rec(i + 1, offsets=offsets) for i, offsets in enumerate(offset_sets))
-    field = Field(min(a, b), max(a, b))
-    expected = [r for r, offsets in zip(records, offset_sets) if not offsets.isdisjoint(field.offsets)]
-    got = instructions_for(ExecutionTrace(records), field)
-    assert got == expected
-    assert all(g is e for g, e in zip(got, expected))
+    got = instructions_for(ExecutionTrace(records), fields)
+    assert len(got) == len(fields)
+    for field, records_of_field in zip(fields, got):
+        span = range(field.start, field.end + 1)
+        expected = [r for r, offsets in zip(records, offset_sets) if not offsets.isdisjoint(span)]
+        assert records_of_field == expected
+        assert all(g is e for g, e in zip(records_of_field, expected))
 
 
 def _optional(strategy):
@@ -258,7 +270,8 @@ def test_runs_give_the_set_that_the_pairs_cover(pairs):
 @settings(max_examples=300, deadline=None)
 def test_clip_is_intersection_with_a_field(offsets, a, b):
     field = Field(min(a, b), max(a, b))
-    assert clip(as_runs(offsets), field.start, field.end) == as_runs(offsets & set(field.offsets))
+    inside = offsets & set(range(field.start, field.end + 1))
+    assert clip(as_runs(offsets), field.start, field.end) == as_runs(inside)
 
 
 @given(_small_sets, _small_sets)
@@ -274,7 +287,8 @@ def test_a_record_takes_reads_exactly_when_they_are_a_subset(accessed, reads):
 
 def test_checksum_word_sees_combine_and_final_compare(example3):
     _, trace = example3
-    seqs = [r.seq for r in instructions_for(trace, Field(21, 22))]
+    (records,) = instructions_for(trace, [Field(21, 22)])
+    seqs = [r.seq for r in records]
     assert 6 in seqs  # the or that combines the two checksum bytes
     assert 16 in seqs  # the final compare against the accumulator
     ops = {trace.records[s - 1].operator for s in seqs}

@@ -12,7 +12,14 @@ from fieldlens import detectors, evaluation, extraction, pipeline, refinement, r
 from fieldlens.detectors import RULE_IDS, FieldAnnotation, SemanticType, annotate_format
 from fieldlens.evaluation import load_ground_truth
 from fieldlens.extraction import extract_format, extract_format_baseline
-from fieldlens.model import ExecutionTrace, Field, FormatResult, Message, ModelError
+from fieldlens.model import (
+    ExecutionTrace,
+    Field,
+    FormatResult,
+    Message,
+    ModelError,
+    instructions_for,
+)
 from fieldlens.pipeline import (
     PipelineConfig,
     infer_corpus,
@@ -209,10 +216,11 @@ def test_infer_corpus_infers_each_shape_once(monkeypatch):
     shapes = {m.id: _shape(m, traces[m.id]) for m in messages}
     by_trace = {id(traces[m.id]): shapes[m.id] for m in messages}  # one trace per message
     extracted = _counting(monkeypatch, pipeline, "extract_format", lambda m, *_: m.id)
-    looked_up = _counting(
-        monkeypatch, detectors, "instructions_for", lambda t, f: (by_trace[id(t)], f)
+    lookups = _counting(
+        monkeypatch, detectors, "instructions_for", lambda t, fs: [(by_trace[id(t)], f) for f in fs]
     )
     formats, _ = infer_corpus(shapes_of(messages, traces))
+    looked_up = [pair for pairs in lookups for pair in pairs]
     assert len(extracted) == len(set(shapes.values())) < len(messages)
     assert {shapes[mid] for mid in extracted} == set(shapes.values())
     pairs = {(shapes[mid], f) for mid, fmt in formats.items() for f in fmt.fields}
@@ -294,7 +302,8 @@ def test_infer_corpus_equals_per_message_inference(specs, disabled, baseline):
 
 def _declared(field, trace):
     """The offsets that the field's open byte parts read (``BytePart.reads``)."""
-    structure = detectors._structure(field, trace, frozenset())
+    (records,) = instructions_for(trace, [field])
+    structure = detectors._structure(field, trace, records, frozenset())
     return {p for _, _, reads in structure.open for sl in reads for p in range(sl.start, sl.stop)}
 
 

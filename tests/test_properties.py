@@ -25,7 +25,7 @@ from fieldlens.model import (
     InstructionRecord,
     Message,
     OpClass,
-    operator_sequence,
+    instructions_for,
 )
 from fieldlens.pipeline import refine_corpus, score_corpus
 from fieldlens.reports import encode
@@ -107,8 +107,21 @@ def test_a_candidate_is_accessed_exactly_when_it_has_operators(parser, seed):
     messages, _ = parser.generate(3, seed)
     for msg in messages:
         trace = vm_run(parser.script, msg).trace
-        for c in resolve_overlaps(intra_instruction_candidates(msg, trace)):
-            assert c.accessed == bool(operator_sequence(trace, c))
+        candidates = resolve_overlaps(intra_instruction_candidates(msg, trace))
+        for c, records in zip(candidates, instructions_for(trace, candidates)):
+            assert c.accessed == bool(records)
+
+
+@given(random_traces(), st.binary(min_size=MSG_LEN, max_size=MSG_LEN))
+@settings(max_examples=150, deadline=None)
+def test_a_byte_that_no_read_covers_is_accessed_exactly_when_it_has_operators(trace, payload):
+    """Bytes that no record read from the buffer become one-byte candidates,
+    accessed exactly when some record touched them.  Random traces leave
+    such bytes often, the bundled parsers' traces seldom."""
+    message = Message("m", payload)
+    candidates = resolve_overlaps(intra_instruction_candidates(message, trace))
+    for c, records in zip(candidates, instructions_for(trace, candidates)):
+        assert c.accessed == bool(records)
 
 
 @st.composite

@@ -129,11 +129,19 @@ def test_every_record_attribute_is_read_by_an_analysis():
 def test_offsets_are_spelt_only_as_runs():
     """A record's offsets are ``model.Offsets`` runs from the trace text to
     the detectors.  No module builds ``frozenset(range(...))`` or a
-    ``frozenset`` of a field's ``.offsets``, so a second spelling of an
-    offset set cannot come back."""
+    ``frozenset`` of a field's ``.offsets``, and none reads a per-offset
+    index (``by_offset``) or a field's ``.offsets``, so a second spelling of
+    an offset set cannot come back.  The trace reader's own cache of offset
+    texts (``traceio._Records.offsets``) is the one ``.offsets`` allowed."""
     found = []
     for name, tree in _modules():
         for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "by_offset"
+                or node.attr == "offsets"
+                and not (name == "traceio.py" and getattr(node.value, "id", None) == "self")
+            ):
+                found.append(f"{name}:{node.lineno}")
             if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "frozenset"):
                 continue
             for arg in node.args:

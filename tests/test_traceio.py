@@ -33,6 +33,7 @@ from fieldlens.traceio import (
     serialize_corpus,
     serialize_ground_truth,
 )
+from fieldlens.pipeline import infer_corpus
 from fieldlens.vm import bundled_parsers, run as vm_run
 
 from corpora import shapes_of
@@ -105,8 +106,9 @@ def test_reads_outside_off_are_an_integrity_error_on_their_line():
 @pytest.mark.parametrize("lines", [10, 40, 400])
 def test_reading_wide_runs_takes_memory_by_the_input(lines):
     """Each line names a distinct run up to the end of one 20,000-byte
-    message; no run is expanded, so the read's peak is a small multiple
-    of its text."""
+    message; no run is expanded, from the read through extraction and the
+    detectors, so the peak of the read, and that of inference on what it
+    read, is a small multiple of the text."""
     text = "msg a bytes=0x" + "00" * 20_000 + "\n" + "".join(
         f"rec a seq={i + 1} op=movzx class=MOV_SERIES off={i}-19999 reads={i}-19999\n"
         for i in range(lines)
@@ -114,11 +116,16 @@ def test_reading_wide_runs_takes_memory_by_the_input(lines):
     tracemalloc.start()
     try:
         corpus = read_interchange(io.StringIO(text))
-        _, peak = tracemalloc.get_traced_memory()
+        _, read_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        formats, _ = infer_corpus(corpus.shapes)
+        _, infer_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(corpus.shapes[0].trace.records) == lines
-    assert peak <= 32 * len(text.encode())
+    assert formats["a"].fields == (Field(0, 19_999),)
+    assert read_peak <= 32 * len(text.encode())
+    assert infer_peak <= 32 * len(text.encode())
 
 
 def _canonical_inside(offsets, length):
