@@ -126,8 +126,9 @@ def _cmd_generate(args) -> int:
 def _cmd_extract(args) -> int:
     messages, shapes, _ = read_inputs(Path(args.traces))
     formats, _ = infer_corpus(shapes, args.baseline)
-    write_json(Path(args.out), formats_to_doc(messages, formats))
-    print(f"extracted {len(messages)} formats -> {args.out}")
+    write_json(Path(args.out), doc := formats_to_doc(formats))
+    distinct = len(doc["formats"])
+    print(f"extracted the formats of {len(messages)} messages ({distinct} distinct) -> {args.out}")
     return 0
 
 

@@ -138,10 +138,10 @@ def extract_format(
     one."""
     candidates = resolve_overlaps(intra_instruction_candidates(message, trace))
     fields = _coalesce(trace, candidates, {} if memo is None else memo)
-    return FormatResult(message.id, len(message), tuple(fields))
+    return FormatResult(len(message), tuple(fields))
 
 
 def extract_format_baseline(message: Message, trace: ExecutionTrace) -> FormatResult:
     """Classic strategy: the per-instruction candidates become the fields."""
     candidates = resolve_overlaps(intra_instruction_candidates(message, trace))
-    return FormatResult(message.id, len(message), tuple(candidates))
+    return FormatResult(len(message), tuple(candidates))

@@ -2,11 +2,11 @@
 
 Everything here is immutable after construction and safe to share between
 threads; ``ExecutionTrace.loops`` is a view derived from the records on
-first use.  Records and fields are checked tuples and the label enums hash
-by identity, so memo keys hash in C.  A trace names no message, so equal
-traces compare and hash alike.  Messages of one length with equal traces
-were handled by the same instructions: they form one ``Shape``, and the
-reader hands on each shape once.  Offsets are byte-granular; bit-level
+first use.  Records, fields and formats are checked tuples and the label
+enums hash by identity, so memo keys hash in C.  No trace or format names a
+message, so equal ones compare and hash alike.  Messages of one length with
+equal traces were handled by the same instructions: they form one ``Shape``,
+whose messages share one format.  Offsets are byte-granular; bit-level
 fields are out of scope.  A record holds each offset set as ``Offsets``,
 the runs that the trace text spells, never expanded; ``runs`` makes them
 and ``clip`` cuts a field's share.  ``instructions_for``, the one I(f)
@@ -217,35 +217,43 @@ class Field(_FieldValues):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FormatResult:
-    """An inferred partition of one message into fields.
-
-    ``fields`` must cover [0, length) without gaps or overlaps; ``boundaries``
-    is the derived set of offsets at which a new field starts (offset 0
-    excluded).
-    """
-
-    message_id: str
+class _FormatValues(NamedTuple):
     length: int
     fields: Tuple[Field, ...]
 
-    def __post_init__(self) -> None:
-        if not self.fields:
-            raise ModelError(f"format for {self.message_id!r} has no fields")
+
+class FormatResult(_FormatValues):
+    """An inferred partition of a message of ``length`` bytes into fields.
+
+    ``fields`` must cover [0, length) without gaps or overlaps; ``boundaries``
+    is the derived set of offsets at which a new field starts (offset 0
+    excluded).  A format names no message, so a caller that checks a
+    message's fields names the message in its error.  Like a ``Field``, it
+    is a checked tuple whose ``_make`` and ``_replace`` go through ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, length, fields):
+        if not fields:
+            raise ModelError("format has no fields")
         expected = 0
-        for f in self.fields:
+        for f in fields:
             if f.start != expected:
                 raise ModelError(
-                    f"format for {self.message_id!r} does not partition the "
-                    f"message: field starts at {f.start}, expected {expected}"
+                    f"format does not partition the message: field starts at "
+                    f"{f.start}, expected {expected}"
                 )
             expected = f.end + 1
-        if expected != self.length:
+        if expected != length:
             raise ModelError(
-                f"format for {self.message_id!r} covers [0, {expected}) but the "
-                f"message has {self.length} bytes"
+                f"format covers [0, {expected}) but the message has {length} bytes"
             )
+        return tuple.__new__(cls, (length, fields))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> FormatResult:
+        return cls(*iterable)
 
     @property
     def boundaries(self) -> Tuple[int, ...]:

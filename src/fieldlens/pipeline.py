@@ -68,26 +68,26 @@ def infer_corpus(
     """Each message's format and detector annotations, by message id.
 
     The messages of one shape were handled by the same instructions, so
-    its format is extracted once, from its first message, and every one of
-    its messages gets those fields.  Each (shape, field) is looked up and
-    run through every rule's trace part once, in one detector memo per
-    shape.  The byte parts that the trace leaves open (delim's edge bytes,
-    filename's field bytes) run once per distinct bytes they read, and a
-    field with none open gets one annotation for all its messages
-    (``detectors.Structure``).  Each distinct operator-sequence pair is
-    aligned once.  All of these memos live for this call only.
+    its format is extracted and checked once, from its first message, and
+    every one of its messages gets that format object.  Each (shape, field)
+    is looked up and run through every rule's trace part once, in one
+    detector memo per shape.  The byte parts that the trace leaves open
+    (delim's edge bytes, filename's field bytes) run once per distinct bytes
+    they read, and a field with none open gets one annotation for all its
+    messages (``detectors.Structure``).  Each distinct operator-sequence
+    pair is aligned once.  All of these memos live for this call only.
     """
     formats: dict[str, FormatResult] = {}
     annotations: dict[str, tuple[FieldAnnotation, ...]] = {}
     merges: MergeMemo = {}
     for trace, messages in shapes:
         if baseline:
-            fields = extract_format_baseline(messages[0], trace).fields
+            fmt = extract_format_baseline(messages[0], trace)
         else:
-            fields = extract_format(messages[0], trace, memo=merges).fields
+            fmt = extract_format(messages[0], trace, memo=merges)
         memo: FieldMemo = {}
         for msg in messages:
-            fmt = formats[msg.id] = FormatResult(msg.id, len(msg), fields)
+            formats[msg.id] = fmt
             annotations[msg.id] = annotate_format(fmt, trace, msg, disabled_rules, memo=memo)
     return formats, annotations
 
@@ -211,7 +211,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "formats.json", formats_to_doc(messages, formats))
+    write_json(out / "formats.json", formats_to_doc(formats))
     write_json(out / "annotations.json", annotations_to_doc(refined))
     write_json(out / "clustering.json", clustering_to_dict(clustering))
     write_json(out / "refinement_audit.json", audit_to_doc(events))

@@ -149,11 +149,16 @@ def explore_optimal(
     messages: Sequence[Message],
     formats: Mapping[str, FormatResult],
 ) -> Clustering:
-    """Search every boundary-delimited range for the best clustering basis."""
-    boundaries = {m.id: formats[m.id].boundaries for m in messages}
-    candidates = sorted(
-        {(f.start, f.end) for m in messages for f in formats[m.id].fields}
-    )
+    """Search every boundary-delimited range for the best clustering basis,
+    taking candidate ranges and boundary tuples once per distinct format."""
+    distinct: dict[FormatResult, Boundaries] = {}
+    boundaries = {}
+    for m in messages:
+        fmt = formats[m.id]
+        if (found := distinct.get(fmt)) is None:
+            found = distinct[fmt] = fmt.boundaries
+        boundaries[m.id] = found
+    candidates = sorted({(f.start, f.end) for fmt in distinct for f in fmt.fields})
 
     best_score = 0.0
     best_pos: Optional[Range] = None

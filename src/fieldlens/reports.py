@@ -15,15 +15,14 @@ followed by old ones, as it could see a short file before.
 indented, and encodes a container object at most twice per depth, however
 often the document holds it, so the converters below share one object per
 distinct model value: one annotation dict per distinct ``FieldAnnotation``
-and one list per distinct annotation tuple, one ``fields`` and one
-``boundaries`` list per distinct field tuple.
-``fuzz_template`` writes one template format per distinct list of field
-entries, and one entry dict per distinct entry.  Every such
-memo is keyed by value: equal model values give equal reports, because
-``Field`` equality includes ``accessed``, and fields, annotations and
-evidence are tuples that hash and compare in C.  Only ``encode``, whose
-dicts and lists cannot be hashed, keys by ``id()``.  A shared object is
-never changed after it is handed out.
+and one list per distinct annotation tuple.  ``formats_to_doc`` and
+``fuzz_template`` write one entry per distinct format, and the template one
+entry dict per distinct field entry.  Every such memo is keyed by value:
+equal model values give equal reports, because ``Field`` equality includes
+``accessed``, and fields, formats, annotations and evidence are tuples that
+hash and compare in C.  Only ``encode``, whose dicts and lists cannot be
+hashed, keys by ``id()``.  A shared object is never changed after it is
+handed out.
 ``read_json`` reads every stage input, and a file that is not JSON or not of
 the expected shape, down to the type of each scalar, is an
 ``IntegrityError`` naming the file.
@@ -31,8 +30,10 @@ the expected shape, down to the type of each scalar, is an
 - ``annotations.json``: message id -> fields in offset order, each ``{start,
   end, accessed, type, functions, evidence}`` (``annotations_to_doc``,
   ``annotations_from_doc``).  It is the one document a later stage reads.
-- ``formats.json``: a list in corpus order of ``{message_id, length, fields,
-  boundaries}``, each field ``{start, end, accessed}`` (``formats_to_doc``).
+- ``formats.json``: version 2, ``{format, version, formats}``, one entry per
+  distinct format, each ``{length, fields, boundaries, messages}`` with each
+  field ``{start, end, accessed}`` and the sorted ids of the format's
+  messages; entries are ordered by their first id (``formats_to_doc``).
 - ``clustering.json``: the command-position search (``clustering_to_dict``).
 - ``refinement_audit.json``: version 2, ``{format, version, decisions}``, one
   decision per distinct refinement event, each ``{field, action, label,
@@ -56,7 +57,7 @@ import stat
 from typing import Mapping, Sequence
 
 from .detectors import Evidence, FieldAnnotation, SemanticFunction, SemanticType
-from .model import Field, FormatResult, Message, ModelError
+from .model import Field, FormatResult, ModelError
 from .refinement import Clustering, RefinementEvent
 from .traceio import IntegrityError
 
@@ -209,30 +210,22 @@ def _field_from_dict(doc: dict) -> Field:
     )
 
 
-def formats_to_doc(
-    messages: Sequence[Message], formats: Mapping[str, FormatResult]
-) -> list[dict]:
-    """One entry per message; messages with equal fields share one ``fields``
-    list and one ``boundaries`` list."""
-    shared: dict[tuple[Field, ...], tuple[list, list]] = {}
-    doc = []
-    for m in messages:
-        fmt = formats[m.id]
-        if fmt.fields not in shared:
-            shared[fmt.fields] = (
-                [{"start": f.start, "end": f.end, "accessed": f.accessed} for f in fmt.fields],
-                list(fmt.boundaries),
-            )
-        fields, boundaries = shared[fmt.fields]
-        doc.append(
-            {
-                "message_id": fmt.message_id,
+def formats_to_doc(formats: Mapping[str, FormatResult]) -> dict:
+    """Version 2: one entry per distinct format, with the sorted ids of its
+    messages, entries ordered by their first id."""
+    entries: dict[FormatResult, dict] = {}
+    for mid in sorted(formats):
+        fmt = formats[mid]
+        entry = entries.get(fmt)
+        if entry is None:
+            entry = entries[fmt] = {
                 "length": fmt.length,
-                "fields": fields,
-                "boundaries": boundaries,
+                "fields": [f._asdict() for f in fmt.fields],
+                "boundaries": list(fmt.boundaries),
+                "messages": [],
             }
-        )
-    return doc
+        entry["messages"].append(mid)
+    return {"format": "fieldlens-formats", "version": 2, "formats": list(entries.values())}
 
 
 def annotation_from_dict(doc: dict) -> FieldAnnotation:
@@ -331,18 +324,20 @@ def annotated_formats(
     what: str, annotations: Mapping[str, Sequence[FieldAnnotation]]
 ) -> dict[str, FormatResult]:
     """The format each message's annotated fields make, read from ``what``;
-    an IntegrityError unless they partition [0, end of the last field)."""
-    try:
-        return {
-            mid: FormatResult(
-                mid,
-                anns[-1].field.end + 1 if anns else 0,
-                tuple(a.field for a in anns),
-            )
-            for mid, anns in annotations.items()
-        }
-    except ModelError as exc:
-        raise IntegrityError(None, f"{what}: {exc}") from None
+    an IntegrityError naming the message unless they partition [0, end of
+    the last field).  Messages with equal fields share one format."""
+    built: dict[tuple[Field, ...], FormatResult] = {}
+    formats = {}
+    for mid, anns in annotations.items():
+        fields = tuple(a.field for a in anns)
+        fmt = built.get(fields)
+        if fmt is None:
+            try:
+                fmt = built[fields] = FormatResult(fields[-1].end + 1 if fields else 0, fields)
+            except ModelError as exc:
+                raise IntegrityError(None, f"{what}: message {mid!r}: {exc}") from None
+        formats[mid] = fmt
+    return formats
 
 
 def check_covers(

@@ -208,7 +208,7 @@ def test_criterion_metric_unit_case():
         FieldAnnotation(Field(a, b), T.BYTES, frozenset(), ())
         for a, b in ((0, 1), (2, 4), (5, 7))
     )
-    inferred = FormatResult("m", 8, (Field(0, 1), Field(2, 3), Field(4, 7)))
+    inferred = FormatResult(8, (Field(0, 1), Field(2, 3), Field(4, 7)))
     score = FormatScore()
     score.count(inferred, truth)
     assert (score.tp, score.fp, score.fn, score.tn) == (1, 1, 1, 4)

@@ -97,14 +97,22 @@ def test_stage_chain_matches_run(tmp_path, corpus):
     assert clusters_doc["command_pos"] == [3, 3]
 
 
-def test_extract_baseline_flag(tmp_path, corpus):
+def test_extract_baseline_flag(tmp_path, corpus, capsys):
     merged = tmp_path / "merged.json"
     split = tmp_path / "split.json"
+    capsys.readouterr()
     assert run_cli("extract", "--traces", corpus, "--out", merged) == 0
     assert run_cli("extract", "--traces", corpus, "--baseline", "--out", split) == 0
     merged_doc = json.loads(merged.read_text())
     split_doc = json.loads(split.read_text())
-    assert len(split_doc[0]["fields"]) > len(merged_doc[0]["fields"])
+    assert merged_doc["format"] == "fieldlens-formats" and merged_doc["version"] == 2
+    assert len(split_doc["formats"][0]["fields"]) > len(merged_doc["formats"][0]["fields"])
+    distinct = len(merged_doc["formats"])
+    assert 1 < distinct < 12
+    assert capsys.readouterr().out.splitlines() == [
+        f"extracted the formats of 12 messages ({len(doc['formats'])} distinct) -> {path}"
+        for doc, path in ((merged_doc, merged), (split_doc, split))
+    ]
 
 
 def test_ablation_flags_run(tmp_path, corpus):
@@ -379,7 +387,8 @@ def test_score_rejects_annotations_missing_a_message(tmp_path, corpus, anns, cap
 
 
 def _run_stage_and_expect_exit_2(tmp_path, corpus, command, anns, named):
-    """Run ``command`` in a fresh interpreter; it must exit 2 naming ``named``."""
+    """Run ``command`` in a fresh interpreter; it must exit 2 naming
+    ``named``.  Returns its standard error."""
     extra = {
         "refine": ["--traces", corpus],
         "score": ["--ground-truth", corpus],
@@ -397,6 +406,7 @@ def _run_stage_and_expect_exit_2(tmp_path, corpus, command, anns, named):
     assert "error:" in proc.stderr and str(named) in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out.json").exists()
+    return proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -466,6 +476,24 @@ def test_annotations_must_partition_each_message(tmp_path, corpus, anns, command
     edit(doc)
     anns.write_text(json.dumps(doc))
     _run_stage_and_expect_exit_2(tmp_path, corpus, command, anns, anns)
+
+
+@pytest.mark.parametrize("command", ["refine", "score"])
+def test_a_gap_in_one_message_exits_2_naming_the_file_and_the_message(
+    tmp_path, corpus, anns, command
+):
+    """A format names no message, so the stage that checks a message's
+    annotated fields names it."""
+    doc = json.loads(anns.read_text())
+    mid = sorted(doc)[-1]
+    del doc[mid][1]
+    assert len(doc[mid]) > 1  # the gap is inside the message
+    anns.write_text(json.dumps(doc))
+    err = _run_stage_and_expect_exit_2(tmp_path, corpus, command, anns, anns)
+    assert err == (
+        f"error: {anns}: message '{mid}': format does not partition the message: "
+        f"field starts at {doc[mid][1]['start']}, expected {doc[mid][0]['end'] + 1}\n"
+    )
 
 
 def test_score_names_a_ground_truth_file_of_another_length(tmp_path, corpus, anns):

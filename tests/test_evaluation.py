@@ -36,11 +36,9 @@ def gtf(start, end, sem_type=T.BYTES, funcs=(), accessed=True):
     return FieldAnnotation(Field(start, end, accessed), sem_type, frozenset(funcs), ())
 
 
-def fmt(mid, length, *bounds):
+def fmt(length, *bounds):
     edges = [0, *bounds, length]
-    return FormatResult(
-        mid, length, tuple(Field(a, b - 1) for a, b in zip(edges, edges[1:]))
-    )
+    return FormatResult(length, tuple(Field(a, b - 1) for a, b in zip(edges, edges[1:])))
 
 
 def ann(start, end, sem_type, funcs=()):
@@ -59,7 +57,7 @@ def format_score(inferred, truth):
 def as_inferred(truth):
     """A format whose fields are the true fields ``truth``."""
     fields = tuple(t.field for t in truth)
-    return FormatResult("m", fields[-1].end + 1, fields)
+    return FormatResult(fields[-1].end + 1, fields)
 
 
 def scored(annotations, truth):
@@ -92,7 +90,7 @@ def test_equal_truths_are_one_tuple_of_shared_fields():
 def test_hand_enumerated_boundary_case():
     # 8-byte message, true boundaries {2,5}, inferred {2,4}
     truth = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))
-    inferred = fmt("m", 8, 2, 4)
+    inferred = fmt(8, 2, 4)
     score = format_score(inferred, truth)
     assert (score.tp, score.fp, score.fn, score.tn) == (1, 1, 1, 4)
     assert score.precision == 0.5
@@ -105,7 +103,7 @@ def test_hand_enumerated_boundary_case():
 
 def test_perfect_match_scores_ones():
     truth = gt(gtf(0, 2), gtf(3, 5))
-    inferred = fmt("m", 6, 3)
+    inferred = fmt(6, 3)
     score = format_score(inferred, truth)
     assert score.precision == score.recall == score.f1 == 1.0
     assert score.perfection == 1.0
@@ -113,7 +111,7 @@ def test_perfect_match_scores_ones():
 
 def test_empty_prediction_convention():
     truth = gt(gtf(0, 2), gtf(3, 5))
-    inferred = fmt("m", 6)  # one field, no boundaries
+    inferred = fmt(6)  # one field, no boundaries
     score = format_score(inferred, truth)
     assert score.precision == 0.0
     assert score.recall == 0.0
@@ -122,7 +120,7 @@ def test_empty_prediction_convention():
 
 def test_self_scoring_any_partition_is_perfect():
     for bounds in ((), (1,), (2, 5), (1, 2, 3)):
-        inferred = fmt("m", 6, *bounds)
+        inferred = fmt(6, *bounds)
         truth = gt(*(gtf(f.start, f.end) for f in inferred.fields))
         score = format_score(inferred, truth)
         assert score.f1 == 1.0 and score.perfection == 1.0
@@ -131,16 +129,16 @@ def test_self_scoring_any_partition_is_perfect():
 
 def test_length_mismatch_is_integrity_error():
     truth = gt(gtf(0, 7))
-    inferred = fmt("m", 6)
+    inferred = fmt(6)
     with pytest.raises(IntegrityError):
-        check_covers({inferred.message_id: inferred.length}, "truth.fl", {"m": truth})
+        check_covers({"m": inferred.length}, "truth.fl", {"m": truth})
 
 
 def test_metrics_invariant_under_id_renaming():
     truth_a = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))
     truth_b = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))
-    score_a = format_score(fmt("a", 8, 2, 4), truth_a)
-    score_b = format_score(fmt("b", 8, 2, 4), truth_b)
+    score_a = format_score(fmt(8, 2, 4), truth_a)
+    score_b = format_score(fmt(8, 2, 4), truth_b)
     assert (score_a.tp, score_a.fp, score_a.fn, score_a.tn) == (
         score_b.tp, score_b.fp, score_b.fn, score_b.tn,
     )
@@ -151,21 +149,21 @@ def test_metrics_invariant_under_id_renaming():
 
 def test_segmentation_error_counts():
     truth = gt(gtf(0, 1), gtf(2, 4), gtf(5, 7))
-    over, under = count_segmentation_errors(fmt("m", 8, 1, 2, 5), truth)
+    over, under = count_segmentation_errors(fmt(8, 1, 2, 5), truth)
     assert (over, under) == (1, 0)  # spurious split inside the first field
-    over, under = count_segmentation_errors(fmt("m", 8, 2), truth)
+    over, under = count_segmentation_errors(fmt(8, 2), truth)
     assert (over, under) == (0, 1)
-    over, under = count_segmentation_errors(fmt("m", 8, 2, 5), truth)
+    over, under = count_segmentation_errors(fmt(8, 2, 5), truth)
     assert (over, under) == (0, 0)
 
 
 def test_segmentation_errors_exclude_unaccessed_fields():
     truth = gt(gtf(0, 1), gtf(2, 5, accessed=False), gtf(6, 7))
     # boundaries 3,4,5 fall inside the unaccessed field: not counted
-    over, under = count_segmentation_errors(fmt("m", 8, 2, 4, 6), truth)
+    over, under = count_segmentation_errors(fmt(8, 2, 4, 6), truth)
     assert (over, under) == (0, 0)
     # a split inside an accessed field still counts
-    over, under = count_segmentation_errors(fmt("m", 8, 1, 2, 6), truth)
+    over, under = count_segmentation_errors(fmt(8, 1, 2, 6), truth)
     assert (over, under) == (1, 0)
 
 
@@ -174,7 +172,7 @@ def test_scoring_a_long_unaccessed_field_allocates_little():
     # allocate per byte of a field
     length = 10**6
     truth = gt(gtf(0, length - 1, accessed=False))
-    inferred = fmt("m", length)
+    inferred = fmt(length)
     report = MetricsReport()
     tracemalloc.start()
     try:
@@ -190,7 +188,7 @@ def test_scoring_a_long_unaccessed_field_allocates_little():
 
 def test_seg_errors_equal_fp_fn_without_exclusions():
     truth = gt(gtf(0, 3), gtf(4, 6), gtf(7, 9))
-    inferred = fmt("m", 10, 2, 4, 8)
+    inferred = fmt(10, 2, 4, 8)
     score = format_score(inferred, truth)
     over, under = count_segmentation_errors(inferred, truth)
     assert over == score.fp and under == score.fn
@@ -469,7 +467,9 @@ def test_ground_truth_round_trips_and_must_partition(truths, data):
         mid = data.draw(st.sampled_from(split))
         gone = data.draw(st.integers(0, len(truths[mid]) - 2))
         broken = {**truths, mid: truths[mid][:gone] + truths[mid][gone + 1:]}
-        with pytest.raises(IntegrityError, match="does not partition"):
+        # a format names no message, so the error names the file and the message
+        named = f"^truth.fl: message '{mid}': format does not partition the message"
+        with pytest.raises(IntegrityError, match=named):
             annotated_formats("truth.fl", _truth_of(serialize_ground_truth(broken.items())))
 
 
@@ -494,7 +494,7 @@ def test_ground_truth_must_partition():
 def test_report_aggregation():
     report = MetricsReport()
     truth = gt(gtf(0, 1, T.INTEGER), gtf(2, 7, T.BYTES))
-    inferred = fmt("m", 8, 2)
+    inferred = fmt(8, 2)
     report.add_message(inferred, [ann(0, 1, T.INTEGER), ann(2, 7, T.BYTES)], truth)
     doc = report.to_dict()
     assert doc["messages"] == 1

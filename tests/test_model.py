@@ -78,13 +78,16 @@ def test_field_ordering_and_bounds():
 
 def test_format_result_partition_checks():
     with pytest.raises(ModelError):
-        FormatResult("m", 4, (Field(0, 1), Field(3, 3)))  # gap at 2
+        FormatResult(4, (Field(0, 1), Field(3, 3)))  # gap at 2
     with pytest.raises(ModelError):
-        FormatResult("m", 4, (Field(0, 1), Field(1, 3)))  # overlap
+        FormatResult(4, (Field(0, 1), Field(1, 3)))  # overlap
     with pytest.raises(ModelError):
-        FormatResult("m", 5, (Field(0, 1), Field(2, 3)))  # short
-    fmt = FormatResult("m", 5, (Field(0, 1), Field(2, 2), Field(3, 4)))
+        FormatResult(5, (Field(0, 1), Field(2, 3)))  # short
+    fmt = FormatResult(5, (Field(0, 1), Field(2, 2), Field(3, 4)))
     assert fmt.boundaries == (2, 3)
+    assert fmt == (5, fmt.fields) and hash(fmt) == hash(FormatResult(*fmt))
+    with pytest.raises(ModelError):
+        fmt._replace(length=6)  # _make and _replace go through the check
 
 
 def test_instructions_for_empty_range():

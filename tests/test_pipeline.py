@@ -147,7 +147,7 @@ def test_truths_that_differ_only_in_accessed_are_scored_apart():
     the server read the second true field: the over-segmentation inside it
     and the accessed-only recall are counted per truth."""
     fields = (Field(0, 0), Field(1, 1), Field(2, 3))
-    formats = {mid: FormatResult(mid, 4, fields) for mid in "ab"}
+    formats = {mid: FormatResult(4, fields) for mid in "ab"}
     anns = tuple(FieldAnnotation(f, SemanticType.STATIC, frozenset(), ()) for f in fields)
     annotations = {"a": anns, "b": anns}
     truths = {
@@ -188,10 +188,10 @@ def _per_message(messages, traces, baseline=False, disabled=frozenset()):
     return formats, annotations
 
 
-def _docs(messages, inferred):
+def _docs(inferred):
     """The formats and annotations documents of ``infer_corpus``'s result."""
     formats, annotations = inferred
-    return formats_to_doc(messages, formats), annotations_to_doc(annotations)
+    return formats_to_doc(formats), annotations_to_doc(annotations)
 
 
 def _shape(message, trace):
@@ -297,7 +297,48 @@ def test_infer_corpus_equals_per_message_inference(specs, disabled, baseline):
     inferred = infer_corpus(shapes_of(messages, traces), baseline, disabled)
     alone = _per_message(messages, traces, baseline, disabled)
     assert inferred == alone
-    assert _docs(messages, inferred) == _docs(messages, alone)
+    assert _docs(inferred) == _docs(alone)
+
+
+def test_infer_corpus_gives_every_message_of_a_shape_one_format_object():
+    messages, traces = _generated((6, 2), (6, 2))
+    shapes = shapes_of(messages, traces)
+    formats, _ = infer_corpus(shapes)
+    assert len(shapes) < len(messages)
+    for _, held in shapes:
+        assert all(formats[m.id] is formats[held[0].id] for m in held)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    specs=st.tuples(*[st.tuples(st.integers(1, 4), st.integers(0, 999))] * 2),
+    baseline=st.booleans(),
+    data=st.data(),
+)
+def test_the_formats_document_lists_each_distinct_format_once(specs, baseline, data):
+    """``formats.json`` v2 holds one entry per distinct format, with the
+    sorted ids of its messages, ordered by first id, whatever the order of
+    the formats it is given; each entry rebuilds its messages' formats."""
+    messages, traces = _generated(*specs)
+    inferred, _ = infer_corpus(shapes_of(messages, traces), baseline)
+    formats = {mid: inferred[mid] for mid in data.draw(st.permutations(list(inferred)))}
+    doc = json.loads(json.dumps(formats_to_doc(formats)))
+    assert doc["format"] == "fieldlens-formats" and doc["version"] == 2
+    entries = doc["formats"]
+    assert len(entries) == len(set(formats.values()))
+    ids = [mid for e in entries for mid in e["messages"]]
+    assert sorted(ids) == sorted(formats) and len(ids) == len(set(ids))
+    assert all(e["messages"] == sorted(e["messages"]) for e in entries)
+    firsts = [e["messages"][0] for e in entries]
+    assert firsts == sorted(firsts)
+    rebuilt = {}
+    for e in entries:
+        fields = tuple(Field(f["start"], f["end"], f["accessed"]) for f in e["fields"])
+        starts = [f.start for f in fields]
+        assert starts[0] == 0 and [f.end + 1 for f in fields] == starts[1:] + [e["length"]]
+        assert e["boundaries"] == starts[1:]
+        rebuilt.update((mid, FormatResult(e["length"], fields)) for mid in e["messages"])
+    assert rebuilt == inferred
 
 
 def _declared(field, trace):
@@ -394,7 +435,7 @@ def test_a_record_that_differs_in_an_analysed_attribute_is_its_own_shape(attr):
         pytest.fail(f"no change of one record's {attr} changes a result")
     inferred = infer_corpus(shapes_of(messages, changed))
     assert inferred == after
-    assert _docs(messages, inferred) == _docs(messages, after)
+    assert _docs(inferred) == _docs(after)
 
 
 def test_audit_prints_no_negative_zero(tmp_path):
@@ -559,7 +600,7 @@ REPORT_DIGESTS = {
     "default": {
         "annotations.json": "f80c50560d275a63f2db4c07bd0a5e63324a14a82067e9b73503443065579d53",
         "clustering.json": "d3e47407d9a08f525275c3f296054bffea4fceeac099a7b608a6be43bacb8543",
-        "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
+        "formats.json": "9f97d14f50480f116f7961b9cc54b8927a2c42a9c6c6b12f530b9b32a66c98b3",
         "metrics.json": "73f66635b352ce8bccd08ed0f8075decbad2ab80f18dec98556bfb237428f9c6",
         "refinement_audit.json": "ee369233eaaf9904b8d2e86b5dabccf6dad687e4951256328e1b657767a08a58",
         "template.json": "d0912fbc970f44b5946150622067a7f4a7ab9778fc7de99e8f561ccd41b7bcd2",
@@ -567,7 +608,7 @@ REPORT_DIGESTS = {
     "baseline": {
         "annotations.json": "bba06f5369591007ddd0e055b15fd6b480eceb8bce8d7fd78d542575ede9a366",
         "clustering.json": "8aaa4cbb319b3bdd4c6d1090a55213b93b0ac8eed01b69f2230ba421c6907713",
-        "formats.json": "049c582cd17c160cfb78e9c14a45042e6a57cc9b9b80013ddf6bb53b69d6eb68",
+        "formats.json": "d86f1e4cc471333dff81deca831fa025d5787f014cc8268be0ce108734f6b682",
         "metrics.json": "4adcf3c2a0e3b1b5c9df030c9e7f66d38ca65125fa0b6256e71c96dc3d3b4965",
         "refinement_audit.json": "d9409b91e3ee8fd6eefdf7419b3acea502cad83bf109a4404474a2495f810693",
         "template.json": "23a13ff4562124303857a9b043b420adb4f6bb63761343cf0368c1d1cf3b2845",
@@ -575,7 +616,7 @@ REPORT_DIGESTS = {
     "no-clustering": {
         "annotations.json": "ab947e1034eb537adb0add49334bdd0c95a3cf4679499d3d590551c0dcbedb69",
         "clustering.json": "eb5af48c575e595d5410a02052394353ae0ff3d4f87d681007f1197145389349",
-        "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
+        "formats.json": "9f97d14f50480f116f7961b9cc54b8927a2c42a9c6c6b12f530b9b32a66c98b3",
         "metrics.json": "e3b0bd6841b926c21ac3df5759f7111284e0c8414f0e403ecbd96ad858230767",
         "refinement_audit.json": "9d86799330a053037289e1bd3d4c86b01dcffe78b4d52041e4ad029b6d286ce9",
         "template.json": "ac7f1bec1ebd1d3b77124c0ff762912ffd23c9f5dcce3d5d2e5bac4b9244c4cf",
@@ -583,7 +624,7 @@ REPORT_DIGESTS = {
     "no-entropy": {
         "annotations.json": "f80c50560d275a63f2db4c07bd0a5e63324a14a82067e9b73503443065579d53",
         "clustering.json": "d3e47407d9a08f525275c3f296054bffea4fceeac099a7b608a6be43bacb8543",
-        "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
+        "formats.json": "9f97d14f50480f116f7961b9cc54b8927a2c42a9c6c6b12f530b9b32a66c98b3",
         "metrics.json": "73f66635b352ce8bccd08ed0f8075decbad2ab80f18dec98556bfb237428f9c6",
         "refinement_audit.json": "a05d6aa593c24e9ad0bc889804a9876043c2beda23183202a3d1015055164ded",
         "template.json": "d0912fbc970f44b5946150622067a7f4a7ab9778fc7de99e8f561ccd41b7bcd2",
@@ -591,7 +632,7 @@ REPORT_DIGESTS = {
     "no-constraints": {
         "annotations.json": "1a85ad16ac571a65f4c948f7d9dd275430686330379d175d3539547247bfc570",
         "clustering.json": "d3e47407d9a08f525275c3f296054bffea4fceeac099a7b608a6be43bacb8543",
-        "formats.json": "897370fd505d0be30cc73d3a34f4fe33d4f780ed03179db2849c567864037afb",
+        "formats.json": "9f97d14f50480f116f7961b9cc54b8927a2c42a9c6c6b12f530b9b32a66c98b3",
         "metrics.json": "0925f7034784ebcfcc5cb69cb4daec8a59b84655e56c3bb611312d7bd43a342c",
         "refinement_audit.json": "a86170c9385a7c3978cb68646d516d5697e4a7dfa569040e064051fe77bf6047",
         "template.json": "6cc50fb3aa625a24afa50fbb1be48e8ab4a537dd548b96341b5927d968317e44",

@@ -147,9 +147,7 @@ def test_boundary_counts_are_consistent(true_fields, inferred_fields):
         FieldAnnotation(Field(a, b), SemanticType.BYTES, frozenset(), ())
         for a, b in true_fields
     )
-    inferred = FormatResult(
-        "m", MSG_LEN, tuple(Field(a, b) for a, b in inferred_fields)
-    )
+    inferred = FormatResult(MSG_LEN, tuple(Field(a, b) for a, b in inferred_fields))
     report = scored(inferred, truth)
     score = report.format
     # every inter-byte position lands in exactly one bucket
@@ -171,13 +169,13 @@ def test_splitting_one_true_field_costs_exactly_one_perfect_field(true_fields, d
         FieldAnnotation(Field(a, b), SemanticType.BYTES, frozenset(), ())
         for a, b in true_fields
     )
-    exact = FormatResult("m", MSG_LEN, tuple(a.field for a in truth))
+    exact = FormatResult(MSG_LEN, tuple(a.field for a in truth))
     assert scored(exact, truth).format.perfect_fields == len(truth)
     # both ends of the split field stay inferred boundaries, yet it is not exact
     start, end = data.draw(st.sampled_from([(a, b) for a, b in true_fields if b > a]))
     cut = data.draw(st.integers(min_value=start + 1, max_value=end))
     split = sorted({*exact.fields, Field(start, cut - 1), Field(cut, end)} - {Field(start, end)})
-    score = scored(FormatResult("m", MSG_LEN, tuple(split)), truth).format
+    score = scored(FormatResult(MSG_LEN, tuple(split)), truth).format
     assert score.perfect_fields == len(truth) - 1
 
 
@@ -191,7 +189,7 @@ def scored_corpora(draw):
     for i in range(draw(st.integers(1, 5))):
         mid = f"m{i}"
         fields = tuple(Field(a, b) for a, b in draw(partitions()))
-        formats[mid] = FormatResult(mid, MSG_LEN, fields)
+        formats[mid] = FormatResult(MSG_LEN, fields)
         annotations[mid] = tuple(
             FieldAnnotation(f, draw(types), draw(funcs), ()) for f in fields
         )
@@ -256,7 +254,7 @@ def repeated_rows(draw):
             fields = tuple(map(_flipped, fields))
             anns = tuple(a._replace(field=_flipped(a.field)) for a in anns)
         mid = f"{src}-{i}" if draw(st.booleans()) else f"l{i}"
-        formats[mid] = FormatResult(mid, MSG_LEN, fields)
+        formats[mid] = FormatResult(MSG_LEN, fields)
         annotations[mid], truths[mid] = anns, truth
     return formats, annotations, truths
 
@@ -429,7 +427,7 @@ def labelled_corpora(draw):
         mid = f"m{i}"
         row = draw(st.sampled_from(rows))
         messages.append(Message(mid, draw(data)))
-        formats[mid] = FormatResult(mid, MSG_LEN, tuple(ann.field for ann in row))
+        formats[mid] = FormatResult(MSG_LEN, tuple(ann.field for ann in row))
         annotations[mid] = row
     return messages, formats, annotations
 

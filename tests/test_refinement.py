@@ -42,10 +42,10 @@ def ann(start, end, sem_type, funcs=(), accessed=True):
     )
 
 
-def fmt(mid, length, *bounds):
+def fmt(length, *bounds):
     edges = [0, *bounds, length]
     fields = tuple(Field(a, b - 1) for a, b in zip(edges, edges[1:]))
-    return FormatResult(mid, length, fields)
+    return FormatResult(length, fields)
 
 
 def test_constraint_table_contents():
@@ -99,7 +99,7 @@ def test_fig7_corpus_clusters_on_command_byte(refine_corpus):
 
 def test_single_message_corpus_is_degenerate():
     msg = Message("only", b"\x01\x02")
-    clustering = explore_optimal([msg], {"only": fmt("only", 2, 1)})
+    clustering = explore_optimal([msg], {"only": fmt(2, 1)})
     assert clustering.degenerate
     assert clustering.clusters[0][1] == ("only",)
 
@@ -107,7 +107,7 @@ def test_single_message_corpus_is_degenerate():
 def test_disjoint_formats_give_zero_score_singletons():
     m1 = Message("a", b"\x01\x02\x03")
     m2 = Message("b", b"\x04\x05\x06")
-    formats = {"a": fmt("a", 3, 1), "b": fmt("b", 3, 2)}
+    formats = {"a": fmt(3, 1), "b": fmt(3, 2)}
     clustering = explore_optimal([m1, m2], formats)
     # every candidate clusters the two distinct-valued messages apart
     assert clustering.degenerate
@@ -118,7 +118,7 @@ def test_tie_breaks_to_smallest_start_then_end():
     # identical formats and two constant byte columns: every candidate
     # produces the same single cluster and the same score
     messages = [Message(f"m{i}", bytes([0xAA, i, 0xBB, 0xCC])) for i in range(4)]
-    formats = {m.id: fmt(m.id, 4, 1, 2, 3) for m in messages}
+    formats = {m.id: fmt(4, 1, 2, 3) for m in messages}
     clustering = explore_optimal(messages, formats)
     assert clustering.command_pos == (0, 0)
 
@@ -191,7 +191,7 @@ def prototype_corpora(draw):
         )
         mid = f"m{i:02d}"
         messages.append(Message(mid, data))
-        formats[mid] = fmt(mid, length, *inner)
+        formats[mid] = fmt(length, *inner)
     return messages, formats
 
 
@@ -211,7 +211,7 @@ def test_each_distinct_boundary_pair_is_aligned_at_most_once(monkeypatch):
         length, inner = rng.choice(shapes)
         mid = f"m{i:02d}"
         messages.append(Message(mid, bytes(rng.randrange(3) for _ in range(length))))
-        formats[mid] = fmt(mid, length, *inner)
+        formats[mid] = fmt(length, *inner)
     k = len({formats[m.id].boundaries for m in messages})
     calls = []
 
@@ -652,7 +652,7 @@ def test_duplicating_every_message_doubles_each_decisions_ids(corpus, entropy, c
     twins = [Message("t" + m.id, m.data) for m in messages]
     doubled = (
         messages + twins,
-        formats | {t.id: FormatResult(t.id, len(t), formats[t.id[1:]].fields) for t in twins},
+        formats | {t.id: FormatResult(len(t), formats[t.id[1:]].fields) for t in twins},
         annotations | {t.id: annotations[t.id[1:]] for t in twins},
     )
     _, refined, events = pipeline.refine_corpus(*corpus, False, entropy, constraints)

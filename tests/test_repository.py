@@ -352,14 +352,15 @@ def test_memos_key_by_value():
 #: the checked tuples, by module: each class body is the one place that may
 #: build its values around the constructor
 CHECKED_TUPLES = {
-    "model.py": {"InstructionRecord", "Field"},
+    "model.py": {"InstructionRecord", "Field", "FormatResult"},
     "detectors.py": {"FieldAnnotation", "Evidence"},
 }
 
 
 def test_only_the_record_class_builds_records_around_a_constructor():
-    """``InstructionRecord.__new__`` checks the record invariants and
-    ``Field.__new__`` the range, and each class's ``_make``, and so
+    """``InstructionRecord.__new__`` checks the record invariants,
+    ``Field.__new__`` the range and ``FormatResult.__new__`` the partition,
+    and each class's ``_make``, and so
     ``_replace``, call it.  No module may create an object or set an
     attribute around a class's constructor this way outside the body of a
     checked tuple (``FieldAnnotation`` and ``Evidence`` are the others), so
